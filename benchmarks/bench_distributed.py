@@ -3,9 +3,9 @@
 The paper notes the method "can be combined with MapReduce by running the
 indexing and bandit algorithm on each worker, and periodically communicating
 the running solution back to a coordinator" but does not evaluate it.  This
-benchmark runs the simulated executor at 1/2/4/8 workers and reports the
-wall-clock scaling of the exhaustive query and the quality retained at a
-fixed total scoring budget.
+benchmark runs the sharded engine's ``serial`` simulation at 1/2/4/8
+workers and reports the wall-clock scaling of the exhaustive query and the
+quality retained at a fixed total scoring budget.
 """
 
 from __future__ import annotations
@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 
 from repro.data.synthetic import SyntheticClustersDataset
-from repro.distributed import DistributedTopKExecutor
 from repro.experiments.ground_truth import compute_ground_truth
 from repro.experiments.report import format_rows
 from repro.index.builder import IndexConfig
+from repro.parallel.engine import ShardedTopKEngine
 from repro.scoring.base import FixedPerCallLatency
 from repro.scoring.relu import ReluScorer
 
@@ -40,12 +40,13 @@ def test_distributed_scaling(benchmark, capsys):
     def run():
         rows = []
         for n_workers in WORKER_COUNTS:
-            executor = DistributedTopKExecutor(
+            with ShardedTopKEngine(
                 dataset, scorer, k=K, n_workers=n_workers,
+                backend="serial",
                 index_config=IndexConfig(n_clusters=8),
                 sync_interval=100, seed=0,
-            )
-            result = executor.run()
+            ) as engine:
+                result = engine.run()
             rows.append((n_workers, result))
         return rows
 
@@ -84,12 +85,13 @@ def test_distributed_fixed_budget_quality(benchmark, capsys):
     def run():
         rows = []
         for n_workers in WORKER_COUNTS:
-            executor = DistributedTopKExecutor(
+            with ShardedTopKEngine(
                 dataset, scorer, k=K, n_workers=n_workers,
+                backend="serial",
                 index_config=IndexConfig(n_clusters=8),
                 sync_interval=50, seed=1,
-            )
-            result = executor.run(budget=budget)
+            ) as engine:
+                result = engine.run(budget=budget)
             rows.append([n_workers, result.wall_time,
                          result.stk / optimal])
         return rows

@@ -126,7 +126,7 @@ def measure_spec_bytes(dataset: InMemoryDataset, *, shared_memory: bool,
         dataset, BlockingReluScorer(PER_CALL), n_workers=WORKERS, k=K,
         engine_config=EngineConfig(k=K, batch_size=BATCH_SIZE),
         index_config=IndexConfig(n_clusters=16, subsample=2_000, flat=True),
-        factory=factory, root_entropy=factory._root.entropy,
+        factory=factory,
         materialize=True, shared_memory=shared_memory,
     )
     try:

@@ -10,9 +10,8 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 echo "== compileall =="
 python -m compileall -q src benchmarks examples tests tools
 
-echo "== doctests (dialect grammar + session shims + rng) =="
-python -m doctest src/repro/query/parser.py src/repro/session.py \
-    src/repro/utils/rng.py
+echo "== doctests (dialect grammar + rng) =="
+python -m doctest src/repro/query/parser.py src/repro/utils/rng.py
 
 # SKIP_DOCS=1 skips the docs gates (used by the CI matrix job, where the
 # dedicated `docs` job is the single owner of these checks).

@@ -21,12 +21,7 @@ from __future__ import annotations
 
 import time
 
-from repro import (
-    DistributedTopKExecutor,
-    FixedPerCallLatency,
-    ReluScorer,
-    ShardedTopKEngine,
-)
+from repro import FixedPerCallLatency, ReluScorer, ShardedTopKEngine
 from repro.data.synthetic import SyntheticClustersDataset
 from repro.experiments.ground_truth import compute_ground_truth
 from repro.index.builder import IndexConfig
@@ -48,12 +43,12 @@ def main() -> None:
     print("-- simulation (serial backend, virtual clock) --")
     print("workers | wall time | STK (fraction of optimal)")
     for n_workers in (1, 2, 4, 8):
-        executor = DistributedTopKExecutor(
-            dataset, scorer, k=K, n_workers=n_workers,
+        with ShardedTopKEngine(
+            dataset, scorer, k=K, n_workers=n_workers, backend="serial",
             index_config=IndexConfig(n_clusters=6),
             sync_interval=100, seed=0,
-        )
-        result = executor.run(budget=budget)
+        ) as simulated:
+            result = simulated.run(budget=budget)
         print(f"{n_workers:7d} | {result.wall_time:8.2f}s | "
               f"{result.stk / optimal:.1%}  "
               f"({result.n_rounds} sync rounds)")

@@ -60,10 +60,15 @@ import numpy as np
 
 
 def _backend_choices() -> List[str]:
-    """The shared backend vocabulary, introspected from the registries."""
-    from repro.parallel import available_backends
+    """The backend vocabulary, introspected from the registry.
 
-    return available_backends()
+    Registered names, not probed ones: building the parser must not fork
+    the process-backend probe; an unusable backend is rejected with its
+    reason when the query is planned.
+    """
+    from repro.parallel import BACKENDS
+
+    return list(BACKENDS)
 
 
 def _policy_choices() -> List[str]:
@@ -285,7 +290,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    from repro import parse_query
+    from repro.query import parse
 
     live_mode = args.live or args.append > 0
     session = _demo_session(args.rows, args.seed, live=live_mode)
@@ -294,7 +299,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     streaming_mode = (args.stream or args.every is not None
                       or args.confidence is not None)
     try:
-        parsed = parse_query(sql)
+        parsed = parse(sql)
     except Exception:
         parsed = None  # let execute() raise the clean parse error below
     if parsed is not None:
@@ -472,8 +477,7 @@ def _cmd_info(_args: argparse.Namespace) -> int:
     import os
 
     import repro
-    from repro.parallel import available_backends
-    from repro.streaming import available_backends as stream_backends
+    from repro.parallel import backend_availability, shm_probe
 
     print(f"repro {repro.__version__} — Approximating Opaque Top-k Queries "
           "(SIGMOD 2025 reproduction)")
@@ -513,20 +517,18 @@ def _cmd_info(_args: argparse.Namespace) -> int:
     ]
     for module, description in inventory:
         print(f"  {module:20s} {description}")
-    from repro.parallel import backend_availability, shm_probe
-
-    backends = ", ".join(available_backends())
-    print(f"\nparallel backends: {backends} "
+    availability = backend_availability()
+    usable = ", ".join(name for name, reason in availability.items()
+                       if reason is None)
+    print(f"\nbackends: {usable} "
           f"({os.cpu_count() or 1} CPU core(s) available); "
           "'process' uses real cores, 'thread' suits GIL-releasing UDFs, "
-          "'serial' is the deterministic simulation")
-    for name, reason in backend_availability().items():
+          "'serial' is the deterministic simulation — one registry for "
+          "round (WORKERS) and streaming (STREAM) execution, plus the "
+          "trace-driven 'replay' backend (repro demo --replay-trace)")
+    for name, reason in availability.items():
         if reason is not None:
             print(f"  {name}: unavailable — {reason}")
-    print(f"streaming backends: {', '.join(stream_backends())} "
-          "(same names, barrier-free merge-on-arrival execution), "
-          "plus the trace-driven 'replay' backend "
-          "(repro demo --replay-trace)")
     print("score cache: on by default (per-table cross-query memo, keyed "
           "by UDF fingerprint; warm answers bit-identical to cold; "
           "opt out per query with --no-cache)")

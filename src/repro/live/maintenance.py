@@ -33,8 +33,10 @@ query answers are identical to a fresh rebuild's.
 
 from __future__ import annotations
 
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Deque, Dict, List, Optional, Sequence, Set,
+                    Tuple)
 
 import numpy as np
 
@@ -133,7 +135,9 @@ class IndexMaintainer:
         """Fold committed deltas in; publish a new tree at ``snapshot``.
 
         ``snapshot`` must be the table state *after* the last delta —
-        split feature lookups and the rebuild fallback both read it.
+        the rebuild fallback reads it, and so do split feature lookups
+        for every member no later delta of this batch rewrites (see
+        :meth:`_rows_as_indexed`).
         """
         report = MaintenanceReport(version_from=self.version,
                                    version_to=snapshot.version)
@@ -154,24 +158,38 @@ class IndexMaintainer:
         nodes, parent, root = self._clone()
         touched: Set[str] = set()
         splits_before = self.n_splits
+        # Rows this batch has yet to overwrite or remove, oldest first:
+        # until its delta is applied, the tree still indexes the element
+        # under that row, which the post-batch snapshot no longer holds.
+        superseded: Dict[str, Deque[np.ndarray]] = defaultdict(deque)
+        for delta in deltas:
+            if delta.old_rows is not None:
+                for element_id, old in zip(delta.ids, delta.old_rows):
+                    superseded[element_id].append(old)
+
+        def rows_of(members: List[str]) -> np.ndarray:
+            return self._rows_as_indexed(members, snapshot, superseded)
+
         for delta in deltas:
             if delta.kind == "append":
                 assert delta.rows is not None
                 for element_id, row in zip(delta.ids, delta.rows):
                     self._insert(element_id, row, nodes, parent, root,
-                                 touched, snapshot)
+                                 touched, rows_of)
                     report.routed += 1
             elif delta.kind == "update":
                 assert delta.rows is not None and delta.old_rows is not None
                 for element_id, row, old in zip(delta.ids, delta.rows,
                                                 delta.old_rows):
+                    superseded[element_id].popleft()
                     self._remove(element_id, old, nodes, parent, touched)
                     self._insert(element_id, row, nodes, parent, root,
-                                 touched, snapshot)
+                                 touched, rows_of)
                     report.routed += 1
             elif delta.kind == "delete":
                 assert delta.old_rows is not None
                 for element_id, old in zip(delta.ids, delta.old_rows):
+                    superseded[element_id].popleft()
                     self._remove(element_id, old, nodes, parent, touched)
                     report.removed += 1
             else:  # pragma: no cover - the table only emits these kinds
@@ -258,10 +276,36 @@ class IndexMaintainer:
 
     # -- incremental ops -----------------------------------------------------
 
+    @staticmethod
+    def _rows_as_indexed(members: List[str], snapshot: TableSnapshot,
+                         superseded: Dict[str, Deque[np.ndarray]],
+                         ) -> np.ndarray:
+        """Feature rows of ``members`` as the tree holds them mid-batch.
+
+        The post-batch ``snapshot`` is right for every member except
+        those a later delta of the same batch updates (different row) or
+        deletes (no row at all); for those, the next superseded row is.
+        """
+        stale = [position for position, member in enumerate(members)
+                 if superseded.get(member)]
+        if not stale:
+            return snapshot.features_of(members)
+        settled = [position for position, member in enumerate(members)
+                   if not superseded.get(member)]
+        first = superseded[members[stale[0]]][0]
+        rows = np.empty((len(members), len(first)), dtype=float)
+        if settled:
+            rows[settled] = snapshot.features_of(
+                [members[position] for position in settled])
+        for position in stale:
+            rows[position] = superseded[members[position]][0]
+        return rows
+
     def _insert(self, element_id: str, row: np.ndarray,
                 nodes: Dict[str, ClusterNode],
                 parent: Dict[str, Optional[str]], root: ClusterNode,
-                touched: Set[str], snapshot: TableSnapshot) -> None:
+                touched: Set[str],
+                rows_of: Callable[[List[str]], np.ndarray]) -> None:
         node = root
         while not node.is_leaf:
             best, best_dist = None, np.inf
@@ -280,7 +324,7 @@ class IndexMaintainer:
         touched.add(node.node_id)
         self._bump(node.node_id, parent, row, +1, touched)
         if len(node.member_ids) > self.max_leaf_size:
-            self._split(node, nodes, parent, touched, snapshot)
+            self._split(node, nodes, parent, touched, rows_of)
 
     def _remove(self, element_id: str, old_row: np.ndarray,
                 nodes: Dict[str, ClusterNode],
@@ -329,11 +373,11 @@ class IndexMaintainer:
 
     def _split(self, leaf: ClusterNode, nodes: Dict[str, ClusterNode],
                parent: Dict[str, Optional[str]], touched: Set[str],
-               snapshot: TableSnapshot) -> None:
+               rows_of: Callable[[List[str]], np.ndarray]) -> None:
         """Promote an overflowing leaf to an internal node with two
         children, assigned by deterministic farthest-pair 2-means."""
         members = list(leaf.member_ids)
-        rows = snapshot.features_of(members)
+        rows = rows_of(members)
         mean = rows.mean(axis=0)
         seed_a = int(np.argmax(((rows - mean) ** 2).sum(axis=1)))
         seed_b = int(np.argmax(((rows - rows[seed_a]) ** 2).sum(axis=1)))

@@ -4,14 +4,16 @@ The subsystem splits a query across ``W`` shards — per-shard index plus
 bandit engine, periodic coordinator merge, k-th-score threshold broadcast —
 and executes them on a pluggable backend:
 
-* ``serial``  — deterministic single-thread round simulation (bit-identical
-  to the original :mod:`repro.distributed` module, virtual clock);
-* ``thread``  — one thread per shard per round (``concurrent.futures``);
+* ``serial``  — deterministic single-thread simulation (virtual clock);
+* ``thread``  — one thread per shard (``concurrent.futures``);
 * ``process`` — one pinned child process per shard, built once from a
   picklable :class:`~repro.parallel.worker.ShardSpec`.
 
-Entry point: :class:`~repro.parallel.engine.ShardedTopKEngine`.  The
-architecture and protocol invariants are documented in
+One :class:`~repro.parallel.coordinator.ShardCoordinator` owns everything
+but the wait policy.  Entry point here:
+:class:`~repro.parallel.engine.ShardedTopKEngine` (wait for every shard
+each round); :mod:`repro.streaming` is the same coordinator merging on
+arrival.  The architecture and protocol invariants are documented in
 ``docs/architecture.md``.
 """
 
@@ -20,6 +22,7 @@ from repro.parallel.backends import (
     ProcessBackend,
     SerialBackend,
     ShardBackend,
+    SliceEvent,
     ThreadBackend,
     available_backends,
     backend_availability,
@@ -32,12 +35,12 @@ from repro.parallel.shm import (
     shm_available,
     shm_probe,
 )
-from repro.parallel.engine import (
-    DistributedResult,
-    ShardedTopKEngine,
+from repro.parallel.coordinator import (
+    ShardCoordinator,
     WorkerReport,
     merge_worker_topk,
 )
+from repro.parallel.engine import DistributedResult, ShardedTopKEngine
 from repro.parallel.worker import (
     RoundOutcome,
     ShardDataset,
@@ -54,6 +57,7 @@ __all__ = [
     "RoundOutcome",
     "SerialBackend",
     "ShardBackend",
+    "ShardCoordinator",
     "ShardDataset",
     "ShardIndexCache",
     "ShardSpec",
@@ -61,6 +65,7 @@ __all__ = [
     "ShardedTopKEngine",
     "SharedFeatureTable",
     "SharedSliceRef",
+    "SliceEvent",
     "ThreadBackend",
     "WorkerReport",
     "available_backends",

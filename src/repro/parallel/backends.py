@@ -1,39 +1,52 @@
-"""Execution backends for the sharded engine: serial, thread, process.
+"""Execution backends for the shard coordinators: serial, thread, process.
 
-A backend owns the worker placement and answers one question per round:
-"given per-shard score caps and the latest broadcast threshold, run every
-shard for one round and return their :class:`~repro.parallel.worker.RoundOutcome`
-objects in worker order."  Everything else — budgeting, merging, threshold
-broadcast, result assembly — lives in the coordinator
-(:class:`~repro.parallel.engine.ShardedTopKEngine`), so all three backends
-share the exact same protocol.
+A backend owns worker placement and answers two questions, independently:
+"run *this* shard for one budget slice under this threshold floor"
+(:meth:`ShardBackend.submit`) and "hand me whichever in-flight slice
+finishes next" (:meth:`ShardBackend.next_event`).  Everything else —
+budgeting, merging, threshold broadcast, result assembly, and above all
+*when to wait* — lives in the coordinators
+(:mod:`repro.parallel.coordinator`): the round engine submits one slice
+per shard and waits for all of them (a barrier), the streaming engine
+resubmits each shard the moment its slice is merged.  One backend family
+serves both.
 
-* :class:`SerialBackend` runs shards one after another on the calling
-  thread.  It allocates the budget *live* (each shard's cap sees what the
-  previous shards actually consumed), which makes it bit-identical to the
-  original single-process round simulation; its clock is the virtual
-  ``max(round costs)`` of the paper's analysis.
-* :class:`ThreadBackend` runs every shard's round concurrently on a
-  :class:`concurrent.futures.ThreadPoolExecutor`.  Useful when the UDF
-  releases the GIL (I/O, numpy kernels, remote model calls).
+The coordinator keeps **at most one slice in flight per shard**, which
+bounds the broadcast threshold's staleness: a slice runs with the floor
+captured at its submission.  See ``docs/architecture.md``.
+
+* :class:`SerialBackend` is the deterministic simulation: a slice executes
+  eagerly inside ``submit`` (with exactly the floor it was submitted
+  under) and is released in virtual-completion order — each worker carries
+  a virtual clock advanced by the slice's latency-model cost, ties break
+  by worker id.  This reproduces the arrival interleaving of a perfectly
+  parallel execution, bit for bit.
+* :class:`ThreadBackend` runs slices on a
+  :class:`concurrent.futures.ThreadPoolExecutor` (one thread per shard).
+  Useful when the UDF releases the GIL (I/O, numpy kernels, remote calls).
 * :class:`ProcessBackend` pins each shard to its own single-process
   :class:`concurrent.futures.ProcessPoolExecutor`.  The shard is built once
   per process from a picklable :class:`~repro.parallel.worker.ShardSpec`;
-  rounds exchange only light outcome payloads, never indexes or histograms.
+  slices exchange only ``(cap, floor)`` and light outcome payloads.
 
-Concurrent backends pre-assign each round's caps (in worker order, from the
-remaining budget) instead of allocating live; the split differs from serial
-only in end-game rounds where a shard exhausts mid-round, which is why only
-``serial`` promises bit-identical results.
+:mod:`repro.replay` adds a trace-driven :class:`SerialBackend` subclass,
+handed to the streaming engine as an instance (it is not in the registry).
 """
 
 from __future__ import annotations
 
+import heapq
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Type
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Future,
+    ProcessPoolExecutor,
+    ThreadPoolExecutor,
+    wait,
+)
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple, Type
 
 from repro.errors import ConfigurationError
 from repro.parallel.worker import (
@@ -78,67 +91,44 @@ def validate_process_specs(specs: List[ShardSpec]) -> None:
             )
 
 
-def start_process_pools(specs: List[ShardSpec]) -> List[ProcessPoolExecutor]:
-    """One pinned single-process pool per shard, bootstrapped concurrently.
+@dataclass(frozen=True)
+class SliceEvent:
+    """One completed slice, as released to the coordinator.
 
-    ``ProcessPoolExecutor`` spawns its worker lazily on first submit, so a
-    no-op warmup task is submitted to every pool before waiting on any of
-    them: the children spawn and run their initializers (spec transfer or
-    shm attach, index build) in parallel instead of serializing at
-    first-round time.  On any failure every pool created so far is shut
-    down before the error propagates, so a failed start never leaks child
-    processes.  Shared by the round-based and streaming process backends.
+    ``virtual_completion`` is set only by simulation backends (the
+    worker's virtual clock at slice completion); real backends leave it
+    ``None`` and the coordinator measures wall-clock itself.
     """
-    validate_process_specs(specs)
-    context = _mp_context()
-    pools: List[ProcessPoolExecutor] = []
-    try:
-        for spec in specs:
-            pools.append(ProcessPoolExecutor(
-                max_workers=1, mp_context=context,
-                initializer=process_init, initargs=(spec,),
-            ))
-        for future in [pool.submit(_pool_ready) for pool in pools]:
-            future.result()
-    except BaseException:
-        for pool in pools:
-            pool.shutdown(wait=False, cancel_futures=True)
-        raise
-    return pools
 
-
-def _preassign_caps(per_worker: int, budget_remaining: int,
-                    active: Sequence[bool]) -> List[int]:
-    """Deal the round's budget to active shards, in worker order."""
-    remaining = budget_remaining
-    caps: List[int] = []
-    for is_active in active:
-        cap = min(per_worker, max(0, remaining)) if is_active else 0
-        caps.append(cap)
-        remaining -= cap
-    return caps
+    outcome: RoundOutcome
+    virtual_completion: Optional[float] = None
 
 
 class ShardBackend:
-    """Common interface; subclasses define placement and concurrency."""
+    """Common interface; subclasses define placement and arrival order."""
 
     name: str = "abstract"
-    #: True when round costs are charged to the virtual clock (simulation);
-    #: False when the coordinator should measure real wall-clock instead.
+    #: True for simulations: a slice runs eagerly inside ``submit`` and its
+    #: cost is charged to a virtual clock.  False when slices really run
+    #: concurrently and the coordinator measures wall-clock instead.
     virtual_clock: bool = True
 
-    def start(self, specs: List[ShardSpec], dataset, scorer) -> None:
-        """Materialize the shards (in-process or in child processes)."""
+    def start(self, specs: List[ShardSpec], dataset, scorer,
+              worker_times: Optional[List[float]] = None) -> None:
+        """Materialize the shards; ``worker_times`` seeds virtual clocks."""
         raise NotImplementedError
 
-    def run_round(self, per_worker: int, budget_remaining: int,
-                  active: Sequence[bool],
-                  threshold_floor: Optional[float]) -> List[RoundOutcome]:
-        """Run one synchronized round; outcomes come back in worker order."""
+    def submit(self, worker_id: int, cap: int,
+               threshold_floor: Optional[float]) -> None:
+        """Schedule one budget slice on one shard (non-blocking intent)."""
+        raise NotImplementedError
+
+    def next_event(self) -> SliceEvent:
+        """Block until the next in-flight slice completes; arrival order."""
         raise NotImplementedError
 
     def snapshots(self) -> List[dict]:
-        """Collect every shard's engine snapshot (see core.snapshot)."""
+        """Collect every shard's engine snapshot (no slice may be in flight)."""
         raise NotImplementedError
 
     def inline_workers(self) -> Optional[List[ShardWorker]]:
@@ -156,30 +146,43 @@ class ShardBackend:
 
 
 class SerialBackend(ShardBackend):
-    """Deterministic one-thread execution — the simulation oracle."""
+    """Deterministic one-thread execution — the simulation oracle.
+
+    ``submit`` runs the slice immediately (shard state lives in-process
+    and the floor is, by protocol, the one known at submission time) and
+    parks the outcome on a heap keyed by ``(virtual completion, worker)``;
+    ``next_event`` releases the earliest completion.  Because the
+    coordinator holds one in-flight slice per shard, the heap never holds
+    two entries for the same worker and the interleaving is a pure
+    function of the seed and the latency model.
+    """
 
     name = "serial"
     virtual_clock = True
 
     def __init__(self) -> None:
         self.workers: List[ShardWorker] = []
+        self._clock: List[float] = []
+        self._ready: List[Tuple[float, int, RoundOutcome]] = []
 
-    def start(self, specs: List[ShardSpec], dataset, scorer) -> None:
+    def start(self, specs: List[ShardSpec], dataset, scorer,
+              worker_times: Optional[List[float]] = None) -> None:
         self.workers = [ShardWorker(spec, dataset=dataset, scorer=scorer)
                         for spec in specs]
+        self._clock = list(worker_times or [0.0] * len(self.workers))
 
-    def run_round(self, per_worker, budget_remaining, active,
-                  threshold_floor) -> List[RoundOutcome]:
-        outcomes: List[RoundOutcome] = []
-        remaining = budget_remaining
-        for worker in self.workers:
-            # Live allocation: the cap sees what earlier shards consumed,
-            # exactly like the single-process round loop.
-            cap = min(per_worker, max(0, remaining))
-            outcome = worker.run_round(cap, threshold_floor)
-            remaining -= outcome.scored
-            outcomes.append(outcome)
-        return outcomes
+    def submit(self, worker_id: int, cap: int,
+               threshold_floor: Optional[float]) -> None:
+        outcome = self.workers[worker_id].run_round(cap, threshold_floor)
+        self._clock[worker_id] += outcome.cost
+        heapq.heappush(self._ready,
+                       (self._clock[worker_id], worker_id, outcome))
+
+    def next_event(self) -> SliceEvent:
+        if not self._ready:
+            raise ConfigurationError("next_event() with no slice in flight")
+        completion, _worker, outcome = heapq.heappop(self._ready)
+        return SliceEvent(outcome, virtual_completion=completion)
 
     def snapshots(self) -> List[dict]:
         return [worker.snapshot() for worker in self.workers]
@@ -188,17 +191,39 @@ class SerialBackend(ShardBackend):
         return self.workers
 
 
-class ThreadBackend(ShardBackend):
-    """One thread per shard per round via ThreadPoolExecutor."""
+class _FutureBackend(ShardBackend):
+    """Future bookkeeping shared by the real (thread/process) backends."""
 
-    name = "thread"
     virtual_clock = False
 
     def __init__(self) -> None:
+        self._pending: Dict[Future, int] = {}
+
+    def next_event(self) -> SliceEvent:
+        if not self._pending:
+            raise ConfigurationError("next_event() with no slice in flight")
+        done, _running = wait(list(self._pending),
+                              return_when=FIRST_COMPLETED)
+        # Several slices may have completed while the coordinator was
+        # merging; release the lowest worker id first so the consumption
+        # order at least breaks ties stably.
+        future = min(done, key=lambda f: self._pending[f])
+        self._pending.pop(future)
+        return SliceEvent(future.result())
+
+
+class ThreadBackend(_FutureBackend):
+    """One thread per shard via ThreadPoolExecutor."""
+
+    name = "thread"
+
+    def __init__(self) -> None:
+        super().__init__()
         self.workers: List[ShardWorker] = []
         self._pool: Optional[ThreadPoolExecutor] = None
 
-    def start(self, specs: List[ShardSpec], dataset, scorer) -> None:
+    def start(self, specs: List[ShardSpec], dataset, scorer,
+              worker_times: Optional[List[float]] = None) -> None:
         self.workers = [ShardWorker(spec, dataset=dataset, scorer=scorer)
                         for spec in specs]
         self._pool = ThreadPoolExecutor(
@@ -206,17 +231,15 @@ class ThreadBackend(ShardBackend):
             thread_name_prefix="repro-shard",
         )
 
-    def run_round(self, per_worker, budget_remaining, active,
-                  threshold_floor) -> List[RoundOutcome]:
+    def submit(self, worker_id: int, cap: int,
+               threshold_floor: Optional[float]) -> None:
         assert self._pool is not None, "start() must run first"
-        caps = _preassign_caps(per_worker, budget_remaining, active)
-        futures = [
-            self._pool.submit(worker.run_round, cap, threshold_floor)
-            for worker, cap in zip(self.workers, caps)
-        ]
-        return [future.result() for future in futures]
+        future = self._pool.submit(self.workers[worker_id].run_round,
+                                   cap, threshold_floor)
+        self._pending[future] = worker_id
 
     def snapshots(self) -> List[dict]:
+        assert not self._pending, "snapshot with slices in flight"
         return [worker.snapshot() for worker in self.workers]
 
     def inline_workers(self) -> Optional[List[ShardWorker]]:
@@ -228,63 +251,58 @@ class ThreadBackend(ShardBackend):
             self._pool = None
 
 
-class ProcessBackend(ShardBackend):
+class ProcessBackend(_FutureBackend):
     """One dedicated child process per shard via ProcessPoolExecutor.
 
     Each shard gets its own ``max_workers=1`` pool so worker state can live
     in the child process for the whole query: the initializer builds the
-    shard from its picklable spec once, and every subsequent round only
-    ships ``(cap, threshold)`` down and a light outcome back.
+    shard from its picklable spec once, and every subsequent slice only
+    ships ``(cap, floor)`` down and a light outcome back.
     """
 
     name = "process"
-    virtual_clock = False
 
     def __init__(self) -> None:
+        super().__init__()
         self._pools: List[ProcessPoolExecutor] = []
-        self._last: Dict[int, RoundOutcome] = {}
 
-    def start(self, specs: List[ShardSpec], dataset, scorer) -> None:
-        self._pools = start_process_pools(specs)
+    def start(self, specs: List[ShardSpec], dataset, scorer,
+              worker_times: Optional[List[float]] = None) -> None:
+        """One pinned single-process pool per shard, bootstrapped concurrently.
 
-    def run_round(self, per_worker, budget_remaining, active,
-                  threshold_floor) -> List[RoundOutcome]:
-        caps = _preassign_caps(per_worker, budget_remaining, active)
-        # Only shards with budget cross the pipe; an inactive or 0-cap
-        # shard gets a synthesized idle outcome below (identical to what
-        # its child would report for a zero-cap round: no scoring, same
-        # running top-k and totals) without the IPC round-trip.
-        futures = {
-            worker: pool.submit(process_run_round, cap, threshold_floor)
-            for worker, (pool, cap) in enumerate(zip(self._pools, caps))
-            if cap > 0
-        }
-        outcomes: List[RoundOutcome] = []
-        for worker, cap in enumerate(caps):
-            if worker in futures:
-                outcome = futures[worker].result()
-                self._last[worker] = outcome
-            else:
-                outcome = self._idle_outcome(worker)
-            outcomes.append(outcome)
-        return outcomes
+        ``ProcessPoolExecutor`` spawns its worker lazily on first submit,
+        so a no-op warmup task is submitted to every pool before waiting
+        on any of them: the children spawn and run their initializers
+        (spec transfer or shm attach, index build) in parallel instead of
+        serializing at first-slice time.  On any failure every pool
+        created so far is shut down before the error propagates, so a
+        failed start never leaks child processes.
+        """
+        validate_process_specs(specs)
+        context = _mp_context()
+        pools: List[ProcessPoolExecutor] = []
+        try:
+            for spec in specs:
+                pools.append(ProcessPoolExecutor(
+                    max_workers=1, mp_context=context,
+                    initializer=process_init, initargs=(spec,),
+                ))
+            for future in [pool.submit(_pool_ready) for pool in pools]:
+                future.result()
+        except BaseException:
+            for pool in pools:
+                pool.shutdown(wait=False, cancel_futures=True)
+            raise
+        self._pools = pools
 
-    def _idle_outcome(self, worker: int) -> RoundOutcome:
-        last = self._last.get(worker)
-        if last is not None:
-            # Zero out per-round fields, including the memo write-back
-            # payload: re-reporting last round's fresh scores would
-            # double-count hits/misses in the coordinator's accounting.
-            return replace(last, scored=0, cost=0.0, elapsed=0.0,
-                           fresh_scores=[], memo_hits=0)
-        # No round ran yet on this shard: an empty report (the merge and
-        # the convergence bound both treat it as "nothing new").
-        return RoundOutcome(
-            worker_id=worker, scored=0, cost=0.0, elapsed=0.0,
-            topk=[], exhausted=False, n_scored_total=0, local_stk=0.0,
-        )
+    def submit(self, worker_id: int, cap: int,
+               threshold_floor: Optional[float]) -> None:
+        future = self._pools[worker_id].submit(process_run_round,
+                                               cap, threshold_floor)
+        self._pending[future] = worker_id
 
     def snapshots(self) -> List[dict]:
+        assert not self._pending, "snapshot with slices in flight"
         return [pool.submit(process_snapshot).result()
                 for pool in self._pools]
 
@@ -292,17 +310,15 @@ class ProcessBackend(ShardBackend):
         for pool in self._pools:
             pool.shutdown(wait=True)
         self._pools = []
-        self._last = {}
 
 
+#: The one backend vocabulary, serial first — introspected (never
+#: hard-coded) by the CLI and the session dialect.
 BACKENDS: Dict[str, Type[ShardBackend]] = {
     SerialBackend.name: SerialBackend,
     ThreadBackend.name: ThreadBackend,
     ProcessBackend.name: ProcessBackend,
 }
-
-
-_AVAILABILITY: Optional[Dict[str, Optional[str]]] = None
 
 
 def _probe_process() -> Optional[str]:
@@ -327,20 +343,33 @@ def _probe_process() -> Optional[str]:
     return None
 
 
-def backend_availability(refresh: bool = False) -> Dict[str, Optional[str]]:
+#: Cached :func:`_probe_process` verdict, as a 1-tuple once probed.
+_PROCESS_PROBE: Optional[Tuple[Optional[str]]] = None
+
+
+def unavailable_reason(name: str) -> Optional[str]:
+    """Why registered backend ``name`` cannot run here (``None`` = usable).
+
+    Lazy per name: ``serial`` and ``thread`` run in the coordinator
+    process and never probe anything; only asking about ``process`` forks
+    the probe child (once per process, cached) — so a threaded server
+    resolving ``BACKEND thread`` never forks.
+    """
+    global _PROCESS_PROBE
+    if name != ProcessBackend.name:
+        return None
+    if _PROCESS_PROBE is None:
+        _PROCESS_PROBE = (_probe_process(),)
+    return _PROCESS_PROBE[0]
+
+
+def backend_availability() -> Dict[str, Optional[str]]:
     """Per-backend usability: name -> ``None`` (usable) or a reason string.
 
-    ``serial`` and ``thread`` run in the coordinator process and are
-    always usable; ``process`` is probed once per process (see
-    :func:`_probe_process`) and cached.  The CLI's ``info`` command prints
-    the reasons; :func:`make_backend` refuses unavailable names.
+    Probes ``process`` (see :func:`unavailable_reason`); the CLI's
+    ``info`` command prints the reasons.
     """
-    global _AVAILABILITY
-    if _AVAILABILITY is None or refresh:
-        availability = {name: None for name in BACKENDS}
-        availability[ProcessBackend.name] = _probe_process()
-        _AVAILABILITY = availability
-    return dict(_AVAILABILITY)
+    return {name: unavailable_reason(name) for name in BACKENDS}
 
 
 def available_backends() -> List[str]:
@@ -349,19 +378,21 @@ def available_backends() -> List[str]:
             if reason is None]
 
 
-def make_backend(name: str) -> ShardBackend:
-    """Instantiate a backend by name; raise with guidance on a typo."""
-    try:
-        backend_cls = BACKENDS[name]
-    except KeyError:
+def check_backend(name: str) -> None:
+    """Raise with guidance unless ``name`` is registered and usable here."""
+    if name not in BACKENDS:
         raise ConfigurationError(
-            f"unknown parallel backend {name!r}; available: "
-            f"{', '.join(available_backends())} "
+            f"unknown backend {name!r}; registered: {', '.join(BACKENDS)} "
             f"(this machine reports {os.cpu_count() or 1} CPU core(s))"
-        ) from None
-    reason = backend_availability().get(name)
+        )
+    reason = unavailable_reason(name)
     if reason is not None:
         raise ConfigurationError(
-            f"parallel backend {name!r} is unavailable here: {reason}"
+            f"backend {name!r} is unavailable here: {reason}"
         )
-    return backend_cls()
+
+
+def make_backend(name: str) -> ShardBackend:
+    """Instantiate a backend by name; raise with guidance on a typo."""
+    check_backend(name)
+    return BACKENDS[name]()

@@ -1,16 +1,19 @@
-"""Sharded top-k coordinator — Section 6's MapReduce combination, for real.
+"""Sharded top-k in synchronized rounds — the *barrier* wait policy.
 
 :class:`ShardedTopKEngine` executes one opaque top-k query over ``W``
-shards, each holding a partition of the dataset with its own index and
-:class:`~repro.core.engine.TopKEngine`.  Execution proceeds in synchronized
-rounds:
+shards on the shared :class:`~repro.parallel.coordinator.ShardCoordinator`
+and adds exactly one decision to it: wait for every shard before merging.
+Execution proceeds in rounds:
 
 1. the coordinator deals the remaining budget into per-shard caps
    (``sync_interval`` scoring calls per shard per round);
-2. every shard runs its bandit for its cap (placement decided by the
-   backend: same thread, thread pool, or dedicated child processes);
+2. every funded active shard is submitted one slice of its cap
+   (placement decided by the backend: same thread, thread pool, or
+   dedicated child processes) and the coordinator collects that many
+   events — the barrier;
 3. the coordinator folds each shard's running top-k into the global
-   :class:`~repro.core.minmax_heap.TopKBuffer` (the *merge*);
+   :class:`~repro.core.minmax_heap.TopKBuffer`, in worker order (the
+   *merge*);
 4. the global k-th score is broadcast back as each shard's kick-out floor
    (the *threshold broadcast*), so no shard wastes budget on elements that
    can no longer enter the merged answer.
@@ -21,13 +24,10 @@ order, same virtual clock); ``thread`` and ``process`` run the same
 protocol on real concurrency and measure real wall-clock.  See
 ``docs/architecture.md`` for the protocol invariants.
 
-Two cross-cutting siblings: :mod:`repro.streaming` runs the same
-shard/coordinator protocol *without* the round barrier (continuous
-slices, merge on arrival, anytime progressive results), and
-:mod:`repro.parallel.cache` shares per-shard partition indexes across
-round and streaming runs on the same dataset.  Every
-:class:`~repro.parallel.worker.RoundOutcome` also ships a sketch tail
-summary, which the coordinator folds into a
+The sibling :mod:`repro.streaming` is the same coordinator *without* the
+barrier (continuous slices, merge on arrival, anytime progressive
+results).  Every :class:`~repro.parallel.worker.RoundOutcome` also ships
+a sketch tail summary, which the coordinator folds into a
 :class:`~repro.core.convergence.ConvergenceBound` — the final
 :class:`DistributedResult` reports ``displacement_bound``, an explicit
 upper estimate of the probability that the budgeted answer differs from
@@ -38,45 +38,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import ClassVar, List, Optional, Sequence, Set, Tuple
+from typing import ClassVar, List, Optional, Tuple
 
-from repro.core.convergence import ConvergenceBound
-from repro.core.engine import EngineConfig, _fully_funded
-from repro.core.minmax_heap import TopKBuffer
 from repro.core.result import ResultBase
 from repro.data.dataset import Dataset
-from repro.errors import ConfigurationError, SerializationError
-from repro.index.builder import IndexConfig
-from repro.obs.metrics import (
-    MEMO_HITS_TOTAL,
-    ROUNDS_TOTAL,
-    UDF_CALLS_TOTAL,
-)
-from repro.obs.spans import TraceContext
-from repro.parallel.backends import ShardBackend, make_backend
-from repro.parallel.cache import ShardIndexCache, subset_fingerprint
-from repro.parallel.worker import (
-    RoundOutcome,
-    ShardSpec,
-    build_shard_specs,
-    harvest_shard_indexes,
-)
+from repro.errors import ConfigurationError
+from repro.obs.metrics import ROUNDS_TOTAL
+from repro.parallel.coordinator import ShardCoordinator, WorkerReport
+from repro.parallel.worker import RoundOutcome
 from repro.scoring.base import Scorer
-from repro.utils.rng import RngFactory
-
-_SNAPSHOT_FORMAT = "repro-sharded-snapshot/1"
-
-
-@dataclass(frozen=True)
-class WorkerReport:
-    """Final statistics of one shard."""
-
-    worker_id: int
-    n_elements: int
-    n_scored: int
-    virtual_time: float
-    local_stk: float
-    fallback_events: Tuple[Tuple[int, str], ...]
 
 
 @dataclass
@@ -131,250 +101,77 @@ class DistributedResult(ResultBase):
         )
 
 
-def merge_worker_topk(buffer: TopKBuffer, merged_ids: Set[str],
-                      items: List[Tuple[str, float]]) -> None:
-    """Fold one shard's running solution into the global top-k.
-
-    ``merged_ids`` remembers every ID ever offered: scores are immutable, so
-    an element seen twice (second sight can only come from re-reporting the
-    same shard's buffer, or a pathological duplicate ID across shards) is
-    offered exactly once, and an evicted element — below the global k-th
-    score forever — is never re-admitted.
-    """
-    for element_id, score in items:
-        if element_id not in merged_ids:
-            merged_ids.add(element_id)
-            buffer.offer(score, element_id)
-
-
-class ShardedTopKEngine:
-    """Coordinator for sharded top-k execution on a pluggable backend.
+class ShardedTopKEngine(ShardCoordinator):
+    """Round-based sharded execution: the coordinator plus a barrier.
 
     Parameters
     ----------
-    dataset / scorer / k:
-        The query, exactly as for :class:`~repro.core.engine.TopKEngine`.
-    n_workers:
-        Number of shards.
-    backend:
-        ``"serial"`` (bit-identical simulation, virtual clock),
-        ``"thread"`` or ``"process"`` (real concurrency, measured clock).
-    index_config:
-        Per-partition index configuration (cluster count is clamped per
-        shard, minimum 1).
-    engine_config:
-        Per-shard engine settings (``k`` is forced to the query's k so the
-        merge is lossless).
     sync_interval:
         Scoring calls per shard between coordinator merges.
-    share_threshold:
-        Broadcast the global k-th score back to shards after each merge.
-    seed:
-        Root seed; shards get independent derived streams regardless of the
-        backend (the root entropy travels to child processes, not live
-        generators).
-    index_cache:
-        Optional :class:`~repro.parallel.cache.ShardIndexCache` shared
-        across runs on the same immutable dataset: a hit reuses the cached
-        partitions and per-shard indexes bit-identically; a miss harvests
-        them after the build (in-process backends only).
-    shared_memory:
-        Zero-copy shard bootstrap for the process backend
-        (:mod:`repro.parallel.shm`): ``None`` (default) auto-enables when
-        POSIX shared memory works here, ``True`` requires it, ``False``
-        forces the inline copy path.  Ignored by ``serial``/``thread``
-        (their shards live in this process).  Answers are bit-identical
-        either way.
-    memo:
-        Optional :class:`~repro.memo.store.MemoView` over the cross-query
-        score memo for this ``(table, udf)`` pair.  Each shard spec ships
-        a frozen per-partition restriction; fresh scores travel back in
-        :class:`~repro.parallel.worker.RoundOutcome` and are recorded here
-        at merge time (process children stay read-only).  Memo hits skip
-        the real UDF call but charge full batch cost, so warm answers are
-        bit-identical to cold ones.
-    priors:
-        Optional per-worker warm-start priors (one
-        ``{node id -> histogram payload}`` dict per shard, see
-        :mod:`repro.memo.priors`), applied to fresh shard engines before
-        their first draw.  Opt-in and deliberately not bit-identical.
-    trace:
-        Optional :class:`~repro.obs.spans.TraceContext`.  When given, the
-        coordinator opens one ``round[i]`` span per synchronization round
-        and stitches each shard's ``shard[j]`` fragment (shipped on
-        :attr:`~repro.parallel.worker.RoundOutcome.span`) under it, with
-        the post-merge threshold and displacement bound as attributes.
-        ``None`` (the default) keeps the round loop untouched.
-    gate:
-        Optional :class:`~repro.service.budget.QueryGrant`-shaped budget
-        gate (``acquire(n) -> int`` / ``refund(n)``).  Each round the
-        coordinator draws the round's worst-case fresh-call count
-        (``per_worker`` × active shards) before dispatch and refunds
-        whatever the shards did not actually spend on real UDF calls
-        (memo hits, early-exhausted shards).  Fully funded rounds leave
-        the schedule untouched — bit-identity is preserved; a partial
-        grant is refunded whole and the run stops at the round barrier.
-    table_version:
-        Version of the live-table snapshot this run executes against
-        (0 for immutable datasets).  Keys the shard-index cache so
-        partitions built at one version never serve another, stamps
-        every :class:`~repro.parallel.worker.ShardSpec` and snapshot
-        payload, and is asserted against each
-        :class:`~repro.parallel.worker.RoundOutcome` at the merge.
+    **shards:
+        Everything else — ``n_workers``, ``backend``, ``index_config``,
+        ``engine_config``, ``share_threshold``, ``seed``, ``index_cache``,
+        ``ids``, ``shared_memory``, ``memo``, ``priors``, ``trace``,
+        ``gate``, ``table_version`` — is documented once, on
+        :class:`~repro.parallel.coordinator.ShardCoordinator`.
+
+    With a ``trace``, each round opens a ``round[i]`` span and stitches
+    every reporting shard's fragment under it as ``shard[j]``, with the
+    post-merge threshold and displacement bound as attributes.  With a
+    ``gate``, a round reserves its worst case (``per_worker`` x active
+    shards) before dispatch and refunds what the shards did not spend on
+    real UDF calls; an underfunded round stops the run at the barrier.
     """
 
+    kind = "sharded"
+    _SNAPSHOT_FORMAT = "repro-sharded-snapshot/1"
+    _POLICY_FIELDS = ("sync_interval",)
+
     def __init__(self, dataset: Dataset, scorer: Scorer, k: int,
-                 n_workers: int = 4,
-                 backend: str = "serial",
-                 index_config: Optional[IndexConfig] = None,
-                 engine_config: Optional[EngineConfig] = None,
-                 sync_interval: int = 100,
-                 share_threshold: bool = True,
-                 seed=None,
-                 index_cache: Optional[ShardIndexCache] = None,
-                 ids: Optional[Sequence[str]] = None,
-                 shared_memory: Optional[bool] = None,
-                 memo=None,
-                 priors: Optional[List[Optional[dict]]] = None,
-                 trace: Optional[TraceContext] = None,
-                 gate=None,
-                 table_version: int = 0) -> None:
-        if n_workers <= 0:
-            raise ConfigurationError(
-                f"n_workers must be positive, got {n_workers!r}"
-            )
+                 sync_interval: int = 100, **shards) -> None:
         if sync_interval <= 0:
             raise ConfigurationError(
                 f"sync_interval must be positive, got {sync_interval!r}"
             )
-        if k <= 0:
-            raise ConfigurationError(f"k must be positive, got {k!r}")
-        # ids restricts execution to a candidate subset (WHERE pushdown):
-        # only those elements are partitioned, indexed, and drawn.
-        self._ids: Optional[List[str]] = (
-            list(ids) if ids is not None else None
-        )
-        self._population = (len(self._ids) if self._ids is not None
-                            else len(dataset))
-        if self._population < n_workers:
-            raise ConfigurationError(
-                f"{n_workers} workers for only {self._population} elements"
-            )
-        self.dataset = dataset
-        self.scorer = scorer
-        self.k = int(k)
-        self.n_workers = int(n_workers)
+        super().__init__(dataset, scorer, k, **shards)
         self.sync_interval = int(sync_interval)
-        self.share_threshold = share_threshold
-        self._factory = RngFactory(seed)
-        self._root_entropy = self._factory._root.entropy
-        self._index_config = index_config
-        self._engine_config = engine_config or EngineConfig(k=k)
-        self._index_cache = index_cache
-        self._shared_memory = shared_memory
-        self._shm_table = None
-        self._memo = memo
-        self._priors = priors
-        self._trace = trace
-        self._gate = gate
-        self._table_version = int(table_version)
-        self.backend: ShardBackend = make_backend(backend)
-        # Coordinator state (persists across run() calls for resumption).
-        self._started = False
-        self._partitions: List[List[str]] = []
-        self._buffer: TopKBuffer[str] = TopKBuffer(self.k)
-        self._merged_ids: Set[str] = set()
-        self.wall_time = 0.0
-        self.total_scored = 0
         self.n_rounds = 0
         self.checkpoints: List[Tuple[float, float]] = []
-        self._worker_times: List[float] = [0.0] * self.n_workers
-        self._active: List[bool] = [True] * self.n_workers
-        self._pending_floor: Optional[float] = None
-        self._bound = ConvergenceBound(self.n_workers)
-        self._last_outcomes: List[Optional[RoundOutcome]] = [None] * self.n_workers
-        self._resume_count = 0
-        self._restore_payloads: Optional[List[dict]] = None
-        self._cache_hit = False
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def __enter__(self) -> "ShardedTopKEngine":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
-
-    def close(self) -> None:
-        """Release backend resources (child processes, thread pools)."""
-        self.backend.close()
-        self._release_shm()
-
-    def _release_shm(self) -> None:
-        """Unlink the coordinator's shared-memory table, if any (idempotent)."""
-        if self._shm_table is not None:
-            self._shm_table.close()
-            self._shm_table = None
-
-    # -- setup ---------------------------------------------------------------
-
-    def _build_specs(self) -> List[ShardSpec]:
-        (self._partitions, specs, self._cache_hit,
-         self._shm_table) = build_shard_specs(
-            self.dataset, self.scorer,
-            n_workers=self.n_workers, k=self.k,
-            engine_config=self._engine_config,
-            index_config=self._index_config,
-            factory=self._factory, root_entropy=self._root_entropy,
-            materialize=self.backend.name == "process",
-            restore_payloads=self._restore_payloads,
-            resume_count=self._resume_count,
-            index_cache=self._index_cache,
-            ids=self._ids,
-            shared_memory=self._shared_memory,
-            memo_snapshot=(self._memo.snapshot()
-                           if self._memo is not None else None),
-            priors=self._priors,
-            trace=self._trace is not None,
-            table_version=self._table_version,
-        )
-        return specs
-
-    def start(self) -> None:
-        """Bootstrap every shard eagerly (``run()`` otherwise does it lazily).
-
-        Exposed so callers (and ``benchmarks/bench_shm.py``) can time the
-        bootstrap — spec assembly plus backend start — separately from
-        query execution.
-        """
-        self._ensure_started()
-
-    def _ensure_started(self) -> None:
-        if self._started:
-            return
-        specs = self._build_specs()
-        try:
-            self.backend.start(specs, self.dataset, self.scorer)
-        except BaseException:
-            # A failed start must leak neither pools (the backend cleans
-            # its own partial state) nor the shared-memory segment.
-            self.backend.close()
-            self._release_shm()
-            raise
-        self._started = True
-        if not self._cache_hit:
-            harvest_shard_indexes(
-                self._index_cache,
-                root_entropy=self._root_entropy,
-                index_config=self._index_config,
-                n_elements=self._population,
-                partitions=self._partitions,
-                workers=self.backend.inline_workers(),
-                subset=subset_fingerprint(self._ids),
-                table_version=self._table_version,
-            )
 
     # -- execution -----------------------------------------------------------
+
+    def _barrier(self, per_worker: int,
+                   remaining: int) -> List[RoundOutcome]:
+        """One slice per funded active shard; outcomes in worker order.
+
+        A simulation backend runs the slice inside ``submit``, so its event
+        is drained at once and the next shard's cap sees what this one
+        really scored (live allocation, batch overshoot included).  Real
+        backends get their caps dealt up front and run concurrently.
+        Inactive and zero-cap shards are not submitted at all: they would
+        only re-report a solution the coordinator already merged.
+        """
+        eager = self.backend.virtual_clock
+        outcomes: List[RoundOutcome] = []
+        in_flight = 0
+        for worker in range(self.n_workers):
+            if not self._active[worker]:
+                continue
+            cap = min(per_worker, remaining)
+            if cap <= 0:
+                continue
+            self.backend.submit(worker, cap, self._floor)
+            if eager:
+                outcome = self.backend.next_event().outcome
+                outcomes.append(outcome)
+                remaining -= outcome.scored
+            else:
+                in_flight += 1
+                remaining -= cap
+        for _ in range(in_flight):
+            outcomes.append(self.backend.next_event().outcome)
+        outcomes.sort(key=lambda outcome: outcome.worker_id)
+        return outcomes
 
     def run(self, budget: Optional[int] = None) -> DistributedResult:
         """Execute until ``budget`` *total* scoring calls (default: all).
@@ -384,78 +181,37 @@ class ShardedTopKEngine:
         continues from the merged state already reached.
         """
         self._ensure_started()
-        total_budget = self._population if budget is None else min(
-            budget, self._population
-        )
+        total_budget = self._total_budget(budget)
         run_rounds = 0
-        run_hits = 0
-        run_fresh = 0
         while self.total_scored < total_budget and any(self._active):
             remaining = total_budget - self.total_scored
-            per_worker = max(1, min(
-                self.sync_interval,
-                remaining // max(1, sum(self._active)),
-            ))
+            n_active = sum(self._active)
+            per_worker = max(1, min(self.sync_interval,
+                                    remaining // n_active))
             # Reserve the round's worst case from the service budget gate
             # before dispatch; the unspent remainder (memo hits, exhausted
             # shards) is refunded at the merge barrier below.
-            reserved = 0
-            if self._gate is not None:
-                reserved = per_worker * sum(self._active)
-                if not _fully_funded(self._gate, reserved):
-                    break
+            reserved = per_worker * n_active
+            if not self._reserve(reserved):
+                break
             self.n_rounds += 1
             run_rounds += 1
             if self._trace is not None:
                 self._trace.push(f"round[{self.n_rounds - 1}]",
                                  per_worker_cap=per_worker)
             round_started = time.perf_counter()
-            outcomes = self.backend.run_round(
-                per_worker, remaining, self._active, self._pending_floor,
-            )
+            outcomes = self._barrier(per_worker, remaining)
             round_elapsed = time.perf_counter() - round_started
-            for outcome in outcomes:
-                if outcome.table_version != self._table_version:
-                    raise ConfigurationError(
-                        f"shard {outcome.worker_id} reported table version "
-                        f"{outcome.table_version}, coordinator pinned "
-                        f"{self._table_version}"
-                    )
-                run_hits += outcome.memo_hits
-                run_fresh += outcome.scored - outcome.memo_hits
-                self.total_scored += outcome.scored
-                self._worker_times[outcome.worker_id] += outcome.cost
-                self._active[outcome.worker_id] = not outcome.exhausted
-                self._last_outcomes[outcome.worker_id] = outcome
-                if self._memo is not None:
-                    # Coordinator-side write-back: shards only read their
-                    # frozen memo slice; new scores land here at the round
-                    # barrier, in worker order (deterministic).
-                    if outcome.fresh_scores:
-                        self._memo.record_pairs(outcome.fresh_scores)
-                    self._memo.count(outcome.memo_hits,
-                                     len(outcome.fresh_scores))
-            if self._gate is not None:
-                round_fresh = sum(o.scored - o.memo_hits for o in outcomes)
-                if reserved > round_fresh:
-                    self._gate.refund(reserved - round_fresh)
+            for outcome in outcomes:  # merge in worker order
+                self._absorb(outcome)
+            self._refund(reserved, sum(outcome.scored - outcome.memo_hits
+                                       for outcome in outcomes))
             if self.backend.virtual_clock:
                 self.wall_time += max(o.cost for o in outcomes)
             else:
                 self.wall_time += round_elapsed
-            for outcome in outcomes:  # merge in worker order
-                merge_worker_topk(self._buffer, self._merged_ids,
-                                  outcome.topk)
-            for outcome in outcomes:
-                self._bound.update(outcome.worker_id, outcome.tail)
-            self._bound.refresh(
-                self._buffer.threshold,
-                len(self._buffer) >= self.k,
-                max(0, total_budget - self.total_scored),
-            )
+            self._publish(total_budget)
             self.checkpoints.append((self.wall_time, self._buffer.stk))
-            if self.share_threshold and self._buffer.threshold is not None:
-                self._pending_floor = self._buffer.threshold
             if self._trace is not None:
                 for outcome in outcomes:
                     if outcome.span is not None:
@@ -469,12 +225,6 @@ class ShardedTopKEngine:
                 self._trace.pop()        # round[i]
         if run_rounds:
             ROUNDS_TOTAL.inc(run_rounds, backend=self.backend.name)
-        if run_fresh:
-            UDF_CALLS_TOTAL.inc(run_fresh, engine="sharded",
-                                backend=self.backend.name)
-        if run_hits:
-            MEMO_HITS_TOTAL.inc(run_hits, engine="sharded",
-                                backend=self.backend.name)
         return self.result()
 
     @property
@@ -484,30 +234,14 @@ class ShardedTopKEngine:
 
     def result(self) -> DistributedResult:
         """Assemble the merged answer and trace reached so far."""
-        workers = []
-        for worker in range(self.n_workers):
-            outcome = self._last_outcomes[worker]
-            n_members = (len(self._partitions[worker])
-                         if self._partitions else 0)
-            workers.append(WorkerReport(
-                worker_id=worker,
-                n_elements=n_members,
-                n_scored=outcome.n_scored_total if outcome else 0,
-                virtual_time=self._worker_times[worker],
-                local_stk=outcome.local_stk if outcome else 0.0,
-                fallback_events=tuple(outcome.fallback_events)
-                if outcome else (),
-            ))
-        items = [(element_id, score)
-                 for score, element_id in self._buffer.items()]
         return DistributedResult(
             k=self.k,
-            items=items,
+            items=self._items(),
             stk=self._buffer.stk,
             wall_time=self.wall_time,
             total_scored=self.total_scored,
             n_rounds=self.n_rounds,
-            workers=workers,
+            workers=self._worker_reports(),
             checkpoints=list(self.checkpoints),
             backend=self.backend.name,
             displacement_bound=self._bound.exhaustive_bound,
@@ -515,149 +249,10 @@ class ShardedTopKEngine:
 
     # -- pause / resume ------------------------------------------------------
 
-    def snapshot(self) -> dict:
-        """Capture the full sharded run: coordinator state + shard engines.
+    def _policy_state(self) -> dict:
+        return {"n_rounds": self.n_rounds,
+                "checkpoints": [list(point) for point in self.checkpoints]}
 
-        Call between ``run()`` invocations (shards snapshot at round
-        boundaries, where no batch is in flight).  The payload nests one
-        :func:`repro.core.snapshot.snapshot_engine` dict per shard; like the
-        single-engine snapshot, RNG state is *not* captured, so a resumed
-        run is a valid sharded execution but not bit-identical to the
-        uninterrupted one.
-        """
-        self._ensure_started()
-        return {
-            "format": _SNAPSHOT_FORMAT,
-            "k": self.k,
-            "n_workers": self.n_workers,
-            "sync_interval": self.sync_interval,
-            "share_threshold": self.share_threshold,
-            "backend": self.backend.name,
-            "root_entropy": self._root_entropy,
-            "resume_count": self._resume_count,
-            "table_version": self._table_version,
-            "coordinator": {
-                "buffer": [[score, element_id]
-                           for score, element_id in self._buffer.items()],
-                "merged_ids": sorted(self._merged_ids),
-                "exhaustive_bound": self._bound.exhaustive_bound,
-                "wall_time": self.wall_time,
-                "total_scored": self.total_scored,
-                "n_rounds": self.n_rounds,
-                "checkpoints": [list(point) for point in self.checkpoints],
-                "worker_times": list(self._worker_times),
-                "active": list(self._active),
-                "pending_floor": self._pending_floor,
-                "worker_stats": [
-                    [o.n_scored_total, o.local_stk,
-                     [list(e) for e in o.fallback_events]]
-                    if o else None
-                    for o in self._last_outcomes
-                ],
-            },
-            "workers": self.backend.snapshots(),
-            # WHERE candidate subset; None when the whole table ran.
-            "ids": self._ids,
-            # Cross-query memo slice for this (table, udf) pair, so a
-            # resumed run keeps its warm scores; None when caching is off.
-            "memo": (self._memo.to_payload()
-                     if self._memo is not None else None),
-        }
-
-    @classmethod
-    def restore(cls, dataset: Dataset, scorer: Scorer, snapshot: dict,
-                backend: Optional[str] = None,
-                index_config: Optional[IndexConfig] = None,
-                engine_config: Optional[EngineConfig] = None,
-                index_cache: Optional[ShardIndexCache] = None,
-                memo=None,
-                table_version: int = 0,
-                ) -> "ShardedTopKEngine":
-        """Rebuild a sharded run from :meth:`snapshot` output.
-
-        ``dataset`` must be the same immutable dataset, and
-        ``index_config`` / ``engine_config`` must repeat whatever the
-        original run used (shard indexes are rebuilt deterministically from
-        the stored root entropy, and node IDs are verified during engine
-        restore).  ``backend`` may differ — a run snapshotted under
-        ``process`` can resume under ``serial`` and vice versa.
-
-        ``memo`` optionally re-attaches a live
-        :class:`~repro.memo.store.MemoView`; the snapshot's stored memo
-        slice is merged into it (or, with no view supplied, revived into a
-        standalone store) so the resumed run stays warm.
-
-        ``table_version`` must repeat the live-table version the run was
-        snapshotted against (0 for immutable datasets): a paused run
-        holds per-shard engine state valid only for the rows it saw, so
-        restoring it onto a table that has since committed writes is
-        rejected rather than silently resumed against different data.
-        """
-        if snapshot.get("format") != _SNAPSHOT_FORMAT:
-            raise SerializationError(
-                f"unrecognized sharded snapshot format "
-                f"{snapshot.get('format')!r}"
-            )
-        stored_version = int(snapshot.get("table_version", 0))
-        if stored_version != int(table_version):
-            raise ConfigurationError(
-                f"snapshot was taken at table version {stored_version}, "
-                f"cannot restore against version {int(table_version)}"
-            )
-        subset = snapshot.get("ids")
-        engine = cls(
-            dataset, scorer, k=int(snapshot["k"]),
-            n_workers=int(snapshot["n_workers"]),
-            backend=backend or snapshot["backend"],
-            index_config=index_config,
-            engine_config=engine_config,
-            sync_interval=int(snapshot["sync_interval"]),
-            share_threshold=bool(snapshot["share_threshold"]),
-            seed=None,
-            index_cache=index_cache,
-            ids=None if subset is None else [str(i) for i in subset],
-            table_version=stored_version,
-        )
-        # Re-anchor the RNG streams to the original run's root entropy so
-        # partitions and shard indexes rebuild identically.
-        engine._factory = RngFactory(snapshot["root_entropy"])
-        engine._root_entropy = snapshot["root_entropy"]
-        engine._resume_count = int(snapshot.get("resume_count", 0)) + 1
-        engine._restore_payloads = list(snapshot["workers"])
-        memo_payload = snapshot.get("memo")
-        if memo is not None:
-            if memo_payload is not None:
-                memo.record_pairs(list(memo_payload["scores"].items()))
-            engine._memo = memo
-        elif memo_payload is not None:
-            from repro.memo.store import MemoView
-
-            engine._memo = MemoView.from_payload(memo_payload)
-        state = snapshot["coordinator"]
-        for score, element_id in state["buffer"]:
-            engine._buffer.offer(float(score), element_id)
-        engine._merged_ids = set(state["merged_ids"])
-        engine.wall_time = float(state["wall_time"])
-        engine.total_scored = int(state["total_scored"])
-        engine.n_rounds = int(state["n_rounds"])
-        engine.checkpoints = [tuple(point)
-                              for point in state["checkpoints"]]
-        engine._bound.exhaustive_bound = float(
-            state.get("exhaustive_bound", 1.0)
-        )
-        engine._worker_times = [float(t) for t in state["worker_times"]]
-        engine._active = [bool(flag) for flag in state["active"]]
-        floor = state.get("pending_floor")
-        engine._pending_floor = None if floor is None else float(floor)
-        for worker, stats in enumerate(state.get("worker_stats", [])):
-            if stats is not None:
-                n_scored, local_stk, events = stats
-                engine._last_outcomes[worker] = RoundOutcome(
-                    worker_id=worker, scored=0, cost=0.0, elapsed=0.0,
-                    topk=[], exhausted=not engine._active[worker],
-                    n_scored_total=int(n_scored),
-                    local_stk=float(local_stk),
-                    fallback_events=[(int(t), str(kind))
-                                     for t, kind in events],
-                )
-        return engine
+    def _restore_policy_state(self, state: dict) -> None:
+        self.n_rounds = int(state["n_rounds"])
+        self.checkpoints = [tuple(point) for point in state["checkpoints"]]

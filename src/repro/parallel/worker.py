@@ -3,8 +3,8 @@
 One *shard* owns a partition of the dataset, its own index over that
 partition, and its own :class:`~repro.core.engine.TopKEngine` — exactly the
 per-worker setup of the paper's Section 6 MapReduce sketch.  The coordinator
-(:mod:`repro.parallel.engine`) never touches shard internals; it only asks a
-shard to run one synchronization round and reads back a light
+(:mod:`repro.parallel.coordinator`) never touches shard internals; it only
+asks a shard to run one budget slice and reads back a light
 :class:`RoundOutcome`.
 
 Everything a shard needs to bootstrap itself is captured in a *picklable*
@@ -21,8 +21,8 @@ Pause/resume uses the engine snapshot layer
 (:func:`repro.core.snapshot.snapshot_engine` /
 :func:`~repro.core.snapshot.restore_engine`): a shard's learned state
 serializes to a JSON-safe dict that crosses process boundaries and sessions
-alike.  See ``docs/architecture.md`` ("Shard/coordinator protocol") for the
-full protocol walkthrough.
+alike.  See ``docs/architecture.md`` ("Shard coordinator + wait policy")
+for the full protocol walkthrough.
 """
 
 from __future__ import annotations
@@ -191,7 +191,7 @@ class RoundOutcome:
 def build_shard_specs(dataset, scorer: Scorer, *, n_workers: int, k: int,
                       engine_config: EngineConfig,
                       index_config: Optional[IndexConfig],
-                      factory: RngFactory, root_entropy: int,
+                      factory: RngFactory,
                       materialize: bool,
                       restore_payloads: Optional[List[dict]] = None,
                       resume_count: int = 0,
@@ -206,9 +206,9 @@ def build_shard_specs(dataset, scorer: Scorer, *, n_workers: int, k: int,
                                  Optional[SharedFeatureTable]]:
     """Partition the dataset and assemble one :class:`ShardSpec` per worker.
 
-    Shared by the round-based (:mod:`repro.parallel.engine`) and streaming
-    (:mod:`repro.streaming.engine`) coordinators so both produce identical
-    shards from identical inputs.  ``ids`` restricts execution to a
+    Called by the one :class:`~repro.parallel.coordinator.ShardCoordinator`,
+    so the round and streaming engines get identical shards from identical
+    inputs.  ``ids`` restricts execution to a
     candidate subset (the dialect's ``WHERE`` pushdown): only those
     elements are partitioned, indexed, and ever drawn.  When
     ``index_cache`` (a :class:`~repro.parallel.cache.ShardIndexCache`)
@@ -238,6 +238,7 @@ def build_shard_specs(dataset, scorer: Scorer, *, n_workers: int, k: int,
     from repro.parallel.cache import shard_cache_key, subset_fingerprint
 
     population = list(ids) if ids is not None else dataset.ids()
+    root_entropy = factory.root_entropy
     cached = None
     if index_cache is not None:
         key = shard_cache_key(root_entropy, n_workers, index_config,
@@ -318,30 +319,6 @@ def build_shard_specs(dataset, scorer: Scorer, *, n_workers: int, k: int,
             table_version=int(table_version),
         ))
     return partitions, specs, cached is not None, table
-
-
-def harvest_shard_indexes(index_cache, *, root_entropy: int,
-                          index_config: Optional[IndexConfig],
-                          n_elements: int,
-                          partitions: List[List[str]],
-                          workers: Optional[List["ShardWorker"]],
-                          subset: str = "",
-                          table_version: int = 0) -> None:
-    """Store freshly built shard indexes from in-process workers.
-
-    No-op when there is no cache, the entry already exists, or the backend
-    keeps its workers out of reach (``process`` children own their
-    indexes).  ``subset`` is the candidate-subset fingerprint of the build
-    (see :func:`repro.parallel.cache.subset_fingerprint`).
-    """
-    from repro.parallel.cache import shard_cache_key
-
-    if index_cache is None or workers is None or not partitions:
-        return
-    key = shard_cache_key(root_entropy, len(partitions), index_config,
-                          n_elements, subset=subset,
-                          table_version=table_version)
-    index_cache.put(key, partitions, [worker.index for worker in workers])
 
 
 class ShardWorker:

@@ -1,8 +1,8 @@
 """Executor registry: pluggable execution strategies for resolved plans.
 
-Mirrors the backend registries of :mod:`repro.parallel.backends` and
-:mod:`repro.streaming.backends`: each executor registers itself under a
-name (``single`` / ``sharded`` / ``streaming``), and
+Mirrors the backend registry of :mod:`repro.parallel.backends`: each
+executor registers itself under a name (``single`` / ``sharded`` /
+``streaming``), and
 :meth:`repro.session.OpaqueQuerySession.execute` dispatches one resolved
 :class:`~repro.query.plan.ExecutionPlan` through :func:`get_executor` —
 no if/elif chain, and a new execution strategy is one registered class.
@@ -18,11 +18,13 @@ subsystem.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from contextlib import nullcontext
 from typing import TYPE_CHECKING, Dict, List, Type
 
 from repro.core.engine import EngineConfig, TopKEngine
 from repro.errors import ConfigurationError
 from repro.query.plan import ExecutionPlan
+from repro.utils.rng import RngFactory
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.result import ResultBase
@@ -84,10 +86,47 @@ def _harvest_shard_priors(session: "OpaqueQuerySession",
     for worker_id, worker in enumerate(workers):
         store.put(
             plan.fingerprint,
-            shard_scope(worker_id, plan.workers, engine._root_entropy,
+            shard_scope(worker_id, plan.workers, engine.root_entropy,
                         subset),
             harvest_priors(worker.engine),
         )
+
+
+def _shard_engine_args(session: "OpaqueQuerySession",
+                       plan: ExecutionPlan) -> tuple:
+    """``(dataset, scorer, kwargs)`` for either shard coordinator.
+
+    The root entropy is settled here, before construction, because the
+    warm-start priors are scoped by it; the engine is seeded with that
+    entropy and derives exactly the streams ``seed=plan.seed`` would.
+    """
+    dataset = (plan.dataset if plan.dataset is not None
+               else session._tables[plan.table])
+    root_entropy = RngFactory(plan.seed).root_entropy
+    return dataset, session._udfs[plan.udf], dict(
+        k=plan.k,
+        n_workers=plan.workers,
+        backend=plan.backend,
+        index_config=session._index_configs.get(
+            plan.table, session._default_index_config
+        ),
+        engine_config=EngineConfig(k=plan.k, batch_size=plan.batch_size),
+        seed=root_entropy,
+        index_cache=session._shard_cache_for(plan.table),
+        ids=plan.allowed_ids,
+        memo=session._memo_view_for(plan),
+        priors=_shard_priors(session, plan, root_entropy),
+        trace=plan.trace,
+        gate=plan.gate,
+        table_version=plan.table_version,
+    )
+
+
+def _execute_span(plan: ExecutionPlan, mode: str, **attrs):
+    """The ``execute[mode]`` span of a traced plan (a no-op untraced)."""
+    if plan.trace is None:
+        return nullcontext()
+    return plan.trace.span(f"execute[{mode}]", **attrs)
 
 
 def register_executor(cls: Type[QueryExecutor]) -> Type[QueryExecutor]:
@@ -167,15 +206,9 @@ class SingleExecutor(QueryExecutor):
             )
             if priors:
                 apply_priors(engine, priors)
-        tracer = plan.trace
-        if tracer is not None:
-            tracer.push(f"execute[{self.name}]")
-        try:
+        with _execute_span(plan, self.name):
             result = engine.run(dataset, scorer, budget=plan.budget,
-                                memo=memo, trace=tracer, gate=plan.gate)
-        finally:
-            if tracer is not None:
-                tracer.pop()
+                                memo=memo, trace=plan.trace, gate=plan.gate)
         if plan.cache_enabled and plan.fingerprint is not None:
             from repro.memo.priors import harvest_priors, single_scope
             from repro.parallel.cache import subset_fingerprint
@@ -198,41 +231,15 @@ class ShardedExecutor(QueryExecutor):
                 plan: ExecutionPlan) -> "ResultBase":
         from repro.parallel.engine import ShardedTopKEngine
 
-        dataset = (plan.dataset if plan.dataset is not None
-                   else session._tables[plan.table])
-        sharded = ShardedTopKEngine(
-            dataset, session._udfs[plan.udf],
-            k=plan.k,
-            n_workers=plan.workers,
-            backend=plan.backend,
-            index_config=session._index_configs.get(
-                plan.table, session._default_index_config
-            ),
-            engine_config=EngineConfig(k=plan.k,
-                                       batch_size=plan.batch_size),
-            sync_interval=session._sync_interval,
-            seed=plan.seed,
-            index_cache=session._shard_cache_for(plan.table),
-            ids=plan.allowed_ids,
-            memo=session._memo_view_for(plan),
-            trace=plan.trace,
-            gate=plan.gate,
-            table_version=plan.table_version,
-        )
-        # Priors are scoped by root entropy, which the engine only settles
-        # at construction; shard specs are built lazily at first run, so
-        # attaching them here still reaches every fresh shard engine.
-        sharded._priors = _shard_priors(session, plan,
-                                        sharded._root_entropy)
-        tracer = plan.trace
-        if tracer is not None:
-            tracer.push(f"execute[{self.name}]", workers=plan.workers,
-                        backend=plan.backend)
+        dataset, scorer, kwargs = _shard_engine_args(session, plan)
+        sharded = ShardedTopKEngine(dataset, scorer,
+                                    sync_interval=session._sync_interval,
+                                    **kwargs)
         try:
-            return sharded.run(plan.budget)
+            with _execute_span(plan, self.name, workers=plan.workers,
+                               backend=plan.backend):
+                return sharded.run(plan.budget)
         finally:
-            if tracer is not None:
-                tracer.pop()
             _harvest_shard_priors(session, plan, sharded)
             sharded.close()
 
@@ -251,45 +258,18 @@ class StreamingExecutor(QueryExecutor):
                plan: ExecutionPlan) -> "StreamingTopKEngine":
         from repro.streaming.engine import StreamingTopKEngine
 
-        dataset = (plan.dataset if plan.dataset is not None
-                   else session._tables[plan.table])
-        streaming = StreamingTopKEngine(
-            dataset, session._udfs[plan.udf],
-            k=plan.k,
-            n_workers=plan.workers,
-            backend=plan.backend,
-            index_config=session._index_configs.get(
-                plan.table, session._default_index_config
-            ),
-            engine_config=EngineConfig(k=plan.k,
-                                       batch_size=plan.batch_size),
-            slice_budget=session._sync_interval,
-            confidence=plan.confidence,
-            seed=plan.seed,
-            index_cache=session._shard_cache_for(plan.table),
-            ids=plan.allowed_ids,
-            memo=session._memo_view_for(plan),
-            trace=plan.trace,
-            gate=plan.gate,
-            table_version=plan.table_version,
-        )
-        # Same lazy-spec trick as the sharded executor: the prior scope
-        # needs the root entropy the constructor just settled.
-        streaming._priors = _shard_priors(session, plan,
-                                          streaming._root_entropy)
-        return streaming
+        dataset, scorer, kwargs = _shard_engine_args(session, plan)
+        return StreamingTopKEngine(dataset, scorer,
+                                   slice_budget=session._sync_interval,
+                                   confidence=plan.confidence, **kwargs)
 
     def execute(self, session: "OpaqueQuerySession",
                 plan: ExecutionPlan) -> "ResultBase":
         streaming = self.engine(session, plan)
-        tracer = plan.trace
-        if tracer is not None:
-            tracer.push(f"execute[{self.name}]", workers=plan.workers,
-                        backend=plan.backend)
         try:
-            return streaming.run(plan.budget, every=plan.every)
+            with _execute_span(plan, self.name, workers=plan.workers,
+                               backend=plan.backend):
+                return streaming.run(plan.budget, every=plan.every)
         finally:
-            if tracer is not None:
-                tracer.pop()
             _harvest_shard_priors(session, plan, streaming)
             streaming.close()

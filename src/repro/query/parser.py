@@ -413,15 +413,22 @@ class _Parser:
         values["workers"] = self.expect_int("WORKERS")
 
     def clause_backend(self, values: dict) -> None:
-        from repro.parallel.backends import available_backends
+        from repro.parallel.backends import BACKENDS, unavailable_reason
 
         token = self.peek()
         name = self.expect_identifier("a backend name").lower()
-        if name not in available_backends():
+        if name not in BACKENDS:
             raise span_error(
                 self.text, token.start, token.end,
                 f"unknown BACKEND {name!r}",
-                f"available: {', '.join(available_backends())}",
+                f"registered: {', '.join(BACKENDS)}",
+            )
+        # Lazy per name: only `BACKEND process` probes (forks a child).
+        reason = unavailable_reason(name)
+        if reason is not None:
+            raise span_error(
+                self.text, token.start, token.end,
+                f"BACKEND {name!r} is unavailable here", reason,
             )
         values["backend"] = name
 

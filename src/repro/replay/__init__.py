@@ -1,7 +1,7 @@
 """Recorded-arrival replay: audit and reproduce real streaming runs.
 
-The ``thread`` and ``process`` streaming backends merge slices in real —
-hence nondeterministic — arrival order.  This package makes such runs
+Under the ``thread`` and ``process`` backends the streaming engine merges
+slices in real — hence nondeterministic — arrival order.  This package makes such runs
 reproducible after the fact:
 
 1. **Record.**  Construct the streaming engine with ``record=True`` (or
@@ -62,9 +62,8 @@ def replay_engine(dataset, scorer, trace: ArrivalTrace, *,
     run's exactly.
     """
     from repro.streaming.engine import StreamingTopKEngine
-    from repro.utils.rng import RngFactory
 
-    engine = StreamingTopKEngine(
+    return StreamingTopKEngine(
         dataset, scorer, k=trace.k,
         n_workers=trace.n_workers,
         backend=ReplayStreamBackend(trace),
@@ -74,16 +73,12 @@ def replay_engine(dataset, scorer, trace: ArrivalTrace, *,
         share_threshold=trace.share_threshold,
         stable_slices=trace.stable_slices,
         confidence=trace.confidence,
-        seed=None,
+        # The recorded run's root entropy: partitions and shard engines
+        # rebuild identically (same as snapshot restore).
+        seed=trace.root_entropy,
         index_cache=index_cache,
         trace=span_trace,
     )
-    # Re-anchor the RNG streams to the recorded run's root entropy so the
-    # partitions and shard engines rebuild identically (same trick as
-    # snapshot restore).
-    engine._factory = RngFactory(trace.root_entropy)
-    engine._root_entropy = trace.root_entropy
-    return engine
 
 
 def replay_run(dataset, scorer, trace: ArrivalTrace, *,

@@ -1,6 +1,6 @@
-"""The ``replay`` streaming backend: deterministic trace re-execution.
+"""The ``replay`` backend: deterministic trace re-execution.
 
-:class:`ReplayStreamBackend` drives the serial event loop with a recorded
+:class:`ReplayStreamBackend` drives the serial simulation with a recorded
 :class:`~repro.replay.trace.ArrivalTrace` instead of the virtual
 completion order: slices execute eagerly at submission (shard state is
 deterministic given the ``(cap, floor)`` sequence, which the replaying
@@ -23,22 +23,21 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.errors import ReplayDivergenceError
-from repro.parallel.worker import RoundOutcome, ShardSpec, ShardWorker
+from repro.parallel.backends import SerialBackend, SliceEvent
+from repro.parallel.worker import RoundOutcome, ShardSpec
 from repro.replay.trace import ArrivalTrace
-from repro.streaming.backends import SliceEvent, StreamBackend
 
 REPLAY_BACKEND_NAME = "replay"
 
 
-class ReplayStreamBackend(StreamBackend):
-    """Re-execute a recorded arrival order through the serial event loop."""
+class ReplayStreamBackend(SerialBackend):
+    """The serial simulation, released in a recorded arrival order."""
 
     name = REPLAY_BACKEND_NAME
-    virtual_clock = True
 
     def __init__(self, trace: ArrivalTrace) -> None:
+        super().__init__()
         self.trace = trace
-        self.workers: List[ShardWorker] = []
         self._cursor = 0
         self._parked: Dict[int, RoundOutcome] = {}
 
@@ -65,7 +64,7 @@ class ReplayStreamBackend(StreamBackend):
         """True once every recorded event has been replayed."""
         return self._cursor >= len(self.trace.events)
 
-    # -- StreamBackend interface ---------------------------------------------
+    # -- ShardBackend interface ----------------------------------------------
 
     def start(self, specs: List[ShardSpec], dataset, scorer,
               worker_times: Optional[List[float]] = None) -> None:
@@ -74,8 +73,7 @@ class ReplayStreamBackend(StreamBackend):
                 f"trace was recorded with {self.trace.n_workers} workers, "
                 f"got {len(specs)} shard specs"
             )
-        self.workers = [ShardWorker(spec, dataset=dataset, scorer=scorer)
-                        for spec in specs]
+        super().start(specs, dataset, scorer, worker_times)
 
     def submit(self, worker_id: int, cap: int,
                threshold_floor: Optional[float]) -> None:
@@ -119,9 +117,3 @@ class ReplayStreamBackend(StreamBackend):
                 f"model differs from the recorded run"
             )
         return SliceEvent(outcome, virtual_completion=float(event["wall"]))
-
-    def snapshots(self) -> List[dict]:
-        return [worker.snapshot() for worker in self.workers]
-
-    def inline_workers(self) -> Optional[List[ShardWorker]]:
-        return self.workers

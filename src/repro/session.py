@@ -28,19 +28,6 @@ single-engine :class:`~repro.core.result.QueryResult`, the sharded
 (``items`` / ``summary()`` / ``budget_spent`` / ``displacement_bound`` /
 ``to_json()``).
 
-:func:`parse_query` and :class:`ParsedQuery` remain as thin deprecation
-shims over the new parser:
-
-    >>> parse_query("SELECT TOP 10 FROM t ORDER BY f").k
-    10
-    >>> parsed = parse_query("SELECT TOP 5 FROM listings ORDER BY "
-    ...                      "valuation BUDGET 10% SEED 7")
-    >>> (parsed.table, parsed.udf, parsed.budget_fraction, parsed.seed)
-    ('listings', 'valuation', 0.1, 7)
-    >>> parse_query("SELECT TOP 5 FROM t ORDER BY f "
-    ...             "WHERE feature[0] > 0.5 STREAM CONFIDENCE 95%").where
-    'feature[0] > 0.5'
-
 The session builds (and caches) one index per table — the index is
 task-independent, so every UDF registered against a table reuses it.
 Per-shard partition indexes are cached across sharded *and* streaming
@@ -54,7 +41,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Dict, Iterator, Optional, Tuple, Union
 
 import numpy as np
@@ -71,7 +58,7 @@ from repro.memo import MemoStore, PriorStore, udf_fingerprint
 from repro.obs.analyze import ExplainAnalyzeReport
 from repro.obs.metrics import BOUND_WIDTH, MEMO_HIT_RATE, QUERIES_TOTAL
 from repro.obs.spans import Span, TraceContext
-from repro.parallel.backends import available_backends
+from repro.parallel.backends import check_backend
 from repro.parallel.cache import ShardIndexCache
 from repro.parallel.engine import DistributedResult
 from repro.query.executors import StreamingExecutor, get_executor
@@ -79,62 +66,6 @@ from repro.query.parser import parse
 from repro.query.plan import ExecutionPlan, QueryPlan
 from repro.scoring.base import Scorer
 from repro.streaming.engine import ProgressiveResult, StreamingResult
-
-
-@dataclass(frozen=True)
-class ParsedQuery:
-    """Deprecated flat view of one parsed query.
-
-    Thin shim over :class:`repro.query.plan.QueryPlan` kept for backward
-    compatibility; new code should call :func:`repro.query.parse` and use
-    the plan directly (the ``where`` predicate survives only as canonical
-    text here).
-    """
-
-    k: int
-    table: str
-    udf: str
-    budget: Optional[int]          # absolute scoring-call budget
-    budget_fraction: Optional[float]  # or a fraction of the candidates
-    batch_size: int
-    seed: Optional[int]
-    descending: bool = True        # DESC is documentary; top-k maximizes
-    workers: Optional[int] = None  # WORKERS clause (None = not specified)
-    backend: Optional[str] = None  # BACKEND clause (None = not specified)
-    stream: bool = False           # STREAM clause (barrier-free execution)
-    every: Optional[int] = None    # EVERY clause (snapshot granularity)
-    confidence: Optional[float] = None  # CONFIDENCE clause (early stop)
-    where: Optional[str] = None    # WHERE clause, canonical predicate text
-    explain: bool = False          # EXPLAIN-wrapped statement
-    analyze: bool = False          # EXPLAIN ANALYZE-wrapped statement
-
-
-def parse_query(text: str) -> ParsedQuery:
-    """Deprecated: parse the dialect into a flat :class:`ParsedQuery`.
-
-    Thin shim over :func:`repro.query.parse`; see the parser module
-    (:mod:`repro.query.parser`) for the normative grammar and
-    ``docs/dialect.md`` for the tour.
-    """
-    plan = parse(text)
-    return ParsedQuery(
-        k=plan.k,
-        table=plan.table,
-        udf=plan.udf,
-        budget=plan.budget,
-        budget_fraction=plan.budget_fraction,
-        batch_size=plan.batch_size,
-        seed=plan.seed,
-        descending=plan.descending,
-        workers=plan.workers,
-        backend=plan.backend,
-        stream=plan.stream,
-        every=plan.every,
-        confidence=plan.confidence,
-        where=None if plan.where is None else plan.where.canonical(),
-        explain=plan.explain,
-        analyze=plan.analyze,
-    )
 
 
 class OpaqueQuerySession:
@@ -658,11 +589,7 @@ class OpaqueQuerySession:
     def _check_backend(backend: Optional[str]) -> str:
         if backend is None:
             return "serial"
-        if backend not in available_backends():
-            raise ConfigurationError(
-                f"unknown backend {backend!r}; available: "
-                f"{', '.join(available_backends())}"
-            )
+        check_backend(backend)
         return backend
 
     @staticmethod
@@ -676,6 +603,38 @@ class OpaqueQuerySession:
         return int(every)
 
     # -- execution -----------------------------------------------------------
+
+    def _prepare(self, query: Union[str, QueryPlan], *, trace: bool,
+                 budget_gate, **defaults) -> ExecutionPlan:
+        """Parse, plan and arm one query — the head of execute()/stream().
+
+        With tracing on (``trace=True``, or an ``EXPLAIN ANALYZE`` query:
+        the report *is* the span tree) the parse and plan stages are timed
+        into a fresh :class:`~repro.obs.spans.TraceContext`; tracer and
+        budget gate ride the returned plan to the executor.  A plain
+        ``EXPLAIN`` plan comes back unarmed — it is never dispatched.
+        """
+        t_parse = time.perf_counter()
+        logical = parse(query) if isinstance(query, str) else query
+        parse_wall = time.perf_counter() - t_parse
+        if not (trace or logical.analyze):
+            tracer = None
+            resolved = self.plan(logical, **defaults)
+        else:
+            # The parse span is attached after the fact (the ANALYZE
+            # keyword is only known once parsing is done) — backdating
+            # the origin to t_parse keeps the timeline starting at the
+            # parse, not after it.
+            tracer = TraceContext(origin=t_parse)
+            tracer.attach(Span("parse", wall=parse_wall).to_dict())
+            with tracer.span("plan"):
+                resolved = self.plan(logical, **defaults)
+        if not resolved.query.explain or resolved.query.analyze:
+            resolved.trace = tracer
+            resolved.gate = budget_gate
+            if tracer is not None:
+                self.last_trace = tracer
+        return resolved
 
     def execute(self, query: Union[str, QueryPlan], *,
                 workers: Optional[int] = None,
@@ -717,28 +676,11 @@ class OpaqueQuerySession:
         query's real UDF calls against a shared pool; a fully funded
         gate never changes the answer.
         """
-        t_parse = time.perf_counter()
-        logical = parse(query) if isinstance(query, str) else query
-        parse_wall = time.perf_counter() - t_parse
-        # ANALYZE forces a tracer: the report *is* the span tree.  The
-        # parse span is attached after the fact (the ANALYZE keyword is
-        # only known once parsing is done) — backdating the origin to
-        # t_parse keeps the timeline starting at the parse, not after it.
-        tracer = (TraceContext(origin=t_parse)
-                  if trace or logical.analyze else None)
-        if tracer is not None:
-            tracer.attach(Span("parse", wall=parse_wall).to_dict())
-            with tracer.span("plan"):
-                resolved = self.plan(logical, workers=workers,
-                                     backend=backend, stream=stream,
-                                     every=every, confidence=confidence,
-                                     use_cache=use_cache,
-                                     warm_start=warm_start)
-        else:
-            resolved = self.plan(logical, workers=workers, backend=backend,
-                                 stream=stream, every=every,
-                                 confidence=confidence,
-                                 use_cache=use_cache, warm_start=warm_start)
+        resolved = self._prepare(
+            query, trace=trace, budget_gate=budget_gate, workers=workers,
+            backend=backend, stream=stream, every=every,
+            confidence=confidence, use_cache=use_cache,
+            warm_start=warm_start)
         if resolved.query.explain and not resolved.query.analyze:
             return resolved
         if resolved.query.continuous:
@@ -748,10 +690,7 @@ class OpaqueQuerySession:
                 "repro.live.ContinuousQuery or submit it to the "
                 "multi-tenant repro.service.QueryService"
             )
-        resolved.trace = tracer
-        resolved.gate = budget_gate
-        if tracer is not None:
-            self.last_trace = tracer
+        tracer = resolved.trace
         stats_before = (self._memo_for(resolved.table).stats()
                         if resolved.cache_enabled else None)
         result = get_executor(resolved.mode).execute(self, resolved)
@@ -799,23 +738,11 @@ class OpaqueQuerySession:
         tree into :attr:`last_trace` (complete once the iterator is
         exhausted).
         """
-        t_parse = time.perf_counter()
-        logical = parse(query) if isinstance(query, str) else query
-        parse_wall = time.perf_counter() - t_parse
-        tracer = TraceContext(origin=t_parse) if trace else None
-        if tracer is not None:
-            tracer.attach(Span("parse", wall=parse_wall).to_dict())
-            with tracer.span("plan"):
-                resolved = self.plan(logical, workers=workers,
-                                     backend=backend, stream=True,
-                                     every=every, confidence=confidence,
-                                     use_cache=use_cache,
-                                     warm_start=warm_start)
-        else:
-            resolved = self.plan(logical, workers=workers, backend=backend,
-                                 stream=True, every=every,
-                                 confidence=confidence,
-                                 use_cache=use_cache, warm_start=warm_start)
+        resolved = self._prepare(
+            query, trace=trace, budget_gate=budget_gate, workers=workers,
+            backend=backend, stream=True, every=every,
+            confidence=confidence, use_cache=use_cache,
+            warm_start=warm_start)
         if resolved.query.explain:
             raise ConfigurationError(
                 "EXPLAIN queries return a plan and cannot be streamed; "
@@ -828,10 +755,6 @@ class OpaqueQuerySession:
                 "standing query with repro.live.ContinuousQuery or the "
                 "multi-tenant repro.service.QueryService"
             )
-        resolved.trace = tracer
-        resolved.gate = budget_gate
-        if tracer is not None:
-            self.last_trace = tracer
         if resolved.n_candidates == 0:
             # WHERE filtered everything out (plan() degrades the mode to
             # "single"): the empty answer is exact and final — mirror

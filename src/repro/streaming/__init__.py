@@ -1,7 +1,8 @@
 """Barrier-free streaming execution of opaque top-k queries.
 
 Where :mod:`repro.parallel` runs the paper's Section 6 shard/coordinator
-protocol in synchronized rounds, this subsystem runs it as a *pipeline*:
+protocol in synchronized rounds, this subsystem runs the same
+:class:`~repro.parallel.coordinator.ShardCoordinator` as a *pipeline*:
 shard workers execute continuously in small budget slices, an
 event-driven coordinator merges each slice outcome the moment it arrives,
 the k-th-score threshold is re-broadcast asynchronously (picked up at the
@@ -13,28 +14,17 @@ early stops: the ``stable_slices`` heuristic, and the principled
 ``confidence=p`` certificate built on
 :mod:`repro.core.convergence`.
 
-Backends mirror :mod:`repro.parallel` name for name (``serial`` is a
+Backends are the ones of :mod:`repro.parallel.backends` (``serial`` is a
 deterministic event-driven simulation; ``thread`` / ``process`` run real
-concurrency on the same picklable :class:`~repro.parallel.worker.ShardSpec`
-bootstrap), plus the trace-driven ``replay`` backend of
+concurrency), plus the trace-driven ``replay`` backend of
 :mod:`repro.replay` for bit-identical re-execution of recorded real
 runs.  Entry point:
 :class:`~repro.streaming.engine.StreamingTopKEngine`.  The merge-on-arrival
 protocol and its threshold-staleness invariants are documented in
-``docs/architecture.md`` ("Streaming execution"); the user guide is
+``docs/architecture.md`` ("Arrival policy: streaming"); the user guide is
 ``docs/streaming.md``.
 """
 
-from repro.streaming.backends import (
-    STREAM_BACKENDS,
-    ProcessStreamBackend,
-    SerialStreamBackend,
-    SliceEvent,
-    StreamBackend,
-    ThreadStreamBackend,
-    available_backends,
-    make_stream_backend,
-)
 from repro.streaming.engine import (
     ProgressiveResult,
     StreamingResult,
@@ -42,15 +32,7 @@ from repro.streaming.engine import (
 )
 
 __all__ = [
-    "STREAM_BACKENDS",
-    "ProcessStreamBackend",
     "ProgressiveResult",
-    "SerialStreamBackend",
-    "SliceEvent",
-    "StreamBackend",
     "StreamingResult",
     "StreamingTopKEngine",
-    "ThreadStreamBackend",
-    "available_backends",
-    "make_stream_backend",
 ]

@@ -1,11 +1,12 @@
-"""Barrier-free streaming top-k: merge on arrival, progressive results.
+"""Barrier-free streaming top-k — the *arrival* wait policy.
 
-The round-based coordinator (:mod:`repro.parallel.engine`) synchronizes
-every shard at a barrier each round, so the slowest shard gates the merge
-and callers see nothing until the whole run returns.
-:class:`StreamingTopKEngine` removes the barrier: shard workers run
-continuously in small budget *slices*, the coordinator merges each
-:class:`~repro.streaming.backends.SliceEvent` the moment it arrives into
+The round engine (:mod:`repro.parallel.engine`) synchronizes every shard
+at a barrier each round, so the slowest shard gates the merge and callers
+see nothing until the whole run returns.  :class:`StreamingTopKEngine`
+runs the same :class:`~repro.parallel.coordinator.ShardCoordinator`
+without the barrier: shard workers run continuously in small budget
+*slices*, the coordinator merges each
+:class:`~repro.parallel.backends.SliceEvent` the moment it arrives into
 the global :class:`~repro.core.minmax_heap.TopKBuffer`, and the k-th-score
 threshold is re-broadcast asynchronously — a shard picks up the latest
 floor at its next slice boundary, never mid-slice.
@@ -25,9 +26,9 @@ Protocol invariants (normative statement in ``docs/architecture.md``):
 * **Monotone floor.**  The broadcast floor only rises (the global buffer
   threshold is monotone), so a stale floor is always a *lower bound* on
   the true one — shards may waste a little effort, never lose answers.
-* **Lossless merge.**  Identical to the round engine:
-  :func:`repro.parallel.engine.merge_worker_topk` offers every first
-  sighting and never re-admits an evicted id.
+* **Lossless merge.**  The coordinator's
+  :func:`~repro.parallel.coordinator.merge_worker_topk` offers every
+  first sighting and never re-admits an evicted id.
 
 The anytime surface is :meth:`StreamingTopKEngine.results_iter`, a
 generator of :class:`ProgressiveResult` snapshots (top-k, budget spent,
@@ -50,49 +51,23 @@ event-driven simulation (virtual clocks, arrival order =
 ``thread`` / ``process`` the same protocol runs on real concurrency and
 the clocks are measured — and with ``record=True`` the real arrival
 order is logged to a :class:`~repro.replay.trace.ArrivalTrace` that
-:mod:`repro.replay` re-executes bit-identically.  Shard bootstrap,
-picklable :class:`~repro.parallel.worker.ShardSpec`, snapshot/resume,
-and the shard-index cache are all shared with the round engine.
+:mod:`repro.replay` re-executes bit-identically.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import (ClassVar, Dict, Iterator, List, Optional, Sequence,
-                    Set, Tuple, Union)
+from typing import ClassVar, Dict, Iterator, List, Optional, Tuple
 
-from repro.core.convergence import ConvergenceBound, check_confidence
-from repro.core.engine import EngineConfig, _fully_funded
-from repro.core.minmax_heap import TopKBuffer
+from repro.core.convergence import check_confidence
 from repro.core.result import ResultBase
 from repro.data.dataset import Dataset
-from repro.errors import ConfigurationError, SerializationError
-from repro.index.builder import IndexConfig
-from repro.obs.metrics import (
-    MEMO_HITS_TOTAL,
-    SLICES_TOTAL,
-    THRESHOLD_STALENESS,
-    UDF_CALLS_TOTAL,
-)
-from repro.obs.spans import TraceContext
-from repro.parallel.cache import ShardIndexCache, subset_fingerprint
-from repro.parallel.engine import WorkerReport, merge_worker_topk
-from repro.parallel.worker import (
-    RoundOutcome,
-    build_shard_specs,
-    harvest_shard_indexes,
-)
+from repro.errors import ConfigurationError
+from repro.obs.metrics import SLICES_TOTAL, THRESHOLD_STALENESS
+from repro.parallel.backends import SliceEvent
+from repro.parallel.coordinator import ShardCoordinator, WorkerReport
 from repro.scoring.base import Scorer
-from repro.streaming.backends import (
-    SliceEvent,
-    StreamBackend,
-    make_stream_backend,
-)
-from repro.utils.rng import RngFactory
-
-_SNAPSHOT_FORMAT = "repro-streaming-snapshot/1"
-
 
 @dataclass(frozen=True)
 class ProgressiveResult:
@@ -216,31 +191,16 @@ class StreamingResult(ResultBase):
         )
 
 
-class StreamingTopKEngine:
-    """Barrier-free coordinator: continuous shards, merge-on-arrival.
+class StreamingTopKEngine(ShardCoordinator):
+    """Barrier-free execution: the coordinator plus merge-on-arrival.
 
     Parameters
     ----------
-    dataset / scorer / k:
-        The query, exactly as for the round-based
-        :class:`~repro.parallel.engine.ShardedTopKEngine`.
-    n_workers:
-        Number of shards (1 is valid: a single shard still streams
-        progressive snapshots every slice).
-    backend:
-        ``"serial"`` (deterministic event-driven simulation, virtual
-        clock), ``"thread"`` or ``"process"`` (real concurrency, measured
-        clock) — same name vocabulary as :mod:`repro.parallel` — or a
-        ready :class:`~repro.streaming.backends.StreamBackend` instance
-        (how :mod:`repro.replay` injects its trace-driven backend).
     slice_budget:
         Scoring calls per shard per slice — the streaming analogue of the
         round engine's ``sync_interval``; smaller slices mean fresher
         thresholds and earlier first results at slightly more merge
         traffic.
-    share_threshold:
-        Re-broadcast the global k-th score after every merge (shards pick
-        it up at their next slice boundary).
     stable_slices:
         Optional early-stop rule: stop once every still-active shard has
         reported this many consecutive slices while the top-k id set and
@@ -258,216 +218,66 @@ class StreamingTopKEngine:
         JSON-safe :class:`~repro.replay.trace.ArrivalTrace` (read it with
         :meth:`trace`), making real thread/process runs replayable
         bit for bit via :mod:`repro.replay`.
-    seed / index_config / engine_config / index_cache / shared_memory:
-        As for the round engine (shard streams derive from the root
-        entropy; the cache shares partition indexes across runs;
-        ``shared_memory`` selects the zero-copy process bootstrap of
-        :mod:`repro.parallel.shm` — ``None`` auto-enables where POSIX
-        shm works, answers bit-identical either way).
-    memo / priors:
-        As for the round engine: ``memo`` is a
-        :class:`~repro.memo.store.MemoView` whose frozen per-shard slices
-        ride the specs (fresh scores are recorded back at slice-merge
-        time, process children stay read-only); ``priors`` is one
-        warm-start payload per shard (:mod:`repro.memo.priors`), applied
-        to fresh engines only.  Memo hits charge full batch cost, so the
-        serial backend's arrival order — keyed on virtual completion — is
-        unchanged and warm runs stay bit-identical.
-    trace:
-        Optional :class:`~repro.obs.spans.TraceContext` (distinct from
-        ``record``'s replayable :class:`~repro.replay.trace.ArrivalTrace`).
-        When given, each drive opens a ``drive[d]`` span and every
-        arriving slice's ``shard[j].slice[s]`` fragment is stitched under
-        it at merge time, annotated with its observed threshold
-        staleness.  ``None`` (the default) keeps the event loop untouched.
-    gate:
-        Optional :class:`~repro.service.budget.QueryGrant`-shaped budget
-        gate (``acquire(n) -> int`` / ``refund(n)``).  Each slice cap is
-        drawn from it at submission and the slice's free portion (memo
-        hits, early exhaustion) refunded at merge.  Fully funded slices
-        leave submission order and caps untouched — bit-identity is
-        preserved; a partial grant is refunded whole and the shard is
-        simply not refilled, so the drive winds down at slice
-        boundaries.  Cancellation surfaces at the next refill as
-        :class:`~repro.errors.QueryCancelledError`.
-    table_version:
-        Version of the live-table snapshot this run executes against
-        (0 for immutable datasets).  Keys the shard-index cache, stamps
-        every spec and snapshot payload, and is asserted against each
-        arriving :class:`~repro.parallel.worker.RoundOutcome`.
+    **shards:
+        Everything else — ``n_workers`` (1 is valid: a single shard still
+        streams a snapshot every slice), ``backend``, ``index_config``,
+        ``engine_config``, ``share_threshold``, ``seed``, ``index_cache``,
+        ``ids``, ``shared_memory``, ``memo``, ``priors``, ``trace``,
+        ``gate``, ``table_version`` — is documented once, on
+        :class:`~repro.parallel.coordinator.ShardCoordinator`.
+
+    Memo hits charge full batch cost, so the serial backend's arrival
+    order — keyed on virtual completion — is unchanged and warm runs stay
+    bit-identical.  With a ``trace`` (distinct from ``record``'s
+    replayable arrival trace), each drive opens a ``drive[d]`` span and
+    every arriving slice's ``shard[j].slice[s]`` fragment is stitched
+    under it, annotated with its observed threshold staleness.  With a
+    ``gate``, each slice cap is reserved at submission and its free
+    portion refunded at merge; an underfunded shard is simply not
+    refilled, so the drive winds down at slice boundaries (cancellation
+    surfaces at the next refill as
+    :class:`~repro.errors.QueryCancelledError`).
     """
 
+    kind = "streaming"
+    _SNAPSHOT_FORMAT = "repro-streaming-snapshot/1"
+    _POLICY_FIELDS = ("slice_budget", "stable_slices", "confidence")
+
     def __init__(self, dataset: Dataset, scorer: Scorer, k: int,
-                 n_workers: int = 4,
-                 backend: Union[str, StreamBackend] = "serial",
-                 index_config: Optional[IndexConfig] = None,
-                 engine_config: Optional[EngineConfig] = None,
                  slice_budget: int = 100,
-                 share_threshold: bool = True,
                  stable_slices: Optional[int] = None,
                  confidence: Optional[float] = None,
-                 record: bool = False,
-                 seed=None,
-                 index_cache: Optional[ShardIndexCache] = None,
-                 ids: Optional[Sequence[str]] = None,
-                 shared_memory: Optional[bool] = None,
-                 memo=None,
-                 priors: Optional[List[Optional[dict]]] = None,
-                 trace: Optional[TraceContext] = None,
-                 gate=None,
-                 table_version: int = 0) -> None:
-        if n_workers <= 0:
-            raise ConfigurationError(
-                f"n_workers must be positive, got {n_workers!r}"
-            )
+                 record: bool = False, **shards) -> None:
         if slice_budget <= 0:
             raise ConfigurationError(
                 f"slice_budget must be positive, got {slice_budget!r}"
             )
-        if k <= 0:
-            raise ConfigurationError(f"k must be positive, got {k!r}")
         if stable_slices is not None and stable_slices <= 0:
             raise ConfigurationError(
                 f"stable_slices must be positive, got {stable_slices!r}"
             )
-        # ids restricts execution to a candidate subset (WHERE pushdown):
-        # only those elements are partitioned, indexed, and drawn.
-        self._ids: Optional[List[str]] = (
-            list(ids) if ids is not None else None
-        )
-        self._population = (len(self._ids) if self._ids is not None
-                            else len(dataset))
-        if self._population < n_workers:
-            raise ConfigurationError(
-                f"{n_workers} workers for only {self._population} elements"
-            )
-        self.dataset = dataset
-        self.scorer = scorer
-        self.k = int(k)
-        self.n_workers = int(n_workers)
+        super().__init__(dataset, scorer, k, **shards)
         self.slice_budget = int(slice_budget)
-        self.share_threshold = share_threshold
         self.stable_slices = stable_slices
         self.confidence = check_confidence(confidence)
-        self._factory = RngFactory(seed)
-        self._root_entropy = self._factory._root.entropy
-        self._index_config = index_config
-        self._engine_config = engine_config or EngineConfig(k=k)
-        self._index_cache = index_cache
-        self._shared_memory = shared_memory
-        self._shm_table = None
-        self._memo = memo
-        self._priors = priors
-        self._trace = trace
-        self._gate = gate
-        self._table_version = int(table_version)
-        self._drive_count = 0
-        self._submit_merges: Dict[int, int] = {}
-        self.backend: StreamBackend = (
-            backend if isinstance(backend, StreamBackend)
-            else make_stream_backend(backend)
-        )
         self._recorder = None
         if record:
             from repro.replay.trace import TraceRecorder
 
             self._recorder = TraceRecorder()
-        # Coordinator state (persists across drives for resumption).
-        self._started = False
-        self._cache_hit = False
-        self._partitions: List[List[str]] = []
-        self._buffer: TopKBuffer[str] = TopKBuffer(self.k)
-        self._merged_ids: Set[str] = set()
-        self.wall_time = 0.0
-        self.total_scored = 0
         self.n_merges = 0
         self.time_to_first_result: Optional[float] = None
         self.converged = False
         self.progressive: List[Tuple[float, int, float]] = []
-        self._worker_times: List[float] = [0.0] * self.n_workers
-        self._active: List[bool] = [True] * self.n_workers
-        self._floor: Optional[float] = None
-        self._last_outcomes: List[Optional[RoundOutcome]] = (
-            [None] * self.n_workers
-        )
         self._inflight: Dict[int, int] = {}   # worker -> reserved cap
+        self._submit_merges: Dict[int, int] = {}
         self._reserved = 0
         self._stable_count: List[int] = [0] * self.n_workers
-        self._bound = ConvergenceBound(self.n_workers)
-        self._resume_count = 0
-        self._restore_payloads: Optional[List[dict]] = None
+        self._drive_count = 0
         # Real-clock bookkeeping for the current drive.
         self._drive_started: Optional[float] = None
         self._wall_base = 0.0
         self._last_total = 0
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def __enter__(self) -> "StreamingTopKEngine":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
-
-    def close(self) -> None:
-        """Release backend resources (child processes, thread pools)."""
-        self.backend.close()
-        self._release_shm()
-
-    def _release_shm(self) -> None:
-        """Unlink the coordinator's shared-memory table, if any (idempotent)."""
-        if self._shm_table is not None:
-            self._shm_table.close()
-            self._shm_table = None
-
-    # -- setup ---------------------------------------------------------------
-
-    def start(self) -> None:
-        """Bootstrap every shard eagerly (drives otherwise do it lazily)."""
-        self._ensure_started()
-
-    def _ensure_started(self) -> None:
-        if self._started:
-            return
-        (self._partitions, specs, self._cache_hit,
-         self._shm_table) = build_shard_specs(
-            self.dataset, self.scorer,
-            n_workers=self.n_workers, k=self.k,
-            engine_config=self._engine_config,
-            index_config=self._index_config,
-            factory=self._factory, root_entropy=self._root_entropy,
-            materialize=self.backend.name == "process",
-            restore_payloads=self._restore_payloads,
-            resume_count=self._resume_count,
-            index_cache=self._index_cache,
-            ids=self._ids,
-            shared_memory=self._shared_memory,
-            memo_snapshot=(self._memo.snapshot()
-                           if self._memo is not None else None),
-            priors=self._priors,
-            trace=self._trace is not None,
-            table_version=self._table_version,
-        )
-        try:
-            self.backend.start(specs, self.dataset, self.scorer,
-                               worker_times=list(self._worker_times))
-        except BaseException:
-            # A failed start must leak neither pools nor the segment.
-            self.backend.close()
-            self._release_shm()
-            raise
-        self._started = True
-        if not self._cache_hit:
-            harvest_shard_indexes(
-                self._index_cache,
-                root_entropy=self._root_entropy,
-                index_config=self._index_config,
-                n_elements=self._population,
-                partitions=self._partitions,
-                workers=self.backend.inline_workers(),
-                subset=subset_fingerprint(self._ids),
-                table_version=self._table_version,
-            )
 
     # -- execution -----------------------------------------------------------
 
@@ -493,12 +303,11 @@ class StreamingTopKEngine:
             # The service budget gate funds whole slices or none: an
             # underfunded refill just leaves shards idle (the drive winds
             # down), never shrinks a cap — that would perturb the run.
-            if self._gate is not None and not _fully_funded(self._gate, cap):
+            if not self._reserve(cap):
                 return
-            floor = self._floor if self.share_threshold else None
             if self._recorder is not None:
-                self._recorder.submit(worker, cap, floor)
-            self.backend.submit(worker, cap, floor)
+                self._recorder.submit(worker, cap, self._floor)
+            self.backend.submit(worker, cap, self._floor)
             self._inflight[worker] = cap
             self._submit_merges[worker] = self.n_merges
             self._reserved += cap
@@ -506,35 +315,18 @@ class StreamingTopKEngine:
     def _topk_signature(self) -> Tuple[int, frozenset]:
         return len(self._buffer), frozenset(self._buffer.payloads())
 
-    def _absorb(self, event: SliceEvent) -> None:
+    def _merge_arrival(self, event: SliceEvent) -> None:
         """Merge one arrived slice into the global state."""
         outcome = event.outcome
         worker = outcome.worker_id
-        if outcome.table_version != self._table_version:
-            raise ConfigurationError(
-                f"shard {worker} reported table version "
-                f"{outcome.table_version}, coordinator pinned "
-                f"{self._table_version}"
-            )
         cap = self._inflight.pop(worker)
+        self._reserved -= cap
         # Merges that landed while this slice was in flight — exactly how
         # stale the threshold floor it ran under had become by arrival.
         staleness = self.n_merges - self._submit_merges.pop(
             worker, self.n_merges)
-        self._reserved -= cap
-        self.total_scored += outcome.scored
-        self._worker_times[worker] += outcome.cost
-        self._active[worker] = not outcome.exhausted
-        self._last_outcomes[worker] = outcome
-        if self._memo is not None:
-            # Coordinator-side write-back at the slice boundary: shards
-            # read their frozen memo slice, fresh scores land here in
-            # arrival order (process children stay read-only).
-            if outcome.fresh_scores:
-                self._memo.record_pairs(outcome.fresh_scores)
-            self._memo.count(outcome.memo_hits, len(outcome.fresh_scores))
         before = self._topk_signature()
-        merge_worker_topk(self._buffer, self._merged_ids, outcome.topk)
+        self._absorb(outcome)
         self.n_merges += 1
         if self.backend.virtual_clock:
             self.wall_time = max(self.wall_time,
@@ -546,37 +338,22 @@ class StreamingTopKEngine:
             )
         if self.time_to_first_result is None:
             self.time_to_first_result = self.wall_time
-        if self.share_threshold and self._buffer.threshold is not None:
-            self._floor = self._buffer.threshold
         if self._topk_signature() == before:
             self._stable_count[worker] += 1
         else:
             self._stable_count = [0] * self.n_workers
-        self._bound.update(worker, outcome.tail)
-        self._bound.refresh(
-            self._buffer.threshold,
-            len(self._buffer) >= self.k,
-            max(0, self._last_total - self.total_scored),
-        )
+        self._publish(self._last_total)
         if self._recorder is not None:
             self._recorder.arrival(worker, outcome.scored, self.wall_time,
                                    cost=outcome.cost)
         self.progressive.append(
             (self.wall_time, self.total_scored, self._buffer.stk)
         )
-        backend = self.backend.name
-        SLICES_TOTAL.inc(backend=backend)
-        THRESHOLD_STALENESS.observe(staleness, backend=backend)
-        fresh = outcome.scored - outcome.memo_hits
-        if self._gate is not None and cap > fresh:
-            # The slice reserved its full cap at submission; give back
-            # what never became a real UDF call (memo hits, exhaustion).
-            self._gate.refund(cap - fresh)
-        if fresh:
-            UDF_CALLS_TOTAL.inc(fresh, engine="streaming", backend=backend)
-        if outcome.memo_hits:
-            MEMO_HITS_TOTAL.inc(outcome.memo_hits, engine="streaming",
-                                backend=backend)
+        SLICES_TOTAL.inc(backend=self.backend.name)
+        THRESHOLD_STALENESS.observe(staleness, backend=self.backend.name)
+        # The slice reserved its full cap at submission; give back what
+        # never became a real UDF call (memo hits, exhaustion).
+        self._refund(cap, outcome.scored - outcome.memo_hits)
         if self._trace is not None and outcome.span is not None:
             span = self._trace.attach(outcome.span)
             span.attrs.update(
@@ -618,8 +395,7 @@ class StreamingTopKEngine:
 
     def _progressive(self, converged: bool) -> ProgressiveResult:
         return ProgressiveResult(
-            top_k=[(element_id, score)
-                   for score, element_id in self._buffer.items()],
+            top_k=self._items(),
             budget_spent=self.total_scored,
             threshold=self._buffer.threshold,
             converged=converged,
@@ -649,8 +425,7 @@ class StreamingTopKEngine:
         the next drive or :meth:`snapshot` call.
         """
         self._ensure_started()
-        total = (self._population if budget is None
-                 else min(budget, self._population))
+        total = self._total_budget(budget)
         self._last_total = total
         step = self.slice_budget if every is None else max(1, int(every))
         self._bound.begin_drive()
@@ -665,8 +440,7 @@ class StreamingTopKEngine:
         last_yield = self.total_scored
         stopping = False
         while self._inflight:
-            event = self.backend.next_event()
-            self._absorb(event)
+            self._merge_arrival(self.backend.next_event())
             if not stopping and (self._is_stable() or self._is_confident()):
                 stopping = True  # early stop: drain, no resubmissions
             if not stopping:
@@ -695,32 +469,16 @@ class StreamingTopKEngine:
 
     def result(self) -> StreamingResult:
         """Assemble the merged answer and anytime trace reached so far."""
-        workers = []
-        for worker in range(self.n_workers):
-            outcome = self._last_outcomes[worker]
-            n_members = (len(self._partitions[worker])
-                         if self._partitions else 0)
-            workers.append(WorkerReport(
-                worker_id=worker,
-                n_elements=n_members,
-                n_scored=outcome.n_scored_total if outcome else 0,
-                virtual_time=self._worker_times[worker],
-                local_stk=outcome.local_stk if outcome else 0.0,
-                fallback_events=tuple(outcome.fallback_events)
-                if outcome else (),
-            ))
-        items = [(element_id, score)
-                 for score, element_id in self._buffer.items()]
         return StreamingResult(
             k=self.k,
-            items=items,
+            items=self._items(),
             stk=self._buffer.stk,
             wall_time=self.wall_time,
             total_scored=self.total_scored,
             n_merges=self.n_merges,
             time_to_first_result=self.time_to_first_result,
             converged=self.converged,
-            workers=workers,
+            workers=self._worker_reports(),
             progressive=list(self.progressive),
             backend=self.backend.name,
             displacement_bound=self._bound.drive_bound,
@@ -751,172 +509,30 @@ class StreamingTopKEngine:
             share_threshold=self.share_threshold,
             stable_slices=self.stable_slices,
             confidence=self.confidence,
-            root_entropy=self._root_entropy,
+            root_entropy=self.root_entropy,
             drives=[dict(drive) for drive in self._recorder.drives],
             events=[dict(event) for event in self._recorder.events],
         )
 
     # -- pause / resume ------------------------------------------------------
 
-    def _drain(self) -> None:
-        """Absorb any in-flight slices without resubmitting (quiesce)."""
+    def _quiesce(self) -> None:
+        """Absorb any in-flight slices without resubmitting."""
         if not self._inflight:
             return
         if self._drive_started is None:
             self._begin_drive()
         while self._inflight:
-            self._absorb(self.backend.next_event())
+            self._merge_arrival(self.backend.next_event())
 
-    def snapshot(self) -> dict:
-        """Capture the full streaming run: coordinator + shard engines.
-
-        In-flight slices are drained first (shards snapshot at slice
-        boundaries, where no batch is pending).  The payload nests one
-        :func:`repro.core.snapshot.snapshot_engine` dict per shard; RNG
-        state is *not* captured, so a resumed run is a valid streaming
-        execution but not bit-identical to the uninterrupted one.
-        """
-        self._ensure_started()
-        self._drain()
-        return {
-            "format": _SNAPSHOT_FORMAT,
-            "k": self.k,
-            "n_workers": self.n_workers,
-            "slice_budget": self.slice_budget,
-            "share_threshold": self.share_threshold,
-            "stable_slices": self.stable_slices,
-            "confidence": self.confidence,
-            "backend": self.backend.name,
-            "root_entropy": self._root_entropy,
-            "resume_count": self._resume_count,
-            "table_version": self._table_version,
-            "coordinator": {
-                "exhaustive_bound": self._bound.exhaustive_bound,
-                "buffer": [[score, element_id]
-                           for score, element_id in self._buffer.items()],
-                "merged_ids": sorted(self._merged_ids),
-                "wall_time": self.wall_time,
-                "total_scored": self.total_scored,
-                "n_merges": self.n_merges,
+    def _policy_state(self) -> dict:
+        return {"n_merges": self.n_merges,
                 "time_to_first_result": self.time_to_first_result,
-                "progressive": [list(point) for point in self.progressive],
-                "worker_times": list(self._worker_times),
-                "active": list(self._active),
-                "pending_floor": self._floor,
-                "worker_stats": [
-                    [o.n_scored_total, o.local_stk,
-                     [list(e) for e in o.fallback_events]]
-                    if o else None
-                    for o in self._last_outcomes
-                ],
-            },
-            "workers": self.backend.snapshots(),
-            # WHERE candidate subset; None when the whole table ran.
-            "ids": self._ids,
-            # Cross-query memo slice for this (table, udf) pair, so a
-            # resumed run keeps its warm scores; None when caching is off.
-            "memo": (self._memo.to_payload()
-                     if self._memo is not None else None),
-        }
+                "progressive": [list(point) for point in self.progressive]}
 
-    @classmethod
-    def restore(cls, dataset: Dataset, scorer: Scorer, snapshot: dict,
-                backend: Optional[str] = None,
-                index_config: Optional[IndexConfig] = None,
-                engine_config: Optional[EngineConfig] = None,
-                index_cache: Optional[ShardIndexCache] = None,
-                memo=None,
-                table_version: int = 0,
-                ) -> "StreamingTopKEngine":
-        """Rebuild a streaming run from :meth:`snapshot` output.
-
-        Same contract as the round engine's restore: the dataset must be
-        the same immutable dataset, ``index_config`` / ``engine_config``
-        must repeat the original run's, and ``backend`` may differ — a run
-        paused under ``thread`` can resume under ``serial`` or ``process``
-        and vice versa.  ``memo`` optionally re-attaches a live
-        :class:`~repro.memo.store.MemoView`; the snapshot's stored memo
-        slice is merged into it (or revived standalone) so the resumed
-        run stays warm.
-
-        ``table_version`` must repeat the live-table version the run was
-        snapshotted against (0 for immutable datasets); a snapshot taken
-        before a committed write is rejected rather than silently
-        resumed against different rows.
-        """
-        if snapshot.get("format") != _SNAPSHOT_FORMAT:
-            raise SerializationError(
-                f"unrecognized streaming snapshot format "
-                f"{snapshot.get('format')!r}"
-            )
-        stored_version = int(snapshot.get("table_version", 0))
-        if stored_version != int(table_version):
-            raise ConfigurationError(
-                f"snapshot was taken at table version {stored_version}, "
-                f"cannot restore against version {int(table_version)}"
-            )
-        stable = snapshot.get("stable_slices")
-        confidence = snapshot.get("confidence")
-        subset = snapshot.get("ids")
-        engine = cls(
-            dataset, scorer, k=int(snapshot["k"]),
-            n_workers=int(snapshot["n_workers"]),
-            backend=backend or snapshot["backend"],
-            index_config=index_config,
-            engine_config=engine_config,
-            slice_budget=int(snapshot["slice_budget"]),
-            share_threshold=bool(snapshot["share_threshold"]),
-            stable_slices=None if stable is None else int(stable),
-            confidence=None if confidence is None else float(confidence),
-            seed=None,
-            index_cache=index_cache,
-            ids=None if subset is None else [str(i) for i in subset],
-            table_version=stored_version,
-        )
-        # Re-anchor the RNG streams to the original run's root entropy so
-        # partitions and shard indexes rebuild identically.
-        engine._factory = RngFactory(snapshot["root_entropy"])
-        engine._root_entropy = snapshot["root_entropy"]
-        engine._resume_count = int(snapshot.get("resume_count", 0)) + 1
-        engine._restore_payloads = list(snapshot["workers"])
-        memo_payload = snapshot.get("memo")
-        if memo is not None:
-            if memo_payload is not None:
-                memo.record_pairs(list(memo_payload["scores"].items()))
-            engine._memo = memo
-        elif memo_payload is not None:
-            from repro.memo.store import MemoView
-
-            engine._memo = MemoView.from_payload(memo_payload)
-        state = snapshot["coordinator"]
-        for score, element_id in state["buffer"]:
-            engine._buffer.offer(float(score), element_id)
-        engine._merged_ids = set(state["merged_ids"])
-        engine.wall_time = float(state["wall_time"])
-        engine.total_scored = int(state["total_scored"])
-        engine.n_merges = int(state["n_merges"])
+    def _restore_policy_state(self, state: dict) -> None:
+        self.n_merges = int(state["n_merges"])
         ttfr = state.get("time_to_first_result")
-        engine.time_to_first_result = None if ttfr is None else float(ttfr)
-        engine.progressive = [tuple(point)
-                              for point in state.get("progressive", [])]
-        engine._worker_times = [float(t) for t in state["worker_times"]]
-        engine._active = [bool(flag) for flag in state["active"]]
-        # The exhaustive certificate survives the pause (it only ever
-        # tightens); the drive-scoped bound resets with the next drive.
-        engine._bound.exhaustive_bound = float(
-            state.get("exhaustive_bound", 1.0)
-        )
-        floor = state.get("pending_floor")
-        engine._floor = None if floor is None else float(floor)
-        for worker, stats in enumerate(state.get("worker_stats", [])):
-            if stats is not None:
-                n_scored, local_stk, events = stats
-                engine._last_outcomes[worker] = RoundOutcome(
-                    worker_id=worker, scored=0, cost=0.0, elapsed=0.0,
-                    topk=[], exhausted=not engine._active[worker],
-                    n_scored_total=int(n_scored),
-                    local_stk=float(local_stk),
-                    fallback_events=[(int(t), str(kind))
-                                     for t, kind in events],
-                )
-        return engine
+        self.time_to_first_result = None if ttfr is None else float(ttfr)
+        self.progressive = [tuple(point)
+                            for point in state.get("progressive", [])]

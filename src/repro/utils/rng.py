@@ -57,6 +57,11 @@ class RngFactory:
         self._named: dict[str, np.random.Generator] = {}
         self._counter = 0
 
+    @property
+    def root_entropy(self) -> int:
+        """The root seed; ``RngFactory(root_entropy)`` hands out the same streams."""
+        return self._root.entropy
+
     def named(self, name: str) -> np.random.Generator:
         """Return the generator for ``name``, creating it deterministically.
 

@@ -58,7 +58,7 @@ class TestParallelFlags:
     def test_info_lists_backends(self, capsys):
         assert main(["info"]) == 0
         out = capsys.readouterr().out
-        assert "parallel backends:" in out
+        assert "\nbackends:" in out
         assert "serial" in out and "thread" in out and "process" in out
         assert "repro.parallel" in out
 
@@ -100,10 +100,11 @@ class TestParallelFlags:
 
 
 class TestStreamingFlags:
-    def test_info_lists_streaming_backends(self, capsys):
+    def test_info_lists_one_registry_for_both_engines(self, capsys):
         assert main(["info"]) == 0
         out = capsys.readouterr().out
-        assert "streaming backends:" in out
+        assert out.count("backends:") == 1   # no streaming twin
+        assert "streaming (STREAM)" in out and "'replay'" in out
         assert "repro.streaming" in out
 
     def test_backend_choices_are_introspected(self, capsys):

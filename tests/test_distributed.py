@@ -1,4 +1,9 @@
-"""Tests for the simulated distributed executor (Section 6 combination)."""
+"""The Section 6 combination on the ``serial`` simulation backend.
+
+These checks used to run through the ``repro.distributed`` wrapper, which
+only forwarded to ``ShardedTopKEngine(backend="serial")``; they now run on
+the engine itself.
+"""
 
 from __future__ import annotations
 
@@ -7,12 +12,18 @@ import pytest
 
 from repro.core.engine import EngineConfig, TopKEngine
 from repro.data.synthetic import SyntheticClustersDataset
-from repro.distributed import DistributedTopKExecutor
 from repro.errors import ConfigurationError
 from repro.experiments.ground_truth import compute_ground_truth
 from repro.index.builder import IndexConfig
+from repro.parallel.engine import ShardedTopKEngine
+from repro.parallel.worker import partition_ids
 from repro.scoring.base import FixedPerCallLatency
 from repro.scoring.relu import ReluScorer
+from repro.utils.rng import RngFactory
+
+
+def serial_engine(dataset, scorer, k, **kwargs):
+    return ShardedTopKEngine(dataset, scorer, k, backend="serial", **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -28,24 +39,24 @@ class TestValidation:
     def test_invalid_workers(self, world):
         dataset, scorer, _ = world
         with pytest.raises(ConfigurationError):
-            DistributedTopKExecutor(dataset, scorer, k=5, n_workers=0)
+            serial_engine(dataset, scorer, k=5, n_workers=0)
 
     def test_invalid_sync(self, world):
         dataset, scorer, _ = world
         with pytest.raises(ConfigurationError):
-            DistributedTopKExecutor(dataset, scorer, k=5, sync_interval=0)
+            serial_engine(dataset, scorer, k=5, sync_interval=0)
 
     def test_more_workers_than_elements(self):
         dataset = SyntheticClustersDataset.generate(n_clusters=1,
                                                     per_cluster=3, rng=0)
         with pytest.raises(ConfigurationError):
-            DistributedTopKExecutor(dataset, ReluScorer(), k=1, n_workers=10)
+            serial_engine(dataset, ReluScorer(), k=1, n_workers=10)
 
 
 class TestExecution:
     def test_exhaustive_run_is_exact(self, world):
         dataset, scorer, truth = world
-        executor = DistributedTopKExecutor(
+        executor = serial_engine(
             dataset, scorer, k=20, n_workers=4,
             index_config=IndexConfig(n_clusters=4), seed=0,
         )
@@ -55,10 +66,9 @@ class TestExecution:
         assert len(result.items) == 20
 
     def test_partitions_cover_dataset(self, world):
-        dataset, scorer, _ = world
-        executor = DistributedTopKExecutor(dataset, scorer, k=5,
-                                           n_workers=3, seed=1)
-        partitions = executor._partitions()
+        dataset, _scorer, _ = world
+        partitions = partition_ids(dataset.ids(), 3,
+                                   RngFactory(1).named("partition"))
         union = sorted(eid for part in partitions for eid in part)
         assert union == sorted(dataset.ids())
         sizes = [len(part) for part in partitions]
@@ -66,16 +76,16 @@ class TestExecution:
 
     def test_budget_respected(self, world):
         dataset, scorer, _ = world
-        executor = DistributedTopKExecutor(dataset, scorer, k=10,
-                                           n_workers=4, seed=0)
+        executor = serial_engine(dataset, scorer, k=10,
+                                 n_workers=4, seed=0)
         result = executor.run(budget=400)
         assert result.total_scored <= 400 + 4  # batch-overshoot slack
 
     def test_wall_time_is_parallel(self, world):
         """W workers at 1 ms/score: wall time ~ total/W, not total."""
         dataset, scorer, _ = world
-        executor = DistributedTopKExecutor(dataset, scorer, k=10,
-                                           n_workers=4, seed=0)
+        executor = serial_engine(dataset, scorer, k=10,
+                                 n_workers=4, seed=0)
         result = executor.run(budget=1200)
         sequential = result.total_scored * 1e-3
         assert result.wall_time < 0.5 * sequential
@@ -87,7 +97,7 @@ class TestExecution:
         dataset, scorer, truth = world
 
         def exhaustive(n_workers):
-            executor = DistributedTopKExecutor(
+            executor = serial_engine(
                 dataset, scorer, k=20, n_workers=n_workers,
                 sync_interval=50, seed=3,
             )
@@ -101,8 +111,8 @@ class TestExecution:
 
     def test_checkpoints_monotone(self, world):
         dataset, scorer, _ = world
-        executor = DistributedTopKExecutor(dataset, scorer, k=10,
-                                           n_workers=2, seed=0)
+        executor = serial_engine(dataset, scorer, k=10,
+                                 n_workers=2, seed=0)
         result = executor.run(budget=600)
         stks = [stk for _t, stk in result.checkpoints]
         times = [t for t, _s in result.checkpoints]
@@ -111,8 +121,8 @@ class TestExecution:
 
     def test_worker_reports(self, world):
         dataset, scorer, _ = world
-        executor = DistributedTopKExecutor(dataset, scorer, k=10,
-                                           n_workers=3, seed=0)
+        executor = serial_engine(dataset, scorer, k=10,
+                                 n_workers=3, seed=0)
         result = executor.run(budget=300)
         assert len(result.workers) == 3
         assert sum(w.n_scored for w in result.workers) == result.total_scored
@@ -120,9 +130,9 @@ class TestExecution:
 
     def test_threshold_broadcast_sets_floor(self, world):
         dataset, scorer, _ = world
-        executor = DistributedTopKExecutor(dataset, scorer, k=5,
-                                           n_workers=2, sync_interval=50,
-                                           share_threshold=True, seed=0)
+        executor = serial_engine(dataset, scorer, k=5,
+                                 n_workers=2, sync_interval=50,
+                                 share_threshold=True, seed=0)
         # Run a few rounds manually via run(); floors should be set after.
         executor_result = executor.run(budget=300)
         assert executor_result.n_rounds >= 2
@@ -131,7 +141,7 @@ class TestExecution:
         dataset, scorer, _ = world
 
         def once():
-            return DistributedTopKExecutor(
+            return serial_engine(
                 dataset, scorer, k=10, n_workers=3, seed=9
             ).run(budget=500).stk
 

@@ -20,7 +20,8 @@ from repro.index.builder import IndexConfig, build_index
 from repro.scoring.base import FunctionScorer
 from repro.scoring.linear import LogisticRegressionModel
 from repro.scoring.relu import ReluScorer
-from repro.session import OpaqueQuerySession, parse_query
+from repro.query import parse
+from repro.session import OpaqueQuerySession
 
 
 class TestDataSourceUnion:
@@ -165,13 +166,13 @@ class TestBudgetedExecution:
 
 class TestParseQuery:
     def test_minimal(self):
-        parsed = parse_query("SELECT TOP 10 FROM t ORDER BY f")
+        parsed = parse("SELECT TOP 10 FROM t ORDER BY f")
         assert parsed.k == 10 and parsed.table == "t" and parsed.udf == "f"
         assert parsed.budget is None and parsed.budget_fraction is None
         assert parsed.batch_size == 1 and parsed.seed is None
 
     def test_full_clause(self):
-        parsed = parse_query(
+        parsed = parse(
             "select top 250 from listings order by valuation desc "
             "budget 10% batch 32 seed 7;"
         )
@@ -183,7 +184,7 @@ class TestParseQuery:
         assert parsed.seed == 7
 
     def test_absolute_budget(self):
-        parsed = parse_query("SELECT TOP 5 FROM t ORDER BY f BUDGET 500")
+        parsed = parse("SELECT TOP 5 FROM t ORDER BY f BUDGET 500")
         assert parsed.budget == 500 and parsed.budget_fraction is None
 
     def test_malformed_rejected(self):
@@ -194,7 +195,7 @@ class TestParseQuery:
             "SELECT TOP 5 FROM t ORDER BY f BUDGET 200%",
         ):
             with pytest.raises(ConfigurationError):
-                parse_query(bad)
+                parse(bad)
 
 
 class TestOpaqueQuerySession:

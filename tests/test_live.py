@@ -220,6 +220,38 @@ class TestIncrementalDifferential:
                    for leaf in maintainer.tree.leaves()
                    if any(m.startswith("new-") for m in leaf.member_ids))
 
+    def test_split_then_rewrite_in_one_batch_matches_rebuild(self):
+        """append (overflows a leaf) -> update -> delete of that leaf's
+        members, folded in by ONE advance().  The split used to read the
+        post-batch snapshot, where the deleted member is gone (``unknown
+        element id``) and the updated one already carries its new row."""
+        table = make_live_table(n_rows=60, seed=4)
+        session, _, _ = make_live_session(table)
+        session.execute(EXHAUSTIVE)                     # builds the index
+        maintainer = session._maintainers["t"]
+        assert maintainer.max_leaf_size == 24
+
+        burst = append_rows(table, 2.5 + np.arange(25) * 1e-4)
+        table.update([burst[1]], np.array([[9.5, 0.0, 0.0]]), objects=[9.5])
+        table.delete([burst[0]])
+        incremental = session.execute(EXHAUSTIVE)       # one 3-delta advance
+        assert maintainer.n_splits >= 1
+        assert session.table_info("t")["index_freshness"] == "incremental"
+
+        snapshot = table.snapshot()
+        leaves = list(maintainer.tree.leaves())
+        assert (sorted(m for leaf in leaves for m in leaf.member_ids)
+                == sorted(snapshot.ids()))
+        # The running aggregates routing relies on survived the batch:
+        # a split over post-update rows would leave them off by the move.
+        for leaf in leaves:
+            rows = snapshot.features_of(list(leaf.member_ids))
+            np.testing.assert_allclose(maintainer._sum[leaf.node_id],
+                                       rows.sum(axis=0), atol=1e-9)
+        fresh_session, _, _ = make_live_session(table)
+        assert answer(incremental) == answer(fresh_session.execute(EXHAUSTIVE))
+        assert incremental.items[0][0] == burst[1]
+
     def test_advance_never_mutates_published_tree(self):
         from repro.index.builder import IndexConfig, build_index
 

@@ -10,7 +10,6 @@ from repro.core.engine import EngineConfig, TopKEngine
 from repro.core.fallback import FallbackConfig
 from repro.core.result import Checkpoint, QueryResult
 from repro.data.synthetic import SyntheticClustersDataset
-from repro.distributed import DistributedTopKExecutor
 from repro.errors import (
     ConfigurationError,
     EmptyStructureError,
@@ -22,6 +21,7 @@ from repro.errors import (
 )
 from repro.experiments.report import format_speedup_table
 from repro.experiments.runner import RunCurve
+from repro.parallel.engine import ShardedTopKEngine
 from repro.scoring.base import FixedPerCallLatency
 from repro.scoring.relu import ReluScorer
 from repro.session import OpaqueQuerySession
@@ -147,9 +147,9 @@ class TestDistributedVariants:
         dataset = SyntheticClustersDataset.generate(n_clusters=6,
                                                     per_cluster=80, rng=0)
         scorer = ReluScorer(FixedPerCallLatency(1e-3))
-        executor = DistributedTopKExecutor(dataset, scorer, k=10,
-                                           n_workers=3,
-                                           share_threshold=False, seed=0)
+        executor = ShardedTopKEngine(dataset, scorer, k=10, n_workers=3,
+                                     backend="serial",
+                                     share_threshold=False, seed=0)
         result = executor.run()
         truth_topk = sorted(
             (dataset.fetch(i) for i in dataset.ids()), reverse=True
@@ -160,8 +160,8 @@ class TestDistributedVariants:
         dataset = SyntheticClustersDataset.generate(n_clusters=5,
                                                     per_cluster=60, rng=1)
         scorer = ReluScorer(FixedPerCallLatency(1e-3))
-        executor = DistributedTopKExecutor(dataset, scorer, k=8,
-                                           n_workers=1, seed=2)
+        executor = ShardedTopKEngine(dataset, scorer, k=8, n_workers=1,
+                                     backend="serial", seed=2)
         result = executor.run(budget=150)
         assert result.total_scored >= 150
         assert len(result.workers) == 1

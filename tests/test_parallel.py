@@ -1,9 +1,9 @@
 """Tests for the sharded execution subsystem (repro.parallel).
 
 The serial backend's bit-identity with the historical simulation is pinned
-by ``tests/test_distributed.py`` (the executor now delegates to it); this
-module covers what is new: backend agreement, the coordinator merge's edge
-cases, small partitions, and snapshot/resume of a sharded run.
+by ``tests/test_coordinator_golden.py``; this module covers backend
+agreement, the coordinator merge's edge cases, small partitions, and
+snapshot/resume of a sharded run.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import pytest
 
 from repro.core.minmax_heap import TopKBuffer
 from repro.data.synthetic import SyntheticClustersDataset
-from repro.distributed import DistributedTopKExecutor
 from repro.errors import ConfigurationError
 from repro.experiments.ground_truth import compute_ground_truth
 from repro.index.builder import IndexConfig
@@ -54,8 +53,48 @@ class TestBackendRegistry:
         assert set(available_backends()) == {"serial", "thread", "process"}
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown parallel"):
+        with pytest.raises(ConfigurationError, match="unknown backend"):
             make_backend("gpu")
+
+    def test_only_process_ever_probes(self, monkeypatch, world):
+        """Availability is lazy per name: resolving ``serial``/``thread``
+        — parse, plan, ``make_backend``, engine construction — never forks
+        the probe child (forked from a threaded server it can deadlock);
+        only ``process`` does, and reports the probe's reason."""
+        from repro.parallel import backends
+        from repro.query import parse
+        from repro.session import OpaqueQuerySession
+
+        dataset, scorer, _ = world
+        session = OpaqueQuerySession()
+        session.register_table("t", dataset)
+        session.register_udf("f", scorer)
+        query = "SELECT TOP 5 FROM t ORDER BY f WORKERS 2 BACKEND {}"
+
+        monkeypatch.setattr(backends, "_PROCESS_PROBE", None)
+        monkeypatch.setattr(
+            backends, "_probe_process",
+            lambda: pytest.fail("probed for a backend that never forks"))
+        for name in ("serial", "thread"):
+            assert parse(query.format(name)).backend == name
+            assert session.plan(query.format(name)).backend == name
+            assert session.plan("SELECT TOP 5 FROM t ORDER BY f",
+                                workers=2, backend=name).backend == name
+            assert make_backend(name).name == name
+            ShardedTopKEngine(dataset, scorer, k=5, backend=name).close()
+
+        monkeypatch.setattr(backends, "_probe_process",
+                            lambda: "fork is forbidden in this sandbox")
+        for resolve in (
+            lambda: make_backend("process"),
+            lambda: parse(query.format("process")),
+            lambda: session.plan("SELECT TOP 5 FROM t ORDER BY f",
+                                 workers=2, backend="process"),
+        ):
+            with pytest.raises(ConfigurationError,
+                               match="fork is forbidden in this sandbox"):
+                resolve()
+        assert available_backends() == ["serial", "thread"]
 
     def test_unknown_backend_at_engine_construction(self, world):
         dataset, scorer, _ = world
@@ -101,27 +140,25 @@ class TestBackendAgreement:
         assert thread.wall_time < 0.3
 
 
-class TestExecutorDelegation:
-    def test_wrapper_is_bit_identical_to_sharded_serial(self, world):
-        dataset, scorer, _ = world
-        executor = DistributedTopKExecutor(dataset, scorer, k=10,
-                                           n_workers=3, seed=5)
-        direct = run_sharded(dataset, scorer, "serial", budget=500, seed=5)
-        via_wrapper = executor.run(budget=500)
-        assert via_wrapper.items == direct.items
-        assert via_wrapper.wall_time == direct.wall_time
-        assert via_wrapper.checkpoints == direct.checkpoints
+class TestFreshEngines:
+    """What the removed ``repro.distributed`` wrapper guaranteed, on the
+    engine itself: a seeded serial run is a pure function of its inputs."""
 
-    def test_executor_run_is_fresh_each_call(self, world):
-        """Pre-refactor semantics: every run() is an independent fresh
-        execution, never a cumulative continuation of the previous call."""
+    def test_serial_engine_is_reproducible_bit_for_bit(self, world):
         dataset, scorer, _ = world
-        executor = DistributedTopKExecutor(dataset, scorer, k=10,
-                                           n_workers=3, seed=7)
-        executor.run(budget=150)
-        second = executor.run(budget=600)
-        fresh = DistributedTopKExecutor(dataset, scorer, k=10,
-                                        n_workers=3, seed=7).run(budget=600)
+        first = run_sharded(dataset, scorer, "serial", budget=500, seed=5)
+        again = run_sharded(dataset, scorer, "serial", budget=500, seed=5)
+        assert again.items == first.items
+        assert again.wall_time == first.wall_time
+        assert again.checkpoints == first.checkpoints
+
+    def test_fresh_engine_ignores_earlier_runs(self, world):
+        """A new engine is an independent execution, never a continuation
+        of a previous engine's run on the same dataset and seed."""
+        dataset, scorer, _ = world
+        run_sharded(dataset, scorer, "serial", budget=150, seed=7)
+        second = run_sharded(dataset, scorer, "serial", budget=600, seed=7)
+        fresh = run_sharded(dataset, scorer, "serial", budget=600, seed=7)
         assert second.total_scored == fresh.total_scored
         assert second.n_rounds == fresh.n_rounds
         assert second.items == fresh.items

@@ -142,8 +142,7 @@ class TestShardedBitIdentity:
         partitions, specs, _, table = build_shard_specs(
             memo_table, FunctionScorer(lambda v: float(v)),
             n_workers=4, k=3, engine_config=EngineConfig(k=3),
-            index_config=None, factory=factory,
-            root_entropy=factory._root.entropy, materialize=False,
+            index_config=None, factory=factory, materialize=False,
             memo_snapshot=view.snapshot(),
         )
         assert table is None

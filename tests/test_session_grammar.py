@@ -1,46 +1,42 @@
-"""Session dialect: doctests as tier-1, plus the WORKERS/BACKEND clause."""
+"""Session dialect: the WORKERS/BACKEND/STREAM/CONFIDENCE clauses.
+
+The grammar's own doctests run in ``tests/test_query_parser.py``
+(``test_parser_doctests``); the session module's doctests were the
+examples of its deprecated flat-parse shim and went with the shim.
+"""
 
 from __future__ import annotations
 
-import doctest
-
 import pytest
 
-import repro.session
 from repro.core.result import QueryResult
 from repro.data.synthetic import SyntheticClustersDataset
 from repro.errors import ConfigurationError
 from repro.index.builder import IndexConfig
 from repro.parallel.engine import DistributedResult
 from repro.scoring.relu import ReluScorer
-from repro.session import OpaqueQuerySession, parse_query
-
-
-def test_session_doctests():
-    """Every grammar example in the module docstring runs as written."""
-    results = doctest.testmod(repro.session, verbose=False)
-    assert results.attempted > 0
-    assert results.failed == 0
+from repro.query import parse
+from repro.session import OpaqueQuerySession
 
 
 class TestWorkersClause:
     def test_workers_parsed(self):
-        parsed = parse_query("SELECT TOP 5 FROM t ORDER BY f WORKERS 4")
+        parsed = parse("SELECT TOP 5 FROM t ORDER BY f WORKERS 4")
         assert parsed.workers == 4 and parsed.backend is None
 
     def test_backend_parsed_lowercased(self):
-        parsed = parse_query(
+        parsed = parse(
             "select top 5 from t order by f workers 2 backend THREAD"
         )
         assert parsed.workers == 2 and parsed.backend == "thread"
 
     def test_workers_defaults_absent(self):
-        parsed = parse_query("SELECT TOP 5 FROM t ORDER BY f")
+        parsed = parse("SELECT TOP 5 FROM t ORDER BY f")
         assert parsed.workers is None and parsed.backend is None
         assert parsed.descending is True
 
     def test_full_clause_order(self):
-        parsed = parse_query(
+        parsed = parse(
             "SELECT TOP 9 FROM t ORDER BY f DESC BUDGET 10% BATCH 4 "
             "SEED 3 WORKERS 2 BACKEND serial;"
         )
@@ -49,16 +45,16 @@ class TestWorkersClause:
 
     def test_backend_requires_workers(self):
         with pytest.raises(ConfigurationError):
-            parse_query("SELECT TOP 5 FROM t ORDER BY f BACKEND thread")
+            parse("SELECT TOP 5 FROM t ORDER BY f BACKEND thread")
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown BACKEND"):
-            parse_query("SELECT TOP 5 FROM t ORDER BY f WORKERS 2 "
+            parse("SELECT TOP 5 FROM t ORDER BY f WORKERS 2 "
                         "BACKEND gpu")
 
     def test_zero_workers_rejected(self):
         with pytest.raises(ConfigurationError, match="WORKERS"):
-            parse_query("SELECT TOP 5 FROM t ORDER BY f WORKERS 0")
+            parse("SELECT TOP 5 FROM t ORDER BY f WORKERS 0")
 
 
 @pytest.fixture()
@@ -117,30 +113,30 @@ class TestWorkersExecution:
 
 class TestStreamClause:
     def test_stream_parsed(self):
-        parsed = parse_query("SELECT TOP 5 FROM t ORDER BY f STREAM")
+        parsed = parse("SELECT TOP 5 FROM t ORDER BY f STREAM")
         assert parsed.stream is True and parsed.every is None
 
     def test_stream_every_parsed(self):
-        parsed = parse_query(
+        parsed = parse(
             "select top 5 from t order by f workers 4 stream every 250"
         )
         assert parsed.stream is True and parsed.every == 250
         assert parsed.workers == 4
 
     def test_stream_defaults_absent(self):
-        parsed = parse_query("SELECT TOP 5 FROM t ORDER BY f")
+        parsed = parse("SELECT TOP 5 FROM t ORDER BY f")
         assert parsed.stream is False and parsed.every is None
 
     def test_every_requires_stream(self):
         with pytest.raises(ConfigurationError):
-            parse_query("SELECT TOP 5 FROM t ORDER BY f EVERY 100")
+            parse("SELECT TOP 5 FROM t ORDER BY f EVERY 100")
 
     def test_every_zero_rejected(self):
         with pytest.raises(ConfigurationError, match="EVERY"):
-            parse_query("SELECT TOP 5 FROM t ORDER BY f STREAM EVERY 0")
+            parse("SELECT TOP 5 FROM t ORDER BY f STREAM EVERY 0")
 
     def test_full_clause_order_with_stream(self):
-        parsed = parse_query(
+        parsed = parse(
             "SELECT TOP 9 FROM t ORDER BY f DESC BUDGET 10% BATCH 4 "
             "SEED 3 WORKERS 2 BACKEND serial STREAM EVERY 50;"
         )
@@ -150,19 +146,19 @@ class TestStreamClause:
 
 class TestConfidenceClause:
     def test_confidence_parsed(self):
-        parsed = parse_query(
+        parsed = parse(
             "SELECT TOP 5 FROM t ORDER BY f STREAM CONFIDENCE 0.95"
         )
         assert parsed.stream is True and parsed.confidence == 0.95
 
     def test_confidence_percentage(self):
-        parsed = parse_query(
+        parsed = parse(
             "select top 5 from t order by f stream confidence 99%"
         )
         assert parsed.confidence == pytest.approx(0.99)
 
     def test_confidence_after_every(self):
-        parsed = parse_query(
+        parsed = parse(
             "SELECT TOP 9 FROM t ORDER BY f DESC BUDGET 10% BATCH 4 "
             "SEED 3 WORKERS 2 BACKEND serial STREAM EVERY 50 "
             "CONFIDENCE 0.9;"
@@ -170,21 +166,21 @@ class TestConfidenceClause:
         assert (parsed.every, parsed.confidence) == (50, 0.9)
 
     def test_confidence_defaults_absent(self):
-        assert parse_query(
+        assert parse(
             "SELECT TOP 5 FROM t ORDER BY f STREAM"
         ).confidence is None
 
     def test_confidence_requires_stream(self):
         with pytest.raises(ConfigurationError):
-            parse_query("SELECT TOP 5 FROM t ORDER BY f CONFIDENCE 0.9")
+            parse("SELECT TOP 5 FROM t ORDER BY f CONFIDENCE 0.9")
 
     def test_confidence_out_of_range_rejected(self):
         with pytest.raises(ConfigurationError, match="CONFIDENCE"):
-            parse_query(
+            parse(
                 "SELECT TOP 5 FROM t ORDER BY f STREAM CONFIDENCE 1.5"
             )
         with pytest.raises(ConfigurationError, match="CONFIDENCE"):
-            parse_query(
+            parse(
                 "SELECT TOP 5 FROM t ORDER BY f STREAM CONFIDENCE 100%"
             )
 

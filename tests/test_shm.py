@@ -3,8 +3,8 @@
 Covers the acceptance guarantees of the shared-memory table layer: O(1)
 pickled spec size in the partition size, bit-identity of shm-path and
 copy-path answers, the segment lifecycle (normal close, engine error,
-killed child — no orphan segments anywhere), the idle-round synthesis of
-the process backend, and the probed backend availability registry.
+killed child — no orphan segments anywhere), idle shards costing the
+process backend no IPC, and the probed backend availability registry.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from repro.data.synthetic import SyntheticClustersDataset
 from repro.errors import ConfigurationError
 from repro.index.tree import ClusterNode, ClusterTree
 from repro.parallel import (
-    ProcessBackend,
     ShardedTopKEngine,
     backend_availability,
     build_shard_specs,
@@ -59,7 +58,7 @@ def make_specs(dataset, *, shared_memory, scorer=None, index_cache=None,
     return build_shard_specs(
         dataset, scorer or ReluScorer(), n_workers=n_workers, k=10,
         engine_config=EngineConfig(k=10), index_config=None,
-        factory=factory, root_entropy=factory._root.entropy,
+        factory=factory,
         materialize=True, index_cache=index_cache,
         shared_memory=shared_memory,
     )
@@ -288,41 +287,62 @@ class TestFallbackAndOptOut:
         _parts, specs, _hit, table = build_shard_specs(
             dataset, ReluScorer(), n_workers=3, k=10,
             engine_config=EngineConfig(k=10), index_config=None,
-            factory=factory, root_entropy=factory._root.entropy,
+            factory=factory,
             materialize=False,
         )
         assert table is None
         assert all(s.features_ref is None for s in specs)
 
 
-class TestIdleRoundSynthesis:
+class TestIdleShardsCostNoIpc:
+    """The process backend used to synthesize idle outcomes for zero-cap
+    and inactive shards; the barrier now simply does not submit them.
+    Asserted where it matters: count ``submit`` calls on a real process
+    run, and check totals / top-k still report every shard."""
+
+    @staticmethod
+    def counting(engine):
+        """Record every ``(worker, cap)`` that crosses the pipe."""
+        submits = []
+        submit = engine.backend.submit
+
+        def counted(worker_id, cap, floor):
+            submits.append((worker_id, cap))
+            submit(worker_id, cap, floor)
+
+        engine.backend.submit = counted
+        return submits
+
     @needs_shm
-    def test_zero_cap_and_inactive_shards_skip_ipc(self):
+    def test_zero_cap_shard_is_not_submitted(self):
         dataset = make_dataset()
-        _parts, specs, _hit, table = make_specs(
-            dataset, shared_memory=True,
-            scorer=ReluScorer(FixedPerCallLatency(1e-4)),
-        )
-        backend = ProcessBackend()
-        try:
-            backend.start(specs, None, None)
-            # Budget covers only worker 0; workers 1-2 get cap 0 with no
-            # prior round: synthesized empty outcomes, in worker order.
-            first = backend.run_round(50, 50, [True, True, True], None)
-            assert [o.worker_id for o in first] == [0, 1, 2]
-            assert first[0].scored > 0
-            assert first[1].scored == 0 and first[1].n_scored_total == 0
-            assert first[2].topk == [] and first[2].tail is None
-            # Worker 0 inactive now: its idle outcome must replay the last
-            # real report (same totals, same running top-k, zero charge).
-            second = backend.run_round(50, 100, [False, True, True], None)
-            assert second[0].scored == 0 and second[0].cost == 0.0
-            assert second[0].n_scored_total == first[0].n_scored_total
-            assert second[0].topk == first[0].topk
-            assert second[1].scored > 0 and second[2].scored > 0
-        finally:
-            backend.close()
-            table.close()
+        with ShardedTopKEngine(dataset, ReluScorer(), k=5, n_workers=3,
+                               seed=0, backend="process",
+                               sync_interval=50) as engine:
+            submits = self.counting(engine)
+            result = engine.run(2)
+        # Two calls of budget fund shards 0 and 1; shard 2's cap is 0.
+        assert submits == [(0, 1), (1, 1)]
+        assert result.total_scored == 2 and result.n_rounds == 1
+        assert [w.n_scored for w in result.workers] == [1, 1, 0]
+        assert len(result.items) == 2
+
+    @needs_shm
+    def test_inactive_shards_are_not_submitted(self):
+        dataset = make_dataset()
+        subset = dataset.ids()[:31]          # deals 11 / 10 / 10
+        kwargs = dict(k=5, n_workers=3, seed=0, sync_interval=10, ids=subset)
+        with ShardedTopKEngine(dataset, ReluScorer(), backend="process",
+                               **kwargs) as engine:
+            submits = self.counting(engine)
+            result = engine.run()
+        # Round 1 drains shards 1 and 2; only shard 0 has a row left.
+        assert submits == [(0, 10), (1, 10), (2, 10), (0, 1)]
+        assert result.total_scored == 31 and result.n_rounds == 2
+        assert [w.n_scored for w in result.workers] == [11, 10, 10]
+        with ShardedTopKEngine(dataset, ReluScorer(), backend="serial",
+                               **kwargs) as oracle:
+            assert result.items == oracle.run().items
 
     def test_tiny_budget_run_completes_with_idle_shards(self):
         """End-to-end: a budget smaller than one round per shard still
@@ -347,12 +367,6 @@ class TestAvailability:
         assert set(availability) == {"serial", "thread", "process"}
         assert availability["serial"] is None
         assert availability["thread"] is None
-
-    def test_streaming_availability_mirrors_rounds(self):
-        from repro.parallel import available_backends
-        from repro.streaming import available_backends as stream_available
-
-        assert stream_available() == available_backends()
 
     def test_cli_info_mentions_zero_copy_status(self, capsys):
         from repro.cli import main

@@ -19,19 +19,10 @@ from repro.data.synthetic import SyntheticClustersDataset
 from repro.errors import ConfigurationError
 from repro.experiments.ground_truth import compute_ground_truth
 from repro.index.builder import IndexConfig
-from repro.parallel import (
-    ShardIndexCache,
-    ShardedTopKEngine,
-    available_backends as round_backends,
-)
+from repro.parallel import BACKENDS, ShardIndexCache, ShardedTopKEngine
 from repro.scoring.base import FixedPerCallLatency
 from repro.scoring.relu import ReluScorer
-from repro.streaming import (
-    ProgressiveResult,
-    StreamingTopKEngine,
-    available_backends,
-    make_stream_backend,
-)
+from repro.streaming import ProgressiveResult, StreamingTopKEngine
 
 
 @pytest.fixture(scope="module")
@@ -55,16 +46,15 @@ def run_streaming(dataset, scorer, backend, budget, **kw):
 
 
 class TestBackendRegistry:
-    def test_single_vocabulary_with_round_engine(self):
-        """One backend vocabulary across execution modes (no hard-coding)."""
-        assert available_backends() == round_backends()
+    """There is one registry now; its order and its unknown-name message
+    are pinned by ``tests/test_parallel.py::TestBackendRegistry``."""
 
-    def test_serial_first(self):
-        assert available_backends()[0] == "serial"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown streaming"):
-            make_stream_backend("gpu")
+    def test_both_engines_draw_from_the_one_registry(self, world):
+        dataset, scorer, _ = world
+        for name, backend_cls in BACKENDS.items():
+            for engine_cls in (StreamingTopKEngine, ShardedTopKEngine):
+                engine = engine_cls(dataset, scorer, k=5, backend=name)
+                assert type(engine.backend) is backend_cls
 
     def test_constructor_validation(self, world):
         dataset, scorer, _ = world
@@ -157,7 +147,7 @@ class TestAnytimeAPI:
         assert first.budget_spent == 50
         assert first.n_merges == 1
         assert len(first.top_k) == 10
-        engine._drain()
+        engine._quiesce()
         engine.close()
         result = engine.result()
         assert result.time_to_first_result is not None

@@ -12,7 +12,7 @@ from repro.index.builder import IndexConfig, build_index
 from repro.index.tree import ClusterTree
 from repro.query import ExecutionPlan, parse
 from repro.scoring.base import CountingScorer, FunctionScorer
-from repro.session import OpaqueQuerySession, parse_query
+from repro.session import OpaqueQuerySession
 
 N_ROWS = 100
 PREDICATE = "feature[1] < 0.3"  # keeps rows with i % 10 in {0, 1, 2}
@@ -200,9 +200,10 @@ class TestWherePushdownExactness:
             engine.run(10)
             snap = engine.snapshot()
         with ShardedTopKEngine.restore(dataset, scorer, snap) as resumed:
+            resumed.start()
             assert all(member in set(allowed)
-                       for part in resumed._build_specs()
-                       for member in part.member_ids)
+                       for shard in resumed.backend.inline_workers()
+                       for member in shard.member_ids)
             result = resumed.run(None)  # exhaust the candidates
         assert result.total_scored == n_candidates
         assert result.ids == [element_id for element_id, _ in expected]
@@ -407,15 +408,3 @@ class TestReservedRegistryNames:
         session = OpaqueQuerySession()
         session.register_table("streams", build_table())  # plural: fine
         session.register_udf("features", FunctionScorer(lambda v: float(v)))
-
-
-class TestParsedQueryShim:
-    def test_where_surfaces_as_canonical_text(self):
-        parsed = parse_query(
-            f"SELECT TOP 3 FROM t ORDER BY f WHERE {PREDICATE}"
-        )
-        assert parsed.where == "feature[1] < 0.3"
-
-    def test_explain_flag_surfaces(self):
-        assert parse_query("EXPLAIN SELECT TOP 3 FROM t ORDER BY f").explain
-        assert not parse_query("SELECT TOP 3 FROM t ORDER BY f").explain
