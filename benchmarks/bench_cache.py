@@ -99,17 +99,16 @@ def _query(n: int, seed: int, mode: str) -> str:
     budget = int(n * BUDGET_FRACTION)
     text = (f"SELECT TOP {K} FROM t ORDER BY score "
             f"BUDGET {budget} BATCH {BATCH_SIZE} SEED {seed}")
+    if mode in ("sharded", "streaming"):
+        text += f" WORKERS {WORKERS} BACKEND serial"
     if mode == "streaming":
         text += " STREAM"
     return text
 
 
-def _execute(session: OpaqueQuerySession, query: str, mode: str):
-    kwargs = {}
-    if mode in ("sharded", "streaming"):
-        kwargs = {"workers": WORKERS, "backend": "serial"}
+def _execute(session: OpaqueQuerySession, query: str):
     started = time.perf_counter()
-    result = session.execute(query, **kwargs)
+    result = session.execute(query)
     return result, time.perf_counter() - started
 
 
@@ -119,12 +118,12 @@ def run_cell(dataset: InMemoryDataset, n: int, seed: int,
     query = _query(n, seed, mode)
 
     off_session, off_scorer = _session(dataset, enable_cache=False)
-    off_result, _off_wall = _execute(off_session, query, mode)
+    off_result, _off_wall = _execute(off_session, query)
 
     session, scorer = _session(dataset)
-    cold_result, wall_cold = _execute(session, query, mode)
+    cold_result, wall_cold = _execute(session, query)
     calls_cold = scorer.n_elements
-    warm_result, wall_warm = _execute(session, query, mode)
+    warm_result, wall_warm = _execute(session, query)
     calls_warm = scorer.n_elements - calls_cold
 
     stats = session.cache_stats("t")

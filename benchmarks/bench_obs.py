@@ -108,15 +108,11 @@ def _query(mode: str, n: int = N) -> str:
     budget = int(n * BUDGET_FRACTION)
     text = (f"SELECT TOP {K} FROM t ORDER BY score "
             f"BUDGET {budget} BATCH {BATCH_SIZE} SEED {SEED}")
+    if mode in ("sharded", "streaming"):
+        text += f" WORKERS {WORKERS} BACKEND serial"
     if mode == "streaming":
         text += " STREAM"
     return text
-
-
-def _mode_kwargs(mode: str) -> Dict[str, object]:
-    if mode in ("sharded", "streaming"):
-        return {"workers": WORKERS, "backend": "serial"}
-    return {}
 
 
 def trace_supported() -> bool:
@@ -127,9 +123,6 @@ def trace_supported() -> bool:
 def _time_execute(dataset: InMemoryDataset, mode: str, trace: bool,
                   repeats: int = REPEATS):
     """Best-of-``repeats`` wall for one cell; fresh session per repeat."""
-    kwargs = dict(_mode_kwargs(mode))
-    if trace:
-        kwargs["trace"] = True
     query = _query(mode)
     best = float("inf")
     result = None
@@ -139,7 +132,7 @@ def _time_execute(dataset: InMemoryDataset, mode: str, trace: bool,
         gc.disable()
         try:
             started = time.perf_counter()
-            result = session.execute(query, **kwargs)
+            result = session.execute(query, trace=trace)
             wall = time.perf_counter() - started
         finally:
             gc.enable()

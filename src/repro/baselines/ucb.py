@@ -13,48 +13,45 @@ improving the running top-k once the threshold passes those means.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from functools import partial
+from typing import Iterable, List, Sequence
 
 from repro.baselines.base import SamplingAlgorithm
-from repro.core.arms import ArmState
+from repro.core.bandit import BanditConfig
+from repro.core.hierarchical import BanditNode, HierarchicalBanditPolicy
 from repro.errors import ExhaustedError
-from repro.index.tree import ClusterNode, ClusterTree
+from repro.index.tree import ClusterTree
 from repro.utils.rng import RngFactory, SeedLike
 
 
-class _UCBNode:
-    """Mirror node carrying running mean/visit statistics.
+class _MeanStat:
+    """UCB's per-node statistic: running mean and visit count.
 
-    ``remaining`` is an incremental counter maintained through the arm's
-    ``on_draw`` hook (same scheme as the engine's bandit nodes), so the
-    per-layer candidate filter and the exhaustion check are O(1) per node.
+    Stands where the hierarchical policy keeps a node's histogram
+    (``BanditConfig.sketch_factory``); the policy only ever feeds it
+    through ``add_batch``.
     """
 
-    __slots__ = ("node_id", "parent", "children", "arm", "visits", "mean",
-                 "remaining")
+    __slots__ = ("visits", "mean")
 
-    def __init__(self, node_id: str, parent: Optional["_UCBNode"]) -> None:
-        self.node_id = node_id
-        self.parent = parent
-        self.children: List["_UCBNode"] = []
-        self.arm: Optional[ArmState] = None
+    def __init__(self, prior_mean: float) -> None:
         self.visits = 0
-        self.mean = 0.0
-        self.remaining = 0
+        self.mean = prior_mean
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.arm is not None
-
-    def note_drawn(self, n: int) -> None:
-        node: Optional[_UCBNode] = self
-        while node is not None:
-            node.remaining -= n
-            node = node.parent
+    def add_batch(self, scores: Iterable[float]) -> None:
+        for score in scores:
+            self.visits += 1
+            self.mean += (float(score) - self.mean) / self.visits
 
 
 class UCBBandit(SamplingAlgorithm):
     """UCB1 per tree layer with prior-initialized means.
+
+    The tree mirror, the leaf arms with their ``remaining`` counters and
+    the empty-leaf drop are the hierarchical policy's
+    (:class:`~repro.core.hierarchical.HierarchicalBanditPolicy`, exactly
+    as :class:`~repro.baselines.exploration_only.ExplorationOnly` reuses
+    them); only the selection rule below is UCB's own.
 
     Parameters
     ----------
@@ -76,41 +73,34 @@ class UCBBandit(SamplingAlgorithm):
         self.exploration = float(exploration)
         self.prior_mean = float(prior_mean)
         self.batch_size = max(1, int(batch_size))
-        self.root = self._mirror(index.root, None, factory)
-        self._pending_leaf: Optional[_UCBNode] = None
+        # Same root entropy => the policy's leaf arms draw from the same
+        # ``arm:<id>`` streams this class always used.
+        self._policy = HierarchicalBanditPolicy(
+            index,
+            BanditConfig(
+                sketch_factory=partial(_MeanStat, self.prior_mean)),
+            rng=factory.root_entropy, enable_subtraction=False,
+        )
+        self.root = self._policy.root
+        self._pending_leaf: BanditNode | None = None
         self.t = 0
-
-    def _mirror(self, cluster: ClusterNode, parent: Optional[_UCBNode],
-                factory: RngFactory) -> _UCBNode:
-        node = _UCBNode(cluster.node_id, parent)
-        node.mean = self.prior_mean
-        if cluster.is_leaf:
-            node.arm = ArmState(cluster.node_id, cluster.member_ids,
-                                rng=factory.named(f"arm:{cluster.node_id}"))
-            node.arm.on_draw = node.note_drawn
-            node.remaining = node.arm.remaining
-        else:
-            node.children = [
-                self._mirror(child, node, factory) for child in cluster.children
-            ]
-            node.remaining = sum(child.remaining for child in node.children)
-        return node
 
     # -- selection ---------------------------------------------------------------
 
-    def _ucb_value(self, node: _UCBNode, parent_visits: int) -> float:
-        if node.visits == 0:
+    def _ucb_value(self, node: BanditNode, parent_visits: int) -> float:
+        stat = node.histogram
+        if stat.visits == 0:
             return math.inf
         bonus = self.exploration * math.sqrt(
-            2.0 * math.log(max(parent_visits, 2)) / node.visits
+            2.0 * math.log(max(parent_visits, 2)) / stat.visits
         )
-        return node.mean + bonus
+        return stat.mean + bonus
 
-    def _select_child(self, node: _UCBNode) -> _UCBNode:
+    def _select_child(self, node: BanditNode) -> BanditNode:
         candidates = [child for child in node.children if child.remaining > 0]
         if not candidates:
             raise ExhaustedError(f"UCB node {node.node_id!r} has no children")
-        parent_visits = max(node.visits, 1)
+        parent_visits = max(node.histogram.visits, 1)
         values = [self._ucb_value(child, parent_visits) for child in candidates]
         best = max(values)
         tied = [child for child, value in zip(candidates, values)
@@ -136,24 +126,9 @@ class UCBBandit(SamplingAlgorithm):
         self._pending_leaf = None
         if leaf is None:
             return
-        for score in scores:
-            node: Optional[_UCBNode] = leaf
-            while node is not None:
-                node.visits += 1
-                node.mean += (float(score) - node.mean) / node.visits
-                node = node.parent
-        if leaf.arm is not None and leaf.arm.is_empty:
-            self._drop(leaf)
-
-    def _drop(self, leaf: _UCBNode) -> None:
-        node = leaf
-        while node.parent is not None:
-            parent = node.parent
-            parent.children = [c for c in parent.children if c is not node]
-            if parent.children or parent.parent is None:
-                break
-            node = parent
+        self._policy.update_batch(leaf, scores, None, enable_rebinning=False)
+        self._policy.handle_exhausted(leaf)
 
     @property
     def exhausted(self) -> bool:
-        return self.root.remaining == 0
+        return self._policy.exhausted

@@ -290,62 +290,40 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
+    from dataclasses import replace
+
     from repro.query import parse
 
     live_mode = args.live or args.append > 0
     session = _demo_session(args.rows, args.seed, live=live_mode)
-    sql = args.sql
-    explain_mode = args.explain
-    streaming_mode = (args.stream or args.every is not None
-                      or args.confidence is not None)
-    try:
-        parsed = parse(sql)
-    except Exception:
-        parsed = None  # let execute() raise the clean parse error below
-    if parsed is not None:
-        explain_mode = explain_mode or parsed.explain
-        streaming_mode = streaming_mode or parsed.stream
+    # Parse once; the flags are clause defaults (an explicit clause in
+    # the SQL wins) and --explain is the EXPLAIN prefix.
+    plan = parse(args.sql).with_defaults(
+        workers=args.workers, backend=args.backend, stream=args.stream,
+        every=args.every, confidence=args.confidence)
+    if args.explain:
+        plan = replace(plan, explain=True)
     use_cache = False if args.no_cache else None
-    if parsed is not None and parsed.analyze:
+    if plan.analyze:
         # EXPLAIN ANALYZE: run under a forced tracer and print the
         # plan's estimates above the measured span tree.
-        report = session.execute(sql, workers=args.workers,
-                                 backend=args.backend,
-                                 stream=args.stream or None,
-                                 every=args.every,
-                                 confidence=args.confidence,
-                                 use_cache=use_cache)
-        print(report.render())
+        print(session.execute(plan, use_cache=use_cache).render())
         _write_trace_out(args.trace_out, session)
         return 0
-    if explain_mode:
-        if parsed is not None and not parsed.explain:
-            sql = f"EXPLAIN {sql}"
-        plan = session.execute(sql, workers=args.workers,
-                               backend=args.backend,
-                               stream=args.stream or None,
-                               every=args.every,
-                               confidence=args.confidence,
-                               use_cache=use_cache)
-        print(plan.explain())
+    if plan.explain:
+        print(session.execute(plan, use_cache=use_cache).explain())
         return 0
     trace = args.trace_out is not None
 
     def run_query() -> None:
-        if streaming_mode:
+        if plan.stream:
             snapshot = None
-            for snapshot in session.stream(args.sql, workers=args.workers,
-                                           backend=args.backend,
-                                           every=args.every,
-                                           confidence=args.confidence,
-                                           use_cache=use_cache,
+            for snapshot in session.stream(plan, use_cache=use_cache,
                                            trace=trace):
                 _print_progressive(snapshot)
             items = snapshot.top_k if snapshot is not None else []
         else:
-            result = session.execute(args.sql, workers=args.workers,
-                                     backend=args.backend,
-                                     use_cache=use_cache,
+            result = session.execute(plan, use_cache=use_cache,
                                      trace=trace)
             print(result.summary())
             items = result.items
@@ -364,8 +342,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         print(f"\nappended {args.append} rows; re-running (the memo keeps "
               "every pre-existing score warm)")
         run_query()
-    _print_table_card(session,
-                      parsed.table if parsed is not None else "demo")
+    _print_table_card(session, plan.table)
     _write_trace_out(args.trace_out, session)
     return 0
 

@@ -35,7 +35,7 @@ from repro.core.bandit import EpsilonGreedyBandit, BanditConfig
 from repro.core.discrete import DiscreteArm, DiscreteTopKBandit
 from repro.core.hierarchical import BanditNode, HierarchicalBanditPolicy
 from repro.core.fallback import FallbackConfig, FallbackController, FallbackDecision
-from repro.core.engine import EngineConfig, TopKEngine
+from repro.core.engine import EngineConfig, ScoringStep, TopKEngine
 from repro.core.result import Checkpoint, QueryResult
 from repro.core.budgeted import budgeted_config, run_budgeted
 from repro.core.snapshot import restore_engine, snapshot_engine
@@ -71,6 +71,7 @@ __all__ = [
     "FallbackController",
     "FallbackDecision",
     "EngineConfig",
+    "ScoringStep",
     "TopKEngine",
     "Checkpoint",
     "QueryResult",

@@ -68,7 +68,7 @@ from repro.index.tree import ClusterTree
 from repro.obs.metrics import MEMO_HITS_TOTAL, UDF_CALLS_TOTAL
 from repro.obs.spans import TraceContext
 from repro.utils.rng import RngFactory, SeedLike
-from repro.utils.timer import Stopwatch, VirtualClock
+from repro.utils.timer import Stopwatch
 from repro.utils.validation import check_positive_int
 
 
@@ -102,6 +102,65 @@ def _fully_funded(gate, needed: int) -> bool:
             gate.refund(funded)
         return False
     return True
+
+
+class ScoringStep:
+    """Pay for one drawn batch: fetch, memo, gate, UDF, write-back, tally.
+
+    The transparency contract, stated once: a memo hit or a gate draw
+    decides only *whether the real UDF runs* for an element.  The ids,
+    their order, the scores and the **full** ``batch_cost`` charged to
+    :attr:`cost` are those of a cold, ungated run, so warm == cold and
+    gated == solo hold bit for bit; savings show only where they are real
+    (:attr:`hits`, UDF call counts, wall clock).  Requires element-wise
+    pure scorers.
+
+    ``memo`` is a :class:`~repro.memo.store.MemoView` (``None`` = off; an
+    *empty* view is still on: every score is fresh and written back).
+    ``gate`` is a :class:`~repro.service.budget.QueryGrant`-shaped budget
+    gate; only the misses — real UDF calls — are drawn from it, all or
+    nothing.  The tally is cumulative: ``scored`` elements, virtual
+    ``cost`` seconds, memo ``hits`` (``scored - hits`` = real UDF calls)
+    and, memo on only, the ``fresh`` ``(id, score)`` pairs written back.
+    """
+
+    def __init__(self, dataset: SupportsFetch, scorer: SupportsScore,
+                 memo=None, gate=None) -> None:
+        self.dataset = dataset
+        self.scorer = scorer
+        self.memo = memo
+        self.gate = gate
+        self.scored = 0
+        self.cost = 0.0
+        self.hits = 0
+        self.fresh: List[Tuple[str, float]] = []
+
+    def score(self, ids: Sequence[str]) -> Optional[Sequence[float]]:
+        """Scores for ``ids`` (id-aligned); ``None``, uncharged, if unfunded."""
+        if self.memo is None:
+            scores, misses, miss_ids = (), None, ids
+        else:
+            scores, misses = self.memo.lookup(ids)
+            miss_ids = [ids[position] for position in misses]
+        if miss_ids:
+            if self.gate is not None and not _fully_funded(self.gate,
+                                                           len(miss_ids)):
+                return None
+            fresh = self.scorer.score_batch(
+                self.dataset.fetch_batch(miss_ids))
+            if misses is None:
+                scores = fresh
+            else:
+                fresh = np.asarray(fresh, dtype=float).reshape(-1).tolist()
+                for position, value in zip(misses, fresh):
+                    scores[position] = value
+                pairs = list(zip(miss_ids, fresh))
+                self.memo.record_pairs(pairs)
+                self.fresh.extend(pairs)
+        self.scored += len(ids)
+        self.hits += len(ids) - len(miss_ids)
+        self.cost += self.scorer.batch_cost(len(ids))
+        return scores
 
 
 @dataclass
@@ -354,6 +413,28 @@ class TopKEngine:
             self.mode = "scan"
             self.fallback_events.append((self.n_scored, decision.value))
 
+    # -- the one loop ----------------------------------------------------------------
+
+    def advance(self, step: ScoringStep, limit: int) -> bool:
+        """Run select → score → observe until ``n_scored`` reaches ``limit``.
+
+        Algorithm 1's loop, once for every driver (:meth:`run` per
+        checkpoint window, a shard worker per round).  ``limit`` is
+        cumulative; the last batch may cross it.  Returns ``False`` when
+        the gate refused a batch: it stays drawn and pending and the next
+        call scores it first, so a refusal loses no element.
+        """
+        size = self.config.batch_size
+        self.scoring_latency_hint = step.scorer.batch_cost(size) / max(1, size)
+        while self.n_scored < limit and not self.exhausted:
+            ids = ([element_id for _leaf, element_id in self._pending]
+                   or self.next_batch())
+            scores = step.score(ids)
+            if scores is None:
+                return False
+            self.observe(ids, scores)
+        return True
+
     # -- standalone anytime loop -----------------------------------------------------
 
     def run(self, dataset: SupportsFetch, scorer: SupportsScore,
@@ -378,82 +459,52 @@ class TopKEngine:
             elements (default: ~200 checkpoints across the budget).
         memo:
             Optional :class:`~repro.memo.store.MemoView`, the cross-query
-            score memo for this ``(table, udf)`` pair.  A hit skips only
-            the real UDF invocation — draws, RNG consumption, ``n_scored``
-            and the virtual-clock charge stay exactly those of a cold run
-            (the virtual clock models the UDF's latency *as if uncached*,
-            which is what keeps memoized runs bit-identical; real savings
-            show up in UDF call counts and measured wall clock).  Fresh
-            scores are written back batch by batch.  Requires element-wise
-            pure scorers (an element's score must not depend on its
-            batch-mates).
+            score memo for this ``(table, udf)`` pair; hits skip only the
+            real UDF invocation (see :class:`ScoringStep` for the
+            transparency contract).
         trace:
             Optional :class:`~repro.obs.spans.TraceContext`.  When given,
             the run records a ``run[single]`` span with one ``window[i]``
             child per checkpoint interval, charging virtual-clock,
-            UDF-call, and memo-hit counters as it goes.  ``None`` (the
-            default) keeps the loop's fast path untouched.
+            UDF-call, and memo-hit counters window by window.  ``None``
+            (the default) records nothing.
         gate:
             Optional :class:`~repro.service.budget.QueryGrant`-shaped
-            budget gate (``acquire(n) -> int`` / ``refund(n)``).  Real
-            UDF calls — and only those; memo hits are free — are drawn
-            from it before scoring.  A fully funded query is granted
-            every batch in full, so the gate never perturbs the run; a
-            partial grant is refunded and the run stops early, exactly
-            like exhausting its own ``budget``.  Cancellation surfaces
-            here as :class:`~repro.errors.QueryCancelledError`.
+            budget gate.  A fully funded query is granted every batch in
+            full, so the gate never perturbs the run; a refused batch stops
+            the run early, exactly like exhausting its own ``budget`` —
+            calling ``run`` again (once funded) picks up with that batch.
+            Cancellation surfaces here as
+            :class:`~repro.errors.QueryCancelledError`.
         """
         limit = self.n_total if budget is None else min(budget, self.n_total)
         if checkpoint_every is None:
             checkpoint_every = max(1, limit // 200)
-        clock = VirtualClock()
+        step = ScoringStep(dataset, scorer, memo, gate)
         checkpoints: List[Checkpoint] = []
         next_checkpoint = checkpoint_every
-        self.scoring_latency_hint = scorer.batch_cost(self.config.batch_size) / max(
-            1, self.config.batch_size
-        )
-        run_hits = 0
-        scored_before = self.n_scored
         if trace is not None:
-            window = 0
             trace.push("run[single]", budget=limit,
                        batch_size=self.config.batch_size)
             trace.push("window[0]")
-        while self.n_scored < limit and not self.exhausted:
-            ids = self.next_batch()
-            if not ids:
-                break
-            if memo is None:
-                if gate is not None and not _fully_funded(gate, len(ids)):
-                    break
-                scores = scorer.score_batch(dataset.fetch_batch(ids))
-            else:
-                scores, misses = memo.lookup(ids)
-                if misses:
-                    miss_ids = [ids[position] for position in misses]
-                    if (gate is not None
-                            and not _fully_funded(gate, len(miss_ids))):
-                        break
-                    fresh = np.asarray(
-                        scorer.score_batch(dataset.fetch_batch(miss_ids)),
-                        dtype=float,
-                    ).reshape(-1)
-                    for position, value in zip(misses, fresh.tolist()):
-                        scores[position] = value
-                    memo.record(miss_ids, fresh)
-                run_hits += len(ids) - len(misses)
-            cost = scorer.batch_cost(len(ids))
-            clock.charge(cost)
-            self.observe(ids, scores)
+        window = 0
+        funded = True
+        while funded and self.n_scored < limit and not self.exhausted:
+            before = (step.cost, step.scored, step.hits)
+            # At least one batch per window: a batch larger than the
+            # checkpoint interval leaves next_checkpoint behind n_scored.
+            funded = self.advance(
+                step, min(limit, max(next_checkpoint, self.n_scored + 1)))
             if trace is not None:
-                hits = (len(ids) - len(misses)) if memo is not None else 0
-                trace.add(vclock=cost, scored=len(ids),
-                          udf_calls=len(ids) - hits, memo_hits=hits)
+                scored = step.scored - before[1]
+                hits = step.hits - before[2]
+                trace.add(vclock=step.cost - before[0], scored=scored,
+                          udf_calls=scored - hits, memo_hits=hits)
             if self.n_scored >= next_checkpoint:
                 checkpoints.append(
                     Checkpoint(
                         iteration=self.n_scored,
-                        virtual_time=clock.now,
+                        virtual_time=step.cost,
                         overhead_time=self.overhead.elapsed,
                         stk=self.stk,
                         threshold=self.threshold,
@@ -470,21 +521,19 @@ class TopKEngine:
             trace.pop()          # the open window
             trace.annotate(mode=self.mode, n_batches=self.t_batches)
             trace.pop()          # run[single]
-        fresh_calls = self.n_scored - scored_before - run_hits
-        if fresh_calls:
-            UDF_CALLS_TOTAL.inc(fresh_calls, engine="single")
-        if run_hits:
-            MEMO_HITS_TOTAL.inc(run_hits, engine="single")
-        items = self.topk_items()
+        if step.scored > step.hits:
+            UDF_CALLS_TOTAL.inc(step.scored - step.hits, engine="single")
+        if step.hits:
+            MEMO_HITS_TOTAL.inc(step.hits, engine="single")
         return QueryResult(
             k=self.config.k,
-            items=items,
+            items=self.topk_items(),
             stk=self.stk,
             n_scored=self.n_scored,
             n_batches=self.t_batches,
             n_explore=self.n_explore,
             n_exploit=self.n_exploit,
-            virtual_time=clock.now,
+            virtual_time=step.cost,
             overhead_time=self.overhead.elapsed,
             fallback_events=list(self.fallback_events),
             checkpoints=checkpoints,

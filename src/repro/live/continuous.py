@@ -59,14 +59,14 @@ class ContinuousQuery:
         gate, re-armed after every cycle (see the module docstring).
     poll:
         Seconds between cancellation checks while waiting for a commit.
-    defaults:
-        Caller-side clause defaults forwarded to every cycle's
-        ``execute()`` (``workers=``, ``backend=``, ``use_cache=`` ...).
+    use_cache / warm_start / trace:
+        Forwarded to every cycle's ``execute()``.
     """
 
     def __init__(self, session, query: Union[str, QueryPlan], *,
                  gate=None, poll: float = DEFAULT_POLL,
-                 **defaults) -> None:
+                 use_cache: Optional[bool] = None,
+                 warm_start: bool = False, trace: bool = False) -> None:
         logical = parse(query) if isinstance(query, str) else query
         if not logical.continuous:
             raise ConfigurationError(
@@ -90,7 +90,8 @@ class ContinuousQuery:
         self._cycle = replace(logical, continuous=False)
         self._gate = gate
         self._poll = float(poll)
-        self._defaults = dict(defaults)
+        self._options = dict(use_cache=use_cache, warm_start=warm_start,
+                             trace=trace)
         self._cancelled = threading.Event()
         self._version = -1        # last version a cycle executed against
         self._answer: Optional[Tuple] = None
@@ -121,7 +122,7 @@ class ContinuousQuery:
         """
         version = self._live.version
         result = self._session.execute(self._cycle, budget_gate=self._gate,
-                                       **self._defaults)
+                                       **self._options)
         self._rearm()
         snapshot = self._wrap(result)
         answer = tuple(snapshot.top_k)

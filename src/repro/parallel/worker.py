@@ -34,12 +34,13 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.convergence import TailSummary, tail_summary_from_engine
-from repro.core.engine import EngineConfig, TopKEngine
+from repro.core.engine import EngineConfig, ScoringStep, TopKEngine
 from repro.core.snapshot import restore_engine, snapshot_engine
 from repro.data.dataset import InMemoryDataset
 from repro.errors import ConfigurationError
 from repro.index.builder import IndexConfig, build_index
 from repro.index.tree import ClusterTree
+from repro.memo.store import MemoView
 from repro.obs.spans import Span
 from repro.parallel.shm import (
     SharedFeatureTable,
@@ -376,26 +377,27 @@ class ShardWorker:
             factory.named(f"engine:{self.worker_id}").integers(2**31)
         )
         config = replace(spec.engine_config, k=spec.k, seed=engine_seed)
-        hint = (self.scorer.batch_cost(config.batch_size)
-                / max(1, config.batch_size))
         if spec.engine_snapshot is not None:
             self.engine = restore_engine(
                 self.index, spec.engine_snapshot, config=replace(
                     config, seed=spec.resume_seed
                 ),
                 resume_seed=spec.resume_seed,
-                scoring_latency_hint=hint,
             )
         else:
-            self.engine = TopKEngine(self.index, config,
-                                     scoring_latency_hint=hint)
+            self.engine = TopKEngine(self.index, config)
             if spec.priors:
                 # Warm start only fresh engines: a resume snapshot already
                 # carries richer learned state than any harvested prior.
                 from repro.memo.priors import apply_priors
 
                 apply_priors(self.engine, spec.priors)
-        self._memo = spec.memo
+        # The shipped slice, behind the same lookup/record surface the
+        # single engine reads (a private store: fresh scores still travel
+        # home on RoundOutcome.fresh_scores).  An empty slice is a view
+        # too — "memo on, nothing stored yet".
+        self._memo = (None if spec.memo is None else MemoView.from_payload(
+            {"fingerprint": "shard", "scores": spec.memo}))
         self._trace = bool(spec.trace)
         self._slice_count = 0
 
@@ -412,37 +414,9 @@ class ShardWorker:
         engine = self.engine
         if threshold_floor is not None:
             engine.threshold_floor = threshold_floor
-        scored = 0
-        cost = 0.0
-        fresh_scores: List[Tuple[str, float]] = []
-        memo_hits = 0
+        step = ScoringStep(self.dataset, self.scorer, self._memo)
         started = time.perf_counter()
-        while scored < cap and not engine.exhausted:
-            ids = engine.next_batch()
-            if self._memo is None:
-                scores = self.scorer.score_batch(self.dataset.fetch_batch(ids))
-            else:
-                # Memo hits skip only the real UDF call; draws, accounting,
-                # and the full batch cost below are unchanged, so a warm
-                # round is bit-identical to a cold one by construction.
-                scores = [self._memo.get(element_id) for element_id in ids]
-                misses = [position for position, value in enumerate(scores)
-                          if value is None]
-                if misses:
-                    miss_ids = [ids[position] for position in misses]
-                    fresh = np.asarray(
-                        self.scorer.score_batch(
-                            self.dataset.fetch_batch(miss_ids)
-                        ),
-                        dtype=float,
-                    ).reshape(-1).tolist()
-                    for position, value in zip(misses, fresh):
-                        scores[position] = value
-                    fresh_scores.extend(zip(miss_ids, fresh))
-                memo_hits += len(ids) - len(misses)
-            cost += self.scorer.batch_cost(len(ids))
-            engine.observe(ids, scores)
-            scored += len(ids)
+        engine.advance(step, engine.n_scored + cap)
         elapsed = time.perf_counter() - started
         span = None
         if self._trace:
@@ -451,9 +425,9 @@ class ShardWorker:
             span = Span(
                 f"shard[{self.worker_id}].slice[{self._slice_count}]",
                 wall=elapsed,
-                counters={"vclock": cost, "scored": scored,
-                          "udf_calls": scored - memo_hits,
-                          "memo_hits": memo_hits},
+                counters={"vclock": step.cost, "scored": step.scored,
+                          "udf_calls": step.scored - step.hits,
+                          "memo_hits": step.hits},
                 attrs={"worker": self.worker_id,
                        "n_scored_total": engine.n_scored,
                        "threshold": engine.threshold},
@@ -461,8 +435,8 @@ class ShardWorker:
             self._slice_count += 1
         return RoundOutcome(
             worker_id=self.worker_id,
-            scored=scored,
-            cost=cost,
+            scored=step.scored,
+            cost=step.cost,
             elapsed=elapsed,
             topk=engine.topk_items(),
             exhausted=engine.exhausted,
@@ -475,8 +449,8 @@ class ShardWorker:
             # costs orders of magnitude more, and always-on tails are what
             # make every ProgressiveResult carry its bound.
             tail=tail_summary_from_engine(engine),
-            fresh_scores=fresh_scores,
-            memo_hits=memo_hits,
+            fresh_scores=step.fresh,
+            memo_hits=step.hits,
             span=span,
             table_version=self.spec.table_version,
         )

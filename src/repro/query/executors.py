@@ -7,12 +7,12 @@ executor registers itself under a name (``single`` / ``sharded`` /
 :class:`~repro.query.plan.ExecutionPlan` through :func:`get_executor` —
 no if/elif chain, and a new execution strategy is one registered class.
 
-Executors are deliberately *thin*: all policy (clause merging, kwarg
-validation, WHERE mask evaluation, budget resolution) happens at plan
-time in the session, so an executor only instantiates its engine and
-runs it.  They read the owning session's registries and caches through
-its internal helpers — the session and this module are two halves of one
-subsystem.
+Executors are deliberately *thin*: all policy (clause validation, WHERE
+mask evaluation, budget resolution) happens before dispatch — in the
+logical plan and at plan time in the session — so an executor only
+instantiates its engine and runs it.  They read the owning session's
+registries and caches through its internal helpers — the session and
+this module are two halves of one subsystem.
 """
 
 from __future__ import annotations
@@ -192,8 +192,6 @@ class SingleExecutor(QueryExecutor):
             index,
             EngineConfig(k=plan.k, batch_size=plan.batch_size,
                          seed=plan.seed),
-            scoring_latency_hint=scorer.batch_cost(plan.batch_size)
-            / max(1, plan.batch_size),
         )
         memo = session._memo_view_for(plan)
         if plan.warm_start and plan.fingerprint is not None:

@@ -9,8 +9,8 @@ Two stages, mirroring a classical query pipeline:
   fuzz suite pins).
 * :class:`ExecutionPlan` — the logical plan *resolved* against one
   :class:`~repro.session.OpaqueQuerySession`: registered table and UDF,
-  absolute scoring budget, caller-side defaults merged in, the ``WHERE``
-  filter evaluated to a concrete candidate id list, and the executor
+  absolute scoring budget, the ``WHERE`` filter evaluated to a concrete
+  candidate id list, and the executor
   (``single`` / ``sharded`` / ``streaming``) chosen.  ``EXPLAIN``
   queries return this object instead of executing;
   :meth:`ExecutionPlan.explain` is the stable rendering the CLI prints
@@ -27,12 +27,14 @@ draws a filtered-out element.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.convergence import check_confidence
 from repro.errors import ConfigurationError
+from repro.utils.validation import check_positive_int
 
 #: Comparison operators of the WHERE grammar, in canonical spelling.
 COMPARISON_OPS = ("<", "<=", ">", ">=", "=", "!=")
@@ -217,10 +219,15 @@ class QueryPlan:
     """The logical plan: every clause of one dialect statement.
 
     ``workers`` / ``backend`` / ``every`` / ``confidence`` are ``None``
-    when the clause was absent (caller-side defaults may fill them at
-    resolution time); ``where`` is the predicate AST or ``None``;
+    when the clause was absent (:meth:`with_defaults` fills them from
+    caller-side defaults); ``where`` is the predicate AST or ``None``;
     ``explain`` marks an ``EXPLAIN``-wrapped statement and ``analyze``
     an ``EXPLAIN ANALYZE`` one (``analyze`` implies ``explain``).
+
+    The execution-mode clause values are validated on construction:
+    hand-built, defaulted and parsed plans go through the same check
+    (the parser reports the same conditions earlier, with a caret span)
+    and nothing downstream re-validates them.
     """
 
     k: int
@@ -240,6 +247,45 @@ class QueryPlan:
     where: Optional[Predicate] = None
     explain: bool = False
     analyze: bool = False
+
+    def __post_init__(self) -> None:
+        if self.workers is not None:
+            check_positive_int(self.workers, "workers")
+        if self.backend is not None:
+            from repro.parallel.backends import check_backend
+
+            check_backend(self.backend)
+        if self.every is not None:
+            check_positive_int(self.every, "every")
+        check_confidence(self.confidence)
+
+    def with_defaults(self, *, workers: Optional[int] = None,
+                      backend: Optional[str] = None,
+                      stream: Optional[bool] = None,
+                      every: Optional[int] = None,
+                      confidence: Optional[float] = None) -> "QueryPlan":
+        """Fill absent clauses from caller-side defaults; a clause wins.
+
+        How a front-end with switches of its own (CLI flags, the
+        service's wire keys) folds them into the statement.  The result
+        is an ordinary plan, validated like one — a bad default fails
+        with the clause's error.  ``every`` / ``confidence`` imply
+        ``STREAM`` and a lone ``backend`` implies ``WORKERS 1``, so the
+        result always renders to parseable :meth:`canonical_text`.
+        """
+        backend = self.backend or backend
+        workers = self.workers if self.workers is not None else workers
+        if workers is None and backend is not None:
+            workers = 1    # the grammar's "BACKEND requires WORKERS"
+        every = self.every if self.every is not None else every
+        confidence = (self.confidence if self.confidence is not None
+                      else confidence)
+        return replace(
+            self, workers=workers, backend=backend,
+            stream=bool(self.stream or stream or every is not None
+                        or confidence is not None),
+            every=every, confidence=confidence,
+        )
 
     def canonical_text(self) -> str:
         """Deterministic dialect text; ``parse`` of it yields an equal plan.

@@ -12,9 +12,11 @@ line and reads response lines until ``result`` or ``error``:
     <- {"type": "result", "kind": "streaming", "data": {...}}
 
 Request fields: ``query`` (required), ``tenant``, ``deadline``,
-``snapshots``, plus any ``execute`` keyword default (``workers``,
-``backend``, ``stream``, ``every``, ``confidence``, ``use_cache``,
-``warm_start``).  Responses are ``snapshot`` lines (only when
+``snapshots``, ``use_cache``, ``warm_start``, plus optional clause
+defaults (``workers``, ``backend``, ``stream``, ``every``,
+``confidence``) that the server folds into the statement with
+:meth:`~repro.query.plan.QueryPlan.with_defaults` — an explicit clause
+in the text wins.  Responses are ``snapshot`` lines (only when
 ``snapshots`` was requested; each ``data`` is
 :meth:`~repro.streaming.engine.ProgressiveResult.to_json`), then exactly
 one terminal line: ``result`` (``data`` is the result's ``to_json()``)
@@ -36,14 +38,16 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import AsyncIterator, Optional, Tuple
+from typing import AsyncIterator, Optional
 
 from repro.errors import ReproError
+from repro.query.parser import parse
 from repro.service.service import QueryService
 
-#: Request keys forwarded to ``QueryService.submit`` as execute kwargs.
-EXECUTE_KEYS = ("workers", "backend", "stream", "every", "confidence",
-                "use_cache", "warm_start")
+#: Request keys folded into the statement as clause defaults.
+CLAUSE_KEYS = ("workers", "backend", "stream", "every", "confidence")
+#: Request keys forwarded to ``QueryService.submit`` as keyword arguments.
+EXECUTE_KEYS = ("use_cache", "warm_start")
 
 
 def _encode(payload: dict) -> bytes:
@@ -61,8 +65,12 @@ async def _handle_connection(service: QueryService,
             return
         try:
             request = json.loads(line)
-            query = request["query"]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            # The one parse of this query; the wire's clause defaults
+            # are folded in here, so the service dispatches a plan.
+            query = parse(request["query"]).with_defaults(**{
+                key: request[key] for key in CLAUSE_KEYS
+                if request.get(key) is not None})
+        except (KeyError, TypeError, ValueError) as exc:
             writer.write(_encode({"type": "error", "kind": "BadRequest",
                                   "error": f"malformed request: {exc}"}))
             await writer.drain()
@@ -142,61 +150,20 @@ class ServiceClient:
         self.host = host
         self.port = int(port)
 
-    async def _request(self, payload: dict) -> Tuple[
-            asyncio.StreamReader, asyncio.StreamWriter]:
+    async def _messages(self, payload: dict) -> AsyncIterator[dict]:
+        """Send one request; yield the server's lines up to the terminal one.
+
+        An ``error`` line raises :class:`ServiceError`.
+        """
         reader, writer = await asyncio.open_connection(self.host, self.port)
-        writer.write(_encode(payload))
-        await writer.drain()
-        return reader, writer
-
-    @staticmethod
-    async def _read_message(reader: asyncio.StreamReader) -> Optional[dict]:
-        line = await reader.readline()
-        return json.loads(line) if line else None
-
-    async def execute(self, query: str, *, tenant: str = "default",
-                      deadline: Optional[float] = None, **kwargs) -> dict:
-        """Run one query to completion; returns the terminal message.
-
-        The returned dict is the server's ``result`` line (``kind`` +
-        ``data``); an ``error`` line raises :class:`ServiceError`.
-        """
-        reader, writer = await self._request(
-            {"query": query, "tenant": tenant, "deadline": deadline,
-             **kwargs}
-        )
         try:
+            writer.write(_encode(payload))
+            await writer.drain()
             while True:
-                message = await self._read_message(reader)
-                if message is None:
-                    raise ServiceError("server closed the connection early")
-                if message["type"] == "error":
-                    raise ServiceError(
-                        f"[{message.get('kind')}] {message.get('error')}"
-                    )
-                if message["type"] == "result":
-                    return message
-        finally:
-            writer.close()
-            await writer.wait_closed()
-
-    async def stream(self, query: str, *, tenant: str = "default",
-                     deadline: Optional[float] = None,
-                     **kwargs) -> AsyncIterator[dict]:
-        """Yield every server message for a snapshot-streaming query.
-
-        Messages arrive as dicts — ``snapshot`` lines first, then the
-        terminal ``result`` (or a raised :class:`ServiceError`).
-        """
-        reader, writer = await self._request(
-            {"query": query, "tenant": tenant, "deadline": deadline,
-             "snapshots": True, **kwargs}
-        )
-        try:
-            while True:
-                message = await self._read_message(reader)
-                if message is None:
+                line = await reader.readline()
+                if not line:
                     return
+                message = json.loads(line)
                 if message["type"] == "error":
                     raise ServiceError(
                         f"[{message.get('kind')}] {message.get('error')}"
@@ -207,3 +174,33 @@ class ServiceClient:
         finally:
             writer.close()
             await writer.wait_closed()
+
+    async def execute(self, query: str, *, tenant: str = "default",
+                      deadline: Optional[float] = None, **kwargs) -> dict:
+        """Run one query to completion; returns the terminal message.
+
+        The returned dict is the server's ``result`` line (``kind`` +
+        ``data``); an ``error`` line raises :class:`ServiceError`.
+        Extra keyword arguments travel as request keys.
+        """
+        message = None
+        async for message in self._messages(
+                {"query": query, "tenant": tenant, "deadline": deadline,
+                 **kwargs}):
+            pass                      # the last line is the terminal one
+        if message is None or message["type"] != "result":
+            raise ServiceError("server closed the connection early")
+        return message
+
+    async def stream(self, query: str, *, tenant: str = "default",
+                     deadline: Optional[float] = None,
+                     **kwargs) -> AsyncIterator[dict]:
+        """Yield every server message for a snapshot-streaming query.
+
+        Messages arrive as dicts — ``snapshot`` lines first, then the
+        terminal ``result`` (or a raised :class:`ServiceError`).
+        """
+        async for message in self._messages(
+                {"query": query, "tenant": tenant, "deadline": deadline,
+                 "snapshots": True, **kwargs}):
+            yield message

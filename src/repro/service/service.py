@@ -51,11 +51,12 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import functools
-from typing import AsyncIterator, Dict, List, Optional
+from typing import AsyncIterator, Dict, Optional, Set, Tuple, Union
 
 from repro.errors import ConfigurationError, QueryCancelledError
 from repro.live.continuous import DEFAULT_POLL, ContinuousQuery
 from repro.query.parser import parse
+from repro.query.plan import QueryPlan
 from repro.service.budget import BudgetScheduler, QueryGrant
 from repro.session import OpaqueQuerySession
 
@@ -63,9 +64,11 @@ from repro.session import OpaqueQuerySession
 class QueryHandle:
     """One submitted query: its lifecycle, final answer, and snapshots."""
 
-    def __init__(self, tenant: str, query: str, wants_snapshots: bool,
+    def __init__(self, tenant: str, query: Union[str, QueryPlan],
+                 wants_snapshots: bool,
                  loop: asyncio.AbstractEventLoop) -> None:
         self.tenant = tenant
+        #: The statement as submitted: dialect text or a parsed plan.
         self.query = query
         #: ``waiting`` -> ``running`` -> ``done`` | ``error`` | ``cancelled``
         self.state = "waiting"
@@ -175,7 +178,11 @@ class QueryService:
             max_workers=int(max_threads),
             thread_name_prefix="repro-service",
         )
-        self._handles: List[QueryHandle] = []
+        #: Queries in flight only: a handle leaves when it reaches a
+        #: terminal state, and is then counted in ``_finished`` by state,
+        #: so memory and ``stats()`` stay flat over any uptime.
+        self._handles: Set[QueryHandle] = set()
+        self._finished: Dict[str, int] = {}
         self._closed = False
 
     # -- registration (delegates to the root session) ------------------------
@@ -190,15 +197,20 @@ class QueryService:
 
     # -- submission ----------------------------------------------------------
 
-    async def submit(self, query: str, *, tenant: str = "default",
+    async def submit(self, query: Union[str, QueryPlan], *,
+                     tenant: str = "default",
                      deadline: Optional[float] = None,
                      snapshots: bool = False,
-                     **execute_kwargs) -> QueryHandle:
+                     use_cache: Optional[bool] = None,
+                     warm_start: bool = False,
+                     trace: bool = False,
+                     poll: float = DEFAULT_POLL) -> QueryHandle:
         """Admit one query for ``tenant`` and start it; returns immediately.
 
-        ``execute_kwargs`` are the caller-side defaults of
-        :meth:`~repro.session.OpaqueQuerySession.execute` (``workers``,
-        ``backend``, ``stream``, ``use_cache``, ``trace``, ...).
+        ``query`` is dialect text or a parsed
+        :class:`~repro.query.plan.QueryPlan`; its clauses choose the
+        execution mode.  ``use_cache`` / ``warm_start`` / ``trace`` are
+        those of :meth:`~repro.session.OpaqueQuerySession.execute`.
         ``snapshots=True`` forces streaming mode and makes
         :meth:`QueryHandle.snapshots` yield every
         :class:`~repro.streaming.engine.ProgressiveResult`; the final
@@ -210,30 +222,34 @@ class QueryService:
         subscription: :meth:`QueryHandle.snapshots` yields the initial
         answer and then one snapshot per answer-changing write batch
         (regardless of ``snapshots=``), until :meth:`QueryHandle.cancel`
-        disconnects it; a ``poll=`` kwarg tunes its wait granularity.
+        disconnects it; ``poll`` tunes its wait granularity.
         """
         if self._closed:
             raise ConfigurationError("service is closed")
         loop = asyncio.get_running_loop()
         handle = QueryHandle(tenant, query, snapshots, loop)
-        self._handles.append(handle)
-        handle._task = loop.create_task(
-            self._run(handle, deadline, execute_kwargs)
-        )
+        self._handles.add(handle)
+        handle._task = loop.create_task(self._run(
+            handle, deadline, poll,
+            dict(use_cache=use_cache, warm_start=warm_start, trace=trace),
+        ))
         return handle
 
     async def _run(self, handle: QueryHandle, deadline: Optional[float],
-                   execute_kwargs: Dict) -> None:
+                   poll: float, options: Dict) -> None:
         grant: Optional[QueryGrant] = None
         try:
             # Fork once per query: shared transparent caches, private
             # warm-start priors and trace (see OpaqueQuerySession.fork).
             session = self.session.fork()
             loop = asyncio.get_running_loop()
-            demand = await loop.run_in_executor(
+            # The one parse of this query: everything below dispatches
+            # the logical plan it returns.
+            logical, demand = await loop.run_in_executor(
                 self._executor,
                 functools.partial(self._resolve_demand, session,
-                                  handle.query, execute_kwargs),
+                                  handle.query, options["use_cache"],
+                                  options["warm_start"]),
             )
             # The admission wait holds no thread (the scheduler resolves
             # the future); a cancel() during it is honoured right after
@@ -247,35 +263,33 @@ class QueryService:
                     f"query of tenant {handle.tenant!r} cancelled before start"
                 )
             handle.state = "running"
-            if parse(handle.query).continuous:
-                result = await loop.run_in_executor(
-                    self._executor,
-                    functools.partial(self._drive_continuous, session,
-                                      handle, grant, execute_kwargs),
-                )
+            if logical.continuous:
+                drive = functools.partial(self._drive_continuous, session,
+                                          handle, logical, grant, poll,
+                                          options)
             elif handle._wants_snapshots:
-                result = await loop.run_in_executor(
-                    self._executor,
-                    functools.partial(self._drive_stream, session, handle,
-                                      grant, execute_kwargs),
-                )
+                drive = functools.partial(self._drive_stream, session,
+                                          handle, logical, grant, options)
             else:
-                result = await loop.run_in_executor(
-                    self._executor,
-                    functools.partial(session.execute, handle.query,
-                                      budget_gate=grant, **execute_kwargs),
-                )
-            handle._finish(result=result)
+                drive = functools.partial(session.execute, logical,
+                                          budget_gate=grant, **options)
+            handle._finish(
+                result=await loop.run_in_executor(self._executor, drive))
         except BaseException as exc:  # noqa: BLE001 — every failure is the
             handle._finish(error=exc)  # client's to observe via result()
         finally:
             if grant is not None:
                 grant.retire()
+            self._handles.discard(handle)
+            self._finished[handle.state] = (
+                self._finished.get(handle.state, 0) + 1)
 
     @staticmethod
-    def _resolve_demand(session: OpaqueQuerySession, query: str,
-                        execute_kwargs: Dict) -> int:
-        """The scorer demand a query commits at admission.
+    def _resolve_demand(session: OpaqueQuerySession,
+                        query: Union[str, QueryPlan],
+                        use_cache: Optional[bool],
+                        warm_start: bool) -> Tuple[QueryPlan, int]:
+        """Parse once; the scorer demand the query commits at admission.
 
         Its resolved budget when it has one, else every candidate the
         plan leaves in play — plus the engine's boundary headroom, so a
@@ -287,39 +301,37 @@ class QueryService:
         The streaming engine never reserves past its budget.  Unused
         headroom returns to the pool when the grant retires.
         """
-        plan_kwargs = {key: value for key, value in execute_kwargs.items()
-                       if key in ("workers", "backend", "stream", "every",
-                                  "confidence", "use_cache", "warm_start")}
-        plan = session.plan(query, **plan_kwargs)
+        logical = parse(query) if isinstance(query, str) else query
+        plan = session.plan(logical, use_cache=use_cache,
+                            warm_start=warm_start)
         demand = (plan.n_candidates if plan.budget is None
                   else min(plan.budget, plan.n_candidates))
         if plan.mode == "single":
-            return demand + max(0, plan.batch_size - 1)
-        if plan.mode == "sharded":
-            return demand + plan.workers
-        return demand
+            demand += max(0, plan.batch_size - 1)
+        elif plan.mode == "sharded":
+            demand += plan.workers
+        return logical, demand
 
     @staticmethod
     def _drive_stream(session: OpaqueQuerySession, handle: QueryHandle,
-                      grant: QueryGrant, execute_kwargs: Dict):
+                      logical: QueryPlan, grant: QueryGrant, options: Dict):
         """Run a streaming query on this worker thread, pushing snapshots.
 
         Returns the last (converged) snapshot as the final result.  Runs
         entirely off-loop; each snapshot hops to the event loop through
         ``call_soon_threadsafe``.
         """
-        kwargs = dict(execute_kwargs)
-        kwargs.pop("stream", None)
         last = None
-        for snapshot in session.stream(handle.query, budget_gate=grant,
-                                       **kwargs):
+        for snapshot in session.stream(logical, budget_gate=grant,
+                                       **options):
             last = snapshot
             handle._push_snapshot(snapshot)
         return last
 
     @staticmethod
     def _drive_continuous(session: OpaqueQuerySession, handle: QueryHandle,
-                          grant: QueryGrant, execute_kwargs: Dict):
+                          logical: QueryPlan, grant: QueryGrant,
+                          poll: float, options: Dict):
         """Host one standing ``CONTINUOUS`` query on this worker thread.
 
         Each answer-changing write batch pushes a snapshot to the
@@ -329,10 +341,8 @@ class QueryService:
         the stream and returns the last emitted answer — cancellation
         of a standing query is its normal completion, not an error.
         """
-        kwargs = dict(execute_kwargs)
-        poll = kwargs.pop("poll", DEFAULT_POLL)
-        standing = ContinuousQuery(session, handle.query, gate=grant,
-                                   poll=poll, **kwargs)
+        standing = ContinuousQuery(session, logical, gate=grant,
+                                   poll=poll, **options)
         last = None
         try:
             while not (handle._cancelled or grant.cancelled):
@@ -350,7 +360,7 @@ class QueryService:
 
     def stats(self) -> dict:
         """JSON-safe service snapshot: scheduler pool + handle states."""
-        states: Dict[str, int] = {}
+        states = dict(self._finished)
         for handle in self._handles:
             states[handle.state] = states.get(handle.state, 0) + 1
         return {"scheduler": self.scheduler.stats(), "queries": states}
@@ -366,7 +376,6 @@ class QueryService:
         """Cancel everything in flight and wait for it to unwind."""
         self._closed = True
         for handle in self._handles:
-            if not handle.done:
-                handle.cancel()
+            handle.cancel()
         await self.drain()
         self._executor.shutdown(wait=True)

@@ -13,9 +13,11 @@ Queries run through a three-stage pipeline (see :mod:`repro.query`):
    :class:`~repro.query.plan.QueryPlan`.  The parser module docstring is
    the normative grammar; ``docs/dialect.md`` is the user-facing tour.
 2. **Resolve** — :meth:`OpaqueQuerySession.plan` checks registrations,
-   merges caller-side defaults (validated exactly like the equivalent
-   clauses), evaluates the ``WHERE`` mask over the table's features, and
-   resolves the budget into an :class:`~repro.query.plan.ExecutionPlan`.
+   evaluates the ``WHERE`` mask over the table's features, and resolves
+   the budget into an :class:`~repro.query.plan.ExecutionPlan`.  The
+   statement's clauses are the only way to choose the execution mode;
+   front-ends fold their own switches in with
+   :meth:`~repro.query.plan.QueryPlan.with_defaults`.
 3. **Dispatch** — :meth:`OpaqueQuerySession.execute` hands the plan to
    the matching executor from the registry in
    :mod:`repro.query.executors` (``single`` / ``sharded`` /
@@ -41,12 +43,12 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import nullcontext
 from dataclasses import replace
 from typing import Dict, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.convergence import check_confidence
 from repro.core.result import QueryResult, ResultBase
 from repro.data.dataset import Dataset
 from repro.errors import ConfigurationError
@@ -58,7 +60,6 @@ from repro.memo import MemoStore, PriorStore, udf_fingerprint
 from repro.obs.analyze import ExplainAnalyzeReport
 from repro.obs.metrics import BOUND_WIDTH, MEMO_HIT_RATE, QUERIES_TOTAL
 from repro.obs.spans import Span, TraceContext
-from repro.parallel.backends import check_backend
 from repro.parallel.cache import ShardIndexCache
 from repro.parallel.engine import DistributedResult
 from repro.query.executors import StreamingExecutor, get_executor
@@ -441,20 +442,15 @@ class OpaqueQuerySession:
     # -- planning ------------------------------------------------------------
 
     def plan(self, query: Union[str, QueryPlan], *,
-             workers: Optional[int] = None,
-             backend: Optional[str] = None,
-             stream: Optional[bool] = None,
-             every: Optional[int] = None,
-             confidence: Optional[float] = None,
              use_cache: Optional[bool] = None,
              warm_start: bool = False) -> ExecutionPlan:
         """Parse and resolve one query into an :class:`ExecutionPlan`.
 
-        The keyword arguments are caller-side defaults (e.g. CLI flags)
-        for the equivalent clauses; explicit clauses in the query text
-        win.  Defaults are validated exactly like the clauses they stand
-        in for, so ``execute(sql, backend="bogus")`` fails as loudly as
-        ``... BACKEND bogus`` — never reaching an engine unvalidated.
+        The execution mode comes from the statement's clauses alone
+        (``WORKERS`` / ``BACKEND`` / ``STREAM`` / ``EVERY`` /
+        ``CONFIDENCE``); a front-end with switches of its own folds them
+        in first with :meth:`QueryPlan.with_defaults
+        <repro.query.plan.QueryPlan.with_defaults>` and passes the plan.
 
         ``use_cache`` overrides the session's ``enable_cache`` for this
         query; ``warm_start`` opts into preloading harvested bandit
@@ -488,23 +484,9 @@ class OpaqueQuerySession:
             dataset = pinned
             table_version = pinned.version
             index_freshness = maintainer.freshness
-        # Merge caller-side defaults under clause-wins precedence; every
-        # merged value passes the same validation as its clause.
-        n_workers = self._check_workers(
-            logical.workers if logical.workers is not None else workers
-        )
-        backend_name = self._check_backend(logical.backend or backend)
-        every = self._check_every(
-            logical.every if logical.every is not None else every
-        )
-        confidence = check_confidence(
-            logical.confidence if logical.confidence is not None
-            else confidence
-        )
-        # Like the CLI's --every, an every= default implies streaming
-        # (the EVERY clause itself already requires STREAM at parse time).
-        streaming = bool(logical.stream or stream
-                         or confidence is not None or every is not None)
+        n_workers = logical.workers or 1
+        streaming = bool(logical.stream or logical.every is not None
+                         or logical.confidence is not None)
         # WHERE pushdown: evaluate the predicate mask once over the cheap
         # feature matrix; the candidate list flows to every executor.
         allowed_ids = None
@@ -561,9 +543,9 @@ class OpaqueQuerySession:
             batch_size=logical.batch_size,
             seed=logical.seed,
             workers=n_workers,
-            backend=backend_name,
-            every=every,
-            confidence=confidence,
+            backend=logical.backend or "serial",
+            every=logical.every,
+            confidence=logical.confidence,
             allowed_ids=allowed_ids,
             fingerprint=fingerprint,
             cache_enabled=cache_on,
@@ -575,38 +557,14 @@ class OpaqueQuerySession:
             index_freshness=index_freshness,
         )
 
-    @staticmethod
-    def _check_workers(workers: Optional[int]) -> int:
-        if workers is None:
-            return 1
-        if int(workers) != workers or workers <= 0:
-            raise ConfigurationError(
-                f"workers must be positive, got {workers!r}"
-            )
-        return int(workers)
-
-    @staticmethod
-    def _check_backend(backend: Optional[str]) -> str:
-        if backend is None:
-            return "serial"
-        check_backend(backend)
-        return backend
-
-    @staticmethod
-    def _check_every(every: Optional[int]) -> Optional[int]:
-        if every is None:
-            return None
-        if int(every) != every or every <= 0:
-            raise ConfigurationError(
-                f"every must be positive, got {every!r}"
-            )
-        return int(every)
-
     # -- execution -----------------------------------------------------------
 
     def _prepare(self, query: Union[str, QueryPlan], *, trace: bool,
-                 budget_gate, **defaults) -> ExecutionPlan:
+                 budget_gate, use_cache: Optional[bool], warm_start: bool,
+                 streamed: bool = False) -> ExecutionPlan:
         """Parse, plan and arm one query — the head of execute()/stream().
+
+        ``streamed`` is :meth:`stream`'s implied ``STREAM`` clause.
 
         With tracing on (``trace=True``, or an ``EXPLAIN ANALYZE`` query:
         the report *is* the span tree) the parse and plan stages are timed
@@ -616,20 +574,28 @@ class OpaqueQuerySession:
         """
         t_parse = time.perf_counter()
         logical = parse(query) if isinstance(query, str) else query
+        if streamed:
+            logical = logical.with_defaults(stream=True)
         parse_wall = time.perf_counter() - t_parse
-        if not (trace or logical.analyze):
-            tracer = None
-            resolved = self.plan(logical, **defaults)
-        else:
+        tracer = None
+        if trace or logical.analyze:
             # The parse span is attached after the fact (the ANALYZE
             # keyword is only known once parsing is done) — backdating
             # the origin to t_parse keeps the timeline starting at the
             # parse, not after it.
             tracer = TraceContext(origin=t_parse)
             tracer.attach(Span("parse", wall=parse_wall).to_dict())
-            with tracer.span("plan"):
-                resolved = self.plan(logical, **defaults)
-        if not resolved.query.explain or resolved.query.analyze:
+        with tracer.span("plan") if tracer is not None else nullcontext():
+            resolved = self.plan(logical, use_cache=use_cache,
+                                 warm_start=warm_start)
+        if not logical.explain or logical.analyze:
+            if logical.continuous:
+                raise ConfigurationError(
+                    "CONTINUOUS queries are standing subscriptions, not "
+                    "one-shot dispatches; drive one with "
+                    "repro.live.ContinuousQuery or submit it to the "
+                    "multi-tenant repro.service.QueryService"
+                )
             resolved.trace = tracer
             resolved.gate = budget_gate
             if tracer is not None:
@@ -637,11 +603,6 @@ class OpaqueQuerySession:
         return resolved
 
     def execute(self, query: Union[str, QueryPlan], *,
-                workers: Optional[int] = None,
-                backend: Optional[str] = None,
-                stream: Optional[bool] = None,
-                every: Optional[int] = None,
-                confidence: Optional[float] = None,
                 use_cache: Optional[bool] = None,
                 warm_start: bool = False,
                 trace: bool = False,
@@ -660,9 +621,8 @@ class OpaqueQuerySession:
         return the resolved :class:`~repro.query.plan.ExecutionPlan`
         instead of executing; ``EXPLAIN ANALYZE`` queries run under a
         forced tracer and return an
-        :class:`~repro.obs.analyze.ExplainAnalyzeReport`.  Keyword
-        arguments are caller-side defaults for the equivalent clauses
-        (see :meth:`plan`).
+        :class:`~repro.obs.analyze.ExplainAnalyzeReport`.
+        ``use_cache`` / ``warm_start`` are those of :meth:`plan`.
 
         ``trace=True`` records a query-lifecycle span tree
         (:class:`~repro.obs.spans.TraceContext`) without changing the
@@ -677,19 +637,10 @@ class OpaqueQuerySession:
         gate never changes the answer.
         """
         resolved = self._prepare(
-            query, trace=trace, budget_gate=budget_gate, workers=workers,
-            backend=backend, stream=stream, every=every,
-            confidence=confidence, use_cache=use_cache,
-            warm_start=warm_start)
+            query, trace=trace, budget_gate=budget_gate,
+            use_cache=use_cache, warm_start=warm_start)
         if resolved.query.explain and not resolved.query.analyze:
             return resolved
-        if resolved.query.continuous:
-            raise ConfigurationError(
-                "CONTINUOUS queries are standing subscriptions, not "
-                "one-shot dispatches; drive one with "
-                "repro.live.ContinuousQuery or submit it to the "
-                "multi-tenant repro.service.QueryService"
-            )
         tracer = resolved.trace
         stats_before = (self._memo_for(resolved.table).stats()
                         if resolved.cache_enabled else None)
@@ -720,10 +671,6 @@ class OpaqueQuerySession:
                 MEMO_HIT_RATE.set(hits / looked, table=plan.table)
 
     def stream(self, query: Union[str, QueryPlan], *,
-               workers: Optional[int] = None,
-               backend: Optional[str] = None,
-               every: Optional[int] = None,
-               confidence: Optional[float] = None,
                use_cache: Optional[bool] = None,
                warm_start: bool = False,
                trace: bool = False,
@@ -733,27 +680,16 @@ class OpaqueQuerySession:
 
         Any query is accepted (a ``STREAM`` clause is implied); snapshots
         arrive from the first slice onward and the last one carries
-        ``converged=True``.  Keyword arguments default the missing
-        clauses, as in :meth:`execute`; ``trace=True`` records the span
-        tree into :attr:`last_trace` (complete once the iterator is
-        exhausted).
+        ``converged=True``.  ``trace=True`` records the span tree into
+        :attr:`last_trace` (complete once the iterator is exhausted).
         """
         resolved = self._prepare(
-            query, trace=trace, budget_gate=budget_gate, workers=workers,
-            backend=backend, stream=True, every=every,
-            confidence=confidence, use_cache=use_cache,
-            warm_start=warm_start)
+            query, trace=trace, budget_gate=budget_gate,
+            use_cache=use_cache, warm_start=warm_start, streamed=True)
         if resolved.query.explain:
             raise ConfigurationError(
                 "EXPLAIN queries return a plan and cannot be streamed; "
                 "use execute() to inspect the plan"
-            )
-        if resolved.query.continuous:
-            raise ConfigurationError(
-                "CONTINUOUS queries are standing subscriptions; stream() "
-                "yields one drive's snapshots and then stops — drive a "
-                "standing query with repro.live.ContinuousQuery or the "
-                "multi-tenant repro.service.QueryService"
             )
         if resolved.n_candidates == 0:
             # WHERE filtered everything out (plan() degrades the mode to
@@ -767,11 +703,13 @@ class OpaqueQuerySession:
                 displacement_bound=0.0, exhaustive_bound=0.0,
             )
             return
-        QUERIES_TOTAL.inc(table=resolved.table, mode=resolved.mode)
+        stats_before = (self._memo_for(resolved.table).stats()
+                        if resolved.cache_enabled else None)
         streaming = StreamingExecutor().engine(self, resolved)
         try:
             yield from streaming.results_iter(resolved.budget,
                                               every=resolved.every)
+            self._observe_query(resolved, streaming.result(), stats_before)
         finally:
             from repro.query.executors import _harvest_shard_priors
 

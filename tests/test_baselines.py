@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -125,7 +127,51 @@ class TestUCB:
 
     def test_prior_mean_used(self, two_arm_tree):
         algo = UCBBandit(two_arm_tree, prior_mean=5.0, rng=0)
-        assert algo.root.mean == 5.0
+        assert algo.root.histogram.mean == 5.0
+
+    @staticmethod
+    def pin_tree():
+        """Three levels, uneven fan-out; small leaves run dry early."""
+        sizes = {"a": (5, 140, 12), "b": (130,), "c": (8, 8, 125, 3)}
+        groups = []
+        for name, leaf_sizes in sizes.items():
+            leaves = [
+                ClusterNode(f"{name}{j}", member_ids=tuple(
+                    f"{name}{j}-{i}" for i in range(size)))
+                for j, size in enumerate(leaf_sizes)
+            ]
+            groups.append(ClusterNode(name, children=leaves))
+        return ClusterTree(ClusterNode("root", children=groups))
+
+    @staticmethod
+    def pin_score(element_id):
+        digest = hashlib.sha256(element_id.encode()).digest()
+        bonus = 4.0 if element_id.startswith("a1") else 0.0
+        return (digest[0] % 3) + digest[1] / 256.0 + bonus
+
+    @pytest.mark.parametrize("seed,batch_size,first,digest", [
+        (0, 1, ["b0-61", "a1-23", "c0-1", "a2-8", "a0-4", "a1-125"],
+         "bd87da01681cd0e27dd579260810e9cb"
+         "3de2649295d59bfc93ed60e995a53d91"),
+        (7, 4, ["a2-7", "a2-0", "a2-10", "a2-5", "c0-0", "c0-3"],
+         "0db18bd8b02a6999ac28c107adccb5c3"
+         "ef968f9955451eb803a88004210ad2d0"),
+    ])
+    def test_draw_order_pinned(self, seed, batch_size, first, digest):
+        """The first 300 draws, recorded at commit 2cd54c5 when UCB still
+        carried its own tree mirror: sharing the hierarchical policy's
+        mirror must not move a single draw (same ``ucb`` tie-break stream,
+        same ``arm:<id>`` streams, same drop order)."""
+        algo = UCBBandit(self.pin_tree(), batch_size=batch_size, rng=seed)
+        drawn = []
+        while len(drawn) < 300:
+            ids = algo.next_batch()
+            drawn.extend(ids)
+            algo.observe(ids, [self.pin_score(i) for i in ids])
+        drawn = drawn[:300]
+        assert drawn[:6] == first
+        assert hashlib.sha256(
+            "\n".join(drawn).encode()).hexdigest() == digest
 
 
 class TestScans:

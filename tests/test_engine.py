@@ -153,6 +153,48 @@ class TestRun:
         assert engine.stk == pytest.approx(expected)
 
 
+class _PoolGate:
+    """A grant-shaped budget gate over a refillable pool of UDF calls."""
+
+    def __init__(self, pool: int) -> None:
+        self.pool = pool
+
+    def acquire(self, n: int) -> int:
+        granted = min(n, self.pool)
+        self.pool -= granted
+        return granted
+
+    def refund(self, n: int) -> None:
+        self.pool += n
+
+
+class TestGateRefusal:
+    def test_refused_batch_is_scored_first_on_resume(self, setup):
+        """A refusal parks the drawn batch; the next run() pays for it.
+
+        Pool 20 at batch 8 funds two batches and refuses the third, which
+        is already drawn from its arm.  Stopping "exactly like exhausting
+        the budget" means the engine stays resumable: refilled, a second
+        run() scores that batch first and finishes exact.
+        """
+        dataset, tree, scorer = setup
+        engine = TopKEngine(tree, EngineConfig(k=10, batch_size=8, seed=0))
+        gate = _PoolGate(20)
+        first = engine.run(dataset, scorer, gate=gate)
+        assert first.n_scored == 16 and not first.exhausted
+        assert gate.pool == 4                  # the partial grant came back
+
+        gate.pool = len(dataset)
+        second = engine.run(dataset, scorer, gate=gate)
+        assert second.exhausted
+        assert second.n_scored == len(dataset)
+        truth = sorted(
+            (scorer.score(dataset.fetch(i)) for i in dataset.ids()),
+            reverse=True,
+        )[:10]
+        assert second.scores == pytest.approx(truth)
+
+
 class TestFallbackIntegration:
     def test_uniform_scan_fallback_on_homogeneous_data(self):
         """Identical clusters + expensive bandit -> clustering fallback."""

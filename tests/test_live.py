@@ -34,15 +34,15 @@ from repro.live import ContinuousQuery, IndexMaintainer, LiveTable
 
 EXHAUSTIVE = "SELECT TOP 5 FROM t ORDER BY f SEED 3"
 
-#: The full execution matrix (mode label -> execute kwargs).
+#: The full execution matrix (mode label -> mode clauses).
 MATRIX = {
-    "single": {},
-    "sharded-serial": {"workers": 2, "backend": "serial"},
-    "sharded-thread": {"workers": 2, "backend": "thread"},
-    "sharded-process": {"workers": 2, "backend": "process"},
-    "streaming-serial": {"workers": 2, "backend": "serial", "stream": True},
-    "streaming-thread": {"workers": 2, "backend": "thread", "stream": True},
-    "streaming-process": {"workers": 2, "backend": "process", "stream": True},
+    "single": "",
+    "sharded-serial": " WORKERS 2 BACKEND serial",
+    "sharded-thread": " WORKERS 2 BACKEND thread",
+    "sharded-process": " WORKERS 2 BACKEND process",
+    "streaming-serial": " WORKERS 2 BACKEND serial STREAM",
+    "streaming-thread": " WORKERS 2 BACKEND thread STREAM",
+    "streaming-process": " WORKERS 2 BACKEND process STREAM",
 }
 
 
@@ -163,17 +163,17 @@ def _mutate(table: LiveTable) -> list:
 class TestIncrementalDifferential:
     @pytest.mark.parametrize("mode", list(MATRIX))
     def test_matches_fresh_rebuild_warm_and_cold(self, mode):
-        kwargs = MATRIX[mode]
+        query = EXHAUSTIVE + MATRIX[mode]
         table = make_live_table(n_rows=120, seed=5)
         session, _, _ = make_live_session(table)
-        session.execute(EXHAUSTIVE, **kwargs)           # builds the index
+        session.execute(query)                          # builds the index
         _mutate(table)
 
-        warm = session.execute(EXHAUSTIVE, **kwargs)    # incremental + warm memo
+        warm = session.execute(query)                   # incremental + warm memo
         assert session.table_info("t")["index_freshness"] == "incremental"
 
         cold_session, _, _ = make_live_session(table)   # fresh build, cold memo
-        cold = cold_session.execute(EXHAUSTIVE, **kwargs)
+        cold = cold_session.execute(query)
         assert cold_session.table_info("t")["index_freshness"] == "built"
 
         assert answer(warm) == answer(cold)
@@ -281,16 +281,16 @@ class TestWriterReaderRace:
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     def test_append_mid_stream_never_changes_the_answer(self, backend):
         """An append racing a streaming drive is invisible to that drive."""
-        query = "SELECT TOP 5 FROM t ORDER BY f SEED 3 STREAM EVERY 20"
+        query = (f"SELECT TOP 5 FROM t ORDER BY f SEED 3 WORKERS 2 "
+                 f"BACKEND {backend} STREAM EVERY 20")
         solo_session, _, _ = make_live_session(make_live_table(seed=13))
         baseline = None
-        for baseline in solo_session.stream(query, workers=2,
-                                            backend=backend):
+        for baseline in solo_session.stream(query):
             pass
 
         table = make_live_table(seed=13)
         session, _, _ = make_live_session(table)
-        stream = session.stream(query, workers=2, backend=backend)
+        stream = session.stream(query)
         next(stream)                       # plan pinned, shards running
         append_rows(table, [50.0, 60.0])   # would dominate the top-k
         last = None
@@ -311,8 +311,8 @@ class TestWriterReaderRace:
         from repro.scoring.base import FunctionScorer
 
         solo_session, _, _ = make_live_session(make_live_table(seed=13))
-        baseline = solo_session.execute(EXHAUSTIVE, workers=2,
-                                        backend=backend)
+        query = f"{EXHAUSTIVE} WORKERS 2 BACKEND {backend}"
+        baseline = solo_session.execute(query)
 
         table = make_live_table(seed=13)
         session, _, _ = make_live_session(table)
@@ -326,9 +326,7 @@ class TestWriterReaderRace:
 
         # Same relu math as "f", but committing a write on first call.
         session.register_udf("w", FunctionScorer(scoring_writer))
-        racy = session.execute(EXHAUSTIVE.replace("ORDER BY f",
-                                                  "ORDER BY w"),
-                               workers=2, backend=backend)
+        racy = session.execute(query.replace("ORDER BY f", "ORDER BY w"))
         assert fired.is_set() and table.version == 1
         assert [i for i, _ in racy.items] == [i for i, _ in baseline.items]
 
@@ -418,11 +416,11 @@ class TestMemoVersioning:
 
     def test_shard_cache_evicts_stale_versions(self):
         session, _, table = make_live_session()
-        session.execute(EXHAUSTIVE, workers=2)
+        session.execute(EXHAUSTIVE + " WORKERS 2")
         cache = session._shard_cache_for("t")
         assert all(key[5] == 0 for key in cache._entries)
         append_rows(table, [1.0])
-        session.execute(EXHAUSTIVE, workers=2)
+        session.execute(EXHAUSTIVE + " WORKERS 2")
         assert cache._entries and all(key[5] == 1 for key in cache._entries)
 
 

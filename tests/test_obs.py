@@ -73,18 +73,15 @@ def build_session(dataset: InMemoryDataset,
     return session
 
 
-def query_text(mode: str) -> str:
+def query_text(mode: str, backend=None) -> str:
+    """The mode's statement; ``backend`` shards it by WORKERS/BACKEND."""
     text = (f"SELECT TOP {K} FROM t ORDER BY score "
             f"BUDGET {BUDGET} BATCH {BATCH} SEED {SEED}")
+    if mode != "single" and backend is not None:
+        text += f" WORKERS {WORKERS} BACKEND {backend}"
     if mode == "streaming":
         text += " STREAM"
     return text
-
-
-def mode_kwargs(mode: str, backend) -> dict:
-    if mode == "single":
-        return {}
-    return {"workers": WORKERS, "backend": backend}
 
 
 # ---------------------------------------------------------------------------
@@ -307,10 +304,9 @@ class TestTraceDifferential:
     @pytest.mark.parametrize("mode,backend", MATRIX,
                              ids=[f"{m}-{b}" for m, b in MATRIX])
     def test_trace_on_off_bit_identical(self, dataset, mode, backend):
-        kwargs = mode_kwargs(mode, backend)
-        off = build_session(dataset).execute(query_text(mode), **kwargs)
-        on = build_session(dataset).execute(query_text(mode), trace=True,
-                                            **kwargs)
+        sql = query_text(mode, backend)
+        off = build_session(dataset).execute(sql)
+        on = build_session(dataset).execute(sql, trace=True)
         assert on.ids == off.ids
         assert on.scores == off.scores
         assert on.budget_spent == off.budget_spent
@@ -321,8 +317,7 @@ class TestTraceDifferential:
                              ids=[f"{m}-{b}" for m, b in MATRIX])
     def test_trace_counters_match_result(self, dataset, mode, backend):
         session = build_session(dataset)
-        result = session.execute(query_text(mode), trace=True,
-                                 **mode_kwargs(mode, backend))
+        result = session.execute(query_text(mode, backend), trace=True)
         execute_span = next(span for _, span in result.trace.walk()
                             if span.name == f"execute[{mode}]")
         scored = (result.n_scored if mode == "single"
@@ -345,17 +340,16 @@ class TestTraceDifferential:
     def test_serial_trace_timeline_deterministic(self, dataset):
         runs = [
             build_session(dataset).execute(
-                query_text("sharded"), trace=True,
-                **mode_kwargs("sharded", "serial")).trace.timeline()
+                query_text("sharded", "serial"),
+                trace=True).trace.timeline()
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
 
     def test_stream_iterator_records_trace(self, dataset):
         session = build_session(dataset)
-        snapshots = list(session.stream(query_text("streaming"),
-                                        workers=WORKERS, backend="serial",
-                                        trace=True))
+        snapshots = list(session.stream(
+            query_text("streaming", "serial"), trace=True))
         assert snapshots[-1].converged
         names = [name for _, name in session.last_trace.walk_names()]
         assert names[:2] == ["parse", "plan"]
@@ -370,8 +364,8 @@ class TestTraceDifferential:
 class TestExplainAnalyze:
     def run_report(self, dataset, mode) -> ExplainAnalyzeReport:
         session = build_session(dataset)
-        report = session.execute("EXPLAIN ANALYZE " + query_text(mode),
-                                 **mode_kwargs(mode, "serial"))
+        report = session.execute(
+            "EXPLAIN ANALYZE " + query_text(mode, "serial"))
         assert isinstance(report, ExplainAnalyzeReport)
         return report
 
@@ -460,8 +454,7 @@ class TestSessionMetrics:
         REGISTRY.reset()
         session = build_session(dataset)
         session.execute(query_text("single"))
-        session.execute(query_text("sharded"),
-                        **mode_kwargs("sharded", "serial"))
+        session.execute(query_text("sharded", "serial"))
         snapshot = REGISTRY.snapshot()
         totals = {tuple(sorted(cell["labels"].items())): cell["value"]
                   for cell in snapshot["queries_total"]["values"]}
@@ -483,11 +476,31 @@ class TestSessionMetrics:
         assert cell["labels"] == {"table": "t"}
         assert cell["value"] == 1.0   # warm repeat: every lookup hit
 
+    def test_stream_records_what_execute_records(self, dataset):
+        """stream() and execute() of one STREAM query share a metrics tail:
+        the query is counted once and leaves the same gauges behind."""
+        sql = query_text("streaming", "serial")
+        gauges = []
+        for drive in (lambda s: s.execute(sql),
+                      lambda s: list(s.stream(sql))):
+            REGISTRY.reset()
+            session = build_session(dataset, enable_cache=True)
+            drive(session)
+            drive(session)                      # warm: the memo is hit
+            snapshot = REGISTRY.snapshot()
+            (queries,) = snapshot["queries_total"]["values"]
+            assert queries["labels"] == {"mode": "streaming", "table": "t"}
+            assert queries["value"] == 2
+            gauges.append((snapshot["bound_width"]["values"],
+                           snapshot["memo_hit_rate"]["values"]))
+        assert gauges[0] == gauges[1]
+        (rate,) = gauges[1][1]
+        assert rate["labels"] == {"table": "t"} and rate["value"] == 1.0
+
     def test_staleness_histogram_observed(self, dataset):
         REGISTRY.reset()
         session = build_session(dataset)
-        session.execute(query_text("streaming"),
-                        **mode_kwargs("streaming", "serial"))
+        session.execute(query_text("streaming", "serial"))
         snapshot = REGISTRY.snapshot()
         (lag,) = snapshot["threshold_staleness"]["values"]
         assert lag["labels"] == {"backend": "serial"}

@@ -78,8 +78,9 @@ class TestBackendRegistry:
         for name in ("serial", "thread"):
             assert parse(query.format(name)).backend == name
             assert session.plan(query.format(name)).backend == name
-            assert session.plan("SELECT TOP 5 FROM t ORDER BY f",
-                                workers=2, backend=name).backend == name
+            assert session.plan(
+                parse("SELECT TOP 5 FROM t ORDER BY f").with_defaults(
+                    workers=2, backend=name)).backend == name
             assert make_backend(name).name == name
             ShardedTopKEngine(dataset, scorer, k=5, backend=name).close()
 
@@ -88,8 +89,8 @@ class TestBackendRegistry:
         for resolve in (
             lambda: make_backend("process"),
             lambda: parse(query.format("process")),
-            lambda: session.plan("SELECT TOP 5 FROM t ORDER BY f",
-                                 workers=2, backend="process"),
+            lambda: parse("SELECT TOP 5 FROM t ORDER BY f").with_defaults(
+                workers=2, backend="process"),
         ):
             with pytest.raises(ConfigurationError,
                                match="fork is forbidden in this sandbox"):
@@ -198,6 +199,42 @@ class TestCoordinatorMerge:
         merge_worker_topk(buffer, merged, [("low", 1.0)])   # re-reported
         assert buffer.payloads() == ["high"]
         assert len(buffer) == 1
+
+
+class TestShardMemoSlice:
+    def shard(self, world, memo):
+        from repro.core.engine import EngineConfig
+        from repro.parallel.worker import ShardSpec, ShardWorker
+
+        dataset, scorer, _ = world
+        members = dataset.ids()[:120]
+        spec = ShardSpec(worker_id=0, member_ids=members, k=5,
+                         engine_config=EngineConfig(k=5, batch_size=4),
+                         index_config=None, root_entropy=0, memo=memo)
+        return ShardWorker(spec, dataset=dataset, scorer=scorer)
+
+    def test_empty_slice_still_reports_fresh_scores(self, world):
+        """``memo={}`` is "memo on, nothing stored yet", not "memo off":
+        every score of the round is fresh and must travel home for the
+        coordinator's write-back; ``memo=None`` ships nothing."""
+        dataset, scorer, _ = world
+        on = self.shard(world, {}).run_round(20)
+        assert on.memo_hits == 0 and on.scored == 20
+        assert len(on.fresh_scores) == 20
+        assert all(score == scorer.score(dataset.fetch(element_id))
+                   for element_id, score in on.fresh_scores)
+        off = self.shard(world, None).run_round(20)
+        assert off.fresh_scores == [] and off.memo_hits == 0
+        # Same draws, same answer, same charged cost either way.
+        assert (on.topk, on.cost, on.scored) == (off.topk, off.cost,
+                                                 off.scored)
+
+    def test_warm_slice_hits_and_stays_bit_identical(self, world):
+        cold = self.shard(world, {}).run_round(20)
+        warm = self.shard(world, dict(cold.fresh_scores)).run_round(20)
+        assert warm.memo_hits == 20 and warm.fresh_scores == []
+        assert (warm.topk, warm.cost, warm.scored) == (cold.topk, cold.cost,
+                                                       cold.scored)
 
 
 class TestSmallPartitions:

@@ -254,6 +254,57 @@ class TestWherePredicate:
             parse(f"SELECT TOP 3 FROM t ORDER BY f {bad}")
 
 
+class TestWithDefaults:
+    """Caller-side defaults fold into the plan exactly like clauses."""
+
+    BASE = "SELECT TOP 3 FROM t ORDER BY f BUDGET 40 SEED 1"
+
+    @pytest.mark.parametrize("clauses, defaults, expected", [
+        # absent clauses take the defaults
+        ("", dict(workers=3, backend="thread"),
+         " WORKERS 3 BACKEND thread"),
+        # an explicit clause wins over its default
+        (" WORKERS 2", dict(workers=4, backend="thread"),
+         " WORKERS 2 BACKEND thread"),
+        (" WORKERS 2 BACKEND serial STREAM EVERY 5",
+         dict(backend="thread", every=50), " WORKERS 2 BACKEND serial "
+         "STREAM EVERY 5"),
+        (" STREAM CONFIDENCE 0.9", dict(confidence=0.5),
+         " STREAM CONFIDENCE 0.9"),
+        # every= / confidence= imply STREAM, like the CLI flags
+        ("", dict(every=10), " STREAM EVERY 10"),
+        ("", dict(confidence=0.95), " STREAM CONFIDENCE 0.95"),
+        ("", dict(stream=True), " STREAM"),
+        # a lone backend default stays expressible: BACKEND needs WORKERS
+        ("", dict(backend="thread", stream=True),
+         " WORKERS 1 BACKEND thread STREAM"),
+        # no defaults: the identity
+        (" WORKERS 2", dict(), " WORKERS 2"),
+        ("", dict(stream=False), ""),
+    ])
+    def test_folds_to_the_equivalent_statement(self, clauses, defaults,
+                                               expected):
+        plan = parse(self.BASE + clauses).with_defaults(**defaults)
+        assert plan == parse(self.BASE + expected)
+        assert parse(plan.canonical_text()) == plan
+
+    @pytest.mark.parametrize("defaults, pattern", [
+        (dict(backend="bogus"), "unknown backend"),
+        (dict(workers=0), "workers must be positive"),
+        (dict(workers=-2), "workers must be positive"),
+        (dict(workers="3"), "workers must be an int"),
+        (dict(every=0), "every must be positive"),
+        (dict(confidence=1.5), "confidence must lie strictly inside"),
+        (dict(confidence=0.0), "confidence must lie strictly inside"),
+    ])
+    def test_bad_default_raises_the_clause_error(self, defaults, pattern):
+        with pytest.raises(ConfigurationError, match=pattern):
+            parse(self.BASE).with_defaults(**defaults)
+        # ... the same check a hand-built plan goes through.
+        with pytest.raises(ConfigurationError, match=pattern):
+            QueryPlan(k=3, table="t", udf="f", **defaults)
+
+
 class TestExplain:
     def test_explain_flag(self):
         plan = parse("EXPLAIN SELECT TOP 3 FROM t ORDER BY f")

@@ -104,12 +104,13 @@ class TestShardedBitIdentity:
                                              backend):
         virtual = backend == "serial"
         baseline, _ = session_builder(enable_cache=False)
-        off = baseline.execute(QUERY, workers=3, backend=backend)
+        query = f"{QUERY} WORKERS 3 BACKEND {backend}"
+        off = baseline.execute(query)
 
         session, scorer = session_builder()
-        cold = session.execute(QUERY, workers=3, backend=backend)
+        cold = session.execute(query)
         calls_cold = scorer.n_elements
-        warm = session.execute(QUERY, workers=3, backend=backend)
+        warm = session.execute(query)
         calls_warm = scorer.n_elements - calls_cold
 
         assert _sharded_fields(off, virtual) == _sharded_fields(cold,
@@ -189,11 +190,12 @@ class TestStreamingBitIdentity:
         the totals must agree cold vs warm — that is the strongest claim
         a real-concurrency run supports.
         """
-        query = f"SELECT TOP 5 FROM t ORDER BY f SEED 11 STREAM"
+        query = (f"SELECT TOP 5 FROM t ORDER BY f SEED 11 "
+                 f"WORKERS 2 BACKEND {backend} STREAM")
         session, scorer = session_builder()
-        cold = session.execute(query, workers=2, backend=backend)
+        cold = session.execute(query)
         calls_cold = scorer.n_elements
-        warm = session.execute(query, workers=2, backend=backend)
+        warm = session.execute(query)
         calls_warm = scorer.n_elements - calls_cold
 
         assert sorted(cold.items) == sorted(warm.items)

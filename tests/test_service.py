@@ -47,11 +47,11 @@ from tests.conftest import make_session, make_table
 
 QUERY = "SELECT TOP 5 FROM t ORDER BY f BUDGET 60 SEED 11"
 
-#: The three engine modes of the differential matrix, as execute kwargs.
+#: The three engine modes of the differential matrix, as mode clauses.
 MODES = {
-    "single": {},
-    "sharded": {"workers": 3},
-    "streaming": {"workers": 3, "stream": True},
+    "single": "",
+    "sharded": " WORKERS 3",
+    "streaming": " WORKERS 3 STREAM",
 }
 
 
@@ -84,7 +84,7 @@ def build_session(sync_interval=100, slow=None):
 def solo_fields(mode, query=QUERY):
     """The query's answer on a fresh solo session, deterministic fields."""
     session, _scorer = make_session(make_table())
-    return result_fields(mode, session.execute(query, **MODES[mode]))
+    return result_fields(mode, session.execute(query + MODES[mode]))
 
 
 def result_fields(mode, result):
@@ -125,9 +125,9 @@ class TestConcurrencyDifferentialMatrix:
             service = QueryService(budget=10_000, session=session)
             handles = {}
             for tenant in tenants:
-                for mode, kwargs in MODES.items():
+                for mode, clauses in MODES.items():
                     handles[tenant, mode] = await service.submit(
-                        queries[tenant], tenant=f"tenant{tenant}", **kwargs
+                        queries[tenant] + clauses, tenant=f"tenant{tenant}"
                     )
             results = {}
             for key, handle in handles.items():
@@ -143,14 +143,14 @@ class TestConcurrencyDifferentialMatrix:
 
     def test_concurrent_thread_backend_exhaustive_equivalence(self):
         """Real thread concurrency: compare the order-insensitive facts."""
-        query = "SELECT TOP 5 FROM t ORDER BY f SEED 11"
+        query = "SELECT TOP 5 FROM t ORDER BY f SEED 11 WORKERS 2 BACKEND thread"
 
         async def main():
             session, _ = build_session()
             service = QueryService(session=session)
             handles = [
-                await service.submit(query, tenant=f"x{i}", workers=2,
-                                     backend="thread", stream=bool(i % 2))
+                await service.submit(query + " STREAM" * (i % 2),
+                                     tenant=f"x{i}")
                 for i in range(4)
             ]
             results = [await handle.result() for handle in handles]
@@ -159,7 +159,7 @@ class TestConcurrencyDifferentialMatrix:
 
         results = run(main())
         session, _ = make_session(make_table())
-        solo = session.execute(query, workers=2, backend="thread")
+        solo = session.execute(query)
         for result in results:
             assert sorted(result.items) == sorted(solo.items)
             assert result.total_scored == solo.total_scored == 100
@@ -170,10 +170,12 @@ class TestConcurrencyDifferentialMatrix:
         async def main():
             session, scorer = build_session()
             service = QueryService(session=session)
-            first = await service.submit(QUERY, tenant="payer", workers=3)
+            first = await service.submit(QUERY + " WORKERS 3",
+                                         tenant="payer")
             await first.result()
             calls_cold = scorer.n_elements
-            second = await service.submit(QUERY, tenant="rider", workers=3)
+            second = await service.submit(QUERY + " WORKERS 3",
+                                          tenant="rider")
             result = await second.result()
             await service.drain()
             return result, calls_cold, scorer.n_elements - calls_cold
@@ -186,7 +188,7 @@ class TestConcurrencyDifferentialMatrix:
         async def main():
             session, _ = build_session(sync_interval=20)
             service = QueryService(session=session)
-            handle = await service.submit(QUERY, tenant="s", workers=3,
+            handle = await service.submit(QUERY + " WORKERS 3", tenant="s",
                                           snapshots=True)
             snapshots = [snapshot async for snapshot in handle.snapshots()]
             final = await handle.result()
@@ -209,7 +211,7 @@ class TestBudgetContention:
             session, _ = build_session()
             service = QueryService(budget=60, session=session)
             handles = [
-                await service.submit(QUERY, tenant=f"c{i}", workers=3,
+                await service.submit(QUERY + " WORKERS 3", tenant=f"c{i}",
                                      use_cache=False)
                 for i in range(3)
             ]
@@ -241,14 +243,36 @@ class TestBudgetContention:
         assert stats["spent"] == 25 and stats["committed"] == 0
 
 
+class TestBoundedRetention:
+    def test_finished_handles_are_counted_not_kept(self):
+        """Uptime must not grow the service: a drained query leaves a
+        per-state count behind, not its handle."""
+        n_done = 5
+
+        async def main():
+            session, _ = build_session()
+            service = QueryService(session=session)
+            for i in range(n_done):
+                await service.submit(QUERY, tenant=f"d{i}")
+            await service.submit("SELECT TOP 5 FROM nope ORDER BY f")
+            in_flight = service.stats()["queries"]
+            await service.drain()
+            return service, in_flight
+
+        service, in_flight = run(main())
+        assert sum(in_flight.values()) == n_done + 1
+        assert not service._handles
+        assert service.stats()["queries"] == {"done": n_done, "error": 1}
+
+
 class TestFaultInjection:
     def test_cancelled_query_releases_budget(self):
         async def main():
             session, _ = build_session(sync_interval=5, slow=0.005)
             service = QueryService(budget=100, session=session)
-            handle = await service.submit(QUERY, tenant="victim",
-                                          workers=2, backend="thread",
-                                          use_cache=False)
+            handle = await service.submit(
+                QUERY + " WORKERS 2 BACKEND thread", tenant="victim",
+                use_cache=False)
             while handle.state == "waiting":
                 await asyncio.sleep(0.01)
             await asyncio.sleep(0.05)   # let a round or two run
@@ -304,7 +328,7 @@ class TestFaultInjection:
             await reader.readline()         # one snapshot arrived; then
             writer.close()                  # the client vanishes
             await writer.wait_closed()
-            handle = service._handles[0]
+            (handle,) = service._handles    # still in flight
             await asyncio.wait_for(handle._done.wait(), timeout=60)
             await service.drain()
             server.close()
@@ -388,7 +412,7 @@ class TestShardIndexCacheHammer:
 
 
 class TestLineProtocol:
-    def test_execute_roundtrip_matches_local_run(self):
+    def test_execute_roundtrip_matches_local_run(self, monkeypatch):
         async def main():
             session, _ = build_session()
             service = QueryService(session=session)
@@ -402,11 +426,23 @@ class TestLineProtocol:
             await service.close()
             return message
 
+        # Every parse goes through _Parser.parse_statement, whichever
+        # module's ``parse`` alias made the call.
+        from repro.query.parser import _Parser
+
+        parses = []
+        parse_statement = _Parser.parse_statement
+        monkeypatch.setattr(
+            _Parser, "parse_statement",
+            lambda self: parses.append(self.text) or parse_statement(self))
         message = run(main())
+        # The wire key folds into the one plan the server parses: the
+        # query runs sharded and nothing downstream re-reads the text.
+        assert parses == [QUERY]
         assert message["type"] == "result"
         assert message["kind"] == "sharded"
         local, _ = make_session(make_table())
-        solo = local.execute(QUERY, workers=3).to_json()
+        solo = local.execute(QUERY + " WORKERS 3").to_json()
         data = message["data"]
         assert data["items"] == solo["items"]
         assert data["budget_spent"] == solo["budget_spent"]

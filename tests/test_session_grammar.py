@@ -90,23 +90,22 @@ class TestWorkersExecution:
         assert isinstance(result, QueryResult)
 
     def test_flag_default_applies_when_clause_absent(self, session):
-        result = session.execute(
+        result = session.execute(parse(
             "SELECT TOP 5 FROM t ORDER BY relu BUDGET 120 SEED 0",
-            workers=3,
-        )
+        ).with_defaults(workers=3))
         assert isinstance(result, DistributedResult)
         assert len(result.workers) == 3
 
     def test_invalid_flag_default_rejected(self, session):
         with pytest.raises(ConfigurationError, match="workers must be"):
-            session.execute("SELECT TOP 5 FROM t ORDER BY relu BUDGET 50",
-                            workers=0)
+            session.execute(parse(
+                "SELECT TOP 5 FROM t ORDER BY relu BUDGET 50",
+            ).with_defaults(workers=0))
 
     def test_explicit_clause_beats_flag_default(self, session):
-        result = session.execute(
+        result = session.execute(parse(
             "SELECT TOP 5 FROM t ORDER BY relu BUDGET 120 SEED 0 WORKERS 2",
-            workers=4, backend="thread",
-        )
+        ).with_defaults(workers=4, backend="thread"))
         assert len(result.workers) == 2
         assert result.backend == "thread"  # flag fills the missing clause
 
@@ -201,10 +200,9 @@ class TestStreamExecution:
     def test_stream_flag_default_applies(self, session):
         from repro.streaming import StreamingResult
 
-        result = session.execute(
+        result = session.execute(parse(
             "SELECT TOP 5 FROM t ORDER BY relu BUDGET 200 SEED 0",
-            workers=2, stream=True,
-        )
+        ).with_defaults(workers=2, stream=True))
         assert isinstance(result, StreamingResult)
 
     def test_stream_generator_yields_progressive(self, session):
@@ -260,9 +258,8 @@ class TestStreamExecution:
         assert early.displacement_bound <= 0.05
 
     def test_confidence_flag_default_applies(self, session):
-        snapshots = list(session.stream(
+        snapshots = list(session.stream(parse(
             "SELECT TOP 5 FROM t ORDER BY relu SEED 0 WORKERS 2",
-            confidence=0.95,
-        ))
+        ).with_defaults(confidence=0.95)))
         assert snapshots[-1].converged
         assert snapshots[-1].displacement_bound <= 0.05

@@ -64,11 +64,9 @@ def make_specs(dataset, *, shared_memory, scorer=None, index_cache=None,
     )
 
 
-class ExplodingScorer(ReluScorer):
-    """Breaks the child-side shard bootstrap (used by the leak tests)."""
-
-    def batch_cost(self, n: int) -> float:
-        raise RuntimeError("boom: scorer refuses to estimate cost")
+#: A warm-start prior no histogram can be rebuilt from: breaks the
+#: child-side shard bootstrap (used by the leak tests).
+EXPLODING_PRIORS = {"root": {"edges": "boom"}}
 
 
 @needs_shm
@@ -232,9 +230,10 @@ class TestSegmentLeaks:
 
     def test_engine_error_during_start_leaves_no_segment(self):
         dataset = make_dataset()
-        engine = ShardedTopKEngine(dataset, ExplodingScorer(), k=10,
+        engine = ShardedTopKEngine(dataset, ReluScorer(), k=10,
                                    n_workers=2, seed=0, backend="process",
-                                   shared_memory=True)
+                                   shared_memory=True,
+                                   priors=[EXPLODING_PRIORS] * 2)
         with pytest.raises(Exception):
             engine.start()
         assert engine._shm_table is None

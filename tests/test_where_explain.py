@@ -232,9 +232,9 @@ class TestWherePushdownExactness:
         from repro.streaming.engine import StreamingResult
 
         session, _dataset, _scorer = setup
-        result = session.execute(
-            "SELECT TOP 3 FROM t ORDER BY f BUDGET 40 SEED 0", every=10
-        )
+        result = session.execute(parse(
+            "SELECT TOP 3 FROM t ORDER BY f BUDGET 40 SEED 0"
+        ).with_defaults(every=10))
         assert isinstance(result, StreamingResult)
 
     def test_where_subset_keys_the_shard_cache(self, setup):
@@ -360,33 +360,34 @@ class TestExplain:
 class TestCallerKwargValidation:
     """Caller-side defaults validate exactly like the equivalent clauses."""
 
-    QUERY = "SELECT TOP 3 FROM t ORDER BY f BUDGET 10 SEED 0"
+    QUERY = parse("SELECT TOP 3 FROM t ORDER BY f BUDGET 10 SEED 0")
 
     def test_bogus_backend_kwarg_rejected(self, setup):
         session, _dataset, scorer = setup
         with pytest.raises(ConfigurationError, match="unknown backend"):
-            session.execute(self.QUERY, backend="bogus")
+            session.execute(self.QUERY.with_defaults(backend="bogus"))
         assert scorer.n_elements == 0
 
     def test_zero_every_kwarg_rejected(self, setup):
         session, _dataset, _scorer = setup
         with pytest.raises(ConfigurationError, match="every must be"):
-            session.execute(self.QUERY, every=0)
+            session.execute(self.QUERY.with_defaults(every=0))
 
     def test_out_of_range_confidence_kwarg_rejected(self, setup):
         session, _dataset, _scorer = setup
         with pytest.raises(ConfigurationError, match="confidence"):
-            session.execute(self.QUERY, confidence=1.5)
+            session.execute(self.QUERY.with_defaults(confidence=1.5))
 
     def test_zero_workers_kwarg_rejected(self, setup):
         session, _dataset, _scorer = setup
         with pytest.raises(ConfigurationError, match="workers must be"):
-            session.execute(self.QUERY, workers=0)
+            session.execute(self.QUERY.with_defaults(workers=0))
 
     def test_stream_kwarg_validates_backend_too(self, setup):
         session, _dataset, _scorer = setup
         with pytest.raises(ConfigurationError, match="unknown backend"):
-            session.execute(self.QUERY, stream=True, backend="gpu")
+            session.execute(
+                self.QUERY.with_defaults(stream=True, backend="gpu"))
 
 
 class TestReservedRegistryNames:

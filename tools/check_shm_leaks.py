@@ -73,22 +73,24 @@ def exercise_service() -> None:
                            index_config=IndexConfig(n_clusters=8, flat=True))
     session.register_udf("f", ReluScorer())
 
+    SHARDED = " WORKERS 2 BACKEND process"
+
     async def drive():
         service = QueryService(budget=1_000, session=session)
         done = await service.submit(
-            "SELECT TOP 5 FROM t ORDER BY f BUDGET 400 SEED 0",
-            tenant="done", workers=2, backend="process", use_cache=False,
+            "SELECT TOP 5 FROM t ORDER BY f BUDGET 400 SEED 0" + SHARDED,
+            tenant="done", use_cache=False,
         )
         await done.result()
         # A second query queued behind a pool-filling one, cancelled
         # while waiting — its unwinding must not leave segments either.
         blocker = await service.submit(
-            "SELECT TOP 5 FROM t ORDER BY f BUDGET 900 SEED 1",
-            tenant="hog", workers=2, backend="process", use_cache=False,
+            "SELECT TOP 5 FROM t ORDER BY f BUDGET 900 SEED 1" + SHARDED,
+            tenant="hog", use_cache=False,
         )
         dropped = await service.submit(
-            "SELECT TOP 5 FROM t ORDER BY f BUDGET 400 SEED 2",
-            tenant="dropped", workers=2, backend="process", use_cache=False,
+            "SELECT TOP 5 FROM t ORDER BY f BUDGET 400 SEED 2" + SHARDED,
+            tenant="dropped", use_cache=False,
         )
         dropped.cancel()
         await blocker.result()
