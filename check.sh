@@ -8,7 +8,7 @@ cd "$(dirname "$0")"
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 echo "== compileall =="
-python -m compileall -q src benchmarks examples tests tools
+python -m compileall -q src bench benchmarks examples tests tools
 
 echo "== doctests (dialect grammar + rng) =="
 python -m doctest src/repro/query/parser.py src/repro/utils/rng.py

@@ -32,7 +32,6 @@ from repro.core import (
     DiscreteArm,
     DiscreteTopKBandit,
     EngineConfig,
-    EpsilonGreedyBandit,
     FallbackConfig,
     MinMaxHeap,
     QueryResult,
@@ -168,7 +167,6 @@ __all__ = [
     "MinMaxHeap",
     "TopKBuffer",
     "AdaptiveHistogram",
-    "EpsilonGreedyBandit",
     "BanditConfig",
     "DiscreteArm",
     "DiscreteTopKBandit",

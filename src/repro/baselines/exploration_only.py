@@ -12,7 +12,7 @@ from typing import List, Sequence
 
 from repro.baselines.base import SamplingAlgorithm
 from repro.core.bandit import BanditConfig
-from repro.core.hierarchical import BanditNode, HierarchicalBanditPolicy
+from repro.core.hierarchical import HierarchicalBanditPolicy
 from repro.errors import ExhaustedError
 from repro.index.tree import ClusterTree
 from repro.utils.rng import SeedLike
@@ -25,30 +25,21 @@ class ExplorationOnly(SamplingAlgorithm):
 
     def __init__(self, index: ClusterTree, batch_size: int = 1,
                  rng: SeedLike = None) -> None:
-        # Reuse the hierarchical policy with a permanent epsilon of 1.0; its
-        # histograms are never consulted, so updates are skipped entirely.
-        # Draws through leaf arms keep the policy's incremental remaining
-        # counters fresh (arm on_draw hook), so exhaustion checks are O(1).
+        # The hierarchical policy at a permanent epsilon of 1.0.
         self._policy = HierarchicalBanditPolicy(
             index, BanditConfig(), rng=rng, enable_subtraction=False
         )
         self.batch_size = max(1, int(batch_size))
-        self._pending_leaf: BanditNode | None = None
 
     def next_batch(self) -> List[str]:
         if self._policy.exhausted:
             raise ExhaustedError("ExplorationOnly exhausted")
-        leaf = self._policy.select_leaf(threshold=None, epsilon=1.0)
-        assert leaf.arm is not None
-        batch = leaf.arm.draw_batch(self.batch_size)
-        self._pending_leaf = leaf
-        return batch
+        return self._policy.select(self.batch_size, epsilon=1.0)
 
     def observe(self, ids: Sequence[str], scores: Sequence[float]) -> None:
-        leaf = self._pending_leaf
-        self._pending_leaf = None
-        if leaf is not None and leaf.arm is not None and leaf.arm.is_empty:
-            self._policy.handle_exhausted(leaf)
+        # The histograms are never consulted, so fold no scores; the call
+        # still drops the leaf if the draw ran it dry.
+        self._policy.update((), None)
 
     @property
     def exhausted(self) -> bool:

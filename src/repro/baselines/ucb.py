@@ -18,7 +18,7 @@ from typing import Iterable, List, Sequence
 
 from repro.baselines.base import SamplingAlgorithm
 from repro.core.bandit import BanditConfig
-from repro.core.hierarchical import BanditNode, HierarchicalBanditPolicy
+from repro.core.hierarchical import HierarchicalBanditPolicy
 from repro.errors import ExhaustedError
 from repro.index.tree import ClusterTree
 from repro.utils.rng import RngFactory, SeedLike
@@ -47,11 +47,11 @@ class _MeanStat:
 class UCBBandit(SamplingAlgorithm):
     """UCB1 per tree layer with prior-initialized means.
 
-    The tree mirror, the leaf arms with their ``remaining`` counters and
-    the empty-leaf drop are the hierarchical policy's
+    Descent, draws, the path update and the empty-leaf drop are the
+    hierarchical policy's
     (:class:`~repro.core.hierarchical.HierarchicalBanditPolicy`, exactly
     as :class:`~repro.baselines.exploration_only.ExplorationOnly` reuses
-    them); only the selection rule below is UCB's own.
+    them); only the child-choice rule below is UCB's own.
 
     Parameters
     ----------
@@ -81,14 +81,9 @@ class UCBBandit(SamplingAlgorithm):
                 sketch_factory=partial(_MeanStat, self.prior_mean)),
             rng=factory.root_entropy, enable_subtraction=False,
         )
-        self.root = self._policy.root
-        self._pending_leaf: BanditNode | None = None
         self.t = 0
 
-    # -- selection ---------------------------------------------------------------
-
-    def _ucb_value(self, node: BanditNode, parent_visits: int) -> float:
-        stat = node.histogram
+    def _ucb_value(self, stat: _MeanStat, parent_visits: int) -> float:
         if stat.visits == 0:
             return math.inf
         bonus = self.exploration * math.sqrt(
@@ -96,14 +91,12 @@ class UCBBandit(SamplingAlgorithm):
         )
         return stat.mean + bonus
 
-    def _select_child(self, node: BanditNode) -> BanditNode:
-        candidates = [child for child in node.children if child.remaining > 0]
-        if not candidates:
-            raise ExhaustedError(f"UCB node {node.node_id!r} has no children")
-        parent_visits = max(node.histogram.visits, 1)
-        values = [self._ucb_value(child, parent_visits) for child in candidates]
+    def _choose_child(self, parent: _MeanStat,
+                      children: Sequence[_MeanStat]) -> int:
+        parent_visits = max(parent.visits, 1)
+        values = [self._ucb_value(stat, parent_visits) for stat in children]
         best = max(values)
-        tied = [child for child, value in zip(candidates, values)
+        tied = [position for position, value in enumerate(values)
                 if value >= best - 1e-15]
         if len(tied) == 1:
             return tied[0]
@@ -113,21 +106,10 @@ class UCBBandit(SamplingAlgorithm):
         if self.exhausted:
             raise ExhaustedError("UCB exhausted")
         self.t += 1
-        node = self.root
-        while not node.is_leaf:
-            node = self._select_child(node)
-        assert node.arm is not None
-        batch = node.arm.draw_batch(self.batch_size)
-        self._pending_leaf = node
-        return batch
+        return self._policy.select(self.batch_size, choose=self._choose_child)
 
     def observe(self, ids: Sequence[str], scores: Sequence[float]) -> None:
-        leaf = self._pending_leaf
-        self._pending_leaf = None
-        if leaf is None:
-            return
-        self._policy.update_batch(leaf, scores, None, enable_rebinning=False)
-        self._policy.handle_exhausted(leaf)
+        self._policy.update(scores, None, enable_rebinning=False)
 
     @property
     def exhausted(self) -> bool:

@@ -31,9 +31,9 @@ from repro.core.policies import (
     FrontLoadedExploration,
     PolynomialDecay,
 )
-from repro.core.bandit import EpsilonGreedyBandit, BanditConfig
+from repro.core.bandit import BanditConfig
 from repro.core.discrete import DiscreteArm, DiscreteTopKBandit
-from repro.core.hierarchical import BanditNode, HierarchicalBanditPolicy
+from repro.core.hierarchical import HierarchicalBanditPolicy
 from repro.core.fallback import FallbackConfig, FallbackController, FallbackDecision
 from repro.core.engine import EngineConfig, ScoringStep, TopKEngine
 from repro.core.result import Checkpoint, QueryResult
@@ -61,11 +61,9 @@ __all__ = [
     "PolynomialDecay",
     "ConstantEpsilon",
     "FrontLoadedExploration",
-    "EpsilonGreedyBandit",
     "BanditConfig",
     "DiscreteArm",
     "DiscreteTopKBandit",
-    "BanditNode",
     "HierarchicalBanditPolicy",
     "FallbackConfig",
     "FallbackController",

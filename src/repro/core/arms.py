@@ -5,21 +5,16 @@ distribution; "in practice, Alice samples listings from each cluster without
 replacement" (Section 2.3).  :class:`ArmState` implements the practical
 behaviour with O(1) swap-pop draws.
 
-Two hot-path affordances:
-
-* ``draw_batch`` consumes the generator with a *single* rng call for the
-  whole batch (a vectorized partial Fisher-Yates step) and degenerates to
-  the exact legacy one-call-per-draw sequence at ``size=1``, so seeded
-  traces of ``batch_size=1`` runs are preserved bit for bit.
-* ``on_draw`` is an optional callback fired once per draw call with the
-  number of elements removed; the hierarchical policy hooks it to keep
-  incremental ``remaining`` counters on every ancestor node, which is what
-  makes ``exhausted`` checks O(1).
+One hot-path affordance: ``draw_batch`` consumes the generator with a
+*single* rng call for the whole batch (a vectorized partial Fisher-Yates
+step) and degenerates to the exact legacy one-call-per-draw sequence at
+``size=1``, so seeded traces of ``batch_size=1`` runs are preserved bit for
+bit.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Sequence
 
 import numpy as np
 
@@ -46,9 +41,6 @@ class ArmState:
         self._members: List[str] = list(member_ids)
         self._rng = as_generator(rng)
         self.n_drawn = 0
-        # Fired with the number of elements removed by a draw call; used by
-        # tree mirrors to maintain incremental per-node remaining counters.
-        self.on_draw: Optional[Callable[[int], None]] = None
 
     def __len__(self) -> int:
         return len(self._members)
@@ -74,10 +66,7 @@ class ArmState:
             self._members[index],
         )
         self.n_drawn += 1
-        member = self._members.pop()
-        if self.on_draw is not None:
-            self.on_draw(1)
-        return member
+        return self._members.pop()
 
     def draw_batch(self, size: int) -> List[str]:
         """Draw up to ``size`` members (fewer if the arm runs dry).
@@ -106,8 +95,6 @@ class ArmState:
             members[i], members[last] = members[last], members[i]
             batch.append(members.pop())
         self.n_drawn += take
-        if self.on_draw is not None:
-            self.on_draw(take)
         return batch
 
     def peek_members(self) -> Sequence[str]:

@@ -1,32 +1,22 @@
-"""Flat-index epsilon-greedy top-k bandit (Algorithm 1 without the tree).
+"""Statistical configuration of the epsilon-greedy top-k bandit (Algorithm 1).
 
-This is Algorithm 1 over a flat collection of arms: each arm keeps an
-:class:`~repro.core.histogram.AdaptiveHistogram`; each iteration either
-explores a uniformly random arm (probability ``t^(-1/3)``) or exploits the
-arm maximizing the closed-form ``E[Delta_{t,l}]`` estimate, breaking ties at
-random.  The hierarchical variant in :mod:`repro.core.hierarchical` reuses
-the same selection rule per tree layer; the end-to-end engine composes
-either policy with scoring, batching, and fallback.
-
-The bandit is a *policy object*: callers drive the
-``select_arm -> (draw & score) -> update`` loop so that batching and virtual
-latency accounting stay outside the statistical logic.
+Each arm keeps an :class:`~repro.core.histogram.AdaptiveHistogram`; each
+iteration either explores a uniformly random arm (probability
+``t^(-1/3)``) or exploits the arm maximizing the closed-form
+``E[Delta_{t,l}]`` estimate, breaking ties at random.  The rule itself lives
+in :mod:`repro.core.hierarchical`, applied per tree layer; over a flat
+:class:`~repro.index.tree.ClusterTree` that is Algorithm 1 without the tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Optional
 
-import numpy as np
-
-from repro.core.arms import ArmState
-from repro.core.histogram import AdaptiveHistogram, gain_batch
+from repro.core.histogram import AdaptiveHistogram
 from repro.core.sketches import ScoreSketch
-from repro.core.minmax_heap import TopKBuffer
 from repro.core.policies import ExplorationSchedule, PolynomialDecay
-from repro.errors import ConfigurationError, ExhaustedError
-from repro.utils.rng import SeedLike, as_generator
+from repro.errors import ConfigurationError
 from repro.utils.validation import check_positive, check_positive_int
 
 
@@ -81,148 +71,3 @@ class BanditConfig:
         if self.sketch_factory is not None:
             return self.sketch_factory()
         return self.new_histogram()
-
-
-class EpsilonGreedyBandit:
-    """Epsilon-greedy top-k bandit over a flat set of arms.
-
-    Parameters
-    ----------
-    arms:
-        The sampleable clusters.
-    k:
-        Result cardinality (the query's ``LIMIT``).
-    config:
-        Statistical configuration; paper defaults if omitted.
-    rng:
-        Seed or generator for exploration coin-flips and tie-breaks.
-    """
-
-    def __init__(self, arms: Iterable[ArmState], k: int,
-                 config: BanditConfig | None = None,
-                 rng: SeedLike = None) -> None:
-        self.config = config or BanditConfig()
-        self._rng = as_generator(rng)
-        self.arms: Dict[str, ArmState] = {}
-        self.histograms: Dict[str, ScoreSketch] = {}
-        for arm in arms:
-            if arm.arm_id in self.arms:
-                raise ConfigurationError(f"duplicate arm id {arm.arm_id!r}")
-            self.arms[arm.arm_id] = arm
-            self.histograms[arm.arm_id] = self.config.new_sketch()
-        if not self.arms:
-            raise ConfigurationError("bandit requires at least one arm")
-        self.buffer: TopKBuffer[str] = TopKBuffer(k)
-        self.t = 0
-        self.n_explore = 0
-        self.n_exploit = 0
-
-    # -- bookkeeping -----------------------------------------------------------
-
-    @property
-    def k(self) -> int:
-        """Result cardinality."""
-        return self.buffer.k
-
-    @property
-    def active_arm_ids(self) -> List[str]:
-        """IDs of arms that still have elements to draw."""
-        return [arm_id for arm_id, arm in self.arms.items() if not arm.is_empty]
-
-    @property
-    def exhausted(self) -> bool:
-        """True once every arm has run dry."""
-        return not self.active_arm_ids
-
-    @property
-    def stk(self) -> float:
-        """Running Sum-of-Top-k."""
-        return self.buffer.stk
-
-    @property
-    def threshold(self) -> float | None:
-        """Current kick-out threshold ``(S)_(k)``."""
-        return self.buffer.threshold
-
-    # -- Algorithm 1 steps -------------------------------------------------------
-
-    def expected_gains(self) -> Dict[str, float]:
-        """``E[Delta_{t,l}]`` estimate for every active arm.
-
-        Evaluated through the shared vectorized/cached gain kernel: arms
-        untouched since the last threshold movement are served from their
-        histogram's gain cache, the rest in one stacked numpy pass.
-        """
-        threshold = self.threshold
-        active = self.active_arm_ids
-        gains = gain_batch([self.histograms[arm_id] for arm_id in active],
-                           threshold)
-        return {arm_id: float(gain) for arm_id, gain in zip(active, gains)}
-
-    def greedy_arm(self) -> str:
-        """Arm maximizing the estimated marginal gain; random tie-break.
-
-        Unvisited arms (empty histograms) take priority when
-        ``visit_unvisited_first`` is enabled.
-        """
-        gains = self.expected_gains()
-        if not gains:
-            raise ExhaustedError("all arms are exhausted")
-        if self.config.visit_unvisited_first:
-            unvisited = [arm_id for arm_id in gains
-                         if self.histograms[arm_id].is_empty]
-            if unvisited:
-                return unvisited[int(self._rng.integers(len(unvisited)))]
-        best = max(gains.values())
-        tied = [arm_id for arm_id, gain in gains.items() if gain >= best - 1e-15]
-        if len(tied) == 1:
-            return tied[0]
-        return tied[int(self._rng.integers(len(tied)))]
-
-    def select_arm(self, batch_size: int = 1) -> str:
-        """Pick the next arm: explore w.p. ``epsilon_t``, else exploit."""
-        active = self.active_arm_ids
-        if not active:
-            raise ExhaustedError("all arms are exhausted")
-        self.t += 1
-        epsilon = self.config.exploration.effective_rate(self.t, batch_size)
-        if self._rng.random() < epsilon:
-            self.n_explore += 1
-            return active[int(self._rng.integers(len(active)))]
-        self.n_exploit += 1
-        return self.greedy_arm()
-
-    def update(self, arm_id: str, element_id: str, score: float) -> float:
-        """Fold one scored element into the solution and sketches.
-
-        Returns the marginal STK gain.  Mirrors the body of Algorithm 1:
-        offer to the priority queue, then (optionally) extend the lowest bin
-        when the threshold passed the second bin border, then record the
-        score (auto-extending range if it overflows).
-        """
-        gain = self.buffer.offer(score, element_id)
-        histogram = self.histograms[arm_id]
-        if self.config.enable_rebinning:
-            histogram.maybe_extend_lowest(self.threshold)
-        histogram.add(score)
-        return gain
-
-    def step(self, score_fn) -> float:
-        """Convenience one-iteration driver: select, draw, score, update.
-
-        ``score_fn(element_id) -> float`` plays the role of the opaque UDF
-        composed with the sampler.  Returns the marginal gain.  The engine
-        does *not* use this (it batches); tests and small examples do.
-        """
-        arm_id = self.select_arm()
-        element_id = self.arms[arm_id].draw()
-        score = float(score_fn(element_id))
-        return self.update(arm_id, element_id, score)
-
-    def run(self, score_fn, budget: int) -> TopKBuffer[str]:
-        """Run up to ``budget`` iterations (or until exhausted); return buffer."""
-        for _ in range(budget):
-            if self.exhausted:
-                break
-            self.step(score_fn)
-        return self.buffer

@@ -253,17 +253,16 @@ def tail_summary_from_engine(engine) -> TailSummary:
     than the frozen evidence.
     """
     n_remaining = max(0, engine.n_total - engine.n_scored)
-    root = engine.policy.root
-    mass = float(getattr(root.histogram, "total_mass", 0.0))
-    mixture = _leaf_mixture_curve(
-        [(leaf.remaining, leaf.histogram)
-         for leaf in _iter_leaves(root)]
-    )
+    root = engine.policy.root_sketch
+    mass = float(getattr(root, "total_mass", 0.0))
+    # Right to left: the float accumulation order of the mixture that the
+    # frozen coordinator goldens' displacement bounds were computed in.
+    mixture = _leaf_mixture_curve(engine.policy.live_leaves()[::-1])
     if mixture is not None:
         support, survival = mixture
         return TailSummary(n_remaining=n_remaining, support=support,
                            survival=survival, mass=mass, kind="linear")
-    curve = getattr(root.histogram, "survival_curve", None)
+    curve = getattr(root, "survival_curve", None)
     if curve is not None:
         support, survival, kind = curve()
     else:
@@ -275,17 +274,6 @@ def tail_summary_from_engine(engine) -> TailSummary:
         mass=mass,
         kind=kind,
     )
-
-
-def _iter_leaves(node):
-    """Yield the arm-carrying leaves beneath ``node`` (bandit mirror)."""
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        if current.arm is not None:
-            yield current
-        else:
-            stack.extend(current.children)
 
 
 @dataclass

@@ -28,11 +28,10 @@ Hot-path invariants (vectorized engine)
 Per-element engine overhead is O(depth · B) with numpy inner kernels:
 
 * ``exhausted`` and the per-descent candidate filters read the policy's
-  incremental ``remaining`` counters (owned by the arms via their
-  ``on_draw`` hook — see :mod:`repro.core.hierarchical`), never rescanning
-  leaves.
-* ``observe`` folds the whole batch with **one** root-to-leaf path walk per
-  touched leaf (``HierarchicalBanditPolicy.update_batch`` →
+  incremental ``remaining`` counters (the policy alone writes them — see
+  :mod:`repro.core.hierarchical`), never rescanning leaves.
+* ``observe`` folds the whole batch with **one** root-to-leaf path walk
+  (``HierarchicalBanditPolicy.update`` →
   ``AdaptiveHistogram.add_batch``) instead of one walk per element; the
   priority-queue offers stay per-element so the threshold evolves exactly
   as in Algorithm 1, and the path update uses the post-batch threshold.
@@ -59,7 +58,7 @@ import numpy as np
 
 from repro.core.bandit import BanditConfig
 from repro.core.fallback import FallbackConfig, FallbackController, FallbackDecision
-from repro.core.hierarchical import BanditNode, HierarchicalBanditPolicy
+from repro.core.hierarchical import HierarchicalBanditPolicy
 from repro.core.minmax_heap import TopKBuffer
 from repro.core.policies import ExplorationSchedule, PolynomialDecay
 from repro.core.result import Checkpoint, QueryResult
@@ -236,7 +235,7 @@ class TopKEngine:
         # Execution state.
         self.mode = "bandit"  # or "scan" after clustering fallback
         self._scan_queue: List[str] = []
-        self._pending: List[Tuple[Optional[BanditNode], str]] = []
+        self._pending: List[str] = []
         self.t_batches = 0
         self.n_scored = 0
         self.n_explore = 0
@@ -309,18 +308,17 @@ class TopKEngine:
                 "observe() must be called before the next next_batch()"
             )
         with self.overhead:
-            batch = self._select_batch()
-        return [element_id for _leaf, element_id in batch]
+            self._pending = self._select_batch()
+        return list(self._pending)
 
-    def _select_batch(self) -> List[Tuple[Optional[BanditNode], str]]:
+    def _select_batch(self) -> List[str]:
         size = self.config.batch_size
         if self.mode == "scan":
             if not self._scan_queue:
                 raise ExhaustedError("scan queue exhausted")
             take = self._scan_queue[:size]
             del self._scan_queue[:size]
-            self._pending = [(None, element_id) for element_id in take]
-            return self._pending
+            return take
         if self.policy.exhausted:
             raise ExhaustedError("all clusters exhausted")
         self.t_batches += 1
@@ -332,15 +330,12 @@ class TopKEngine:
             self.n_explore += 1
         else:
             self.n_exploit += 1
-        leaf = self.policy.select_leaf(
+        return self.policy.select(
+            size,
             self.effective_threshold,
             epsilon=1.0 if explore_roll else 0.0,
             per_layer=self.config.per_layer_exploration,
         )
-        assert leaf.arm is not None
-        ids = leaf.arm.draw_batch(size)
-        self._pending = [(leaf, element_id) for element_id in ids]
-        return self._pending
 
     def observe(self, ids: Sequence[str], scores: Sequence[float]) -> float:
         """Report the scores for the batch returned by :meth:`next_batch`.
@@ -357,7 +352,7 @@ class TopKEngine:
             raise ConfigurationError(
                 f"observe() got {len(scores)} scores for {len(ids)} ids"
             )
-        for (_leaf, expected_id), got_id in zip(self._pending, ids):
+        for expected_id, got_id in zip(self._pending, ids):
             if expected_id != got_id:
                 raise ConfigurationError(
                     f"observe() ids out of order: expected {expected_id!r}, "
@@ -373,25 +368,16 @@ class TopKEngine:
                 )
             # Per-element priority-queue offers: the threshold must evolve
             # within the batch exactly as in the scalar Algorithm 1 loop.
-            # One pass also groups the scores by leaf (a bandit batch has one
-            # leaf; scan batches have none) for the batched path update.
-            by_leaf: dict = {}
-            for (leaf, element_id), score in zip(self._pending,
-                                                 score_arr.tolist()):
+            batch_scores = score_arr.tolist()
+            for element_id, score in zip(self._pending, batch_scores):
                 total_gain += self.buffer.offer(score, element_id)
-                if leaf is not None:
-                    by_leaf.setdefault(leaf, []).append(score)
             self.n_scored += len(self._pending)
-            threshold = self.effective_threshold
-            for leaf, leaf_scores in by_leaf.items():
-                self.policy.update_batch(
-                    leaf, leaf_scores, threshold,
-                    enable_rebinning=self.config.enable_rebinning,
-                )
-            for leaf in by_leaf:
-                if leaf.arm is not None and leaf.arm.is_empty:
-                    self.policy.handle_exhausted(leaf)
             self._pending = []
+            # A scan batch came from no leaf: the policy has nothing pending.
+            self.policy.update(
+                batch_scores, self.effective_threshold,
+                enable_rebinning=self.config.enable_rebinning,
+            )
             if self.mode == "bandit" and self.fallback.should_check(self.n_scored):
                 self._apply_fallback()
         return total_gain
@@ -427,8 +413,7 @@ class TopKEngine:
         size = self.config.batch_size
         self.scoring_latency_hint = step.scorer.batch_cost(size) / max(1, size)
         while self.n_scored < limit and not self.exhausted:
-            ids = ([element_id for _leaf, element_id in self._pending]
-                   or self.next_batch())
+            ids = self._pending or self.next_batch()
             scores = step.score(ids)
             if scores is None:
                 return False

@@ -119,9 +119,8 @@ class FallbackController:
     def tree_condition(policy: HierarchicalBanditPolicy,
                        threshold: float | None) -> bool:
         """True iff greedy descent misses the globally greedy leaf."""
-        greedy = policy.greedy_leaf(threshold)
-        reached = policy.greedy_descent_leaf(threshold)
-        return greedy is not reached
+        return (policy.greedy_leaf(threshold)
+                != policy.greedy_descent_leaf(threshold))
 
     @staticmethod
     def clustering_condition(policy: HierarchicalBanditPolicy,
@@ -129,15 +128,13 @@ class FallbackController:
                              scoring_latency: float,
                              bandit_latency: float) -> bool:
         """True iff uniform sampling's estimated slope beats the bandit's."""
-        leaves = policy.active_leaves()
+        leaves = policy.live_leaves()
         if not leaves:
             return False
+        sizes, sketches = zip(*leaves)
         # One vectorized pass over all leaves (cache-served between
         # observations); the slope arithmetic below is unchanged.
-        gains = [float(g) for g in gain_batch(
-            [leaf.histogram for leaf in leaves], threshold
-        )]
-        sizes = [leaf.remaining for leaf in leaves]
+        gains = [float(g) for g in gain_batch(sketches, threshold)]
         total_size = sum(sizes)
         if total_size == 0:
             return False

@@ -18,38 +18,22 @@ run is a valid execution of Algorithm 1 but not bit-identical to the
 uninterrupted one.
 
 The sharded coordinator nests one of these payloads per shard
-(:meth:`repro.parallel.engine.ShardedTopKEngine.snapshot`); the restore
-invariants — notably ``recompute_remaining`` after writing arm members —
-are documented in ``docs/architecture.md``.
+(:meth:`repro.parallel.engine.ShardedTopKEngine.snapshot`).  The bandit
+tree itself is the policy's to write and read
+(:meth:`~repro.core.hierarchical.HierarchicalBanditPolicy.state` /
+``load_state``); the restore invariants are documented in
+``docs/architecture.md``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Optional
 
 from repro.core.engine import EngineConfig, TopKEngine
-from repro.core.hierarchical import BanditNode
-from repro.core.histogram import AdaptiveHistogram
 from repro.errors import ConfigurationError, SerializationError
 from repro.index.tree import ClusterTree
 
 _FORMAT = "repro-engine-snapshot/1"
-
-
-def _node_state(node: BanditNode) -> dict:
-    payload: dict = {"node_id": node.node_id}
-    if isinstance(node.histogram, AdaptiveHistogram):
-        payload["histogram"] = node.histogram.to_dict()
-    else:
-        raise ConfigurationError(
-            "snapshotting requires the default histogram sketch; custom "
-            "sketch factories are not serializable"
-        )
-    if node.arm is not None:
-        payload["remaining"] = list(node.arm.peek_members())
-    else:
-        payload["children"] = [_node_state(child) for child in node.children]
-    return payload
 
 
 def snapshot_engine(engine: TopKEngine) -> dict:
@@ -66,7 +50,7 @@ def snapshot_engine(engine: TopKEngine) -> dict:
         "scan_queue": list(engine._scan_queue),
         "buffer": [[score, payload] for score, payload in
                    engine.buffer.items()],
-        "tree": _node_state(engine.policy.root),
+        "tree": engine.policy.state(),
         "flattened": engine.policy.flattened,
         "counters": {
             "t_batches": engine.t_batches,
@@ -82,30 +66,6 @@ def snapshot_engine(engine: TopKEngine) -> dict:
         "threshold_floor": engine.threshold_floor,
         "n_total": engine.n_total,
     }
-
-
-def _restore_node(node: BanditNode, payload: dict) -> None:
-    if node.node_id != payload.get("node_id"):
-        raise SerializationError(
-            f"snapshot tree mismatch: engine node {node.node_id!r} vs "
-            f"snapshot {payload.get('node_id')!r}"
-        )
-    node.histogram = AdaptiveHistogram.from_dict(payload["histogram"])
-    if node.arm is not None:
-        remaining = payload.get("remaining")
-        if remaining is None:
-            raise SerializationError(
-                f"snapshot missing arm members for leaf {node.node_id!r}"
-            )
-        node.arm._members = list(remaining)
-    else:
-        child_payloads = {p["node_id"]: p for p in payload.get("children", ())}
-        kept: List[BanditNode] = []
-        for child in node.children:
-            if child.node_id in child_payloads:
-                _restore_node(child, child_payloads[child.node_id])
-                kept.append(child)
-        node.children = kept
 
 
 def restore_engine(index: ClusterTree, snapshot: dict,
@@ -130,18 +90,8 @@ def restore_engine(index: ClusterTree, snapshot: dict,
     engine = TopKEngine(index, config,
                         scoring_latency_hint=scoring_latency_hint)
     # Rehydrate learned state.
-    _restore_node(engine.policy.root, snapshot["tree"])
-    engine.policy.leaves_by_id = {
-        leaf.node_id: leaf
-        for leaf in engine.policy._iter_leaves(engine.policy.root)
-        if leaf.arm is not None and not leaf.arm.is_empty
-    }
-    # The restore wrote arm members directly, bypassing the on_draw hook
-    # that normally maintains the incremental counters.
-    engine.policy.recompute_remaining()
+    engine.policy.load_state(snapshot["tree"])
     engine.policy.flattened = bool(snapshot.get("flattened", False))
-    if engine.policy.flattened:
-        engine.policy.flatten()
     for score, payload in snapshot["buffer"]:
         engine.buffer.offer(float(score), payload)
     engine.mode = snapshot["mode"]

@@ -10,7 +10,7 @@ form a dendrogram whose leaves are the k-means clusters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Optional, Sequence
 
 import numpy as np
@@ -46,6 +46,23 @@ class IndexConfig:
     linkage: Linkage | str = Linkage.AVERAGE
     max_kmeans_iter: int = 50
     flat: bool = False
+
+
+def index_config_for(n: int, config: Optional[IndexConfig] = None, *,
+                     cap: int = 64) -> IndexConfig:
+    """The index configuration for ``n`` rows: ``config``, sized to fit.
+
+    The one statement of the default sizing policy — a leaf per ~50 rows,
+    at least 2 and at most ``cap`` (64 for a table, 32 for one shard of
+    it) — and of the clamp that keeps any configuration buildable when
+    the rows are fewer than its clusters (a small shard, a live table
+    that shrank).
+    """
+    if config is None:
+        config = IndexConfig(n_clusters=max(2, min(cap, n // 50)))
+    if config.n_clusters > n:
+        config = replace(config, n_clusters=max(1, n))
+    return config
 
 
 def build_flat_index(ids: Sequence[str], labels: Sequence[int],

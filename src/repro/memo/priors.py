@@ -45,16 +45,9 @@ def harvest_priors(engine) -> Dict[str, dict]:
     """
     from repro.core.histogram import AdaptiveHistogram
 
-    payload: Dict[str, dict] = {}
-
-    def walk(node) -> None:
-        if isinstance(node.histogram, AdaptiveHistogram):
-            payload[node.node_id] = node.histogram.to_dict()
-        for child in node.children:
-            walk(child)
-
-    walk(engine.policy.root)
-    return payload
+    return {node_id: sketch.to_dict()
+            for node_id, sketch in engine.policy.sketches().items()
+            if isinstance(sketch, AdaptiveHistogram)}
 
 
 def apply_priors(engine, priors: Dict[str, dict]) -> int:
@@ -72,19 +65,10 @@ def apply_priors(engine, priors: Dict[str, dict]) -> int:
         raise ConfigurationError(
             "warm-start priors must be applied before the first draw"
         )
-    applied = 0
-
-    def walk(node) -> None:
-        nonlocal applied
-        payload = priors.get(node.node_id)
-        if payload is not None:
-            node.histogram = AdaptiveHistogram.from_dict(payload)
-            applied += 1
-        for child in node.children:
-            walk(child)
-
-    walk(engine.policy.root)
-    return applied
+    matched = {node_id: AdaptiveHistogram.from_dict(priors[node_id])
+               for node_id in engine.policy.sketches() if node_id in priors}
+    engine.policy.set_sketches(matched)
+    return len(matched)
 
 
 def single_scope(subset: str = "") -> str:

@@ -29,9 +29,10 @@ Sharing rules
   (``seed=None``) can never hit and would otherwise grow the cache without
   bound.
 
-The cluster tree is read-only at query time — the bandit mirrors it into
-its own :class:`~repro.core.hierarchical.BanditNode` objects and arms copy
-their member lists — so one cached index may back many concurrent engines.
+The cluster tree is read-only at query time — the bandit policy
+(:mod:`repro.core.hierarchical`) mirrors it into nodes of its own and its
+arms copy their member lists — so one cached index may back many
+concurrent engines.
 
 The cache itself is **concurrency-safe**: one lock guards the LRU map
 and the hit/miss counters, because the multi-tenant service

@@ -38,7 +38,7 @@ from repro.core.engine import EngineConfig, ScoringStep, TopKEngine
 from repro.core.snapshot import restore_engine, snapshot_engine
 from repro.data.dataset import InMemoryDataset
 from repro.errors import ConfigurationError
-from repro.index.builder import IndexConfig, build_index
+from repro.index.builder import IndexConfig, build_index, index_config_for
 from repro.index.tree import ClusterTree
 from repro.memo.store import MemoView
 from repro.obs.spans import Span
@@ -82,22 +82,6 @@ def shard_features(dataset, member_ids: Sequence[str]) -> np.ndarray:
         else np.zeros(1)
         for element_id in member_ids
     ])
-
-
-def shard_index_config(config: Optional[IndexConfig],
-                       n_members: int) -> IndexConfig:
-    """Clamp an index configuration to one partition's size."""
-    if config is None:
-        n_clusters = max(2, min(32, n_members // 50))
-        config = IndexConfig(n_clusters=n_clusters)
-    n_clusters = min(config.n_clusters, n_members)
-    return IndexConfig(
-        n_clusters=max(1, n_clusters),
-        subsample=config.subsample,
-        linkage=config.linkage,
-        max_kmeans_iter=config.max_kmeans_iter,
-        flat=config.flat,
-    )
 
 
 class ShardDataset(InMemoryDataset):
@@ -367,10 +351,10 @@ class ShardWorker:
                 features = np.asarray(spec.features, dtype=float)
             else:
                 features = shard_features(self.dataset, self.member_ids)
-            local_config = shard_index_config(spec.index_config,
-                                              len(self.member_ids))
             self.index = build_index(
-                features, self.member_ids, local_config,
+                features, self.member_ids,
+                index_config_for(len(self.member_ids), spec.index_config,
+                                 cap=32),
                 rng=factory.named(f"index:{self.worker_id}"),
             )
         engine_seed = int(

@@ -44,7 +44,6 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import nullcontext
-from dataclasses import replace
 from typing import Dict, Iterator, Optional, Tuple, Union
 
 import numpy as np
@@ -52,7 +51,7 @@ import numpy as np
 from repro.core.result import QueryResult, ResultBase
 from repro.data.dataset import Dataset
 from repro.errors import ConfigurationError
-from repro.index.builder import IndexConfig, build_index
+from repro.index.builder import IndexConfig, build_index, index_config_for
 from repro.index.tree import ClusterNode, ClusterTree
 from repro.live.maintenance import IndexMaintainer
 from repro.live.table import LiveTable, TableSnapshot
@@ -242,17 +241,8 @@ class OpaqueQuerySession:
                     return self._build_tree(table, dataset)
                 return maintainer.tree
             if table not in self._indexes:
-                dataset = self._tables[table]
-                config = self._index_configs.get(
-                    table,
-                    self._default_index_config
-                    or IndexConfig(
-                        n_clusters=max(2, min(64, len(dataset) // 50))),
-                )
-                self._indexes[table] = build_index(
-                    dataset.features(), dataset.ids(), config,
-                    rng=self._index_seed,
-                )
+                self._indexes[table] = self._build_tree(
+                    table, self._tables[table])
             return self._indexes[table]
 
     # -- live tables ---------------------------------------------------------
@@ -263,22 +253,19 @@ class OpaqueQuerySession:
         return dataset if isinstance(dataset, LiveTable) else None
 
     def _build_tree(self, table: str, snapshot: Dataset) -> ClusterTree:
-        """Full index build over one snapshot (the rebuild fallback).
+        """Full index build over one table or snapshot of it.
 
-        Applies the same sizing policy as the static path, clamped to
-        the snapshot's current row count (a live table may have shrunk
-        below the configured cluster count).
+        The table's registered configuration (else the session default,
+        else the sizing policy of
+        :func:`~repro.index.builder.index_config_for`), clamped to the
+        current row count (a live table may have shrunk below the
+        configured cluster count).
         """
         if len(snapshot) == 0:
             return ClusterTree(ClusterNode(node_id="root"))
-        config = self._index_configs.get(
-            table,
-            self._default_index_config
-            or IndexConfig(
-                n_clusters=max(2, min(64, len(snapshot) // 50))),
-        )
-        if config.n_clusters > len(snapshot):
-            config = replace(config, n_clusters=max(1, len(snapshot)))
+        config = index_config_for(
+            len(snapshot),
+            self._index_configs.get(table, self._default_index_config))
         return build_index(snapshot.features(), snapshot.ids(), config,
                            rng=self._index_seed)
 

@@ -62,6 +62,20 @@ def tiny_tree():
     return ClusterTree(ClusterNode("root", children=[a, b]))
 
 
+def select_from(policy, leaf_id: str, size: int = 1):
+    """``policy.select`` steered down to one named leaf (white-box helper).
+
+    Steers through the public ``choose=`` hook by recognising the sketches
+    on the leaf's root path, so the draw, the pending leaf and the counters
+    are exactly what a real descent to that leaf leaves behind.
+    """
+    path = {id(node.histogram)
+            for node in policy.leaves_by_id[leaf_id].path_to_root()}
+    return policy.select(size, choose=lambda _parent, children: next(
+        position for position, sketch in enumerate(children)
+        if id(sketch) in path))
+
+
 @pytest.fixture
 def bandit_config():
     """Paper-default bandit configuration."""

@@ -93,16 +93,13 @@ class TestBatchSemantics:
         assert len(seen) == 60
         assert len(set(seen)) == 60
 
-    def test_counters_and_hook(self):
-        events = []
+    def test_counters(self):
         arm = make_arm(n=20)
-        arm.on_draw = events.append
         arm.draw_batch(6)
         arm.draw()
         arm.draw_batch(1)
         assert arm.n_drawn == 8
         assert arm.remaining == 12
-        assert events == [6, 1, 1]
 
     def test_batch_is_roughly_uniform(self):
         """First element of a batch should be uniform over the members."""

@@ -1,29 +1,43 @@
-"""Tests for the flat epsilon-greedy bandit and the discrete variant."""
+"""Tests for the bandit over a flat index and the discrete variant."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core.arms import ArmState
-from repro.core.bandit import BanditConfig, EpsilonGreedyBandit
+from repro.core.bandit import BanditConfig
 from repro.core.discrete import DiscreteArm, DiscreteTopKBandit
-from repro.core.policies import ConstantEpsilon
-from repro.core.stk import stk
+from repro.core.engine import EngineConfig, TopKEngine
+from repro.core.fallback import FallbackConfig
+from repro.core.hierarchical import HierarchicalBanditPolicy
 from repro.errors import ConfigurationError, ExhaustedError
+from repro.index.tree import ClusterTree
+from tests.conftest import select_from
 
 
-def make_arms(cluster_values: dict[str, list[float]], seed: int = 0):
-    """ArmStates whose member IDs encode their scores as ``{arm}:{value}``."""
-    arms = []
-    for arm_id, values in cluster_values.items():
-        members = [f"{arm_id}:{value}" for value in values]
-        arms.append(ArmState(arm_id, members, rng=seed))
-    return arms
+def flat_tree(cluster_values: dict[str, list[float]]) -> ClusterTree:
+    """A one-layer tree whose member IDs encode their scores.
+
+    Arm ``a`` with values ``[1.0, 2.0]`` holds ``a:0:1.0`` and ``a:1:2.0``;
+    the engine over such a tree is Algorithm 1 without the hierarchy.
+    """
+    return ClusterTree.flat({
+        arm_id: [f"{arm_id}:{i}:{value}" for i, value in enumerate(values)]
+        for arm_id, values in cluster_values.items()
+    })
 
 
 def score_of(element_id: str) -> float:
-    return float(element_id.split(":", 1)[1])
+    return float(element_id.rsplit(":", 1)[1])
+
+
+def run(engine: TopKEngine, budget: int) -> None:
+    """Drive ``budget`` single-element iterations (or until exhausted)."""
+    for _ in range(budget):
+        if engine.exhausted:
+            break
+        ids = engine.next_batch()
+        engine.observe(ids, [score_of(element_id) for element_id in ids])
 
 
 class TestBanditConfig:
@@ -44,89 +58,53 @@ class TestBanditConfig:
         assert hist.max_range == pytest.approx(2.0)
 
 
-class TestEpsilonGreedyBandit:
+class TestFlatTreeBandit:
+    """Algorithm 1 without the tree: the engine over a one-layer index.
+
+    The flat cases with a hierarchical twin run as a second input of that
+    twin instead (``tests/test_engine.py``'s ``setup`` fixture,
+    ``tests/test_hierarchical.py``, ``tests/test_sketches.py``); the ones
+    below have none.
+    """
+
     def test_requires_arms(self):
         with pytest.raises(ConfigurationError):
-            EpsilonGreedyBandit([], k=3)
-
-    def test_duplicate_arm_ids_rejected(self):
-        arms = [ArmState("a", ["a:1"]), ArmState("a", ["a:2"])]
-        with pytest.raises(ConfigurationError):
-            EpsilonGreedyBandit(arms, k=1)
-
-    def test_run_collects_topk_of_scored(self, rng):
-        arms = make_arms({
-            "low": list(rng.uniform(0, 1, size=40)),
-            "high": list(rng.uniform(9, 10, size=40)),
-        })
-        bandit = EpsilonGreedyBandit(arms, k=5, rng=1)
-        buffer = bandit.run(score_of, budget=80)
-        # Exhausted everything, so the answer is the exact top-5.
-        all_scores = [score_of(m) for arm_id in ("low", "high")
-                      for m in [f"{arm_id}:{v}" for v in []]]
-        assert len(buffer.scores()) == 5
-        assert min(buffer.scores()) >= 9.0
-
-    def test_prefers_high_arm_when_exploiting(self, rng):
-        arms = make_arms({
-            "low": [0.1] * 500,
-            "high": [50.0] * 500,
-        })
-        config = BanditConfig(exploration=ConstantEpsilon(0.0))
-        bandit = EpsilonGreedyBandit(arms, k=10, config=config, rng=2)
-        # Prime both histograms with one observation each via exploration.
-        bandit.update("low", "low:0.1", 0.1)
-        bandit.update("high", "high:50.0", 50.0)
-        for _ in range(30):
-            arm_id = bandit.select_arm()
-            element = bandit.arms[arm_id].draw()
-            bandit.update(arm_id, element, score_of(element))
-        assert bandit.arms["high"].n_drawn > bandit.arms["low"].n_drawn
-
-    def test_exploration_counts(self):
-        arms = make_arms({"a": [1.0] * 100, "b": [2.0] * 100})
-        config = BanditConfig(exploration=ConstantEpsilon(1.0))
-        bandit = EpsilonGreedyBandit(arms, k=3, config=config, rng=0)
-        bandit.run(score_of, budget=50)
-        assert bandit.n_explore == 50
-        assert bandit.n_exploit == 0
-
-    def test_exhaustion(self):
-        arms = make_arms({"a": [1.0, 2.0]})
-        bandit = EpsilonGreedyBandit(arms, k=1, rng=0)
-        bandit.run(score_of, budget=10)
-        assert bandit.exhausted
-        with pytest.raises(ExhaustedError):
-            bandit.select_arm()
-
-    def test_stk_equals_buffer(self, rng):
-        arms = make_arms({"a": list(rng.uniform(0, 5, size=30))})
-        bandit = EpsilonGreedyBandit(arms, k=4, rng=0)
-        bandit.run(score_of, budget=30)
-        assert bandit.stk == pytest.approx(bandit.buffer.stk)
+            TopKEngine(ClusterTree.flat({}), EngineConfig(k=3))
 
     def test_gain_updates_threshold(self):
-        arms = make_arms({"a": [1.0] * 10})
-        bandit = EpsilonGreedyBandit(arms, k=2, rng=0)
-        gain = bandit.update("a", "a:5", 5.0)
-        assert gain == 5.0
-        assert bandit.threshold is None  # only one element so far
-        bandit.update("a", "a:3", 3.0)
-        assert bandit.threshold == 3.0
+        engine = TopKEngine(flat_tree({"a": [1.0] * 10}),
+                            EngineConfig(k=2, seed=0))
+        assert engine.observe(engine.next_batch(), [5.0]) == 5.0
+        assert engine.threshold is None  # only one element so far
+        engine.observe(engine.next_batch(), [3.0])
+        assert engine.threshold == 3.0
 
-    def test_expected_gains_only_active_arms(self):
-        arms = make_arms({"a": [1.0], "b": [2.0] * 10})
-        bandit = EpsilonGreedyBandit(arms, k=1, rng=0)
-        bandit.arms["a"].draw()
-        gains = bandit.expected_gains()
-        assert set(gains) == {"b"}
+    def test_only_active_arms_have_gains(self):
+        policy = HierarchicalBanditPolicy(
+            flat_tree({"a": [1.0], "b": [2.0] * 10}), BanditConfig(), rng=0)
+        select_from(policy, "a")
+        policy.update([1.0], None)
+        assert [remaining for remaining, _sketch in policy.live_leaves()] \
+            == [10]
+        assert policy.greedy_leaf(None) == "b"
+
+    def test_exhaustion(self):
+        engine = TopKEngine(flat_tree({"a": [1.0, 2.0]}),
+                            EngineConfig(k=1, seed=0))
+        run(engine, budget=10)
+        assert engine.exhausted and engine.n_scored == 2
+        with pytest.raises(ExhaustedError):
+            engine.next_batch()
 
     def test_rebinning_disabled_never_rebins(self, rng):
-        arms = make_arms({"a": list(rng.uniform(0, 100, size=200))})
-        config = BanditConfig(enable_rebinning=False)
-        bandit = EpsilonGreedyBandit(arms, k=3, config=config, rng=0)
-        bandit.run(score_of, budget=200)
-        assert bandit.histograms["a"].n_rebins == 0
+        tree = flat_tree({"a": list(rng.uniform(0, 100, size=200))})
+        engine = TopKEngine(tree, EngineConfig(
+            k=3, seed=0, enable_rebinning=False,
+            fallback=FallbackConfig(enabled=False)))
+        run(engine, budget=199)
+        assert engine.n_scored == 199
+        assert [sketch.n_rebins
+                for sketch in engine.policy.sketches().values()] == [0, 0]
 
 
 class TestDiscreteArm:

@@ -127,7 +127,7 @@ class TestUCB:
 
     def test_prior_mean_used(self, two_arm_tree):
         algo = UCBBandit(two_arm_tree, prior_mean=5.0, rng=0)
-        assert algo.root.histogram.mean == 5.0
+        assert algo._policy.root_sketch.mean == 5.0
 
     @staticmethod
     def pin_tree():

@@ -218,7 +218,7 @@ class TestEngineTails:
         tail = tail_summary_from_engine(engine)
         assert tail.n_remaining == len(dataset) - engine.n_scored
         assert tail.mass == pytest.approx(
-            engine.policy.root.histogram.total_mass
+            engine.policy.root_sketch.total_mass
         )
 
 

@@ -14,9 +14,15 @@ from repro.scoring.base import FixedPerCallLatency
 from repro.scoring.relu import ReluScorer
 
 
-@pytest.fixture
-def setup(small_synthetic):
+@pytest.fixture(params=["tree", "flat"])
+def setup(request, small_synthetic):
+    """Every case runs over the dendrogram and over its flat partition.
+
+    The flat input is Algorithm 1 without the tree: one layer of arms.
+    """
     tree = small_synthetic.true_index()
+    if request.param == "flat":
+        tree = tree.flattened()
     scorer = ReluScorer(FixedPerCallLatency(1e-3))
     return small_synthetic, tree, scorer
 

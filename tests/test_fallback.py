@@ -14,6 +14,7 @@ from repro.core.fallback import (
 from repro.core.hierarchical import HierarchicalBanditPolicy
 from repro.errors import ConfigurationError
 from repro.index.tree import ClusterNode, ClusterTree
+from tests.conftest import select_from
 
 
 class TestFallbackConfig:
@@ -159,10 +160,9 @@ class TestEvaluate:
     def test_exhausted_policy_none(self, tiny_tree):
         policy = HierarchicalBanditPolicy(tiny_tree, BanditConfig(), rng=0)
         for leaf_id in list(policy.leaves_by_id):
-            leaf = policy.leaves_by_id[leaf_id]
-            while not leaf.arm.is_empty:
-                leaf.arm.draw()
-            policy.handle_exhausted(leaf)
+            select_from(policy, leaf_id, size=10)
+            policy.update((), None)
+        assert policy.exhausted
         controller = FallbackController(FallbackConfig(), n_total=20)
         assert controller.evaluate(policy, None, 1e-3, 0.0) is \
             FallbackDecision.NONE

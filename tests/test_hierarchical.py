@@ -7,8 +7,9 @@ import pytest
 
 from repro.core.bandit import BanditConfig
 from repro.core.hierarchical import HierarchicalBanditPolicy
-from repro.errors import ExhaustedError
+from repro.errors import ExhaustedError, SerializationError
 from repro.index.tree import ClusterNode, ClusterTree
+from tests.conftest import select_from
 
 
 def build_policy(tree, seed=0, **config_kwargs):
@@ -40,28 +41,36 @@ class TestMirrorConstruction:
 
 
 class TestSelection:
-    def test_descends_to_leaf(self, tiny_tree):
+    def test_descends_to_leaf_and_draws(self, tiny_tree):
         policy = build_policy(tiny_tree)
-        leaf = policy.select_leaf(threshold=None, epsilon=1.0)
-        assert leaf.is_leaf
-        assert leaf.node_id in {"a1", "a2", "B"}
+        ids = policy.select(3, epsilon=1.0)
+        assert len(ids) == 3
+        assert policy._pending.node_id in {"a1", "a2", "B"}
+        assert set(ids) <= {f"x{i}" for i in range(10)} | \
+            {f"y{i}" for i in range(10)}
+        assert policy.remaining == 17
 
-    def test_greedy_prefers_seeded_histogram(self, tiny_tree):
-        policy = build_policy(tiny_tree)
+    @pytest.mark.parametrize("flat", [False, True])
+    def test_greedy_prefers_seeded_histogram(self, tiny_tree, flat):
+        """Exploiting prefers the high arm — per layer, or over flat arms."""
+        policy = build_policy(tiny_tree.flattened() if flat else tiny_tree)
         # Give B a clearly better histogram.
         policy.leaves_by_id["B"].histogram.add_many([5.0] * 20)
         b_parent = policy.leaves_by_id["B"].parent
         b_parent.histogram.add_many([5.0] * 20)
         policy.leaves_by_id["a1"].histogram.add_many([0.1] * 20)
         policy.leaves_by_id["a1"].parent.histogram.add_many([0.1] * 20)
-        chosen = {policy.select_leaf(threshold=0.0, epsilon=0.0).node_id
-                  for _ in range(10)}
-        assert chosen == {"B"}
+        policy.leaves_by_id["a2"].histogram.add_many([0.1] * 20)
+        chosen = {element_id[0] for _ in range(10)
+                  for element_id in policy.select(1, 0.0, epsilon=0.0)}
+        assert chosen == {"y"}
 
     def test_explore_visits_all_leaves(self, tiny_tree):
         policy = build_policy(tiny_tree, seed=3)
-        seen = {policy.select_leaf(threshold=None, epsilon=1.0).node_id
-                for _ in range(200)}
+        seen = set()
+        for _ in range(200):
+            policy.select(0, epsilon=1.0)
+            seen.add(policy._pending.node_id)
         assert seen == {"a1", "a2", "B"}
 
     def test_greedy_leaf_vs_descent_can_differ(self, tiny_tree):
@@ -74,29 +83,28 @@ class TestSelection:
         a_node = policy.leaves_by_id["a1"].parent
         a_node.histogram.add_many([10.0] * 5 + [0.0] * 45)
         policy.leaves_by_id["B"].histogram.add_many([5.0] * 50)
-        b_node = policy.leaves_by_id["B"]
-        greedy = policy.greedy_leaf(threshold=0.0)
-        reached = policy.greedy_descent_leaf(threshold=0.0)
-        assert greedy.node_id == "a1"
-        assert reached.node_id == "B"
+        assert policy.greedy_leaf(threshold=0.0) == "a1"
+        assert policy.greedy_descent_leaf(threshold=0.0) == "B"
 
     def test_exhausted_tree_raises(self):
         leaf = ClusterNode("only", member_ids=("e0",))
         tree = ClusterTree(ClusterNode("root", children=[leaf]))
         policy = build_policy(tree)
-        node = policy.select_leaf(None, epsilon=0.0)
-        node.arm.draw()
-        policy.handle_exhausted(node)
+        assert policy.select(1) == ["e0"]
+        policy.update([1.0], None)
         assert policy.exhausted
         with pytest.raises(ExhaustedError):
             policy.greedy_leaf(None)
+        with pytest.raises(ExhaustedError):
+            policy.select(1)
 
 
 class TestUpdates:
     def test_update_touches_full_path(self, tiny_tree):
         policy = build_policy(tiny_tree)
         leaf = policy.leaves_by_id["a1"]
-        policy.update(leaf, 3.0, threshold=None)
+        select_from(policy, "a1")
+        policy.update([3.0], threshold=None)
         assert leaf.histogram.total_mass == 1.0
         assert leaf.parent.histogram.total_mass == 1.0
         assert policy.root.histogram.total_mass == 1.0
@@ -107,18 +115,23 @@ class TestUpdates:
         policy = build_policy(tiny_tree)
         leaf = policy.leaves_by_id["B"]
         for value in np.linspace(0, 50, 30):
-            policy.update(leaf, float(value), threshold=40.0,
+            select_from(policy, "B", size=0)
+            policy.update([float(value)], threshold=40.0,
                           enable_rebinning=False)
         assert leaf.histogram.n_rebins == 0
+
+    def test_update_without_select_is_a_noop(self, tiny_tree):
+        policy = build_policy(tiny_tree)
+        policy.update([3.0], threshold=None)
+        assert policy.root_sketch.total_mass == 0.0
 
 
 class TestEmptyChildHandling:
     def drain(self, policy, leaf_id):
         leaf = policy.leaves_by_id[leaf_id]
-        while not leaf.arm.is_empty:
-            element = leaf.arm.draw()
-            policy.update(leaf, 1.0, threshold=None)
-        policy.handle_exhausted(leaf)
+        while leaf.remaining:
+            select_from(policy, leaf_id)
+            policy.update([1.0], threshold=None)
         return leaf
 
     def test_drop_removes_leaf(self, tiny_tree):
@@ -152,13 +165,13 @@ class TestEmptyChildHandling:
     def test_double_drop_is_idempotent(self, tiny_tree):
         policy = build_policy(tiny_tree)
         leaf = self.drain(policy, "a1")
-        policy.handle_exhausted(leaf)  # second call: no-op
+        policy._drop(leaf)  # second call: no-op
         assert policy.n_drops == 1
 
     def test_remaining_ids_excludes_drawn(self, tiny_tree):
         policy = build_policy(tiny_tree)
-        leaf = policy.leaves_by_id["B"]
-        drawn = {leaf.arm.draw() for _ in range(4)}
+        drawn = set(select_from(policy, "B", size=4))
+        assert len(drawn) == 4
         remaining = set(policy.remaining_ids())
         assert drawn.isdisjoint(remaining)
         assert len(remaining) == 16
@@ -176,9 +189,9 @@ class TestFlatten:
 
     def test_flatten_preserves_remaining(self, tiny_tree):
         policy = build_policy(tiny_tree)
-        policy.leaves_by_id["B"].arm.draw()
+        select_from(policy, "B")
         policy.flatten()
-        assert policy.root.remaining == 19
+        assert policy.remaining == 19
 
     def test_greedy_descent_equals_greedy_leaf_after_flatten(self, tiny_tree):
         policy = build_policy(tiny_tree)
@@ -189,6 +202,52 @@ class TestFlatten:
         )
         policy.leaves_by_id["B"].histogram.add_many([5.0] * 50)
         policy.flatten()
-        greedy = policy.greedy_leaf(0.0)
-        reached = policy.greedy_descent_leaf(0.0)
-        assert greedy is reached
+        assert policy.greedy_leaf(0.0) == policy.greedy_descent_leaf(0.0)
+
+
+class TestStateRoundTrip:
+    def learn(self, policy, pulls=8):
+        for i in range(pulls):
+            ids = policy.select(2, threshold=0.5, epsilon=0.5)
+            policy.update([float(i + j) for j in range(len(ids))], 0.5)
+
+    @pytest.mark.parametrize("flatten", [False, True])
+    def test_load_state_reproduces_state(self, tiny_tree, flatten):
+        source = build_policy(tiny_tree, seed=4)
+        self.learn(source)
+        if flatten:
+            source.flatten()
+            self.learn(source, pulls=1)
+        payload = source.state()
+        assert payload["node_id"] == "root"
+        if flatten:
+            assert all("remaining" in child for child in payload["children"])
+
+        restored = build_policy(tiny_tree, seed=9)
+        restored.load_state(payload)
+        assert restored.state() == payload
+        assert restored.remaining == source.remaining
+        assert sorted(restored.remaining_ids()) == \
+            sorted(source.remaining_ids())
+        assert [n for n, _sketch in restored.live_leaves()] == \
+            [n for n, _sketch in source.live_leaves()]
+        assert restored.greedy_leaf(0.5) == source.greedy_leaf(0.5)
+
+    def test_load_state_omits_dropped_leaves(self, tiny_tree):
+        source = build_policy(tiny_tree)
+        select_from(source, "a1", size=5)
+        source.update([1.0] * 5, None)
+        restored = build_policy(tiny_tree, seed=1)
+        restored.load_state(source.state())
+        assert set(restored.leaves_by_id) == {"a2", "B"}
+        assert set(restored.sketches()) == {"root", "A", "a2", "B"}
+
+    def test_load_state_rejects_another_tree(self, tiny_tree):
+        payload = build_policy(tiny_tree).state()
+        other = ClusterTree(ClusterNode("root", children=[
+            ClusterNode("only", member_ids=("e0",))]))
+        with pytest.raises(SerializationError):
+            build_policy(other).load_state(payload)
+        payload["node_id"] = "elsewhere"
+        with pytest.raises(SerializationError):
+            build_policy(tiny_tree).load_state(payload)

@@ -2,11 +2,11 @@
 
 The vectorized hot path replaces the recursive ``BanditNode.remaining``
 property and the leaf-rescanning ``exhausted`` with counters that are
-decremented along the root-to-leaf path at draw time (via the arm's
-``on_draw`` hook).  These tests pin (a) the O(1) claim — ``exhausted``
+decremented along the root-to-leaf path at draw time (by the policy's
+``select``, the only way to draw).  These tests pin (a) the O(1) claim — ``exhausted``
 must not rescan leaves — and (b) the exactness invariant: counters always
 equal the ground truth recomputed from the arms, through draws, batched
-draws, drops, and flattening.
+draws, drops, flattening, and a ``load_state`` that installs new members.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from repro.core.bandit import BanditConfig
 from repro.core.engine import EngineConfig, TopKEngine
 from repro.core.hierarchical import HierarchicalBanditPolicy
 from repro.index.tree import ClusterNode, ClusterTree
+from tests.conftest import select_from
 
 
 def wide_flat_tree(n_leaves: int, leaf_size: int = 3) -> ClusterTree:
@@ -62,8 +63,8 @@ class TestO1Exhausted:
         def boom(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("exhausted rescanned the leaves")
 
-        policy.active_leaves = boom
-        policy._iter_leaves = boom
+        policy._active_leaves = boom
+        policy._iter_nodes = boom
         for _ in range(50):
             assert not policy.exhausted
 
@@ -73,49 +74,44 @@ class TestO1Exhausted:
         def boom(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("engine.exhausted rescanned the leaves")
 
-        engine.policy.active_leaves = boom
+        engine.policy._active_leaves = boom
         assert not engine.exhausted
 
     def test_exhausted_flips_exactly_at_the_last_draw(self):
         policy = HierarchicalBanditPolicy(
             wide_flat_tree(20, leaf_size=2), BanditConfig(), rng=1
         )
-        total = policy.root.remaining
+        total = policy.remaining
         assert total == 40
         drawn = 0
         while not policy.exhausted:
-            leaf = policy.select_leaf(threshold=None, epsilon=1.0)
-            leaf.arm.draw()
-            drawn += 1
-            if leaf.arm.is_empty:
-                policy.handle_exhausted(leaf)
+            drawn += len(policy.select(1, epsilon=1.0))
+            policy.update((), None)
         assert drawn == total
-        assert policy.root.remaining == 0
+        assert policy.remaining == 0
 
 
 class TestCounterExactness:
     def test_counters_track_scalar_and_batched_draws(self, tiny_tree):
         policy = HierarchicalBanditPolicy(tiny_tree, BanditConfig(), rng=3)
         assert_counters_exact(policy)
-        b = policy.leaves_by_id["B"]
-        b.arm.draw()
+        select_from(policy, "B")
         assert_counters_exact(policy)
-        b.arm.draw_batch(4)
+        select_from(policy, "B", size=4)
         assert_counters_exact(policy)
-        assert policy.root.remaining == 15
-        assert b.remaining == 5
+        assert policy.remaining == 15
+        assert policy.leaves_by_id["B"].remaining == 5
 
     def test_counters_after_drop_and_flatten(self, tiny_tree):
         policy = HierarchicalBanditPolicy(tiny_tree, BanditConfig(), rng=5)
-        a1 = policy.leaves_by_id["a1"]
-        while not a1.arm.is_empty:
-            a1.arm.draw()
-        policy.handle_exhausted(a1)
+        select_from(policy, "a1", size=5)
+        policy.update((), None)
+        assert "a1" not in policy.leaves_by_id
         assert_counters_exact(policy)
-        assert policy.root.remaining == 15
-        policy.leaves_by_id["B"].arm.draw_batch(3)
+        assert policy.remaining == 15
+        select_from(policy, "B", size=3)
         policy.flatten()
-        assert policy.root.remaining == 12
+        assert policy.remaining == 12
         assert_counters_exact(policy)
 
     def test_counters_under_random_engine_run(self):
@@ -127,28 +123,31 @@ class TestCounterExactness:
         while not engine.exhausted:
             ids = engine.next_batch()
             engine.observe(ids, rng.random(len(ids)))
-        assert engine.policy.root.remaining == 0
+        assert engine.policy.remaining == 0
         assert_counters_exact(engine.policy)
 
-    def test_recompute_remaining_repairs_out_of_band_mutation(self, tiny_tree):
-        policy = HierarchicalBanditPolicy(tiny_tree, BanditConfig(), rng=0)
-        leaf = policy.leaves_by_id["a1"]
-        leaf.arm._members = leaf.arm._members[:2]  # snapshot-restore style
-        policy.recompute_remaining()
-        assert leaf.remaining == 2
-        assert policy.root.remaining == 17
+    def test_load_state_rederives_counters_from_installed_members(
+            self, tiny_tree):
+        source = HierarchicalBanditPolicy(tiny_tree, BanditConfig(), rng=0)
+        select_from(source, "a1", size=3)
+        source.update([1.0, 2.0, 3.0], None)
+        policy = HierarchicalBanditPolicy(tiny_tree, BanditConfig(), rng=1)
+        policy.load_state(source.state())
+        assert policy.leaves_by_id["a1"].remaining == 2
+        assert policy.remaining == 17
         assert_counters_exact(policy)
+        assert policy.state() == source.state()
 
 
 class TestUCBCounters:
     def test_ucb_remaining_is_incremental_and_exact(self, tiny_tree):
         ucb = UCBBandit(tiny_tree, batch_size=4, rng=0)
         total = 20
-        assert ucb.root.remaining == total
+        assert ucb._policy.remaining == total
         rng = np.random.default_rng(0)
         while not ucb.exhausted:
             ids = ucb.next_batch()
             ucb.observe(ids, rng.random(len(ids)))
             total -= len(ids)
-            assert ucb.root.remaining == total
+            assert ucb._policy.remaining == total
         assert total == 0

@@ -12,45 +12,44 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.arms import ArmState
-from repro.core.bandit import BanditConfig, EpsilonGreedyBandit
+from repro.core.bandit import BanditConfig
 from repro.core.engine import EngineConfig, TopKEngine
+from repro.core.hierarchical import HierarchicalBanditPolicy
 from repro.core.policies import ConstantEpsilon
 from repro.data.dataset import InMemoryDataset
 from repro.index.tree import ClusterNode, ClusterTree
 from repro.scoring.base import FunctionScorer
+from tests.conftest import select_from
 
 
 class TestFlatBanditOptimism:
-    def make_bandit(self, optimism: bool):
-        arms = [
-            ArmState(f"arm{i}", [f"arm{i}:{j}" for j in range(20)], rng=i)
-            for i in range(6)
-        ]
+    def make_policy(self, optimism: bool):
+        tree = ClusterTree.flat({
+            f"arm{i}": [f"arm{i}:{j}" for j in range(20)] for i in range(6)
+        })
         config = BanditConfig(exploration=ConstantEpsilon(0.0),
                               visit_unvisited_first=optimism)
-        return EpsilonGreedyBandit(arms, k=3, config=config, rng=0)
+        return HierarchicalBanditPolicy(tree, config, rng=0)
 
     def test_sweeps_all_arms_first(self):
-        bandit = self.make_bandit(optimism=True)
+        policy = self.make_policy(optimism=True)
         chosen = []
         for _ in range(6):
-            arm_id = bandit.select_arm()
-            element = bandit.arms[arm_id].draw()
-            bandit.update(arm_id, element, 1.0)
-            chosen.append(arm_id)
-        assert sorted(chosen) == sorted(bandit.arms)
+            (element,) = policy.select(1, epsilon=0.0)
+            policy.update([1.0], None)
+            chosen.append(element.split(":")[0])
+        assert sorted(chosen) == [f"arm{i}" for i in range(6)]
 
     def test_literal_variant_can_stall_on_seen_arm(self):
-        bandit = self.make_bandit(optimism=False)
+        policy = self.make_policy(optimism=False)
         # Seed one arm with a tiny positive score; others stay empty.
-        bandit.update("arm0", "seed", 0.001)
+        select_from(policy, "arm0")
+        policy.update([0.001], None)
         chosen = set()
         for _ in range(10):
-            arm_id = bandit.select_arm()
-            element = bandit.arms[arm_id].draw()
-            bandit.update(arm_id, element, 0.001)
-            chosen.add(arm_id)
+            (element,) = policy.select(1, epsilon=0.0)
+            policy.update([0.001], None)
+            chosen.add(element.split(":")[0])
         # Pure greedy with zero exploration never leaves arm0.
         assert chosen == {"arm0"}
 

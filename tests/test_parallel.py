@@ -12,6 +12,7 @@ import json
 
 import pytest
 
+from repro.core.engine import EngineConfig
 from repro.core.minmax_heap import TopKBuffer
 from repro.data.synthetic import SyntheticClustersDataset
 from repro.errors import ConfigurationError
@@ -286,6 +287,36 @@ class TestSnapshotResume:
         assert set(final.ids) <= set(dataset.ids())
         # No element is ever scored twice across the pause.
         assert final.total_scored <= len(dataset)
+
+    def test_flattened_shard_survives_snapshot(self):
+        """A shard past its tree fallback resumes with every leaf it had.
+
+        Each shard nests the single-engine payload, so the flattened
+        restore bug (``tests/test_snapshot_metrics.py``) silently dropped
+        the whole unscored remainder of that shard.
+        """
+        dataset = SyntheticClustersDataset.generate(n_clusters=8,
+                                                    per_cluster=60, rng=0)
+        scorer = ReluScorer(FixedPerCallLatency(1e-3))
+        truth = compute_ground_truth(dataset, scorer)
+        shards = dict(index_config=IndexConfig(n_clusters=4),
+                      engine_config=EngineConfig(k=10))
+        engine = ShardedTopKEngine(dataset, scorer, k=10, n_workers=3,
+                                   backend="serial", seed=1,
+                                   sync_interval=50, **shards)
+        partial = engine.run(budget=180)
+        assert [report.fallback_events for report in partial.workers] == \
+            [(), ((48, "flatten_tree"),), ()]
+        snapshot = json.loads(json.dumps(engine.snapshot()))
+        resumed = ShardedTopKEngine.restore(dataset, scorer, snapshot,
+                                            backend="serial", **shards)
+        midway = resumed.run(budget=300)
+        assert midway.total_scored == 300
+        assert midway.displacement_bound > 0.0
+        final = resumed.run()
+        assert final.total_scored == len(dataset)
+        assert final.displacement_bound == 0.0
+        assert final.stk == pytest.approx(truth.optimal_stk(10))
 
     def test_resumed_run_monotone_checkpoints(self, world):
         dataset, scorer, _ = world

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.bandit import BanditConfig, EpsilonGreedyBandit
+from repro.core.bandit import BanditConfig
 from repro.core.engine import EngineConfig, TopKEngine
 from repro.core.histogram import AdaptiveHistogram
 from repro.core.hierarchical import HierarchicalBanditPolicy
@@ -183,19 +183,18 @@ class TestSketchSwappedBandits:
                                 budget=len(dataset) // 2)
             assert result.stk >= 0.9 * optimal, factory
 
-    def test_flat_bandit_with_custom_sketch(self):
-        from repro.core.arms import ArmState
-        arms = [ArmState("a", [f"a:{v}" for v in range(30)], rng=0),
-                ArmState("b", [f"b:{v}" for v in range(30)], rng=1)]
-        config = BanditConfig(sketch_factory=ExactEmpiricalSketch)
-        bandit = EpsilonGreedyBandit(arms, k=3, config=config, rng=0)
-        bandit.run(lambda eid: float(eid.split(":")[1]), budget=40)
-        assert isinstance(bandit.histograms["a"], ExactEmpiricalSketch)
-
-    def test_policy_with_custom_sketch(self, tiny_tree):
+    @pytest.mark.parametrize("flat", [False, True])
+    def test_policy_with_custom_sketch(self, tiny_tree, flat):
         policy = HierarchicalBanditPolicy(
-            tiny_tree,
+            tiny_tree.flattened() if flat else tiny_tree,
             BanditConfig(sketch_factory=lambda: ReservoirSketch(16, rng=0)),
             rng=0,
         )
-        assert isinstance(policy.root.histogram, ReservoirSketch)
+        for _ in range(4):  # too few to drain (and so drop) any leaf
+            ids = policy.select(1, epsilon=0.5)
+            policy.update([float(len(ids))], None)
+        sketches = policy.sketches()
+        assert len(sketches) == (4 if flat else 5)
+        assert all(isinstance(sketch, ReservoirSketch)
+                   for sketch in sketches.values())
+        assert policy.root_sketch.total_mass == 4

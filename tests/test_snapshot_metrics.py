@@ -74,6 +74,48 @@ class TestSnapshot:
         result = resumed.run(dataset, scorer)
         assert result.stk == pytest.approx(truth.optimal_stk(10))
 
+    def test_flattened_snapshot_keeps_every_unscored_element(self):
+        """Tree fallback, then pause: the flat shape must survive restore.
+
+        Seed 42 on the golden 300-element index flattens at 90 scored
+        (frozen in ``golden_trace_engine.json``).  The restore used to match
+        the flattened payload against the hierarchical mirror, keep no leaf
+        and report an "exact" answer with 200 elements unscored.
+        """
+        from tests.test_engine_equivalence import (
+            N_ELEMENTS, build_three_layer_index, element_scores)
+
+        scores = element_scores()
+
+        def step(engine, seen):
+            ids = engine.next_batch()
+            assert seen.isdisjoint(ids)
+            seen.update(ids)
+            engine.observe(ids, scores[[int(i[1:]) for i in ids]])
+
+        engine = TopKEngine(build_three_layer_index(),
+                            EngineConfig(k=10, seed=42))
+        seen = set()
+        while engine.n_scored < 100:
+            step(engine, seen)
+        assert engine.fallback_events == [(90, "flatten_tree")]
+        snap = json.loads(json.dumps(snapshot_engine(engine)))
+
+        resumed = restore_engine(build_three_layer_index(), snap,
+                                 resume_seed=5)
+        assert resumed.policy.flattened
+        assert resumed.policy.remaining == N_ELEMENTS - 100
+        assert sorted(resumed.policy.remaining_ids()) == \
+            sorted(engine.policy.remaining_ids())
+        assert snapshot_engine(resumed)["tree"] == snap["tree"]
+        while resumed.n_scored < N_ELEMENTS:
+            assert not resumed.exhausted
+            step(resumed, seen)
+        assert resumed.exhausted
+        assert len(seen) == N_ELEMENTS
+        assert [score for _id, score in resumed.topk_items()] == \
+            sorted(scores, reverse=True)[:10]
+
     def test_snapshot_mid_batch_rejected(self, world):
         dataset, index, _scorer = world
         engine = TopKEngine(index, EngineConfig(k=5, seed=0))
