@@ -120,9 +120,7 @@ from repro.core.result import ResultBase
 from repro.query import (
     ExecutionPlan,
     QueryPlan,
-    available_executors,
     parse,
-    register_executor,
 )
 from repro.session import OpaqueQuerySession
 from repro.parallel import (
@@ -229,8 +227,6 @@ __all__ = [
     "parse",
     "QueryPlan",
     "ExecutionPlan",
-    "register_executor",
-    "available_executors",
     "ResultBase",
     "DistributedResult",
     "ShardedTopKEngine",

@@ -349,7 +349,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 def _append_demo_rows(session, n: int, seed: int) -> None:
     """Commit ``n`` fresh rows to the live demo table (one write batch)."""
-    live = session._live_table("demo")
+    live = session.table("demo")
     rng = np.random.default_rng(seed + 1)
     values = rng.uniform(0.0, 25.0, size=n)
     live.append([f"new-{i:05d}" for i in range(n)],
@@ -472,7 +472,7 @@ def _cmd_info(_args: argparse.Namespace) -> int:
         ("repro.session", "SQL-ish declarative interface (WHERE / "
                           "EXPLAIN / WORKERS / STREAM / CONFIDENCE)"),
         ("repro.query", "dialect parser, logical plans, and the "
-                        "single/sharded/streaming executor registry"),
+                        "single/sharded/streaming executors"),
         ("repro.parallel", "sharded execution: per-worker index + engine, "
                            "coordinator merge, threshold broadcast"),
         ("repro.streaming", "barrier-free pipeline: merge on arrival, "

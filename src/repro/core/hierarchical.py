@@ -144,7 +144,11 @@ class HierarchicalBanditPolicy:
     config:
         Histogram / exploration settings.
     rng:
-        Seed or generator; leaf arms get independent derived streams.
+        Seed or generator.  Each leaf arm gets its own generator from
+        the ``arm:<leaf id>`` named stream — which, since only a name's
+        first eight bytes count (:class:`~repro.utils.rng.RngFactory`),
+        means arms whose ids share a prefix (``leaf-*``) are seeded alike:
+        separate generators, not independent streams.
     enable_subtraction:
         If False, dropped children are *not* subtracted from ancestor
         histograms (the paper's "skip subtraction" ablation).

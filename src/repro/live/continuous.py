@@ -32,6 +32,7 @@ from dataclasses import replace
 from typing import Iterator, Optional, Tuple, Union
 
 from repro.errors import ConfigurationError
+from repro.live.table import LiveTable
 from repro.obs.metrics import CONTINUOUS_EMITS
 from repro.query.parser import parse
 from repro.query.plan import QueryPlan
@@ -77,8 +78,8 @@ class ContinuousQuery:
             raise ConfigurationError(
                 "EXPLAIN queries return a plan and cannot stand"
             )
-        live = session._live_table(logical.table)
-        if live is None:
+        live = session.table(logical.table)
+        if not isinstance(live, LiveTable):
             raise ConfigurationError(
                 f"table {logical.table!r} is not a LiveTable; CONTINUOUS "
                 f"queries need a mutable table to watch"
@@ -124,7 +125,7 @@ class ContinuousQuery:
         result = self._session.execute(self._cycle, budget_gate=self._gate,
                                        **self._options)
         self._rearm()
-        snapshot = self._wrap(result)
+        snapshot = ProgressiveResult.final(result)
         answer = tuple(snapshot.top_k)
         self._changed = self._answer is None or answer != self._answer
         self._answer = answer
@@ -181,22 +182,3 @@ class ContinuousQuery:
         consumed = getattr(gate, "consumed", 0)
         if consumed:
             gate.refund(consumed)
-
-    def _wrap(self, result) -> ProgressiveResult:
-        """Render any executor's final result as one anytime snapshot."""
-        items = [(str(element_id), float(score))
-                 for element_id, score in result.items]
-        k = self._cycle.k
-        return ProgressiveResult(
-            top_k=items,
-            budget_spent=int(result.budget_spent),
-            threshold=items[-1][1] if len(items) >= k else None,
-            converged=True,
-            stk=float(result.stk),
-            wall_time=float(getattr(result, "wall_time", 0.0)),
-            n_merges=int(getattr(result, "n_merges", 0)),
-            backend=str(getattr(result, "backend", "serial")),
-            displacement_bound=float(result.displacement_bound),
-            exhaustive_bound=float(getattr(result, "exhaustive_bound",
-                                           result.displacement_bound)),
-        )

@@ -74,7 +74,7 @@ class IndexMaintainer:
         The table version the tree was built from.
     rebuild:
         Callback ``(TableSnapshot) -> ClusterTree`` used when churn
-        crosses the threshold (the session closes over its index seed
+        crosses the threshold (the table binding supplies its index seed
         and sizing policy here).
     max_leaf_size:
         Split trigger; defaults to twice the initial mean leaf size.
@@ -106,7 +106,8 @@ class IndexMaintainer:
         #: ``(version_to, touched node ids)`` per advance, newest last.
         #: The maintainer is shared across session forks but warm-start
         #: prior stores are fork-private, so each fork replays this log
-        #: to dirty exactly its own stale node histograms.
+        #: (:meth:`touched_since`) to dirty exactly its own stale node
+        #: histograms.
         self.touched_log: List[Tuple[int, Tuple[str, ...]]] = []
         #: Lowest version the log still covers; a consumer synced below
         #: it has gaps and must drop all priors instead.
@@ -209,6 +210,17 @@ class IndexMaintainer:
             trimmed = len(self.touched_log) - MAX_TOUCHED_LOG
             self.log_floor = self.touched_log[trimmed - 1][0]
             del self.touched_log[:trimmed]
+
+    def touched_since(self, version: int) -> Optional[Set[str]]:
+        """Node ids whose membership changed after ``version``.
+
+        ``None`` when the log no longer reaches back that far: the
+        consumer has gaps and must treat every node as touched.
+        """
+        if version < self.log_floor:
+            return None
+        return {node for logged, nodes in self.touched_log
+                if logged > version for node in nodes}
 
     # -- aggregates ----------------------------------------------------------
 

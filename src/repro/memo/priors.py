@@ -29,11 +29,18 @@ smarter start, deterministically (same priors + same seed = same run).
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from typing import Dict, Optional
 
 from repro.errors import SerializationError
 
 _FORMAT = "repro-priors/1"
+
+#: Payloads one :class:`PriorStore` keeps, least recently used dropped
+#: first.  Every distinct ``WHERE`` subset, worker count and seed is a
+#: scope of its own, so an unbounded store grows with uptime; a dropped
+#: payload only costs a later ``warm_start`` run its head start.
+MAX_PRIOR_PAYLOADS = 32
 
 
 def harvest_priors(engine) -> Dict[str, dict]:
@@ -83,12 +90,17 @@ def shard_scope(worker_id: int, n_workers: int, root_entropy: int,
 
 
 class PriorStore:
-    """Thread-safe per-table registry of harvested histogram priors."""
+    """Thread-safe per-table registry of harvested histogram priors.
+
+    Holds at most :data:`MAX_PRIOR_PAYLOADS` payloads; :meth:`get` and
+    :meth:`put` refresh a payload, the stalest one is evicted.
+    """
 
     def __init__(self) -> None:
         self._lock = threading.RLock()
-        #: (fingerprint, scope) -> {node id -> histogram payload}
-        self._priors: Dict[tuple, Dict[str, dict]] = {}
+        #: (fingerprint, scope) -> {node id -> histogram payload},
+        #: least recently used first.
+        self._priors: "OrderedDict[tuple, Dict[str, dict]]" = OrderedDict()
 
     def __len__(self) -> int:
         with self._lock:
@@ -97,16 +109,24 @@ class PriorStore:
     def get(self, fingerprint: str,
             scope: str) -> Optional[Dict[str, dict]]:
         """Priors for one ``(udf, scope)`` pair, or ``None``."""
+        key = (str(fingerprint), str(scope))
         with self._lock:
-            return self._priors.get((str(fingerprint), str(scope)))
+            priors = self._priors.get(key)
+            if priors is not None:
+                self._priors.move_to_end(key)
+            return priors
 
     def put(self, fingerprint: str, scope: str,
             priors: Dict[str, dict]) -> None:
         """Store (replace) the harvest of one finished run."""
         if not priors:
             return
+        key = (str(fingerprint), str(scope))
         with self._lock:
-            self._priors[(str(fingerprint), str(scope))] = dict(priors)
+            self._priors[key] = dict(priors)
+            self._priors.move_to_end(key)
+            if len(self._priors) > MAX_PRIOR_PAYLOADS:
+                self._priors.popitem(last=False)
 
     def clear(self) -> None:
         """Drop every stored prior."""

@@ -28,7 +28,7 @@ must not depend on its batch-mates (every scorer in
 
 Live tables add a version dimension.  The store tracks, per element id,
 the latest ``table_version`` that rewrote the element's features
-(:meth:`MemoStore.apply_writes` — called by the session when it
+(:meth:`MemoStore.apply_writes` — called by the table binding when it
 reconciles a mutable table's write log).  A write both evicts the
 element's memoized scores and stamps ``last_write[id]``; from then on a
 reader pinned to an *older* snapshot can neither be served a score

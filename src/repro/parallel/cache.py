@@ -16,8 +16,8 @@ Sharing rules
 * One cache maps to one immutable dataset.  The session layer keeps one
   cache per registered table; library users who share a cache across
   engines must do the same.
-* A cache hit is **bit-identical** to a rebuild: named RNG streams are
-  independent per name, so skipping the ``partition`` / ``index:{w}``
+* A cache hit is **bit-identical** to a rebuild: each named RNG stream
+  is a generator of its own, so skipping the ``partition`` / ``index:{w}``
   draws never perturbs the ``engine:{w}`` streams.
 * Indexes are harvested only from backends whose workers live in the
   coordinator process (``serial``/``thread``); the ``process`` backend's
@@ -148,7 +148,7 @@ class ShardIndexCache:
     def evict_stale(self, table_version: int) -> int:
         """Drop entries built against any *other* table version.
 
-        Called by the session when it reconciles a live table's write
+        Called by the table binding when it reconciles a live table's write
         log: stale-version partitions could only serve queries pinned to
         versions that no longer plan, so holding them just squeezes live
         entries out of the LRU.  Returns the number of entries dropped.

@@ -102,10 +102,12 @@ class ShardCoordinator:
         Broadcast the global k-th score back to shards after each merge
         (a shard picks it up with its next slice, never mid-slice).
     seed:
-        Root seed; shards get independent derived streams regardless of the
-        backend (the root entropy travels to child processes, not live
-        generators).  Passing a previous run's :attr:`root_entropy` rebuilds
-        its partitions and shard indexes identically.
+        Root seed; shards derive their own named streams from it
+        regardless of the backend (the root entropy travels to child
+        processes, not live generators; shards 10 and up share shard 1's
+        engine seed — see :class:`~repro.utils.rng.RngFactory`).  Passing
+        a previous run's :attr:`root_entropy` rebuilds its partitions and
+        shard indexes identically.
     index_cache:
         Optional :class:`~repro.parallel.cache.ShardIndexCache` shared
         across runs on the same immutable dataset: a hit reuses the cached
@@ -188,6 +190,10 @@ class ShardCoordinator:
         self._ids: Optional[List[str]] = (
             list(ids) if ids is not None else None
         )
+        # Fingerprint of ``ids`` (it keys the index cache), computed at
+        # most once per run — on first start, unless the session's
+        # dispatch, which scoped its priors by it, set it already.
+        self._subset: Optional[str] = None
         self._population = (len(self._ids) if self._ids is not None
                             else len(dataset))
         if self._population < n_workers:
@@ -270,6 +276,8 @@ class ShardCoordinator:
     def _ensure_started(self) -> None:
         if self._started:
             return
+        if self._index_cache is not None and self._subset is None:
+            self._subset = subset_fingerprint(self._ids)
         (self._partitions, specs, self._cache_hit,
          self._shm_table) = build_shard_specs(
             self.dataset, self.scorer,
@@ -282,6 +290,7 @@ class ShardCoordinator:
             resume_count=self._resume_count,
             index_cache=self._index_cache,
             ids=self._ids,
+            subset=self._subset,
             shared_memory=self._shared_memory,
             memo_snapshot=(self._memo.snapshot()
                            if self._memo is not None else None),
@@ -307,7 +316,7 @@ class ShardCoordinator:
             self._index_cache.put(
                 shard_cache_key(self.root_entropy, self.n_workers,
                                 self._index_config, self._population,
-                                subset=subset_fingerprint(self._ids),
+                                subset=self._subset,
                                 table_version=self._table_version),
                 self._partitions, [worker.index for worker in workers])
 

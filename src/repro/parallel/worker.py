@@ -15,7 +15,9 @@ instead of live generator objects: a shard derives its streams with
 ``RngFactory(root_entropy).named(f"index:{w}")`` / ``named(f"engine:{w}")``,
 which are byte-identical to the streams the single-process simulation draws
 from its shared factory (named streams depend only on the root entropy and
-the name — see :class:`~repro.utils.rng.RngFactory`).
+the first eight bytes of the name — see :class:`~repro.utils.rng.RngFactory`
+— so shards 10 and up share shard 1's ``engine:`` seed, and a resumed
+shard's ``resume:{w}:{count}`` seed does not depend on the count).
 
 Pause/resume uses the engine snapshot layer
 (:func:`repro.core.snapshot.snapshot_engine` /
@@ -182,6 +184,7 @@ def build_shard_specs(dataset, scorer: Scorer, *, n_workers: int, k: int,
                       resume_count: int = 0,
                       index_cache=None,
                       ids: Optional[Sequence[str]] = None,
+                      subset: Optional[str] = None,
                       shared_memory: Optional[bool] = None,
                       memo_snapshot: Optional[dict] = None,
                       priors: Optional[List[Optional[dict]]] = None,
@@ -198,9 +201,11 @@ def build_shard_specs(dataset, scorer: Scorer, *, n_workers: int, k: int,
     elements are partitioned, indexed, and ever drawn.  When
     ``index_cache`` (a :class:`~repro.parallel.cache.ShardIndexCache`)
     holds an entry for this build's key — which includes the subset
-    fingerprint — the cached partitions are reused and each spec carries
+    fingerprint (``subset``, computed from ``ids`` when the caller has
+    not already) — the cached partitions are reused and each spec carries
     its ``prebuilt_index``, skipping the per-shard k-means fits
-    bit-identically (named RNG streams are independent per name).
+    bit-identically (each named RNG stream is a generator of its own, so
+    skipping one's draws never perturbs another).
 
     ``shared_memory`` selects the zero-copy bootstrap for materialized
     (process-bound) specs: ``None`` auto-enables when POSIX shared memory
@@ -228,7 +233,8 @@ def build_shard_specs(dataset, scorer: Scorer, *, n_workers: int, k: int,
     if index_cache is not None:
         key = shard_cache_key(root_entropy, n_workers, index_config,
                               len(population),
-                              subset=subset_fingerprint(ids),
+                              subset=(subset_fingerprint(ids)
+                                      if subset is None else subset),
                               table_version=table_version)
         cached = index_cache.get(key)
     if cached is not None:
@@ -340,9 +346,9 @@ class ShardWorker:
             # Cache hit: the tree is a pure function of (root entropy,
             # worker id, partition, index config), and it is read-only at
             # query time (the bandit mirrors it into its own nodes), so
-            # reuse is bit-identical to a rebuild.  Named RNG streams are
-            # independent, so skipping the index:{w} draws never perturbs
-            # the engine:{w} stream derived below.
+            # reuse is bit-identical to a rebuild.  Each named RNG stream
+            # is its own generator, so skipping the index:{w} draws never
+            # perturbs the engine:{w} stream derived below.
             self.index: ClusterTree = prebuilt
         else:
             if resolved is not None:

@@ -1,20 +1,13 @@
-"""Query front-end: tokenizer, parser, logical plans, executor registry.
+"""Query front-end: tokenizer, parser, logical plans, dispatch.
 
 The Section 7.4 dialect grows up here: :func:`parse` (a hand-written
 recursive-descent parser, :mod:`repro.query.parser`) turns one statement
 into a :class:`QueryPlan` (:mod:`repro.query.plan`); the session resolves
-it into an :class:`ExecutionPlan` and dispatches through the executor
-registry (:mod:`repro.query.executors`).  ``docs/dialect.md`` is the
+it into an :class:`ExecutionPlan` and runs it with the function its mode
+names (:mod:`repro.query.executors`).  ``docs/dialect.md`` is the
 user-facing tour; the parser module docstring is the normative grammar.
 """
 
-from repro.query.executors import (
-    EXECUTORS,
-    QueryExecutor,
-    available_executors,
-    get_executor,
-    register_executor,
-)
 from repro.query.parser import KEYWORDS, parse
 from repro.query.plan import (
     And,
@@ -39,9 +32,4 @@ __all__ = [
     "And",
     "Or",
     "Not",
-    "QueryExecutor",
-    "EXECUTORS",
-    "register_executor",
-    "available_executors",
-    "get_executor",
 ]

@@ -347,8 +347,9 @@ class ExecutionPlan:
     """A logical plan resolved against one session, ready to dispatch.
 
     Produced by :meth:`repro.session.OpaqueQuerySession.plan`; consumed
-    by the executor registry (:mod:`repro.query.executors`).  ``EXPLAIN``
-    queries return this object from ``execute`` instead of running it.
+    by the dispatch functions of :mod:`repro.query.executors`, which read
+    everything they need from it.  ``EXPLAIN`` queries return this object
+    from ``execute`` instead of running it.
     """
 
     query: QueryPlan
@@ -386,11 +387,22 @@ class ExecutionPlan:
     #: scheduler; ``None`` otherwise.  Like :attr:`trace`, per-dispatch
     #: runtime state — never rendered in :meth:`explain`.
     gate: Optional[object] = None
-    #: For live (mutable) tables: the immutable
-    #: :class:`~repro.live.table.TableSnapshot` this query is pinned to.
-    #: ``None`` for ordinary registered datasets — executors fall back to
-    #: the session registry.  Never rendered in :meth:`explain`.
+    #: The rows this query reads: the registered dataset, or the immutable
+    #: :class:`~repro.live.table.TableSnapshot` a live table pinned it to.
+    #: Like the five fields below, resolved state for the dispatch —
+    #: never rendered in :meth:`explain`.
     dataset: Optional[object] = None
+    #: The table's :class:`~repro.catalog.TableBinding`.
+    binding: Optional[object] = None
+    #: The registered scorer behind :attr:`udf`.
+    scorer: Optional[object] = None
+    #: The session's fork-private warm-start prior store for this table.
+    priors: Optional[object] = None
+    #: Fingerprint of :attr:`allowed_ids` (``""`` unfiltered), hashed once:
+    #: it scopes the priors and keys the shard-index cache.
+    subset: str = ""
+    #: Scoring calls per shard between merges (the session's setting).
+    sync_interval: int = 100
     #: The pinned snapshot's ``table_version`` (0 for static tables);
     #: keys the shard-index cache and the memo's MVCC validity checks.
     table_version: int = 0

@@ -97,6 +97,25 @@ class ProgressiveResult:
     #: the distance to the exact full-table result.
     exhaustive_bound: float = 1.0
 
+    @classmethod
+    def final(cls, result: ResultBase) -> "ProgressiveResult":
+        """Any engine's finished result as one converged snapshot."""
+        items = [(str(element_id), float(score))
+                 for element_id, score in result.items]
+        return cls(
+            top_k=items,
+            budget_spent=int(result.budget_spent),
+            threshold=items[-1][1] if len(items) >= result.k else None,
+            converged=True,
+            stk=float(result.stk),
+            wall_time=float(getattr(result, "wall_time", 0.0)),
+            n_merges=int(getattr(result, "n_merges", 0)),
+            backend=str(getattr(result, "backend", "serial")),
+            displacement_bound=float(result.displacement_bound),
+            exhaustive_bound=float(getattr(result, "exhaustive_bound",
+                                           result.displacement_bound)),
+        )
+
     @property
     def ids(self) -> List[str]:
         """Element IDs of the current answer, best first."""

@@ -2,7 +2,7 @@
 
 Every stochastic component in the library accepts either an integer seed or a
 :class:`numpy.random.Generator`.  :func:`as_generator` normalizes both forms,
-and :class:`RngFactory` deterministically derives independent child generators
+and :class:`RngFactory` deterministically derives named child generators
 for subcomponents so that multi-part experiments are reproducible even when
 components consume randomness in different orders.
 """
@@ -31,11 +31,20 @@ def as_generator(seed: SeedLike = None) -> np.random.Generator:
 
 
 class RngFactory:
-    """Derive named, independent random generators from one root seed.
+    """Derive named random generators from one root seed.
 
     Child streams are derived with :class:`numpy.random.SeedSequence.spawn`,
     so two factories created with the same root seed hand out identical
-    streams regardless of request order for *distinct* names.
+    streams regardless of request order.
+
+    **Only the first eight bytes of a name reach the spawn key.**  Names
+    that differ within them get independent streams; names that agree on
+    them (``arm:leaf-1`` / ``arm:leaf-22``, ``engine:1`` / ``engine:10``,
+    ``resume:0:0`` / ``resume:0:1``) get separate generator objects seeded
+    *identically*.  The frozen golden traces were recorded over these
+    streams, so this is pinned, not fixed
+    (``tests/test_utils.py::test_named_streams_differ_beyond_eight_bytes``,
+    ROADMAP item 4).
 
     Examples
     --------
@@ -66,7 +75,8 @@ class RngFactory:
         """Return the generator for ``name``, creating it deterministically.
 
         Repeated calls with the same name return the *same* generator object
-        (which therefore continues its stream).
+        (which therefore continues its stream).  The seed depends on the
+        root entropy and the name's first eight bytes (see the class note).
         """
         if name not in self._named:
             digest = np.frombuffer(

@@ -1,11 +1,17 @@
 """Module boundaries that the code must keep, checked on the source text.
 
-One boundary so far: the layout of the bandit's state — nodes, arms, parent
-links, the leaf registry, who writes ``remaining`` — is known to
-``repro/core/hierarchical.py`` alone.  Everything else goes through the
-policy's door (``select`` / ``update`` / ``state`` / ``load_state`` /
-``live_leaves``), which is what lets the layout change (struct-of-arrays,
-per-leaf state as data) without a seven-module edit.
+Two boundaries so far:
+
+* the layout of the bandit's state — nodes, arms, parent links, the leaf
+  registry, who writes ``remaining`` — is known to
+  ``repro/core/hierarchical.py`` alone.  Everything else goes through the
+  policy's door (``select`` / ``update`` / ``state`` / ``load_state`` /
+  ``live_leaves``), which is what lets the layout change (struct-of-arrays,
+  per-leaf state as data) without a seven-module edit;
+* what the session keeps per table lives on its ``TableBinding``
+  (``repro/catalog.py``: ``pin`` / ``index_for`` / ``memo_view`` / ``info``
+  / ``touched_since``), and nothing outside ``session.py`` reads a session's
+  private attributes — dispatch gets what it needs on the ``ExecutionPlan``.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from pathlib import Path
 
 import repro
 import repro.core
+import repro.query
 
 SRC = Path(repro.__file__).parent
 
@@ -31,16 +38,40 @@ LAYOUT_NAMES = {
     r"policy\.root\b": {"core/hierarchical.py"},
 }
 
+#: Same shape, for what the session keeps per table.
+SESSION_NAMES = {
+    # The session's private attributes (``self._session._x`` included).
+    r"session\._[a-z]": {"session.py"},
+    # Per-table helpers the binding replaced: gone, not aliased.
+    r"\b_live_table\b": set(),
+    r"\b_reconcile_writes\b": set(),
+    r"\b_maintainer_for\b": set(),
+    r"\b_index_for\b": set(),
+    r"\b_memo_view_for\b": set(),
+    # The maintainer's log is read through ``touched_since``.
+    r"\btouched_log\b": {"live/maintenance.py"},
+    r"\blog_floor\b": {"live/maintenance.py"},
+}
 
-def test_bandit_layout_is_private_to_the_policy_module():
-    offenders = []
+
+def offenders(names):
+    """``module: pattern`` for every spelling outside the owning modules."""
+    found = []
     for path in sorted(SRC.rglob("*.py")):
         module = path.relative_to(SRC).as_posix()
         text = path.read_text()
-        for pattern, owners in LAYOUT_NAMES.items():
+        for pattern, owners in names.items():
             if module not in owners and re.search(pattern, text):
-                offenders.append(f"{module}: {pattern}")
-    assert not offenders, offenders
+                found.append(f"{module}: {pattern}")
+    return found
+
+
+def test_bandit_layout_is_private_to_the_policy_module():
+    assert not offenders(LAYOUT_NAMES)
+
+
+def test_per_table_state_is_private_to_session_and_binding():
+    assert not offenders(SESSION_NAMES)
 
 
 def test_layout_classes_are_not_exported():
@@ -48,3 +79,11 @@ def test_layout_classes_are_not_exported():
         assert "BanditNode" not in package.__all__
         assert "EpsilonGreedyBandit" not in package.__all__
         assert not hasattr(package, "EpsilonGreedyBandit")
+
+
+def test_executor_registry_is_not_exported():
+    for package in (repro, repro.query):
+        for name in ("QueryExecutor", "EXECUTORS", "register_executor",
+                     "available_executors", "get_executor"):
+            assert name not in package.__all__
+            assert not hasattr(package, name)

@@ -220,9 +220,9 @@ class TestOpaqueQuerySession:
 
     def test_index_reused_across_udfs(self, session):
         session.execute("SELECT TOP 3 FROM numbers ORDER BY relu BUDGET 100")
-        index_first = session._indexes["numbers"]
+        index_first = session._binding("numbers").index_for()
         session.execute("SELECT TOP 3 FROM numbers ORDER BY squared BUDGET 100")
-        assert session._indexes["numbers"] is index_first
+        assert session._binding("numbers").index_for() is index_first
 
     def test_unknown_table(self, session):
         with pytest.raises(ConfigurationError):

@@ -228,7 +228,7 @@ class TestIncrementalDifferential:
         table = make_live_table(n_rows=60, seed=4)
         session, _, _ = make_live_session(table)
         session.execute(EXHAUSTIVE)                     # builds the index
-        maintainer = session._maintainers["t"]
+        maintainer = session._binding("t").maintainer
         assert maintainer.max_leaf_size == 24
 
         burst = append_rows(table, 2.5 + np.arange(25) * 1e-4)
@@ -378,7 +378,7 @@ class TestMemoVersioning:
         session.execute(EXHAUSTIVE)
         append_rows(table, [2.0])
         session.execute(EXHAUSTIVE)
-        store = session._memo_for("t")
+        store = session._binding("t").memo
         assert store.table_version == 1 and store.n_entries() > 0
         payload = snapshot_memo(store)
         assert payload["table_version"] == 1
@@ -417,11 +417,95 @@ class TestMemoVersioning:
     def test_shard_cache_evicts_stale_versions(self):
         session, _, table = make_live_session()
         session.execute(EXHAUSTIVE + " WORKERS 2")
-        cache = session._shard_cache_for("t")
+        cache = session._binding("t").shard_cache
         assert all(key[5] == 0 for key in cache._entries)
         append_rows(table, [1.0])
         session.execute(EXHAUSTIVE + " WORKERS 2")
         assert cache._entries and all(key[5] == 1 for key in cache._entries)
+
+
+# -- the table binding (one door to per-table state) --------------------------
+
+
+class TestTableBinding:
+    def test_static_pin_is_the_dataset_itself(self):
+        from tests.conftest import make_session
+
+        session, _ = make_session()
+        binding = session._binding("t")
+        assert binding.pin() == (session.table("t"), 0, None)
+        assert binding.memo_view("fp", 0).reader_version is None
+        assert binding.touched_since(0) == set()
+        assert binding.info()["index_freshness"] == "unbuilt"
+        tree = binding.index_for()
+        assert binding.index_for(0, session.table("t")) is tree
+        assert binding.info()["index_freshness"] == "static"
+        with pytest.raises(ConfigurationError, match="unknown table 'nope'"):
+            session.table("nope")
+
+    def test_live_pin_reconciles_once_across_forks(self, monkeypatch):
+        session, _, table = make_live_session()
+        session.execute(EXHAUSTIVE + " WORKERS 2")  # index, memo, shard cache
+        binding = session._binding("t")
+        assert len(binding.shard_cache) == 1
+        calls = []
+        for owner, method in ((binding.maintainer, "advance"),
+                              (binding.memo, "apply_writes"),
+                              (binding.shard_cache, "evict_stale")):
+            real = getattr(owner, method)
+            monkeypatch.setattr(
+                owner, method,
+                lambda *args, _real=real, _name=method: (
+                    calls.append(_name), _real(*args))[1])
+        new_ids = append_rows(table, [9.0, 8.0])
+
+        fork_a, fork_b = session.fork(), session.fork()
+        pins = [fork._binding("t").pin() for fork in (fork_a, fork_b)]
+        assert sorted(calls) == ["advance", "apply_writes", "evict_stale"]
+        for snapshot, version, freshness in pins:
+            assert version == snapshot.version == table.version == 1
+            assert freshness == "incremental"
+            assert set(new_ids) <= set(snapshot.ids())
+        assert binding.maintainer.version == binding.memo.table_version == 1
+        assert len(binding.shard_cache) == 0        # version-0 partitions
+        assert binding.memo_view("fp", 1).reader_version == 1
+        # Each fork dirties its own priors from the one shared log.
+        touched = binding.touched_since(0)
+        assert touched and touched == binding.touched_since(0)
+        assert binding.touched_since(1) == set()
+
+    def test_stale_pin_gets_a_one_off_tree_over_the_pinned_rows(self):
+        session, _, table = make_live_session()
+        binding = session._binding("t")
+        pinned, version, _ = binding.pin()
+        new_ids = append_rows(table, [9.0])         # commits after the pin
+        stale = binding.index_for(version, pinned)
+        members = {m for leaf in stale.leaves() for m in leaf.member_ids}
+        assert members == set(pinned.ids()) and not members & set(new_ids)
+        # Uncached: the maintained tree moved on and serves the new pin.
+        fresh, now, _ = binding.pin()
+        current = binding.index_for(now, fresh)
+        assert current is binding.maintainer.tree is not stale
+        assert set(new_ids) <= {m for leaf in current.leaves()
+                                for m in leaf.member_ids}
+
+    def test_prebuilt_index_adopted_only_when_it_covers_the_live_ids(self):
+        from repro.index.builder import IndexConfig, build_index
+        from repro.session import OpaqueQuerySession
+
+        table = make_live_table(n_rows=40)
+        snapshot = table.snapshot()
+        prebuilt = build_index(snapshot.features(), snapshot.ids(),
+                               IndexConfig(n_clusters=4), rng=5)
+        for write_first, adopted in ((False, True), (True, False)):
+            session = OpaqueQuerySession()
+            session.register_table("t", table, index=prebuilt)
+            if write_first:     # same row count, different ids
+                table.delete([snapshot.ids()[0]])
+                append_rows(table, [1.0])
+            binding = session._binding("t")
+            binding.pin()
+            assert (binding.maintainer.tree is prebuilt) == adopted
 
 
 # -- standing CONTINUOUS queries ---------------------------------------------

@@ -194,7 +194,7 @@ def test_memo_shared_across_where_subsets_priors_are_not(memo_table):
     assert (shard_scope(0, 2, 123, subset_fingerprint(narrow_ids))
             != shard_scope(0, 2, 123, subset_fingerprint(wide_ids)))
     # ... and both harvested under the session's prior store.
-    store = session._prior_store_for("t")
+    store = session._prior_stores["t"]
     assert len(store) == 2
 
 

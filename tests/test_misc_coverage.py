@@ -139,7 +139,7 @@ class TestSessionBatchClause:
         session.register_table("t", dataset)
         session.register_udf("relu", ReluScorer())
         session.execute("SELECT TOP 2 FROM t ORDER BY relu BUDGET 50")
-        assert session._indexes["t"].n_leaves() == 3
+        assert session._binding("t").index_for().n_leaves() == 3
 
 
 class TestDistributedVariants:

@@ -476,10 +476,16 @@ class TestSessionMetrics:
         assert cell["labels"] == {"table": "t"}
         assert cell["value"] == 1.0   # warm repeat: every lookup hit
 
-    def test_stream_records_what_execute_records(self, dataset):
+    @pytest.mark.parametrize("where, mode, hit_rates", [
+        ("", "streaming", [1.0]),
+        # No candidate survives: the exact empty answer is a query too.
+        (" WHERE feature[0] > 999999", "single", []),
+    ])
+    def test_stream_records_what_execute_records(self, dataset, where,
+                                                 mode, hit_rates):
         """stream() and execute() of one STREAM query share a metrics tail:
         the query is counted once and leaves the same gauges behind."""
-        sql = query_text("streaming", "serial")
+        sql = query_text("streaming", "serial") + where
         gauges = []
         for drive in (lambda s: s.execute(sql),
                       lambda s: list(s.stream(sql))):
@@ -489,13 +495,15 @@ class TestSessionMetrics:
             drive(session)                      # warm: the memo is hit
             snapshot = REGISTRY.snapshot()
             (queries,) = snapshot["queries_total"]["values"]
-            assert queries["labels"] == {"mode": "streaming", "table": "t"}
+            assert queries["labels"] == {"mode": mode, "table": "t"}
             assert queries["value"] == 2
             gauges.append((snapshot["bound_width"]["values"],
                            snapshot["memo_hit_rate"]["values"]))
         assert gauges[0] == gauges[1]
-        (rate,) = gauges[1][1]
-        assert rate["labels"] == {"table": "t"} and rate["value"] == 1.0
+        (bound,) = gauges[1][0]
+        assert bound["labels"] == {"mode": mode}
+        assert [rate["value"] for rate in gauges[1][1]] == hit_rates
+        assert all(rate["labels"] == {"table": "t"} for rate in gauges[1][1])
 
     def test_staleness_histogram_observed(self, dataset):
         REGISTRY.reset()

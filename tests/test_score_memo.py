@@ -323,6 +323,59 @@ class TestWarmStartPriors:
         assert warm_a.items == warm_b.items
         assert len(warm_a.items) == len(cold.items) == 5
 
+    def test_prior_store_is_lru_bounded(self):
+        from repro.memo.priors import MAX_PRIOR_PAYLOADS, PriorStore
+
+        store = PriorStore()
+        for i in range(MAX_PRIOR_PAYLOADS):
+            store.put("fp", f"single:{i}", {"root": {"i": i}, "n1": {}})
+        assert store.get("fp", "single:0")          # a get is a use
+        store.put("fp", "single:new", {"root": {}})
+        assert len(store) == MAX_PRIOR_PAYLOADS
+        assert store.get("fp", "single:0") and store.get("fp", "single:new")
+        assert store.get("fp", "single:1") is None  # the stalest one went
+        # The rest of the surface is unchanged by the bound.
+        twin = PriorStore.from_dict(store.to_dict())
+        assert len(twin) == len(store)
+        assert twin.get("fp", "single:0") == {"root": {"i": 0}, "n1": {}}
+        assert twin.drop_nodes(["n1"]) == MAX_PRIOR_PAYLOADS - 1
+
+    def test_prior_store_stays_bounded_over_a_soak(self, memo_table,
+                                                   session_builder):
+        """Every cached dispatch banks a harvest, asked for or not: shard
+        scopes of a seedless run (no later plan can rebuild their root
+        entropy) are not banked at all, the rest is LRU-bounded."""
+        from repro.memo.priors import MAX_PRIOR_PAYLOADS, shard_scope
+        from repro.utils.rng import RngFactory
+
+        seeded = "SELECT TOP 3 FROM t ORDER BY f BUDGET 30 SEED 3 WORKERS 2"
+        session, _ = session_builder()
+        session.execute(seeded)
+        store = session._prior_stores["t"]
+        assert len(store) == 2                      # one payload per shard
+        for _ in range(50):
+            session.execute(
+                "SELECT TOP 3 FROM t ORDER BY f BUDGET 20 WORKERS 2")
+            session.execute(
+                "SELECT TOP 3 FROM t ORDER BY f BUDGET 20 WORKERS 2 STREAM")
+        assert len(store) == 2
+        column = sorted(memo_table.features()[:, 0])
+        sizes = set()
+        for below, above in zip(column[49:99], column[50:]):
+            query = (f"SELECT TOP 3 FROM t ORDER BY f WHERE feature[0] < "
+                     f"{(below + above) / 2:.9f} BUDGET 10 SEED 1")
+            sizes.add(session.plan(query).n_candidates)
+            session.execute(query)
+        assert len(sizes) == 50                     # 50 distinct subsets
+        assert len(store) == MAX_PRIOR_PAYLOADS
+        # A seeded repeat still finds what its first run learned.
+        session.execute(seeded)
+        fingerprint = session.plan(seeded).fingerprint
+        entropy = RngFactory(3).root_entropy
+        assert all(store.get(fingerprint, shard_scope(worker, 2, entropy))
+                   for worker in range(2))
+        assert len(session.execute(seeded, warm_start=True).items) == 3
+
     def test_priors_refuse_a_run_engine(self, memo_table):
         from repro.core.engine import EngineConfig, TopKEngine
         from repro.index.builder import IndexConfig, build_index

@@ -538,9 +538,12 @@ class TestSessionFork:
     def test_fork_shares_transparent_state_only(self):
         session, _ = build_session()
         fork = session.fork()
-        assert fork._tables is session._tables
-        assert fork._memos is session._memos
-        assert fork._shard_caches is session._shard_caches
+        # One shared catalog; tables, memos and shard caches ride on it.
+        assert fork._catalog is session._catalog
+        ours, theirs = fork._binding("t"), session._binding("t")
+        assert ours.dataset is theirs.dataset
+        assert ours.memo is theirs.memo
+        assert ours.shard_cache is theirs.shard_cache
         assert fork._udf_fingerprints is session._udf_fingerprints
         assert fork._prior_stores is not session._prior_stores
         assert fork.last_trace is None
@@ -559,7 +562,7 @@ class TestSessionFork:
         threads = [
             threading.Thread(
                 target=lambda fork=fork: indexes.append(
-                    fork._index_for("t"))
+                    fork._binding("t").index_for())
             )
             for fork in forks
         ]

@@ -227,7 +227,7 @@ class TestStreamExecution:
         query = ("SELECT TOP 5 FROM t ORDER BY relu BUDGET 120 SEED 0 "
                  "WORKERS 2 STREAM")
         session.execute(query)
-        cache = session._shard_caches["t"]
+        cache = session._binding("t").shard_cache
         assert len(cache) == 1 and cache.hits == 0
         session.execute(query)
         assert cache.hits == 1
@@ -236,7 +236,7 @@ class TestStreamExecution:
         sharded = ("SELECT TOP 5 FROM t ORDER BY relu BUDGET 120 SEED 0 "
                    "WORKERS 2")
         session.execute(sharded)
-        cache = session._shard_caches["t"]
+        cache = session._binding("t").shard_cache
         warm_hits = cache.hits
         session.execute(sharded + " STREAM")
         assert cache.hits == warm_hits + 1

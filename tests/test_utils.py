@@ -67,6 +67,23 @@ class TestRngFactory:
         assert isinstance(factory.named("a"), np.random.Generator)
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "RngFactory.named keys a stream by the first eight bytes of its name "
+    "only.  Both frozen goldens were recorded over exactly these streams, "
+    "so the fix changes every seeded run: it needs regenerated goldens and "
+    "an stk_ratio / udf_calls_per_op A/B of its own (ROADMAP item 4)."))
+@pytest.mark.parametrize("one, other", [
+    ("arm:leaf-1", "arm:leaf-22"),      # every leaf arm shuffles alike
+    ("engine:1", "engine:10"),          # shards >= 10 reuse shard 1's seed
+    ("index:10", "index:100"),
+    ("resume:0:0", "resume:0:1"),       # the resume count never counts
+])
+def test_named_streams_differ_beyond_eight_bytes(one, other):
+    draws = [RngFactory(7).named(name).integers(10**9, size=8)
+             for name in (one, other)]
+    assert not np.array_equal(*draws)
+
+
 class TestStopwatch:
     def test_accumulates_elapsed(self):
         sw = Stopwatch()

@@ -242,12 +242,37 @@ class TestWherePushdownExactness:
         query = (f"SELECT TOP 5 FROM t ORDER BY f WHERE {PREDICATE} "
                  f"SEED 0 WORKERS 2")
         session.execute(query)
-        cache = session._shard_caches["t"]
+        cache = session._binding("t").shard_cache
         assert len(cache) == 1 and cache.hits == 0
         session.execute(query)  # same predicate -> warm hit
         assert cache.hits == 1
         session.execute(query.replace("< 0.3", "< 0.5"))
         assert len(cache) == 2  # different candidates -> different key
+
+
+    def test_subset_is_fingerprinted_once_per_dispatch(self, setup,
+                                                       monkeypatch):
+        """The SHA-256 pass over every candidate id happens at plan time
+        and rides the plan to the prior scopes and the shard-cache key."""
+        import sys
+
+        import repro.parallel.cache as cache_module
+
+        real, calls = cache_module.subset_fingerprint, []
+        for module in list(sys.modules.values()):
+            if (getattr(module, "__name__", "").startswith("repro")
+                    and getattr(module, "subset_fingerprint", None) is real):
+                monkeypatch.setattr(
+                    module, "subset_fingerprint",
+                    lambda ids: (calls.append(ids), real(ids))[1])
+        session, _dataset, _scorer = setup
+        for suffix in (" WORKERS 2", " WORKERS 2 STREAM", ""):
+            del calls[:]
+            result = session.execute(
+                f"SELECT TOP 5 FROM t ORDER BY f WHERE {PREDICATE} SEED 0"
+                + suffix)     # first of its mode: the shard cache is cold
+            assert len(result.items) == 5
+            assert len(calls) == 1 and calls[0] is not None
 
 
 class TestExplain:
