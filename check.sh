@@ -1,5 +1,6 @@
 #!/bin/sh
-# CI-style check: byte-compile everything, run the doctest'd grammar,
+# CI-style check: byte-compile everything, run every doctest under
+# src/repro (the targets are discovered, so a new `>>>` cannot be missed),
 # run the documentation gates (executable docs examples, API-symbol
 # imports, relative links), then tier-1.  Perf gates stay opt-in
 # (`pytest -m perf`), matching the benchmarks/ pattern.
@@ -10,8 +11,8 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 echo "== compileall =="
 python -m compileall -q src bench benchmarks examples tests tools
 
-echo "== doctests (dialect grammar + rng) =="
-python -m doctest src/repro/query/parser.py src/repro/utils/rng.py
+echo "== doctests (every module under src/repro with a >>> example) =="
+python -m doctest $(grep -rl '>>> ' src/repro --include='*.py')
 
 # SKIP_DOCS=1 skips the docs gates (used by the CI matrix job, where the
 # dedicated `docs` job is the single owner of these checks).

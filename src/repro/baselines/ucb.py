@@ -29,7 +29,7 @@ class _MeanStat:
 
     Stands where the hierarchical policy keeps a node's histogram
     (``BanditConfig.sketch_factory``); the policy only ever feeds it
-    through ``add_batch``.
+    through ``add`` (one score) and ``add_batch`` (several).
     """
 
     __slots__ = ("visits", "mean")
@@ -38,10 +38,13 @@ class _MeanStat:
         self.visits = 0
         self.mean = prior_mean
 
+    def add(self, score: float) -> None:
+        self.visits += 1
+        self.mean += (float(score) - self.mean) / self.visits
+
     def add_batch(self, scores: Iterable[float]) -> None:
         for score in scores:
-            self.visits += 1
-            self.mean += (float(score) - self.mean) / self.visits
+            self.add(score)
 
 
 class UCBBandit(SamplingAlgorithm):

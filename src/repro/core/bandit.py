@@ -65,9 +65,3 @@ class BanditConfig:
         return AdaptiveHistogram(
             n_bins=self.n_bins, initial_range=self.initial_range, beta=self.beta
         )
-
-    def new_sketch(self) -> ScoreSketch:
-        """Construct the per-arm sketch: custom factory or paper histogram."""
-        if self.sketch_factory is not None:
-            return self.sketch_factory()
-        return self.new_histogram()

@@ -23,30 +23,27 @@ The engine exposes two equivalent driving styles:
 * ``run(dataset, scorer, ...)`` — the standalone anytime loop a library
   user calls, which also records quality checkpoints.
 
-Hot-path invariants (vectorized engine)
----------------------------------------
-Per-element engine overhead is O(depth · B) with numpy inner kernels:
+Hot-path invariants
+-------------------
+Per-element engine overhead is O(depth) Python steps plus about one numpy
+gain kernel per select:
 
 * ``exhausted`` and the per-descent candidate filters read the policy's
   incremental ``remaining`` counters (the policy alone writes them — see
   :mod:`repro.core.hierarchical`), never rescanning leaves.
-* ``observe`` folds the whole batch with **one** root-to-leaf path walk
-  (``HierarchicalBanditPolicy.update`` →
-  ``AdaptiveHistogram.add_batch``) instead of one walk per element; the
+* ``observe`` validates the batch (finite, non-negative) and folds it with
+  **one** walk of the drawn leaf's precomputed root path; the
   priority-queue offers stay per-element so the threshold evolves exactly
   as in Algorithm 1, and the path update uses the post-batch threshold.
-* Gain estimates are served from per-histogram ``(threshold, gain)`` caches,
-  dirtied only by histogram mutation (batch adds on the touched path,
-  re-binning, drop subtraction) or threshold movement, and recomputed for
-  all sibling candidates in one stacked vectorized pass.
+* Gains are cached per row of the policy's histogram bank.  A mutation
+  stales its row, a moved threshold misses the cached one, and the first
+  stale sibling set of a descent refreshes every row mutated since the
+  last refresh in one kernel call (:mod:`repro.core.histogram`).
 
-At ``batch_size=1`` every one of these paths degenerates to the original
-scalar behaviour: same seeds produce the same draws and the same results
-(pinned by ``tests/test_engine_equivalence.py``).
-
-These invariants, and the shard/coordinator protocol that runs many
-engines in parallel, are documented normatively in
-``docs/architecture.md``.
+Seeded draws and floats are pinned by ``tests/test_engine_equivalence.py``
+and ``tests/test_policy_golden.py``.  These invariants, and the
+shard/coordinator protocol that runs many engines in parallel, are
+documented normatively in ``docs/architecture.md``.
 """
 
 from __future__ import annotations
@@ -68,7 +65,7 @@ from repro.obs.metrics import MEMO_HITS_TOTAL, UDF_CALLS_TOTAL
 from repro.obs.spans import TraceContext
 from repro.utils.rng import RngFactory, SeedLike
 from repro.utils.timer import Stopwatch
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_positive_int, check_scores
 
 
 class SupportsFetch(Protocol):
@@ -151,6 +148,9 @@ class ScoringStep:
                 scores = fresh
             else:
                 fresh = np.asarray(fresh, dtype=float).reshape(-1).tolist()
+                # Before the write-back: the memo must never hold a score
+                # observe() would refuse.
+                check_scores(fresh)
                 for position, value in zip(misses, fresh):
                     scores[position] = value
                 pairs = list(zip(miss_ids, fresh))
@@ -360,15 +360,10 @@ class TopKEngine:
                 )
         total_gain = 0.0
         with self.overhead:
-            score_arr = np.asarray(scores, dtype=float).reshape(-1)
-            if len(score_arr) and score_arr.min() < 0.0:
-                bad = float(score_arr[score_arr < 0.0][0])
-                raise ConfigurationError(
-                    f"opaque scores must be non-negative, got {bad!r}"
-                )
+            batch_scores = np.asarray(scores, dtype=float).reshape(-1).tolist()
+            check_scores(batch_scores)
             # Per-element priority-queue offers: the threshold must evolve
             # within the batch exactly as in the scalar Algorithm 1 loop.
-            batch_scores = score_arr.tolist()
             for element_id, score in zip(self._pending, batch_scores):
                 total_gain += self.buffer.offer(score, element_id)
             self.n_scored += len(self._pending)

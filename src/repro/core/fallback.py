@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 from repro.core.hierarchical import HierarchicalBanditPolicy
-from repro.core.histogram import gain_batch
 from repro.utils.validation import check_fraction
 
 
@@ -128,13 +127,8 @@ class FallbackController:
                              scoring_latency: float,
                              bandit_latency: float) -> bool:
         """True iff uniform sampling's estimated slope beats the bandit's."""
-        leaves = policy.live_leaves()
-        if not leaves:
-            return False
-        sizes, sketches = zip(*leaves)
-        # One vectorized pass over all leaves (cache-served between
-        # observations); the slope arithmetic below is unchanged.
-        gains = [float(g) for g in gain_batch(sketches, threshold)]
+        # Through the policy: the bank's refresh is the one refresh path.
+        sizes, gains = policy.leaf_gains(threshold)
         total_size = sum(sizes)
         if total_size == 0:
             return False

@@ -23,23 +23,32 @@ The sketch also evaluates the expected marginal STK gain ``E[Delta_{t,l}]``
 of Equation 2 in closed form under the uniform value assumption, which is
 what the epsilon-greedy bandit maximizes during exploitation.
 
-Hot-path notes
---------------
-The engine evaluates gains for every sibling candidate on every descent, so
-``expected_marginal_gain`` memoizes its last ``(threshold, value)`` pair.
-The cache is invalidated by every mutation (``add``/``add_batch``/
-``extend_range``/``maybe_extend_lowest``/``subtract``/``merge``); a moved
-threshold simply misses the cache key.  Mutate sketches only through those
-methods — assigning ``edges``/``counts`` directly would leave a stale cache.
-:func:`gain_batch` computes gains for many sketches in one vectorized pass
-over stacked ``edges``/``counts`` matrices, filling the same per-sketch
-cache, and the scalar path routes through the same kernel so batched and
-scalar evaluations are bit-identical.
+Layout: one bank, many rows
+---------------------------
+A sketch's numbers live in a :class:`HistogramBank`: an ``(n_rows, B+1)``
+edge matrix and an ``(n_rows, B)`` count matrix, plus per-row mass, cached
+gain and the threshold that gain was computed at (``STALE`` when out of
+date).  The per-row scalars are Python lists: the scalar path reads one
+element at a time, and a list read costs 12-25 ns where indexing an ndarray
+builds a numpy scalar for 40-85 ns (a write: 28 against 147).  An
+:class:`AdaptiveHistogram` *is* a row of a bank — the policy allocates one
+bank for all its nodes, a standalone sketch owns a one-row bank — and the
+one place the maintenance arithmetic is written.  Every mutator writes its
+row in place and marks it stale; nothing else may write the matrices
+(``edges`` and ``counts`` are live row views).
+
+:meth:`HistogramBank.gains` is the one refresh path and
+:func:`_gain_matrix` the one place Equation 2 is written.  The kernel costs
+~20 us of numpy dispatch whether it sees two rows or sixty, so fewer,
+larger calls is the lever; it is row-independent bit for bit
+(``tests/test_histogram_bank.py``), so which rows share a call can never
+change a gain.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+import math
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -155,55 +164,129 @@ def _gain_matrix(edges: np.ndarray, counts: np.ndarray,
 
 def gain_batch(sketches: Sequence[object],
                threshold: Optional[float]) -> np.ndarray:
-    """Expected marginal gains for many sketches in one vectorized pass.
+    """Expected marginal gains for a list of sketches.
 
-    When every sketch's gain cache is fresh for ``threshold`` the answer is
-    a pure cache read.  Otherwise all adaptive histograms (of the common bin
-    count) are re-evaluated together by a single :func:`_gain_matrix` call
-    over stacked ``edges``/``counts`` matrices, refreshing every cache: the
-    kernel's cost is dominated by fixed numpy-dispatch overhead, so one
-    whole-sibling-set call is cheaper than bookkeeping a dirty subset.
-    Heterogeneous sketches fall back to ``expected_marginal_gain`` (itself
-    cached for adaptive histograms).
+    Rows of one :class:`HistogramBank` are answered together by its
+    :meth:`~HistogramBank.gains`; in a mixed or custom list every sketch
+    answers ``expected_marginal_gain`` itself.
     """
-    tau = None if threshold is None else float(threshold)
-    m = len(sketches)
-    gains = np.empty(m, dtype=float)
-    all_fresh = True
-    for i, sketch in enumerate(sketches):
-        cached = getattr(sketch, "_gain_cache", None)
-        if cached is not None and cached[0] == tau:
-            gains[i] = cached[1]
-        else:
-            all_fresh = False
-            break
-    if all_fresh:
-        return gains
-    if not isinstance(sketches[0], AdaptiveHistogram):
-        for i, sketch in enumerate(sketches):
-            gains[i] = sketch.expected_marginal_gain(threshold)
-        return gains
-    try:
-        n_edges = len(sketches[0].edges)
-        edges = np.empty((m, n_edges), dtype=float)
-        counts = np.empty((m, n_edges - 1), dtype=float)
-        for i, sketch in enumerate(sketches):
-            edges[i] = sketch.edges
-            counts[i] = sketch.counts
-    except (AttributeError, TypeError, ValueError):
-        # Heterogeneous sketch set (custom factories / mixed bin counts):
-        # fall back to per-sketch evaluation.
-        for i, sketch in enumerate(sketches):
-            gains[i] = sketch.expected_marginal_gain(threshold)
-        return gains
-    gains = _gain_matrix(edges, counts, tau)
-    for sketch, value in zip(sketches, gains.tolist()):
-        sketch._gain_cache = (tau, value)
-    return gains
+    bank = getattr(sketches[0], "_bank", None) if len(sketches) else None
+    if bank is not None and all(getattr(sketch, "_bank", None) is bank
+                                for sketch in sketches):
+        tau = None if threshold is None else float(threshold)
+        return np.array(bank.gains([sketch._row for sketch in sketches], tau))
+    return np.array([sketch.expected_marginal_gain(threshold)
+                     for sketch in sketches], dtype=float)
+
+
+#: ``row_gain_at`` of a row whose cached gain is out of date.
+STALE = object()
+
+
+class HistogramBank:
+    """Struct-of-arrays storage for many adaptive histograms of one shape.
+
+    Rows start empty and equi-width over ``[0, initial_range]``; the module
+    docstring has the layout and the staleness contract.
+    """
+
+    def __init__(self, n_rows: int, n_bins: int = 8,
+                 initial_range: float = 0.1, beta: float = 1.1) -> None:
+        check_positive_int(n_bins, "n_bins")
+        if n_bins < 2:
+            raise ConfigurationError(f"n_bins must be >= 2, got {n_bins}")
+        check_positive(initial_range, "initial_range")
+        if not 1.0 <= beta <= 2.0:
+            raise ConfigurationError(f"beta must lie in [1, 2], got {beta!r}")
+        grid = np.linspace(0.0, float(initial_range), n_bins + 1)
+        self.n_bins = n_bins
+        self.beta = float(beta)
+        self.edge_matrix = np.tile(grid, (n_rows, 1))
+        self.count_matrix = np.zeros((n_rows, n_bins))
+        self.row_rebins = [0] * n_rows
+        self.row_extensions = [0] * n_rows
+        # Cached scalars of each row's grid: total mass, top border, and the
+        # border the Fig. 3a check compares against (+inf: never re-bins).
+        self.row_mass = [0.0] * n_rows
+        self.row_top = [float(grid[-1])] * n_rows
+        self.row_rebin_at = [float(grid[2]) if n_bins >= 3
+                             else math.inf] * n_rows
+        # row_gain[r] is E[Delta] at threshold row_gain_at[r]; STALE there
+        # (equal to no threshold, None included) until first evaluated and
+        # after every mutation.
+        self.row_gain = [0.0] * n_rows
+        self.row_gain_at: List[object] = [STALE] * n_rows
+        # Rows a mutation staled, and rows read, since the last refresh.
+        self.touched_rows: List[int] = []
+        self.read_rows: Set[int] = set()
+
+    def row(self, row: int) -> "AdaptiveHistogram":
+        """The sketch bound to ``row`` (a view: it owns no numbers)."""
+        sketch = AdaptiveHistogram.__new__(AdaptiveHistogram)
+        sketch._bank = self
+        sketch._row = row
+        return sketch
+
+    def touch(self, row: int) -> None:
+        """Mark ``row`` stale; the next :meth:`gains` refresh includes it."""
+        if self.row_gain_at[row] is not STALE:
+            self.row_gain_at[row] = STALE
+            self.touched_rows.append(row)
+
+    def resync(self, row: int) -> None:
+        """Re-derive ``row``'s cached scalars after its matrices were rewritten."""
+        edges = self.edge_matrix[row]
+        self.row_top[row] = float(edges[-1])
+        if self.n_bins >= 3:
+            self.row_rebin_at[row] = float(edges[2])
+        self.row_mass[row] = float(self.count_matrix[row].sum())
+        self.touch(row)
+
+    def load(self, row: int, edges: np.ndarray, counts: np.ndarray,
+             n_rebins: int, n_extensions: int) -> None:
+        """Overwrite ``row`` with a serialized sketch's state."""
+        self.edge_matrix[row] = edges
+        self.count_matrix[row] = counts
+        self.row_rebins[row] = n_rebins
+        self.row_extensions[row] = n_extensions
+        self.resync(row)
+
+    def adopt(self, row: int, sketch: "AdaptiveHistogram") -> bool:
+        """Copy a same-shaped sketch's state into ``row``; False if it differs."""
+        if sketch.n_bins != self.n_bins or sketch.beta != self.beta:
+            return False
+        self.load(row, sketch.edges, sketch.counts, sketch.n_rebins,
+                  sketch.n_extensions)
+        self.row_mass[row] = sketch.total_mass  # the running sum, bit for bit
+        return True
+
+    def gains(self, rows: Sequence[int], tau: Optional[float]) -> List[float]:
+        """Gains of ``rows`` at ``tau``; at most one kernel call, often none.
+
+        A refresh takes along the rows mutated since the last one and the
+        rows read since the last one that sit at another threshold: after a
+        threshold move the next descent mostly re-reads the last one's
+        sibling sets, so its first layer pays for all of them.
+        """
+        at, gain = self.row_gain_at, self.row_gain
+        need = [row for row in rows if at[row] != tau]
+        if need:
+            extra = set(self.touched_rows)
+            extra.update(row for row in self.read_rows if at[row] != tau)
+            need.extend(extra.difference(need))
+            self.touched_rows = []
+            self.read_rows = set()
+            values = _gain_matrix(self.edge_matrix.take(need, 0),
+                                  self.count_matrix.take(need, 0), tau)
+            for row, value in zip(need, values.tolist()):
+                gain[row] = value
+                at[row] = tau
+        self.read_rows.update(rows)
+        return [gain[row] for row in rows]
 
 
 class AdaptiveHistogram:
-    """Histogram sketch of one arm's score distribution.
+    """Histogram sketch of one arm's score distribution (a row of a bank).
 
     Parameters
     ----------
@@ -216,73 +299,71 @@ class AdaptiveHistogram:
         Range-extension overestimation factor in ``[1, 2]`` (default 1.1).
     """
 
+    __slots__ = ("_bank", "_row")
+
     def __init__(self, n_bins: int = 8, initial_range: float = 0.1,
                  beta: float = 1.1) -> None:
-        check_positive_int(n_bins, "n_bins")
-        if n_bins < 2:
-            raise ConfigurationError(f"n_bins must be >= 2, got {n_bins}")
-        check_positive(initial_range, "initial_range")
-        if not 1.0 <= beta <= 2.0:
-            raise ConfigurationError(f"beta must lie in [1, 2], got {beta!r}")
-        self.n_bins = int(n_bins)
-        self.beta = float(beta)
-        self.edges = np.linspace(0.0, float(initial_range), n_bins + 1)
-        self.counts = np.zeros(n_bins, dtype=float)
-        self.n_rebins = 0
-        self.n_extensions = 0
-        # Last (threshold, gain) pair; None whenever the sketch mutated.
-        self._gain_cache: Optional[Tuple[Optional[float], float]] = None
-        # Running total mass, so total_mass/is_empty checks on the hot path
-        # are O(1) attribute reads; re-derived from counts after any
-        # redistribution (extension, re-bin, subtract, merge).
-        self._mass = 0.0
+        self._bank = HistogramBank(1, n_bins, initial_range, beta)
+        self._row = 0
 
     # -- basic accessors ------------------------------------------------------
+
+    n_bins = property(lambda self: self._bank.n_bins)
+    beta = property(lambda self: self._bank.beta)
+    n_rebins = property(lambda self: self._bank.row_rebins[self._row])
+    n_extensions = property(lambda self: self._bank.row_extensions[self._row])
+
+    @property
+    def edges(self) -> np.ndarray:
+        """The ``B + 1`` bin borders (a live view of the bank's row)."""
+        return self._bank.edge_matrix[self._row]
+
+    @property
+    def counts(self) -> np.ndarray:
+        """The ``B`` bin masses (a live view of the bank's row)."""
+        return self._bank.count_matrix[self._row]
 
     @property
     def total_mass(self) -> float:
         """Total (possibly fractional, after maintenance) sample mass."""
-        return self._mass
+        return self._bank.row_mass[self._row]
 
     @property
     def is_empty(self) -> bool:
         """True iff the sketch holds no mass."""
-        return self._mass <= 0.0
+        return self._bank.row_mass[self._row] <= 0.0
 
     @property
     def max_range(self) -> float:
         """Current upper border of the highest bin."""
-        return float(self.edges[-1])
+        return self._bank.row_top[self._row]
 
     def copy(self) -> "AdaptiveHistogram":
-        """Return an independent deep copy of this sketch."""
-        clone = AdaptiveHistogram.__new__(AdaptiveHistogram)
-        clone.n_bins = self.n_bins
-        clone.beta = self.beta
-        clone.edges = self.edges.copy()
-        clone.counts = self.counts.copy()
-        clone.n_rebins = self.n_rebins
-        clone.n_extensions = self.n_extensions
-        clone._gain_cache = self._gain_cache
-        clone._mass = self._mass
+        """Return an independent deep copy of this sketch (its own bank)."""
+        clone = AdaptiveHistogram(self.n_bins, 1.0, self.beta)  # placeholder
+        clone._bank.adopt(0, self)
         return clone
 
     # -- updates ---------------------------------------------------------------
 
     def add(self, value: float) -> None:
         """Record one observed score, auto-extending the range if needed."""
+        bank, row = self._bank, self._row
         value = float(value)
         if value < 0.0:
             raise ConfigurationError(
                 f"scores must be non-negative (opaque top-k setting), got {value!r}"
             )
-        if value > self.max_range:
-            self.extend_range(self.beta * value)
-        index = int(np.searchsorted(self.edges, value, side="right") - 1)
-        index = min(max(index, 0), self.n_bins - 1)
-        self.counts[index] += 1.0
-        self._mass += 1.0
-        self._gain_cache = None
+        if value > bank.row_top[row]:
+            self.extend_range(bank.beta * value)
+        index = int(bank.edge_matrix[row].searchsorted(value, "right")) - 1
+        if index >= bank.n_bins:  # the top border itself, and NaN
+            index = bank.n_bins - 1
+        elif index < 0:
+            index = 0
+        bank.count_matrix[row, index] += 1.0
+        bank.row_mass[row] += 1.0
+        bank.touch(row)
 
     def add_many(self, values: Iterable[float]) -> None:
         """Record each score of ``values`` in order."""
@@ -316,12 +397,13 @@ class AdaptiveHistogram:
             raise ConfigurationError(
                 f"scores must be non-negative (opaque top-k setting), got {bad!r}"
             )
+        bank, row = self._bank, self._row
         start = 0
         while start < arr.size:
             # ``> max_range`` (not ``<=``-negation) so NaN counts as fitting,
             # exactly like the scalar add(): NaN never triggers an extension
             # and searchsorted clamps it into the top bin.
-            over = arr[start:] > self.max_range
+            over = arr[start:] > bank.row_top[row]
             if not over.any():
                 stop = arr.size
             else:
@@ -329,15 +411,16 @@ class AdaptiveHistogram:
                 stop = start + int(np.argmax(over))
             if stop > start:
                 chunk = arr[start:stop]
-                indices = np.searchsorted(self.edges, chunk, side="right") - 1
-                np.minimum(indices, self.n_bins - 1, out=indices)
+                indices = bank.edge_matrix[row].searchsorted(chunk, "right") - 1
+                np.minimum(indices, bank.n_bins - 1, out=indices)
                 np.maximum(indices, 0, out=indices)
-                self.counts += np.bincount(indices, minlength=self.n_bins)
-                self._mass += float(chunk.size)
+                bank.count_matrix[row] += np.bincount(indices,
+                                                      minlength=bank.n_bins)
+                bank.row_mass[row] += float(chunk.size)
                 start = stop
             if start < arr.size:
-                self.extend_range(self.beta * float(arr[start]))
-        self._gain_cache = None
+                self.extend_range(bank.beta * float(arr[start]))
+        bank.touch(row)
 
     def extend_range(self, new_max: float) -> None:
         """Grow the covered range to ``[low, new_max]`` (Fig. 3b).
@@ -345,15 +428,17 @@ class AdaptiveHistogram:
         The new grid is equal-width; existing mass is redistributed by
         interval overlap under the uniform value assumption.
         """
-        if new_max <= self.max_range:
+        bank, row = self._bank, self._row
+        if new_max <= bank.row_top[row]:
             return
-        new_edges = np.linspace(float(self.edges[0]), float(new_max),
-                                self.n_bins + 1)
-        self.counts = _overlap_redistribute(self.edges, self.counts, new_edges)
-        self.edges = new_edges
-        self.n_extensions += 1
-        self._mass = float(self.counts.sum())
-        self._gain_cache = None
+        edges = bank.edge_matrix[row]
+        new_edges = np.linspace(float(edges[0]), float(new_max),
+                                bank.n_bins + 1)
+        bank.count_matrix[row] = _overlap_redistribute(
+            edges, bank.count_matrix[row], new_edges)
+        edges[:] = new_edges
+        bank.row_extensions[row] += 1
+        bank.resync(row)
 
     def maybe_extend_lowest(self, threshold: float | None) -> bool:
         """Apply the Fig. 3a re-binning if ``threshold`` passed bin 2's border.
@@ -365,31 +450,27 @@ class AdaptiveHistogram:
         uniform value assumption) so the bucket budget ``B`` is preserved and
         resolution shifts toward the tail.  Returns True iff a re-bin happened.
         """
-        if threshold is None or self.n_bins < 3:
+        bank, row = self._bank, self._row
+        # One float compare on the hot path: row_rebin_at is edges[2].
+        if threshold is None or threshold <= bank.row_rebin_at[row]:
             return False
-        if threshold <= self.edges[2]:
-            return False
+        edges, counts = bank.edge_matrix[row], bank.count_matrix[row]
         # Merge bins 0 and 1 (concatenate beats np.delete/np.insert here).
-        merged_edges = np.concatenate((self.edges[:1], self.edges[2:]))
-        merged_counts = np.concatenate(
-            ([self.counts[0] + self.counts[1]], self.counts[2:])
-        )
+        merged_edges = np.concatenate((edges[:1], edges[2:]))
+        merged_counts = np.concatenate(([counts[0] + counts[1]], counts[2:]))
         # Split the widest bin above the merged one to restore B bins.
         widths = merged_edges[2:] - merged_edges[1:-1]
         split = 1 + int(np.argmax(widths))
         mid = 0.5 * (merged_edges[split] + merged_edges[split + 1])
-        new_edges = np.concatenate(
+        half = merged_counts[split] / 2.0
+        edges[:] = np.concatenate(
             (merged_edges[:split + 1], [mid], merged_edges[split + 1:])
         )
-        half = merged_counts[split] / 2.0
-        new_counts = np.concatenate(
+        counts[:] = np.concatenate(
             (merged_counts[:split], [half, half], merged_counts[split + 1:])
         )
-        self.edges = new_edges
-        self.counts = new_counts
-        self.n_rebins += 1
-        self._mass = float(self.counts.sum())
-        self._gain_cache = None
+        bank.row_rebins[row] += 1
+        bank.resync(row)
         return True
 
     def subtract(self, other: "AdaptiveHistogram") -> None:
@@ -405,9 +486,8 @@ class AdaptiveHistogram:
         projected = _overlap_redistribute(other.edges, other.counts, self.edges)
         # Mass of the child falling beyond this sketch's range cannot be
         # located; it is dropped, which the clamp-at-zero rule tolerates.
-        self.counts = np.maximum(self.counts - projected, 0.0)
-        self._mass = float(self.counts.sum())
-        self._gain_cache = None
+        self.counts[:] = np.maximum(self.counts - projected, 0.0)
+        self._bank.resync(self._row)
 
     def merge(self, other: "AdaptiveHistogram") -> None:
         """Fold ``other``'s mass into this sketch (used when flattening)."""
@@ -415,9 +495,9 @@ class AdaptiveHistogram:
             return
         if other.max_range > self.max_range:
             self.extend_range(other.max_range)
-        self.counts += _overlap_redistribute(other.edges, other.counts, self.edges)
-        self._mass = float(self.counts.sum())
-        self._gain_cache = None
+        self.counts[:] += _overlap_redistribute(other.edges, other.counts,
+                                                self.edges)
+        self._bank.resync(self._row)
 
     # -- queries ---------------------------------------------------------------
 
@@ -433,19 +513,12 @@ class AdaptiveHistogram:
         ``threshold=None`` (solution not yet full) means every score is pure
         gain, so the estimate is the sketch's mean.  An empty sketch scores 0.
 
-        The result is memoized per ``(sketch state, threshold)``: mutations
-        clear the cache, and a moved threshold misses the cache key, so the
-        bandit's repeated sibling evaluations between observations are O(1).
+        Served by the bank's one refresh (:meth:`HistogramBank.gains`): a
+        mutation stales the row and a moved threshold misses the cached one,
+        so repeated evaluations between observations are a list read.
         """
         tau = None if threshold is None else float(threshold)
-        cached = self._gain_cache
-        if cached is not None and cached[0] == tau:
-            return cached[1]
-        value = float(
-            _gain_matrix(self.edges[None, :], self.counts[None, :], tau)[0]
-        )
-        self._gain_cache = (tau, value)
-        return value
+        return self._bank.gains((self._row,), tau)[0]
 
     def mean_estimate(self) -> float:
         """Mean of the sketched distribution under the uniform value assumption."""
@@ -514,15 +587,11 @@ class AdaptiveHistogram:
             raise SerializationError(
                 "histogram payload has inconsistent edges/counts lengths"
             )
-        sketch = cls.__new__(cls)
-        sketch.n_bins = n_bins
-        sketch.beta = beta
-        sketch.edges = edges
-        sketch.counts = counts
-        sketch.n_rebins = int(payload.get("n_rebins", 0))  # type: ignore[arg-type]
-        sketch.n_extensions = int(payload.get("n_extensions", 0))  # type: ignore[arg-type]
-        sketch._gain_cache = None
-        sketch._mass = float(counts.sum())
+        sketch = cls(n_bins, 1.0, beta)  # placeholder grid, overwritten
+        sketch._bank.load(
+            0, edges, counts,
+            int(payload.get("n_rebins", 0)),  # type: ignore[arg-type]
+            int(payload.get("n_extensions", 0)))  # type: ignore[arg-type]
         return sketch
 
     def __repr__(self) -> str:

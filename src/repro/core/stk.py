@@ -77,7 +77,7 @@ def stk_curve(values: Sequence[float], k: int) -> np.ndarray:
     ScanBest / ScanWorst / UniformSample quality-versus-iterations curves in
     O(n log k) instead of O(n^2 log n).
 
-    >>> list(stk_curve([1.0, 5.0, 3.0], k=2))
+    >>> stk_curve([1.0, 5.0, 3.0], k=2).tolist()
     [1.0, 6.0, 8.0]
     """
     _check_k(k)

@@ -7,7 +7,8 @@ query loop.
 
 from __future__ import annotations
 
-from typing import Any
+import math
+from typing import Any, Iterable
 
 from repro.errors import ConfigurationError
 
@@ -43,3 +44,17 @@ def check_fraction(value: float, name: str, *, inclusive_low: bool = True,
     if not (low_ok and high_ok):
         raise ConfigurationError(f"{name} must lie in the unit interval, got {value!r}")
     return value
+
+
+def check_scores(scores: Iterable[float]) -> None:
+    """Require every opaque-UDF score to be a finite non-negative float.
+
+    A NaN that enters the top-k buffer before it fills is never evicted and
+    ``+inf`` builds NaN histogram edges.  Takes Python floats (the callers
+    already hold them): two comparisons per score and no numpy call.
+    """
+    for score in scores:
+        if not 0.0 <= score < math.inf:
+            raise ConfigurationError(
+                "opaque scores must be finite and non-negative, "
+                f"got {score!r}")

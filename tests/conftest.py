@@ -69,8 +69,10 @@ def select_from(policy, leaf_id: str, size: int = 1):
     on the leaf's root path, so the draw, the pending leaf and the counters
     are exactly what a real descent to that leaf leaves behind.
     """
-    path = {id(node.histogram)
-            for node in policy.leaves_by_id[leaf_id].path_to_root()}
+    path, node = set(), policy.node(leaf_id)
+    while node is not None:
+        path.add(id(node.histogram))
+        node = node.parent
     return policy.select(size, choose=lambda _parent, children: next(
         position for position, sketch in enumerate(children)
         if id(sketch) in path))

@@ -2,12 +2,14 @@
 
 Two boundaries so far:
 
-* the layout of the bandit's state — nodes, arms, parent links, the leaf
-  registry, who writes ``remaining`` — is known to
-  ``repro/core/hierarchical.py`` alone.  Everything else goes through the
-  policy's door (``select`` / ``update`` / ``state`` / ``load_state`` /
-  ``live_leaves``), which is what lets the layout change (struct-of-arrays,
-  per-leaf state as data) without a seven-module edit;
+* the layout of the bandit's state — the node table, arms, parent rows, the
+  leaf registry, who writes ``remaining`` — is known to
+  ``repro/core/hierarchical.py`` alone, and the histogram bank's matrices,
+  staleness bookkeeping and gain kernel to it and ``repro/core/histogram.py``.
+  Everything else goes through the policy's door (``select`` / ``update`` /
+  ``state`` / ``load_state`` / ``live_leaves`` / ``leaf_gains``), which is
+  what let the layout become struct-of-arrays in a two-module edit; the
+  per-object caches the bank replaced are gone, not mirrored;
 * what the session keeps per table lives on its ``TableBinding``
   (``repro/catalog.py``: ``pin`` / ``index_for`` / ``memo_view`` / ``info``
   / ``touched_since``), and nothing outside ``session.py`` reads a session's
@@ -25,6 +27,9 @@ import repro.query
 
 SRC = Path(repro.__file__).parent
 
+#: The two modules that may know how sketches are stored and refreshed.
+BANK = {"core/histogram.py", "core/hierarchical.py"}
+
 #: layout name -> the only modules (relative to ``src/repro``) allowed to
 #: spell it, comments and docstrings included.
 LAYOUT_NAMES = {
@@ -36,6 +41,19 @@ LAYOUT_NAMES = {
     r"\._members\b": {"core/hierarchical.py", "core/arms.py"},
     # Reaching a node through the policy instead of importing its class.
     r"policy\.root\b": {"core/hierarchical.py"},
+    # The histogram bank: one refresh path, one gain kernel.
+    r"\bHistogramBank\b": BANK,
+    r"\bedge_matrix\b": BANK,
+    r"\bcount_matrix\b": BANK,
+    r"\brow_gain(_at)?\b": BANK,
+    r"\bSTALE\b": BANK,
+    r"\btouched_rows\b": BANK,
+    r"\bread_rows\b": BANK,
+    r"\b_gain_matrix\b": BANK,
+    r"\bgain_batch\b": BANK,
+    # The per-sketch caches the bank replaced.
+    r"\b_gain_cache\b": set(),
+    r"\._mass\b": set(),
 }
 
 #: Same shape, for what the session keeps per table.
@@ -77,6 +95,7 @@ def test_per_table_state_is_private_to_session_and_binding():
 def test_layout_classes_are_not_exported():
     for package in (repro, repro.core):
         assert "BanditNode" not in package.__all__
+        assert "HistogramBank" not in package.__all__
         assert "EpsilonGreedyBandit" not in package.__all__
         assert not hasattr(package, "EpsilonGreedyBandit")
 

@@ -127,7 +127,7 @@ class HistogramMachine(RuleBasedStateMachine):
     def subtract_own_copy_half(self):
         # Subtract a half-weighted copy of itself: mass halves, stays >= 0.
         clone = self.hist.copy()
-        clone.counts = clone.counts * 0.5
+        clone.counts[:] = clone.counts * 0.5
         self.hist.subtract(clone)
         self.n_added = self.n_added  # mass bound still n_added
 
@@ -157,3 +157,79 @@ TestHistogramStateMachine = HistogramMachine.TestCase
 TestHistogramStateMachine.settings = settings(
     max_examples=40, stateful_step_count=30, deadline=None
 )
+
+
+def poisoned_session(bad: float, *, enable_cache: bool = True):
+    """400 rows scoring ``value % 50``, except that 8 of them score ``bad``."""
+    from repro.data.dataset import InMemoryDataset
+    from repro.scoring.base import FunctionScorer
+    from tests.conftest import make_session
+
+    features = np.random.default_rng(0).normal(size=(400, 3))
+    dataset = InMemoryDataset([f"e{i:03d}" for i in range(400)],
+                              [float(i) for i in range(400)], features)
+    scorer = FunctionScorer(lambda v: bad if v % 50 == 0 else float(v % 50))
+    session, _ = make_session(dataset, enable_cache=enable_cache,
+                              scorer=scorer)
+    return session
+
+
+class TestNonFiniteScores:
+    """A score that is not a finite non-negative float is refused.
+
+    ``observe`` used to reject negatives with ``min() < 0``, which NaN
+    passes: a NaN that enters the top-k buffer before it fills is never
+    evicted (an "exact" answer came back with ``stk = nan`` and rows out of
+    order), and ``+inf`` made ``extend_range`` build NaN edges.
+    """
+
+    SQL = "SELECT TOP 100 FROM t ORDER BY f BUDGET 100% SEED 3"
+
+    @pytest.mark.parametrize("enable_cache", [False, True])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_exhaustive_query_refuses_the_score(self, bad, enable_cache):
+        session = poisoned_session(bad, enable_cache=enable_cache)
+        with pytest.raises(ConfigurationError, match="finite"):
+            session.execute(self.SQL)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_sharded_query_refuses_the_score(self, bad):
+        session = poisoned_session(bad)
+        with pytest.raises(ConfigurationError, match="finite"):
+            session.execute(self.SQL + " WORKERS 2")
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_memo_never_stores_a_refused_score(self, bad):
+        """The step validates fresh scores *before* writing them back."""
+        from repro.core.engine import ScoringStep
+        from repro.data.dataset import InMemoryDataset
+        from repro.memo import MemoStore
+        from repro.scoring.base import FunctionScorer
+
+        dataset = InMemoryDataset(["a", "b", "c"], [1.0, 2.0, 3.0],
+                                  np.zeros((3, 1)))
+        scorer = FunctionScorer(lambda v: bad if v == 3.0 else v)
+        view = MemoStore().view("fp", 0)
+        step = ScoringStep(dataset, scorer, memo=view)
+        assert list(step.score(["a", "b"])) == [1.0, 2.0]
+        with pytest.raises(ConfigurationError, match="finite"):
+            step.score(["b", "c"])
+        assert view.snapshot() == {"a": 1.0, "b": 2.0}
+        assert step.fresh == [("a", 1.0), ("b", 2.0)]
+
+    def test_nan_never_enters_the_buffer(self):
+        """``1, nan, 5, 2, 3, 0.5, 4`` into k=3 used to end as 4, nan, 5."""
+        offered = [1.0, float("nan"), 5.0, 2.0, 3.0, 0.5, 4.0]
+        tree = ClusterTree(ClusterNode("root", children=[ClusterNode(
+            "only", member_ids=tuple(f"e{i}" for i in range(len(offered))))]))
+        engine = TopKEngine(tree, EngineConfig(k=3, seed=0))
+        engine.observe(engine.next_batch(), [offered[0]])
+        ids = engine.next_batch()
+        with pytest.raises(ConfigurationError, match="finite"):
+            engine.observe(ids, [offered[1]])
+        assert [score for _id, score in engine.topk_items()] == [1.0]
+        # The refused batch is still pending: a finite score resumes the run.
+        engine.observe(ids, [offered[2]])
+        for score in offered[3:]:
+            engine.observe(engine.next_batch(), [score])
+        assert [score for _id, score in engine.topk_items()] == [5.0, 4.0, 3.0]

@@ -65,9 +65,9 @@ def seeded_policy(tiny_tree, good_hidden: bool):
     aggregate looks worse than B, triggering the tree condition.
     """
     policy = HierarchicalBanditPolicy(tiny_tree, BanditConfig(), rng=0)
-    a1 = policy.leaves_by_id["a1"]
-    a2 = policy.leaves_by_id["a2"]
-    b = policy.leaves_by_id["B"]
+    a1 = policy.node("a1")
+    a2 = policy.node("a2")
+    b = policy.node("B")
     if good_hidden:
         a1.histogram.add_many([10.0] * 5)
         a2.histogram.add_many([0.0] * 45)
@@ -100,7 +100,7 @@ class TestClusteringCondition:
     def test_homogeneous_clusters_trigger(self, tiny_tree):
         """When all clusters look identical, uniform sampling wins on cost."""
         policy = HierarchicalBanditPolicy(tiny_tree, BanditConfig(), rng=0)
-        for leaf in policy.leaves_by_id.values():
+        for leaf in map(policy.node, policy.leaves_by_id):
             leaf.histogram.add_many([5.0] * 30)
         triggered = FallbackController.clustering_condition(
             policy, threshold=1.0,
@@ -110,9 +110,9 @@ class TestClusteringCondition:
 
     def test_heterogeneous_clusters_do_not_trigger(self, tiny_tree):
         policy = HierarchicalBanditPolicy(tiny_tree, BanditConfig(), rng=0)
-        policy.leaves_by_id["a1"].histogram.add_many([10.0] * 30)
-        policy.leaves_by_id["a2"].histogram.add_many([0.1] * 30)
-        policy.leaves_by_id["B"].histogram.add_many([0.1] * 30)
+        policy.node("a1").histogram.add_many([10.0] * 30)
+        policy.node("a2").histogram.add_many([0.1] * 30)
+        policy.node("B").histogram.add_many([0.1] * 30)
         triggered = FallbackController.clustering_condition(
             policy, threshold=1.0,
             scoring_latency=1e-3, bandit_latency=1e-6,
@@ -122,7 +122,7 @@ class TestClusteringCondition:
     def test_zero_bandit_latency_never_triggers(self, tiny_tree):
         """With free bandit overhead, max gain >= weighted mean always."""
         policy = HierarchicalBanditPolicy(tiny_tree, BanditConfig(), rng=0)
-        for leaf in policy.leaves_by_id.values():
+        for leaf in map(policy.node, policy.leaves_by_id):
             leaf.histogram.add_many([5.0] * 30)
         triggered = FallbackController.clustering_condition(
             policy, threshold=1.0, scoring_latency=1e-3, bandit_latency=0.0

@@ -20,8 +20,8 @@ def build_policy(tree, seed=0, **config_kwargs):
 class TestMirrorConstruction:
     def test_structure_mirrors_tree(self, tiny_tree):
         policy = build_policy(tiny_tree)
-        assert not policy.root.is_leaf
-        assert len(policy.root.children) == 2
+        assert not policy.node("root").is_leaf
+        assert len(policy.node("root").children) == 2
         assert set(policy.leaves_by_id) == {"a1", "a2", "B"}
 
     def test_every_node_has_histogram(self, tiny_tree):
@@ -32,12 +32,12 @@ class TestMirrorConstruction:
             for child in node.children:
                 walk(child)
 
-        walk(policy.root)
+        walk(policy.node("root"))
 
     def test_remaining_counts(self, tiny_tree):
         policy = build_policy(tiny_tree)
-        assert policy.root.remaining == 20
-        assert policy.leaves_by_id["B"].remaining == 10
+        assert policy.node("root").remaining == 20
+        assert policy.node("B").remaining == 10
 
 
 class TestSelection:
@@ -45,7 +45,7 @@ class TestSelection:
         policy = build_policy(tiny_tree)
         ids = policy.select(3, epsilon=1.0)
         assert len(ids) == 3
-        assert policy._pending.node_id in {"a1", "a2", "B"}
+        assert policy._ids[policy._pending] in {"a1", "a2", "B"}
         assert set(ids) <= {f"x{i}" for i in range(10)} | \
             {f"y{i}" for i in range(10)}
         assert policy.remaining == 17
@@ -55,12 +55,12 @@ class TestSelection:
         """Exploiting prefers the high arm — per layer, or over flat arms."""
         policy = build_policy(tiny_tree.flattened() if flat else tiny_tree)
         # Give B a clearly better histogram.
-        policy.leaves_by_id["B"].histogram.add_many([5.0] * 20)
-        b_parent = policy.leaves_by_id["B"].parent
+        policy.node("B").histogram.add_many([5.0] * 20)
+        b_parent = policy.node("B").parent
         b_parent.histogram.add_many([5.0] * 20)
-        policy.leaves_by_id["a1"].histogram.add_many([0.1] * 20)
-        policy.leaves_by_id["a1"].parent.histogram.add_many([0.1] * 20)
-        policy.leaves_by_id["a2"].histogram.add_many([0.1] * 20)
+        policy.node("a1").histogram.add_many([0.1] * 20)
+        policy.node("a1").parent.histogram.add_many([0.1] * 20)
+        policy.node("a2").histogram.add_many([0.1] * 20)
         chosen = {element_id[0] for _ in range(10)
                   for element_id in policy.select(1, 0.0, epsilon=0.0)}
         assert chosen == {"y"}
@@ -70,7 +70,7 @@ class TestSelection:
         seen = set()
         for _ in range(200):
             policy.select(0, epsilon=1.0)
-            seen.add(policy._pending.node_id)
+            seen.add(policy._ids[policy._pending])
         assert seen == {"a1", "a2", "B"}
 
     def test_greedy_leaf_vs_descent_can_differ(self, tiny_tree):
@@ -78,11 +78,11 @@ class TestSelection:
         policy = build_policy(tiny_tree)
         # a1 is globally the best leaf, but its parent A looks bad because
         # sibling a2 drags the subtree histogram down.
-        policy.leaves_by_id["a1"].histogram.add_many([10.0] * 5)
-        policy.leaves_by_id["a2"].histogram.add_many([0.0] * 45)
-        a_node = policy.leaves_by_id["a1"].parent
+        policy.node("a1").histogram.add_many([10.0] * 5)
+        policy.node("a2").histogram.add_many([0.0] * 45)
+        a_node = policy.node("a1").parent
         a_node.histogram.add_many([10.0] * 5 + [0.0] * 45)
-        policy.leaves_by_id["B"].histogram.add_many([5.0] * 50)
+        policy.node("B").histogram.add_many([5.0] * 50)
         assert policy.greedy_leaf(threshold=0.0) == "a1"
         assert policy.greedy_descent_leaf(threshold=0.0) == "B"
 
@@ -102,18 +102,18 @@ class TestSelection:
 class TestUpdates:
     def test_update_touches_full_path(self, tiny_tree):
         policy = build_policy(tiny_tree)
-        leaf = policy.leaves_by_id["a1"]
+        leaf = policy.node("a1")
         select_from(policy, "a1")
         policy.update([3.0], threshold=None)
         assert leaf.histogram.total_mass == 1.0
         assert leaf.parent.histogram.total_mass == 1.0
-        assert policy.root.histogram.total_mass == 1.0
+        assert policy.node("root").histogram.total_mass == 1.0
         # Sibling untouched.
-        assert policy.leaves_by_id["B"].histogram.total_mass == 0.0
+        assert policy.node("B").histogram.total_mass == 0.0
 
     def test_update_respects_rebinning_flag(self, tiny_tree):
         policy = build_policy(tiny_tree)
-        leaf = policy.leaves_by_id["B"]
+        leaf = policy.node("B")
         for value in np.linspace(0, 50, 30):
             select_from(policy, "B", size=0)
             policy.update([float(value)], threshold=40.0,
@@ -128,7 +128,7 @@ class TestUpdates:
 
 class TestEmptyChildHandling:
     def drain(self, policy, leaf_id):
-        leaf = policy.leaves_by_id[leaf_id]
+        leaf = policy.node(leaf_id)
         while leaf.remaining:
             select_from(policy, leaf_id)
             policy.update([1.0], threshold=None)
@@ -139,33 +139,33 @@ class TestEmptyChildHandling:
         self.drain(policy, "a1")
         assert "a1" not in policy.leaves_by_id
         assert policy.n_drops == 1
-        a_node = policy.leaves_by_id["a2"].parent
+        a_node = policy.node("a2").parent
         assert [c.node_id for c in a_node.children] == ["a2"]
 
     def test_subtraction_removes_mass_from_ancestors(self, tiny_tree):
         policy = build_policy(tiny_tree)
         self.drain(policy, "a1")
         # Root saw 5 updates from a1; after subtraction its mass is ~0.
-        assert policy.root.histogram.total_mass == pytest.approx(0.0, abs=1e-6)
+        assert policy.node("root").histogram.total_mass == pytest.approx(0.0, abs=1e-6)
 
     def test_subtraction_disabled_keeps_mass(self, tiny_tree):
         policy = HierarchicalBanditPolicy(
             tiny_tree, BanditConfig(), rng=0, enable_subtraction=False
         )
         self.drain(policy, "a1")
-        assert policy.root.histogram.total_mass == pytest.approx(5.0)
+        assert policy.node("root").histogram.total_mass == pytest.approx(5.0)
 
     def test_parent_removed_when_childless(self, tiny_tree):
         policy = build_policy(tiny_tree)
         self.drain(policy, "a1")
         self.drain(policy, "a2")
         # Node A should be gone from the root's children.
-        assert [c.node_id for c in policy.root.children] == ["B"]
+        assert [c.node_id for c in policy.node("root").children] == ["B"]
 
     def test_double_drop_is_idempotent(self, tiny_tree):
         policy = build_policy(tiny_tree)
         leaf = self.drain(policy, "a1")
-        policy._drop(leaf)  # second call: no-op
+        policy._drop(leaf._row)  # second call: no-op
         assert policy.n_drops == 1
 
     def test_remaining_ids_excludes_drawn(self, tiny_tree):
@@ -182,10 +182,10 @@ class TestFlatten:
         policy = build_policy(tiny_tree)
         policy.flatten()
         assert policy.flattened
-        child_ids = {c.node_id for c in policy.root.children}
+        child_ids = {c.node_id for c in policy.node("root").children}
         assert child_ids == {"a1", "a2", "B"}
-        for child in policy.root.children:
-            assert child.parent is policy.root
+        for child in policy.node("root").children:
+            assert child.parent.node_id == "root"
 
     def test_flatten_preserves_remaining(self, tiny_tree):
         policy = build_policy(tiny_tree)
@@ -195,12 +195,12 @@ class TestFlatten:
 
     def test_greedy_descent_equals_greedy_leaf_after_flatten(self, tiny_tree):
         policy = build_policy(tiny_tree)
-        policy.leaves_by_id["a1"].histogram.add_many([10.0] * 5)
-        policy.leaves_by_id["a2"].histogram.add_many([0.0] * 45)
-        policy.leaves_by_id["a1"].parent.histogram.add_many(
+        policy.node("a1").histogram.add_many([10.0] * 5)
+        policy.node("a2").histogram.add_many([0.0] * 45)
+        policy.node("a1").parent.histogram.add_many(
             [10.0] * 5 + [0.0] * 45
         )
-        policy.leaves_by_id["B"].histogram.add_many([5.0] * 50)
+        policy.node("B").histogram.add_many([5.0] * 50)
         policy.flatten()
         assert policy.greedy_leaf(0.0) == policy.greedy_descent_leaf(0.0)
 

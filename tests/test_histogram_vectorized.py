@@ -5,7 +5,7 @@ Covers the three satellite guarantees of the vectorization PR:
 * ``_overlap_redistribute`` (vectorized) agrees with the retained scalar
   reference on randomized grids, including degenerate zero-width bins, and
   conserves mass whenever the new grid covers the old one;
-* the per-sketch gain cache is always equal to a freshly computed value
+* the cached gain of a bank row is always equal to a freshly computed value
   after any interleaving of ``add`` / ``add_batch`` /
   ``maybe_extend_lowest`` / ``subtract`` / range extension / threshold
   movement;
@@ -20,6 +20,8 @@ import pytest
 
 from repro.core.histogram import (
     AdaptiveHistogram,
+    STALE,
+    HistogramBank,
     _overlap_redistribute,
     _overlap_redistribute_scalar,
     gain_batch,
@@ -99,6 +101,11 @@ class TestOverlapRedistribute:
         assert merged.total_mass == pytest.approx(40.0, rel=0.05)
 
 
+def is_stale(h: AdaptiveHistogram) -> bool:
+    """Whether the sketch's bank row awaits a gain refresh."""
+    return h._bank.row_gain_at[h._row] is STALE
+
+
 def fresh_gain(h: AdaptiveHistogram, threshold):
     """Gain recomputed from a cache-free rebuild of the same state."""
     return AdaptiveHistogram.from_dict(h.to_dict()).expected_marginal_gain(
@@ -146,9 +153,9 @@ class TestGainCache:
             lambda: h.subtract(h.copy()),
         ):
             h.expected_marginal_gain(0.01)
-            assert h._gain_cache is not None
+            assert not is_stale(h)
             mutate()
-            assert h._gain_cache is None
+            assert is_stale(h)
             assert h.expected_marginal_gain(0.01) == fresh_gain(h, 0.01)
 
     def test_rebin_invalidates_cache(self):
@@ -156,7 +163,7 @@ class TestGainCache:
         h.add_many(np.linspace(0.0, 0.99, 20))
         h.expected_marginal_gain(0.5)
         assert h.maybe_extend_lowest(0.5)  # threshold above second border
-        assert h._gain_cache is None
+        assert is_stale(h)
         assert h.expected_marginal_gain(0.5) == fresh_gain(h, 0.5)
 
     def test_threshold_movement_misses_cache(self):
@@ -173,17 +180,17 @@ class TestVectorizedEquivalence:
     @pytest.mark.parametrize("seed", range(15))
     def test_gain_batch_matches_scalar_bitwise(self, seed):
         rng = np.random.default_rng(seed)
-        hists = []
-        for _ in range(12):
-            h = AdaptiveHistogram()
+        bank = HistogramBank(12)
+        hists = [bank.row(row) for row in range(12)]
+        for h in hists:
             if rng.random() < 0.8:
                 h.add_batch(rng.uniform(0.0, 3.0, int(rng.integers(1, 30))))
-            hists.append(h)
         for threshold in (None, 0.0, float(rng.uniform(0.0, 3.0)), 10.0):
             batched = gain_batch(hists, threshold)
             for h, got in zip(hists, batched):
-                h._gain_cache = None  # force a scalar recompute
+                bank.row_gain_at[h._row] = STALE  # force a one-row recompute
                 assert h.expected_marginal_gain(threshold) == got
+                assert fresh_gain(h, threshold) == got
 
     def test_gain_batch_heterogeneous_fallback(self):
         reservoir = ReservoirSketch(capacity=16, rng=0)

@@ -46,7 +46,7 @@ def assert_counters_exact(policy) -> None:
         for child in node.children:
             walk(child)
 
-    walk(policy.root)
+    walk(policy.node("root"))
 
 
 class TestO1Exhausted:
@@ -64,7 +64,7 @@ class TestO1Exhausted:
             raise AssertionError("exhausted rescanned the leaves")
 
         policy._active_leaves = boom
-        policy._iter_nodes = boom
+        policy._iter_rows = boom
         for _ in range(50):
             assert not policy.exhausted
 
@@ -100,7 +100,7 @@ class TestCounterExactness:
         select_from(policy, "B", size=4)
         assert_counters_exact(policy)
         assert policy.remaining == 15
-        assert policy.leaves_by_id["B"].remaining == 5
+        assert policy.node("B").remaining == 5
 
     def test_counters_after_drop_and_flatten(self, tiny_tree):
         policy = HierarchicalBanditPolicy(tiny_tree, BanditConfig(), rng=5)
@@ -133,7 +133,7 @@ class TestCounterExactness:
         source.update([1.0, 2.0, 3.0], None)
         policy = HierarchicalBanditPolicy(tiny_tree, BanditConfig(), rng=1)
         policy.load_state(source.state())
-        assert policy.leaves_by_id["a1"].remaining == 2
+        assert policy.node("a1").remaining == 2
         assert policy.remaining == 17
         assert_counters_exact(policy)
         assert policy.state() == source.state()
