@@ -22,7 +22,7 @@ from repro.data.dataset import Dataset
 from repro.index.builder import IndexConfig, build_index, index_config_for
 from repro.index.tree import ClusterNode, ClusterTree
 from repro.live.maintenance import IndexMaintainer
-from repro.live.table import LiveTable
+from repro.live.table import LiveTable, LogCursor
 from repro.memo import MemoStore, MemoView
 from repro.parallel.cache import ShardIndexCache
 
@@ -45,8 +45,10 @@ class TableBinding:
         #: engines: a repeat query with the same seed / worker count /
         #: filter / index config / table version skips every k-means fit.
         self.shard_cache = ShardIndexCache()
-        #: Live tables only, created with the first pin.
+        #: Live tables only, created with the first pin — the maintainer
+        #: and this binding's place in the table's write log.
         self.maintainer: Optional[IndexMaintainer] = None
+        self._log: Optional[LogCursor] = None
         self._index = index
         self._index_seed = index_seed
         self._lock = lock
@@ -63,13 +65,17 @@ class TableBinding:
         """Catch index, memo stamps and shard cache up to the write log.
 
         Caller holds the lock, so each shared structure advances exactly
-        once across forks.  Returns the snapshot reconciled against.  A
-        registration-time prebuilt index is adopted only when it covers
-        exactly the live ids; otherwise the first touch builds.
+        once across forks.  Returns the snapshot reconciled against.  The
+        first touch subscribes to the log and builds over the snapshot
+        it pulls (a registration-time prebuilt index is adopted only
+        when it covers exactly the live ids); the memo is still empty
+        then, so it learns the version and has nothing to evict.  From
+        there every pull hands over exactly the deltas not yet folded
+        in, and the table retains no others on this binding's account.
         """
-        table = self.dataset
-        snapshot = table.snapshot()
         if self.maintainer is None:
+            log = self.dataset.subscribe()
+            _, snapshot = log.pull()
             tree = self._index
             if tree is not None and set(snapshot.ids()) != {
                     member for leaf in tree.leaves()
@@ -79,15 +85,15 @@ class TableBinding:
                 tree = self._build(snapshot)
             self.maintainer = IndexMaintainer(tree, snapshot, self._build,
                                               table=self.name)
-        maintainer = self.maintainer
-        if maintainer.version < snapshot.version:
-            maintainer.advance(
-                table.deltas_since(maintainer.version,
-                                   upto=snapshot.version), snapshot)
-            self.shard_cache.evict_stale(maintainer.version)
-        for delta in table.deltas_since(self.memo.table_version,
-                                        upto=maintainer.version):
-            self.memo.apply_writes(delta.ids, delta.version)
+            self.memo.apply_writes((), snapshot.version)
+            self._log = log
+            return snapshot
+        deltas, snapshot = self._log.pull()
+        if deltas:
+            self.maintainer.advance(deltas, snapshot)
+            self.shard_cache.evict_stale(snapshot.version)
+            for delta in deltas:
+                self.memo.apply_writes(delta.ids, delta.version)
         return snapshot
 
     def pin(self) -> Tuple[Dataset, int, Optional[str]]:

@@ -76,6 +76,9 @@ class InMemoryDataset(Dataset):
     def ids(self) -> List[str]:
         return list(self._ids)
 
+    def __len__(self) -> int:
+        return len(self._ids)
+
     def fetch(self, element_id: str) -> Any:
         try:
             return self._objects[element_id]

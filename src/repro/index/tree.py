@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -104,6 +104,22 @@ class ClusterTree:
         self.validate()
 
     # -- constructors ------------------------------------------------------------
+
+    @classmethod
+    def prevalidated(cls, root: ClusterNode,
+                     touched: Iterable[ClusterNode]) -> "ClusterTree":
+        """Wrap ``root`` without the O(elements) :meth:`validate` pass.
+
+        For a caller that edited a valid tree (incremental index
+        maintenance): only the ``touched`` nodes are re-checked for
+        shape, and the caller vouches that node ids and elements are
+        still unique.  Everything else goes through the constructor.
+        """
+        tree = cls.__new__(cls)
+        tree.root = root
+        for node in touched:
+            tree._check_shape(node)
+        return tree
 
     @classmethod
     def flat(cls, clusters: Dict[str, Sequence[str]],
@@ -206,20 +222,24 @@ class ClusterTree:
             if node.node_id in seen_nodes:
                 raise IndexError_(f"duplicate node id {node.node_id!r}")
             seen_nodes.add(node.node_id)
-            if node.is_leaf:
-                if not node.member_ids and node is not self.root:
-                    raise IndexError_(f"empty leaf cluster {node.node_id!r}")
-                for member in node.member_ids:
-                    if member in seen_members:
-                        raise IndexError_(
-                            f"element {member!r} appears in multiple leaves"
-                        )
-                    seen_members.add(member)
-            else:
-                if node.member_ids:
+            self._check_shape(node)
+            for member in node.member_ids:
+                if member in seen_members:
                     raise IndexError_(
-                        f"internal node {node.node_id!r} must not own members"
+                        f"element {member!r} appears in multiple leaves"
                     )
+                seen_members.add(member)
+
+    def _check_shape(self, node: ClusterNode) -> None:
+        """The rules one node can break alone: no empty leaf (the root
+        excepted), members only at leaves."""
+        if node.is_leaf:
+            if not node.member_ids and node is not self.root:
+                raise IndexError_(f"empty leaf cluster {node.node_id!r}")
+        elif node.member_ids:
+            raise IndexError_(
+                f"internal node {node.node_id!r} must not own members"
+            )
 
     # -- persistence -----------------------------------------------------------------
 

@@ -22,6 +22,16 @@ session can dirty exactly the affected histogram priors (the PR 1
 gain-cache invalidation hooks fire inside the engines automatically
 when a fresh tree is mirrored).
 
+An ``advance`` costs what its deltas touch.  Leaf membership is kept as
+one insertion-ordered dict per leaf (O(1) insert and removal, member
+order preserved) and only a touched leaf's member tuple is rebuilt,
+once, at publish.  The published tree skips :meth:`ClusterTree.validate
+<repro.index.tree.ClusterTree.validate>`'s pass over every member: node
+ids are unique by construction of the node map, no element sits in two
+leaves because ``_leaf_of`` says where each one is, and the empty-leaf
+and members-only-at-leaves rules are checked on the touched nodes.
+Builds and rebuilds still validate in full.
+
 When cumulative churn since the last build exceeds
 ``rebuild_threshold`` of the table, ``advance`` falls back to a full
 rebuild (the quality backstop: incremental routing matches the
@@ -115,6 +125,10 @@ class IndexMaintainer:
         self._sum: Dict[str, np.ndarray] = {}
         self._count: Dict[str, int] = {}
         self._leaf_of: Dict[str, str] = {}
+        #: leaf id -> its members as the keys of a dict, in member order:
+        #: O(1) insert and removal; a touched leaf's tuple is rebuilt
+        #: from it once, when the tree is published.
+        self._members_of: Dict[str, Dict[str, None]] = {}
         self._attach_aggregates(snapshot)
 
     @property
@@ -196,7 +210,7 @@ class IndexMaintainer:
             else:  # pragma: no cover - the table only emits these kinds
                 raise ConfigurationError(f"unknown delta kind {delta.kind!r}")
 
-        self._tree = ClusterTree(root)
+        self._publish(touched, nodes, root)
         report.splits = self.n_splits - splits_before
         report.touched_nodes = tuple(sorted(touched))
         self.version = snapshot.version
@@ -228,6 +242,7 @@ class IndexMaintainer:
         self._sum.clear()
         self._count.clear()
         self._leaf_of.clear()
+        self._members_of.clear()
 
         def fill(node: ClusterNode) -> Tuple[np.ndarray, int]:
             if node.is_leaf:
@@ -238,8 +253,8 @@ class IndexMaintainer:
                 else:
                     total = np.zeros(snapshot.features().shape[1] or 1,
                                      dtype=float)
-                for member in members:
-                    self._leaf_of[member] = node.node_id
+                self._leaf_of.update(dict.fromkeys(members, node.node_id))
+                self._members_of[node.node_id] = dict.fromkeys(members)
                 self._sum[node.node_id] = total
                 self._count[node.node_id] = len(members)
                 return total, len(members)
@@ -313,11 +328,29 @@ class IndexMaintainer:
             rows[position] = superseded[members[position]][0]
         return rows
 
+    def _publish(self, touched: Set[str], nodes: Dict[str, ClusterNode],
+                 root: ClusterNode) -> None:
+        """Give each touched leaf its new member tuple and wrap the tree.
+
+        Only the touched nodes are re-checked; the rest of what
+        :meth:`ClusterTree.validate` checks holds without looking: node
+        ids key ``nodes``, and an element is in one leaf because
+        ``_leaf_of`` maps it to one.
+        """
+        alive = [nodes[node_id] for node_id in touched if node_id in nodes]
+        for node in alive:
+            if node.is_leaf:
+                node.member_ids = tuple(self._members_of[node.node_id])
+        self._tree = ClusterTree.prevalidated(root, alive)
+
     def _insert(self, element_id: str, row: np.ndarray,
                 nodes: Dict[str, ClusterNode],
                 parent: Dict[str, Optional[str]], root: ClusterNode,
                 touched: Set[str],
                 rows_of: Callable[[List[str]], np.ndarray]) -> None:
+        if element_id in self._leaf_of:
+            raise ConfigurationError(
+                f"element {element_id!r} is already indexed")
         node = root
         while not node.is_leaf:
             best, best_dist = None, np.inf
@@ -331,11 +364,11 @@ class IndexMaintainer:
             if best is None:
                 best = node.children[0]
             node = best
-        node.member_ids = node.member_ids + (element_id,)
+        members = self._members_of[node.node_id]
+        members[element_id] = None
         self._leaf_of[element_id] = node.node_id
-        touched.add(node.node_id)
         self._bump(node.node_id, parent, row, +1, touched)
-        if len(node.member_ids) > self.max_leaf_size:
+        if len(members) > self.max_leaf_size:
             self._split(node, nodes, parent, touched, rows_of)
 
     def _remove(self, element_id: str, old_row: np.ndarray,
@@ -346,13 +379,11 @@ class IndexMaintainer:
         if leaf_id is None:
             raise ConfigurationError(
                 f"element {element_id!r} is not indexed")
-        leaf = nodes[leaf_id]
-        leaf.member_ids = tuple(member for member in leaf.member_ids
-                                if member != element_id)
-        touched.add(leaf_id)
+        members = self._members_of[leaf_id]
+        del members[element_id]
         self._bump(leaf_id, parent, old_row, -1, touched)
-        if not leaf.member_ids:
-            self._prune(leaf, nodes, parent, touched)
+        if not members:
+            self._prune(nodes[leaf_id], nodes, parent, touched)
 
     def _bump(self, node_id: str, parent: Dict[str, Optional[str]],
               row: np.ndarray, sign: int, touched: Set[str]) -> None:
@@ -369,7 +400,8 @@ class IndexMaintainer:
         """Unlink an emptied leaf and any ancestors it leaves childless."""
         while True:
             up_id = parent.get(node.node_id)
-            if up_id is None:  # the root may stay empty
+            if up_id is None:  # the root may stay empty: a leaf again
+                self._members_of.setdefault(node.node_id, {})
                 return
             up = nodes[up_id]
             up.children = [child for child in up.children
@@ -377,6 +409,7 @@ class IndexMaintainer:
             touched.add(up_id)
             self._sum.pop(node.node_id, None)
             self._count.pop(node.node_id, None)
+            self._members_of.pop(node.node_id, None)
             nodes.pop(node.node_id, None)
             parent.pop(node.node_id, None)
             if up.children:
@@ -388,7 +421,7 @@ class IndexMaintainer:
                rows_of: Callable[[List[str]], np.ndarray]) -> None:
         """Promote an overflowing leaf to an internal node with two
         children, assigned by deterministic farthest-pair 2-means."""
-        members = list(leaf.member_ids)
+        members = list(self._members_of.pop(leaf.node_id))
         rows = rows_of(members)
         mean = rows.mean(axis=0)
         seed_a = int(np.argmax(((rows - mean) ** 2).sum(axis=1)))
@@ -414,14 +447,13 @@ class IndexMaintainer:
                 child_id += "x"
             group_rows = rows[mask] if side == 0 else rows[~mask]
             child = ClusterNode(node_id=child_id,
-                                member_ids=tuple(group),
                                 centroid=group_rows.mean(axis=0))
             nodes[child_id] = child
             parent[child_id] = leaf.node_id
             self._sum[child_id] = group_rows.sum(axis=0)
             self._count[child_id] = len(group)
-            for member in group:
-                self._leaf_of[member] = child_id
+            self._leaf_of.update(dict.fromkeys(group, child_id))
+            self._members_of[child_id] = dict.fromkeys(group)
             touched.add(child_id)
             children.append(child)
         leaf.member_ids = ()

@@ -1,4 +1,4 @@
-"""Versioned mutable tables: append/update/delete with COW snapshots.
+"""Versioned mutable tables: append/update/delete with shared-storage snapshots.
 
 A :class:`LiveTable` is a :class:`~repro.data.dataset.Dataset` whose
 contents change over time.  Every committed write batch — one
@@ -6,15 +6,22 @@ contents change over time.  Every committed write batch — one
 ``table_version`` and is recorded as a :class:`WriteDelta` in the
 table's write log, which downstream consumers (incremental index
 maintenance, memo/prior/shard-cache invalidation, standing
-``CONTINUOUS`` queries) replay to catch up from any older version.
+``CONTINUOUS`` queries) replay through a :class:`LogCursor`; the log
+keeps only what some live cursor has not pulled yet.
 
 Snapshot isolation is structural, not locked-in-time: feature rows live
-in an append-only block — an ``update`` writes a *new* row and repoints
-the element's locator, it never mutates the old row in place — so a
-:class:`TableSnapshot` taken at version ``v`` keeps reading exactly the
-rows that were current at ``v`` no matter how many writes commit while
-a query over it is still in flight.  Writers pay a gather per snapshot
-(amortized by per-version caching); readers pay nothing.
+in an append-only block with an object list parallel to it — an
+``update`` writes a *new* row and repoints the element's locator, it
+never mutates the old row in place — so a :class:`TableSnapshot` taken
+at version ``v`` *shares* the block and the object rows and owns only a
+copy of the ``id -> row`` locator: it keeps reading exactly the rows
+that were current at ``v`` no matter how many writes commit while a
+query over it is still in flight.  A write costs its batch, a snapshot
+one C-level dict copy per version, and the aligned ``features()``
+matrix is gathered only for whoever asks (index builds, ``WHERE``
+masks).  When dead rows (deleted or superseded) outnumber live ones the
+table rewrites block, object rows and locator into fresh storage;
+pinned snapshots keep the old.
 
 Writes are observable: each commit increments the process-wide
 ``writes_total{table, kind}`` counter and records a ``write[kind]``
@@ -26,12 +33,13 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.data.dataset import Dataset, InMemoryDataset
+from repro.data.dataset import Dataset
 from repro.errors import ConfigurationError
 from repro.obs.metrics import WRITES_TOTAL
 from repro.obs.spans import Span
@@ -56,24 +64,99 @@ class WriteDelta:
     old_rows: Optional[np.ndarray] = None
 
 
-class TableSnapshot(InMemoryDataset):
+def _rows_in(locator: Dict[str, int], element_ids: Sequence[str]) -> List[int]:
+    """Block rows of ``element_ids``; a stranger is a configuration error."""
+    try:
+        return [locator[element_id] for element_id in element_ids]
+    except KeyError as exc:
+        raise ConfigurationError(
+            f"unknown element id {exc.args[0]!r}") from None
+
+
+class TableSnapshot(Dataset):
     """An immutable view of one :class:`LiveTable` version.
 
-    A plain :class:`~repro.data.dataset.InMemoryDataset` (so every
-    engine, shard builder, and shared-memory path consumes it
-    unchanged) plus the ``version`` stamp queries pin at plan time.
+    Shares the table's append-only feature block (``block`` is a
+    read-only view of the rows in use at its version, none of which is
+    ever written again) and object rows, and owns the ``id -> row``
+    locator as of its version, whose key order is :meth:`ids`.  Every
+    engine, shard builder and shared-memory path reads it through the
+    :class:`~repro.data.dataset.Dataset` protocol plus ``features_of`` /
+    ``feature_of``; ``version`` is the stamp queries pin at plan time.
     """
 
-    def __init__(self, ids: Sequence[str], objects: Sequence[Any],
-                 features: np.ndarray, version: int,
+    def __init__(self, block: np.ndarray, object_rows: List[Any],
+                 locator: Dict[str, int], version: int,
                  table: str = "") -> None:
-        super().__init__(ids, objects, features)
+        self._block = block
+        self._object_rows = object_rows
+        self._locator = locator
+        self._features: Optional[np.ndarray] = None
         self.version = int(version)
         self.table = table
 
+    def ids(self) -> List[str]:
+        return list(self._locator)
+
+    def __len__(self) -> int:
+        return len(self._locator)
+
+    def fetch(self, element_id: str) -> Any:
+        return self.fetch_batch((element_id,))[0]
+
+    def fetch_batch(self, element_ids: Sequence[str]) -> List[Any]:
+        object_rows = self._object_rows
+        return [object_rows[row]
+                for row in _rows_in(self._locator, element_ids)]
+
+    def features(self) -> np.ndarray:
+        """Rows aligned with :meth:`ids`, gathered on first use.
+
+        Without dead rows (a fresh or just-compacted table) the block
+        already is that matrix, row for row, and nothing is copied.
+        """
+        if self._features is None:
+            if len(self._block) == len(self._locator):
+                self._features = self._block
+            else:
+                self._features = self._block[list(self._locator.values())]
+        return self._features
+
+    def feature_of(self, element_id: str) -> np.ndarray:
+        """One element's row: a read-only view of the shared block."""
+        return self._block[_rows_in(self._locator, (element_id,))[0]]
+
+    def features_of(self, element_ids: Sequence[str]) -> np.ndarray:
+        """Rows for many ids in one gather (a fresh array)."""
+        return self._block[_rows_in(self._locator, element_ids)]
+
+
+class LogCursor:
+    """One consumer's place in a :class:`LiveTable`'s write log.
+
+    :meth:`LiveTable.subscribe` hands one out at the table's current
+    version.  The table holds its cursors weakly and keeps exactly the
+    deltas some live cursor has not pulled yet, so a subscriber never
+    sees a gap and one that goes away stops pinning the log.
+    """
+
+    def __init__(self, table: "LiveTable", version: int) -> None:
+        self._table = table
+        self.version = version
+
+    def pull(self) -> Tuple[List[WriteDelta], TableSnapshot]:
+        """Every delta committed since the last pull, and the snapshot
+        they lead to — read together, so no write falls between them."""
+        table = self._table
+        with table._lock:
+            deltas = table.deltas_since(self.version)
+            self.version = table._version
+            table._trim_log()
+            return deltas, table.snapshot()
+
 
 class LiveTable(Dataset):
-    """A mutable, versioned dataset with copy-on-write feature blocks.
+    """A mutable, versioned dataset over append-only row storage.
 
     Parameters
     ----------
@@ -120,16 +203,21 @@ class LiveTable(Dataset):
                 f"features have dim {features.shape[1]}, expected {dim}")
 
         self._dim = int(features.shape[1])
-        capacity = max(16, 2 * len(ids))
-        self._block = np.empty((capacity, self._dim), dtype=float)
+        # Row r of the block and entry r of the object rows describe one
+        # element as of one write; both only ever grow at the end.
+        self._block = np.empty((max(16, 2 * len(ids)), self._dim),
+                               dtype=float)
         self._block[:len(ids)] = features
-        self._n_rows = len(ids)  # rows ever written into the block
-        self._order: List[str] = list(ids)  # live ids, insertion order
-        self._row_of: Dict[str, int] = {eid: row
-                                        for row, eid in enumerate(ids)}
-        self._objects: Dict[str, Any] = dict(zip(ids, objects))
+        self._object_rows: List[Any] = list(objects)
+        self._n_rows = len(ids)  # block rows in use, dead ones included
+        #: live id -> its current row; key order is the table's id order
+        #: (append adds at the end, update keeps the key's place).
+        self._locator: Dict[str, int] = {eid: row
+                                         for row, eid in enumerate(ids)}
         self._version = 0
+        #: Retained deltas, consecutive versions ending at ``_version``.
         self._deltas: List[WriteDelta] = []
+        self._cursors: "weakref.WeakSet[LogCursor]" = weakref.WeakSet()
         self._snapshot_cache: Optional[TableSnapshot] = None
         self.spans: List[dict] = []
         self._write_counts = {"append": 0, "update": 0, "delete": 0}
@@ -153,15 +241,10 @@ class LiveTable(Dataset):
         rows = self._coerce_rows(features, len(ids))
         with self._cond:
             for element_id in ids:
-                if element_id in self._row_of:
+                if element_id in self._locator:
                     raise ConfigurationError(
                         f"element id {element_id!r} already present")
-            base = self._reserve(len(ids))
-            self._block[base:base + len(ids)] = rows
-            for offset, element_id in enumerate(ids):
-                self._row_of[element_id] = base + offset
-                self._order.append(element_id)
-            self._objects.update(zip(ids, objects))
+            self._write_rows(ids, objects, rows)
             return self._commit("append", ids, rows=rows, started=started)
 
     def update(self, ids: Sequence[str], features: np.ndarray,
@@ -178,16 +261,13 @@ class LiveTable(Dataset):
             raise ConfigurationError(
                 f"{len(ids)} ids for {len(objects)} objects")
         with self._cond:
-            self._require_known(ids)
-            old_rows = self._block[[self._row_of[eid] for eid in ids]].copy()
-            # COW: the old rows stay untouched for pinned snapshots; the
+            old = _rows_in(self._locator, ids)
+            old_rows = self._block[old]
+            if objects is None:
+                objects = [self._object_rows[row] for row in old]
+            # The old rows stay untouched for pinned snapshots; the
             # locator now points at freshly appended rows.
-            base = self._reserve(len(ids))
-            self._block[base:base + len(ids)] = rows
-            for offset, element_id in enumerate(ids):
-                self._row_of[element_id] = base + offset
-            if objects is not None:
-                self._objects.update(zip(ids, objects))
+            self._write_rows(ids, objects, rows)
             return self._commit("update", ids, rows=rows, old_rows=old_rows,
                                 started=started)
 
@@ -200,13 +280,9 @@ class LiveTable(Dataset):
         if len(set(ids)) != len(ids):
             raise ConfigurationError("deleted ids must be unique")
         with self._cond:
-            self._require_known(ids)
-            old_rows = self._block[[self._row_of[eid] for eid in ids]].copy()
-            doomed = set(ids)
-            self._order = [eid for eid in self._order if eid not in doomed]
+            old_rows = self._block[_rows_in(self._locator, ids)]
             for element_id in ids:
-                del self._row_of[element_id]
-                del self._objects[element_id]
+                del self._locator[element_id]
             return self._commit("delete", ids, old_rows=old_rows,
                                 started=started)
 
@@ -222,23 +298,31 @@ class LiveTable(Dataset):
         """Immutable view of the current version (cached per version)."""
         with self._lock:
             if self._snapshot_cache is None:
-                rows = [self._row_of[eid] for eid in self._order]
+                block = self._block[:self._n_rows]
+                block.flags.writeable = False
                 self._snapshot_cache = TableSnapshot(
-                    list(self._order),
-                    [self._objects[eid] for eid in self._order],
-                    self._block[rows].copy(),
-                    version=self._version,
-                    table=self.name,
-                )
+                    block, self._object_rows, self._locator.copy(),
+                    version=self._version, table=self.name)
             return self._snapshot_cache
+
+    def subscribe(self) -> LogCursor:
+        """A cursor on the write log, placed at the current version.
+
+        From now on the table drops a delta only once every live cursor
+        has pulled it; a table nobody subscribed to keeps its whole log.
+        """
+        with self._lock:
+            cursor = LogCursor(self, self._version)
+            self._cursors.add(cursor)
+            return cursor
 
     def deltas_since(self, version: int,
                      upto: Optional[int] = None) -> List[WriteDelta]:
-        """Committed deltas with ``version < delta.version <= upto``."""
+        """Retained deltas with ``version < delta.version <= upto``."""
         with self._lock:
-            return [delta for delta in self._deltas
-                    if delta.version > version
-                    and (upto is None or delta.version <= upto)]
+            first = self._version - len(self._deltas) + 1
+            stop = None if upto is None else max(0, upto - first + 1)
+            return self._deltas[max(0, version - first + 1):stop]
 
     def wait_for_commit(self, after_version: int,
                         timeout: Optional[float] = None) -> int:
@@ -254,12 +338,17 @@ class LiveTable(Dataset):
             return self._version
 
     def stats(self) -> Dict[str, Any]:
-        """Version, live-row count, and per-kind write counters."""
+        """Version, live-row count, and per-kind write counters.
+
+        ``rows_written`` is the number of block rows in use — live rows
+        plus the dead ones (deleted or superseded by an update) the next
+        compaction reclaims — not a lifetime total.
+        """
         with self._lock:
             return {
                 "name": self.name,
                 "version": self._version,
-                "rows": len(self._order),
+                "rows": len(self._locator),
                 "rows_written": self._n_rows,
                 "dim": self._dim,
                 "writes": dict(self._write_counts),
@@ -269,49 +358,30 @@ class LiveTable(Dataset):
 
     def ids(self) -> List[str]:
         with self._lock:
-            return list(self._order)
+            return list(self._locator)
 
     def fetch(self, element_id: str) -> Any:
-        with self._lock:
-            try:
-                return self._objects[element_id]
-            except KeyError:
-                raise ConfigurationError(
-                    f"unknown element id {element_id!r}") from None
+        return self.fetch_batch((element_id,))[0]
 
     def fetch_batch(self, element_ids: Sequence[str]) -> List[Any]:
         with self._lock:
-            try:
-                objects = self._objects
-                return [objects[element_id] for element_id in element_ids]
-            except KeyError as exc:
-                raise ConfigurationError(
-                    f"unknown element id {exc.args[0]!r}") from None
+            object_rows = self._object_rows
+            return [object_rows[row]
+                    for row in _rows_in(self._locator, element_ids)]
 
     def features(self) -> np.ndarray:
         return self.snapshot().features()
 
     def feature_of(self, element_id: str) -> np.ndarray:
-        with self._lock:
-            try:
-                return self._block[self._row_of[element_id]].copy()
-            except KeyError:
-                raise ConfigurationError(
-                    f"unknown element id {element_id!r}") from None
+        return self.features_of((element_id,))[0]
 
     def features_of(self, element_ids: Sequence[str]) -> np.ndarray:
         with self._lock:
-            try:
-                row_of = self._row_of
-                rows = [row_of[element_id] for element_id in element_ids]
-            except KeyError as exc:
-                raise ConfigurationError(
-                    f"unknown element id {exc.args[0]!r}") from None
-            return self._block[rows].copy()
+            return self._block[_rows_in(self._locator, element_ids)]
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._order)
+            return len(self._locator)
 
     # -- internals -----------------------------------------------------------
 
@@ -325,23 +395,47 @@ class LiveTable(Dataset):
                 f"got {rows.shape}")
         return rows.copy()
 
-    def _require_known(self, ids: Sequence[str]) -> None:
-        for element_id in ids:
-            if element_id not in self._row_of:
-                raise ConfigurationError(
-                    f"unknown element id {element_id!r}")
-
-    def _reserve(self, n: int) -> int:
-        """Grow the append-only block so ``n`` more rows fit; return base."""
+    def _write_rows(self, ids: Sequence[str], objects: Sequence[Any],
+                    rows: np.ndarray) -> None:
+        """Append one row per id and point the locator at it."""
         base = self._n_rows
-        needed = base + n
+        needed = base + len(ids)
         if needed > len(self._block):
-            capacity = max(needed, 2 * len(self._block))
-            block = np.empty((capacity, self._dim), dtype=float)
+            # A fresh array: snapshots keep reading the one they share.
+            block = np.empty((max(needed, 2 * len(self._block)), self._dim),
+                             dtype=float)
             block[:base] = self._block[:base]
             self._block = block
+        self._block[base:needed] = rows
+        self._object_rows.extend(objects)
+        self._locator.update(zip(ids, range(base, needed)))
         self._n_rows = needed
-        return base
+
+    def _compact(self) -> None:
+        """Rewrite the live rows into fresh storage, in id order.
+
+        Costs O(live rows) and runs once dead rows outnumber them, so a
+        written row pays O(1) amortised; snapshots pinned before keep
+        the old block, object rows and their own locator.
+        """
+        rows = list(self._locator.values())
+        # Room for the dead rows of the next round (it ends at 2 x live)
+        # without growing the block first.
+        block = np.empty((max(16, 3 * len(rows)), self._dim), dtype=float)
+        block[:len(rows)] = self._block[rows]
+        object_rows = self._object_rows
+        self._block = block
+        self._object_rows = [object_rows[row] for row in rows]
+        self._locator = dict(zip(self._locator, range(len(rows))))
+        self._n_rows = len(rows)
+
+    def _trim_log(self) -> None:
+        """Drop the deltas every live cursor has already pulled."""
+        pulled = min((cursor.version for cursor in self._cursors),
+                     default=None)
+        if pulled is not None:
+            first = self._version - len(self._deltas) + 1
+            del self._deltas[:max(0, pulled - first + 1)]
 
     def _commit(self, kind: str, ids: Sequence[str], *,
                 rows: Optional[np.ndarray] = None,
@@ -349,6 +443,8 @@ class LiveTable(Dataset):
                 started: float = 0.0) -> int:
         self._version += 1
         self._snapshot_cache = None
+        if self._n_rows > 2 * len(self._locator):
+            self._compact()
         self._deltas.append(WriteDelta(
             version=self._version, kind=kind, ids=tuple(ids),
             rows=rows, old_rows=old_rows))

@@ -1,6 +1,6 @@
 """Module boundaries that the code must keep, checked on the source text.
 
-Two boundaries so far:
+Three boundaries so far:
 
 * the layout of the bandit's state — the node table, arms, parent rows, the
   leaf registry, who writes ``remaining`` — is known to
@@ -13,7 +13,11 @@ Two boundaries so far:
 * what the session keeps per table lives on its ``TableBinding``
   (``repro/catalog.py``: ``pin`` / ``index_for`` / ``memo_view`` / ``info``
   / ``touched_since``), and nothing outside ``session.py`` reads a session's
-  private attributes — dispatch gets what it needs on the ``ExecutionPlan``.
+  private attributes — dispatch gets what it needs on the ``ExecutionPlan``;
+* how a ``LiveTable`` stores its rows — the append-only feature block, the
+  object rows parallel to it and the ``id -> row`` locator that snapshots
+  share or copy — is known to ``repro/live/table.py`` alone; the id list and
+  object dict the locator made redundant are gone, not mirrored.
 """
 
 from __future__ import annotations
@@ -71,6 +75,13 @@ SESSION_NAMES = {
     r"\blog_floor\b": {"live/maintenance.py"},
 }
 
+#: Same shape, for a live table's storage.
+LIVE_STORAGE_NAMES = {
+    r"\b_block\b": {"live/table.py"},
+    r"\b_object_rows\b": {"live/table.py"},
+    r"\b_locator\b": {"live/table.py"},
+}
+
 
 def offenders(names):
     """``module: pattern`` for every spelling outside the owning modules."""
@@ -90,6 +101,15 @@ def test_bandit_layout_is_private_to_the_policy_module():
 
 def test_per_table_state_is_private_to_session_and_binding():
     assert not offenders(SESSION_NAMES)
+
+
+def test_live_storage_is_private_to_the_table_module():
+    assert not offenders(LIVE_STORAGE_NAMES)
+    live = {path.name: path.read_text()
+            for path in (SRC / "live").glob("*.py")}
+    # The live-id list and object dict the locator's key order replaced.
+    assert not any(re.search(r"\b_order\b", text) for text in live.values())
+    assert not re.search(r"\b_objects\b", live["table.py"])
 
 
 def test_layout_classes_are_not_exported():

@@ -27,6 +27,11 @@ class TestInMemoryDataset:
         assert ds.fetch_batch(["b", "a"]) == [20, 10]
         assert ds.feature_of("b")[0] == 2.0
 
+    def test_len_does_not_copy_the_id_list(self, monkeypatch):
+        ds = InMemoryDataset(["a", "b"], [10, 20], np.zeros((2, 1)))
+        monkeypatch.setattr(ds, "ids", lambda: pytest.fail("len called ids()"))
+        assert len(ds) == 2
+
     def test_unknown_id(self):
         ds = InMemoryDataset(["a"], [1], np.asarray([[0.0]]))
         with pytest.raises(ConfigurationError):
