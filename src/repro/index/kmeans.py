@@ -21,13 +21,15 @@ from repro.utils.rng import SeedLike, as_generator
 def _pairwise_sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances, shape ``(n_points, n_centroids)``."""
     # ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2, clipped for numeric noise.
-    cross = points @ centroids.T
-    sq = (
-        np.sum(points**2, axis=1)[:, np.newaxis]
-        - 2.0 * cross
-        + np.sum(centroids**2, axis=1)[np.newaxis, :]
-    )
-    return np.maximum(sq, 0.0)
+    # Every step writes into the one (n, L) product: a Lloyd sweep over a
+    # large table holds this matrix and the previous sweep's, not five —
+    # the temporaries were an index build's whole high-water mark.  Same
+    # operations on the same operands in the same order, so same floats.
+    sq = points @ centroids.T
+    sq *= -2.0
+    sq += np.sum(points**2, axis=1)[:, np.newaxis]
+    sq += np.sum(centroids**2, axis=1)[np.newaxis, :]
+    return np.maximum(sq, 0.0, out=sq)
 
 
 class KMeans:

@@ -31,6 +31,64 @@ class TestPairwiseDistances:
         points = rng.normal(size=(50, 2)) * 1e6
         assert (_pairwise_sq_dists(points, points) >= 0.0).all()
 
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (7, 3, 5), (4_000, 32, 8),
+                                       (513, 1, 16)])
+    def test_same_floats_as_the_expression_it_replaced(self, rng, shape):
+        """The in-place evaluation is the allocating one, bit for bit:
+        every index (and every golden file) rests on these floats."""
+        n, n_centroids, dim = shape
+        points = rng.normal(size=(n, dim)) * 1e3
+        centroids = rng.normal(size=(n_centroids, dim)) * 1e3
+        replaced = np.maximum(
+            np.sum(points**2, axis=1)[:, np.newaxis]
+            - 2.0 * (points @ centroids.T)
+            + np.sum(centroids**2, axis=1)[np.newaxis, :],
+            0.0)
+        assert np.array_equal(_pairwise_sq_dists(points, centroids), replaced)
+
+    def test_inputs_are_left_alone(self, rng):
+        points = rng.normal(size=(30, 4))
+        centroids = points[:3]
+        points.flags.writeable = False  # a live snapshot's shared block
+        before = points.copy()
+        _pairwise_sq_dists(points, centroids)
+        assert np.array_equal(points, before)
+
+
+class TestWorkingMemory:
+    """Structural, no clock: a build's high-water mark was five (n, L)
+    temporaries per distance evaluation (128 MB at 100k x 32), and a
+    churn rebuild put them on top of a serving process's resident set,
+    one more or less with the allocator's state."""
+
+    N, L, DIM = 20_000, 32, 8
+    MATRIX = N * L * 8
+
+    def _peak(self, run):
+        import tracemalloc
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            run()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def test_one_evaluation_holds_one_matrix(self, rng):
+        points = rng.normal(size=(self.N, self.DIM))
+        centroids = points[:self.L].copy()
+        peak = self._peak(lambda: _pairwise_sq_dists(points, centroids))
+        # The (n, L) result plus the (n, d) squares; it was >= 3 matrices.
+        assert peak < 1.5 * self.MATRIX
+
+    def test_a_fit_holds_two_matrices(self, rng):
+        points = rng.normal(size=(self.N, self.DIM))
+        model = KMeans(self.L, max_iter=4, rng=0)
+        peak = self._peak(lambda: model.fit(points))
+        # This sweep's distances and the last one's; it was five.
+        assert peak < 2.6 * self.MATRIX
+
 
 class TestKMeansValidation:
     def test_invalid_k(self):
