@@ -2,8 +2,10 @@
 # CI-style check: byte-compile everything, run every doctest under
 # src/repro (the targets are discovered, so a new `>>>` cannot be missed),
 # run the documentation gates (executable docs examples, API-symbol
-# imports, relative links), then tier-1.  Perf gates stay opt-in
-# (`pytest -m perf`), matching the benchmarks/ pattern.
+# imports, relative links), then tier-1 — with its 15 slowest tests listed,
+# because dozens of tests build an index and ROADMAP wants the suite under
+# 60 s.  Perf gates stay opt-in (`pytest -m perf`), matching the
+# benchmarks/ pattern.
 set -eu
 cd "$(dirname "$0")"
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
@@ -22,7 +24,7 @@ if [ "${SKIP_DOCS:-0}" != "1" ]; then
 fi
 
 echo "== tier-1 tests =="
-python -m pytest -x -q
+python -m pytest -x -q --durations=15
 
 echo "== shm leak check (no surviving repro-shm-* segments) =="
 python tools/check_shm_leaks.py

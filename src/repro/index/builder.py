@@ -4,8 +4,10 @@
 have already produced a feature matrix — over a dataset: (1) optionally
 subsample for clustering ("we take a subsample for clustering if the dataset
 is large"), (2) k-means over the vectors, assigning *all* elements to their
-closest centroid, and (3) HAC with average linkage over the centroids to
-form a dendrogram whose leaves are the k-means clusters.
+closest centroid (one leaf per populated cluster, members in ascending row
+order), and (3) HAC with average linkage over the populated centroids to
+form a dendrogram whose leaves are the k-means clusters — skipped for a flat
+index or a single populated cluster.  Non-finite features are refused.
 """
 
 from __future__ import annotations
@@ -17,9 +19,10 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.index.hac import Linkage, agglomerate, merges_to_children
-from repro.index.kmeans import KMeans
+from repro.index.kmeans import KMeans, rows_by_label
 from repro.index.tree import ClusterNode, ClusterTree
 from repro.utils.rng import SeedLike, as_generator
+from repro.utils.validation import check_finite_features
 
 
 @dataclass
@@ -109,6 +112,7 @@ def build_index(features: np.ndarray, ids: Sequence[str], config: IndexConfig,
         raise ConfigurationError(
             f"n_clusters={config.n_clusters} exceeds n={len(features)}"
         )
+    check_finite_features(features, ids)
     generator = as_generator(rng)
 
     # Phase 1-2: k-means (optionally fit on a subsample, assign everything).
@@ -125,17 +129,17 @@ def build_index(features: np.ndarray, ids: Sequence[str], config: IndexConfig,
     assert centroids is not None
 
     # Drop clusters that received no members during full assignment.
-    populated = sorted(set(int(label) for label in labels))
-    leaf_nodes: Dict[int, ClusterNode] = {}
-    members_by_label: Dict[int, list] = {label: [] for label in populated}
-    for element_id, label in zip(ids, labels):
-        members_by_label[int(label)].append(element_id)
-    for label in populated:
-        leaf_nodes[label] = ClusterNode(
+    id_array = np.asarray(ids, dtype=object)
+    leaf_nodes: Dict[int, ClusterNode] = {
+        label: ClusterNode(
             node_id=f"leaf-{label}",
-            member_ids=tuple(members_by_label[label]),
+            member_ids=tuple(id_array[rows]),
             centroid=centroids[label].copy(),
         )
+        for label, rows in enumerate(rows_by_label(labels, config.n_clusters))
+        if len(rows)
+    }
+    populated = list(leaf_nodes)
 
     if config.flat or len(populated) == 1:
         root = ClusterNode(node_id="root",
@@ -158,10 +162,8 @@ def build_index(features: np.ndarray, ids: Sequence[str], config: IndexConfig,
             node_id=f"internal-{internal_id}",
             children=[built[left], built[right]],
         )
-    root_internal = max(built)
-    root = ClusterNode(node_id="root", children=[built[root_internal]])
     # Collapse the redundant single-child root layer.
-    top = built[root_internal]
+    top = built[max(built)]
     root = ClusterNode(node_id="root", children=list(top.children)) \
         if not top.is_leaf else ClusterNode(node_id="root", children=[top])
     return ClusterTree(root)

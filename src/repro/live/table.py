@@ -43,6 +43,7 @@ from repro.data.dataset import Dataset
 from repro.errors import ConfigurationError
 from repro.obs.metrics import WRITES_TOTAL
 from repro.obs.spans import Span
+from repro.utils.validation import check_finite_features
 
 #: Write-span fragments retained per table (oldest dropped first).
 MAX_WRITE_SPANS = 64
@@ -201,6 +202,7 @@ class LiveTable(Dataset):
         if dim is not None and features.shape[1] != int(dim):
             raise ConfigurationError(
                 f"features have dim {features.shape[1]}, expected {dim}")
+        check_finite_features(features, ids)
 
         self._dim = int(features.shape[1])
         # Row r of the block and entry r of the object rows describe one
@@ -238,7 +240,7 @@ class LiveTable(Dataset):
         if len(objects) != len(ids):
             raise ConfigurationError(
                 f"{len(ids)} ids for {len(objects)} objects")
-        rows = self._coerce_rows(features, len(ids))
+        rows = self._coerce_rows(features, ids)
         with self._cond:
             for element_id in ids:
                 if element_id in self._locator:
@@ -256,7 +258,7 @@ class LiveTable(Dataset):
             raise ConfigurationError("update needs at least one element")
         if len(set(ids)) != len(ids):
             raise ConfigurationError("updated ids must be unique")
-        rows = self._coerce_rows(features, len(ids))
+        rows = self._coerce_rows(features, ids)
         if objects is not None and len(objects) != len(ids):
             raise ConfigurationError(
                 f"{len(ids)} ids for {len(objects)} objects")
@@ -385,14 +387,16 @@ class LiveTable(Dataset):
 
     # -- internals -----------------------------------------------------------
 
-    def _coerce_rows(self, features: np.ndarray, n: int) -> np.ndarray:
+    def _coerce_rows(self, features: np.ndarray,
+                     ids: Sequence[str]) -> np.ndarray:
         rows = np.asarray(features, dtype=float)
         if rows.ndim == 1:
             rows = rows.reshape(-1, 1) if self._dim == 1 else rows.reshape(1, -1)
-        if rows.shape != (n, self._dim):
+        if rows.shape != (len(ids), self._dim):
             raise ConfigurationError(
-                f"expected a ({n}, {self._dim}) feature block, "
+                f"expected a ({len(ids)}, {self._dim}) feature block, "
                 f"got {rows.shape}")
+        check_finite_features(rows, ids)
         return rows.copy()
 
     def _write_rows(self, ids: Sequence[str], objects: Sequence[Any],

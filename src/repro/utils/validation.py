@@ -8,7 +8,9 @@ query loop.
 from __future__ import annotations
 
 import math
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 
@@ -58,3 +60,18 @@ def check_scores(scores: Iterable[float]) -> None:
             raise ConfigurationError(
                 "opaque scores must be finite and non-negative, "
                 f"got {score!r}")
+
+
+def check_finite_features(features: np.ndarray, ids: Sequence[Any]) -> None:
+    """Require every feature of every row to be finite.
+
+    One NaN or inf turns the k-means++ sampling weights into NaN: the
+    index build — or, on a live table, the next churn rebuild — dies far
+    from the write that let the row in.  Names the first offending id.
+    """
+    finite = np.isfinite(features)
+    if not finite.all():
+        row = int(np.flatnonzero(~finite.all(axis=1))[0])
+        raise ConfigurationError(
+            f"features must be finite, element {ids[row]!r} has "
+            f"{features[row].tolist()}")

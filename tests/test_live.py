@@ -135,6 +135,26 @@ class TestLiveTable:
             LiveTable()  # empty without dim=
         assert len(LiveTable(dim=4)) == 0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_feature_is_refused_at_the_door(self, bad):
+        """It used to be accepted, and the next query (or, on an indexed
+        table, the next churn rebuild) died inside k-means++ with numpy's
+        "Probabilities contain NaN"."""
+        table = make_live_table(n_rows=5)
+        append_rows(table, [1.0])
+        before = (table.version, table.ids(), table.stats(),
+                  [d.version for d in table.deltas_since(0)])
+        poisoned = [[0.0, bad, 1.0]]
+        with pytest.raises(ConfigurationError, match="finite.*'x'"):
+            table.append(["ok", "x"], [1.0, 1.0], [[0.0, 0.0, 0.0]] + poisoned)
+        with pytest.raises(ConfigurationError, match="e00002"):
+            table.update(["e00002"], poisoned)
+        with pytest.raises(ConfigurationError, match="'q'"):
+            LiveTable(["p", "q"], [1.0, 1.0], [[0.0] * 3] + poisoned)
+        assert before == (table.version, table.ids(), table.stats(),
+                          [d.version for d in table.deltas_since(0)])
+        assert np.isfinite(table.features()).all()
+
     def test_wait_for_commit_wakes_on_write(self):
         table = make_live_table(n_rows=5)
         assert table.wait_for_commit(0, timeout=0.01) == 0  # timeout path

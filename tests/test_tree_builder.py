@@ -173,6 +173,14 @@ class TestBuildIndex:
             build_index(rng.normal(size=(3, 2)), ["a", "b", "c"],
                         IndexConfig(n_clusters=5), rng=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_rejected(self, rng, bad):
+        """Not numpy's "Probabilities contain NaN" from inside k-means++."""
+        points, ids = self.make_features(rng)
+        points[17, 1] = bad
+        with pytest.raises(ConfigurationError, match="finite.*'e17'"):
+            build_index(points, ids, IndexConfig(n_clusters=4), rng=0)
+
     def test_single_cluster(self, rng):
         points, ids = self.make_features(rng)
         tree = build_index(points, ids, IndexConfig(n_clusters=1), rng=0)
