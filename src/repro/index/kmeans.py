@@ -179,10 +179,9 @@ class KMeans:
             for cluster, members in enumerate(groups):
                 if len(members):
                     new_centroids[cluster] = points[members].mean(axis=0)
-            # Empty-cluster repair: re-seed at the point with the largest
-            # distance to its assigned centroid.
-            for cluster, members in enumerate(groups):
-                if not len(members):
+                else:
+                    # Empty-cluster repair: re-seed at the point with the
+                    # largest distance to its assigned centroid.
                     farthest = int(np.argmax(assigned_sq))
                     new_centroids[cluster] = points[farthest]
                     assigned_sq[farthest] = 0.0
