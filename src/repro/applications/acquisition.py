@@ -59,6 +59,11 @@ class DataSourceUnion(Dataset):
         if not local_ids:
             raise ConfigurationError(f"source {name!r} is empty")
         namespaced = [f"{name}/{local}" for local in local_ids]
+        seen = set()
+        for element_id in namespaced:
+            if element_id in seen:
+                raise ConfigurationError(f"duplicate id {element_id!r}")
+            seen.add(element_id)
         if features is None:
             feature_rows = [np.zeros(1) for _ in namespaced]
         else:
@@ -76,8 +81,6 @@ class DataSourceUnion(Dataset):
                     f"the union's are {expected}"
                 )
         for element_id, obj, row in zip(namespaced, objects, feature_rows):
-            if element_id in self._objects:
-                raise ConfigurationError(f"duplicate id {element_id!r}")
             self._objects[element_id] = obj
             self._features[element_id] = np.asarray(row, dtype=float)
         self._sources[name] = namespaced

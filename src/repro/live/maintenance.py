@@ -50,9 +50,10 @@ from typing import (Callable, Deque, Dict, List, Optional, Sequence, Set,
 
 import numpy as np
 
+from repro.data.dataset import TableSnapshot
 from repro.errors import ConfigurationError
 from repro.index.tree import ClusterNode, ClusterTree
-from repro.live.table import TableSnapshot, WriteDelta
+from repro.live.table import WriteDelta
 from repro.obs.metrics import INDEX_SPLITS_TOTAL
 
 #: Advance reports retained in :attr:`IndexMaintainer.touched_log`.

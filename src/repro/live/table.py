@@ -12,8 +12,10 @@ keeps only what some live cursor has not pulled yet.
 Snapshot isolation is structural, not locked-in-time: feature rows live
 in an append-only block with an object list parallel to it — an
 ``update`` writes a *new* row and repoints the element's locator, it
-never mutates the old row in place — so a :class:`TableSnapshot` taken
-at version ``v`` *shares* the block and the object rows and owns only a
+never mutates the old row in place — so a
+:class:`~repro.data.dataset.TableSnapshot` taken at version ``v`` (the
+layout a static :class:`~repro.data.dataset.InMemoryDataset` is, at
+version 0) *shares* the block and the object rows and owns only a
 copy of the ``id -> row`` locator: it keeps reading exactly the rows
 that were current at ``v`` no matter how many writes commit while a
 query over it is still in flight.  A write costs its batch, a snapshot
@@ -21,7 +23,9 @@ one C-level dict copy per version, and the aligned ``features()``
 matrix is gathered only for whoever asks (index builds, ``WHERE``
 masks).  When dead rows (deleted or superseded) outnumber live ones the
 table rewrites block, object rows and locator into fresh storage;
-pinned snapshots keep the old.
+pinned snapshots keep the old.  The table's own reads below go to the
+current version under its lock, without paying for a snapshot's
+locator copy.
 
 Writes are observable: each commit increments the process-wide
 ``writes_total{table, kind}`` counter and records a ``write[kind]``
@@ -39,7 +43,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.data.dataset import Dataset
+from repro.data.dataset import Dataset, TableSnapshot, _aligned, _rows_in
 from repro.errors import ConfigurationError
 from repro.obs.metrics import WRITES_TOTAL
 from repro.obs.spans import Span
@@ -63,73 +67,6 @@ class WriteDelta:
     ids: Tuple[str, ...]
     rows: Optional[np.ndarray] = None
     old_rows: Optional[np.ndarray] = None
-
-
-def _rows_in(locator: Dict[str, int], element_ids: Sequence[str]) -> List[int]:
-    """Block rows of ``element_ids``; a stranger is a configuration error."""
-    try:
-        return [locator[element_id] for element_id in element_ids]
-    except KeyError as exc:
-        raise ConfigurationError(
-            f"unknown element id {exc.args[0]!r}") from None
-
-
-class TableSnapshot(Dataset):
-    """An immutable view of one :class:`LiveTable` version.
-
-    Shares the table's append-only feature block (``block`` is a
-    read-only view of the rows in use at its version, none of which is
-    ever written again) and object rows, and owns the ``id -> row``
-    locator as of its version, whose key order is :meth:`ids`.  Every
-    engine, shard builder and shared-memory path reads it through the
-    :class:`~repro.data.dataset.Dataset` protocol plus ``features_of`` /
-    ``feature_of``; ``version`` is the stamp queries pin at plan time.
-    """
-
-    def __init__(self, block: np.ndarray, object_rows: List[Any],
-                 locator: Dict[str, int], version: int,
-                 table: str = "") -> None:
-        self._block = block
-        self._object_rows = object_rows
-        self._locator = locator
-        self._features: Optional[np.ndarray] = None
-        self.version = int(version)
-        self.table = table
-
-    def ids(self) -> List[str]:
-        return list(self._locator)
-
-    def __len__(self) -> int:
-        return len(self._locator)
-
-    def fetch(self, element_id: str) -> Any:
-        return self.fetch_batch((element_id,))[0]
-
-    def fetch_batch(self, element_ids: Sequence[str]) -> List[Any]:
-        object_rows = self._object_rows
-        return [object_rows[row]
-                for row in _rows_in(self._locator, element_ids)]
-
-    def features(self) -> np.ndarray:
-        """Rows aligned with :meth:`ids`, gathered on first use.
-
-        Without dead rows (a fresh or just-compacted table) the block
-        already is that matrix, row for row, and nothing is copied.
-        """
-        if self._features is None:
-            if len(self._block) == len(self._locator):
-                self._features = self._block
-            else:
-                self._features = self._block[list(self._locator.values())]
-        return self._features
-
-    def feature_of(self, element_id: str) -> np.ndarray:
-        """One element's row: a read-only view of the shared block."""
-        return self._block[_rows_in(self._locator, (element_id,))[0]]
-
-    def features_of(self, element_ids: Sequence[str]) -> np.ndarray:
-        """Rows for many ids in one gather (a fresh array)."""
-        return self._block[_rows_in(self._locator, element_ids)]
 
 
 class LogCursor:
@@ -179,13 +116,8 @@ class LiveTable(Dataset):
         self.name = str(name)
 
         ids = [str(element_id) for element_id in ids]
-        if len(set(ids)) != len(ids):
-            raise ConfigurationError("element ids must be unique")
         if objects is None:
             objects = list(ids)
-        if len(objects) != len(ids):
-            raise ConfigurationError(
-                f"{len(ids)} ids for {len(objects)} objects")
         if features is None:
             if ids:
                 raise ConfigurationError("initial rows need features")
@@ -193,12 +125,7 @@ class LiveTable(Dataset):
                 raise ConfigurationError(
                     "an empty LiveTable needs an explicit dim=")
             features = np.empty((0, int(dim)), dtype=float)
-        features = np.asarray(features, dtype=float)
-        if features.ndim == 1:
-            features = features.reshape(-1, 1)
-        if len(features) != len(ids):
-            raise ConfigurationError(
-                f"{len(ids)} ids for {len(features)} feature rows")
+        ids, features = _aligned(ids, objects, features)
         if dim is not None and features.shape[1] != int(dim):
             raise ConfigurationError(
                 f"features have dim {features.shape[1]}, expected {dim}")

@@ -113,7 +113,7 @@ class ShardSpec:
     #: :class:`~repro.obs.spans.TraceContext` to stitch.  Off by default:
     #: the round loop then never touches the tracing layer.
     trace: bool = False
-    #: Live tables: the pinned :class:`~repro.live.table.TableSnapshot`
+    #: Live tables: the pinned :class:`~repro.data.dataset.TableSnapshot`
     #: version this shard's partition was cut from.  Echoed back on every
     #: :attr:`RoundOutcome.table_version` so the coordinator can assert
     #: no cross-version outcome ever merges.  0 for immutable datasets.

@@ -388,7 +388,7 @@ class ExecutionPlan:
     #: runtime state — never rendered in :meth:`explain`.
     gate: Optional[object] = None
     #: The rows this query reads: the registered dataset, or the immutable
-    #: :class:`~repro.live.table.TableSnapshot` a live table pinned it to.
+    #: :class:`~repro.data.dataset.TableSnapshot` a live table pinned it to.
     #: Like the five fields below, resolved state for the dispatch —
     #: never rendered in :meth:`explain`.
     dataset: Optional[object] = None

@@ -14,10 +14,12 @@ Four boundaries so far:
   (``repro/catalog.py``: ``pin`` / ``index_for`` / ``memo_view`` / ``info``
   / ``touched_since``), and nothing outside ``session.py`` reads a session's
   private attributes — dispatch gets what it needs on the ``ExecutionPlan``;
-* how a ``LiveTable`` stores its rows — the append-only feature block, the
-  object rows parallel to it and the ``id -> row`` locator that snapshots
-  share or copy — is known to ``repro/live/table.py`` alone; the id list and
-  object dict the locator made redundant are gone, not mirrored;
+* how a table stores its rows — the feature block, the object rows
+  parallel to it and the ``id -> row`` locator that snapshots share or
+  copy — is known to ``repro/data/dataset.py`` (``TableSnapshot``, which a
+  static ``InMemoryDataset`` is) and ``repro/live/table.py`` alone; the id
+  lists, object dicts and row maps the locator made redundant are gone,
+  not mirrored;
 * the public surface is what something uses: every name a package lists in
   ``__all__`` is spelled somewhere besides its own definition and the
   ``__init__.py`` files — in the library, a script or the docs (an entry in
@@ -31,9 +33,12 @@ import importlib
 import re
 from pathlib import Path
 
+import numpy as np
+
 import repro
 import repro.core
 import repro.query
+from repro.data.dataset import InMemoryDataset
 
 SRC = Path(repro.__file__).parent
 REPO = SRC.parent.parent
@@ -82,11 +87,12 @@ SESSION_NAMES = {
     r"\blog_floor\b": {"live/maintenance.py"},
 }
 
-#: Same shape, for a live table's storage.
+#: Same shape, for a table's storage.
+TABLE_MODULES = {"data/dataset.py", "live/table.py"}
 LIVE_STORAGE_NAMES = {
-    r"\b_block\b": {"live/table.py"},
-    r"\b_object_rows\b": {"live/table.py"},
-    r"\b_locator\b": {"live/table.py"},
+    r"\b_block\b": TABLE_MODULES,
+    r"\b_object_rows\b": TABLE_MODULES,
+    r"\b_locator\b": TABLE_MODULES,
 }
 
 
@@ -117,6 +123,19 @@ def test_live_storage_is_private_to_the_table_module():
     # The live-id list and object dict the locator's key order replaced.
     assert not any(re.search(r"\b_order\b", text) for text in live.values())
     assert not re.search(r"\b_objects\b", live["table.py"])
+    # The static table's id list, object dict and row map, likewise.
+    dataset = (SRC / "data" / "dataset.py").read_text()
+    for pattern in (r"\b_row_of\b", r"\._objects\b", r"\._ids\b"):
+        assert not re.search(pattern, dataset), pattern
+
+
+def test_static_table_block_is_the_callers_array():
+    features = np.arange(6, dtype=float).reshape(3, 2)
+    for writeable in (True, False):
+        features.flags.writeable = writeable
+        ds = InMemoryDataset(["a", "b", "c"], [1, 2, 3], features)
+        assert ds.features() is features
+        assert features.flags.writeable is writeable
 
 
 def test_layout_classes_are_not_exported():

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data.dataset import Dataset, InMemoryDataset
 from repro.data.images import SyntheticImageDataset
@@ -86,6 +88,61 @@ class TestDefaultFeaturesOf:
                             lambda ids: Dataset.features_of(ds, ids)):
             with pytest.raises(ConfigurationError, match="'e99'"):
                 features_of(["e0", "e99"])
+
+
+@st.composite
+def tables(draw):
+    """Ids, objects, 1-D or 2-D finite features, and ids to ask for."""
+    ids = draw(st.lists(st.text(min_size=1, max_size=4), unique=True,
+                        max_size=12))
+    objects = draw(st.lists(st.integers(), min_size=len(ids),
+                            max_size=len(ids)))
+    shape = ((len(ids),) if draw(st.booleans())
+             else (len(ids), draw(st.integers(1, 3))))
+    values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=int(np.prod(shape)),
+                           max_size=int(np.prod(shape))))
+    wanted = draw(st.lists(st.sampled_from(ids), max_size=8)) if ids else []
+    # A repeated id must repeat its object and row.
+    return ids, objects, np.asarray(values).reshape(shape), wanted + wanted[:1]
+
+
+class TestLayoutsAgree:
+    """A static table and a live table's snapshot read the same contents."""
+
+    UNKNOWN = "not-an-id"  # longer than any drawn id
+
+    @given(tables())
+    @settings(max_examples=100, deadline=None)
+    def test_static_table_matches_a_live_snapshot(self, table):
+        ids, objects, features, wanted = table
+        static = InMemoryDataset(ids, objects, features)
+        snapshot = LiveTable(ids, objects, features).snapshot()
+        assert static.ids() == snapshot.ids() == ids
+        assert len(static) == len(snapshot) == len(ids)
+        assert static.fetch_batch(wanted) == snapshot.fetch_batch(wanted)
+        assert np.array_equal(static.features(), snapshot.features())
+        assert static.features().shape == snapshot.features().shape
+        for element_id in wanted:
+            assert np.array_equal(static.feature_of(element_id),
+                                  snapshot.feature_of(element_id))
+        assert np.array_equal(static.features_of(wanted),
+                              snapshot.features_of(wanted))
+        assert static.features_of(wanted).shape == \
+            snapshot.features_of(wanted).shape
+        for ds in (static, snapshot):
+            for read in (ds.fetch, ds.feature_of,
+                         lambda eid: ds.fetch_batch(wanted + [eid]),
+                         lambda eid: ds.features_of(wanted + [eid])):
+                with pytest.raises(ConfigurationError,
+                                   match=repr(self.UNKNOWN)):
+                    read(self.UNKNOWN)
+
+
+@pytest.mark.parametrize("make", [InMemoryDataset, LiveTable])
+def test_3d_features_refused_by_both_constructors(make):
+    with pytest.raises(ConfigurationError, match=r"\(2, 2, 2\)"):
+        make(["a", "b"], [1, 2], np.zeros((2, 2, 2)))
 
 
 class TestInMemoryDataset:

@@ -78,6 +78,18 @@ class TestDataSourceUnion:
         assert union.ids() == before
         assert union.features().shape == (100, 2)
 
+    def test_refused_duplicate_leaves_nothing_behind(self, rng):
+        union = self.make_union(rng)
+        before = union.ids()
+        with pytest.raises(ConfigurationError, match="'s/a'"):
+            union.add_source("s", ["a", "b", "a"], [1, 2, 3],
+                             features=np.zeros((3, 2)))
+        assert union.ids() == before
+        union.add_source("s", ["a", "b"], [1, 2], features=np.ones((2, 2)))
+        assert union.ids() == before + ["s/a", "s/b"]
+        assert union.fetch_batch(["s/a", "s/b"]) == [1, 2]
+        assert np.array_equal(union.features()[-2:], np.ones((2, 2)))
+
     def test_featureless_sources_share_width_one(self):
         union = DataSourceUnion()
         union.add_source("a", ["x", "y"], [1.0, 2.0])
