@@ -21,8 +21,6 @@ from repro import (
     ReluScorer,
     SyntheticClustersDataset,
     TopKEngine,
-    restore_engine,
-    snapshot_engine,
 )
 from repro.experiments.ground_truth import compute_ground_truth
 
@@ -44,15 +42,15 @@ def main() -> None:
           f"STK {engine.stk / optimal:.1%} of optimal")
 
     snapshot_path = Path(tempfile.gettempdir()) / "repro-query-snapshot.json"
-    snapshot_path.write_text(json.dumps(snapshot_engine(engine)))
+    snapshot_path.write_text(json.dumps(engine.snapshot()))
     print(f"snapshot written: {snapshot_path} "
           f"({snapshot_path.stat().st_size / 1024:.0f} KiB)\n")
 
     # Session 2 (fresh process in real life): rebuild the same index,
     # restore, and continue for another 20% of the budget.
-    restored = restore_engine(dataset.true_index(),
-                              json.loads(snapshot_path.read_text()),
-                              resume_seed=1)
+    restored = TopKEngine.restore(dataset.true_index(),
+                                  json.loads(snapshot_path.read_text()),
+                                  resume_seed=1)
     print(f"session 2: resumed at {restored.n_scored:,} scored, "
           f"STK {restored.stk / optimal:.1%}")
     restored.run(dataset, scorer, budget=2 * len(dataset) // 5)

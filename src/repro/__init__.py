@@ -88,12 +88,7 @@ from repro.errors import (
     ReproError,
 )
 from repro.core.budgeted import budgeted_config, run_budgeted
-from repro.core.snapshot import (
-    restore_engine,
-    restore_memo,
-    snapshot_engine,
-    snapshot_memo,
-)
+from repro.core.snapshot import restore_memo, snapshot_memo
 from repro.memo import (
     MemoStore,
     MemoView,
@@ -236,8 +231,6 @@ __all__ = [
     "replay_engine",
     "replay_run",
     "available_backends",
-    "snapshot_engine",
-    "restore_engine",
     "snapshot_memo",
     "restore_memo",
     "MemoStore",

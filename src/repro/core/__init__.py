@@ -38,7 +38,6 @@ from repro.core.fallback import FallbackConfig, FallbackController, FallbackDeci
 from repro.core.engine import EngineConfig, ScoringStep, TopKEngine
 from repro.core.result import Checkpoint, QueryResult
 from repro.core.budgeted import budgeted_config, run_budgeted
-from repro.core.snapshot import restore_engine, snapshot_engine
 
 __all__ = [
     "stk",
@@ -75,6 +74,4 @@ __all__ = [
     "QueryResult",
     "budgeted_config",
     "run_budgeted",
-    "snapshot_engine",
-    "restore_engine",
 ]

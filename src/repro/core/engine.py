@@ -63,6 +63,7 @@ from repro.errors import ConfigurationError, ExhaustedError
 from repro.index.tree import ClusterTree
 from repro.obs.metrics import MEMO_HITS_TOTAL, UDF_CALLS_TOTAL
 from repro.obs.spans import TraceContext
+from repro.persist import NULL, NUMBER, read
 from repro.utils.rng import RngFactory, SeedLike
 from repro.utils.timer import Stopwatch
 from repro.utils.validation import check_positive_int, check_scores
@@ -215,6 +216,8 @@ class TopKEngine:
         clustering-fallback slope test before real measurements accumulate
         (the harness refreshes it from the scorer's latency model).
     """
+
+    _SNAPSHOT_FORMAT = "repro-engine-snapshot/1"
 
     def __init__(self, index: ClusterTree, config: EngineConfig | None = None,
                  *, scoring_latency_hint: float = 2e-3) -> None:
@@ -521,3 +524,83 @@ class TopKEngine:
             # result's displacement_bound reads 0.0.
             exhausted=self.exhausted,
         )
+
+    # -- pause / resume --------------------------------------------------------------
+
+    def snapshot(self) -> dict:
+        """Everything the engine learned, JSON-safe; not the RNG state
+        (see :mod:`repro.core.snapshot`)."""
+        if self._pending:
+            raise ConfigurationError(
+                "cannot snapshot between next_batch() and observe(); finish "
+                "the in-flight batch first")
+        return {
+            "format": self._SNAPSHOT_FORMAT,
+            "k": self.config.k,
+            "mode": self.mode,
+            "scan_queue": list(self._scan_queue),
+            "buffer": [[score, payload] for score, payload in
+                       self.buffer.items()],
+            "tree": self.policy.state(),
+            "flattened": self.policy.flattened,
+            "counters": {
+                "t_batches": self.t_batches,
+                "n_scored": self.n_scored,
+                "n_explore": self.n_explore,
+                "n_exploit": self.n_exploit,
+                "n_drops": self.policy.n_drops,
+                "overhead_elapsed": self.overhead.elapsed,
+                "fallback_next_check": self.fallback.next_check_at,
+                "fallback_n_checks": self.fallback.n_checks,
+            },
+            "fallback_events": [[t, kind] for t, kind in self.fallback_events],
+            "threshold_floor": self.threshold_floor,
+            "n_total": self.n_total,
+        }
+
+    @classmethod
+    def restore(cls, index: ClusterTree, snapshot: dict,
+                config: Optional[EngineConfig] = None,
+                resume_seed: Optional[int] = None,
+                scoring_latency_hint: float = 2e-3) -> "TopKEngine":
+        """Rebuild a live engine from :meth:`snapshot` output.
+
+        ``index`` must be the same immutable index the original engine ran
+        over (node IDs are checked).  ``config`` defaults to paper settings
+        with the snapshot's ``k``; ``resume_seed`` seeds the fresh random
+        streams of the resumed run.
+        """
+        fmt = cls._SNAPSHOT_FORMAT
+        read(snapshot, fmt, k=int, mode=str, buffer=list, tree=dict,
+             counters=dict, flattened=(bool, NULL), scan_queue=(list, NULL),
+             fallback_events=(list, NULL), threshold_floor=NUMBER + (NULL,))
+        counters = read(snapshot["counters"], fmt, "counters",
+                        t_batches=int, n_scored=int, n_explore=int,
+                        n_exploit=int, n_drops=(int, NULL),
+                        overhead_elapsed=NUMBER + (NULL,),
+                        fallback_next_check=(int, NULL),
+                        fallback_n_checks=(int, NULL))
+        if config is None:
+            config = EngineConfig(k=snapshot["k"], seed=resume_seed)
+        elif config.k != snapshot["k"]:
+            raise ConfigurationError("config.k must match the snapshot's k")
+        engine = cls(index, config, scoring_latency_hint=scoring_latency_hint)
+        engine.policy.load_state(snapshot["tree"])
+        engine.policy.flattened = bool(snapshot.get("flattened"))
+        for score, payload in snapshot["buffer"]:
+            engine.buffer.offer(float(score), payload)
+        engine.mode = snapshot["mode"]
+        engine._scan_queue = list(snapshot.get("scan_queue") or ())
+        engine.t_batches = counters["t_batches"]
+        engine.n_scored = counters["n_scored"]
+        engine.n_explore = counters["n_explore"]
+        engine.n_exploit = counters["n_exploit"]
+        engine.policy.n_drops = counters.get("n_drops") or 0
+        engine.overhead.elapsed = float(counters.get("overhead_elapsed") or 0)
+        engine.fallback._next_check = counters.get("fallback_next_check") or 0
+        engine.fallback.n_checks = counters.get("fallback_n_checks") or 0
+        engine.fallback_events = [(int(t), str(kind)) for t, kind
+                                  in snapshot.get("fallback_events") or ()]
+        floor = snapshot.get("threshold_floor")
+        engine.threshold_floor = None if floor is None else float(floor)
+        return engine

@@ -4,18 +4,20 @@ The paper assumes the index fits into memory and persists it as "a simple
 JSON file" (Section 3.2.6).  :class:`ClusterTree` is the in-memory form: an
 arbitrary-fanout tree whose leaves own disjoint sets of element IDs and
 whose internal nodes group similar leaves (built from the HAC dendrogram).
+:meth:`ClusterTree.to_dict` is that file's content.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from repro.errors import IndexError_, SerializationError
+from repro.errors import IndexError_
+from repro.persist import NULL, read
+
+TREE_FORMAT = "repro-cluster-tree/1"
 
 
 @dataclass
@@ -76,23 +78,17 @@ class ClusterNode:
     @classmethod
     def from_dict(cls, payload: dict) -> "ClusterNode":
         """Rebuild a subtree from :meth:`to_dict` output."""
-        try:
-            node_id = str(payload["node_id"])
-        except (KeyError, TypeError) as exc:
-            raise SerializationError(f"malformed cluster node: {exc}") from exc
-        children_payload = payload.get("children", [])
-        children = [cls.from_dict(child) for child in children_payload]
-        centroid_payload = payload.get("centroid")
-        centroid = (
-            np.asarray(centroid_payload, dtype=float)
-            if centroid_payload is not None
-            else None
-        )
+        read(payload, TREE_FORMAT, "node", node_id=str,
+             children=(list, NULL), member_ids=(list, NULL),
+             centroid=(list, NULL))
+        centroid = payload.get("centroid")
         return cls(
-            node_id=node_id,
-            children=children,
-            member_ids=tuple(payload.get("member_ids", ())),
-            centroid=centroid,
+            node_id=payload["node_id"],
+            children=[cls.from_dict(child)
+                      for child in payload.get("children") or ()],
+            member_ids=tuple(payload.get("member_ids") or ()),
+            centroid=None if centroid is None else np.asarray(centroid,
+                                                              dtype=float),
         )
 
 
@@ -243,31 +239,15 @@ class ClusterTree:
 
     # -- persistence -----------------------------------------------------------------
 
-    def to_json(self, path: str | Path | None = None, *, indent: int | None = None
-                ) -> str:
-        """Serialize to JSON; optionally also write to ``path``."""
-        text = json.dumps({"format": "repro-cluster-tree/1", "root": self.root.to_dict()},
-                          indent=indent)
-        if path is not None:
-            Path(path).write_text(text, encoding="utf-8")
-        return text
+    def to_dict(self) -> dict:
+        """JSON-safe document of the whole tree (``json.dumps`` it to save)."""
+        return {"format": TREE_FORMAT, "root": self.root.to_dict()}
 
     @classmethod
-    def from_json(cls, source: str | Path) -> "ClusterTree":
-        """Load a tree from a JSON string or file path."""
-        text: str
-        candidate = Path(str(source))
-        try:
-            is_file = candidate.is_file()
-        except OSError:
-            is_file = False
-        text = candidate.read_text(encoding="utf-8") if is_file else str(source)
-        try:
-            payload = json.loads(text)
-            root_payload = payload["root"]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise SerializationError(f"malformed cluster-tree JSON: {exc}") from exc
-        return cls(ClusterNode.from_dict(root_payload))
+    def from_dict(cls, payload: dict) -> "ClusterTree":
+        """Rebuild a validated tree from :meth:`to_dict` output."""
+        return cls(ClusterNode.from_dict(
+            read(payload, TREE_FORMAT, root=dict)["root"]))
 
     def __repr__(self) -> str:
         return (

@@ -32,7 +32,7 @@ import threading
 from collections import OrderedDict
 from typing import Dict, Optional
 
-from repro.errors import SerializationError
+from repro.persist import read
 
 _FORMAT = "repro-priors/1"
 
@@ -173,12 +173,9 @@ class PriorStore:
     @classmethod
     def from_dict(cls, payload: dict) -> "PriorStore":
         """Rebuild a store from :meth:`to_dict` output."""
-        if payload.get("format") != _FORMAT:
-            raise SerializationError(
-                f"unrecognized priors format {payload.get('format')!r}"
-            )
         store = cls()
-        for entry in payload.get("priors", ()):
-            store.put(entry["fingerprint"], entry["scope"],
-                      entry["nodes"])
+        for entry in read(payload, _FORMAT, priors=list)["priors"]:
+            read(entry, _FORMAT, "entry", fingerprint=str, scope=str,
+                 nodes=dict)
+            store.put(entry["fingerprint"], entry["scope"], entry["nodes"])
         return store

@@ -46,7 +46,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import SerializationError
+from repro.persist import NULL, read
 
 _FORMAT = "repro-memo/1"
 
@@ -188,21 +188,16 @@ class MemoStore:
     @classmethod
     def from_dict(cls, payload: dict) -> "MemoStore":
         """Rebuild a store from :meth:`to_dict` output."""
-        if payload.get("format") != _FORMAT:
-            raise SerializationError(
-                f"unrecognized memo format {payload.get('format')!r}"
-            )
+        read(payload, _FORMAT, scores=dict, table_version=(int, NULL),
+             last_write=(dict, NULL))
         store = cls()
-        for fingerprint, shard in payload.get("scores", {}).items():
-            store._scores[str(fingerprint)] = {
-                str(element_id): float(score)
-                for element_id, score in shard.items()
-            }
-        store.table_version = int(payload.get("table_version", 0))
-        store._last_write = {
-            str(element_id): int(version)
-            for element_id, version in payload.get("last_write", {}).items()
-        }
+        store._scores = {fingerprint: {str(element_id): float(score)
+                                       for element_id, score in shard.items()}
+                         for fingerprint, shard in payload["scores"].items()}
+        store.table_version = payload.get("table_version") or 0
+        last_write = payload.get("last_write") or {}
+        store._last_write = {str(element_id): int(version)
+                             for element_id, version in last_write.items()}
         return store
 
     # -- internal (MemoView plumbing) ----------------------------------------
@@ -288,21 +283,3 @@ class MemoView:
     def snapshot(self) -> Dict[str, float]:
         """Frozen copy of this UDF's memo (what ships to shard specs)."""
         return self.store._snapshot(self.fingerprint, self.reader_version)
-
-    def to_payload(self) -> dict:
-        """JSON-safe ``(fingerprint, scores)`` payload for engine snapshots."""
-        return {"fingerprint": self.fingerprint,
-                "scores": self.snapshot()}
-
-    @classmethod
-    def from_payload(cls, payload: dict,
-                     store: Optional[MemoStore] = None) -> "MemoView":
-        """Rebuild a view (into ``store``, or a fresh standalone one)."""
-        view = (store if store is not None else MemoStore()).view(
-            str(payload["fingerprint"])
-        )
-        view.record_pairs(
-            (str(element_id), float(score))
-            for element_id, score in payload.get("scores", {}).items()
-        )
-        return view

@@ -32,6 +32,8 @@ import time
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from repro.persist import NULL, NUMBER, read
+
 #: Version tag of the native export format.
 TRACE_FORMAT = "repro-trace/1"
 
@@ -74,14 +76,18 @@ class Span:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "Span":
+        read(payload, TRACE_FORMAT, "span", name=str,
+             start=NUMBER + (NULL,), wall=NUMBER + (NULL,),
+             counters=(dict, NULL), attrs=(dict, NULL),
+             children=(list, NULL))
         return cls(
             name=payload["name"],
-            start=float(payload.get("start", 0.0)),
-            wall=float(payload.get("wall", 0.0)),
-            counters=dict(payload.get("counters", {})),
-            attrs=dict(payload.get("attrs", {})),
+            start=float(payload.get("start") or 0.0),
+            wall=float(payload.get("wall") or 0.0),
+            counters=dict(payload.get("counters") or {}),
+            attrs=dict(payload.get("attrs") or {}),
             children=[cls.from_dict(child)
-                      for child in payload.get("children", [])],
+                      for child in payload.get("children") or ()],
         )
 
     def shift(self, delta: float) -> None:
@@ -210,12 +216,9 @@ class TraceContext:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "TraceContext":
-        if payload.get("format") != TRACE_FORMAT:
-            raise ValueError(
-                f"not a {TRACE_FORMAT} payload: {payload.get('format')!r}")
         trace = cls()
-        trace.roots = [Span.from_dict(span)
-                       for span in payload.get("spans", [])]
+        trace.roots = [Span.from_dict(span) for span in
+                       read(payload, TRACE_FORMAT, spans=list)["spans"]]
         return trace
 
     def to_chrome_trace(self) -> List[Dict[str, Any]]:

@@ -29,14 +29,16 @@ version-checked absorb with memo write-back, budget-gate reserve/refund,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, List, Optional, Sequence, Set, Tuple, Union
+from typing import (ClassVar, Dict, List, Optional, Sequence, Set, Tuple,
+                    Union)
 
 from repro.core.convergence import ConvergenceBound
 from repro.core.engine import EngineConfig, _fully_funded
 from repro.core.minmax_heap import TopKBuffer
 from repro.data.dataset import Dataset
-from repro.errors import ConfigurationError, SerializationError
+from repro.errors import ConfigurationError
 from repro.index.builder import IndexConfig
+from repro.memo.store import MemoStore
 from repro.obs.metrics import MEMO_HITS_TOTAL, UDF_CALLS_TOTAL
 from repro.obs.spans import TraceContext
 from repro.parallel.backends import ShardBackend, make_backend
@@ -46,6 +48,7 @@ from repro.parallel.cache import (
     subset_fingerprint,
 )
 from repro.parallel.worker import RoundOutcome, build_shard_specs
+from repro.persist import NULL, NUMBER, read
 from repro.scoring.base import Scorer
 from repro.utils.rng import RngFactory
 
@@ -159,12 +162,13 @@ class ShardCoordinator:
         :class:`~repro.parallel.worker.RoundOutcome`.
     """
 
-    #: ``"sharded"`` / ``"streaming"``: metric label, snapshot error text.
+    #: ``"sharded"`` / ``"streaming"``: the metric label.
     kind: ClassVar[str]
     _SNAPSHOT_FORMAT: ClassVar[str]
-    #: Constructor arguments of the wait policy (also public attributes);
-    #: a snapshot stores them and ``restore`` feeds them back.
-    _POLICY_FIELDS: ClassVar[Tuple[str, ...]]
+    #: Constructor arguments of the wait policy (also public attributes)
+    #: and their JSON types; a snapshot stores them and ``restore`` feeds
+    #: them back.
+    _POLICY_FIELDS: ClassVar[Dict[str, object]]
 
     def __init__(self, dataset: Dataset, scorer: Scorer, k: int,
                  n_workers: int = 4,
@@ -413,7 +417,7 @@ class ShardCoordinator:
 
         Shards snapshot at slice boundaries, where no batch is pending
         (in-flight slices are drained first).  The payload nests one
-        :func:`repro.core.snapshot.snapshot_engine` dict per shard; like the
+        :meth:`repro.core.engine.TopKEngine.snapshot` dict per shard; like the
         single-engine snapshot, RNG state is *not* captured, so a resumed
         run is a valid execution but not bit-identical to the
         uninterrupted one.
@@ -453,8 +457,9 @@ class ShardCoordinator:
             "ids": self._ids,
             # Cross-query memo slice for this (table, udf) pair, so a
             # resumed run keeps its warm scores; None when caching is off.
-            "memo": (self._memo.to_payload()
-                     if self._memo is not None else None),
+            "memo": (None if self._memo is None else
+                     {"fingerprint": self._memo.fingerprint,
+                      "scores": self._memo.snapshot()}),
         }
 
     @classmethod
@@ -484,62 +489,70 @@ class ShardCoordinator:
         holds per-shard engine state valid only for the rows it saw, so
         restoring it onto a table that has since committed writes is
         rejected rather than silently resumed against different data.
+        So is a ``memo`` view of another UDF than the snapshot's slice,
+        before anything is recorded into it.
         """
-        if snapshot.get("format") != cls._SNAPSHOT_FORMAT:
-            raise SerializationError(
-                f"unrecognized {cls.kind} snapshot format "
-                f"{snapshot.get('format')!r}"
-            )
-        stored_version = int(snapshot.get("table_version", 0))
+        fmt = cls._SNAPSHOT_FORMAT
+        read(snapshot, fmt, k=int, n_workers=int, share_threshold=bool,
+             backend=str, root_entropy=int, coordinator=dict, workers=list,
+             resume_count=(int, NULL), table_version=(int, NULL),
+             ids=(list, NULL), memo=(dict, NULL), **cls._POLICY_FIELDS)
+        state = read(snapshot["coordinator"], fmt, "coordinator",
+                     buffer=list, merged_ids=list, wall_time=NUMBER,
+                     total_scored=int, worker_times=list, active=list,
+                     exhaustive_bound=NUMBER + (NULL,),
+                     pending_floor=NUMBER + (NULL,),
+                     worker_stats=(list, NULL))
+        stored_version = snapshot.get("table_version") or 0
         if stored_version != int(table_version):
             raise ConfigurationError(
                 f"snapshot was taken at table version {stored_version}, "
                 f"cannot restore against version {int(table_version)}"
             )
         memo_payload = snapshot.get("memo")
-        if memo is not None:
-            if memo_payload is not None:
-                memo.record_pairs(list(memo_payload["scores"].items()))
-        elif memo_payload is not None:
-            from repro.memo.store import MemoView
-
-            memo = MemoView.from_payload(memo_payload)
-        subset = snapshot.get("ids")
+        if memo_payload is not None:
+            read(memo_payload, fmt, "memo", fingerprint=str, scores=dict)
+            stored = memo_payload["fingerprint"]
+            if memo is None:
+                memo = MemoStore().view(stored)
+            elif memo.fingerprint != stored:
+                raise ConfigurationError(
+                    f"snapshot memo holds scores of UDF {stored!r}, cannot "
+                    f"restore them into the view of UDF {memo.fingerprint!r}"
+                )
         engine = cls(
-            dataset, scorer, k=int(snapshot["k"]),
-            n_workers=int(snapshot["n_workers"]),
+            dataset, scorer, k=snapshot["k"],
+            n_workers=snapshot["n_workers"],
             backend=backend or snapshot["backend"],
             index_config=index_config,
             engine_config=engine_config,
-            share_threshold=bool(snapshot["share_threshold"]),
+            share_threshold=snapshot["share_threshold"],
             # The original run's root entropy: partitions and shard
             # indexes rebuild identically.
             seed=snapshot["root_entropy"],
             index_cache=index_cache,
-            ids=None if subset is None else [str(i) for i in subset],
+            ids=snapshot.get("ids"),
             memo=memo,
             table_version=stored_version,
             **{name: snapshot.get(name) for name in cls._POLICY_FIELDS},
         )
-        engine._resume_count = int(snapshot.get("resume_count", 0)) + 1
+        engine._resume_count = (snapshot.get("resume_count") or 0) + 1
         engine._restore_payloads = list(snapshot["workers"])
-        state = snapshot["coordinator"]
+        engine._restore_policy_state(state)
         for score, element_id in state["buffer"]:
             engine._buffer.offer(float(score), element_id)
         engine._merged_ids = set(state["merged_ids"])
         engine.wall_time = float(state["wall_time"])
-        engine.total_scored = int(state["total_scored"])
-        engine._restore_policy_state(state)
+        engine.total_scored = state["total_scored"]
         # The exhaustive certificate survives the pause (it only ever
         # tightens); a drive-scoped bound resets with the next drive.
-        engine._bound.exhaustive_bound = float(
-            state.get("exhaustive_bound", 1.0)
-        )
+        bound = state.get("exhaustive_bound")
+        engine._bound.exhaustive_bound = 1.0 if bound is None else float(bound)
         engine._worker_times = [float(t) for t in state["worker_times"]]
         engine._active = [bool(flag) for flag in state["active"]]
         floor = state.get("pending_floor")
         engine._floor = None if floor is None else float(floor)
-        for worker, stats in enumerate(state.get("worker_stats", [])):
+        for worker, stats in enumerate(state.get("worker_stats") or ()):
             if stats is not None:
                 n_scored, local_stk, events = stats
                 engine._last_outcomes[worker] = RoundOutcome(
@@ -550,4 +563,6 @@ class ShardCoordinator:
                     fallback_events=[(int(t), str(kind))
                                      for t, kind in events],
                 )
+        if memo_payload is not None:
+            memo.record_pairs(memo_payload["scores"].items())
         return engine

@@ -46,6 +46,7 @@ from repro.errors import ConfigurationError
 from repro.obs.metrics import ROUNDS_TOTAL
 from repro.parallel.coordinator import ShardCoordinator, WorkerReport
 from repro.parallel.worker import RoundOutcome
+from repro.persist import read
 from repro.scoring.base import Scorer
 
 
@@ -125,7 +126,7 @@ class ShardedTopKEngine(ShardCoordinator):
 
     kind = "sharded"
     _SNAPSHOT_FORMAT = "repro-sharded-snapshot/1"
-    _POLICY_FIELDS = ("sync_interval",)
+    _POLICY_FIELDS = {"sync_interval": int}
 
     def __init__(self, dataset: Dataset, scorer: Scorer, k: int,
                  sync_interval: int = 100, **shards) -> None:
@@ -254,5 +255,7 @@ class ShardedTopKEngine(ShardCoordinator):
                 "checkpoints": [list(point) for point in self.checkpoints]}
 
     def _restore_policy_state(self, state: dict) -> None:
-        self.n_rounds = int(state["n_rounds"])
+        read(state, self._SNAPSHOT_FORMAT, "coordinator", n_rounds=int,
+             checkpoints=list)
+        self.n_rounds = state["n_rounds"]
         self.checkpoints = [tuple(point) for point in state["checkpoints"]]

@@ -19,9 +19,9 @@ the first eight bytes of the name — see :class:`~repro.utils.rng.RngFactory`
 — so shards 10 and up share shard 1's ``engine:`` seed, and a resumed
 shard's ``resume:{w}:{count}`` seed does not depend on the count).
 
-Pause/resume uses the engine snapshot layer
-(:func:`repro.core.snapshot.snapshot_engine` /
-:func:`~repro.core.snapshot.restore_engine`): a shard's learned state
+Pause/resume is the shard engine's own
+(:meth:`repro.core.engine.TopKEngine.snapshot` /
+:meth:`~repro.core.engine.TopKEngine.restore`): a shard's learned state
 serializes to a JSON-safe dict that crosses process boundaries and sessions
 alike.  See ``docs/architecture.md`` ("Shard coordinator + wait policy")
 for the full protocol walkthrough.
@@ -37,12 +37,11 @@ import numpy as np
 
 from repro.core.convergence import TailSummary, tail_summary_from_engine
 from repro.core.engine import EngineConfig, ScoringStep, TopKEngine
-from repro.core.snapshot import restore_engine, snapshot_engine
 from repro.data.dataset import Dataset, InMemoryDataset
 from repro.errors import ConfigurationError
 from repro.index.builder import IndexConfig, build_index, index_config_for
 from repro.index.tree import ClusterTree
-from repro.memo.store import MemoView
+from repro.memo.store import MemoStore
 from repro.obs.spans import Span
 from repro.parallel.shm import (
     SharedFeatureTable,
@@ -348,7 +347,7 @@ class ShardWorker:
         )
         config = replace(spec.engine_config, k=spec.k, seed=engine_seed)
         if spec.engine_snapshot is not None:
-            self.engine = restore_engine(
+            self.engine = TopKEngine.restore(
                 self.index, spec.engine_snapshot, config=replace(
                     config, seed=spec.resume_seed
                 ),
@@ -366,8 +365,10 @@ class ShardWorker:
         # single engine reads (a private store: fresh scores still travel
         # home on RoundOutcome.fresh_scores).  An empty slice is a view
         # too — "memo on, nothing stored yet".
-        self._memo = (None if spec.memo is None else MemoView.from_payload(
-            {"fingerprint": "shard", "scores": spec.memo}))
+        self._memo = None
+        if spec.memo is not None:
+            self._memo = MemoStore().view("shard")
+            self._memo.record_pairs(spec.memo.items())
         self._trace = bool(spec.trace)
         self._slice_count = 0
 
@@ -426,8 +427,8 @@ class ShardWorker:
         )
 
     def snapshot(self) -> dict:
-        """JSON-safe learned state of this shard (see core.snapshot)."""
-        return snapshot_engine(self.engine)
+        """JSON-safe learned state of this shard's engine."""
+        return self.engine.snapshot()
 
 
 # ---------------------------------------------------------------------------

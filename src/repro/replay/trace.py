@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from repro.errors import SerializationError
+from repro.persist import NULL, NUMBER, read
 
 TRACE_FORMAT = "repro-arrival-trace/1"
 
@@ -86,30 +86,25 @@ class ArrivalTrace:
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "ArrivalTrace":
         """Rebuild a trace from :meth:`to_dict` output; verify the format."""
-        if payload.get("format") != TRACE_FORMAT:
-            raise SerializationError(
-                f"unrecognized arrival-trace format {payload.get('format')!r}"
-                f" (expected {TRACE_FORMAT!r})"
-            )
-        try:
-            stable = payload.get("stable_slices")
-            confidence = payload.get("confidence")
-            return cls(
-                backend=str(payload["backend"]),
-                n_workers=int(payload["n_workers"]),
-                k=int(payload["k"]),
-                slice_budget=int(payload["slice_budget"]),
-                share_threshold=bool(payload["share_threshold"]),
-                stable_slices=None if stable is None else int(stable),
-                confidence=None if confidence is None else float(confidence),
-                root_entropy=int(payload["root_entropy"]),
-                drives=[dict(drive) for drive in payload.get("drives", [])],
-                events=[dict(event) for event in payload.get("events", [])],
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SerializationError(
-                f"malformed arrival-trace payload: {exc}"
-            ) from exc
+        read(payload, TRACE_FORMAT, backend=str, n_workers=int, k=int,
+             slice_budget=int, share_threshold=bool,
+             stable_slices=(int, NULL), confidence=NUMBER + (NULL,),
+             root_entropy=int, drives=list, events=list)
+        confidence = payload.get("confidence")
+        return cls(
+            backend=payload["backend"],
+            n_workers=payload["n_workers"],
+            k=payload["k"],
+            slice_budget=payload["slice_budget"],
+            share_threshold=payload["share_threshold"],
+            stable_slices=payload.get("stable_slices"),
+            confidence=None if confidence is None else float(confidence),
+            root_entropy=payload["root_entropy"],
+            drives=[dict(read(drive, TRACE_FORMAT, "drive"))
+                    for drive in payload["drives"]],
+            events=[dict(read(event, TRACE_FORMAT, "event", type=str))
+                    for event in payload["events"]],
+        )
 
     def save(self, path: Union[str, Path]) -> Path:
         """Write the trace as JSON; returns the path written."""

@@ -67,6 +67,7 @@ from repro.errors import ConfigurationError
 from repro.obs.metrics import SLICES_TOTAL, THRESHOLD_STALENESS
 from repro.parallel.backends import SliceEvent
 from repro.parallel.coordinator import ShardCoordinator, WorkerReport
+from repro.persist import NULL, NUMBER, read
 from repro.scoring.base import Scorer
 
 @dataclass(frozen=True)
@@ -260,7 +261,8 @@ class StreamingTopKEngine(ShardCoordinator):
 
     kind = "streaming"
     _SNAPSHOT_FORMAT = "repro-streaming-snapshot/1"
-    _POLICY_FIELDS = ("slice_budget", "stable_slices", "confidence")
+    _POLICY_FIELDS = {"slice_budget": int, "stable_slices": (int, NULL),
+                      "confidence": NUMBER + (NULL,)}
 
     def __init__(self, dataset: Dataset, scorer: Scorer, k: int,
                  slice_budget: int = 100,
@@ -550,8 +552,11 @@ class StreamingTopKEngine(ShardCoordinator):
                 "progressive": [list(point) for point in self.progressive]}
 
     def _restore_policy_state(self, state: dict) -> None:
-        self.n_merges = int(state["n_merges"])
+        read(state, self._SNAPSHOT_FORMAT, "coordinator", n_merges=int,
+             time_to_first_result=NUMBER + (NULL,),
+             progressive=(list, NULL))
+        self.n_merges = state["n_merges"]
         ttfr = state.get("time_to_first_result")
         self.time_to_first_result = None if ttfr is None else float(ttfr)
         self.progressive = [tuple(point)
-                            for point in state.get("progressive", [])]
+                            for point in state.get("progressive") or ()]

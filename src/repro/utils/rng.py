@@ -44,7 +44,7 @@ class RngFactory:
     *identically*.  The frozen golden traces were recorded over these
     streams, so this is pinned, not fixed
     (``tests/test_utils.py::test_named_streams_differ_beyond_eight_bytes``,
-    ROADMAP item 4).
+    ROADMAP item 3(b)).
 
     Examples
     --------

@@ -1,6 +1,6 @@
 """Module boundaries that the code must keep, checked on the source text.
 
-Four boundaries so far:
+Five boundaries so far:
 
 * the layout of the bandit's state — the node table, arms, parent rows, the
   leaf registry, who writes ``remaining`` — is known to
@@ -20,6 +20,8 @@ Four boundaries so far:
   static ``InMemoryDataset`` is) and ``repro/live/table.py`` alone; the id
   lists, object dicts and row maps the locator made redundant are gone,
   not mirrored;
+* a persisted document's ``format`` is compared in ``repro/persist.py``
+  alone: every reader goes through its ``read``;
 * the public surface is what something uses: every name a package lists in
   ``__all__`` is spelled somewhere besides its own definition and the
   ``__init__.py`` files — in the library, a script or the docs (an entry in
@@ -95,6 +97,13 @@ LIVE_STORAGE_NAMES = {
     r"\b_locator\b": TABLE_MODULES,
 }
 
+#: Same shape, for reading a persisted document's ``format``: writers
+#: spell it in a dict literal, only ``repro.persist.read`` compares it.
+FORMAT_READS = {
+    r"""(\.get\(|\[)\s*["']format["']""": {"persist.py"},
+    r"[!=]=\s*[\w.]*FORMAT\b|FORMAT\s*[!=]=": {"persist.py"},
+}
+
 
 def offenders(names):
     """``module: pattern`` for every spelling outside the owning modules."""
@@ -129,6 +138,10 @@ def test_live_storage_is_private_to_the_table_module():
         assert not re.search(pattern, dataset), pattern
 
 
+def test_only_the_persist_module_compares_a_format():
+    assert not offenders(FORMAT_READS)
+
+
 def test_static_table_block_is_the_callers_array():
     features = np.arange(6, dtype=float).reshape(3, 2)
     for writeable in (True, False):
@@ -157,7 +170,9 @@ def test_executor_registry_is_not_exported():
 #: Where a use of a public name counts: the library, its scripts, its docs.
 CORPUS = ("src", "examples", "docs", "benchmarks", "bench", "tools")
 
-#: Deleted for having no caller outside their own tests.
+#: Deleted for having no caller outside their own tests, and the
+#: persistence spellings that ``snapshot`` / ``restore`` and ``to_dict`` /
+#: ``from_dict`` replaced.
 DELETED_NAMES = (
     "KNNRegressor", "KNNScorer", "LinearRegressionScorer",
     "SquaredLoss", "AbsoluteLoss", "ascii_chart", "curves_to_rows",
@@ -165,6 +180,8 @@ DELETED_NAMES = (
     "result_to_dict", "write_result_json", "ndcg_at_k",
     "rank_biased_overlap", "auc_of_curve", "RunningMeanVar", "summarize",
     "VirtualClock", "IdentityVectorizer", "build_flat_index", "ShardDataset",
+    "snapshot_engine", "restore_engine", "from_json", "to_payload",
+    "from_payload",
 )
 
 

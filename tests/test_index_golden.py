@@ -23,7 +23,7 @@ repair runs every sweep); one structureless blob (dozens of sweeps, labels movin
 a ``subsample`` build (the ``predict`` path over all rows); ``flat=True``.  Per case the row records, for a bare
 ``KMeans.fit``, the SHA-256 of ``centroids_.tobytes()`` and of
 ``labels_.tobytes()``, ``float.hex(inertia_)`` and ``n_iter_``; and for
-``build_index`` the SHA-256 of ``to_json()``, the leaf count and the next
+``build_index`` the SHA-256 of ``json.dumps(to_dict())``, the leaf count and the next
 draw of the generator it was given (the RNG stream it consumed).
 """
 
@@ -93,7 +93,7 @@ def run_case(name: str) -> dict:
         "labels_dtype": str(model.labels_.dtype),
         "inertia": float(model.inertia_).hex(),
         "n_iter": model.n_iter_,
-        "tree": sha(tree.to_json().encode()),
+        "tree": sha(json.dumps(tree.to_dict()).encode()),
         "n_leaves": tree.n_leaves(),
         "next_draw": int(generator.integers(1 << 62)),
     }

@@ -13,7 +13,7 @@ row fails: that erases exactly the signal the fixture exists to provide.
 Seeded write scripts on a 5 000-row, 16-leaf ``LiveTable`` registered on a
 session; after each script step one ``BUDGET 10% BATCH 8`` query makes the
 binding reconcile (one ``advance`` over every delta of the step), and the
-row records the SHA-256 of ``maintainer.tree.to_json()`` and of the pinned
+row records the SHA-256 of ``json.dumps(maintainer.tree.to_dict())`` and of the pinned
 ``ids()``, the advance's touched nodes, the nodes it pruned, the split /
 rebuild counters and the query's answer.  10 % stays below the engine's
 fallback warm-up (30 %), whose checks read the wall clock.
@@ -144,7 +144,7 @@ class Script:
         row = {
             "version": maintainer.version,
             "freshness": maintainer.freshness,
-            "tree": sha(maintainer.tree.to_json()),
+            "tree": sha(json.dumps(maintainer.tree.to_dict())),
             "ids": sha("\n".join(snapshot.ids())),
             "n_ids": len(snapshot),
             "touched": list(logged[-1]) if logged else [],

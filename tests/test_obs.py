@@ -18,7 +18,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.data.dataset import InMemoryDataset
-from repro.errors import ReplayDivergenceError
+from repro.errors import ReplayDivergenceError, SerializationError
 from repro.index.builder import IndexConfig
 from repro.obs.analyze import ExplainAnalyzeReport
 from repro.obs.metrics import (
@@ -161,7 +161,7 @@ class TestSpans:
         assert rebuilt.walk_names() == trace.walk_names()
 
     def test_from_dict_rejects_unknown_format(self):
-        with pytest.raises(ValueError, match="repro-trace/1"):
+        with pytest.raises(SerializationError, match="repro-trace/1"):
             TraceContext.from_dict({"format": "bogus", "spans": []})
 
     def test_attach_rebases_and_merges(self):

@@ -16,7 +16,7 @@ from repro.core.engine import EngineConfig
 from repro.core.minmax_heap import TopKBuffer
 from repro.data.dataset import Dataset
 from repro.data.synthetic import SyntheticClustersDataset
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SerializationError
 from repro.experiments.ground_truth import compute_ground_truth
 from repro.index.builder import IndexConfig
 from repro.parallel import (
@@ -290,7 +290,7 @@ def test_contract_only_dataset_shards_index_its_features(world):
         with ShardedTopKEngine(table, scorer, k=5, n_workers=2,
                                seed=3) as engine:
             engine.start()
-            trees.append([shard.index.to_json()
+            trees.append([shard.index.to_dict()
                           for shard in engine.backend.inline_workers()])
     assert trees[0] == trees[1]
 
@@ -429,7 +429,7 @@ class TestSnapshotResume:
 
     def test_bad_format_rejected(self, world):
         dataset, scorer, _ = world
-        with pytest.raises(Exception, match="format"):
+        with pytest.raises(SerializationError, match="sharded-snapshot/1"):
             ShardedTopKEngine.restore(dataset, scorer, {"format": "nope"})
 
 

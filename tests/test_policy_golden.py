@@ -18,8 +18,8 @@ move and that file cannot see:
   ``per_layer_exploration`` x ``enable_subtraction`` x ``enable_rebinning``
   x ``visit_unvisited_first``;
 * the tree fallback firing on its own, a forced ``flatten()``, a
-  coordinator threshold floor moving mid-run, a mid-run ``snapshot_engine``
-  -> ``restore_engine``, warm-start priors (same and foreign ``n_bins``),
+  coordinator threshold floor moving mid-run, a mid-run ``snapshot()``
+  -> ``TopKEngine.restore``, warm-start priors (same and foreign ``n_bins``),
   ``UCBBandit``, ``ExplorationOnly`` and a ``ReservoirSketch`` factory.
 
 Every run goes to exhaustion and records the draw order, the final top-k,
@@ -44,7 +44,6 @@ from repro.baselines.ucb import UCBBandit
 from repro.core.engine import EngineConfig, TopKEngine
 from repro.core.fallback import FallbackConfig
 from repro.core.sketches import ReservoirSketch
-from repro.core.snapshot import restore_engine, snapshot_engine
 from repro.errors import ConfigurationError
 from repro.index.tree import ClusterNode, ClusterTree
 from repro.memo.priors import apply_priors, harvest_priors
@@ -189,8 +188,8 @@ def run_snapshot_restore(batch_size: int) -> dict:
     config = _config(batch_size, fallback=TREE_FALLBACK_ONLY)
     engine = TopKEngine(tree, config)
     recorder.drive(engine, engine.policy, until=260, engine=engine)
-    payload = json.loads(json.dumps(snapshot_engine(engine)))
-    engine = restore_engine(tree, payload, config=config)
+    payload = json.loads(json.dumps(engine.snapshot()))
+    engine = TopKEngine.restore(tree, payload, config=config)
     recorder.drive(engine, engine.policy, engine=engine)
     return recorder.row(engine)
 

@@ -80,7 +80,7 @@ class TestRecording:
         assert loaded == trace
 
     def test_bad_format_rejected(self):
-        with pytest.raises(SerializationError, match="format"):
+        with pytest.raises(SerializationError, match="arrival-trace/1"):
             ArrivalTrace.from_dict({"format": "nope"})
 
 

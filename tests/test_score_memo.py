@@ -288,6 +288,27 @@ class TestSnapshotResume:
         # remaining 40 fresh draws paid a UDF call.
         assert scorer.n_elements - calls_before == 40
 
+    def test_restore_refuses_the_view_of_another_udf(self, memo_table):
+        """A snapshot's memo slice holds one UDF's scores.  Restored into
+        another UDF's view, they used to be recorded under that UDF and
+        served to its later queries from the shared store."""
+        from repro.errors import ConfigurationError
+        from repro.memo.store import MemoStore
+        from repro.parallel.engine import ShardedTopKEngine
+        from repro.scoring.base import FunctionScorer
+
+        scorer = FunctionScorer(lambda v: max(0.0, float(v)))
+        store = MemoStore()
+        with ShardedTopKEngine(memo_table, scorer, k=5, n_workers=2, seed=7,
+                               memo=store.view("udf-A")) as engine:
+            engine.run(20)
+            payload = engine.snapshot()
+        with pytest.raises(ConfigurationError, match="'udf-A'.*'udf-B'"):
+            ShardedTopKEngine.restore(memo_table, scorer, payload,
+                                      memo=store.view("udf-B"))
+        assert store.n_entries("udf-B") == 0
+        assert store.n_entries("udf-A") == 20
+
     def test_memo_store_roundtrip_via_core_snapshot(self):
         from repro.core.snapshot import restore_memo, snapshot_memo
         from repro.errors import SerializationError

@@ -9,7 +9,6 @@ import pytest
 from repro.core.engine import EngineConfig, TopKEngine
 from repro.core.fallback import FallbackConfig
 from repro.core.sketches import ReservoirSketch
-from repro.core.snapshot import restore_engine, snapshot_engine
 from repro.data.synthetic import SyntheticClustersDataset
 from repro.errors import ConfigurationError, SerializationError
 from repro.experiments.ground_truth import compute_ground_truth
@@ -28,7 +27,7 @@ class TestSnapshot:
         dataset, index, scorer = world
         engine = TopKEngine(index, EngineConfig(k=8, seed=0))
         engine.run(dataset, scorer, budget=150)
-        snap = snapshot_engine(engine)
+        snap = engine.snapshot()
         json.dumps(snap)  # fully serializable
         assert snap["counters"]["n_scored"] == 150
 
@@ -36,9 +35,9 @@ class TestSnapshot:
         dataset, index, scorer = world
         engine = TopKEngine(index, EngineConfig(k=8, seed=0))
         engine.run(dataset, scorer, budget=200)
-        snap = json.loads(json.dumps(snapshot_engine(engine)))
+        snap = json.loads(json.dumps(engine.snapshot()))
 
-        resumed = restore_engine(dataset.true_index(), snap, resume_seed=1)
+        resumed = TopKEngine.restore(dataset.true_index(), snap, resume_seed=1)
         assert resumed.stk == pytest.approx(engine.stk)
         assert resumed.n_scored == 200
         assert sorted(resumed.topk_items()) == sorted(engine.topk_items())
@@ -51,8 +50,8 @@ class TestSnapshot:
             ids = engine.next_batch()
             seen.update(ids)
             engine.observe(ids, scorer.score_batch(dataset.fetch_batch(ids)))
-        snap = snapshot_engine(engine)
-        resumed = restore_engine(dataset.true_index(), snap, resume_seed=2)
+        snap = engine.snapshot()
+        resumed = TopKEngine.restore(dataset.true_index(), snap, resume_seed=2)
         while not resumed.exhausted:
             ids = resumed.next_batch()
             for element_id in ids:
@@ -67,8 +66,8 @@ class TestSnapshot:
         truth = compute_ground_truth(dataset, scorer)
         engine = TopKEngine(index, EngineConfig(k=10, seed=0))
         engine.run(dataset, scorer, budget=250)
-        snap = snapshot_engine(engine)
-        resumed = restore_engine(dataset.true_index(), snap, resume_seed=3)
+        snap = engine.snapshot()
+        resumed = TopKEngine.restore(dataset.true_index(), snap, resume_seed=3)
         result = resumed.run(dataset, scorer)
         assert result.stk == pytest.approx(truth.optimal_stk(10))
 
@@ -97,15 +96,15 @@ class TestSnapshot:
         while engine.n_scored < 100:
             step(engine, seen)
         assert engine.fallback_events == [(90, "flatten_tree")]
-        snap = json.loads(json.dumps(snapshot_engine(engine)))
+        snap = json.loads(json.dumps(engine.snapshot()))
 
-        resumed = restore_engine(build_three_layer_index(), snap,
+        resumed = TopKEngine.restore(build_three_layer_index(), snap,
                                  resume_seed=5)
         assert resumed.policy.flattened
         assert resumed.policy.remaining == N_ELEMENTS - 100
         assert sorted(resumed.policy.remaining_ids()) == \
             sorted(engine.policy.remaining_ids())
-        assert snapshot_engine(resumed)["tree"] == snap["tree"]
+        assert resumed.snapshot()["tree"] == snap["tree"]
         while resumed.n_scored < N_ELEMENTS:
             assert not resumed.exhausted
             step(resumed, seen)
@@ -119,7 +118,7 @@ class TestSnapshot:
         engine = TopKEngine(index, EngineConfig(k=5, seed=0))
         engine.next_batch()
         with pytest.raises(ConfigurationError):
-            snapshot_engine(engine)
+            engine.snapshot()
 
     def test_custom_sketch_rejected(self, world):
         dataset, index, scorer = world
@@ -130,20 +129,20 @@ class TestSnapshot:
         )
         engine.run(dataset, scorer, budget=20)
         with pytest.raises(ConfigurationError):
-            snapshot_engine(engine)
+            engine.snapshot()
 
     def test_wrong_format_rejected(self, world):
         dataset, index, _scorer = world
         with pytest.raises(SerializationError):
-            restore_engine(index, {"format": "nope"})
+            TopKEngine.restore(index, {"format": "nope"})
 
     def test_k_mismatch_rejected(self, world):
         dataset, index, scorer = world
         engine = TopKEngine(index, EngineConfig(k=5, seed=0))
         engine.run(dataset, scorer, budget=30)
-        snap = snapshot_engine(engine)
+        snap = engine.snapshot()
         with pytest.raises(ConfigurationError):
-            restore_engine(dataset.true_index(), snap,
+            TopKEngine.restore(dataset.true_index(), snap,
                            config=EngineConfig(k=9))
 
     def test_scan_mode_snapshot_roundtrip(self):
@@ -164,8 +163,8 @@ class TestSnapshot:
             ids = engine.next_batch()
             engine.observe(ids, scorer.score_batch(dataset.fetch_batch(ids)))
         assert engine.mode == "scan"
-        snap = snapshot_engine(engine)
-        resumed = restore_engine(dataset.true_index(), snap, resume_seed=4)
+        snap = engine.snapshot()
+        resumed = TopKEngine.restore(dataset.true_index(), snap, resume_seed=4)
         assert resumed.mode == "scan"
         result = resumed.run(dataset, scorer)
         assert resumed.exhausted

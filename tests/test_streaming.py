@@ -16,7 +16,7 @@ import json
 import pytest
 
 from repro.data.synthetic import SyntheticClustersDataset
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SerializationError
 from repro.experiments.ground_truth import compute_ground_truth
 from repro.index.builder import IndexConfig
 from repro.parallel import BACKENDS, ShardIndexCache, ShardedTopKEngine
@@ -312,7 +312,7 @@ class TestSnapshotResume:
 
     def test_bad_format_rejected(self, world):
         dataset, scorer, _ = world
-        with pytest.raises(Exception, match="format"):
+        with pytest.raises(SerializationError, match="streaming-snapshot/1"):
             StreamingTopKEngine.restore(dataset, scorer, {"format": "nope"})
 
 

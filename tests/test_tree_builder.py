@@ -81,31 +81,32 @@ class TestFlattened:
 class TestSerialization:
     def test_json_roundtrip(self, tiny_tree, tmp_path):
         path = tmp_path / "index.json"
-        tiny_tree.to_json(path, indent=2)
-        loaded = ClusterTree.from_json(path)
+        path.write_text(json.dumps(tiny_tree.to_dict(), indent=2))
+        loaded = ClusterTree.from_dict(json.loads(path.read_text()))
         assert [l.node_id for l in loaded.leaves()] == \
             [l.node_id for l in tiny_tree.leaves()]
         assert loaded.n_elements() == tiny_tree.n_elements()
 
     def test_json_string_roundtrip(self, tiny_tree):
-        text = tiny_tree.to_json()
-        loaded = ClusterTree.from_json(text)
+        text = json.dumps(tiny_tree.to_dict())
+        loaded = ClusterTree.from_dict(json.loads(text))
         assert loaded.depth() == tiny_tree.depth()
 
     def test_centroid_roundtrip(self):
         leaf = ClusterNode("l", member_ids=("a",),
                            centroid=np.asarray([1.0, 2.0]))
         tree = ClusterTree(ClusterNode("root", children=[leaf]))
-        loaded = ClusterTree.from_json(tree.to_json())
+        loaded = ClusterTree.from_dict(tree.to_dict())
         assert np.allclose(loaded.leaves()[0].centroid, [1.0, 2.0])
 
-    def test_malformed_json(self):
-        with pytest.raises(SerializationError):
-            ClusterTree.from_json("{not json")
+    def test_malformed_node(self):
+        with pytest.raises(SerializationError, match="repro-cluster-tree/1"):
+            ClusterTree.from_dict({"format": "repro-cluster-tree/1",
+                                   "root": {"children": []}})
 
     def test_missing_root_key(self):
         with pytest.raises(SerializationError):
-            ClusterTree.from_json(json.dumps({"format": "x"}))
+            ClusterTree.from_dict({"format": "x"})
 
 
 class TestBuildIndex:

@@ -70,7 +70,7 @@ class TestRngFactory:
     "RngFactory.named keys a stream by the first eight bytes of its name "
     "only.  Both frozen goldens were recorded over exactly these streams, "
     "so the fix changes every seeded run: it needs regenerated goldens and "
-    "an stk_ratio / udf_calls_per_op A/B of its own (ROADMAP item 4)."))
+    "an stk_ratio / udf_calls_per_op A/B of its own (ROADMAP item 3(b))."))
 @pytest.mark.parametrize("one, other", [
     ("arm:leaf-1", "arm:leaf-22"),      # every leaf arm shuffles alike
     ("engine:1", "engine:10"),          # shards >= 10 reuse shard 1's seed
