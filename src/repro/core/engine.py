@@ -561,8 +561,7 @@ class TopKEngine:
     @classmethod
     def restore(cls, index: ClusterTree, snapshot: dict,
                 config: Optional[EngineConfig] = None,
-                resume_seed: Optional[int] = None,
-                scoring_latency_hint: float = 2e-3) -> "TopKEngine":
+                resume_seed: Optional[int] = None) -> "TopKEngine":
         """Rebuild a live engine from :meth:`snapshot` output.
 
         ``index`` must be the same immutable index the original engine ran
@@ -574,17 +573,16 @@ class TopKEngine:
         read(snapshot, fmt, k=int, mode=str, buffer=list, tree=dict,
              counters=dict, flattened=(bool, NULL), scan_queue=(list, NULL),
              fallback_events=(list, NULL), threshold_floor=NUMBER + (NULL,))
-        counters = read(snapshot["counters"], fmt, "counters",
-                        t_batches=int, n_scored=int, n_explore=int,
-                        n_exploit=int, n_drops=(int, NULL),
-                        overhead_elapsed=NUMBER + (NULL,),
+        counters = read(snapshot["counters"], fmt, "counters", t_batches=int,
+                        n_scored=int, n_explore=int, n_exploit=int,
+                        n_drops=(int, NULL), fallback_n_checks=(int, NULL),
                         fallback_next_check=(int, NULL),
-                        fallback_n_checks=(int, NULL))
+                        overhead_elapsed=NUMBER + (NULL,))
         if config is None:
             config = EngineConfig(k=snapshot["k"], seed=resume_seed)
         elif config.k != snapshot["k"]:
             raise ConfigurationError("config.k must match the snapshot's k")
-        engine = cls(index, config, scoring_latency_hint=scoring_latency_hint)
+        engine = cls(index, config)
         engine.policy.load_state(snapshot["tree"])
         engine.policy.flattened = bool(snapshot.get("flattened"))
         for score, payload in snapshot["buffer"]:

@@ -42,13 +42,12 @@ def snapshot_memo(memo, priors=None, table_version=None) -> dict:
     stamp is checked: scores of a table that has since been written to
     would be silently wrong, so a mismatch clears instead of reviving.
     """
-    version = (memo.table_version if table_version is None
-               else int(table_version))
     return {
         "format": _MEMO_FORMAT,
         "memo": memo.to_dict(),
         "priors": None if priors is None else priors.to_dict(),
-        "table_version": int(version),
+        "table_version": int(memo.table_version if table_version is None
+                             else table_version),
     }
 
 

@@ -32,7 +32,7 @@ import threading
 from collections import OrderedDict
 from typing import Dict, Optional
 
-from repro.persist import read
+from repro.persist import NULL, read
 
 _FORMAT = "repro-priors/1"
 
@@ -174,7 +174,8 @@ class PriorStore:
     def from_dict(cls, payload: dict) -> "PriorStore":
         """Rebuild a store from :meth:`to_dict` output."""
         store = cls()
-        for entry in read(payload, _FORMAT, priors=list)["priors"]:
+        read(payload, _FORMAT, priors=(list, NULL))
+        for entry in payload.get("priors") or ():
             read(entry, _FORMAT, "entry", fingerprint=str, scope=str,
                  nodes=dict)
             store.put(entry["fingerprint"], entry["scope"], entry["nodes"])

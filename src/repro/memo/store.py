@@ -188,12 +188,13 @@ class MemoStore:
     @classmethod
     def from_dict(cls, payload: dict) -> "MemoStore":
         """Rebuild a store from :meth:`to_dict` output."""
-        read(payload, _FORMAT, scores=dict, table_version=(int, NULL),
-             last_write=(dict, NULL))
+        read(payload, _FORMAT, scores=(dict, NULL),
+             table_version=(int, NULL), last_write=(dict, NULL))
         store = cls()
+        scores = payload.get("scores") or {}
         store._scores = {fingerprint: {str(element_id): float(score)
                                        for element_id, score in shard.items()}
-                         for fingerprint, shard in payload["scores"].items()}
+                         for fingerprint, shard in scores.items()}
         store.table_version = payload.get("table_version") or 0
         last_write = payload.get("last_write") or {}
         store._last_write = {str(element_id): int(version)

@@ -216,9 +216,10 @@ class TraceContext:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "TraceContext":
+        read(payload, TRACE_FORMAT, spans=(list, NULL))
         trace = cls()
-        trace.roots = [Span.from_dict(span) for span in
-                       read(payload, TRACE_FORMAT, spans=list)["spans"]]
+        trace.roots = [Span.from_dict(span)
+                       for span in payload.get("spans") or ()]
         return trace
 
     def to_chrome_trace(self) -> List[Dict[str, Any]]:

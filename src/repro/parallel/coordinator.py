@@ -29,14 +29,13 @@ version-checked absorb with memo write-back, budget-gate reserve/refund,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (ClassVar, Dict, List, Optional, Sequence, Set, Tuple,
-                    Union)
+from typing import ClassVar, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.convergence import ConvergenceBound
-from repro.core.engine import EngineConfig, _fully_funded
+from repro.core.engine import EngineConfig, TopKEngine, _fully_funded
 from repro.core.minmax_heap import TopKBuffer
 from repro.data.dataset import Dataset
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SerializationError
 from repro.index.builder import IndexConfig
 from repro.memo.store import MemoStore
 from repro.obs.metrics import MEMO_HITS_TOTAL, UDF_CALLS_TOTAL
@@ -165,10 +164,9 @@ class ShardCoordinator:
     #: ``"sharded"`` / ``"streaming"``: the metric label.
     kind: ClassVar[str]
     _SNAPSHOT_FORMAT: ClassVar[str]
-    #: Constructor arguments of the wait policy (also public attributes)
-    #: and their JSON types; a snapshot stores them and ``restore`` feeds
-    #: them back.
-    _POLICY_FIELDS: ClassVar[Dict[str, object]]
+    #: The wait policy's constructor arguments (also public attributes) and
+    #: their JSON types; a snapshot stores them, ``restore`` feeds them back.
+    _POLICY_FIELDS: ClassVar[dict]
 
     def __init__(self, dataset: Dataset, scorer: Scorer, k: int,
                  n_workers: int = 4,
@@ -503,12 +501,17 @@ class ShardCoordinator:
                      exhaustive_bound=NUMBER + (NULL,),
                      pending_floor=NUMBER + (NULL,),
                      worker_stats=(list, NULL))
+        workers = snapshot["workers"]
+        if len(workers) != snapshot["n_workers"]:
+            raise SerializationError(f"expected {fmt} with one 'workers' "
+                                     f"payload per shard, found {len(workers)}")
+        for payload in workers:
+            read(payload, TopKEngine._SNAPSHOT_FORMAT)
         stored_version = snapshot.get("table_version") or 0
         if stored_version != int(table_version):
             raise ConfigurationError(
                 f"snapshot was taken at table version {stored_version}, "
-                f"cannot restore against version {int(table_version)}"
-            )
+                f"cannot restore against version {int(table_version)}")
         memo_payload = snapshot.get("memo")
         if memo_payload is not None:
             read(memo_payload, fmt, "memo", fingerprint=str, scores=dict)
@@ -518,8 +521,7 @@ class ShardCoordinator:
             elif memo.fingerprint != stored:
                 raise ConfigurationError(
                     f"snapshot memo holds scores of UDF {stored!r}, cannot "
-                    f"restore them into the view of UDF {memo.fingerprint!r}"
-                )
+                    f"restore them into the view of UDF {memo.fingerprint!r}")
         engine = cls(
             dataset, scorer, k=snapshot["k"],
             n_workers=snapshot["n_workers"],
@@ -537,7 +539,7 @@ class ShardCoordinator:
             **{name: snapshot.get(name) for name in cls._POLICY_FIELDS},
         )
         engine._resume_count = (snapshot.get("resume_count") or 0) + 1
-        engine._restore_payloads = list(snapshot["workers"])
+        engine._restore_payloads = list(workers)
         engine._restore_policy_state(state)
         for score, element_id in state["buffer"]:
             engine._buffer.offer(float(score), element_id)

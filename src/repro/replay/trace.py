@@ -89,7 +89,7 @@ class ArrivalTrace:
         read(payload, TRACE_FORMAT, backend=str, n_workers=int, k=int,
              slice_budget=int, share_threshold=bool,
              stable_slices=(int, NULL), confidence=NUMBER + (NULL,),
-             root_entropy=int, drives=list, events=list)
+             root_entropy=int, drives=(list, NULL), events=(list, NULL))
         confidence = payload.get("confidence")
         return cls(
             backend=payload["backend"],
@@ -101,9 +101,9 @@ class ArrivalTrace:
             confidence=None if confidence is None else float(confidence),
             root_entropy=payload["root_entropy"],
             drives=[dict(read(drive, TRACE_FORMAT, "drive"))
-                    for drive in payload["drives"]],
+                    for drive in payload.get("drives") or ()],
             events=[dict(read(event, TRACE_FORMAT, "event", type=str))
-                    for event in payload["events"]],
+                    for event in payload.get("events") or ()],
         )
 
     def save(self, path: Union[str, Path]) -> Path:

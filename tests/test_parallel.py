@@ -290,7 +290,7 @@ def test_contract_only_dataset_shards_index_its_features(world):
         with ShardedTopKEngine(table, scorer, k=5, n_workers=2,
                                seed=3) as engine:
             engine.start()
-            trees.append([shard.index.to_dict()
+            trees.append([json.dumps(shard.index.to_dict())
                           for shard in engine.backend.inline_workers()])
     assert trees[0] == trees[1]
 

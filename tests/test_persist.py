@@ -98,12 +98,20 @@ REQUIRED = {
                            "share_threshold", "backend", "root_entropy",
                            "coordinator", "workers"],
     "memo-snapshot": ["memo"],
+    "memo": [],
+    "priors": [],
+    "cluster-tree": ["root"],
+    "trace": [],
+    "arrival-trace": ["backend", "n_workers", "k", "slice_budget",
+                      "share_threshold", "root_entropy"],
+}
+
+#: Defaulted keys whose value, when present, must still have its type.
+DEFAULTED = {
     "memo": ["scores"],
     "priors": ["priors"],
-    "cluster-tree": ["root"],
     "trace": ["spans"],
-    "arrival-trace": ["backend", "n_workers", "k", "slice_budget",
-                      "share_threshold", "root_entropy", "drives", "events"],
+    "arrival-trace": ["drives", "events"],
 }
 
 #: Nested keys the readers need: (kind, path to the key).  A memo
@@ -114,14 +122,18 @@ NESTED = [
     ("sharded-snapshot", ("coordinator", "n_rounds")),
     ("sharded-snapshot", ("memo", "fingerprint")),
     ("streaming-snapshot", ("coordinator", "n_merges")),
-    ("memo-snapshot", ("memo", "scores")),
+    ("memo-snapshot", ("memo", "format")),
     ("priors", ("priors", 0, "scope")),
     ("cluster-tree", ("root", "node_id")),
     ("cluster-tree", ("root", "children", 0, "node_id")),
     ("trace", ("spans", 0, "name")),
     ("arrival-trace", ("events", 0, "type")),
 ]
-NESTED_FORMAT = {("memo", "scores"): "repro-memo/1"}
+NESTED_FORMAT = {("memo", "format"): "repro-memo/1"}
+
+#: A coordinator snapshot carries one engine snapshot per shard.
+COORDINATORS = ["sharded-snapshot", "streaming-snapshot"]
+SHARD_FORMAT = "repro-engine-snapshot/1"
 
 
 def load(kind: str, payload):
@@ -193,12 +205,20 @@ def malformed_cases():
         for key in REQUIRED[kind]:
             yield (kind, f"no-{key}", without(payload, [key]), expected,
                    expected)
+        for key in REQUIRED[kind] + DEFAULTED.get(kind, []):
             yield (kind, f"mistyped-{key}", mistyped(payload, key), expected,
                    expected)
     for kind, path in NESTED:
         expected = NESTED_FORMAT.get(path, fixture(kind)["format"])
         yield (kind, "no-" + ".".join(map(str, path)),
                without(fixture(kind), path), expected, expected)
+    for kind in COORDINATORS:
+        payload = fixture(kind)
+        shards = payload["workers"]
+        yield (kind, "truncated-workers", dict(payload, workers=shards[:-1]),
+               payload["format"], payload["format"])
+        yield (kind, "null-worker", dict(payload, workers=[None] + shards[1:]),
+               SHARD_FORMAT, "NoneType")
 
 
 CASES = list(malformed_cases())
@@ -219,6 +239,19 @@ def test_optional_keys_may_be_missing(kind):
     payload = fixture(kind)
     for key in set(payload) - set(REQUIRED[kind]) - {"format"}:
         load(kind, without(payload, [key]))
+
+
+@pytest.mark.parametrize("workers", [lambda shards: shards[:-1],
+                                     lambda shards: [None] + shards[1:]],
+                         ids=["truncated", "null"])
+def test_refused_shard_payloads_record_no_memo_score(workers):
+    payload = fixture("sharded-snapshot")
+    payload["workers"] = workers(payload["workers"])
+    store = MemoStore()
+    with pytest.raises(SerializationError):
+        ShardedTopKEngine.restore(DATASET, SCORER, payload,
+                                  memo=store.view(payload["memo"]["fingerprint"]))
+    assert store.to_dict()["scores"] == {}
 
 
 # -- round trips ------------------------------------------------------------------
