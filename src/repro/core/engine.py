@@ -25,8 +25,8 @@ The engine exposes two equivalent driving styles:
 
 Hot-path invariants
 -------------------
-Per-element engine overhead is O(depth) Python steps plus about one numpy
-gain kernel per select:
+Per-element engine overhead is O(depth) Python steps; at ``BATCH 1`` the
+histogram work of a select and of an observation is plain Python floats:
 
 * ``exhausted`` and the per-descent candidate filters read the policy's
   incremental ``remaining`` counters (the policy alone writes them — see
@@ -36,9 +36,10 @@ gain kernel per select:
   priority-queue offers stay per-element so the threshold evolves exactly
   as in Algorithm 1, and the path update uses the post-batch threshold.
 * Gains are cached per row of the policy's histogram bank.  A mutation
-  stales its row, a moved threshold misses the cached one, and the first
-  stale sibling set of a descent refreshes every row mutated since the
-  last refresh in one kernel call (:mod:`repro.core.histogram`).
+  stales its row, a moved threshold misses the cached one, and a descent
+  evaluates only the stale rows it reads, one by one; numpy's dispatch
+  pays off only for a stale set wider than a handful of rows, such as a
+  flat index's leaves after a threshold move (:mod:`repro.core.histogram`).
 
 Seeded draws and floats are pinned by ``tests/test_engine_equivalence.py``
 and ``tests/test_policy_golden.py``.  These invariants, and the
@@ -59,7 +60,7 @@ from repro.core.hierarchical import HierarchicalBanditPolicy
 from repro.core.minmax_heap import TopKBuffer
 from repro.core.policies import ExplorationSchedule, PolynomialDecay
 from repro.core.result import Checkpoint, QueryResult
-from repro.errors import ConfigurationError, ExhaustedError
+from repro.errors import ConfigurationError, ExhaustedError, SerializationError
 from repro.index.tree import ClusterTree
 from repro.obs.metrics import MEMO_HITS_TOTAL, UDF_CALLS_TOTAL
 from repro.obs.spans import TraceContext
@@ -583,7 +584,10 @@ class TopKEngine:
         elif config.k != snapshot["k"]:
             raise ConfigurationError("config.k must match the snapshot's k")
         engine = cls(index, config)
-        engine.policy.load_state(snapshot["tree"])
+        try:
+            engine.policy.load_state(snapshot["tree"])
+        except SerializationError as exc:
+            raise SerializationError(f"expected {fmt} tree: {exc}") from exc
         engine.policy.flattened = bool(snapshot.get("flattened"))
         for score, payload in snapshot["buffer"]:
             engine.buffer.offer(float(score), payload)

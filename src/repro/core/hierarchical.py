@@ -51,11 +51,13 @@ of one row for tests and EXPLAIN.
   dropped leaf is already at zero.  So ``exhausted`` is an O(1) read.
 * **Gain refresh.**  Each layer of a descent asks
   :meth:`~repro.core.histogram.HistogramBank.gains` for its live
-  children's gains; the first layer that finds a stale row re-evaluates,
-  in one kernel call, every row mutated since the last refresh, so in
-  steady state the remaining layers are list reads.  A row whose sketch
-  is not bank-backed (custom ``sketch_factory``, a prior with another
-  ``n_bins``) answers ``expected_marginal_gain`` itself.
+  children's gains, and only the children whose cached gain is stale —
+  touched by an observation since, or cached at another threshold — are
+  evaluated, in Python floats; nothing is refreshed ahead of time.  A
+  single score is folded into the leaf's whole root path by one bank
+  call.  A row whose sketch is not bank-backed (custom
+  ``sketch_factory``, a prior with another ``n_bins``) answers
+  ``expected_marginal_gain`` itself.
 
 Both contracts are restated normatively (with their consequences for
 snapshot restore and the parallel subsystem) in ``docs/architecture.md``.
@@ -353,16 +355,20 @@ class HierarchicalBanditPolicy:
         """Fold the pending batch's scores into its leaf's root-to-leaf path.
 
         One walk of the leaf's precomputed path per batch: each row applies
-        at most one Fig. 3a re-bin check, then absorbs a single score through
-        the sketch's scalar ``add`` and a larger batch through its vectorized
-        ``add_batch``.  A leaf the draw ran dry is then dropped (Section
-        3.2.4), whether or not any score was folded.  Without a pending
-        :meth:`select` this is a no-op.
+        at most one Fig. 3a re-bin check, then absorbs the scores.  A single
+        score over bank rows is one bank call for the whole path
+        (``HistogramBank.fold``); otherwise each sketch takes it through
+        ``add`` and a larger batch through ``add_batch``.  A leaf the draw
+        ran dry is then dropped (Section 3.2.4), whether or not any score
+        was folded.  Without a pending :meth:`select` this is a no-op.
         """
         leaf, self._pending = self._pending, None
         if leaf is None:
             return
-        if len(scores):
+        if len(scores) == 1 and not self._foreign:
+            self._bank.fold(self._paths[leaf], scores[0],
+                            threshold if enable_rebinning else None)
+        elif len(scores):
             single = len(scores) == 1
             # One conversion shared by every histogram on the path.
             batch = scores[0] if single else np.asarray(scores, dtype=float)

@@ -25,30 +25,36 @@ what the epsilon-greedy bandit maximizes during exploitation.
 
 Layout: one bank, many rows
 ---------------------------
-A sketch's numbers live in a :class:`HistogramBank`: an ``(n_rows, B+1)``
-edge matrix and an ``(n_rows, B)`` count matrix, plus per-row mass, cached
-gain and the threshold that gain was computed at (``STALE`` when out of
-date).  The per-row scalars are Python lists: the scalar path reads one
-element at a time, and a list read costs 12-25 ns where indexing an ndarray
-builds a numpy scalar for 40-85 ns (a write: 28 against 147).  An
-:class:`AdaptiveHistogram` *is* a row of a bank — the policy allocates one
-bank for all its nodes, a standalone sketch owns a one-row bank — and the
-one place the maintenance arithmetic is written.  Every mutator writes its
-row in place and marks it stale; nothing else may write the matrices
-(``edges`` and ``counts`` are live row views).
+A sketch's numbers live in a :class:`HistogramBank`: per row, a list of
+``B + 1`` edge floats and a list of ``B`` count floats (``row_edges`` /
+``row_counts``), plus mass, top border, cached gain and the threshold that
+gain was computed at (``STALE`` when out of date).  Everything is a Python
+list because the hot path is narrow: at ``BATCH 1`` a select reads a few
+sibling rows and an observation folds one score into each row of one path,
+and at that width a numpy call is all dispatch (20-38 us per
+:func:`_gain_matrix` call whether it sees two rows or sixty) while a list
+read costs 12-25 ns.  An :class:`AdaptiveHistogram` *is* a row of a bank —
+the policy allocates one bank for all its nodes, a standalone sketch owns
+a one-row bank — and the one place the maintenance arithmetic is written.
+Every mutator rewrites its row and marks it stale; nothing else may write
+the rows (``edges`` and ``counts`` are copies).  The rare, wide operations
+— range extension, subtraction, merging and batch folding — run numpy over
+copies of the row and write the result back.
 
-:meth:`HistogramBank.gains` is the one refresh path and
-:func:`_gain_matrix` the one place Equation 2 is written.  The kernel costs
-~20 us of numpy dispatch whether it sees two rows or sixty, so fewer,
-larger calls is the lever; it is row-independent bit for bit
-(``tests/test_histogram_bank.py``), so which rows share a call can never
-change a gain.
+Equation 2 has two forms that agree bit for bit
+(``tests/test_histogram_bank.py``): :func:`_row_gain`, one row in Python
+floats with numpy's summation order, and :func:`_gain_matrix`, the kernel
+over a stack of rows.  :meth:`HistogramBank.gains` is the one refresh path:
+it evaluates only the asked rows that are stale, one by one, and hands a
+set wider than :data:`KERNEL_ROWS` — a flat index's or a flattened tree's
+leaves after a threshold move — to one kernel call.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from bisect import bisect_right
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -138,9 +144,7 @@ def _gain_matrix(edges: np.ndarray, counts: np.ndarray,
     """Row-wise closed-form ``E[Delta_{t,l}]`` for stacked histograms.
 
     ``edges`` has shape ``(m, B+1)`` and ``counts`` shape ``(m, B)``; one
-    gain per row.  This is the single arithmetic path for gain evaluation:
-    :meth:`AdaptiveHistogram.expected_marginal_gain` calls it with one row
-    and :func:`gain_batch` with many, so both produce identical floats.
+    gain per row.  :func:`_row_gain` is the same arithmetic for one row.
     """
     mass = counts.sum(axis=1)
     safe_mass = np.where(mass > 0.0, mass, 1.0)
@@ -160,6 +164,62 @@ def _gain_matrix(edges: np.ndarray, counts: np.ndarray,
     inside_term = probs * (highs - tau) ** 2 / (2.0 * safe_width)
     gain = np.where(below, below_term, np.where(inside, inside_term, 0.0))
     return gain.sum(axis=1)
+
+
+def _pairwise_sum(values: Sequence[float]) -> float:
+    """``np.add.reduce`` of one contiguous float64 row, bit for bit.
+
+    numpy adds the row's pairwise sum to its identity ``0.0`` (so a sum of
+    ``-0.0`` terms reads ``0.0``): fewer than eight values left to right,
+    up to 128 in eight interleaved partial sums combined pairwise with the
+    rest added after, longer rows as two halves split at a multiple of 8.
+    """
+    n = len(values)
+    if n == 8:
+        t0, t1, t2, t3, t4, t5, t6, t7 = values
+        return ((t0 + t1) + (t2 + t3)) + ((t4 + t5) + (t6 + t7)) + 0.0
+    if n < 8:
+        total = 0.0
+        for value in values:
+            total += value
+        return total
+    if n > 128:
+        half = n // 2
+        half -= half % 8
+        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+    stop = n - n % 8
+    partial = list(values[:8])
+    for start in range(8, stop, 8):
+        partial = [a + b for a, b in zip(partial, values[start:start + 8])]
+    t0, t1, t2, t3, t4, t5, t6, t7 = partial
+    total = ((t0 + t1) + (t2 + t3)) + ((t4 + t5) + (t6 + t7)) + 0.0
+    for value in values[stop:]:
+        total += value
+    return total
+
+
+def _row_gain(edges: List[float], counts: List[float],
+              tau: Optional[float]) -> float:
+    """:func:`_gain_matrix` for one row of Python floats, bit for bit.
+
+    The same IEEE operations in the same order: both sums follow numpy's
+    (:func:`_pairwise_sum`), and each bin takes the term ``np.where``
+    would pick — at or below ``tau`` the mean excess, straddling it the
+    uniform tail, above it nothing.
+    """
+    mass = _pairwise_sum(counts)
+    if not mass > 0.0:
+        mass = 1.0
+    bins = zip(counts, edges, edges[1:])
+    if tau is None:
+        return _pairwise_sum([count / mass * (0.5 * (low + high))
+                              for count, low, high in bins])
+    return _pairwise_sum([
+        count / mass * (0.5 * (low + high) - tau) if tau <= low
+        else count / mass * ((high - tau) * (high - tau))
+        / (2.0 * (high - low if high - low > 0.0 else 1.0)) if tau < high
+        else 0.0
+        for count, low, high in bins])
 
 
 def gain_batch(sketches: Sequence[object],
@@ -182,9 +242,16 @@ def gain_batch(sketches: Sequence[object],
 #: ``row_gain_at`` of a row whose cached gain is out of date.
 STALE = object()
 
+#: The most stale rows one :meth:`HistogramBank.gains` call evaluates one
+#: by one; a wider set goes to one :func:`_gain_matrix` call.  Measured
+#: with ``B = 8`` on a 2-core x86 container: 1.7 us a row in Python
+#: against 19 us plus 0.9 us a row for a stacked kernel call, equal at
+#: 24 rows.
+KERNEL_ROWS = 24
+
 
 class HistogramBank:
-    """Struct-of-arrays storage for many adaptive histograms of one shape.
+    """Struct-of-lists storage for many adaptive histograms of one shape.
 
     Rows start empty and equi-width over ``[0, initial_range]``; the module
     docstring has the layout and the staleness contract.
@@ -198,27 +265,23 @@ class HistogramBank:
         check_positive(initial_range, "initial_range")
         if not 1.0 <= beta <= 2.0:
             raise ConfigurationError(f"beta must lie in [1, 2], got {beta!r}")
-        grid = np.linspace(0.0, float(initial_range), n_bins + 1)
+        grid = np.linspace(0.0, float(initial_range), n_bins + 1).tolist()
         self.n_bins = n_bins
         self.beta = float(beta)
-        self.edge_matrix = np.tile(grid, (n_rows, 1))
-        self.count_matrix = np.zeros((n_rows, n_bins))
+        self.row_edges = [list(grid) for _ in range(n_rows)]
+        self.row_counts = [[0.0] * n_bins for _ in range(n_rows)]
         self.row_rebins = [0] * n_rows
         self.row_extensions = [0] * n_rows
         # Cached scalars of each row's grid: total mass, top border, and the
         # border the Fig. 3a check compares against (+inf: never re-bins).
         self.row_mass = [0.0] * n_rows
-        self.row_top = [float(grid[-1])] * n_rows
-        self.row_rebin_at = [float(grid[2]) if n_bins >= 3
-                             else math.inf] * n_rows
+        self.row_top = [grid[-1]] * n_rows
+        self.row_rebin_at = [grid[2] if n_bins >= 3 else math.inf] * n_rows
         # row_gain[r] is E[Delta] at threshold row_gain_at[r]; STALE there
         # (equal to no threshold, None included) until first evaluated and
         # after every mutation.
         self.row_gain = [0.0] * n_rows
         self.row_gain_at: List[object] = [STALE] * n_rows
-        # Rows a mutation staled, and rows read, since the last refresh.
-        self.touched_rows: List[int] = []
-        self.read_rows: Set[int] = set()
 
     def row(self, row: int) -> "AdaptiveHistogram":
         """The sketch bound to ``row`` (a view: it owns no numbers)."""
@@ -227,26 +290,20 @@ class HistogramBank:
         sketch._row = row
         return sketch
 
-    def touch(self, row: int) -> None:
-        """Mark ``row`` stale; the next :meth:`gains` refresh includes it."""
-        if self.row_gain_at[row] is not STALE:
-            self.row_gain_at[row] = STALE
-            self.touched_rows.append(row)
-
     def resync(self, row: int) -> None:
-        """Re-derive ``row``'s cached scalars after its matrices were rewritten."""
-        edges = self.edge_matrix[row]
-        self.row_top[row] = float(edges[-1])
+        """Re-derive ``row``'s cached scalars after its lists were rewritten."""
+        edges = self.row_edges[row]
+        self.row_top[row] = edges[-1]
         if self.n_bins >= 3:
-            self.row_rebin_at[row] = float(edges[2])
-        self.row_mass[row] = float(self.count_matrix[row].sum())
-        self.touch(row)
+            self.row_rebin_at[row] = edges[2]
+        self.row_mass[row] = _pairwise_sum(self.row_counts[row])
+        self.row_gain_at[row] = STALE
 
-    def load(self, row: int, edges: np.ndarray, counts: np.ndarray,
+    def load(self, row: int, edges: Iterable[float], counts: Iterable[float],
              n_rebins: int, n_extensions: int) -> None:
         """Overwrite ``row`` with a serialized sketch's state."""
-        self.edge_matrix[row] = edges
-        self.count_matrix[row] = counts
+        self.row_edges[row] = [float(edge) for edge in edges]
+        self.row_counts[row] = [float(count) for count in counts]
         self.row_rebins[row] = n_rebins
         self.row_extensions[row] = n_extensions
         self.resync(row)
@@ -255,34 +312,66 @@ class HistogramBank:
         """Copy a same-shaped sketch's state into ``row``; False if it differs."""
         if sketch.n_bins != self.n_bins or sketch.beta != self.beta:
             return False
-        self.load(row, sketch.edges, sketch.counts, sketch.n_rebins,
-                  sketch.n_extensions)
+        bank, other = sketch._bank, sketch._row
+        self.load(row, bank.row_edges[other], bank.row_counts[other],
+                  sketch.n_rebins, sketch.n_extensions)
         self.row_mass[row] = sketch.total_mass  # the running sum, bit for bit
         return True
 
     def gains(self, rows: Sequence[int], tau: Optional[float]) -> List[float]:
-        """Gains of ``rows`` at ``tau``; at most one kernel call, often none.
+        """Gains of ``rows`` at ``tau``, evaluating only the stale ones.
 
-        A refresh takes along the rows mutated since the last one and the
-        rows read since the last one that sit at another threshold: after a
-        threshold move the next descent mostly re-reads the last one's
-        sibling sets, so its first layer pays for all of them.
+        A row is stale after a mutation and when its cached gain is for
+        another threshold.  No other row is evaluated ahead of time: one
+        :func:`_row_gain` per stale row, or a single :func:`_gain_matrix`
+        call when there are more than :data:`KERNEL_ROWS` of them.
         """
         at, gain = self.row_gain_at, self.row_gain
         need = [row for row in rows if at[row] != tau]
-        if need:
-            extra = set(self.touched_rows)
-            extra.update(row for row in self.read_rows if at[row] != tau)
-            need.extend(extra.difference(need))
-            self.touched_rows = []
-            self.read_rows = set()
-            values = _gain_matrix(self.edge_matrix.take(need, 0),
-                                  self.count_matrix.take(need, 0), tau)
-            for row, value in zip(need, values.tolist()):
-                gain[row] = value
-                at[row] = tau
-        self.read_rows.update(rows)
+        if len(need) > KERNEL_ROWS:
+            values = _gain_matrix(
+                np.array([self.row_edges[row] for row in need]),
+                np.array([self.row_counts[row] for row in need]),
+                tau).tolist()
+        else:
+            edges, counts = self.row_edges, self.row_counts
+            values = [_row_gain(edges[row], counts[row], tau) for row in need]
+        for row, value in zip(need, values):
+            gain[row] = value
+            at[row] = tau
         return [gain[row] for row in rows]
+
+    def fold(self, path: Sequence[int], value: float,
+             tau: Optional[float]) -> None:
+        """Record one score in every row of ``path``.
+
+        Per row, in order: the Fig. 3a check against ``tau`` (``None``: no
+        re-bin), a range extension if ``value`` lies above the row's range,
+        then one count into the bin holding ``value`` —
+        ``maybe_extend_lowest`` and ``add``, with the common case in plain
+        list operations.
+        """
+        value = float(value)
+        if value < 0.0:
+            raise ConfigurationError(
+                f"scores must be non-negative (opaque top-k setting), got {value!r}"
+            )
+        top, rebin_at, stale = self.row_top, self.row_rebin_at, self.row_gain_at
+        edges, counts, mass = self.row_edges, self.row_counts, self.row_mass
+        last = self.n_bins - 1
+        for row in path:
+            if tau is not None and tau > rebin_at[row]:
+                self.row(row).maybe_extend_lowest(tau)
+            if value > top[row]:
+                self.row(row).extend_range(self.beta * value)
+            index = bisect_right(edges[row], value) - 1
+            if index > last:  # the top border itself, and NaN
+                index = last
+            elif index < 0:
+                index = 0
+            counts[row][index] += 1.0
+            mass[row] += 1.0
+            stale[row] = STALE
 
 
 class AdaptiveHistogram:
@@ -315,13 +404,13 @@ class AdaptiveHistogram:
 
     @property
     def edges(self) -> np.ndarray:
-        """The ``B + 1`` bin borders (a live view of the bank's row)."""
-        return self._bank.edge_matrix[self._row]
+        """The ``B + 1`` bin borders (a copy of the bank's row)."""
+        return np.array(self._bank.row_edges[self._row])
 
     @property
     def counts(self) -> np.ndarray:
-        """The ``B`` bin masses (a live view of the bank's row)."""
-        return self._bank.count_matrix[self._row]
+        """The ``B`` bin masses (a copy of the bank's row)."""
+        return np.array(self._bank.row_counts[self._row])
 
     @property
     def total_mass(self) -> float:
@@ -348,22 +437,7 @@ class AdaptiveHistogram:
 
     def add(self, value: float) -> None:
         """Record one observed score, auto-extending the range if needed."""
-        bank, row = self._bank, self._row
-        value = float(value)
-        if value < 0.0:
-            raise ConfigurationError(
-                f"scores must be non-negative (opaque top-k setting), got {value!r}"
-            )
-        if value > bank.row_top[row]:
-            self.extend_range(bank.beta * value)
-        index = int(bank.edge_matrix[row].searchsorted(value, "right")) - 1
-        if index >= bank.n_bins:  # the top border itself, and NaN
-            index = bank.n_bins - 1
-        elif index < 0:
-            index = 0
-        bank.count_matrix[row, index] += 1.0
-        bank.row_mass[row] += 1.0
-        bank.touch(row)
+        self._bank.fold((self._row,), value, None)
 
     def add_many(self, values: Iterable[float]) -> None:
         """Record each score of ``values`` in order."""
@@ -411,16 +485,18 @@ class AdaptiveHistogram:
                 stop = start + int(np.argmax(over))
             if stop > start:
                 chunk = arr[start:stop]
-                indices = bank.edge_matrix[row].searchsorted(chunk, "right") - 1
+                indices = np.searchsorted(bank.row_edges[row], chunk,
+                                          "right") - 1
                 np.minimum(indices, bank.n_bins - 1, out=indices)
                 np.maximum(indices, 0, out=indices)
-                bank.count_matrix[row] += np.bincount(indices,
-                                                      minlength=bank.n_bins)
+                bank.row_counts[row] = (
+                    np.array(bank.row_counts[row])
+                    + np.bincount(indices, minlength=bank.n_bins)).tolist()
                 bank.row_mass[row] += float(chunk.size)
                 start = stop
             if start < arr.size:
                 self.extend_range(bank.beta * float(arr[start]))
-        bank.touch(row)
+        bank.row_gain_at[row] = STALE
 
     def extend_range(self, new_max: float) -> None:
         """Grow the covered range to ``[low, new_max]`` (Fig. 3b).
@@ -431,12 +507,11 @@ class AdaptiveHistogram:
         bank, row = self._bank, self._row
         if new_max <= bank.row_top[row]:
             return
-        edges = bank.edge_matrix[row]
-        new_edges = np.linspace(float(edges[0]), float(new_max),
-                                bank.n_bins + 1)
-        bank.count_matrix[row] = _overlap_redistribute(
-            edges, bank.count_matrix[row], new_edges)
-        edges[:] = new_edges
+        edges = bank.row_edges[row]
+        new_edges = np.linspace(edges[0], float(new_max), bank.n_bins + 1)
+        bank.row_counts[row] = _overlap_redistribute(
+            edges, bank.row_counts[row], new_edges).tolist()
+        bank.row_edges[row] = new_edges.tolist()
         bank.row_extensions[row] += 1
         bank.resync(row)
 
@@ -454,21 +529,18 @@ class AdaptiveHistogram:
         # One float compare on the hot path: row_rebin_at is edges[2].
         if threshold is None or threshold <= bank.row_rebin_at[row]:
             return False
-        edges, counts = bank.edge_matrix[row], bank.count_matrix[row]
-        # Merge bins 0 and 1 (concatenate beats np.delete/np.insert here).
-        merged_edges = np.concatenate((edges[:1], edges[2:]))
-        merged_counts = np.concatenate(([counts[0] + counts[1]], counts[2:]))
-        # Split the widest bin above the merged one to restore B bins.
-        widths = merged_edges[2:] - merged_edges[1:-1]
-        split = 1 + int(np.argmax(widths))
-        mid = 0.5 * (merged_edges[split] + merged_edges[split + 1])
-        half = merged_counts[split] / 2.0
-        edges[:] = np.concatenate(
-            (merged_edges[:split + 1], [mid], merged_edges[split + 1:])
-        )
-        counts[:] = np.concatenate(
-            (merged_counts[:split], [half, half], merged_counts[split + 1:])
-        )
+        edges, counts = bank.row_edges[row], bank.row_counts[row]
+        # Merge bins 0 and 1.
+        edges = edges[:1] + edges[2:]
+        counts = [counts[0] + counts[1]] + counts[2:]
+        # Split the widest bin above the merged one (the first of equals)
+        # to restore B bins.
+        widths = [high - low for low, high in zip(edges[1:], edges[2:])]
+        split = 1 + widths.index(max(widths))
+        mid = 0.5 * (edges[split] + edges[split + 1])
+        half = counts[split] / 2.0
+        bank.row_edges[row] = edges[:split + 1] + [mid] + edges[split + 1:]
+        bank.row_counts[row] = counts[:split] + [half, half] + counts[split + 1:]
         bank.row_rebins[row] += 1
         bank.resync(row)
         return True
@@ -483,11 +555,14 @@ class AdaptiveHistogram:
         """
         if other.is_empty:
             return
-        projected = _overlap_redistribute(other.edges, other.counts, self.edges)
+        bank, row = self._bank, self._row
+        projected = _overlap_redistribute(other.edges, other.counts,
+                                          bank.row_edges[row])
         # Mass of the child falling beyond this sketch's range cannot be
         # located; it is dropped, which the clamp-at-zero rule tolerates.
-        self.counts[:] = np.maximum(self.counts - projected, 0.0)
-        self._bank.resync(self._row)
+        bank.row_counts[row] = np.maximum(
+            np.array(bank.row_counts[row]) - projected, 0.0).tolist()
+        bank.resync(row)
 
     def merge(self, other: "AdaptiveHistogram") -> None:
         """Fold ``other``'s mass into this sketch (used when flattening)."""
@@ -495,9 +570,12 @@ class AdaptiveHistogram:
             return
         if other.max_range > self.max_range:
             self.extend_range(other.max_range)
-        self.counts[:] += _overlap_redistribute(other.edges, other.counts,
-                                                self.edges)
-        self._bank.resync(self._row)
+        bank, row = self._bank, self._row
+        bank.row_counts[row] = (
+            np.array(bank.row_counts[row])
+            + _overlap_redistribute(other.edges, other.counts,
+                                    bank.row_edges[row])).tolist()
+        bank.resync(row)
 
     # -- queries ---------------------------------------------------------------
 
@@ -525,7 +603,8 @@ class AdaptiveHistogram:
         mass = self.total_mass
         if mass <= 0.0:
             return 0.0
-        mids = 0.5 * (self.edges[:-1] + self.edges[1:])
+        edges = self.edges
+        mids = 0.5 * (edges[:-1] + edges[1:])
         return float(np.dot(self.counts / mass, mids))
 
     def tail_mass(self, threshold: float) -> float:
@@ -533,8 +612,9 @@ class AdaptiveHistogram:
         mass = self.total_mass
         if mass <= 0.0:
             return 0.0
-        lows = self.edges[:-1]
-        highs = self.edges[1:]
+        edges = self.edges
+        lows = edges[:-1]
+        highs = edges[1:]
         widths = np.where(highs - lows > 0.0, highs - lows, 1.0)
         frac_above = np.clip((highs - threshold) / widths, 0.0, 1.0)
         return float(np.dot(self.counts / mass, frac_above))
@@ -555,7 +635,7 @@ class AdaptiveHistogram:
             (np.cumsum(self.counts[::-1])[::-1], [0.0])
         ) / mass
         return (
-            tuple(float(edge) for edge in self.edges),
+            tuple(self._bank.row_edges[self._row]),
             tuple(float(value) for value in above),
             "linear",
         )
@@ -564,38 +644,57 @@ class AdaptiveHistogram:
 
     def to_dict(self) -> Dict[str, object]:
         """Return a JSON-safe representation of this sketch."""
+        bank, row = self._bank, self._row
         return {
             "n_bins": self.n_bins,
             "beta": self.beta,
-            "edges": [float(edge) for edge in self.edges],
-            "counts": [float(count) for count in self.counts],
+            "edges": list(bank.row_edges[row]),
+            "counts": list(bank.row_counts[row]),
             "n_rebins": self.n_rebins,
             "n_extensions": self.n_extensions,
         }
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "AdaptiveHistogram":
-        """Rebuild a sketch from :meth:`to_dict` output."""
+        """Rebuild a sketch from :meth:`to_dict` output.
+
+        A payload no sketch could hold is a :class:`SerializationError`:
+        ``n_bins < 2``, ``beta`` outside ``[1, 2]``, lengths that disagree,
+        non-finite or decreasing edges (zero-width bins are legal), and
+        negative or non-finite counts.
+        """
         try:
-            edges = np.asarray(payload["edges"], dtype=float)
-            counts = np.asarray(payload["counts"], dtype=float)
+            edges = [float(edge) for edge in payload["edges"]]  # type: ignore[union-attr]
+            counts = [float(count) for count in payload["counts"]]  # type: ignore[union-attr]
             n_bins = int(payload["n_bins"])  # type: ignore[arg-type]
             beta = float(payload["beta"])  # type: ignore[arg-type]
-        except (KeyError, TypeError, ValueError) as exc:
+            n_rebins = int(payload.get("n_rebins", 0))  # type: ignore[arg-type]
+            n_extensions = int(payload.get("n_extensions", 0))  # type: ignore[arg-type]
+        except (KeyError, TypeError, ValueError, OverflowError,
+                AttributeError) as exc:
             raise SerializationError(f"malformed histogram payload: {exc}") from exc
-        if len(edges) != len(counts) + 1 or len(counts) != n_bins:
-            raise SerializationError(
-                "histogram payload has inconsistent edges/counts lengths"
-            )
-        sketch = cls(n_bins, 1.0, beta)  # placeholder grid, overwritten
-        sketch._bank.load(
-            0, edges, counts,
-            int(payload.get("n_rebins", 0)),  # type: ignore[arg-type]
-            int(payload.get("n_extensions", 0)))  # type: ignore[arg-type]
-        return sketch
+        if n_bins < 2:
+            problem = f"n_bins must be >= 2, found {n_bins}"
+        elif not 1.0 <= beta <= 2.0:
+            problem = f"beta must lie in [1, 2], found {beta!r}"
+        elif len(edges) != n_bins + 1 or len(counts) != n_bins:
+            problem = "inconsistent edges/counts lengths"
+        elif (not all(map(math.isfinite, edges))
+              or any(high < low for low, high in zip(edges, edges[1:]))):
+            problem = f"edges must be finite and non-decreasing, found {edges}"
+        elif not all(math.isfinite(count) and count >= 0.0
+                     for count in counts):
+            problem = f"counts must be finite and non-negative, found {counts}"
+        else:
+            sketch = cls(n_bins, 1.0, beta)  # placeholder grid, overwritten
+            sketch._bank.load(0, edges, counts, n_rebins, n_extensions)
+            return sketch
+        raise SerializationError(f"malformed histogram payload: {problem}")
 
     def __repr__(self) -> str:
+        bank, row = self._bank, self._row
         return (
-            f"AdaptiveHistogram(bins={self.n_bins}, range=[{self.edges[0]:.4g}, "
-            f"{self.max_range:.4g}], mass={self.total_mass:.4g})"
+            f"AdaptiveHistogram(bins={self.n_bins}, "
+            f"range=[{bank.row_edges[row][0]:.4g}, {self.max_range:.4g}], "
+            f"mass={self.total_mass:.4g})"
         )

@@ -32,6 +32,7 @@ import threading
 from collections import OrderedDict
 from typing import Dict, Optional
 
+from repro.errors import SerializationError
 from repro.persist import NULL, read
 
 _FORMAT = "repro-priors/1"
@@ -172,11 +173,24 @@ class PriorStore:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "PriorStore":
-        """Rebuild a store from :meth:`to_dict` output."""
+        """Rebuild a store from :meth:`to_dict` output.
+
+        Every node's histogram must be one a sketch can hold
+        (:meth:`~repro.core.histogram.AdaptiveHistogram.from_dict`): a
+        prior steers the first descents of each warm-started query.
+        """
+        from repro.core.histogram import AdaptiveHistogram
+
         store = cls()
         read(payload, _FORMAT, priors=(list, NULL))
         for entry in payload.get("priors") or ():
             read(entry, _FORMAT, "entry", fingerprint=str, scope=str,
                  nodes=dict)
+            for node_id, histogram in entry["nodes"].items():
+                try:
+                    AdaptiveHistogram.from_dict(histogram)
+                except SerializationError as exc:
+                    raise SerializationError(
+                        f"expected {_FORMAT} node {node_id!r}: {exc}") from exc
             store.put(entry["fingerprint"], entry["scope"], entry["nodes"])
         return store

@@ -4,8 +4,9 @@ Five boundaries so far:
 
 * the layout of the bandit's state — the node table, arms, parent rows, the
   leaf registry, who writes ``remaining`` — is known to
-  ``repro/core/hierarchical.py`` alone, and the histogram bank's matrices,
-  staleness bookkeeping and gain kernel to it and ``repro/core/histogram.py``.
+  ``repro/core/hierarchical.py`` alone, the histogram bank's staleness
+  bookkeeping and gain kernel to it and ``repro/core/histogram.py``, and
+  the bank's row lists and one-row gain to ``repro/core/histogram.py``.
   Everything else goes through the policy's door (``select`` / ``update`` /
   ``state`` / ``load_state`` / ``live_leaves`` / ``leaf_gains``), which is
   what let the layout become struct-of-arrays in a two-module edit; the
@@ -59,14 +60,13 @@ LAYOUT_NAMES = {
     r"\._members\b": {"core/hierarchical.py", "core/arms.py"},
     # Reaching a node through the policy instead of importing its class.
     r"policy\.root\b": {"core/hierarchical.py"},
-    # The histogram bank: one refresh path, one gain kernel.
+    # The histogram bank: one refresh path, Equation 2 in two forms.
     r"\bHistogramBank\b": BANK,
-    r"\bedge_matrix\b": BANK,
-    r"\bcount_matrix\b": BANK,
+    r"\brow_edges\b": {"core/histogram.py"},
+    r"\brow_counts\b": {"core/histogram.py"},
     r"\brow_gain(_at)?\b": BANK,
     r"\bSTALE\b": BANK,
-    r"\btouched_rows\b": BANK,
-    r"\bread_rows\b": BANK,
+    r"\b_row_gain\b": {"core/histogram.py"},
     r"\b_gain_matrix\b": BANK,
     r"\bgain_batch\b": BANK,
     # The per-sketch caches the bank replaced.
@@ -170,9 +170,9 @@ def test_executor_registry_is_not_exported():
 #: Where a use of a public name counts: the library, its scripts, its docs.
 CORPUS = ("src", "examples", "docs", "benchmarks", "bench", "tools")
 
-#: Deleted for having no caller outside their own tests, and the
-#: persistence spellings that ``snapshot`` / ``restore`` and ``to_dict`` /
-#: ``from_dict`` replaced.
+#: Deleted for having no caller outside their own tests, the persistence
+#: spellings that ``snapshot`` / ``restore`` and ``to_dict`` /
+#: ``from_dict`` replaced, and the histogram bank's old layout.
 DELETED_NAMES = (
     "KNNRegressor", "KNNScorer", "LinearRegressionScorer",
     "SquaredLoss", "AbsoluteLoss", "ascii_chart", "curves_to_rows",
@@ -182,6 +182,8 @@ DELETED_NAMES = (
     "VirtualClock", "IdentityVectorizer", "build_flat_index", "ShardDataset",
     "snapshot_engine", "restore_engine", "from_json", "to_payload",
     "from_payload",
+    # The bank's matrices and refresh-ahead lists the row lists replaced.
+    "edge_matrix", "count_matrix", "touched_rows", "read_rows",
 )
 
 

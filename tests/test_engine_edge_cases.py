@@ -126,9 +126,9 @@ class HistogramMachine(RuleBasedStateMachine):
     @rule()
     def subtract_own_copy_half(self):
         # Subtract a half-weighted copy of itself: mass halves, stays >= 0.
-        clone = self.hist.copy()
-        clone.counts[:] = clone.counts * 0.5
-        self.hist.subtract(clone)
+        payload = self.hist.to_dict()
+        payload["counts"] = [count * 0.5 for count in payload["counts"]]
+        self.hist.subtract(AdaptiveHistogram.from_dict(payload))
         self.n_added = self.n_added  # mass bound still n_added
 
     @invariant()

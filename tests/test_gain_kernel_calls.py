@@ -1,26 +1,24 @@
-"""Deterministic perf pin: how often the gain kernel runs, no clock involved.
+"""Deterministic perf pin: which rows a select evaluates, no clock involved.
 
-``_gain_matrix`` costs ~20 us of numpy dispatch per call whatever the row
-count, so the scalar path's cost is the *number* of calls.  The per-object
-layout made one call per tree layer of every descent; the histogram bank
-makes one per select in steady state (``HistogramBank.gains`` refreshes
-every row mutated since the last refresh in the first call a descent
-needs).  Over the seeded run below — the lopsided 64-leaf binary tree of
-``test_policy_golden.py``, ``batch_size=1``, 608 selects to exhaustion —
+A bank row's gain is evaluated lazily: each layer of a descent asks for its
+live children's gains, and only the children whose cached gain is stale —
+touched by an observation since, or cached at another threshold — are
+evaluated, one Python ``_row_gain`` each (a few us).  A stale set wider
+than ``KERNEL_ROWS`` goes to one call of the numpy kernel ``_gain_matrix``
+instead, whose dispatch (20-38 us a call, whatever the row count) it then
+outweighs.  Pinned over two seeded runs to exhaustion at ``batch_size=1``
+on the 64 leaves of ``test_policy_golden.py``:
 
-* the parent commit (2efd5c4) made **3 503** kernel calls (5.76 per select;
-  counted by running :func:`count_run` against that checkout);
-* the bank makes **645** (1.06 per select).
-
-Why the per-select bound is stated for a *repeated leaf*: refreshes are
-lazy, so a descent that turns onto sibling sets last evaluated at an older
-threshold must evaluate them, one call per layer; "at most one call
-whenever the threshold did not move" is therefore not an invariant of any
-lazy scheme (here 48 of the 572 same-threshold selects need a second call:
-the run drains and drops every leaf, so descents keep turning).  What is
-invariant, and pinned here: a select that repeats the previous select's
-threshold *and* leaf makes at most one call, an exploring select makes
-none, and no select makes more calls than its descent has layers.
+* the lopsided binary tree (608 selects) makes **no** kernel call: two
+  siblings are never wide.  A select evaluates at most the rows it reads
+  (two per layer), an exploring select evaluates none, and the run
+  evaluates **3 827** rows in all (6.3 per select).  On this run the
+  refresh-ahead policy this replaced made 645 kernel calls, and the
+  per-object layout before it 3 503;
+* the flat tree over the same leaves: an exploiting select that sees a new
+  threshold finds every live leaf stale, so it makes exactly one kernel
+  call while more than ``KERNEL_ROWS`` leaves live; every other select
+  evaluates one by one, at most the leaves it reads.
 """
 
 from __future__ import annotations
@@ -29,10 +27,12 @@ from typing import Dict, List, Tuple
 
 import repro.core.histogram as histogram
 from repro.core.engine import EngineConfig, TopKEngine
+from repro.core.histogram import KERNEL_ROWS
 from tests.test_policy_golden import (K, NO_FALLBACK, build_tree,
                                       element_scores)
 
-PARENT_TOTAL = 3503
+#: Rows the binary-tree run evaluates (the figure in the docstring).
+ROWS_BINARY = 3827
 
 
 def leaf_layers(tree) -> Dict[str, int]:
@@ -49,58 +49,76 @@ def leaf_layers(tree) -> Dict[str, int]:
     return layers
 
 
-def count_run() -> List[Tuple[int, int, object, str, bool]]:
-    """``(calls, layers, threshold, leaf, exploited)`` for every select."""
-    tree = build_tree("binary")
+def count_run(shape: str) -> List[Tuple[int, int, int, object, bool, int]]:
+    """Per select: ``(kernel calls, rows evaluated one by one, layers,
+    threshold, exploited, live leaves)``."""
+    tree = build_tree(shape)
     layers = leaf_layers(tree)
-    leaf_of = {element_id: leaf.node_id for leaf in tree.leaves()
-               for element_id in leaf.member_ids}
     scores = element_scores()
-    calls = [0]
-    kernel = histogram._gain_matrix
+    calls = {"_gain_matrix": 0, "_row_gain": 0}
+    originals = {name: getattr(histogram, name) for name in calls}
 
-    def counted(*args):
-        calls[0] += 1
-        return kernel(*args)
+    def counting(name):
+        def counted(*args):
+            calls[name] += 1
+            return originals[name](*args)
+        return counted
 
-    histogram._gain_matrix = counted
+    for name in calls:
+        setattr(histogram, name, counting(name))
     try:
-        # Every exploit layer reads gains (no unvisited-first shortcut), so
-        # "the previous select evaluated this path" holds for exploit rolls.
+        # Every exploit layer reads gains (no unvisited-first shortcut).
         engine = TopKEngine(tree, EngineConfig(
             k=K, seed=5, fallback=NO_FALLBACK, visit_unvisited_first=False))
         selects = []
         while not engine.exhausted:
-            before, exploits = calls[0], engine.n_exploit
+            kernel, rows = calls["_gain_matrix"], calls["_row_gain"]
+            exploits = engine.n_exploit
+            live = len(engine.policy.live_leaves())
             threshold = engine.effective_threshold
             ids = engine.next_batch()
-            selects.append((calls[0] - before, layers[ids[0]], threshold,
-                            leaf_of[ids[0]], engine.n_exploit > exploits))
+            selects.append((calls["_gain_matrix"] - kernel,
+                            calls["_row_gain"] - rows, layers[ids[0]],
+                            threshold, engine.n_exploit > exploits, live))
             engine.observe(ids, [scores[i] for i in ids])
     finally:
-        histogram._gain_matrix = kernel
+        for name, original in originals.items():
+            setattr(histogram, name, original)
     return selects
 
 
-def test_kernel_calls_per_select():
-    selects = count_run()
+def test_binary_tree_selects_evaluate_only_what_they_read():
+    selects = count_run("binary")
     assert len(selects) == 608
-    total = sum(calls for calls, *_ in selects)
-    assert total < PARENT_TOTAL / 2
-    assert total == 645, "update the figures in the docstring"
-    repeats = 0
-    for previous, current in zip(selects, selects[1:]):
-        calls, layers, threshold, leaf, exploited = current
-        assert calls <= layers
+    assert sum(kernel for kernel, *_ in selects) == 0
+    for kernel, rows, layers, threshold, exploited, live in selects:
+        assert rows <= 2 * layers
         if not exploited:
-            assert calls == 0
-        elif previous[4] and previous[2:4] == (threshold, leaf):
-            repeats += 1
-            assert calls <= 1, current
-    assert repeats > 100, "the run must repeat itself to pin anything"
+            assert rows == 0
+    assert sum(rows for _, rows, *_ in selects) == ROWS_BINARY, \
+        "update the figure in the docstring"
+
+
+def test_flat_tree_threshold_move_is_one_kernel_call():
+    selects = count_run("flat")
+    moves, seen = 0, object()
+    for kernel, rows, layers, threshold, exploited, live in selects:
+        assert layers == 1
+        if not exploited:
+            assert kernel == rows == 0
+            continue
+        if threshold != seen and live > KERNEL_ROWS:
+            assert (kernel, rows) == (1, 0)
+            moves += 1
+        else:
+            assert kernel == 0 and rows <= live
+        seen = threshold
+    assert moves > 10
 
 
 if __name__ == "__main__":
-    run = count_run()
-    print(f"{sum(calls for calls, *_ in run)} kernel calls "
-          f"over {len(run)} selects")
+    for shape in ("binary", "flat"):
+        run = count_run(shape)
+        print(f"{shape}: {sum(kernel for kernel, *_ in run)} kernel calls, "
+              f"{sum(rows for _, rows, *_ in run)} rows one by one, "
+              f"over {len(run)} selects")

@@ -5,8 +5,13 @@ are rows of a shared :class:`~repro.core.histogram.HistogramBank`, a
 standalone sketch is the only row of its own.  These tests drive random
 operation sequences against both and require identical ``edges``,
 ``counts``, ``total_mass``, gains and ``to_dict()`` after every step, with
-the neighbouring rows untouched — plus the property that makes "refresh more
-rows per kernel call" invisible: ``_gain_matrix`` is row-independent.
+the neighbouring rows untouched.
+
+A bank row is two Python float lists worked on in Python, and the numpy
+code that did the same work stays here as its oracle, bit for bit:
+``_gain_matrix`` (itself row-independent) for ``_row_gain``, and the numpy
+re-bin for the list re-bin.  A refresh evaluates only the asked rows that
+are stale, and a set wider than ``KERNEL_ROWS`` in one kernel call.
 """
 
 from __future__ import annotations
@@ -16,8 +21,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.histogram import (STALE, AdaptiveHistogram, HistogramBank,
-                                  _gain_matrix)
+import repro.core.histogram as histogram
+from repro.core.histogram import (KERNEL_ROWS, STALE, AdaptiveHistogram,
+                                  HistogramBank, _gain_matrix, _row_gain)
 
 N_ROWS, ROW = 7, 3
 SHAPE = dict(n_bins=6, initial_range=0.5, beta=1.2)
@@ -57,6 +63,11 @@ def assert_same(row: AdaptiveHistogram, alone: AdaptiveHistogram) -> None:
     assert row.to_dict() == alone.to_dict()
 
 
+def row_state(bank: HistogramBank, row: int):
+    return (list(bank.row_edges[row]), list(bank.row_counts[row]),
+            bank.row_mass[row])
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.lists(operations, min_size=1, max_size=25))
 def test_bank_row_equals_standalone_sketch(ops):
@@ -65,8 +76,8 @@ def test_bank_row_equals_standalone_sketch(ops):
     # Neighbours hold some mass of their own and must never move.
     for neighbour in (ROW - 1, ROW + 1):
         bank.row(neighbour).add_many([0.1, 0.3, 2.0])
-    frozen = (bank.edge_matrix.copy(), bank.count_matrix.copy(),
-              list(bank.row_mass))
+    others = [r for r in range(N_ROWS) if r != ROW]
+    frozen = [row_state(bank, r) for r in others]
     threshold = None
     for name, argument in ops:
         if name in ("subtract", "merge"):
@@ -86,13 +97,7 @@ def test_bank_row_equals_standalone_sketch(ops):
         assert_same(row, alone)
         assert (row.expected_marginal_gain(threshold)
                 == alone.expected_marginal_gain(threshold))
-    others = [r for r in range(N_ROWS) if r != ROW]
-    np.testing.assert_array_equal(bank.edge_matrix[others],
-                                  frozen[0][others])
-    np.testing.assert_array_equal(bank.count_matrix[others],
-                                  frozen[1][others])
-    assert [bank.row_mass[r] for r in others] == [frozen[2][r]
-                                                  for r in others]
+    assert [row_state(bank, r) for r in others] == frozen
 
 
 @pytest.mark.parametrize("n_bins", [3, 8, 13, 16, 33])
@@ -117,24 +122,131 @@ def test_gain_kernel_is_row_independent(n_bins):
                 assert alone[0] == whole[row]
 
 
-def test_a_refresh_takes_mutated_and_reread_rows_along():
-    """One kernel call covers the asked rows, every row mutated since the
-    last refresh, and rows read since then that sit at another threshold."""
+# -- the Python forms are the numpy code they replaced, bit for bit ----------
+
+#: Around numpy's unroll of eight, and past its 128-value block (halving).
+BIN_COUNTS = (2, 3, 7, 8, 9, 16, 33, 130)
+#: Shared values make zero-width bins and tied widths; -0.0 makes
+#: negative-zero terms.
+edge_values = st.one_of(st.sampled_from((-0.0, 0.0, 0.5, 1.0, 2.5)),
+                        st.floats(0.0, 10.0))
+count_values = st.one_of(st.sampled_from((-0.0, 0.0, 1.0, 3.0)),
+                         st.floats(0.0, 9.0))
+
+
+@st.composite
+def rows(draw, bin_counts=BIN_COUNTS):
+    """``(edges, counts)`` of one row: sorted edges, sometimes no mass."""
+    n_bins = draw(st.sampled_from(bin_counts))
+    edges = sorted(draw(st.lists(edge_values, min_size=n_bins + 1,
+                                 max_size=n_bins + 1)))
+    counts = draw(st.one_of(
+        st.just([0.0] * n_bins),
+        st.lists(count_values, min_size=n_bins, max_size=n_bins)))
+    return edges, counts
+
+
+def bits(values):
+    """The exact floats, ``-0.0`` told apart from ``0.0``."""
+    return [float(value).hex() for value in values]
+
+
+@settings(max_examples=500, deadline=None)
+@given(rows(), st.sampled_from(("none", "zero", "inside", "above")),
+       st.floats(0.0, 1.0))
+def test_row_gain_is_the_kernel_bit_for_bit(row, where, fraction):
+    edges, counts = row
+    tau = {"none": None, "zero": 0.0,
+           "inside": edges[0] + fraction * (edges[-1] - edges[0]),
+           "above": edges[-1] + 1.0}[where]
+    kernel = _gain_matrix(np.array([edges]), np.array([counts]), tau)
+    assert bits([_row_gain(edges, counts, tau)]) == bits(kernel)
+
+
+def numpy_rebin(edges, counts):
+    """Fig. 3a over numpy arrays: the re-bin the list re-bin replaced."""
+    edges, counts = np.array(edges), np.array(counts)
+    merged_edges = np.concatenate((edges[:1], edges[2:]))
+    merged_counts = np.concatenate(([counts[0] + counts[1]], counts[2:]))
+    widths = merged_edges[2:] - merged_edges[1:-1]
+    split = 1 + int(np.argmax(widths))
+    mid = 0.5 * (merged_edges[split] + merged_edges[split + 1])
+    half = merged_counts[split] / 2.0
+    return (np.concatenate((merged_edges[:split + 1], [mid],
+                            merged_edges[split + 1:])),
+            np.concatenate((merged_counts[:split], [half, half],
+                            merged_counts[split + 1:])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows(bin_counts=BIN_COUNTS[1:]))
+def test_list_rebin_is_the_numpy_rebin(row):
+    edges, counts = row
+    bank = HistogramBank(1, n_bins=len(counts))
+    bank.load(0, edges, counts, 0, 0)
+    assert bank.row(0).maybe_extend_lowest(float("inf"))
+    want_edges, want_counts = numpy_rebin(edges, counts)
+    assert bits(bank.row_edges[0]) == bits(want_edges)
+    assert bits(bank.row_counts[0]) == bits(want_counts)
+    # The resync's pairwise mass is numpy's sum of the row.
+    assert bits([bank.row_mass[0]]) == bits([want_counts.sum()])
+    assert bank.row_top[0] == want_edges[-1]
+    assert bank.row_rebin_at[0] == want_edges[2]
+
+
+# -- the refresh -------------------------------------------------------------
+
+
+def spy(monkeypatch, name):
+    """The argument tuples of every call to ``histogram.<name>``."""
+    calls = []
+    real = getattr(histogram, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(histogram, name, recorded)
+    return calls
+
+
+def test_a_refresh_evaluates_only_the_asked_stale_rows(monkeypatch):
     bank = HistogramBank(6)
     for row in range(6):
         bank.row(row).add_many([0.01 * (row + 1), 0.05])
+    calls = spy(monkeypatch, "_row_gain")
+
+    def evaluated():
+        found = [next(row for row in range(6) if bank.row_edges[row] is edges)
+                 for edges, _, _ in calls]
+        calls.clear()
+        return found
+
     assert bank.gains([0, 1], 0.02) == bank.gains([0, 1], 0.02)
-    assert bank.row_gain_at[:3] == [0.02, 0.02, STALE]
-    bank.row(4).add(0.03)           # never evaluated: not "since a refresh"
-    bank.gains([2, 3], 0.02)
-    bank.row(2).add(0.07)
-    assert bank.row_gain_at[2] is STALE and bank.touched_rows == [2]
-    # Threshold moves: asking for row 0 alone refreshes 0 (asked), 2
-    # (mutated) and 3 (read since the last refresh, other threshold) —
-    # not 1, which was last read before that refresh.
-    bank.gains([0], 0.04)
-    assert bank.row_gain_at == [0.04, 0.02, 0.04, 0.04, STALE, STALE]
-    assert bank.touched_rows == []
+    assert evaluated() == [0, 1]           # the second read is cached
+    bank.row(0).add(0.03)
+    bank.row(2).add(0.07)                  # stale, but never asked
+    bank.gains([0, 1], 0.02)
+    assert evaluated() == [0]
+    bank.gains([1, 3], 0.04)               # a moved threshold: the asked rows
+    assert evaluated() == [1, 3]
+    assert bank.row_gain_at == [0.02, 0.04, STALE, 0.04, STALE, STALE]
     fresh = [AdaptiveHistogram.from_dict(bank.row(row).to_dict())
-             .expected_marginal_gain(0.04) for row in (0, 2, 3)]
-    assert [bank.row_gain[row] for row in (0, 2, 3)] == fresh
+             .expected_marginal_gain(tau)
+             for row, tau in ((0, 0.02), (1, 0.04), (3, 0.04))]
+    assert [bank.row_gain[row] for row in (0, 1, 3)] == fresh
+
+
+def test_a_wide_refresh_is_one_kernel_call(monkeypatch):
+    wide = KERNEL_ROWS + 1
+    bank = HistogramBank(wide)
+    for row in range(wide):
+        bank.row(row).add(0.01 * (row % 9))
+    one_by_one = [_row_gain(bank.row_edges[row], bank.row_counts[row], 0.03)
+                  for row in range(wide)]
+    row_calls = spy(monkeypatch, "_row_gain")
+    kernel_calls = spy(monkeypatch, "_gain_matrix")
+    assert bank.gains(range(wide), 0.03) == one_by_one
+    assert (len(kernel_calls), len(row_calls)) == (1, 0)
+    bank.gains(range(KERNEL_ROWS), 0.05)
+    assert (len(kernel_calls), len(row_calls)) == (1, KERNEL_ROWS)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import re
 from pathlib import Path
 
@@ -29,6 +30,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.core.engine import EngineConfig, TopKEngine
+from repro.core.histogram import AdaptiveHistogram
 from repro.core.snapshot import restore_memo, snapshot_memo
 from repro.data.synthetic import SyntheticClustersDataset
 from repro.errors import SerializationError
@@ -131,6 +133,12 @@ NESTED = [
 ]
 NESTED_FORMAT = {("memo", "format"): "repro-memo/1"}
 
+#: Where a document nests a histogram payload: (kind, path to it).
+HISTOGRAMS = [
+    ("engine-snapshot", ("tree", "histogram")),
+    ("priors", ("priors", 0, "nodes", "root")),
+]
+
 #: A coordinator snapshot carries one engine snapshot per shard.
 COORDINATORS = ["sharded-snapshot", "streaming-snapshot"]
 SHARD_FORMAT = "repro-engine-snapshot/1"
@@ -186,6 +194,29 @@ def without(payload: dict, path) -> dict:
     return payload
 
 
+def replaced(payload: dict, path, value) -> dict:
+    payload = copy.deepcopy(payload)
+    parent = payload
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return payload
+
+
+def bad_histograms(good: dict):
+    """``(case, a histogram no sketch could hold, what the refusal names)``."""
+    edges, counts = good["edges"], good["counts"]
+    yield "nan-edge", dict(good, edges=[edges[0], math.nan] + edges[2:]), \
+        "edges"
+    yield "descending-edges", dict(good, edges=edges[::-1]), "edges"
+    yield "inf-top-edge", dict(good, edges=edges[:-1] + [math.inf]), "edges"
+    yield "negative-count", dict(good, counts=[-5.0] + counts[1:]), "counts"
+    yield "nan-count", dict(good, counts=[math.nan] + counts[1:]), "counts"
+    yield "one-bin", dict(good, n_bins=1, edges=[edges[0], edges[-1]],
+                          counts=[1.0]), "n_bins"
+    yield "beta-outside-1-2", dict(good, beta=3.0), "beta"
+
+
 def mistyped(payload: dict, key: str) -> dict:
     return dict(payload, **{key: 0 if isinstance(payload[key], str)
                             else "x"})
@@ -219,6 +250,14 @@ def malformed_cases():
                payload["format"], payload["format"])
         yield (kind, "null-worker", dict(payload, workers=[None] + shards[1:]),
                SHARD_FORMAT, "NoneType")
+    for kind, path in HISTOGRAMS:
+        payload = fixture(kind)
+        good = payload
+        for key in path:
+            good = good[key]
+        for case, bad, found in bad_histograms(good):
+            yield (kind, f"histogram-{case}", replaced(payload, path, bad),
+                   payload["format"], found)
 
 
 CASES = list(malformed_cases())
@@ -305,11 +344,18 @@ def memo_stores(draw):
     return store
 
 
+def histogram_payload(n_bins: int, values) -> dict:
+    sketch = AdaptiveHistogram(n_bins=n_bins)
+    sketch.add_many(values)
+    return sketch.to_dict()
+
+
 @st.composite
 def prior_stores(draw):
     store = PriorStore()
     nodes = st.dictionaries(st.sampled_from(["root", "n0", "n1"]),
-                            st.fixed_dictionaries({"n_bins": st.integers(1, 8)}),
+                            st.builds(histogram_payload, st.integers(2, 8),
+                                      st.lists(SCORES, max_size=5)),
                             min_size=1)
     for udf, scope, payload in draw(st.lists(
             st.tuples(UDFS, st.sampled_from(["single:", "shard:0:2:7:"]),

@@ -310,6 +310,7 @@ class TestSnapshotResume:
         assert store.n_entries("udf-A") == 20
 
     def test_memo_store_roundtrip_via_core_snapshot(self):
+        from repro.core.histogram import AdaptiveHistogram
         from repro.core.snapshot import restore_memo, snapshot_memo
         from repro.errors import SerializationError
         from repro.memo import MemoStore, PriorStore
@@ -317,11 +318,12 @@ class TestSnapshotResume:
         store = MemoStore()
         store.view("fp").record(["a", "b"], [1.0, 2.0])
         priors = PriorStore()
-        priors.put("fp", "single:", {"n0": {"bins": []}})
+        node = AdaptiveHistogram().to_dict()
+        priors.put("fp", "single:", {"n0": node})
         payload = snapshot_memo(store, priors)
         memo2, priors2 = restore_memo(payload)
         assert memo2.view("fp").lookup(["a", "b"])[0] == [1.0, 2.0]
-        assert priors2.get("fp", "single:") == {"n0": {"bins": []}}
+        assert priors2.get("fp", "single:") == {"n0": node}
         memo3, priors3 = restore_memo(snapshot_memo(store))
         assert memo3.n_entries("fp") == 2 and len(priors3) == 0
         with pytest.raises(SerializationError):
@@ -345,20 +347,26 @@ class TestWarmStartPriors:
         assert len(warm_a.items) == len(cold.items) == 5
 
     def test_prior_store_is_lru_bounded(self):
+        from repro.core.histogram import AdaptiveHistogram
         from repro.memo.priors import MAX_PRIOR_PAYLOADS, PriorStore
+
+        def node(mass: int) -> dict:
+            sketch = AdaptiveHistogram()
+            sketch.add_many([0.05] * mass)
+            return sketch.to_dict()
 
         store = PriorStore()
         for i in range(MAX_PRIOR_PAYLOADS):
-            store.put("fp", f"single:{i}", {"root": {"i": i}, "n1": {}})
+            store.put("fp", f"single:{i}", {"root": node(i), "n1": node(0)})
         assert store.get("fp", "single:0")          # a get is a use
-        store.put("fp", "single:new", {"root": {}})
+        store.put("fp", "single:new", {"root": node(0)})
         assert len(store) == MAX_PRIOR_PAYLOADS
         assert store.get("fp", "single:0") and store.get("fp", "single:new")
         assert store.get("fp", "single:1") is None  # the stalest one went
         # The rest of the surface is unchanged by the bound.
         twin = PriorStore.from_dict(store.to_dict())
         assert len(twin) == len(store)
-        assert twin.get("fp", "single:0") == {"root": {"i": 0}, "n1": {}}
+        assert twin.get("fp", "single:0") == {"root": node(0), "n1": node(0)}
         assert twin.drop_nodes(["n1"]) == MAX_PRIOR_PAYLOADS - 1
 
     def test_prior_store_stays_bounded_over_a_soak(self, memo_table,
