@@ -59,7 +59,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError, SerializationError
-from repro.utils.validation import check_positive, check_positive_int
+from repro.utils.validation import (check_positive, check_positive_int,
+                                    check_scores)
 
 
 def _overlap_redistribute_scalar(
@@ -352,10 +353,8 @@ class HistogramBank:
         list operations.
         """
         value = float(value)
-        if value < 0.0:
-            raise ConfigurationError(
-                f"scores must be non-negative (opaque top-k setting), got {value!r}"
-            )
+        if not 0.0 <= value < math.inf:
+            check_scores((value,))  # raises, before any row changes
         top, rebin_at, stale = self.row_top, self.row_rebin_at, self.row_gain_at
         edges, counts, mass = self.row_edges, self.row_counts, self.row_mass
         last = self.n_bins - 1
@@ -365,7 +364,7 @@ class HistogramBank:
             if value > top[row]:
                 self.row(row).extend_range(self.beta * value)
             index = bisect_right(edges[row], value) - 1
-            if index > last:  # the top border itself, and NaN
+            if index > last:  # the top border itself
                 index = last
             elif index < 0:
                 index = 0
@@ -466,17 +465,11 @@ class AdaptiveHistogram:
             arr = arr.reshape(-1)
         if arr.size == 0:
             return
-        if arr.min() < 0.0:
-            bad = float(arr[arr < 0.0][0])
-            raise ConfigurationError(
-                f"scores must be non-negative (opaque top-k setting), got {bad!r}"
-            )
+        if not ((arr >= 0.0) & (arr < math.inf)).all():
+            check_scores(arr.tolist())  # raises, before the row changes
         bank, row = self._bank, self._row
         start = 0
         while start < arr.size:
-            # ``> max_range`` (not ``<=``-negation) so NaN counts as fitting,
-            # exactly like the scalar add(): NaN never triggers an extension
-            # and searchsorted clamps it into the top bin.
             over = arr[start:] > bank.row_top[row]
             if not over.any():
                 stop = arr.size

@@ -223,16 +223,42 @@ class TestVectorizedEquivalence:
         with pytest.raises(ConfigurationError):
             h.add_batch([0.5, -0.1, 1.0])
 
-    def test_add_batch_tolerates_nan_like_scalar_add(self):
-        """NaN must not hang the batch loop; it bins like the scalar path."""
-        batched = AdaptiveHistogram(n_bins=8, initial_range=1.0)
-        sequential = AdaptiveHistogram(n_bins=8, initial_range=1.0)
-        values = [0.5, float("nan"), 0.7, 3.0, float("nan")]
-        batched.add_batch(values)
-        for v in values:
-            sequential.add(v)
-        np.testing.assert_array_equal(batched.edges, sequential.edges)
-        np.testing.assert_array_equal(batched.counts, sequential.counts)
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf")])
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_non_finite_scores_are_refused_before_any_change(self, bad,
+                                                             batched):
+        """NaN used to count as top-bin mass and inf to turn the edges into
+        ``[nan, inf, ...]``; both are refused with ``check_scores``'s
+        message, the sketch untouched, and the batch loop never reached
+        (a NaN it mishandled could spin it: the call runs on a thread
+        that must come back)."""
+        import threading
+
+        from repro.errors import ConfigurationError
+
+        h = AdaptiveHistogram(n_bins=8, initial_range=1.0)
+        h.add_batch([0.5, 0.7])
+        before = (h.edges.tolist(), h.counts.tolist(), h.total_mass)
+        values = [0.5, bad, 0.7, 3.0]
+        raised = []
+
+        def record():
+            try:
+                if batched:
+                    h.add_batch(values)
+                else:
+                    h.add(bad)
+            except ConfigurationError as exc:
+                raised.append(str(exc))
+
+        worker = threading.Thread(target=record, daemon=True)
+        worker.start()
+        worker.join(timeout=10.0)
+        assert not worker.is_alive()
+        assert raised and raised[0].startswith(
+            "opaque scores must be finite and non-negative")
+        assert (h.edges.tolist(), h.counts.tolist(), h.total_mass) == before
 
     def test_add_batch_accepts_generators(self):
         """The ScoreSketch contract is Iterable, not Sequence."""

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import repro.index.kmeans as kmeans_module
 from repro.errors import ConfigurationError, NotFittedError
 from repro.index.builder import IndexConfig, build_index
-from repro.index.kmeans import (BLOCK_ROWS, KMeans, _assign,
-                                _pairwise_sq_dists, _row_sq_norms,
+from repro.index.kmeans import (BLOCK_ROWS, KMeans, _assign, _margin,
+                                _pairwise_sq_dists, _row_sq_norms, _shifts,
                                 rows_by_label)
 
 
@@ -220,6 +222,193 @@ class TestWorkingMemory:
         assert predict_2l - predict < 1.5e6
 
 
+def lloyd_before_certified_labels(model, points):
+    """``KMeans.fit`` as it stood before sweeps skipped certified rows,
+    verbatim: every sweep is one canonical :func:`_assign`, every centroid
+    the mean over one group of a stable label sort.  The oracle the fit
+    must reproduce bit for bit."""
+    points = np.asarray(points, dtype=float)
+    points_sq = _row_sq_norms(points)
+    centroids = model._init_plus_plus(points, points_sq)
+    for sweep in range(model.max_iter):
+        labels, assigned_sq = _assign(points, points_sq, centroids)
+        groups = rows_by_label(labels, model.n_clusters)
+        new_centroids = centroids.copy()
+        for cluster, members in enumerate(groups):
+            if len(members):
+                new_centroids[cluster] = points[members].mean(axis=0)
+            else:
+                # Empty-cluster repair: re-seed at the point with the
+                # largest distance to its assigned centroid.
+                farthest = int(np.argmax(assigned_sq))
+                new_centroids[cluster] = points[farthest]
+                assigned_sq[farthest] = 0.0
+        movement = float(np.sum((new_centroids - centroids) ** 2))
+        centroids = new_centroids
+        model.n_iter_ = sweep + 1
+        if movement <= model.tol:
+            break
+    model.labels_, assigned_sq = _assign(points, points_sq, centroids)
+    model.centroids_ = centroids
+    model.inertia_ = float(assigned_sq.sum())
+    return model
+
+
+def assert_same_fit(points, n_clusters, max_iter, seed):
+    fit = KMeans(n_clusters, max_iter=max_iter, rng=seed).fit(points)
+    want = lloyd_before_certified_labels(
+        KMeans(n_clusters, max_iter=max_iter, rng=seed), points)
+    assert fit.centroids_.tobytes() == want.centroids_.tobytes()
+    assert np.array_equal(fit.labels_, want.labels_)
+    assert float.hex(fit.inertia_) == float.hex(want.inertia_)
+    assert fit.n_iter_ == want.n_iter_
+    # The same RNG stream consumed: the next draw agrees.
+    assert fit._rng.integers(2**62) == want._rng.integers(2**62)
+
+
+def fit_table(kind, n, dim, seed):
+    """A seeded table of one of the shapes the bounds must survive."""
+    rng = np.random.default_rng(seed)
+    if kind == "mixture":  # at a random scale: eta follows R
+        scale = 10.0 ** rng.integers(-3, 4)
+        centres = rng.normal(scale=6.0, size=(9, dim))
+        return scale * (centres[rng.integers(9, size=n)]
+                        + rng.normal(size=(n, dim)))
+    if kind == "duplicates":  # fewer distinct rows than clusters: repairs
+        distinct = rng.normal(size=(int(rng.integers(1, 6)), dim))
+        return distinct[rng.integers(len(distinct), size=n)]
+    # An integer grid: rows exactly equidistant from two centroids, and
+    # some zero coordinates stored as -0.0.
+    grid = rng.integers(-3, 4, size=(n, dim)).astype(float)
+    return np.where((grid == 0) & (rng.random((n, dim)) < 0.5), -0.0, grid)
+
+
+class TestCertifiedSweeps:
+    """Skipping the rows whose label is certified changes no float.
+
+    The bounds only decide which rows a sweep re-measures; every label is
+    the canonical ``argmin`` of the whole-table product, every centroid
+    the mean ``mean(axis=0)`` takes, so the fit is the loop it replaced.
+    """
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(kind=st.sampled_from(["mixture", "duplicates", "grid"]),
+           dim=st.sampled_from([1, 2, 3, 8, 64]),
+           n_clusters=st.sampled_from([1, 2, 7, 32, 64]),
+           n=st.one_of(st.integers(1, 300),
+                       st.sampled_from([2047, 2049, 4095, 4097])),
+           max_iter=st.sampled_from([1, 3, 30]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_fit_is_the_loop_it_replaced(self, kind, dim, n_clusters, n,
+                                         max_iter, seed):
+        n = max(n, n_clusters)
+        assert_same_fit(fit_table(kind, n, dim, seed), n_clusters, max_iter,
+                        seed)
+
+    @settings(max_examples=40, deadline=None)
+    @given(dim=st.sampled_from([1, 2, 3, 8]),
+           exponent=st.integers(-200, 200),
+           offset=st.sampled_from([0.0, 1e-8, 1e-3, 1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_eta_bounds_the_evaluation_error(self, dim, exponent, offset,
+                                             seed):
+        """Against exact rational arithmetic, at any scale and with the
+        cancellation of rows right beside a centroid: one evaluation is
+        within ``eta`` of ``|x - c|**2`` and a shift bound is at least the
+        exact move."""
+        from fractions import Fraction
+
+        rng = np.random.default_rng(seed)
+        scale = 2.0 ** exponent
+        centroids = rng.normal(size=(3, dim)) * scale
+        points = np.vstack([centroids + offset * scale
+                            * rng.normal(size=(3, dim)),
+                            rng.normal(size=(5, dim)) * scale])
+        eta = Fraction(_margin(float(np.max(_row_sq_norms(points))),
+                               centroids))
+        got = _pairwise_sq_dists(points, centroids)
+        for i, row in enumerate(points):
+            for j, centre in enumerate(centroids):
+                exact = sum((Fraction(a) - Fraction(b)) ** 2
+                            for a, b in zip(row, centre))
+                assert abs(Fraction(got[i, j]) - exact) <= eta
+        moved = centroids + rng.normal(size=(3, dim)) * scale * offset
+        for bound, old, new in zip(_shifts(centroids, moved), centroids,
+                                   moved):
+            exact_sq = sum((Fraction(a) - Fraction(b)) ** 2
+                           for a, b in zip(new, old))
+            assert Fraction(bound) ** 2 >= exact_sq
+
+    def _measured_rows(self, monkeypatch, points, n_clusters, max_iter,
+                       init=None):
+        """Rows handed to ``_pairwise_sq_dists`` per call, per sweep."""
+        sweeps = []
+        relabel = kmeans_module._relabel
+        measure = kmeans_module._pairwise_sq_dists
+
+        def each_sweep(*args):
+            sweeps.append([])
+            return relabel(*args)
+
+        def counted(points, centroids, points_sq=None):
+            if sweeps:
+                sweeps[-1].append(len(points))
+            return measure(points, centroids, points_sq)
+
+        monkeypatch.setattr(kmeans_module, "_relabel", each_sweep)
+        monkeypatch.setattr(kmeans_module, "_pairwise_sq_dists", counted)
+        if init is not None:
+            monkeypatch.setattr(KMeans, "_init_plus_plus",
+                                lambda self, points, points_sq: init.copy())
+        model = KMeans(n_clusters, max_iter=max_iter, rng=0).fit(points)
+        sweeps[-1] = sweeps[-1][:-len(list(
+            kmeans_module._row_blocks(len(points))))]  # the final _assign
+        return model, sweeps
+
+    def test_later_sweeps_measure_a_tenth_of_a_mix_table(self, monkeypatch):
+        """A 20 000-row table shaped like the benchmark's ``mix`` (20
+        Gaussian clusters along one axis, d = 8, L = 32, 32 sweeps).
+        Sweeps 0 and 1 measure (nearly) every row, sweep 2 59 %; from
+        sweep 8 on a sweep measures 3-20 % of the rows, 12 % on average,
+        where the sweeps this replaced measured them all.  None needs the
+        canonical fallback: each block of the table is measured by at most
+        one call a sweep."""
+        rng = np.random.default_rng(20250613)
+        rank = np.arange(20)
+        centres = np.zeros((20, 8))
+        centres[:, 0] = 8.0 * (rank + 0.35 * (rank // 2) + 0.7 * (rank // 4)
+                               + 1.4 * (rank // 8) + 2.8 * (rank // 16))
+        points = centres[np.arange(20_000) % 20] + rng.normal(
+            size=(20_000, 8))
+        model, sweeps = self._measured_rows(monkeypatch, points, 32, 32)
+        assert model.n_iter_ == 32 == len(sweeps)
+        shares = [sum(calls) / len(points) for calls in sweeps]
+        assert shares[0] == 1.0
+        assert max(shares[8:]) <= 0.21, shares
+        assert sum(shares[8:]) / len(shares[8:]) <= 0.13, shares
+        n_blocks = len(list(kmeans_module._row_blocks(len(points))))
+        assert all(len(calls) <= n_blocks for calls in sweeps)
+
+    def test_an_exact_tie_takes_the_canonical_fallback(self, monkeypatch):
+        """Rows at the origin lie exactly between centroids (-1, 0) and
+        (1, 0) — the fixed point the fit reaches from the seeds below in
+        one sweep.  In sweep 1 every other row is certified, the tied rows
+        are gathered (25 rows), their best two distances are equal, and
+        the block's canonical product (100 rows) gives them the first
+        centroid, as ``argmin`` over the whole matrix does."""
+        points = np.repeat([[-2.0, 0.0], [0.0, 0.0], [1.0, 1.0],
+                            [1.0, -1.0]], 25, axis=0)
+        init = np.array([[-1.0, 0.0], [1.0, 0.5]])
+        model, sweeps = self._measured_rows(monkeypatch, points, 2, 10,
+                                            init=init)
+        assert sweeps == [[100], [25, 100]]
+        assert model.n_iter_ == 2
+        assert model.centroids_.tolist() == [[-1.0, 0.0], [1.0, 0.0]]
+        assert model.labels_.tolist() == [0] * 50 + [1] * 50
+        assert_same_fit(points, 2, 10, seed=0)  # from the same seeds
+
+
 class TestKMeansValidation:
     def test_invalid_k(self):
         with pytest.raises(ConfigurationError):
@@ -236,6 +425,33 @@ class TestKMeansValidation:
     def test_1d_input_rejected(self):
         with pytest.raises(ConfigurationError):
             KMeans(2).fit(np.asarray([1.0, 2.0, 3.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_fit_refuses_a_non_finite_row_by_index(self, rng, bad):
+        """It used to die inside k-means++ with numpy's "Probabilities
+        contain NaN" (or cluster an inf row)."""
+        points = rng.normal(size=(40, 3))
+        points[17, 1] = bad
+        with pytest.raises(ConfigurationError, match="element 17 has"):
+            KMeans(3, rng=0).fit(points)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_predict_refuses_a_non_finite_row(self, rng, bad):
+        """``predict([[nan, 0, 0]])`` used to return label 0."""
+        model = KMeans(2, rng=0).fit(rng.normal(size=(30, 3)))
+        with pytest.raises(ConfigurationError, match="element 0 has"):
+            model.predict([[bad, 0.0, 0.0]])
+
+    @pytest.mark.parametrize("shape", [(4, 2), (4, 5), (3,), (2, 3, 1)])
+    def test_predict_refuses_another_width(self, rng, shape):
+        """Used to surface as a raw ``matmul`` error."""
+        model = KMeans(2, rng=0).fit(rng.normal(size=(30, 3)))
+        with pytest.raises(ConfigurationError, match=r"\(n, 3\) matrix"):
+            model.predict(np.zeros(shape))
+
+    def test_predict_takes_no_rows(self, rng):
+        model = KMeans(2, rng=0).fit(rng.normal(size=(30, 3)))
+        assert model.predict(np.zeros((0, 3))).shape == (0,)
 
 
 class TestKMeansBehaviour:
