@@ -25,16 +25,19 @@ The engine exposes two equivalent driving styles:
 
 Hot-path invariants
 -------------------
-Per-element engine overhead is O(depth) Python steps; at ``BATCH 1`` the
-histogram work of a select and of an observation is plain Python floats:
+Per-element engine overhead is O(depth) Python steps, and the histogram
+work of a select and of an observation is plain Python floats at every
+batch width:
 
 * ``exhausted`` and the per-descent candidate filters read the policy's
   incremental ``remaining`` counters (the policy alone writes them — see
   :mod:`repro.core.hierarchical`), never rescanning leaves.
 * ``observe`` validates the batch (finite, non-negative) and folds it with
-  **one** walk of the drawn leaf's precomputed root path; the
-  priority-queue offers stay per-element so the threshold evolves exactly
-  as in Algorithm 1, and the path update uses the post-batch threshold.
+  **one** walk of the drawn leaf's precomputed root path (one sort per
+  batch, a few bisections per row); the priority-queue offers stay
+  per-element (``TopKBuffer.offer_batch``) so the threshold evolves
+  exactly as in Algorithm 1, and the path update uses the post-batch
+  threshold.
 * Gains are cached per row of the policy's histogram bank.  A mutation
   stales its row, a moved threshold misses the cached one, and a descent
   evaluates only the stale rows it reads, one by one; numpy's dispatch
@@ -64,7 +67,7 @@ from repro.errors import ConfigurationError, ExhaustedError, SerializationError
 from repro.index.tree import ClusterTree
 from repro.obs.metrics import MEMO_HITS_TOTAL, UDF_CALLS_TOTAL
 from repro.obs.spans import TraceContext
-from repro.persist import NULL, NUMBER, read
+from repro.persist import NULL, NUMBER, read, read_topk
 from repro.utils.rng import RngFactory, SeedLike
 from repro.utils.timer import Stopwatch
 from repro.utils.validation import check_positive_int, check_scores
@@ -362,14 +365,12 @@ class TopKEngine:
                     f"observe() ids out of order: expected {expected_id!r}, "
                     f"got {got_id!r}"
                 )
-        total_gain = 0.0
         with self.overhead:
             batch_scores = np.asarray(scores, dtype=float).reshape(-1).tolist()
             check_scores(batch_scores)
             # Per-element priority-queue offers: the threshold must evolve
             # within the batch exactly as in the scalar Algorithm 1 loop.
-            for element_id, score in zip(self._pending, batch_scores):
-                total_gain += self.buffer.offer(score, element_id)
+            total_gain = self.buffer.offer_batch(batch_scores, self._pending)
             self.n_scored += len(self._pending)
             self._pending = []
             # A scan batch came from no leaf: the policy has nothing pending.
@@ -579,6 +580,7 @@ class TopKEngine:
                         n_drops=(int, NULL), fallback_n_checks=(int, NULL),
                         fallback_next_check=(int, NULL),
                         overhead_elapsed=NUMBER + (NULL,))
+        buffer = read_topk(snapshot["buffer"], fmt)
         if config is None:
             config = EngineConfig(k=snapshot["k"], seed=resume_seed)
         elif config.k != snapshot["k"]:
@@ -589,8 +591,8 @@ class TopKEngine:
         except SerializationError as exc:
             raise SerializationError(f"expected {fmt} tree: {exc}") from exc
         engine.policy.flattened = bool(snapshot.get("flattened"))
-        for score, payload in snapshot["buffer"]:
-            engine.buffer.offer(float(score), payload)
+        for score, payload in buffer:
+            engine.buffer.offer(score, payload)
         engine.mode = snapshot["mode"]
         engine._scan_queue = list(snapshot.get("scan_queue") or ())
         engine.t_batches = counters["t_batches"]

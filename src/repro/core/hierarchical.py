@@ -54,8 +54,8 @@ of one row for tests and EXPLAIN.
   children's gains, and only the children whose cached gain is stale —
   touched by an observation since, or cached at another threshold — are
   evaluated, in Python floats; nothing is refreshed ahead of time.  A
-  single score is folded into the leaf's whole root path by one bank
-  call.  A row whose sketch is not bank-backed (custom
+  batch of any width is folded into the leaf's whole root path by one
+  bank call.  A row whose sketch is not bank-backed (custom
   ``sketch_factory``, a prior with another ``n_bins``) answers
   ``expected_marginal_gain`` itself.
 
@@ -67,8 +67,6 @@ from __future__ import annotations
 
 from typing import (Callable, Dict, Iterator, List, Mapping, Optional,
                     Sequence, Set, Tuple)
-
-import numpy as np
 
 from repro.core.arms import ArmState
 from repro.core.bandit import BanditConfig
@@ -355,31 +353,30 @@ class HierarchicalBanditPolicy:
         """Fold the pending batch's scores into its leaf's root-to-leaf path.
 
         One walk of the leaf's precomputed path per batch: each row applies
-        at most one Fig. 3a re-bin check, then absorbs the scores.  A single
-        score over bank rows is one bank call for the whole path
-        (``HistogramBank.fold``); otherwise each sketch takes it through
-        ``add`` and a larger batch through ``add_batch``.  A leaf the draw
-        ran dry is then dropped (Section 3.2.4), whether or not any score
-        was folded.  Without a pending :meth:`select` this is a no-op.
+        at most one Fig. 3a re-bin check, then absorbs the scores.  Over
+        bank rows the whole path is one bank call
+        (``HistogramBank.fold``), in Python floats at every batch width;
+        otherwise each sketch takes one score through ``add`` and a
+        larger batch through ``add_batch``.  A leaf the draw ran dry is
+        then dropped (Section 3.2.4), whether or not any score was folded.
+        Without a pending :meth:`select` this is a no-op.
         """
         leaf, self._pending = self._pending, None
         if leaf is None:
             return
-        if len(scores) == 1 and not self._foreign:
-            self._bank.fold(self._paths[leaf], scores[0],
+        if not self._foreign:
+            self._bank.fold(self._paths[leaf], scores,
                             threshold if enable_rebinning else None)
         elif len(scores):
             single = len(scores) == 1
-            # One conversion shared by every histogram on the path.
-            batch = scores[0] if single else np.asarray(scores, dtype=float)
             for row in self._paths[leaf]:
                 sketch = self._sketches[row]
                 if enable_rebinning:
                     sketch.maybe_extend_lowest(threshold)
                 if single:
-                    sketch.add(batch)
+                    sketch.add(scores[0])
                 else:
-                    sketch.add_batch(batch)
+                    sketch.add_batch(scores)
         if self._remaining[leaf] <= 0:
             self._drop(leaf)
 

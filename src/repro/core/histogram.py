@@ -37,9 +37,13 @@ read costs 12-25 ns.  An :class:`AdaptiveHistogram` *is* a row of a bank —
 the policy allocates one bank for all its nodes, a standalone sketch owns
 a one-row bank — and the one place the maintenance arithmetic is written.
 Every mutator rewrites its row and marks it stale; nothing else may write
-the rows (``edges`` and ``counts`` are copies).  The rare, wide operations
-— range extension, subtraction, merging and batch folding — run numpy over
-copies of the row and write the result back.
+the rows (``edges`` and ``counts`` are copies).  Batch folding, range
+extension, subtraction and merging are Python floats too: at ``BATCH 8``
+or ``64`` a path row's fold is a sort shared by the path and ``B - 1``
+bisections, where numpy made ten calls to bin a few dozen floats.  Each
+performs the IEEE operations of the numpy code it replaced in that
+code's order, so the floats are the same (``tests/test_batch_fold.py``
+keeps that code as the oracle).
 
 Equation 2 has two forms that agree bit for bit
 (``tests/test_histogram_bank.py``): :func:`_row_gain`, one row in Python
@@ -53,7 +57,7 @@ leaves after a threshold move — to one kernel call.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -63,81 +67,87 @@ from repro.utils.validation import (check_positive, check_positive_int,
                                     check_scores)
 
 
-def _overlap_redistribute_scalar(
-    old_edges: np.ndarray, old_counts: np.ndarray, new_edges: np.ndarray
-) -> np.ndarray:
-    """Reference (pre-vectorization) implementation of the redistribution.
+def _grid(start: float, stop: float, n_bins: int) -> List[float]:
+    """``np.linspace(start, stop, n_bins + 1).tolist()``, bit for bit.
 
-    Kept as the oracle for the property tests in
-    ``tests/test_histogram_vectorized.py``; the production path is the
-    vectorized :func:`_overlap_redistribute` below.
+    numpy's arithmetic in Python floats: edge ``i`` is ``i * step + start``
+    with ``step = (stop - start) / n_bins`` (``i / n_bins * delta + start``
+    when that step underflows to zero), and the last edge is ``stop``.
     """
-    new_counts = np.zeros(len(new_edges) - 1, dtype=float)
-    for i in range(len(old_counts)):
-        count = old_counts[i]
-        if count <= 0.0:
-            continue
-        lo, hi = old_edges[i], old_edges[i + 1]
-        width = hi - lo
-        if width <= 0.0:
-            # Degenerate zero-width bin: treat as a point mass at ``lo``.
-            j = int(np.clip(np.searchsorted(new_edges, lo, side="right") - 1,
-                            0, len(new_counts) - 1))
-            new_counts[j] += count
-            continue
-        first = int(np.clip(np.searchsorted(new_edges, lo, side="right") - 1,
-                            0, len(new_counts) - 1))
-        for j in range(first, len(new_counts)):
-            seg_lo = max(lo, new_edges[j])
-            seg_hi = min(hi, new_edges[j + 1])
-            if seg_hi <= seg_lo:
-                if new_edges[j] >= hi:
-                    break
-                continue
-            new_counts[j] += count * (seg_hi - seg_lo) / width
-    return new_counts
+    delta = stop - start
+    step = delta / n_bins
+    if step == 0.0:
+        grid = [i / n_bins * delta + start for i in range(n_bins)]
+    else:
+        grid = [i * step + start for i in range(n_bins)]
+    grid.append(stop)
+    return grid
 
 
-def _overlap_redistribute(
-    old_edges: np.ndarray, old_counts: np.ndarray, new_edges: np.ndarray
-) -> np.ndarray:
+def _overlap_redistribute(old_edges: Sequence[float],
+                          old_counts: Sequence[float],
+                          new_edges: Sequence[float]) -> List[float]:
     """Redistribute ``old_counts`` onto ``new_edges`` by interval overlap.
 
     Under the uniform value assumption each old bin's mass is spread evenly
     across its interval, so the mass landing in a new bin is proportional to
     the length of the intersection.  Total mass is conserved whenever the new
-    grid covers the old one.
+    grid covers the old one.  A degenerate zero-width old bin is a point
+    mass at its border, landing in the new bin that holds it.
 
-    Vectorized as one (old x new) overlap matrix — no Python inner loops;
-    degenerate zero-width old bins are routed as point masses at their left
-    border, exactly like the scalar reference.
+    Python floats in the order of the numpy (old x new) overlap matrix
+    this replaced: each new bin sums ``count * overlap / width`` over the
+    old bins in order, then the point masses are added in order.
     """
-    old_counts = np.asarray(old_counts, dtype=float)
-    old_edges = np.asarray(old_edges, dtype=float)
-    new_edges = np.asarray(new_edges, dtype=float)
     n_new = len(new_edges) - 1
-    new_counts = np.zeros(n_new, dtype=float)
-    positive = old_counts > 0.0
-    if not positive.any():
-        return new_counts
-    lows = old_edges[:-1]
-    highs = old_edges[1:]
-    widths = highs - lows
-    spread = positive & (widths > 0.0)
-    if spread.any():
-        seg_lo = np.maximum(lows[spread, None], new_edges[None, :-1])
-        seg_hi = np.minimum(highs[spread, None], new_edges[None, 1:])
-        overlap = np.maximum(seg_hi - seg_lo, 0.0)
-        contrib = old_counts[spread, None] * overlap / widths[spread, None]
-        new_counts += contrib.sum(axis=0)
-    point = positive & (widths <= 0.0)
-    if point.any():
-        slots = np.clip(
-            np.searchsorted(new_edges, lows[point], side="right") - 1,
-            0, n_new - 1,
-        )
-        np.add.at(new_counts, slots, old_counts[point])
+    new_counts = [0.0] * n_new
+    points = []
+    for count, low, high in zip(old_counts, old_edges, old_edges[1:]):
+        if not count > 0.0:
+            continue
+        width = high - low
+        if not width > 0.0:
+            points.append((low, count))
+            continue
+        # New bins left of the one holding ``low`` end at or below it.
+        j = bisect_right(new_edges, low) - 1
+        if j < 0:
+            j = 0
+        while j < n_new:
+            new_low, new_high = new_edges[j], new_edges[j + 1]
+            if new_low >= high:
+                break
+            overlap = ((high if high < new_high else new_high)
+                       - (low if low > new_low else new_low))
+            if overlap > 0.0:
+                new_counts[j] += count * overlap / width
+            j += 1
+    last = n_new - 1
+    for low, count in points:
+        slot = bisect_right(new_edges, low) - 1
+        new_counts[last if slot > last else 0 if slot < 0 else slot] += count
     return new_counts
+
+
+def _add_sorted(edges: List[float], counts: List[float],
+                ordered: List[float]) -> List[float]:
+    """``counts`` plus the per-bin tally of the ascending scores ``ordered``.
+
+    A score's bin is numpy's ``searchsorted(edges, score, "right") - 1``
+    clipped to ``[0, B - 1]`` (the top border joins the last bin), so the
+    scores below interior edge ``j`` fill bins ``0 .. j - 1``: one
+    ``bisect_left`` per interior edge gives every bin's tally, and each
+    bin takes one ``count + tally`` — the floats of
+    ``counts + np.bincount(bins)``.
+    """
+    folded = []
+    below = 0
+    for count, edge in zip(counts, edges[1:-1]):
+        at = bisect_left(ordered, edge, below)
+        folded.append(count + (at - below))
+        below = at
+    folded.append(counts[-1] + (len(ordered) - below))
+    return folded
 
 
 def _gain_matrix(edges: np.ndarray, counts: np.ndarray,
@@ -266,7 +276,7 @@ class HistogramBank:
         check_positive(initial_range, "initial_range")
         if not 1.0 <= beta <= 2.0:
             raise ConfigurationError(f"beta must lie in [1, 2], got {beta!r}")
-        grid = np.linspace(0.0, float(initial_range), n_bins + 1).tolist()
+        grid = _grid(0.0, float(initial_range), n_bins)
         self.n_bins = n_bins
         self.beta = float(beta)
         self.row_edges = [list(grid) for _ in range(n_rows)]
@@ -342,35 +352,74 @@ class HistogramBank:
             at[row] = tau
         return [gain[row] for row in rows]
 
-    def fold(self, path: Sequence[int], value: float,
+    def fold(self, path: Sequence[int], scores: Sequence[float],
              tau: Optional[float]) -> None:
-        """Record one score in every row of ``path``.
+        """Record a batch of scores in every row of ``path``.
 
         Per row, in order: the Fig. 3a check against ``tau`` (``None``: no
-        re-bin), a range extension if ``value`` lies above the row's range,
-        then one count into the bin holding ``value`` —
-        ``maybe_extend_lowest`` and ``add``, with the common case in plain
-        list operations.
+        re-bin), then the scores.  One score goes to the bin holding it,
+        after a range extension if it lies above the row's range.  A wider
+        batch is sorted once; a row whose range covers its largest score
+        takes it in one pass (:func:`_add_sorted`), any other row in
+        arrival-order chunks, extending the range where one ``add`` per
+        score would.  A bin's count takes its tally in one addition.
         """
-        value = float(value)
-        if not 0.0 <= value < math.inf:
-            check_scores((value,))  # raises, before any row changes
         top, rebin_at, stale = self.row_top, self.row_rebin_at, self.row_gain_at
         edges, counts, mass = self.row_edges, self.row_counts, self.row_mass
-        last = self.n_bins - 1
+        size = len(scores)
+        if size == 1:
+            value = float(scores[0])
+            if not 0.0 <= value < math.inf:
+                check_scores((value,))  # raises, before any row changes
+            last = self.n_bins - 1
+            for row in path:
+                if tau is not None and tau > rebin_at[row]:
+                    self.row(row).maybe_extend_lowest(tau)
+                if value > top[row]:
+                    self.row(row).extend_range(self.beta * value)
+                index = bisect_right(edges[row], value) - 1
+                if index > last:  # the top border itself
+                    index = last
+                elif index < 0:
+                    index = 0
+                counts[row][index] += 1.0
+                mass[row] += 1.0
+                stale[row] = STALE
+            return
+        if not size:
+            return
+        ordered = sorted(scores)
+        # A NaN makes the sum NaN (and the order meaningless); a sum that
+        # overflows finite scores is re-checked one by one.
+        if not (0.0 <= ordered[0] and sum(ordered) < math.inf):
+            check_scores(scores)  # raises, before any row changes
+        high = ordered[-1]
         for row in path:
             if tau is not None and tau > rebin_at[row]:
                 self.row(row).maybe_extend_lowest(tau)
-            if value > top[row]:
-                self.row(row).extend_range(self.beta * value)
-            index = bisect_right(edges[row], value) - 1
-            if index > last:  # the top border itself
-                index = last
-            elif index < 0:
-                index = 0
-            counts[row][index] += 1.0
-            mass[row] += 1.0
+            if high > top[row]:
+                self._fold_chunks(row, scores)
+            else:
+                counts[row] = _add_sorted(edges[row], counts[row], ordered)
+                mass[row] += size
             stale[row] = STALE
+
+    def _fold_chunks(self, row: int, scores: Sequence[float]) -> None:
+        """Fold ``scores`` into ``row`` up to each score above its range,
+        extending the range there (to ``beta`` times that score)."""
+        start, size = 0, len(scores)
+        while start < size:
+            top, stop = self.row_top[row], start
+            while stop < size and scores[stop] <= top:
+                stop += 1
+            if stop > start:
+                self.row_counts[row] = _add_sorted(
+                    self.row_edges[row], self.row_counts[row],
+                    sorted(scores[start:stop]))
+                self.row_mass[row] += stop - start
+                start = stop
+            if start < size:
+                self.row(row).extend_range(self.beta * scores[start])
 
 
 class AdaptiveHistogram:
@@ -436,60 +485,25 @@ class AdaptiveHistogram:
 
     def add(self, value: float) -> None:
         """Record one observed score, auto-extending the range if needed."""
-        self._bank.fold((self._row,), value, None)
+        self._bank.fold((self._row,), (value,), None)
 
     def add_many(self, values: Iterable[float]) -> None:
         """Record each score of ``values`` in order."""
         for value in values:
             self.add(value)
 
-    def add_batch(self, values: Sequence[float]) -> None:
-        """Record a batch of scores, equivalent to ``add`` in sequence.
+    def add_batch(self, values: Iterable[float]) -> None:
+        """Record a batch of scores, like ``add`` in sequence.
 
-        Values that fit the current range are binned with one
-        ``searchsorted``/``bincount`` pass; range extensions replay the
-        sequential semantics exactly (the range grows at the first value
-        exceeding the current maximum, to ``beta`` times that value), so the
-        result is identical to calling :meth:`add` element by element —
-        extensions are geometric-rare, so almost all work is vectorized.
+        ``values`` is flattened first (a ``(1, n)`` input is ``n`` scores),
+        then folded by the bank's :meth:`~HistogramBank.fold`: the range
+        grows where element-by-element ``add`` would grow it, at the first
+        value above the current maximum, to ``beta`` times that value.
         """
         if not hasattr(values, "__len__"):
-            values = np.fromiter(values, dtype=float)
-        if len(values) == 1:
-            # Degenerate batch: the scalar path is cheaper than array setup
-            # and identical by definition (add_batch == sequential adds).
-            self.add(float(values[0]))
-            return
-        arr = np.asarray(values, dtype=float)
-        if arr.ndim != 1:
-            arr = arr.reshape(-1)
-        if arr.size == 0:
-            return
-        if not ((arr >= 0.0) & (arr < math.inf)).all():
-            check_scores(arr.tolist())  # raises, before the row changes
-        bank, row = self._bank, self._row
-        start = 0
-        while start < arr.size:
-            over = arr[start:] > bank.row_top[row]
-            if not over.any():
-                stop = arr.size
-            else:
-                # First overflowing value triggers the next range extension.
-                stop = start + int(np.argmax(over))
-            if stop > start:
-                chunk = arr[start:stop]
-                indices = np.searchsorted(bank.row_edges[row], chunk,
-                                          "right") - 1
-                np.minimum(indices, bank.n_bins - 1, out=indices)
-                np.maximum(indices, 0, out=indices)
-                bank.row_counts[row] = (
-                    np.array(bank.row_counts[row])
-                    + np.bincount(indices, minlength=bank.n_bins)).tolist()
-                bank.row_mass[row] += float(chunk.size)
-                start = stop
-            if start < arr.size:
-                self.extend_range(bank.beta * float(arr[start]))
-        bank.row_gain_at[row] = STALE
+            values = list(values)
+        flat = np.asarray(values, dtype=float).reshape(-1).tolist()
+        self._bank.fold((self._row,), flat, None)
 
     def extend_range(self, new_max: float) -> None:
         """Grow the covered range to ``[low, new_max]`` (Fig. 3b).
@@ -501,10 +515,10 @@ class AdaptiveHistogram:
         if new_max <= bank.row_top[row]:
             return
         edges = bank.row_edges[row]
-        new_edges = np.linspace(edges[0], float(new_max), bank.n_bins + 1)
+        new_edges = _grid(edges[0], float(new_max), bank.n_bins)
         bank.row_counts[row] = _overlap_redistribute(
-            edges, bank.row_counts[row], new_edges).tolist()
-        bank.row_edges[row] = new_edges.tolist()
+            edges, bank.row_counts[row], new_edges)
+        bank.row_edges[row] = new_edges
         bank.row_extensions[row] += 1
         bank.resync(row)
 
@@ -549,12 +563,15 @@ class AdaptiveHistogram:
         if other.is_empty:
             return
         bank, row = self._bank, self._row
-        projected = _overlap_redistribute(other.edges, other.counts,
+        projected = _overlap_redistribute(other._bank.row_edges[other._row],
+                                          other._bank.row_counts[other._row],
                                           bank.row_edges[row])
         # Mass of the child falling beyond this sketch's range cannot be
         # located; it is dropped, which the clamp-at-zero rule tolerates.
-        bank.row_counts[row] = np.maximum(
-            np.array(bank.row_counts[row]) - projected, 0.0).tolist()
+        left = [count - drop
+                for count, drop in zip(bank.row_counts[row], projected)]
+        bank.row_counts[row] = [count if count > 0.0 else 0.0
+                                for count in left]
         bank.resync(row)
 
     def merge(self, other: "AdaptiveHistogram") -> None:
@@ -564,10 +581,11 @@ class AdaptiveHistogram:
         if other.max_range > self.max_range:
             self.extend_range(other.max_range)
         bank, row = self._bank, self._row
-        bank.row_counts[row] = (
-            np.array(bank.row_counts[row])
-            + _overlap_redistribute(other.edges, other.counts,
-                                    bank.row_edges[row])).tolist()
+        projected = _overlap_redistribute(other._bank.row_edges[other._row],
+                                          other._bank.row_counts[other._row],
+                                          bank.row_edges[row])
+        bank.row_counts[row] = [count + gained for count, gained
+                                in zip(bank.row_counts[row], projected)]
         bank.resync(row)
 
     # -- queries ---------------------------------------------------------------

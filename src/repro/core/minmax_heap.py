@@ -11,7 +11,8 @@ the running STK incrementally.
 
 from __future__ import annotations
 
-from typing import Any, Generic, Iterator, List, Optional, Tuple, TypeVar
+from typing import (Any, Generic, Iterable, Iterator, List, Optional, Tuple,
+                    TypeVar)
 
 from repro.errors import ConfigurationError, EmptyStructureError
 
@@ -254,6 +255,34 @@ class TopKBuffer(Generic[T]):
             self._stk += gain
             return gain
         return 0.0
+
+    def offer_batch(self, scores: Iterable[float],
+                    payloads: Iterable[T]) -> float:
+        """:meth:`offer` each ``(score, payload)`` pair in order.
+
+        Returns the summed marginal gain.  The same pushes, evictions and
+        floats as one :meth:`offer` per pair, but a rejected score — most
+        of a batch once the buffer is full — costs one compare against the
+        k-th score read off the heap's list, not two method calls.  Takes
+        Python floats.
+        """
+        heap, k = self._heap, self.k
+        entries = heap._heap
+        stk = self._stk
+        total = 0.0
+        for score, payload in zip(scores, payloads):
+            if len(entries) < k:
+                heap.push(score, payload)
+                stk += score
+                total += score
+            elif score > entries[0][0]:
+                gain = score - entries[0][0]
+                heap.pop_min()
+                heap.push(score, payload)
+                stk += gain
+                total += gain
+        self._stk = stk
+        return total
 
     def items(self) -> List[Tuple[float, T]]:
         """Return the (score, payload) pairs in descending score order."""

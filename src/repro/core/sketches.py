@@ -50,10 +50,8 @@ class ScoreSketch(ABC):
     def add_batch(self, values: Iterable[float]) -> None:
         """Record a batch of scores.
 
-        Semantically equivalent to :meth:`add_many`; sketches with a
-        vectorized bulk path (the adaptive histogram) override this so the
-        engine's batched ``observe`` folds a whole batch in O(1) numpy calls
-        instead of one Python call per element.
+        Semantically equivalent to :meth:`add_many`; a sketch with a bulk
+        path overrides it (the adaptive histogram sorts the batch once).
         """
         self.add_many(values)
 

@@ -47,7 +47,7 @@ from repro.parallel.cache import (
     subset_fingerprint,
 )
 from repro.parallel.worker import RoundOutcome, build_shard_specs
-from repro.persist import NULL, NUMBER, read
+from repro.persist import NULL, NUMBER, read, read_topk
 from repro.scoring.base import Scorer
 from repro.utils.rng import RngFactory
 
@@ -501,6 +501,7 @@ class ShardCoordinator:
                      exhaustive_bound=NUMBER + (NULL,),
                      pending_floor=NUMBER + (NULL,),
                      worker_stats=(list, NULL))
+        buffer = read_topk(state["buffer"], fmt, "coordinator buffer")
         workers = snapshot["workers"]
         if len(workers) != snapshot["n_workers"]:
             raise SerializationError(f"expected {fmt} with one 'workers' "
@@ -541,8 +542,8 @@ class ShardCoordinator:
         engine._resume_count = (snapshot.get("resume_count") or 0) + 1
         engine._restore_payloads = list(workers)
         engine._restore_policy_state(state)
-        for score, element_id in state["buffer"]:
-            engine._buffer.offer(float(score), element_id)
+        for score, element_id in buffer:
+            engine._buffer.offer(score, element_id)
         engine._merged_ids = set(state["merged_ids"])
         engine.wall_time = float(state["wall_time"])
         engine.total_scored = state["total_scored"]

@@ -8,6 +8,9 @@ through :func:`read` before using it.  See ``docs/architecture.md``,
 
 from __future__ import annotations
 
+import math
+from typing import List, Tuple
+
 from repro.errors import SerializationError
 
 #: A JSON number: ``json`` reads ``2`` back as an int and ``2.0`` as a float.
@@ -41,3 +44,31 @@ def read(payload, expected: str, section: str = "", **fields) -> dict:
                 f"expected {where} with a {name!r} field, found {found} "
                 f"with {got} there")
     return payload
+
+
+def read_topk(rows: list, expected: str,
+              section: str = "buffer") -> List[Tuple[float, str]]:
+    """The ``(score, id)`` pairs of a persisted top-k buffer.
+
+    Each row must be a two-item ``[score, id]`` list: a finite non-negative
+    JSON number (not a bool) and a string.  Anything else — a NaN or inf
+    score would read as the threshold and STK forever — raises
+    :class:`~repro.errors.SerializationError` naming ``expected``.
+    """
+    pairs = []
+    for row in rows:
+        score = math.nan
+        if (isinstance(row, (list, tuple)) and len(row) == 2
+                and isinstance(row[0], NUMBER)
+                and not isinstance(row[0], bool)
+                and isinstance(row[1], str)):
+            try:
+                score = float(row[0])
+            except OverflowError:  # an int past the float range
+                pass
+        if not 0.0 <= score < math.inf:
+            raise SerializationError(
+                f"expected {expected} {section} rows of [finite "
+                f"non-negative score, id], found {row!r}")
+        pairs.append((score, row[1]))
+    return pairs

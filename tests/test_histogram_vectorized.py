@@ -2,9 +2,10 @@
 
 Covers the three satellite guarantees of the vectorization PR:
 
-* ``_overlap_redistribute`` (vectorized) agrees with the retained scalar
-  reference on randomized grids, including degenerate zero-width bins, and
-  conserves mass whenever the new grid covers the old one;
+* ``_overlap_redistribute`` agrees with the retained scalar reference
+  (``tests/test_batch_fold.py``) on randomized grids, including degenerate
+  zero-width bins, and conserves mass whenever the new grid covers the
+  old one;
 * the cached gain of a bank row is always equal to a freshly computed value
   after any interleaving of ``add`` / ``add_batch`` /
   ``maybe_extend_lowest`` / ``subtract`` / range extension / threshold
@@ -23,10 +24,14 @@ from repro.core.histogram import (
     STALE,
     HistogramBank,
     _overlap_redistribute,
-    _overlap_redistribute_scalar,
     gain_batch,
 )
 from repro.core.sketches import ReservoirSketch
+from tests.test_batch_fold import reference_overlap_redistribute_scalar
+
+
+def redistribute(old_edges, old_counts, new_edges) -> np.ndarray:
+    return np.array(_overlap_redistribute(old_edges, old_counts, new_edges))
 
 
 def random_grid(rng, allow_zero_width=True):
@@ -49,8 +54,8 @@ class TestOverlapRedistribute:
         lo = edges[0] - (rng.uniform(0.0, 1.0) if rng.random() < 0.5 else 0.0)
         hi = edges[-1] * rng.uniform(1.0, 1.8) + 1e-9
         new_edges = np.linspace(lo, hi, n_new + 1)
-        want = _overlap_redistribute_scalar(edges, counts, new_edges)
-        got = _overlap_redistribute(edges, counts, new_edges)
+        want = reference_overlap_redistribute_scalar(edges, counts, new_edges)
+        got = redistribute(edges, counts, new_edges)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
 
     @pytest.mark.parametrize("seed", range(25))
@@ -59,7 +64,7 @@ class TestOverlapRedistribute:
         edges, counts = random_grid(rng)
         new_edges = np.linspace(edges[0], edges[-1] * 1.5 + 1.0,
                                 int(rng.integers(2, 10)) + 1)
-        got = _overlap_redistribute(edges, counts, new_edges)
+        got = redistribute(edges, counts, new_edges)
         assert got.sum() == pytest.approx(counts.sum(), rel=1e-12)
         assert (got >= 0.0).all()
 
@@ -67,8 +72,8 @@ class TestOverlapRedistribute:
         edges = np.array([0.0, 1.0, 1.0, 2.0])
         counts = np.array([1.0, 5.0, 2.0])
         new_edges = np.array([0.0, 0.5, 1.5, 2.0])
-        got = _overlap_redistribute(edges, counts, new_edges)
-        want = _overlap_redistribute_scalar(edges, counts, new_edges)
+        got = redistribute(edges, counts, new_edges)
+        want = reference_overlap_redistribute_scalar(edges, counts, new_edges)
         np.testing.assert_array_equal(got, want)
         # The 5.0 point mass at value 1.0 lands entirely in bin [0.5, 1.5).
         assert got[1] == pytest.approx(0.5 + 5.0 + 1.0)
@@ -76,7 +81,7 @@ class TestOverlapRedistribute:
 
     def test_all_zero_counts_stay_zero(self):
         edges = np.linspace(0.0, 1.0, 9)
-        got = _overlap_redistribute(edges, np.zeros(8), np.linspace(0, 2, 9))
+        got = redistribute(edges, np.zeros(8), np.linspace(0, 2, 9))
         assert not got.any()
 
     def test_histogram_extension_conserves_mass(self):
@@ -259,6 +264,21 @@ class TestVectorizedEquivalence:
         assert raised and raised[0].startswith(
             "opaque scores must be finite and non-negative")
         assert (h.edges.tolist(), h.counts.tolist(), h.total_mass) == before
+
+    @pytest.mark.parametrize("values", [
+        [[1.0, 2.0, 3.0]], np.array([[1.0, 2.0, 3.0]]),
+        [[1.0], [2.0], [3.0]], np.array([[1.0], [2.0], [3.0]])])
+    def test_add_batch_flattens_2d_input(self, values):
+        """A ``(1, n)`` input is ``n`` scores, as an ``(n, 1)`` one is (the
+        one-score shortcut used to take the whole row for one score)."""
+        h = AdaptiveHistogram()
+        h.add_batch(values)
+        want = AdaptiveHistogram()
+        want.add_many([1.0, 2.0, 3.0])
+        assert h.to_dict() == want.to_dict()
+        assert h.total_mass == 3.0
+        h.add_batch([[0.5]])
+        assert h.total_mass == 4.0
 
     def test_add_batch_accepts_generators(self):
         """The ScoreSketch contract is Iterable, not Sequence."""

@@ -139,6 +139,13 @@ HISTOGRAMS = [
     ("priors", ("priors", 0, "nodes", "root")),
 ]
 
+#: Where a document nests a top-k buffer: (kind, path to its rows).
+BUFFERS = [
+    ("engine-snapshot", ("buffer",)),
+    ("sharded-snapshot", ("coordinator", "buffer")),
+    ("streaming-snapshot", ("coordinator", "buffer")),
+]
+
 #: A coordinator snapshot carries one engine snapshot per shard.
 COORDINATORS = ["sharded-snapshot", "streaming-snapshot"]
 SHARD_FORMAT = "repro-engine-snapshot/1"
@@ -217,6 +224,23 @@ def bad_histograms(good: dict):
     yield "beta-outside-1-2", dict(good, beta=3.0), "beta"
 
 
+def bad_buffer_rows():
+    """``(case, a row no top-k buffer could hold, what the refusal names)``.
+
+    A NaN score used to read as the threshold and STK forever, an inf one
+    as an infinite STK, a negative one as a negative threshold."""
+    yield "nan-score", [math.nan, "x"], "nan"
+    yield "inf-score", [math.inf, "x"], "inf"
+    yield "negative-score", [-5.0, "x"], "-5.0"
+    yield "huge-int-score", [10 ** 400, "x"], "1000"
+    yield "bool-score", [True, "x"], "True"
+    yield "string-score", ["x", "y"], "['x', 'y']"
+    yield "int-id", [1.0, 7], "[1.0, 7]"
+    yield "one-item", [1.0], "[1.0]"
+    yield "three-items", [1.0, "x", "y"], "[1.0, 'x', 'y']"
+    yield "not-a-row", 1.0, "1.0"
+
+
 def mistyped(payload: dict, key: str) -> dict:
     return dict(payload, **{key: 0 if isinstance(payload[key], str)
                             else "x"})
@@ -250,6 +274,15 @@ def malformed_cases():
                payload["format"], payload["format"])
         yield (kind, "null-worker", dict(payload, workers=[None] + shards[1:]),
                SHARD_FORMAT, "NoneType")
+    for kind, path in BUFFERS:
+        payload = fixture(kind)
+        rows = payload
+        for key in path:
+            rows = rows[key]
+        for case, bad, found in bad_buffer_rows():
+            yield (kind, f"buffer-{case}",
+                   replaced(payload, path, rows[:1] + [bad] + rows[1:]),
+                   payload["format"], found)
     for kind, path in HISTOGRAMS:
         payload = fixture(kind)
         good = payload
