@@ -29,23 +29,28 @@ Per-element engine overhead is O(depth) Python steps, and the histogram
 work of a select and of an observation is plain Python floats at every
 batch width:
 
-* ``exhausted`` and the per-descent candidate filters read the policy's
-  incremental ``remaining`` counters (the policy alone writes them — see
-  :mod:`repro.core.hierarchical`), never rescanning leaves.
+* ``exhausted`` reads the policy's incremental ``remaining`` counters,
+  and a descent's candidates are each node's kept list of live children
+  (the policy alone writes both — see :mod:`repro.core.hierarchical`):
+  no layer rescans leaves or filters its siblings.  A greedy layer is one
+  bank call; over a wide layer that call and the unvisited test still
+  read each live sibling once, in a comprehension and a ``max``.
 * ``observe`` validates the batch (finite, non-negative) and folds it with
   **one** walk of the drawn leaf's precomputed root path (one sort per
   batch, a few bisections per row); the priority-queue offers stay
   per-element (``TopKBuffer.offer_batch``) so the threshold evolves
   exactly as in Algorithm 1, and the path update uses the post-batch
-  threshold.
+  threshold.  A one-dimensional float64 array of scores becomes Python
+  floats by one ``tolist()``, and the threshold is read off the top-k
+  heap's list.
 * Gains are cached per row of the policy's histogram bank.  A mutation
   stales its row, a moved threshold misses the cached one, and a descent
   evaluates only the stale rows it reads, one by one; numpy's dispatch
   pays off only for a stale set wider than a handful of rows, such as a
   flat index's leaves after a threshold move (:mod:`repro.core.histogram`).
 
-Seeded draws and floats are pinned by ``tests/test_engine_equivalence.py``
-and ``tests/test_policy_golden.py``.  These invariants, and the
+Seeded draws and floats are pinned by ``tests/test_engine_equivalence.py``,
+``tests/test_policy_golden.py`` and ``tests/test_wide_root_golden.py``.  These invariants, and the
 shard/coordinator protocol that runs many engines in parallel, are
 documented normatively in ``docs/architecture.md``.
 """
@@ -366,7 +371,12 @@ class TopKEngine:
                     f"got {got_id!r}"
                 )
         with self.overhead:
-            batch_scores = np.asarray(scores, dtype=float).reshape(-1).tolist()
+            if (type(scores) is np.ndarray and scores.ndim == 1
+                    and scores.dtype == np.float64):
+                batch_scores = scores.tolist()
+            else:
+                batch_scores = np.asarray(
+                    scores, dtype=float).reshape(-1).tolist()
             check_scores(batch_scores)
             # Per-element priority-queue offers: the threshold must evolve
             # within the batch exactly as in the scalar Algorithm 1 loop.

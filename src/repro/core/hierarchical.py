@@ -37,27 +37,36 @@ convergence tests, the UCB / ExplorationOnly baselines — goes through:
 
 Layout (struct-of-arrays)
 -------------------------
-Nodes are rows in pre-order (the root is row 0).  Parent row, live child
-rows, ``remaining``, leaf arm, sketch and each leaf's precomputed
-leaf-to-root path are flat lists indexed by row; the default sketches are
-the rows of one :class:`~repro.core.histogram.HistogramBank`, so a descent
-walks row ints and Python floats.  :class:`BanditNode` is a read-only view
-of one row for tests and EXPLAIN.
+Nodes are rows in pre-order (the root is row 0).  Parent row, child
+rows, *live* child rows (those with undrawn members, in child order),
+``remaining``, leaf arm, sketch and each leaf's precomputed leaf-to-root
+path are flat lists indexed by row; the default sketches are the rows of
+one :class:`~repro.core.histogram.HistogramBank`, so a descent walks row
+ints and Python floats.  :class:`BanditNode` is a read-only view of one
+row for tests and EXPLAIN.
 
 * **``remaining`` ownership.**  The policy alone writes the undrawn
   descendant counts: ``select`` — the only way to draw — decrements them
   along the drawn leaf's path, ``flatten`` re-derives the root's,
   ``load_state`` re-derives all from the member lists it installs, and a
   dropped leaf is already at zero.  So ``exhausted`` is an O(1) read.
-* **Gain refresh.**  Each layer of a descent asks
-  :meth:`~repro.core.histogram.HistogramBank.gains` for its live
-  children's gains, and only the children whose cached gain is stale —
-  touched by an observation since, or cached at another threshold — are
-  evaluated, in Python floats; nothing is refreshed ahead of time.  A
-  batch of any width is folded into the leaf's whole root path by one
-  bank call.  A row whose sketch is not bank-backed (custom
-  ``sketch_factory``, a prior with another ``n_bins``) answers
-  ``expected_marginal_gain`` itself.
+  The live-child lists change in the same places: a draw that empties a
+  leaf takes it (and each ancestor it empties) out of its parent's list,
+  ``flatten`` makes the surviving leaves the root's list, ``load_state``
+  re-derives them all.  A leaf empty from construction is never in one.
+  So a layer's candidates are a list read, not a filter over siblings.
+* **Gain refresh.**  A greedy layer of a descent is one bank call,
+  :meth:`~repro.core.histogram.HistogramBank.best_rows`, over its live
+  children: only the children whose cached gain is stale — touched by an
+  observation since, or cached at another threshold — are evaluated, in
+  Python floats, and the children within ``1e-15`` of the best come back
+  in child order; nothing is refreshed ahead of time.  An unvisited
+  child (``visit_unvisited_first``) is one with no mass, read off the
+  bank's ``row_mass``.  A batch of any width is folded into the leaf's
+  whole root path by one bank call.  A row whose sketch is not
+  bank-backed (custom ``sketch_factory``, a prior with another
+  ``n_bins``) answers ``is_empty`` and ``expected_marginal_gain``
+  itself.
 
 Both contracts are restated normatively (with their consequences for
 snapshot restore and the parallel subsystem) in ``docs/architecture.md``.
@@ -158,6 +167,8 @@ class HierarchicalBanditPolicy:
             self._sketches = [config.sketch_factory() for _ in range(n_rows)]
             self._foreign.update(range(n_rows))
         self._paths: List[Tuple[int, ...]] = [()] * n_rows
+        # Per row, its children with undrawn members, in child order.
+        self._live: List[List[int]] = []
         self._index_leaves()
         # The leaf row the last select() drew from, until update() folds it.
         self._pending: Optional[int] = None
@@ -190,7 +201,11 @@ class HierarchicalBanditPolicy:
             yield from self._iter_rows(child)
 
     def _index_leaves(self) -> None:
-        """Rebuild the live-leaf registry and every leaf's leaf-to-root path."""
+        """Rebuild the live-leaf registry, every leaf's leaf-to-root path and
+        every row's live children."""
+        remaining = self._remaining
+        self._live = [[child for child in children if remaining[child] > 0]
+                      for children in self._children]
         self.leaves_by_id: Dict[str, int] = {}
         for row in self._iter_rows():
             if self._arms[row] is not None and self._remaining[row] > 0:
@@ -265,30 +280,63 @@ class HierarchicalBanditPolicy:
         return gain_batch([self._sketches[row] for row in rows],
                           threshold).tolist()
 
-    def _live_children(self, row: int) -> List[int]:
-        remaining = self._remaining
-        candidates = [c for c in self._children[row] if remaining[c] > 0]
-        if not candidates:
-            raise ExhaustedError(
-                f"node {self._ids[row]!r} has no sampleable children")
-        return candidates
+    def _descend(self, threshold: float | None, *, explore_all: bool = False,
+                 per_layer: bool = False, epsilon: float = 0.0,
+                 choose: Optional[ChooseChild] = None,
+                 greedy_only: bool = False) -> int:
+        """Walk from the root to a leaf row, one choice per layer.
 
-    def _greedy(self, candidates: List[int], threshold: float | None,
-                *, deterministic: bool) -> int:
-        if not deterministic and self.config.visit_unvisited_first:
-            # Optimistic initialization: sweep unseen subtrees before
-            # trusting gain estimates (see BanditConfig docs).
-            sketches = self._sketches
-            unvisited = [c for c in candidates if sketches[c].is_empty]
-            if unvisited:
-                return unvisited[int(self._rng.integers(len(unvisited)))]
-        gains = self._gains(candidates, threshold)
-        best = max(gains)
-        tied = [c for c, gain in zip(candidates, gains)
-                if gain >= best - 1e-15]
-        if deterministic or len(tied) == 1:
-            return tied[0]
-        return tied[int(self._rng.integers(len(tied)))]
+        A layer's candidates are the row's live children (kept in child
+        order; see ``_live``).  ``choose`` picks among them when given;
+        otherwise an exploring layer draws one uniformly, and a greedy
+        layer first sweeps unvisited children (``visit_unvisited_first``,
+        skipped when ``greedy_only``), then keeps the children whose gain
+        is within ``1e-15`` of the best — one bank call over bank rows —
+        and draws among ties (``greedy_only``: takes the first).
+        """
+        arms, live, sketches, rng = (self._arms, self._live, self._sketches,
+                                     self._rng)
+        bank = None if self._foreign else self._bank
+        mass = self._bank.row_mass
+        tau = None if threshold is None else float(threshold)
+        unvisited_first = (not greedy_only
+                           and self.config.visit_unvisited_first)
+        row = 0
+        while arms[row] is None:
+            candidates = live[row]
+            if not candidates:
+                raise ExhaustedError(
+                    f"node {self._ids[row]!r} has no sampleable children")
+            if choose is not None:
+                row = candidates[choose(
+                    sketches[row], [sketches[c] for c in candidates])]
+                continue
+            if explore_all or (per_layer and rng.random() < epsilon):
+                row = candidates[int(rng.integers(len(candidates)))]
+                continue
+            if unvisited_first:
+                # Optimistic initialization: sweep unseen subtrees before
+                # trusting gain estimates (see BanditConfig docs).
+                if bank is None:
+                    unvisited = [c for c in candidates if sketches[c].is_empty]
+                else:
+                    unvisited = [c for c in candidates if mass[c] <= 0.0]
+                if unvisited:
+                    row = unvisited[int(rng.integers(len(unvisited)))]
+                    continue
+            if bank is None:
+                gains = gain_batch([sketches[c] for c in candidates],
+                                   threshold).tolist()
+                best = max(gains)
+                tied = [c for c, gain in zip(candidates, gains)
+                        if gain >= best - 1e-15]
+            else:
+                tied = bank.best_rows(candidates, tau)
+            if greedy_only or len(tied) == 1:
+                row = tied[0]
+            else:
+                row = tied[int(rng.integers(len(tied)))]
+        return row
 
     def select(self, size: int, threshold: float | None = None,
                epsilon: float = 0.0, *, per_layer: bool = False,
@@ -302,25 +350,24 @@ class HierarchicalBanditPolicy:
         in a caller's child-choice rule for every layer (UCB) and flips no
         coin.  The chosen leaf stays pending until :meth:`update`.
         """
-        arms, sketches = self._arms, self._sketches
-        row = 0
         explore_all = (choose is None and not per_layer
                        and self._rng.random() < epsilon)
-        while arms[row] is None:
-            candidates = self._live_children(row)
-            if choose is not None:
-                row = candidates[choose(
-                    sketches[row], [sketches[c] for c in candidates])]
-            elif explore_all or (per_layer and self._rng.random() < epsilon):
-                row = candidates[int(self._rng.integers(len(candidates)))]
-            else:
-                row = self._greedy(candidates, threshold,
-                                   deterministic=False)
+        row = self._descend(threshold, explore_all=explore_all,
+                            per_layer=per_layer, epsilon=epsilon,
+                            choose=choose)
         self._pending = row
-        ids = arms[row].draw_batch(size)
-        remaining, drawn = self._remaining, len(ids)
-        for node in self._paths[row]:
+        ids = self._arms[row].draw_batch(size)
+        remaining, drawn, path = self._remaining, len(ids), self._paths[row]
+        for node in path:
             remaining[node] -= drawn
+        if remaining[row] <= 0:
+            # The leaf, and every ancestor the draw emptied with it, stop
+            # being a live child (an ancestor is emptied only with a leaf).
+            live, parent = self._live, self._parent
+            for node in path[:-1]:
+                if remaining[node] > 0:
+                    break
+                live[parent[node]].remove(node)
         return ids
 
     def greedy_leaf(self, threshold: float | None) -> str:
@@ -340,11 +387,7 @@ class HierarchicalBanditPolicy:
         This simulates "the hierarchical bandit navigating down the tree
         index, choosing the greedy child in each layer" for the fallback test.
         """
-        row = 0
-        while self._arms[row] is None:
-            row = self._greedy(self._live_children(row), threshold,
-                               deterministic=True)
-        return self._ids[row]
+        return self._ids[self._descend(threshold, greedy_only=True)]
 
     # -- updates -------------------------------------------------------------------------
 
@@ -419,6 +462,7 @@ class HierarchicalBanditPolicy:
             self._parent[leaf] = 0
             self._paths[leaf] = (leaf, 0)
         self._children[0] = leaves
+        self._live[0] = list(leaves)
         self._remaining[0] = sum(self._remaining[leaf] for leaf in leaves)
         self.flattened = True
 

@@ -47,9 +47,11 @@ keeps that code as the oracle).
 
 Equation 2 has two forms that agree bit for bit
 (``tests/test_histogram_bank.py``): :func:`_row_gain`, one row in Python
-floats with numpy's summation order, and :func:`_gain_matrix`, the kernel
-over a stack of rows.  :meth:`HistogramBank.gains` is the one refresh path:
-it evaluates only the asked rows that are stale, one by one, and hands a
+floats with numpy's summation order (unrolled for ``B = 8``), and
+:func:`_gain_matrix`, the kernel over a stack of rows.  One refresh path
+serves :meth:`HistogramBank.best_rows` — a descent's layer: the rows
+within ``1e-15`` of the best gain — and :meth:`HistogramBank.gains`: it
+evaluates only the asked rows that are stale, one by one, and hands a
 set wider than :data:`KERNEL_ROWS` — a flat index's or a flattened tree's
 leaves after a threshold move — to one kernel call.
 """
@@ -217,7 +219,57 @@ def _row_gain(edges: List[float], counts: List[float],
     (:func:`_pairwise_sum`), and each bin takes the term ``np.where``
     would pick — at or below ``tau`` the mean excess, straddling it the
     uniform tail, above it nothing.
+
+    ``B = 8``, the paper's default, has its own form: the same operations
+    with the loops and both sums unrolled, and no division for a ``tau``
+    above the top border (or NaN), where every term is ``0.0``.  At the
+    top border itself a zero-width top bin still takes the mean-excess
+    term, so that case takes the unrolled path.
     """
+    if len(counts) == 8:
+        c0, c1, c2, c3, c4, c5, c6, c7 = counts
+        e0, e1, e2, e3, e4, e5, e6, e7, e8 = edges
+        if tau is not None and not tau <= e8:
+            return 0.0
+        m = ((c0 + c1) + (c2 + c3)) + ((c4 + c5) + (c6 + c7)) + 0.0
+        if not m > 0.0:
+            m = 1.0
+        if tau is None:
+            return (((c0 / m * (0.5 * (e0 + e1)) + c1 / m * (0.5 * (e1 + e2)))
+                     + (c2 / m * (0.5 * (e2 + e3))
+                        + c3 / m * (0.5 * (e3 + e4))))
+                    + ((c4 / m * (0.5 * (e4 + e5))
+                        + c5 / m * (0.5 * (e5 + e6)))
+                       + (c6 / m * (0.5 * (e6 + e7))
+                          + c7 / m * (0.5 * (e7 + e8)))) + 0.0)
+        t = tau
+        # Bin j: mean excess at or above tau, uniform tail straddling it
+        # (a straddled bin has positive width: no 1.0 stands in for it).
+        t0 = (c0 / m * (0.5 * (e0 + e1) - t) if t <= e0 else
+              c0 / m * ((e1 - t) * (e1 - t)) / (2.0 * (e1 - e0))
+              if t < e1 else 0.0)
+        t1 = (c1 / m * (0.5 * (e1 + e2) - t) if t <= e1 else
+              c1 / m * ((e2 - t) * (e2 - t)) / (2.0 * (e2 - e1))
+              if t < e2 else 0.0)
+        t2 = (c2 / m * (0.5 * (e2 + e3) - t) if t <= e2 else
+              c2 / m * ((e3 - t) * (e3 - t)) / (2.0 * (e3 - e2))
+              if t < e3 else 0.0)
+        t3 = (c3 / m * (0.5 * (e3 + e4) - t) if t <= e3 else
+              c3 / m * ((e4 - t) * (e4 - t)) / (2.0 * (e4 - e3))
+              if t < e4 else 0.0)
+        t4 = (c4 / m * (0.5 * (e4 + e5) - t) if t <= e4 else
+              c4 / m * ((e5 - t) * (e5 - t)) / (2.0 * (e5 - e4))
+              if t < e5 else 0.0)
+        t5 = (c5 / m * (0.5 * (e5 + e6) - t) if t <= e5 else
+              c5 / m * ((e6 - t) * (e6 - t)) / (2.0 * (e6 - e5))
+              if t < e6 else 0.0)
+        t6 = (c6 / m * (0.5 * (e6 + e7) - t) if t <= e6 else
+              c6 / m * ((e7 - t) * (e7 - t)) / (2.0 * (e7 - e6))
+              if t < e7 else 0.0)
+        t7 = (c7 / m * (0.5 * (e7 + e8) - t) if t <= e7 else
+              c7 / m * ((e8 - t) * (e8 - t)) / (2.0 * (e8 - e7))
+              if t < e8 else 0.0)
+        return ((t0 + t1) + (t2 + t3)) + ((t4 + t5) + (t6 + t7)) + 0.0
     mass = _pairwise_sum(counts)
     if not mass > 0.0:
         mass = 1.0
@@ -337,6 +389,41 @@ class HistogramBank:
         :func:`_row_gain` per stale row, or a single :func:`_gain_matrix`
         call when there are more than :data:`KERNEL_ROWS` of them.
         """
+        self._refresh(rows, tau)
+        gain = self.row_gain
+        return [gain[row] for row in rows]
+
+    def best_rows(self, rows: Sequence[int], tau: Optional[float]) -> List[int]:
+        """The ``rows`` whose gain at ``tau`` is within ``1e-15`` of the
+        best, in the order given: one layer of a greedy descent.
+
+        The refresh of :meth:`gains`, then the maximum and its ties over
+        the cached gains, as ``max`` and one comprehension.  Two rows —
+        every layer of a binary dendrogram — are refreshed and compared
+        without building a list.
+        """
+        at, gain = self.row_gain_at, self.row_gain
+        if len(rows) == 2:
+            first, second = rows
+            if at[first] != tau:
+                gain[first] = _row_gain(self.row_edges[first],
+                                        self.row_counts[first], tau)
+                at[first] = tau
+            if at[second] != tau:
+                gain[second] = _row_gain(self.row_edges[second],
+                                         self.row_counts[second], tau)
+                at[second] = tau
+            one, two = gain[first], gain[second]
+            if one >= two:  # max() keeps the first of equals
+                return [first, second] if two >= one - 1e-15 else [first]
+            return [first, second] if one >= two - 1e-15 else [second]
+        self._refresh(rows, tau)
+        values = [gain[row] for row in rows]
+        floor = max(values) - 1e-15
+        return [row for row, value in zip(rows, values) if value >= floor]
+
+    def _refresh(self, rows: Sequence[int], tau: Optional[float]) -> None:
+        """Evaluate the stale ones of ``rows`` at ``tau`` into the cache."""
         at, gain = self.row_gain_at, self.row_gain
         need = [row for row in rows if at[row] != tau]
         if len(need) > KERNEL_ROWS:
@@ -350,7 +437,6 @@ class HistogramBank:
         for row, value in zip(need, values):
             gain[row] = value
             at[row] = tau
-        return [gain[row] for row in rows]
 
     def fold(self, path: Sequence[int], scores: Sequence[float],
              tau: Optional[float]) -> None:

@@ -231,10 +231,15 @@ class TopKBuffer(Generic[T]):
 
     @property
     def threshold(self) -> float | None:
-        """``(S)_(k)`` — the score a newcomer must beat — or None if |S| < k."""
-        if not self.is_full:
+        """``(S)_(k)`` — the score a newcomer must beat — or None if |S| < k.
+
+        Read off the heap's list, as :meth:`offer_batch` reads it: the
+        engine asks for it once per observation and once per select.
+        """
+        entries = self._heap._heap
+        if len(entries) < self.k:
             return None
-        return self._heap.peek_min()[0]
+        return entries[0][0]
 
     def offer(self, score: float, payload: T = None) -> float:
         """Offer a candidate; return the marginal STK gain it produced.

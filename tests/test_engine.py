@@ -270,3 +270,55 @@ class TestExplorationAccounting:
         engine = TopKEngine(tree, config)
         engine.run(dataset, scorer, budget=60)
         assert engine.n_exploit == 60
+
+
+class _CoinRecorder:
+    """Wraps the policy's generator and records each ``random()`` draw."""
+
+    def __init__(self, rng) -> None:
+        self._rng = rng
+        self.draws = []
+
+    def random(self, *args):
+        value = self._rng.random(*args)
+        self.draws.append(value)
+        return value
+
+    def integers(self, *args, **kwargs):
+        return self._rng.integers(*args, **kwargs)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known bug, pinned not fixed: the engine flips its own coin and passes "
+    "epsilon 0.0 or 1.0, so every per-layer coin of a descent lands the "
+    "same way (ROADMAP items 2 and 3)"))
+def test_per_layer_exploration_mixes_explored_and_greedy_layers():
+    """With ``per_layer_exploration`` each layer of a descent flips its
+    own coin at the schedule's epsilon: at ``ConstantEpsilon(0.5)`` over a
+    tree of depth 3 or more, some descent explores one layer and exploits
+    another."""
+    from tests.test_policy_golden import build_tree, element_scores
+
+    tree = build_tree("binary")
+    assert tree.depth() >= 3
+    engine = TopKEngine(tree, EngineConfig(
+        k=5, seed=3, exploration=ConstantEpsilon(0.5),
+        per_layer_exploration=True, fallback=FallbackConfig(enabled=False)))
+    policy, scores = engine.policy, element_scores()
+    coins = _CoinRecorder(policy._rng)
+    policy._rng = coins
+    select, epsilons = policy.select, []
+
+    def recorded_select(size, threshold=None, epsilon=0.0, **kwargs):
+        coins.draws = []
+        ids = select(size, threshold, epsilon, **kwargs)
+        epsilons.append((epsilon, list(coins.draws)))
+        return ids
+
+    policy.select = recorded_select
+    for _ in range(200):
+        ids = engine.next_batch()
+        engine.observe(ids, [scores[i] for i in ids])
+    mixed = [draws for epsilon, draws in epsilons
+             if len({draw < epsilon for draw in draws}) == 2]
+    assert mixed, "no descent mixed explored and greedy layers"

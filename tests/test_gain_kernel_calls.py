@@ -19,6 +19,11 @@ on the 64 leaves of ``test_policy_golden.py``:
   threshold finds every live leaf stale, so it makes exactly one kernel
   call while more than ``KERNEL_ROWS`` leaves live; every other select
   evaluates one by one, at most the leaves it reads.
+
+A greedy layer is one bank call, ``HistogramBank.best_rows`` (refresh,
+best and ties): on the binary tree an exploiting select makes exactly as
+many bank calls as it has layers, an exploring one none, and no select
+calls ``HistogramBank.gains``.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from typing import Dict, List, Tuple
 
 import repro.core.histogram as histogram
 from repro.core.engine import EngineConfig, TopKEngine
-from repro.core.histogram import KERNEL_ROWS
+from repro.core.histogram import KERNEL_ROWS, HistogramBank
 from tests.test_policy_golden import (K, NO_FALLBACK, build_tree,
                                       element_scores)
 
@@ -114,6 +119,38 @@ def test_flat_tree_threshold_move_is_one_kernel_call():
             assert kernel == 0 and rows <= live
         seen = threshold
     assert moves > 10
+
+
+def test_an_exploiting_select_is_one_bank_call_per_layer(monkeypatch):
+    tree = build_tree("binary")
+    layers = leaf_layers(tree)
+    scores = element_scores()
+    calls = {"best_rows": 0, "gains": 0}
+
+    def counting(name):
+        original = getattr(HistogramBank, name)
+
+        def counted(self, *args):
+            calls[name] += 1
+            return original(self, *args)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(HistogramBank, name, counting(name))
+    # Every exploit layer reads gains (no unvisited-first shortcut).
+    engine = TopKEngine(tree, EngineConfig(
+        k=K, seed=5, fallback=NO_FALLBACK, visit_unvisited_first=False))
+    exploited = 0
+    while not engine.exhausted:
+        before, exploits = dict(calls), engine.n_exploit
+        ids = engine.next_batch()
+        exploiting = engine.n_exploit > exploits
+        assert calls["gains"] == before["gains"]
+        assert (calls["best_rows"] - before["best_rows"]
+                == (layers[ids[0]] if exploiting else 0))
+        exploited += exploiting
+        engine.observe(ids, [scores[i] for i in ids])
+    assert exploited > 300
 
 
 if __name__ == "__main__":

@@ -16,6 +16,8 @@ are stale, and a set wider than ``KERNEL_ROWS`` in one kernel call.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -127,11 +129,11 @@ def test_gain_kernel_is_row_independent(n_bins):
 #: Around numpy's unroll of eight, and past its 128-value block (halving).
 BIN_COUNTS = (2, 3, 7, 8, 9, 16, 33, 130)
 #: Shared values make zero-width bins and tied widths; -0.0 makes
-#: negative-zero terms.
+#: negative-zero terms.  Counts reach 1e17, where a unit is below an ulp.
 edge_values = st.one_of(st.sampled_from((-0.0, 0.0, 0.5, 1.0, 2.5)),
                         st.floats(0.0, 10.0))
-count_values = st.one_of(st.sampled_from((-0.0, 0.0, 1.0, 3.0)),
-                         st.floats(0.0, 9.0))
+count_values = st.one_of(st.sampled_from((-0.0, 0.0, 1.0, 3.0, 1e17)),
+                         st.floats(0.0, 9.0), st.floats(0.0, 1e17))
 
 
 @st.composite
@@ -151,16 +153,70 @@ def bits(values):
     return [float(value).hex() for value in values]
 
 
+def thresholds_around(edges, fraction):
+    """No threshold, both zeros, below the range, on every border (the
+    top one included), inside the range, above it, and NaN."""
+    return [None, 0.0, -0.0, edges[0] - 1.0, *edges,
+            edges[0] + fraction * (edges[-1] - edges[0]), edges[-1] + 1.0,
+            math.nan]
+
+
+def assert_row_gain_is_the_kernel(edges, counts, fraction):
+    for tau in thresholds_around(edges, fraction):
+        with np.errstate(all="ignore"):
+            kernel = _gain_matrix(np.array([edges]), np.array([counts]), tau)
+        assert bits([_row_gain(edges, counts, tau)]) == bits(kernel), tau
+
+
+#: ``B = 8`` rows with mass in every bin and distinct borders: a threshold
+#: on a border gives the mean-excess term of the bin above it, whose float
+#: is not the uniform-tail term's.
+rows_with_mass = st.tuples(
+    st.lists(st.floats(0.0, 10.0), min_size=9, max_size=9).map(sorted),
+    st.lists(st.floats(0.01, 9.0), min_size=8, max_size=8))
+
+
 @settings(max_examples=500, deadline=None)
-@given(rows(), st.sampled_from(("none", "zero", "inside", "above")),
+@given(st.one_of(rows(), rows_with_mass), st.floats(0.0, 1.0))
+def test_row_gain_is_the_kernel_bit_for_bit(row, fraction):
+    """Every ``B`` — the unrolled ``B = 8`` form and the general one
+    around it — at every threshold that picks a different term."""
+    assert_row_gain_is_the_kernel(*row, fraction)
+
+
+@pytest.mark.parametrize("edges, counts", [
+    # A zero-width top bin at a border whose double overflows: at tau on
+    # the top border its mean excess is inf, not 0.0.
+    ([0.0, 1e307, 2e307, 4e307, 8e307, 1e308, 1.2e308, 1.6e308, 1.6e308],
+     [1.0] * 8),
+    # Every bin zero-width, and -0.0 beside 0.0.
+    ([-0.0, -0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], [1.0, 2.0] * 4),
+    # A unit count beside 1e17, below one ulp of the mass.
+    ([0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8], [1e17, 1.0] * 4),
+    # B = 7: the general form.
+    ([0.0, 0.5, 0.5, 1.0, 2.5, 2.5, 3.0, 9.0], [0.0, 3.0, 1.0, 0.5, 1e17,
+                                                 2.0, 7.0]),
+])
+def test_row_gain_is_the_kernel_on_extreme_rows(edges, counts):
+    assert_row_gain_is_the_kernel(edges, counts, 0.5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows(bin_counts=(7, 8, 9)), st.lists(scores, max_size=6),
        st.floats(0.0, 1.0))
-def test_row_gain_is_the_kernel_bit_for_bit(row, where, fraction):
+def test_row_gain_is_the_kernel_on_loaded_and_subtracted_rows(
+        row, dropped, fraction):
+    """Rows as a sketch holds them: read through ``from_dict`` (``-0.0``
+    and zero-width bins kept), then, when ``dropped`` is not empty, less
+    a dropped child's projected mass — fractional counts, clamped zeros."""
     edges, counts = row
-    tau = {"none": None, "zero": 0.0,
-           "inside": edges[0] + fraction * (edges[-1] - edges[0]),
-           "above": edges[-1] + 1.0}[where]
-    kernel = _gain_matrix(np.array([edges]), np.array([counts]), tau)
-    assert bits([_row_gain(edges, counts, tau)]) == bits(kernel)
+    sketch = AdaptiveHistogram.from_dict({
+        "n_bins": len(counts), "beta": 1.1, "edges": edges,
+        "counts": counts})
+    if dropped:
+        sketch.subtract(other_sketch(dropped))
+    assert_row_gain_is_the_kernel(sketch.edges.tolist(),
+                                  sketch.counts.tolist(), fraction)
 
 
 def numpy_rebin(edges, counts):
@@ -250,3 +306,55 @@ def test_a_wide_refresh_is_one_kernel_call(monkeypatch):
     assert (len(kernel_calls), len(row_calls)) == (1, 0)
     bank.gains(range(KERNEL_ROWS), 0.05)
     assert (len(kernel_calls), len(row_calls)) == (1, KERNEL_ROWS)
+
+
+#: Exact ties, gaps of about 1e-15 either side of the tolerance, and
+#: gains where 1e-15 is below half an ulp (16 and up), so ``best - 1e-15``
+#: rounds back to ``best``.
+gain_values = st.one_of(
+    st.sampled_from((0.0, -0.0, 1e-15, 2e-15, 0.5, 0.5 - 1e-15,
+                     0.5 - 2e-15, 16.0, 16.000000000000004, 1e300,
+                     math.inf)),
+    st.floats(0.0, 100.0))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(gain_values, min_size=1, max_size=30), st.randoms())
+def test_best_rows_is_the_maximum_and_its_ties_in_the_order_asked(
+        values, random):
+    """One layer of a descent: the rows within ``1e-15`` of ``max()``,
+    as the descent's three passes found them (two rows take their own
+    path)."""
+    rows = list(range(len(values)))
+    random.shuffle(rows)
+    bank = HistogramBank(len(values))
+    for row, value in zip(rows, values):
+        bank.row_gain[row], bank.row_gain_at[row] = value, 0.5
+    gains = [bank.row_gain[row] for row in rows]
+    best = max(gains)
+    want = [row for row, gain in zip(rows, gains) if gain >= best - 1e-15]
+    assert bank.best_rows(rows, 0.5) == want
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, KERNEL_ROWS + 1])
+def test_best_rows_refreshes_what_gains_refreshes(monkeypatch, width):
+    """The same rows evaluated, the same way, to the same cached floats."""
+    def bank_of_rows():
+        bank = HistogramBank(width + 1)
+        for row in range(width + 1):
+            bank.row(row).add_many([0.01 * (row % 7 + 1), 0.05])
+        bank.gains([0], 0.02)  # row 0 is fresh at 0.02
+        return bank
+
+    rows = list(range(width, -1, -1))
+    got, want = bank_of_rows(), bank_of_rows()
+    row_calls = spy(monkeypatch, "_row_gain")
+    kernel_calls = spy(monkeypatch, "_gain_matrix")
+    got.best_rows(rows, 0.02)
+    seen = (len(row_calls), len(kernel_calls))
+    gains = want.gains(rows, 0.02)
+    assert (len(row_calls) - seen[0], len(kernel_calls) - seen[1]) == seen
+    assert bits(got.row_gain) == bits(want.row_gain)
+    assert got.row_gain_at == want.row_gain_at
+    assert got.best_rows(rows, 0.02) == [
+        row for row, gain in zip(rows, gains) if gain >= max(gains) - 1e-15]
