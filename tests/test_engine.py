@@ -12,6 +12,7 @@ from repro.data.synthetic import SyntheticClustersDataset
 from repro.errors import ConfigurationError, ExhaustedError
 from repro.scoring.base import FixedPerCallLatency
 from repro.scoring.relu import ReluScorer
+from tests.test_policy_golden import build_tree, element_scores
 
 
 @pytest.fixture(params=["tree", "flat"])
@@ -297,8 +298,6 @@ def test_per_layer_exploration_mixes_explored_and_greedy_layers():
     own coin at the schedule's epsilon: at ``ConstantEpsilon(0.5)`` over a
     tree of depth 3 or more, some descent explores one layer and exploits
     another."""
-    from tests.test_policy_golden import build_tree, element_scores
-
     tree = build_tree("binary")
     assert tree.depth() >= 3
     engine = TopKEngine(tree, EngineConfig(
