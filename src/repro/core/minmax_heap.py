@@ -290,8 +290,13 @@ class TopKBuffer(Generic[T]):
         return total
 
     def items(self) -> List[Tuple[float, T]]:
-        """Return the (score, payload) pairs in descending score order."""
-        return sorted(self._heap, key=lambda pair: pair[0], reverse=True)
+        """Return the (score, payload) pairs in descending score order.
+
+        Equal scores are listed in admission order, whatever the heap's
+        layout.
+        """
+        return [(score, payload) for score, _seq, payload in
+                sorted(self._heap._heap, key=lambda e: (-e[0], e[1]))]
 
     def scores(self) -> List[float]:
         """Return the held scores in descending order."""
