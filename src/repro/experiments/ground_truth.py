@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.core.stk import stk_curve
 from repro.errors import ConfigurationError
+from repro.utils.validation import check_scores
 
 
 @dataclass
@@ -65,6 +66,5 @@ def compute_ground_truth(dataset, scorer, batch_size: int = 1024) -> GroundTruth
         chunk = ids[start : start + batch_size]
         objects = dataset.fetch_batch(chunk)
         scores[start : start + len(chunk)] = scorer.score_batch(objects)
-    if (scores < 0).any():
-        raise ConfigurationError("opaque scorers must return non-negative values")
+    check_scores(scores.tolist())
     return GroundTruth(list(ids), scores)

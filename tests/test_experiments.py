@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,14 @@ class TestGroundTruth:
         from repro.scoring.base import FunctionScorer
         bad = FunctionScorer(lambda v: float(v) - 100.0)
         with pytest.raises(ConfigurationError):
+            compute_ground_truth(linear_dataset, bad)
+
+    @pytest.mark.parametrize("bad_score", [math.nan, math.inf])
+    def test_non_finite_scores_rejected(self, linear_dataset, bad_score):
+        from repro.scoring.base import FunctionScorer
+        bad = FunctionScorer(
+            lambda v: bad_score if float(v) == 7.0 else float(v))
+        with pytest.raises(ConfigurationError, match="finite"):
             compute_ground_truth(linear_dataset, bad)
 
     def test_misaligned_rejected(self):
