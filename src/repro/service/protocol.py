@@ -21,7 +21,10 @@ in the text wins.  Responses are ``snapshot`` lines (only when
 :meth:`~repro.streaming.engine.ProgressiveResult.to_json`), then exactly
 one terminal line: ``result`` (``data`` is the result's ``to_json()``)
 or ``error`` (``error`` message + ``kind`` exception class name;
-cancellations arrive as ``kind: "QueryCancelledError"``).
+cancellations arrive as ``kind: "QueryCancelledError"``).  A request
+line longer than :data:`REQUEST_LINE_LIMIT` bytes is skipped whole and
+answered with one ``BadRequest`` error line; response lines have no
+length limit.
 
 A client that disconnects mid-stream cancels its query: the server
 notices EOF (or a failed write), calls
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import AsyncIterator, Optional
+from typing import AsyncIterator, List, Optional
 
 from repro.errors import ReproError
 from repro.query.parser import parse
@@ -48,10 +51,40 @@ from repro.service.service import QueryService
 CLAUSE_KEYS = ("workers", "backend", "stream", "every", "confidence")
 #: Request keys forwarded to ``QueryService.submit`` as keyword arguments.
 EXECUTE_KEYS = ("use_cache", "warm_start")
+#: The longest request line the server reads, in bytes (asyncio's default
+#: ``StreamReader`` limit).
+REQUEST_LINE_LIMIT = 2 ** 16
 
 
 def _encode(payload: dict) -> bytes:
     return (json.dumps(payload, separators=(",", ":")) + "\n").encode("utf-8")
+
+
+async def _read_line(reader: asyncio.StreamReader, *,
+                     keep_long: bool) -> Optional[bytes]:
+    """Read one line whole, newline included (at EOF, what is left).
+
+    A line longer than the reader's limit is read in pieces: joined when
+    ``keep_long``, else dropped and ``None`` returned once its newline has
+    been consumed.
+    """
+    pieces: List[bytes] = []
+    too_long = False
+    while True:
+        try:
+            tail = await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as exc:
+            tail = exc.partial
+        except asyncio.LimitOverrunError as exc:
+            too_long = True
+            piece = await reader.readexactly(exc.consumed)
+            if keep_long:
+                pieces.append(piece)
+            continue
+        if too_long and not keep_long:
+            return None
+        pieces.append(tail)
+        return b"".join(pieces)
 
 
 async def _handle_connection(service: QueryService,
@@ -60,7 +93,14 @@ async def _handle_connection(service: QueryService,
     """Serve one connection: one request line, stream the response."""
     handle = None
     try:
-        line = await reader.readline()
+        line = await _read_line(reader, keep_long=False)
+        if line is None:
+            writer.write(_encode({
+                "type": "error", "kind": "BadRequest",
+                "error": f"request line longer than the "
+                         f"{REQUEST_LINE_LIMIT}-byte limit"}))
+            await writer.drain()
+            return
         if not line:
             return
         try:
@@ -136,7 +176,8 @@ async def serve(service: QueryService, host: str = "127.0.0.1",
     async def connection(reader, writer):
         await _handle_connection(service, reader, writer)
 
-    return await asyncio.start_server(connection, host=host, port=port)
+    return await asyncio.start_server(connection, host=host, port=port,
+                                      limit=REQUEST_LINE_LIMIT)
 
 
 class ServiceError(ReproError):
@@ -160,7 +201,7 @@ class ServiceClient:
             writer.write(_encode(payload))
             await writer.drain()
             while True:
-                line = await reader.readline()
+                line = await _read_line(reader, keep_long=True)
                 if not line:
                     return
                 message = json.loads(line)

@@ -15,13 +15,16 @@ resource-release path:
 * the ``ShardIndexCache`` survives a multi-threaded hammer that
   KeyErrors on the historical unlocked implementation (a ``get``'s
   ``move_to_end`` racing an evicting ``put``);
-* the line protocol round-trips results, snapshots, and errors.
+* the line protocol round-trips results, snapshots, and errors, refuses
+  an over-long request line with one error line and hands the client
+  result lines of any length.
 """
 
 from __future__ import annotations
 
 import asyncio
 import glob
+import json
 import os
 import signal
 import threading
@@ -42,6 +45,7 @@ from repro.service import (
     ServiceError,
     serve,
 )
+from repro.service.protocol import REQUEST_LINE_LIMIT, _read_line
 from repro.session import OpaqueQuerySession
 from tests.conftest import make_session, make_table
 
@@ -487,8 +491,6 @@ class TestLineProtocol:
                                                            port)
             writer.write(b"this is not json\n")
             await writer.drain()
-            import json
-
             outcomes["malformed"] = json.loads(await reader.readline())
             writer.close()
             await writer.wait_closed()
@@ -501,6 +503,104 @@ class TestLineProtocol:
         assert "ConfigurationError" in outcomes["unknown_table"]
         assert outcomes["malformed"]["type"] == "error"
         assert outcomes["malformed"]["kind"] == "BadRequest"
+
+    @staticmethod
+    def read_lines(data, keep_long, limit=16):
+        """Every ``_read_line`` result over ``data`` up to EOF."""
+        async def main():
+            reader = asyncio.StreamReader(limit=limit)
+            reader.feed_data(data)
+            reader.feed_eof()
+            lines = []
+            while True:
+                line = await _read_line(reader, keep_long=keep_long)
+                lines.append(line)
+                if line == b"":
+                    return lines
+
+        return run(main())
+
+    def test_read_line_joins_a_line_over_the_limit(self):
+        long_line = b"x" * 100 + b"\n"
+        assert self.read_lines(b"short\n" + long_line + b"tail",
+                               keep_long=True) == [
+            b"short\n", long_line, b"tail", b""]
+
+    def test_read_line_skips_a_line_over_the_limit_whole(self):
+        assert self.read_lines(b"y" * 40 + b"\nnext\n" + b"z" * 40,
+                               keep_long=False) == [None, b"next\n", None, b""]
+
+    def test_request_line_at_the_limit_is_served(self):
+        async def main():
+            session, _ = build_session()
+            service = QueryService(session=session)
+            server = await serve(service)
+            port = server.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection("127.0.0.1",
+                                                           port)
+            head = b'{"query": "' + QUERY.encode() + b'"'
+            padding = b" " * (REQUEST_LINE_LIMIT - len(head) - 1)
+            writer.write(head + padding + b"}\n")
+            await writer.drain()
+            reply = await reader.read()
+            writer.close()
+            await writer.wait_closed()
+            server.close()
+            await server.wait_closed()
+            await service.close()
+            return reply
+
+        (line,) = run(main()).splitlines()
+        assert json.loads(line)["type"] == "result"
+
+    def test_over_long_request_line_gets_one_error_line(self):
+        async def main():
+            session, _ = build_session()
+            service = QueryService(session=session)
+            server = await serve(service)
+            port = server.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection("127.0.0.1",
+                                                           port)
+            padding = b" " * (REQUEST_LINE_LIMIT + 100)
+            writer.write(b'{"query": "' + QUERY.encode() + b'"' + padding
+                         + b"}\n")
+            await writer.drain()
+            reply = await reader.read()
+            writer.close()
+            await writer.wait_closed()
+            # The server keeps serving after the refusal.
+            message = await ServiceClient("127.0.0.1", port).execute(QUERY)
+            server.close()
+            await server.wait_closed()
+            await service.close()
+            return reply, message
+
+        reply, message = run(main())
+        (line,) = reply.splitlines()
+        error = json.loads(line)
+        assert error["type"] == "error" and error["kind"] == "BadRequest"
+        assert str(REQUEST_LINE_LIMIT) in error["error"]
+        assert message["type"] == "result"
+
+    def test_result_line_over_the_limit_reads_whole(self):
+        query = "SELECT TOP 3000 FROM t ORDER BY f BUDGET 4000 SEED 11"
+
+        async def main():
+            session, _ = make_session(make_table(n_rows=4000))
+            service = QueryService(session=session)
+            server = await serve(service)
+            port = server.sockets[0].getsockname()[1]
+            message = await ServiceClient("127.0.0.1", port).execute(query)
+            server.close()
+            await server.wait_closed()
+            await service.close()
+            return message
+
+        message = run(main())
+        assert len(json.dumps(message)) > REQUEST_LINE_LIMIT
+        local, _ = make_session(make_table(n_rows=4000))
+        assert message["data"]["items"] == local.execute(query).to_json()[
+            "items"]
 
     def test_deadline_policy_admits_urgent_first_over_the_wire(self):
         """EDF end to end: the urgent request overtakes the earlier one."""
