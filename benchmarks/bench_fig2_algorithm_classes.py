@@ -19,7 +19,7 @@ from repro.baselines.oracle import (
     simulate_allocation,
 )
 from repro.core.discrete import DiscreteArm, DiscreteTopKBandit
-from repro.core.minmax_heap import TopKBuffer
+from repro.core.stk import TopKBuffer
 from repro.experiments.report import format_rows
 
 K = 25

@@ -33,7 +33,6 @@ from repro.core import (
     DiscreteTopKBandit,
     EngineConfig,
     FallbackConfig,
-    MinMaxHeap,
     QueryResult,
     TopKBuffer,
     TopKEngine,
@@ -82,7 +81,6 @@ from repro.baselines import (
 )
 from repro.errors import (
     ConfigurationError,
-    EmptyStructureError,
     ExhaustedError,
     NotFittedError,
     ReproError,
@@ -154,7 +152,6 @@ __all__ = [
     "stk_curve",
     "kth_largest",
     "marginal_gain",
-    "MinMaxHeap",
     "TopKBuffer",
     "AdaptiveHistogram",
     "BanditConfig",
@@ -202,7 +199,6 @@ __all__ = [
     # errors
     "ReproError",
     "ConfigurationError",
-    "EmptyStructureError",
     "ExhaustedError",
     "NotFittedError",
     # extensions (paper Section 7)

@@ -24,8 +24,7 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from repro.core.discrete import DiscreteArm
-from repro.core.minmax_heap import TopKBuffer
-from repro.core.stk import stk
+from repro.core.stk import TopKBuffer, stk
 from repro.errors import ConfigurationError
 from repro.utils.rng import SeedLike, as_generator
 

@@ -10,8 +10,8 @@ from repro.core.stk import (
     marginal_gain,
     stk_after_insert,
     stk_curve,
+    TopKBuffer,
 )
-from repro.core.minmax_heap import MinMaxHeap, TopKBuffer
 from repro.core.histogram import AdaptiveHistogram
 from repro.core.convergence import (
     ConvergenceBound,
@@ -45,7 +45,6 @@ __all__ = [
     "marginal_gain",
     "stk_after_insert",
     "stk_curve",
-    "MinMaxHeap",
     "TopKBuffer",
     "AdaptiveHistogram",
     "ConvergenceBound",

@@ -18,8 +18,8 @@ from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
 
-from repro.core.minmax_heap import TopKBuffer
 from repro.core.policies import ExplorationSchedule, PolynomialDecay
+from repro.core.stk import TopKBuffer
 from repro.errors import ConfigurationError, ExhaustedError
 from repro.utils.rng import SeedLike, as_generator
 

@@ -65,9 +65,9 @@ import numpy as np
 from repro.core.bandit import BanditConfig
 from repro.core.fallback import FallbackConfig, FallbackController, FallbackDecision
 from repro.core.hierarchical import HierarchicalBanditPolicy
-from repro.core.minmax_heap import TopKBuffer
 from repro.core.policies import ExplorationSchedule, PolynomialDecay
 from repro.core.result import Checkpoint, QueryResult
+from repro.core.stk import TopKBuffer
 from repro.errors import ConfigurationError, ExhaustedError, SerializationError
 from repro.index.tree import ClusterTree
 from repro.obs.metrics import MEMO_HITS_TOTAL, UDF_CALLS_TOTAL

@@ -5,12 +5,17 @@ STK is the intrinsic solution-quality measure for opaque top-k queries:
 ``S`` (Equation 1).  Theorem 4.1 proves STK is monotone and DR-submodular
 over the multiset lattice; the predicates at the bottom of this module let
 the property-based test suite check both properties directly.
+
+:class:`TopKBuffer` is Algorithm 1's "cardinality-constrained min-max heap"
+of the k best scores.  It is a plain :mod:`heapq` min-heap because the
+algorithm only ever reads and evicts the minimum, the k-th score; the
+maximum side of a min-max heap would go unused.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Sequence
+from typing import Any, Generic, Iterable, List, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -49,6 +54,107 @@ def kth_largest(values: Sequence[float], k: int) -> float | None:
     if len(values) < k:
         return None
     return float(heapq.nlargest(k, values)[-1])
+
+
+T = TypeVar("T")
+
+
+class TopKBuffer(Generic[T]):
+    """The paper's cardinality-constrained priority queue of top-k scores.
+
+    Keeps the ``k`` highest-scoring (score, payload) pairs seen so far and
+    maintains the running ``STK`` incrementally, so the bandit reads both the
+    kick-out threshold ``(S)_(k)`` and the objective value in O(1).
+
+    Entries are ``(score, seq, payload)`` tuples on a min-heap, ``seq``
+    being the admission counter: equal scores are evicted and listed in
+    admission order, and payloads are never compared.
+    """
+
+    def __init__(self, k: int) -> None:
+        self.k = _check_k(k)
+        self._heap: List[Tuple[float, int, Any]] = []
+        self._seq = 0
+        self._stk = 0.0
+
+    def __len__(self) -> int:
+        return len(self._heap)
+
+    @property
+    def stk(self) -> float:
+        """Current Sum-of-Top-k of everything offered so far."""
+        return self._stk
+
+    @property
+    def threshold(self) -> float | None:
+        """``(S)_(k)`` — the score a newcomer must beat — or None if |S| < k."""
+        if len(self._heap) < self.k:
+            return None
+        return self._heap[0][0]
+
+    def offer(self, score: float, payload: T = None) -> float:
+        """Offer a candidate; return the marginal STK gain it produced.
+
+        A candidate either fills spare capacity (gain = score), evicts the
+        current minimum (gain = score - threshold), or is rejected (gain 0).
+        """
+        score = float(score)
+        heap = self._heap
+        if len(heap) < self.k:
+            heapq.heappush(heap, (score, self._seq, payload))
+            self._seq += 1
+            self._stk += score
+            return score
+        kth = heap[0][0]
+        if score > kth:
+            heapq.heapreplace(heap, (score, self._seq, payload))
+            self._seq += 1
+            gain = score - kth
+            self._stk += gain
+            return gain
+        return 0.0
+
+    def offer_batch(self, scores: Iterable[float],
+                    payloads: Iterable[T]) -> float:
+        """:meth:`offer` each ``(score, payload)`` pair in order.
+
+        Returns the summed marginal gain.  The same admissions, evictions
+        and floats as one :meth:`offer` per pair, without a method call per
+        score: a rejected score — most of a batch once the buffer is full —
+        costs one compare against the k-th score.  Takes Python floats.
+        """
+        heap, k, seq = self._heap, self.k, self._seq
+        stk = self._stk
+        total = 0.0
+        for score, payload in zip(scores, payloads):
+            if len(heap) < k:
+                heapq.heappush(heap, (score, seq, payload))
+                seq += 1
+                stk += score
+                total += score
+            elif score > heap[0][0]:
+                gain = score - heap[0][0]
+                heapq.heapreplace(heap, (score, seq, payload))
+                seq += 1
+                stk += gain
+                total += gain
+        self._seq = seq
+        self._stk = stk
+        return total
+
+    def items(self) -> List[Tuple[float, T]]:
+        """Return the (score, payload) pairs, highest score first and equal
+        scores in admission order."""
+        return [(score, payload) for score, _seq, payload in
+                sorted(self._heap, key=lambda entry: (-entry[0], entry[1]))]
+
+    def scores(self) -> List[float]:
+        """Return the held scores in descending order."""
+        return [score for score, _payload in self.items()]
+
+    def payloads(self) -> List[T]:
+        """Return the held payloads in descending score order."""
+        return [payload for _score, payload in self.items()]
 
 
 def marginal_gain(x: float, threshold: float | None) -> float:

@@ -16,10 +16,6 @@ class ConfigurationError(ReproError):
     """An invalid parameter or parameter combination was supplied."""
 
 
-class EmptyStructureError(ReproError):
-    """An operation required a non-empty container (heap, arm, index)."""
-
-
 class ExhaustedError(ReproError):
     """A sampling source ran out of elements and cannot produce more."""
 

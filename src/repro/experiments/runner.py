@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.baselines.base import SamplingAlgorithm
-from repro.core.minmax_heap import TopKBuffer
+from repro.core.stk import TopKBuffer
 from repro.errors import ConfigurationError, ExhaustedError
 from repro.experiments.ground_truth import GroundTruth
 from repro.experiments.metrics import precision_at_k

@@ -62,10 +62,6 @@ class Metric:
         self._lock = lock
         self._cells: Dict[LabelItems, Any] = {}
 
-    def labelsets(self) -> List[Dict[str, str]]:
-        with self._lock:
-            return [dict(items) for items in self._cells]
-
     def _snapshot_value(self, value: Any) -> Any:
         return value
 

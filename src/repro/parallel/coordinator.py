@@ -7,7 +7,7 @@ communicate the running solution back to a coordinator."
 :class:`~repro.core.engine.TopKEngine`, see :mod:`repro.parallel.worker`),
 places them on a backend (:mod:`repro.parallel.backends`), folds every
 :class:`~repro.parallel.worker.RoundOutcome` a shard reports into the
-global :class:`~repro.core.minmax_heap.TopKBuffer` (the *merge*), and
+global :class:`~repro.core.stk.TopKBuffer` (the *merge*), and
 broadcasts the global k-th score back as each shard's kick-out floor (the
 *threshold broadcast*).
 
@@ -33,7 +33,7 @@ from typing import ClassVar, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.convergence import ConvergenceBound
 from repro.core.engine import EngineConfig, TopKEngine, _fully_funded
-from repro.core.minmax_heap import TopKBuffer
+from repro.core.stk import TopKBuffer
 from repro.data.dataset import Dataset
 from repro.errors import ConfigurationError, SerializationError
 from repro.index.builder import IndexConfig

@@ -12,7 +12,7 @@ Execution proceeds in rounds:
    dedicated child processes) and the coordinator collects that many
    events — the barrier;
 3. the coordinator folds each shard's running top-k into the global
-   :class:`~repro.core.minmax_heap.TopKBuffer`, in worker order (the
+   :class:`~repro.core.stk.TopKBuffer`, in worker order (the
    *merge*);
 4. the global k-th score is broadcast back as each shard's kick-out floor
    (the *threshold broadcast*), so no shard wastes budget on elements that

@@ -7,7 +7,7 @@ runs the same :class:`~repro.parallel.coordinator.ShardCoordinator`
 without the barrier: shard workers run continuously in small budget
 *slices*, the coordinator merges each
 :class:`~repro.parallel.backends.SliceEvent` the moment it arrives into
-the global :class:`~repro.core.minmax_heap.TopKBuffer`, and the k-th-score
+the global :class:`~repro.core.stk.TopKBuffer`, and the k-th-score
 threshold is re-broadcast asynchronously — a shard picks up the latest
 floor at its next slice boundary, never mid-slice.
 

@@ -172,7 +172,8 @@ CORPUS = ("src", "examples", "docs", "benchmarks", "bench", "tools")
 
 #: Deleted for having no caller outside their own tests, the persistence
 #: spellings that ``snapshot`` / ``restore`` and ``to_dict`` /
-#: ``from_dict`` replaced, and the histogram bank's old layout.
+#: ``from_dict`` replaced, the histogram bank's old layout, and the min-max
+#: heap whose maximum side the top-k buffer never read.
 DELETED_NAMES = (
     "KNNRegressor", "KNNScorer", "LinearRegressionScorer",
     "SquaredLoss", "AbsoluteLoss", "ascii_chart", "curves_to_rows",
@@ -184,6 +185,10 @@ DELETED_NAMES = (
     "from_payload",
     # The bank's matrices and refresh-ahead lists the row lists replaced.
     "edge_matrix", "count_matrix", "touched_rows", "read_rows",
+    # The min-max heap, the error only it raised, and the names only its
+    # own tests called.
+    "MinMaxHeap", "minmax_heap", "_is_min_level", "peek_max", "pop_max",
+    "EmptyStructureError", "labelsets", "is_full",
 )
 
 

@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 import repro.core.histogram as histogram
 from repro.core.hierarchical import HierarchicalBanditPolicy
 from repro.core.histogram import STALE, AdaptiveHistogram, HistogramBank
-from repro.core.minmax_heap import TopKBuffer
+from repro.core.stk import TopKBuffer
 from repro.errors import ConfigurationError
 from repro.index.tree import ClusterNode, ClusterTree
 from repro.utils.validation import check_scores
@@ -379,8 +379,8 @@ def test_overlap_redistribute_is_the_numpy_form(bank, n_new, factor):
 
 def buffer_bits(buffer: TopKBuffer):
     entries = [(bits([score])[0], seq, payload)
-               for score, seq, payload in buffer._heap._heap]
-    return entries, buffer._heap._seq, bits([buffer.stk])
+               for score, seq, payload in buffer._heap]
+    return entries, buffer._seq, bits([buffer.stk])
 
 
 offer_scores = st.one_of(st.sampled_from((0.0, -0.0, 1.0, 2.5)),

@@ -12,7 +12,6 @@ from repro.core.result import Checkpoint, QueryResult
 from repro.data.synthetic import SyntheticClustersDataset
 from repro.errors import (
     ConfigurationError,
-    EmptyStructureError,
     ExhaustedError,
     IndexError_,
     NotFittedError,
@@ -30,9 +29,8 @@ from repro.index.builder import IndexConfig
 
 class TestErrorHierarchy:
     def test_all_derive_from_repro_error(self):
-        for exc_type in (ConfigurationError, EmptyStructureError,
-                         ExhaustedError, IndexError_, SerializationError,
-                         NotFittedError):
+        for exc_type in (ConfigurationError, ExhaustedError, IndexError_,
+                         SerializationError, NotFittedError):
             assert issubclass(exc_type, ReproError)
 
     def test_catching_base_catches_all(self):

@@ -45,7 +45,7 @@ class TestAdaptiveGreedyKnown:
         greedy = adaptive_greedy_known(arms, k=10, budget=budget, rng=0)
         # Uniform random arm choice baseline.
         rng = np.random.default_rng(0)
-        from repro.core.minmax_heap import TopKBuffer
+        from repro.core.stk import TopKBuffer
         totals = []
         for seed in range(5):
             gen = np.random.default_rng(seed)

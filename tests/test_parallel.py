@@ -13,7 +13,7 @@ import json
 import pytest
 
 from repro.core.engine import EngineConfig
-from repro.core.minmax_heap import TopKBuffer
+from repro.core.stk import TopKBuffer
 from repro.data.dataset import Dataset
 from repro.data.synthetic import SyntheticClustersDataset
 from repro.errors import ConfigurationError, SerializationError

@@ -1,4 +1,9 @@
-"""Tests for the min-max heap and the cardinality-constrained TopKBuffer."""
+"""Tests for the cardinality-constrained TopKBuffer.
+
+Equal scores are listed and evicted in admission order; the held entries,
+threshold and floats against the min-max heap the buffer replaced are
+checked in ``tests/test_topk_lockstep.py``.
+"""
 
 from __future__ import annotations
 
@@ -9,129 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.minmax_heap import MinMaxHeap, TopKBuffer, _is_min_level
-from repro.core.stk import stk
-from repro.errors import ConfigurationError, EmptyStructureError
+from repro.core.engine import EngineConfig, TopKEngine
+from repro.core.stk import TopKBuffer, stk
+from repro.errors import ConfigurationError
 
-scores = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
-                   allow_infinity=False)
-
-
-class TestLevelParity:
-    def test_root_is_min_level(self):
-        assert _is_min_level(0)
-
-    def test_first_two_children_are_max_level(self):
-        assert not _is_min_level(1)
-        assert not _is_min_level(2)
-
-    def test_grandchildren_are_min_level(self):
-        for index in (3, 4, 5, 6):
-            assert _is_min_level(index)
-
-
-class TestMinMaxHeap:
-    def test_empty_errors(self):
-        heap = MinMaxHeap()
-        with pytest.raises(EmptyStructureError):
-            heap.peek_min()
-        with pytest.raises(EmptyStructureError):
-            heap.peek_max()
-        with pytest.raises(EmptyStructureError):
-            heap.pop_min()
-        with pytest.raises(EmptyStructureError):
-            heap.pop_max()
-
-    def test_single_element(self):
-        heap = MinMaxHeap()
-        heap.push(5.0, "a")
-        assert heap.peek_min() == (5.0, "a")
-        assert heap.peek_max() == (5.0, "a")
-
-    def test_min_and_max_tracking(self):
-        heap = MinMaxHeap()
-        for value in [5, 1, 9, 3, 7]:
-            heap.push(float(value))
-        assert heap.peek_min()[0] == 1.0
-        assert heap.peek_max()[0] == 9.0
-
-    def test_pop_min_sorted(self, rng):
-        values = rng.normal(size=100)
-        heap = MinMaxHeap()
-        for value in values:
-            heap.push(float(value))
-        popped = [heap.pop_min()[0] for _ in range(len(values))]
-        assert popped == sorted(values.tolist())
-
-    def test_pop_max_sorted(self, rng):
-        values = rng.normal(size=100)
-        heap = MinMaxHeap()
-        for value in values:
-            heap.push(float(value))
-        popped = [heap.pop_max()[0] for _ in range(len(values))]
-        assert popped == sorted(values.tolist(), reverse=True)
-
-    def test_interleaved_pops(self, rng):
-        values = sorted(rng.normal(size=50).tolist())
-        heap = MinMaxHeap()
-        for value in values:
-            heap.push(value)
-        lo, hi = 0, len(values) - 1
-        for turn in range(len(values)):
-            if turn % 2 == 0:
-                assert heap.pop_min()[0] == values[lo]
-                lo += 1
-            else:
-                assert heap.pop_max()[0] == values[hi]
-                hi -= 1
-
-    def test_payloads_travel_with_scores(self):
-        heap = MinMaxHeap()
-        heap.push(2.0, "two")
-        heap.push(1.0, "one")
-        heap.push(3.0, "three")
-        assert heap.pop_min() == (1.0, "one")
-        assert heap.pop_max() == (3.0, "three")
-        assert heap.pop_min() == (2.0, "two")
-
-    def test_fifo_tie_break_on_min(self):
-        heap = MinMaxHeap()
-        heap.push(1.0, "first")
-        heap.push(1.0, "second")
-        assert heap.pop_min() == (1.0, "first")
-
-    @given(st.lists(scores, min_size=1, max_size=200))
-    @settings(max_examples=100)
-    def test_invariants_after_pushes(self, values):
-        heap = MinMaxHeap()
-        for value in values:
-            heap.push(value)
-        heap.check_invariants()
-        assert heap.peek_min()[0] == pytest.approx(min(values))
-        assert heap.peek_max()[0] == pytest.approx(max(values))
-
-    @given(st.lists(scores, min_size=1, max_size=120),
-           st.lists(st.booleans(), max_size=60))
-    @settings(max_examples=100)
-    def test_invariants_with_mixed_pops(self, values, pop_plan):
-        heap = MinMaxHeap()
-        reference: list = []
-        for value in values:
-            heap.push(value)
-            reference.append(value)
-        for pop_max in pop_plan:
-            if not reference:
-                break
-            if pop_max:
-                got = heap.pop_max()[0]
-                expected = max(reference)
-            else:
-                got = heap.pop_min()[0]
-                expected = min(reference)
-            reference.remove(expected)
-            assert got == pytest.approx(expected)
-            heap.check_invariants()
-        assert len(heap) == len(reference)
+#: Few distinct values, so most offers tie; ``-0.0`` equals ``0.0``.
+tied_scores = st.sampled_from((0.0, -0.0, 1.0, 2.0, 3.0))
 
 
 class TestTopKBuffer:
@@ -143,7 +31,7 @@ class TestTopKBuffer:
         buf = TopKBuffer(2)
         assert buf.offer(1.0, "a") == 1.0
         assert buf.offer(2.0, "b") == 2.0
-        assert buf.is_full
+        assert len(buf) == buf.k
         assert buf.threshold == 1.0
         # 3.0 evicts the 1.0.
         assert buf.offer(3.0, "c") == 2.0
@@ -160,6 +48,27 @@ class TestTopKBuffer:
         buf = TopKBuffer(3)
         buf.offer(1.0)
         assert buf.threshold is None
+
+    def test_offer_converts_with_float(self):
+        buf = TopKBuffer(2)
+        buf.offer(np.float64(2.0), "a")
+        buf.offer(3, "b")
+        assert [type(score) for score in buf.scores()] == [float, float]
+
+    def test_payloads_are_never_compared(self):
+        buf = TopKBuffer(3)
+        for payload in ({"a": 1}, {"b": 2}, object(), {"c": 3}):
+            buf.offer(1.0, payload)
+        buf.offer_batch([1.0, 2.0], [object(), {"d": 4}])
+        assert len(buf) == 3
+
+    def test_threshold_keeps_the_sign_of_zero(self):
+        buf = TopKBuffer(2)
+        buf.offer(-0.0, "a")
+        buf.offer(0.0, "b")
+        assert buf.threshold.hex() == (-0.0).hex()
+        assert buf.offer(1.0, "c") == 1.0
+        assert buf.threshold.hex() == (0.0).hex()
 
     def test_equal_score_not_inserted(self):
         # Only strictly greater scores kick out the minimum (f(x) > S_(k)).
@@ -197,3 +106,65 @@ class TestTopKBuffer:
         scores_only = [score for score, _ in items]
         assert scores_only == sorted(scores_only, reverse=True)
         assert len(items) == 10
+
+
+class TestTieOrder:
+    @given(st.integers(1, 8), st.lists(tied_scores, max_size=60),
+           st.booleans())
+    @settings(max_examples=200)
+    def test_equal_scores_listed_in_admission_order(self, k, values, batched):
+        buf = TopKBuffer(k)
+        if batched:
+            buf.offer_batch(values, range(len(values)))
+        else:
+            for position, value in enumerate(values):
+                buf.offer(value, position)
+        items = buf.items()
+        for (score, position), (next_score, next_position) in zip(
+                items, items[1:]):
+            assert score > next_score or (score == next_score
+                                          and position < next_position)
+
+    @given(st.integers(1, 8), st.lists(tied_scores, max_size=60))
+    @settings(max_examples=200)
+    def test_holds_what_a_sorted_list_model_holds(self, k, values):
+        """Admit above the k-th score, evict the earliest admitted of the
+        lowest scores: the model keeps ``(score, position)`` sorted."""
+        buf = TopKBuffer(k)
+        model = []
+        for position, value in enumerate(values):
+            buf.offer(value, position)
+            if len(model) < k:
+                model.append((value, position))
+            elif value > model[0][0]:
+                model[0] = (value, position)
+            model.sort()
+        assert buf.payloads() == [position for _value, position in
+                                  sorted(model, key=lambda e: (-e[0], e[1]))]
+
+    def test_earliest_admitted_tie_is_evicted_first(self):
+        buf = TopKBuffer(3)
+        for payload in ("a", "b", "c"):
+            buf.offer(1.0, payload)
+        buf.offer(2.0, "d")
+        assert buf.payloads() == ["d", "b", "c"]
+        buf.offer(1.5, "e")
+        assert buf.payloads() == ["d", "e", "c"]
+
+    def test_restored_engine_evicts_the_same_ties(self, tiny_tree):
+        """A snapshot lists the buffer in admission order among ties, so
+        the restored buffer evicts the ids the original would have."""
+        score_of = {f"{prefix}{i}": float(i % 3)
+                    for prefix in "xy" for i in range(10)}
+        engine = TopKEngine(tiny_tree, EngineConfig(k=8, seed=3))
+        for _ in range(16):
+            ids = engine.next_batch()
+            engine.observe(ids, [score_of[i] for i in ids])
+        assert len(set(engine.buffer.scores())) < len(engine.buffer)
+        restored = TopKEngine.restore(tiny_tree, engine.snapshot())
+        for step in range(8):
+            engine.buffer.offer(1.5, f"new{step}")
+            restored.buffer.offer(1.5, f"new{step}")
+            assert (set(restored.buffer.payloads())
+                    == set(engine.buffer.payloads()))
+        assert restored.buffer.items() == engine.buffer.items()
