@@ -113,34 +113,24 @@ class TestTieOrder:
            st.booleans())
     @settings(max_examples=200)
     def test_equal_scores_listed_in_admission_order(self, k, values, batched):
+        """Against a model that keeps ``(score, position)`` sorted: admit
+        above the k-th score, evict the earliest admitted of the lowest
+        scores, list by score and then by admission."""
         buf = TopKBuffer(k)
         if batched:
             buf.offer_batch(values, range(len(values)))
         else:
             for position, value in enumerate(values):
                 buf.offer(value, position)
-        items = buf.items()
-        for (score, position), (next_score, next_position) in zip(
-                items, items[1:]):
-            assert score > next_score or (score == next_score
-                                          and position < next_position)
-
-    @given(st.integers(1, 8), st.lists(tied_scores, max_size=60))
-    @settings(max_examples=200)
-    def test_holds_what_a_sorted_list_model_holds(self, k, values):
-        """Admit above the k-th score, evict the earliest admitted of the
-        lowest scores: the model keeps ``(score, position)`` sorted."""
-        buf = TopKBuffer(k)
         model = []
         for position, value in enumerate(values):
-            buf.offer(value, position)
             if len(model) < k:
                 model.append((value, position))
             elif value > model[0][0]:
                 model[0] = (value, position)
             model.sort()
-        assert buf.payloads() == [position for _value, position in
-                                  sorted(model, key=lambda e: (-e[0], e[1]))]
+        model.sort(key=lambda entry: (-entry[0], entry[1]))
+        assert buf.payloads() == [position for _value, position in model]
 
     def test_earliest_admitted_tie_is_evicted_first(self):
         buf = TopKBuffer(3)
