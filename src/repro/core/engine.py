@@ -25,9 +25,13 @@ The engine exposes two equivalent driving styles:
 
 Hot-path invariants
 -------------------
-Per-element engine overhead is O(depth) Python steps, and the histogram
-work of a select and of an observation is plain Python floats at every
-batch width:
+Per-query set-up is O(tree nodes), not O(rows): the policy mirrors the
+index into a node table, and each arm draws from its leaf's member tuple
+in place through a swap map that grows with the draws
+(:mod:`repro.core.arms`), so neither building nor dropping an engine
+touches every id.  Per-element engine overhead is O(depth) Python
+steps, and the histogram work of a select and of an observation is
+plain Python floats at every batch width:
 
 * ``exhausted`` reads the policy's incremental ``remaining`` counters,
   and a descent's candidates are each node's kept list of live children
@@ -50,7 +54,9 @@ batch width:
   flat index's leaves after a threshold move (:mod:`repro.core.histogram`).
 
 Seeded draws and floats are pinned by ``tests/test_engine_equivalence.py``,
-``tests/test_policy_golden.py`` and ``tests/test_wide_root_golden.py``.  These invariants, and the
+``tests/test_policy_golden.py``, ``tests/test_wide_root_golden.py`` and
+``tests/test_arm_lockstep.py``; the set-up bound by
+``tests/test_setup_cost.py``.  These invariants, and the
 shard/coordinator protocol that runs many engines in parallel, are
 documented normatively in ``docs/architecture.md``.
 """
@@ -58,7 +64,7 @@ documented normatively in ``docs/architecture.md``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Protocol, Sequence, Tuple
+from typing import Callable, List, Optional, Protocol, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -93,6 +99,33 @@ class SupportsScore(Protocol):
 
     def batch_cost(self, batch_size: int) -> float:
         """Latency-model cost (seconds) of scoring one batch of this size."""
+
+
+def _undrawn_queue(queue: list, policy: HierarchicalBanditPolicy,
+                   fmt: str) -> List[str]:
+    """``queue`` if it lists distinct string ids the policy has not drawn.
+
+    The uniform-scan fallback queues the policy's undrawn members and
+    stops drawing from the policy, so a scan-mode snapshot lists each
+    queued id once in the queue and once in its leaf; an id outside the
+    leaves was scored already, or was never in the index.
+    """
+    undrawn = set(policy.remaining_ids()) if queue else set()
+    queued: Set[str] = set()
+    for element_id in queue:
+        if not isinstance(element_id, str):
+            problem = "a non-string id"
+        elif element_id not in undrawn:
+            problem = "an id no leaf has left to draw"
+        elif element_id in queued:
+            problem = "an id twice"
+        else:
+            queued.add(element_id)
+            continue
+        raise SerializationError(
+            f"expected {fmt} scan_queue of undrawn ids, found {problem}: "
+            f"{element_id!r}")
+    return list(queue)
 
 
 def _fully_funded(gate, needed: int) -> bool:
@@ -579,7 +612,9 @@ class TopKEngine:
         ``index`` must be the same immutable index the original engine ran
         over (node IDs are checked).  ``config`` defaults to paper settings
         with the snapshot's ``k``; ``resume_seed`` seeds the fresh random
-        streams of the resumed run.
+        streams of the resumed run.  A snapshot whose leaves or scan
+        queue would draw an id twice, or an id no leaf holds, is refused
+        with :class:`~repro.errors.SerializationError`.
         """
         fmt = cls._SNAPSHOT_FORMAT
         read(snapshot, fmt, k=int, mode=str, buffer=list, tree=dict,
@@ -604,7 +639,8 @@ class TopKEngine:
         for score, payload in buffer:
             engine.buffer.offer(score, payload)
         engine.mode = snapshot["mode"]
-        engine._scan_queue = list(snapshot.get("scan_queue") or ())
+        engine._scan_queue = _undrawn_queue(
+            snapshot.get("scan_queue") or [], engine.policy, fmt)
         engine.t_batches = counters["t_batches"]
         engine.n_scored = counters["n_scored"]
         engine.n_explore = counters["n_explore"]

@@ -512,13 +512,39 @@ class HierarchicalBanditPolicy:
         payload decides the shape: a mirrored node it omits was dropped, and
         a leaf it lists under the root was re-parented by :meth:`flatten`.
         Every ``remaining`` counter is re-derived from the installed member
-        lists; the arms keep their own random streams.
+        lists; the arms keep their own random streams.  A leaf may list
+        only string ids of its own members, and no id may be listed twice
+        across the leaves: anything else would be drawn twice, or drawn
+        from no leaf of the index.
         """
         if payload.get("node_id") != self._ids[0]:
             raise SerializationError(
                 f"snapshot tree mismatch: engine node {self._ids[0]!r} "
                 f"vs snapshot {payload.get('node_id')!r}"
             )
+
+        listed: Set[str] = set()
+
+        def undrawn(leaf: str, ids, members: Sequence[str]) -> list:
+            if not isinstance(ids, list):
+                raise SerializationError(
+                    f"snapshot leaf {leaf!r} lists its remaining members as "
+                    f"a {type(ids).__name__}")
+            own = set(members) if ids else ()
+            for element_id in ids:
+                if not isinstance(element_id, str):
+                    problem = "a non-string id"
+                elif element_id not in own:
+                    problem = "an id that is not one of its members"
+                elif element_id in listed:
+                    problem = "an id twice"
+                else:
+                    listed.add(element_id)
+                    continue
+                raise SerializationError(
+                    f"snapshot leaf {leaf!r} lists {problem}: "
+                    f"{element_id!r}")
+            return ids
 
         def load(entry: dict, parent: int) -> int:
             row = self._rows.get(entry.get("node_id"))
@@ -540,7 +566,8 @@ class HierarchicalBanditPolicy:
                 self._remaining[row] = sum(self._remaining[c]
                                            for c in children)
             else:
-                arm._members = list(entry[key])
+                arm.reset(undrawn(self._ids[row], entry[key],
+                                  arm.member_ids))
                 self._remaining[row] = len(arm)
             return row
 

@@ -29,10 +29,11 @@ Sharing rules
   (``seed=None``) can never hit and would otherwise grow the cache without
   bound.
 
-The cluster tree is read-only at query time — the bandit policy
-(:mod:`repro.core.hierarchical`) mirrors it into nodes of its own and its
-arms copy their member lists — so one cached index may back many
-concurrent engines.
+The cluster tree and the partition tuples are read-only at query time —
+the bandit policy (:mod:`repro.core.hierarchical`) mirrors the tree into
+nodes of its own, and its arms read the leaves' member tuples in place
+through a swap map of their own (:mod:`repro.core.arms`) — so one cached
+entry may back many concurrent engines without a copy.
 
 The cache itself is **concurrency-safe**: one lock guards the LRU map
 and the hit/miss counters, because the multi-tenant service
@@ -59,7 +60,7 @@ from repro.index.tree import ClusterTree
 CacheKey = Tuple[int, int, str, int, str, int]
 
 #: (partitions, per-worker indexes), id-aligned with worker order.
-CacheEntry = Tuple[List[List[str]], List[ClusterTree]]
+CacheEntry = Tuple[List[Tuple[str, ...]], List[ClusterTree]]
 
 
 def subset_fingerprint(ids: Optional[Sequence[str]]) -> str:
@@ -126,14 +127,18 @@ class ShardIndexCache:
             self.hits += 1
             return entry
 
-    def put(self, key: CacheKey, partitions: List[List[str]],
+    def put(self, key: CacheKey, partitions: Sequence[Sequence[str]],
             indexes: List[ClusterTree]) -> None:
-        """Store one build, evicting the least recently used beyond capacity."""
+        """Store one build, evicting the least recently used beyond capacity.
+
+        Partitions are kept as tuples (a tuple is stored as itself), so
+        every query the entry serves shares them uncopied.
+        """
         if len(partitions) != len(indexes):
             raise ValueError(
                 f"{len(partitions)} partitions for {len(indexes)} indexes"
             )
-        entry = ([list(p) for p in partitions], list(indexes))
+        entry = ([tuple(p) for p in partitions], list(indexes))
         with self._lock:
             self._entries[key] = entry
             self._entries.move_to_end(key)

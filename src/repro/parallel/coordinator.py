@@ -225,7 +225,10 @@ class ShardCoordinator:
         # Coordinator state (persists across runs for resumption).
         self._started = False
         self._cache_hit = False
-        self._partitions: List[List[str]] = []
+        # The shards' member tuples, shared with the specs and the index
+        # cache (never copied here): read for their sizes, and banked in
+        # the cache after a miss.
+        self._partitions: List[Sequence[str]] = []
         self._buffer: TopKBuffer[str] = TopKBuffer(self.k)
         self._merged_ids: Set[str] = set()
         self.wall_time = 0.0

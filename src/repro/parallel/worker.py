@@ -77,7 +77,7 @@ class ShardSpec:
     """Everything needed to (re)build one shard anywhere — all picklable."""
 
     worker_id: int
-    member_ids: List[str]
+    member_ids: Sequence[str]
     k: int
     engine_config: EngineConfig
     index_config: Optional[IndexConfig]
@@ -168,7 +168,7 @@ def build_shard_specs(dataset, scorer: Scorer, *, n_workers: int, k: int,
                       priors: Optional[List[Optional[dict]]] = None,
                       trace: bool = False,
                       table_version: int = 0,
-                      ) -> Tuple[List[List[str]], List[ShardSpec], bool,
+                      ) -> Tuple[List[Tuple[str, ...]], List[ShardSpec], bool,
                                  Optional[SharedFeatureTable]]:
     """Partition the dataset and assemble one :class:`ShardSpec` per worker.
 
@@ -198,6 +198,13 @@ def build_shard_specs(dataset, scorer: Scorer, *, n_workers: int, k: int,
     to the copy path.  Packing failures fall back to the copy path unless
     ``shared_memory=True`` demanded it.
 
+    Partitions are tuples, and the in-process specs hold them
+    uncopied: on a cache hit each spec's ``member_ids`` *is* the cached
+    tuple, and nothing reads the whole table's ids (the cache key needs
+    only ``len(ids)`` or ``len(dataset)``), so a warm query's set-up is
+    O(workers), not O(rows).  Only the materialized paths copy a
+    partition: the shm segment packs it, the inline copy pickles it.
+
     Returns ``(partitions, specs, cache_hit, shm_table)``; ``shm_table``
     is the coordinator-owned :class:`~repro.parallel.shm.SharedFeatureTable`
     (``None`` on the copy path) whose ``close()`` the caller owes once the
@@ -205,22 +212,21 @@ def build_shard_specs(dataset, scorer: Scorer, *, n_workers: int, k: int,
     """
     from repro.parallel.cache import shard_cache_key, subset_fingerprint
 
-    population = list(ids) if ids is not None else dataset.ids()
     root_entropy = factory.root_entropy
     cached = None
     if index_cache is not None:
         key = shard_cache_key(root_entropy, n_workers, index_config,
-                              len(population),
+                              len(ids) if ids is not None else len(dataset),
                               subset=(subset_fingerprint(ids)
                                       if subset is None else subset),
                               table_version=table_version)
         cached = index_cache.get(key)
     if cached is not None:
         partitions, indexes = cached
-        partitions = [list(p) for p in partitions]
     else:
-        partitions = partition_ids(population, n_workers,
-                                   factory.named("partition"))
+        partitions = [tuple(members) for members in partition_ids(
+            ids if ids is not None else dataset.ids(), n_workers,
+            factory.named("partition"))]
         indexes = [None] * n_workers
     use_shm = materialize and (shm_default_enabled()
                                if shared_memory is None
@@ -270,7 +276,7 @@ def build_shard_specs(dataset, scorer: Scorer, *, n_workers: int, k: int,
             }
         specs.append(ShardSpec(
             worker_id=worker,
-            member_ids=[] if ref is not None else list(members),
+            member_ids=() if ref is not None else members,
             k=k,
             engine_config=engine_config,
             index_config=index_config,
@@ -309,7 +315,7 @@ class ShardWorker:
                                            resolved.objects,
                                            resolved.features)
         else:
-            self.member_ids = list(spec.member_ids)
+            self.member_ids = spec.member_ids
             self.dataset = dataset if dataset is not None else InMemoryDataset(
                 spec.member_ids, spec.objects, spec.features
             )

@@ -57,7 +57,9 @@ LAYOUT_NAMES = {
     r"\brecompute_remaining\b": {"core/hierarchical.py"},
     r"\bpath_to_root\b": {"core/hierarchical.py"},
     r"\bnote_drawn\b": {"core/hierarchical.py"},
-    r"\._members\b": {"core/hierarchical.py", "core/arms.py"},
+    # An arm's swap map over its leaf's tuple; the list copy is gone.
+    r"\._(source|moved)\b": {"core/arms.py"},
+    r"\._members\b": set(),
     # Reaching a node through the policy instead of importing its class.
     r"policy\.root\b": {"core/hierarchical.py"},
     # The histogram bank: one refresh path, Equation 2 in two forms.

@@ -326,6 +326,103 @@ def test_refused_shard_payloads_record_no_memo_score(workers):
     assert store.to_dict()["scores"] == {}
 
 
+# -- member lists that would score an element twice ---------------------------
+
+
+def engine_snapshots(kind: str):
+    """``(path, engine snapshot)`` of each engine a document restores."""
+    payload = fixture(kind)
+    if kind in COORDINATORS:
+        for worker, shard in enumerate(payload["workers"]):
+            yield ("workers", worker), shard
+    else:
+        yield (), payload
+
+
+def leaf_paths(node: dict, path=("tree",)):
+    """Path to the ``remaining`` list of every leaf, in pre-order."""
+    if "remaining" in node:
+        yield path + ("remaining",)
+    for position, child in enumerate(node.get("children", ())):
+        yield from leaf_paths(child, path + ("children", position))
+
+
+def at(payload, path):
+    for key in path:
+        payload = payload[key]
+    return payload
+
+
+def bad_member_lists(shard: dict):
+    """``(case, path, a list no engine may draw from, what the refusal
+    names)`` for one engine snapshot's leaves and scan queue.
+
+    Each used to restore: the engine then drew a leaf's id twice, or an id
+    no leaf of the index holds, or scanned an id it had scored already."""
+    own, other = [path for path in leaf_paths(shard["tree"])
+                  if at(shard, path)][:2]
+    members, foreign = at(shard, own), at(shard, other)[0]
+    yield "leaf-non-string-id", own, members + [7], "non-string id: 7"
+    yield "leaf-id-twice", own, members + [members[0]], \
+        f"an id twice: {members[0]!r}"
+    yield "leaf-id-in-no-leaf", own, members + ["zzz"], "'zzz'"
+    yield "leaf-id-of-another-leaf", own, members + [foreign], \
+        f"not one of its members: {foreign!r}"
+    yield "leaf-many", own, members + [members[0], members[0], "zzz",
+                                       foreign], "an id twice"
+    yield "leaf-remaining-not-a-list", own, "".join(members[:2]), "a str"
+    queue = shard["scan_queue"]
+    undrawn = queue[0] if queue else members[0]
+    scored = shard["buffer"][0][1]
+    path = ("scan_queue",)
+    yield "scan-non-string-id", path, queue + [7], "non-string id: 7"
+    yield "scan-id-twice", path, queue + [undrawn, undrawn], \
+        f"an id twice: {undrawn!r}"
+    yield "scan-id-in-no-leaf", path, queue + ["zzz"], "'zzz'"
+    yield "scan-scored-id", path, queue + [scored], \
+        f"no leaf has left to draw: {scored!r}"
+
+
+def member_list_cases():
+    """``(kind, case, payload, what the refusal names)``."""
+    for kind in ["engine-snapshot"] + COORDINATORS:
+        for where, shard in engine_snapshots(kind):
+            for case, path, bad, found in bad_member_lists(shard):
+                name = "-".join(map(str, where + (case,)))
+                yield (kind, name, replaced(fixture(kind), where + path, bad),
+                       found)
+
+
+MEMBER_CASES = list(member_list_cases())
+
+
+def start(kind: str, payload: dict) -> None:
+    """Restore ``payload`` as far as its engines: a coordinator restores
+    its shards' engines when it starts them."""
+    engine = load(kind, payload)
+    if kind in COORDINATORS:
+        try:
+            engine.start()
+        finally:
+            engine.close()
+
+
+@pytest.mark.parametrize("kind, case, payload, found", MEMBER_CASES,
+                         ids=[f"{kind}-{case}"
+                              for kind, case, *_ in MEMBER_CASES])
+def test_member_list_that_would_score_twice_is_refused(kind, case, payload,
+                                                       found):
+    with pytest.raises(SerializationError) as error:
+        start(kind, payload)
+    assert SHARD_FORMAT in str(error.value)
+    assert found in str(error.value)
+
+
+@pytest.mark.parametrize("kind", ["engine-snapshot"] + COORDINATORS)
+def test_fixture_engines_restore_and_start(kind):
+    start(kind, fixture(kind))
+
+
 # -- round trips ------------------------------------------------------------------
 
 SMALL = settings(max_examples=30, deadline=None)
