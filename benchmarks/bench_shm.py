@@ -17,6 +17,10 @@ mode (``shm`` vs ``copy``):
   doubles as the bit-identity pin: both modes must report the same STK
   and the same scored count at the same seed.
 
+The mode is selected the way an operator selects it: ``copy`` cells run
+with ``REPRO_DISABLE_SHM=1``, ``shm`` cells with it unset (both restored
+afterwards).
+
 Children are started under the **spawn** start method
 (``REPRO_PROCESS_START_METHOD=spawn``) for every cell: under Linux's
 default fork the initializer args are inherited copy-on-write rather
@@ -48,8 +52,9 @@ import pickle
 import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -104,8 +109,24 @@ def build_dataset(n: int, seed: int = 0,
     return InMemoryDataset(ids, values.tolist(), features)
 
 
-def _engine(dataset: InMemoryDataset, *, shared_memory: bool,
-            seed: int) -> ShardedTopKEngine:
+@contextmanager
+def _environ(name: str, value: Optional[str]) -> Iterator[None]:
+    """Set (or, for ``None``, unset) one variable; restore it on exit."""
+    previous = os.environ.get(name)
+    if value is None:
+        os.environ.pop(name, None)
+    else:
+        os.environ[name] = value
+    try:
+        yield
+    finally:
+        if previous is None:
+            os.environ.pop(name, None)
+        else:
+            os.environ[name] = previous
+
+
+def _engine(dataset: InMemoryDataset, *, seed: int) -> ShardedTopKEngine:
     return ShardedTopKEngine(
         dataset, BlockingReluScorer(PER_CALL), k=K,
         n_workers=WORKERS,
@@ -114,20 +135,19 @@ def _engine(dataset: InMemoryDataset, *, shared_memory: bool,
         engine_config=EngineConfig(k=K, batch_size=BATCH_SIZE),
         sync_interval=SYNC_INTERVAL,
         seed=seed,
-        shared_memory=shared_memory,
     )
 
 
-def measure_spec_bytes(dataset: InMemoryDataset, *, shared_memory: bool,
+def measure_spec_bytes(dataset: InMemoryDataset, *,
                        seed: int) -> Dict[str, object]:
-    """Pickled-spec sizes (and segment size) for one mode, coordinator-side."""
+    """Pickled-spec sizes (and segment size) for the selected mode."""
     factory = RngFactory(seed)
     _parts, specs, _hit, table = build_shard_specs(
         dataset, BlockingReluScorer(PER_CALL), n_workers=WORKERS, k=K,
         engine_config=EngineConfig(k=K, batch_size=BATCH_SIZE),
         index_config=IndexConfig(n_clusters=16, subsample=2_000, flat=True),
         factory=factory,
-        materialize=True, shared_memory=shared_memory,
+        materialize=True,
     )
     try:
         sizes = [len(pickle.dumps(spec)) for spec in specs]
@@ -151,12 +171,12 @@ def bare_child_rss_kb() -> int:
         return int(pool.submit(process_private_rss_kb).result())
 
 
-def measure_once(dataset: InMemoryDataset, *, shared_memory: bool,
+def measure_once(dataset: InMemoryDataset, *, mode: str,
                  budget: int, bare_rss_kb: int,
                  seed: int = 0) -> Dict[str, object]:
     """One mode's full measurement: spec bytes, bootstrap, RSS, e2e run."""
     row: Dict[str, object] = {
-        "mode": "shm" if shared_memory else "copy",
+        "mode": mode,
         "n": len(dataset),
         "workers": WORKERS,
         "d": D,
@@ -164,25 +184,26 @@ def measure_once(dataset: InMemoryDataset, *, shared_memory: bool,
         "budget": budget,
         "start_method": START_METHOD,
     }
-    row.update(measure_spec_bytes(dataset, shared_memory=shared_memory,
-                                  seed=seed))
-    engine = _engine(dataset, shared_memory=shared_memory, seed=seed)
-    try:
-        started = time.perf_counter()
-        engine.start()
-        row["bootstrap_seconds"] = time.perf_counter() - started
-        child_rss = [int(pool.submit(process_private_rss_kb).result())
-                     for pool in engine.backend._pools]
-        row["child_private_rss_kb"] = int(np.mean(child_rss))
-        row["bare_child_rss_kb"] = bare_rss_kb
-        row["child_rss_delta_kb"] = row["child_private_rss_kb"] - bare_rss_kb
-        started = time.perf_counter()
-        result = engine.run(budget)
-        row["e2e_wall_seconds"] = time.perf_counter() - started
-        row["n_scored"] = result.total_scored
-        row["stk"] = result.stk
-    finally:
-        engine.close()
+    with _environ("REPRO_DISABLE_SHM", "1" if mode == "copy" else None):
+        row.update(measure_spec_bytes(dataset, seed=seed))
+        engine = _engine(dataset, seed=seed)
+        try:
+            started = time.perf_counter()
+            engine.start()
+            row["bootstrap_seconds"] = time.perf_counter() - started
+            child_rss = [int(pool.submit(process_private_rss_kb).result())
+                         for pool in engine.backend._pools]
+            row["child_private_rss_kb"] = int(np.mean(child_rss))
+            row["bare_child_rss_kb"] = bare_rss_kb
+            row["child_rss_delta_kb"] = (row["child_private_rss_kb"]
+                                         - bare_rss_kb)
+            started = time.perf_counter()
+            result = engine.run(budget)
+            row["e2e_wall_seconds"] = time.perf_counter() - started
+            row["n_scored"] = result.total_scored
+            row["stk"] = result.stk
+        finally:
+            engine.close()
     return row
 
 
@@ -190,16 +211,14 @@ def run_grid(sizes: Sequence[int] = (SMALL_N, FULL_N),
              budget: Optional[int] = None, seed: int = 0,
              verbose: bool = True) -> List[Dict[str, object]]:
     """Measure both modes at every table size, spawn-started children."""
-    previous = os.environ.get("REPRO_PROCESS_START_METHOD")
-    os.environ["REPRO_PROCESS_START_METHOD"] = START_METHOD
-    try:
+    with _environ("REPRO_PROCESS_START_METHOD", START_METHOD):
         bare = bare_child_rss_kb()
         rows: List[Dict[str, object]] = []
         for n in sizes:
             dataset = build_dataset(n, seed=seed)
             cell_budget = budget if budget is not None else min(n, 40_000)
             for mode in MODES:
-                row = measure_once(dataset, shared_memory=(mode == "shm"),
+                row = measure_once(dataset, mode=mode,
                                    budget=cell_budget, bare_rss_kb=bare,
                                    seed=seed)
                 rows.append(row)
@@ -210,11 +229,6 @@ def run_grid(sizes: Sequence[int] = (SMALL_N, FULL_N),
                           f"child RSS +{row['child_rss_delta_kb']:>7,} kB  "
                           f"e2e={row['e2e_wall_seconds']:6.2f} s")
         return rows
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_PROCESS_START_METHOD", None)
-        else:
-            os.environ["REPRO_PROCESS_START_METHOD"] = previous
 
 
 def savings_table(rows: List[Dict[str, object]]) -> List[Dict[str, object]]:

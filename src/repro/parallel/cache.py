@@ -19,12 +19,11 @@ Sharing rules
 * A cache hit is **bit-identical** to a rebuild: each named RNG stream
   is a generator of its own, so skipping the ``partition`` / ``index:{w}``
   draws never perturbs the ``engine:{w}`` streams.
-* Indexes are harvested only from backends whose workers live in the
-  coordinator process (``serial``/``thread``); the ``process`` backend's
-  indexes are born in child processes and are never reached into.  A warm
-  cache still *serves* every backend via
-  :attr:`~repro.parallel.worker.ShardSpec.prebuilt_index` (the tree is
-  picklable, so it ships to children instead of being rebuilt there).
+* Indexes are harvested from and served to in-process shards only
+  (``serial``/``thread``, via
+  :attr:`~repro.parallel.worker.ShardSpec.prebuilt_index`).  A
+  ``process`` shard builds its index in its child from its own stream;
+  a warm cache hands it only its partition.
 * Entries are LRU-bounded (default 8) because fresh-entropy runs
   (``seed=None``) can never hit and would otherwise grow the cache without
   bound.

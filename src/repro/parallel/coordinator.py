@@ -24,6 +24,11 @@ Everything else lives here: argument validation, root entropy, spec
 build + shared-memory lifecycle + index-cache harvest, the
 version-checked absorb with memo write-back, budget-gate reserve/refund,
 :class:`WorkerReport` assembly, and snapshot/restore.
+
+A process child always builds its shard's index itself (the cache
+serves trees to in-process shards only) and maps its partition from a
+shared-memory segment unless ``REPRO_DISABLE_SHM=1`` or the platform
+says otherwise (:func:`repro.parallel.shm.shm_default_enabled`).
 """
 
 from __future__ import annotations
@@ -113,18 +118,13 @@ class ShardCoordinator:
     index_cache:
         Optional :class:`~repro.parallel.cache.ShardIndexCache` shared
         across runs on the same immutable dataset: a hit reuses the cached
-        partitions and per-shard indexes bit-identically; a miss harvests
-        them after the build (in-process backends only).
+        partitions bit-identically, and in-process shards their cached
+        indexes too (process children rebuild theirs from the same RNG
+        streams); a miss harvests them after the build (in-process
+        backends only).
     ids:
         Restrict execution to a candidate subset (``WHERE`` pushdown):
         only those elements are partitioned, indexed, and drawn.
-    shared_memory:
-        Zero-copy shard bootstrap for the process backend
-        (:mod:`repro.parallel.shm`): ``None`` (default) auto-enables when
-        POSIX shared memory works here, ``True`` requires it, ``False``
-        forces the inline copy path.  Ignored by ``serial``/``thread``
-        (their shards live in this process).  Answers are bit-identical
-        either way.
     memo:
         Optional :class:`~repro.memo.store.MemoView` over the cross-query
         score memo for this ``(table, udf)`` pair.  Each shard spec ships
@@ -177,7 +177,6 @@ class ShardCoordinator:
                  seed=None,
                  index_cache: Optional[ShardIndexCache] = None,
                  ids: Optional[Sequence[str]] = None,
-                 shared_memory: Optional[bool] = None,
                  memo=None,
                  priors: Optional[List[Optional[dict]]] = None,
                  trace: Optional[TraceContext] = None,
@@ -211,7 +210,6 @@ class ShardCoordinator:
         self._index_config = index_config
         self._engine_config = engine_config or EngineConfig(k=k)
         self._index_cache = index_cache
-        self._shared_memory = shared_memory
         self._shm_table = None
         self._memo = memo
         self._priors = priors
@@ -296,7 +294,6 @@ class ShardCoordinator:
             index_cache=self._index_cache,
             ids=self._ids,
             subset=self._subset,
-            shared_memory=self._shared_memory,
             memo_snapshot=(self._memo.snapshot()
                            if self._memo is not None else None),
             priors=self._priors,

@@ -37,6 +37,7 @@ the exact one (``docs/streaming.md``, "Confidence-bounded convergence").
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import ClassVar, List, Optional, Tuple
 
@@ -112,7 +113,7 @@ class ShardedTopKEngine(ShardCoordinator):
     **shards:
         Everything else — ``n_workers``, ``backend``, ``index_config``,
         ``engine_config``, ``share_threshold``, ``seed``, ``index_cache``,
-        ``ids``, ``shared_memory``, ``memo``, ``priors``, ``trace``,
+        ``ids``, ``memo``, ``priors``, ``trace``,
         ``gate``, ``table_version`` — is documented once, on
         :class:`~repro.parallel.coordinator.ShardCoordinator`.
 
@@ -197,33 +198,34 @@ class ShardedTopKEngine(ShardCoordinator):
                 break
             self.n_rounds += 1
             run_rounds += 1
-            if self._trace is not None:
-                self._trace.push(f"round[{self.n_rounds - 1}]",
-                                 per_worker_cap=per_worker)
-            round_started = time.perf_counter()
-            outcomes = self._barrier(per_worker, remaining)
-            round_elapsed = time.perf_counter() - round_started
-            for outcome in outcomes:  # merge in worker order
-                self._absorb(outcome)
-            self._refund(reserved, sum(outcome.scored - outcome.memo_hits
-                                       for outcome in outcomes))
-            if self.backend.virtual_clock:
-                self.wall_time += max(o.cost for o in outcomes)
-            else:
-                self.wall_time += round_elapsed
-            self._publish(total_budget)
-            self.checkpoints.append((self.wall_time, self._buffer.stk))
-            if self._trace is not None:
-                for outcome in outcomes:
-                    if outcome.span is not None:
-                        self._trace.attach(
-                            outcome.span,
-                            rename=f"shard[{outcome.worker_id}]")
-                self._trace.annotate(
-                    threshold=self._buffer.threshold,
-                    bound=self._bound.exhaustive_bound,
-                    total_scored=self.total_scored)
-                self._trace.pop()        # round[i]
+            # The round's span closes on every exit, a raising
+            # next_event() (say, a dead process shard) included.
+            with (nullcontext() if self._trace is None else
+                  self._trace.span(f"round[{self.n_rounds - 1}]",
+                                   per_worker_cap=per_worker)):
+                round_started = time.perf_counter()
+                outcomes = self._barrier(per_worker, remaining)
+                round_elapsed = time.perf_counter() - round_started
+                for outcome in outcomes:  # merge in worker order
+                    self._absorb(outcome)
+                self._refund(reserved, sum(outcome.scored - outcome.memo_hits
+                                           for outcome in outcomes))
+                if self.backend.virtual_clock:
+                    self.wall_time += max(o.cost for o in outcomes)
+                else:
+                    self.wall_time += round_elapsed
+                self._publish(total_budget)
+                self.checkpoints.append((self.wall_time, self._buffer.stk))
+                if self._trace is not None:
+                    for outcome in outcomes:
+                        if outcome.span is not None:
+                            self._trace.attach(
+                                outcome.span,
+                                rename=f"shard[{outcome.worker_id}]")
+                    self._trace.annotate(
+                        threshold=self._buffer.threshold,
+                        bound=self._bound.exhaustive_bound,
+                        total_scored=self.total_scored)
         if run_rounds:
             ROUNDS_TOTAL.inc(run_rounds, backend=self.backend.name)
         return self.result()

@@ -17,12 +17,12 @@ Segment layout (one segment per engine run, 64-byte aligned spans):
   the child maps it as a true zero-copy view), and its **objects blob**
   (the partition's elements, pickled once by the coordinator; children
   unpickle straight out of the mapping instead of receiving a per-child
-  pipe transfer);
-* optionally per shard — a cached
-  :class:`~repro.index.tree.ClusterTree` (a shard-index-cache hit headed
-  to a child): the tree *structure* rides in the ref as nested tuples of
-  O(#leaves) size while its float payload (leaf centroids) and leaf
-  membership (local row indices) live in the segment.
+  pipe transfer).
+
+No cluster tree rides the segment: a child builds its shard's index from
+the mapped feature block and its ``index:{w}`` RNG stream, which yields
+the same tree an in-process shard would (see
+:class:`~repro.parallel.worker.ShardWorker`).
 
 Lifecycle (the invariant: **no orphan segments survive, ever**):
 
@@ -46,11 +46,12 @@ Lifecycle (the invariant: **no orphan segments survive, ever**):
   linked in the filesystem namespace, and the owner (or, after a hard
   owner crash, the resource tracker) unlinks it.
 
-``shm_probe()`` reports whether POSIX shared memory actually works here
-(some sandboxes mount no ``/dev/shm``); the engines auto-enable the shm
-path for process backends only when it does, and fall back to the copy
-path — never fail — when packing is impossible.  Set
-``REPRO_DISABLE_SHM=1`` to force the copy path globally.
+:func:`shm_default_enabled` is the one switch over the path a process
+run takes: the shm path when ``shm_probe()`` finds POSIX shared memory
+working here (some sandboxes mount no ``/dev/shm``) and the operator has
+not set ``REPRO_DISABLE_SHM=1`` (say, for a container with a small
+``/dev/shm``), the inline copy path otherwise.  A packing failure falls
+back to the copy path — never fails the query.
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.index.tree import ClusterNode, ClusterTree
 
 #: Filesystem prefix of every segment this library creates — the leak
 #: gate (``tools/check_shm_leaks.py``) and the tests key on it.
@@ -103,23 +103,6 @@ class BytesSpan:
 
 
 @dataclass(frozen=True)
-class SharedTreeRef:
-    """A cached cluster tree whose float payload lives in the segment.
-
-    ``structure`` is the nested node skeleton —
-    ``("node", node_id, (children...))`` internals and
-    ``("leaf", node_id, member_start, member_count, centroid_row)``
-    leaves — O(#nodes) small; ``members`` holds every leaf's element
-    positions (indices into the shard's member-id array) concatenated in
-    pre-order, and ``centroids`` the stacked leaf centroids.
-    """
-
-    structure: tuple
-    members: ArraySpan
-    centroids: Optional[ArraySpan]
-
-
-@dataclass(frozen=True)
 class SharedSliceRef:
     """Picklable, O(1)-wire-size handle to one shard's slice of the table.
 
@@ -133,7 +116,6 @@ class SharedSliceRef:
     ids: ArraySpan
     features: ArraySpan
     objects: BytesSpan
-    tree: Optional[SharedTreeRef] = None
 
     def resolve(self) -> "ResolvedShard":
         """Attach the segment and materialize this shard's bootstrap data.
@@ -145,16 +127,13 @@ class SharedSliceRef:
         """
         segment = attach_segment(self.segment)
         buf = segment.buf
-        ids_view = _as_array(buf, self.ids)
-        member_ids = ids_view.tolist()
+        member_ids = _as_array(buf, self.ids).tolist()
         features = _as_array(buf, self.features)
         features.flags.writeable = False
         start, stop = self.objects.offset, self.objects.offset + self.objects.size
         objects = pickle.loads(bytes(buf[start:stop]))
-        index = (None if self.tree is None
-                 else _decode_tree(self.tree, member_ids, buf))
         return ResolvedShard(segment=self.segment, member_ids=member_ids,
-                             objects=objects, features=features, index=index)
+                             objects=objects, features=features)
 
 
 @dataclass
@@ -165,7 +144,6 @@ class ResolvedShard:
     member_ids: List[str]
     objects: list
     features: np.ndarray
-    index: Optional[ClusterTree] = None
 
     def close(self) -> None:
         """Release this resolution's hold on the segment attachment."""
@@ -269,60 +247,6 @@ class _SegmentLayout:
             buf[offset:offset + len(blob)] = blob
 
 
-def _pack_tree(tree: ClusterTree, member_ids: Sequence[str],
-               layout: _SegmentLayout) -> SharedTreeRef:
-    """Encode a cached shard index: structure inline, floats in the segment."""
-    position = {element_id: row for row, element_id in enumerate(member_ids)}
-    members: List[int] = []
-    centroids: List[np.ndarray] = []
-
-    def encode(node: ClusterNode) -> tuple:
-        if node.is_leaf:
-            start = len(members)
-            members.extend(position[element_id]
-                           for element_id in node.member_ids)
-            centroid_row = -1
-            if node.centroid is not None:
-                centroid_row = len(centroids)
-                centroids.append(np.asarray(node.centroid, dtype=float))
-            return ("leaf", node.node_id, start, len(node.member_ids),
-                    centroid_row)
-        return ("node", node.node_id,
-                tuple(encode(child) for child in node.children))
-
-    structure = encode(tree.root)
-    members_span = layout.add_array(np.asarray(members, dtype=np.int64))
-    centroids_span = (layout.add_array(np.stack(centroids))
-                      if centroids else None)
-    return SharedTreeRef(structure=structure, members=members_span,
-                         centroids=centroids_span)
-
-
-def _decode_tree(ref: SharedTreeRef, member_ids: Sequence[str],
-                 buf) -> ClusterTree:
-    members = _as_array(buf, ref.members)
-    centroids = (None if ref.centroids is None
-                 else _as_array(buf, ref.centroids))
-
-    def decode(struct: tuple) -> ClusterNode:
-        if struct[0] == "leaf":
-            _kind, node_id, start, count, centroid_row = struct
-            rows = members[start:start + count]
-            centroid = (np.array(centroids[centroid_row], dtype=float)
-                        if centroid_row >= 0 and centroids is not None
-                        else None)
-            return ClusterNode(
-                node_id=str(node_id),
-                member_ids=tuple(member_ids[int(row)] for row in rows),
-                centroid=centroid,
-            )
-        _kind, node_id, children = struct
-        return ClusterNode(node_id=str(node_id),
-                           children=[decode(child) for child in children])
-
-    return ClusterTree(decode(ref.structure))
-
-
 _OWNED_SEGMENTS: set = set()
 
 
@@ -385,8 +309,7 @@ class SharedFeatureTable:
 
         Each entry of ``shards`` is a dict with ``member_ids`` (list of
         str), ``objects`` (the partition's elements, any picklable
-        type), ``features`` (``(n_w, d)`` array) and optional ``tree``
-        (a cached :class:`ClusterTree` for that shard).
+        type) and ``features`` (``(n_w, d)`` array).
         """
         layout = _SegmentLayout()
         partial_refs: List[SharedSliceRef] = []
@@ -405,12 +328,9 @@ class SharedFeatureTable:
                 pickle.dumps(list(shard["objects"]),
                              protocol=pickle.HIGHEST_PROTOCOL)
             )
-            tree = shard.get("tree")
-            tree_ref = (None if tree is None
-                        else _pack_tree(tree, shard["member_ids"], layout))
             partial_refs.append(SharedSliceRef(
                 segment="", ids=ids_span, features=features_span,
-                objects=objects_span, tree=tree_ref,
+                objects=objects_span,
             ))
         segment = _create_segment(max(1, layout.size))
         try:

@@ -38,7 +38,6 @@ import numpy as np
 from repro.core.convergence import TailSummary, tail_summary_from_engine
 from repro.core.engine import EngineConfig, ScoringStep, TopKEngine
 from repro.data.dataset import Dataset, InMemoryDataset
-from repro.errors import ConfigurationError
 from repro.index.builder import IndexConfig, build_index, index_config_for
 from repro.index.tree import ClusterTree
 from repro.memo.store import MemoStore
@@ -87,13 +86,15 @@ class ShardSpec:
     features: Optional[np.ndarray] = None    # partition features, id-aligned
     engine_snapshot: Optional[dict] = None   # resume payload
     resume_seed: Optional[int] = None
-    prebuilt_index: Optional[ClusterTree] = None  # cache hit: skip the build
+    #: Cache hit on an in-process shard: skip the build.  Materialized
+    #: (process-bound) specs never carry one; a child builds its own.
+    prebuilt_index: Optional[ClusterTree] = None
     #: Zero-copy alternative to the inline ``objects`` / ``features`` copy:
     #: a constant-size handle into a coordinator-owned shared-memory
     #: segment (:mod:`repro.parallel.shm`).  When set, ``member_ids`` is
-    #: left empty and the child resolves ids, objects, features, and any
-    #: cached index from the mapped segment, keeping the pickled spec O(1)
-    #: in the partition size.
+    #: left empty and the child resolves ids, objects and features from
+    #: the mapped segment, keeping the pickled spec O(1) in the partition
+    #: size.
     features_ref: Optional[SharedSliceRef] = None
     #: Frozen cross-query score memo restricted to this shard's members
     #: (partitions are disjoint, so the restriction is complete).  The
@@ -163,7 +164,6 @@ def build_shard_specs(dataset, scorer: Scorer, *, n_workers: int, k: int,
                       index_cache=None,
                       ids: Optional[Sequence[str]] = None,
                       subset: Optional[str] = None,
-                      shared_memory: Optional[bool] = None,
                       memo_snapshot: Optional[dict] = None,
                       priors: Optional[List[Optional[dict]]] = None,
                       trace: bool = False,
@@ -180,23 +180,22 @@ def build_shard_specs(dataset, scorer: Scorer, *, n_workers: int, k: int,
     ``index_cache`` (a :class:`~repro.parallel.cache.ShardIndexCache`)
     holds an entry for this build's key — which includes the subset
     fingerprint (``subset``, computed from ``ids`` when the caller has
-    not already) — the cached partitions are reused and each spec carries
-    its ``prebuilt_index``, skipping the per-shard k-means fits
-    bit-identically (each named RNG stream is a generator of its own, so
-    skipping one's draws never perturbs another).
+    not already) — the cached partitions are reused, and each in-process
+    spec carries its ``prebuilt_index``, skipping the per-shard k-means
+    fits bit-identically (each named RNG stream is a generator of its
+    own, so skipping one's draws never perturbs another).  Materialized
+    (process-bound) specs take only the cached partitions: a child always
+    builds its own index from its ``index:{w}`` stream, the same tree the
+    cache holds.
 
-    ``shared_memory`` selects the zero-copy bootstrap for materialized
-    (process-bound) specs: ``None`` auto-enables when POSIX shared memory
-    works here (:func:`repro.parallel.shm.shm_default_enabled`; opt out
-    globally with ``REPRO_DISABLE_SHM=1``), ``True`` requires it,
-    ``False`` forces the inline copy path.  On the shm path each spec
+    Materialized specs take the zero-copy bootstrap whenever
+    :func:`repro.parallel.shm.shm_default_enabled` says so (POSIX shared
+    memory works here and ``REPRO_DISABLE_SHM`` is unset): each spec
     ships a constant-size ``features_ref`` instead of inline ids /
-    objects / features (and the cached index, on a cache hit, ships its
-    float payload through the same segment); the packed per-shard feature
-    blocks are exactly the arrays :func:`shard_features` produces, so
-    child-side index builds — and therefore answers — are bit-identical
-    to the copy path.  Packing failures fall back to the copy path unless
-    ``shared_memory=True`` demanded it.
+    objects / features.  The packed per-shard feature blocks are exactly
+    the arrays :func:`shard_features` produces, so child-side index
+    builds — and therefore answers — are bit-identical to the inline
+    copy path, which is also the fallback when packing fails.
 
     Partitions are tuples, and the in-process specs hold them
     uncopied: on a cache hit each spec's ``member_ids`` *is* the cached
@@ -228,26 +227,17 @@ def build_shard_specs(dataset, scorer: Scorer, *, n_workers: int, k: int,
             ids if ids is not None else dataset.ids(), n_workers,
             factory.named("partition"))]
         indexes = [None] * n_workers
-    use_shm = materialize and (shm_default_enabled()
-                               if shared_memory is None
-                               else bool(shared_memory))
     table: Optional[SharedFeatureTable] = None
     refs: List[Optional[SharedSliceRef]] = [None] * n_workers
-    if use_shm:
+    if materialize and shm_default_enabled():
         try:
             table = SharedFeatureTable.create([
                 {"member_ids": list(members),
                  "objects": dataset.fetch_batch(members),
-                 "features": shard_features(dataset, members),
-                 "tree": indexes[worker]}
-                for worker, members in enumerate(partitions)
+                 "features": shard_features(dataset, members)}
+                for members in partitions
             ])
-        except Exception as exc:
-            if shared_memory:
-                raise ConfigurationError(
-                    f"shared_memory=True but the zero-copy bootstrap "
-                    f"failed: {exc}"
-                ) from exc
+        except Exception:
             table = None  # clean fallback to the inline copy path
         else:
             refs = [table.ref(worker) for worker in range(n_workers)]
@@ -286,7 +276,7 @@ def build_shard_specs(dataset, scorer: Scorer, *, n_workers: int, k: int,
             features=(shard_features(dataset, members) if inline else None),
             engine_snapshot=snapshot,
             resume_seed=resume_seed,
-            prebuilt_index=None if ref is not None else indexes[worker],
+            prebuilt_index=None if materialize else indexes[worker],
             features_ref=ref,
             memo=shard_memo,
             priors=priors[worker] if priors is not None else None,
@@ -303,17 +293,17 @@ class ShardWorker:
                  scorer: Optional[Scorer] = None) -> None:
         self.spec = spec
         self.worker_id = spec.worker_id
-        resolved = None
+        features = spec.features
         if dataset is None and spec.features_ref is not None:
             # Zero-copy bootstrap: attach the coordinator's segment and
-            # materialize this shard's ids / objects / cached index from
-            # it; the feature block stays a read-only view into the
-            # mapping (never copied into this process).
+            # materialize this shard's ids / objects from it; the feature
+            # block stays a read-only view into the mapping (never copied
+            # into this process).
             resolved = spec.features_ref.resolve()
+            features = resolved.features
             self.member_ids = list(resolved.member_ids)
             self.dataset = InMemoryDataset(resolved.member_ids,
-                                           resolved.objects,
-                                           resolved.features)
+                                           resolved.objects, features)
         else:
             self.member_ids = spec.member_ids
             self.dataset = dataset if dataset is not None else InMemoryDataset(
@@ -324,26 +314,19 @@ class ShardWorker:
             raise ValueError("shard needs a scorer (inline or via spec)")
         self.scorer = scorer
         factory = RngFactory(spec.root_entropy)
-        prebuilt = spec.prebuilt_index
-        if prebuilt is None and resolved is not None:
-            prebuilt = resolved.index
-        if prebuilt is not None:
+        if spec.prebuilt_index is not None:
             # Cache hit: the tree is a pure function of (root entropy,
             # worker id, partition, index config), and it is read-only at
             # query time (the bandit mirrors it into its own nodes), so
             # reuse is bit-identical to a rebuild.  Each named RNG stream
             # is its own generator, so skipping the index:{w} draws never
             # perturbs the engine:{w} stream derived below.
-            self.index: ClusterTree = prebuilt
+            self.index: ClusterTree = spec.prebuilt_index
         else:
-            if resolved is not None:
-                features = resolved.features
-            elif spec.features is not None:
-                features = np.asarray(spec.features, dtype=float)
-            else:
+            if features is None:
                 features = shard_features(self.dataset, self.member_ids)
             self.index = build_index(
-                features, self.member_ids,
+                np.asarray(features, dtype=float), self.member_ids,
                 index_config_for(len(self.member_ids), spec.index_config,
                                  cap=32),
                 rng=factory.named(f"index:{self.worker_id}"),

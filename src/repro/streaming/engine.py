@@ -57,6 +57,7 @@ order is logged to a :class:`~repro.replay.trace.ArrivalTrace` that
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import ClassVar, Dict, Iterator, List, Optional, Tuple
 
@@ -242,7 +243,7 @@ class StreamingTopKEngine(ShardCoordinator):
         Everything else — ``n_workers`` (1 is valid: a single shard still
         streams a snapshot every slice), ``backend``, ``index_config``,
         ``engine_config``, ``share_threshold``, ``seed``, ``index_cache``,
-        ``ids``, ``shared_memory``, ``memo``, ``priors``, ``trace``,
+        ``ids``, ``memo``, ``priors``, ``trace``,
         ``gate``, ``table_version`` — is documented once, on
         :class:`~repro.parallel.coordinator.ShardCoordinator`.
 
@@ -452,33 +453,36 @@ class StreamingTopKEngine(ShardCoordinator):
         self._bound.begin_drive()
         if self._recorder is not None:
             self._recorder.begin_drive(total, every)
+        drive = nullcontext()
         if self._trace is not None:
-            drive_span = self._trace.push(f"drive[{self._drive_count}]",
-                                          budget=total)
+            drive = self._trace.span(f"drive[{self._drive_count}]",
+                                     budget=total)
             self._drive_count += 1
-        self._begin_drive()
-        self._refill(total)
-        last_yield = self.total_scored
-        stopping = False
-        while self._inflight:
-            self._merge_arrival(self.backend.next_event())
-            if not stopping and (self._is_stable() or self._is_confident()):
-                stopping = True  # early stop: drain, no resubmissions
-            if not stopping:
-                self._refill(total)
-            if (self._inflight
-                    and self.total_scored - last_yield >= step):
-                yield self._progressive(converged=False)
-                last_yield = self.total_scored
-        self.converged = stopping or self._is_finished(total)
-        if self._trace is not None:
-            drive_span.attrs.update(
-                threshold=self._buffer.threshold,
-                bound=self._bound.exhaustive_bound,
-                total_scored=self.total_scored,
-                merges=self.n_merges,
-            )
-            self._trace.pop()        # drive[d]
+        # The span closes on every exit, a closed generator included.
+        with drive as drive_span:
+            self._begin_drive()
+            self._refill(total)
+            last_yield = self.total_scored
+            stopping = False
+            while self._inflight:
+                self._merge_arrival(self.backend.next_event())
+                if not stopping and (self._is_stable()
+                                     or self._is_confident()):
+                    stopping = True  # early stop: drain, no resubmissions
+                if not stopping:
+                    self._refill(total)
+                if (self._inflight
+                        and self.total_scored - last_yield >= step):
+                    yield self._progressive(converged=False)
+                    last_yield = self.total_scored
+            self.converged = stopping or self._is_finished(total)
+            if drive_span is not None:
+                drive_span.attrs.update(
+                    threshold=self._buffer.threshold,
+                    bound=self._bound.exhaustive_bound,
+                    total_scored=self.total_scored,
+                    merges=self.n_merges,
+                )
         yield self._progressive(converged=self.converged)
 
     def run(self, budget: Optional[int] = None,

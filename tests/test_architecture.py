@@ -191,6 +191,9 @@ DELETED_NAMES = (
     # own tests called.
     "MinMaxHeap", "minmax_heap", "_is_min_level", "peek_max", "pop_max",
     "EmptyStructureError", "labelsets", "is_full",
+    # The cached-tree payload of the shm segment: process shards build
+    # their own index.
+    "SharedTreeRef", "_pack_tree", "_decode_tree",
 )
 
 

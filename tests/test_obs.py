@@ -29,6 +29,8 @@ from repro.obs.metrics import (
     MetricsRegistry,
 )
 from repro.obs.spans import COUNTER_KEYS, TRACE_FORMAT, Span, TraceContext
+from repro.parallel.backends import SerialBackend
+from repro.parallel.engine import ShardedTopKEngine
 from repro.replay import replay_run
 from repro.scoring.base import CountingScorer, FixedPerCallLatency
 from repro.scoring.relu import ReluScorer
@@ -515,6 +517,53 @@ class TestSessionMetrics:
         assert lag["value"]["count"] >= 1
         (slices,) = snapshot["slices_total"]["values"]
         assert slices["value"] == lag["value"]["count"]
+
+
+# ---------------------------------------------------------------------------
+# Coordinator spans close on every exit
+# ---------------------------------------------------------------------------
+
+
+class _DyingBackend(SerialBackend):
+    """A serial backend whose shards die on the first collected slice."""
+
+    def next_event(self):
+        raise RuntimeError("shard process died")
+
+
+class TestSpansCloseOnEveryExit:
+    def test_abandoned_stream_closes_its_drive(self, dataset):
+        """Closing the stream after one snapshot (a ``break``, a dropped
+        client) must not leave ``drive[0]`` open: the next drive is a
+        root span and the trace still harvests."""
+        trace = TraceContext()
+        with StreamingTopKEngine(dataset, ReluScorer(), k=K,
+                                 n_workers=WORKERS, backend="serial",
+                                 seed=SEED, slice_budget=20,
+                                 trace=trace) as engine:
+            stream = engine.results_iter(BUDGET)
+            assert not next(stream).converged
+            stream.close()
+            engine.run(BUDGET)
+        drives = [(depth, name) for depth, name in trace.walk_names()
+                  if name.startswith("drive")]
+        assert drives == [(0, "drive[0]"), (0, "drive[1]")]
+        assert [span["name"] for span in trace.harvest()] == [
+            "drive[0]", "drive[1]"]
+
+    @pytest.mark.parametrize("engine_cls,span", [
+        (ShardedTopKEngine, "round[0]"),
+        (StreamingTopKEngine, "drive[0]"),
+    ])
+    def test_raising_backend_closes_the_open_span(self, dataset, engine_cls,
+                                                  span):
+        trace = TraceContext()
+        engine = engine_cls(dataset, ReluScorer(), k=K, n_workers=WORKERS,
+                            backend=_DyingBackend(), seed=SEED, trace=trace)
+        with engine, pytest.raises(RuntimeError, match="died"):
+            engine.run(BUDGET)
+        assert trace.walk_names() == [(0, span)]
+        assert [root["name"] for root in trace.harvest()] == [span]
 
 
 # ---------------------------------------------------------------------------

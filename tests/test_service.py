@@ -355,8 +355,7 @@ class TestFaultInjection:
         scheduler = BudgetScheduler(budget=500)
         grant = scheduler.admit("doomed", 150)
         engine = ShardedTopKEngine(dataset, ReluScorer(), k=5, n_workers=2,
-                                   seed=0, backend="process",
-                                   shared_memory=True, gate=grant)
+                                   seed=0, backend="process", gate=grant)
         try:
             engine.start()
             processes = engine.backend._pools[0]._processes

@@ -5,6 +5,10 @@ pickled spec size in the partition size, bit-identity of shm-path and
 copy-path answers, the segment lifecycle (normal close, engine error,
 killed child — no orphan segments anywhere), idle shards costing the
 process backend no IPC, and the probed backend availability registry.
+
+``REPRO_DISABLE_SHM`` is the one switch between the two bootstrap paths,
+so the tests pick a path the way an operator does: through the
+environment (:func:`use_path`).
 """
 
 from __future__ import annotations
@@ -20,9 +24,9 @@ import pytest
 from repro.core.engine import EngineConfig
 from repro.data.synthetic import SyntheticClustersDataset
 from repro.errors import ConfigurationError
-from repro.index.tree import ClusterNode, ClusterTree
 from repro.parallel import (
     ShardedTopKEngine,
+    ShardIndexCache,
     backend_availability,
     build_shard_specs,
 )
@@ -52,15 +56,27 @@ def make_dataset(per_cluster=100, rng=0):
                                              per_cluster=per_cluster, rng=rng)
 
 
-def make_specs(dataset, *, shared_memory, scorer=None, index_cache=None,
-               n_workers=3, seed=0):
+def use_path(monkeypatch, path):
+    """Select the ``"shm"`` or ``"copy"`` bootstrap for process runs."""
+    if path == "copy":
+        monkeypatch.setenv("REPRO_DISABLE_SHM", "1")
+    else:
+        monkeypatch.delenv("REPRO_DISABLE_SHM", raising=False)
+
+
+@pytest.fixture
+def shm_path(monkeypatch):
+    use_path(monkeypatch, "shm")
+
+
+def make_specs(dataset, *, scorer=None, index_cache=None, n_workers=3,
+               seed=0):
     factory = RngFactory(seed)
     return build_shard_specs(
         dataset, scorer or ReluScorer(), n_workers=n_workers, k=10,
         engine_config=EngineConfig(k=10), index_config=None,
         factory=factory,
         materialize=True, index_cache=index_cache,
-        shared_memory=shared_memory,
     )
 
 
@@ -84,7 +100,6 @@ class TestSharedFeatureTable:
             assert resolved.objects == [{"v": 1}, [2.5], "three", (4,)]
             assert np.array_equal(resolved.features, features)
             assert not resolved.features.flags.writeable
-            assert resolved.index is None
         finally:
             table.close()
 
@@ -119,40 +134,18 @@ class TestSharedFeatureTable:
         with pytest.raises(ConfigurationError, match="does not exist"):
             ref.resolve()
 
-    def test_cluster_tree_roundtrip(self):
-        leaf1 = ClusterNode("c0", member_ids=("a", "b"),
-                            centroid=np.array([1.0, 2.0]))
-        leaf2 = ClusterNode("c1", member_ids=("c",),
-                            centroid=np.array([3.0, 4.0]))
-        tree = ClusterTree(ClusterNode("root", children=[leaf1, leaf2]))
-        table = SharedFeatureTable.create([{
-            "member_ids": ["a", "b", "c"], "objects": [1, 2, 3],
-            "features": np.zeros((3, 2)), "tree": tree,
-        }])
-        try:
-            decoded = table.ref(0).resolve().index
-            assert decoded is not None
-            assert [n.node_id for n in decoded.nodes()] == [
-                n.node_id for n in tree.nodes()
-            ]
-            for got, want in zip(decoded.leaves(), tree.leaves()):
-                assert got.member_ids == want.member_ids
-                assert np.array_equal(got.centroid, want.centroid)
-        finally:
-            table.close()
-
 
 @needs_shm
 class TestSpecWireSize:
     CEILING = 4096  # bytes; a copied 600-row float block alone is ~5x this
 
-    def test_pickled_spec_o1_in_partition_size(self):
+    def test_pickled_spec_o1_in_partition_size(self, shm_path):
         """The shm spec's pickled size must not grow with the table."""
         sizes = {}
         for per_cluster in (100, 800):  # 600 vs 4800 elements
             dataset = make_dataset(per_cluster=per_cluster)
-            _parts, specs, _hit, table = make_specs(dataset,
-                                                    shared_memory=True)
+            _parts, specs, _hit, table = make_specs(dataset)
+            assert table is not None
             try:
                 sizes[per_cluster] = [len(pickle.dumps(s)) for s in specs]
             finally:
@@ -165,74 +158,117 @@ class TestSpecWireSize:
         # 8x the table, (essentially) the same wire size.
         assert abs(max(sizes[800]) - max(sizes[100])) < 128
 
-    def test_copy_path_grows_where_shm_does_not(self):
+    def test_copy_path_grows_where_shm_does_not(self, monkeypatch):
+        use_path(monkeypatch, "copy")
         dataset = make_dataset(per_cluster=200)
-        _parts, inline_specs, _hit, table = make_specs(dataset,
-                                                       shared_memory=False)
+        _parts, inline_specs, _hit, table = make_specs(dataset)
         assert table is None
         inline = max(len(pickle.dumps(s)) for s in inline_specs)
         assert inline > self.CEILING  # the copy the tentpole removes
 
+    @pytest.mark.parametrize("path", ["shm", "copy"])
+    def test_warm_cache_ships_no_more_than_a_cold_build(self, monkeypatch,
+                                                        path):
+        """A cache hit hands process specs partitions, never a tree."""
+        use_path(monkeypatch, path)
+        dataset = make_dataset()
+        cache = ShardIndexCache()
+        with ShardedTopKEngine(dataset, ReluScorer(), k=10, n_workers=3,
+                               seed=0, backend="serial",
+                               index_cache=cache) as warm:
+            warm.start()                     # banks partitions + trees
+        shipped = {}
+        for label, index_cache in (("cold", None), ("warm", cache)):
+            _parts, specs, hit, table = make_specs(dataset,
+                                                   index_cache=index_cache)
+            assert hit == (label == "warm")
+            assert all(spec.prebuilt_index is None for spec in specs)
+            shipped[label] = ([len(pickle.dumps(spec)) for spec in specs],
+                              None if table is None else table.nbytes)
+            if table is not None:
+                table.close()
+        assert shipped["warm"] == shipped["cold"]
+
 
 @needs_shm
 class TestBitIdentity:
-    def test_process_answers_identical_shm_vs_copy(self):
+    def test_process_answers_identical_shm_vs_copy(self, monkeypatch):
         dataset = make_dataset()
         scorer = ReluScorer(FixedPerCallLatency(1e-3))
         results = {}
-        for label, shared in (("shm", True), ("copy", False)):
+        for path in ("shm", "copy"):
+            use_path(monkeypatch, path)
             engine = ShardedTopKEngine(dataset, scorer, k=10, n_workers=3,
-                                       seed=0, backend="process",
-                                       shared_memory=shared)
+                                       seed=0, backend="process")
             try:
-                results[label] = engine.run(400)
+                engine.start()
+                assert (engine._shm_table is not None) == (path == "shm")
+                results[path] = engine.run(400)
             finally:
                 engine.close()
         assert results["shm"].items == results["copy"].items
         assert results["shm"].stk == results["copy"].stk
         assert results["shm"].total_scored == results["copy"].total_scored
 
-    def test_cached_index_ships_through_segment_bit_identically(self):
-        from repro.parallel import ShardIndexCache
+    @pytest.mark.parametrize("path", ["shm", "copy"])
+    def test_process_run_after_serial_warm_up_builds_its_own_indexes(
+            self, monkeypatch, path):
+        """A warm cache hands a process run its partitions, never a tree.
 
+        The serial run banks partitions and shard trees; the process run
+        that follows hits the cache, ships no ``prebuilt_index`` and has
+        each child build its index from its ``index:{w}`` stream — the
+        tree the cache holds, so the answer is the serial one.
+        """
+        import repro.parallel.coordinator as coordinator_module
+
+        use_path(monkeypatch, path)
+        built = []
+        build = coordinator_module.build_shard_specs
+
+        def recording(*args, **kwargs):
+            partitions, specs, hit, table = build(*args, **kwargs)
+            built.append((specs, hit))
+            return partitions, specs, hit, table
+
+        monkeypatch.setattr(coordinator_module, "build_shard_specs",
+                            recording)
         dataset = make_dataset()
         scorer = ReluScorer(FixedPerCallLatency(1e-3))
         cache = ShardIndexCache()
-        # Warm the cache in-process (process children keep their indexes).
-        warm = ShardedTopKEngine(dataset, scorer, k=10, n_workers=3, seed=0,
-                                 backend="serial", index_cache=cache)
-        baseline = warm.run(400)
-        warm.close()
+        with ShardedTopKEngine(dataset, scorer, k=10, n_workers=3, seed=0,
+                               backend="serial", index_cache=cache) as warm:
+            baseline = warm.run(400)
         assert len(cache) == 1
-        engine = ShardedTopKEngine(dataset, scorer, k=10, n_workers=3,
-                                   seed=0, backend="process",
-                                   index_cache=cache, shared_memory=True)
-        try:
-            specs_probe = cache.hits
+        with ShardedTopKEngine(dataset, scorer, k=10, n_workers=3, seed=0,
+                               backend="process",
+                               index_cache=cache) as engine:
             result = engine.run(400)
-        finally:
-            engine.close()
-        assert cache.hits == specs_probe + 1
+        (_, warm_hit), (specs, hit) = built
+        assert not warm_hit and hit
+        assert all(spec.prebuilt_index is None for spec in specs)
         assert result.items == baseline.items
         assert result.stk == baseline.stk
+        assert result.total_scored == baseline.total_scored
 
 
 @needs_shm
 class TestSegmentLeaks:
-    def test_normal_close_leaves_no_segment(self):
+    def test_normal_close_leaves_no_segment(self, shm_path):
         dataset = make_dataset()
         engine = ShardedTopKEngine(dataset, ReluScorer(), k=10, n_workers=2,
-                                   seed=0, backend="process",
-                                   shared_memory=True)
+                                   seed=0, backend="process")
+        engine.start()
+        assert engine._shm_table is not None
         engine.run(200)
         engine.close()
         assert live_segments() == []
 
-    def test_engine_error_during_start_leaves_no_segment(self):
+    def test_engine_error_during_start_leaves_no_segment(self, shm_path):
+        assert shm_default_enabled()     # start() packs a segment
         dataset = make_dataset()
         engine = ShardedTopKEngine(dataset, ReluScorer(), k=10,
                                    n_workers=2, seed=0, backend="process",
-                                   shared_memory=True,
                                    priors=[EXPLODING_PRIORS] * 2)
         with pytest.raises(Exception):
             engine.start()
@@ -240,13 +276,13 @@ class TestSegmentLeaks:
         assert live_segments() == []
         engine.close()  # safe on the partially-started state
 
-    def test_killed_child_leaves_no_segment(self):
+    def test_killed_child_leaves_no_segment(self, shm_path):
         dataset = make_dataset()
         engine = ShardedTopKEngine(dataset, ReluScorer(), k=10, n_workers=2,
-                                   seed=0, backend="process",
-                                   shared_memory=True)
+                                   seed=0, backend="process")
         try:
             engine.start()
+            assert engine._shm_table is not None
             processes = engine.backend._pools[0]._processes
             os.kill(next(iter(processes)), signal.SIGKILL)
         finally:
@@ -259,7 +295,7 @@ class TestFallbackAndOptOut:
         monkeypatch.setenv("REPRO_DISABLE_SHM", "1")
         assert not shm_default_enabled()
         dataset = make_dataset()
-        _parts, specs, _hit, table = make_specs(dataset, shared_memory=None)
+        _parts, specs, _hit, table = make_specs(dataset)
         assert table is None
         assert all(s.features_ref is None and s.features is not None
                    for s in specs)
@@ -267,18 +303,18 @@ class TestFallbackAndOptOut:
     def test_packing_failure_falls_back_to_copy(self, monkeypatch):
         import repro.parallel.worker as worker_module
 
+        use_path(monkeypatch, "shm")
+
         def explode(cls, shards):
             raise OSError("no shm here")
 
         monkeypatch.setattr(worker_module.SharedFeatureTable, "create",
                             classmethod(explode))
         dataset = make_dataset()
-        _parts, specs, _hit, table = make_specs(dataset, shared_memory=None)
+        _parts, specs, _hit, table = make_specs(dataset)
         assert table is None
         assert all(s.features is not None and s.objects is not None
                    for s in specs)
-        with pytest.raises(ConfigurationError, match="zero-copy"):
-            make_specs(dataset, shared_memory=True)
 
     def test_serial_and_thread_never_allocate_a_table(self):
         dataset = make_dataset()
