@@ -11,6 +11,8 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import List, Sequence
 
+from repro.errors import ExhaustedError
+
 
 class SamplingAlgorithm(ABC):
     """One approximate top-k execution strategy."""
@@ -34,6 +36,29 @@ class SamplingAlgorithm(ABC):
     @abstractmethod
     def exhausted(self) -> bool:
         """True once the algorithm has nothing left to propose."""
+
+
+class _OrderedScan(SamplingAlgorithm):
+    """Sequential scan over a fixed element order (no adaptive state)."""
+
+    def __init__(self, ordered_ids: Sequence[str], batch_size: int = 1) -> None:
+        self._queue = list(ordered_ids)
+        self._cursor = 0
+        self.batch_size = max(1, int(batch_size))
+
+    def next_batch(self) -> List[str]:
+        if self._cursor >= len(self._queue):
+            raise ExhaustedError(f"{self.name} exhausted")
+        batch = self._queue[self._cursor : self._cursor + self.batch_size]
+        self._cursor += len(batch)
+        return batch
+
+    def observe(self, ids: Sequence[str], scores: Sequence[float]) -> None:
+        return None
+
+    @property
+    def exhausted(self) -> bool:
+        return self._cursor >= len(self._queue)
 
 
 class EngineAlgorithm(SamplingAlgorithm):

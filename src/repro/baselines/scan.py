@@ -14,33 +14,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-import numpy as np
-
-from repro.baselines.base import SamplingAlgorithm
-from repro.errors import ConfigurationError, ExhaustedError
-
-
-class _OrderedScan(SamplingAlgorithm):
-    """Sequential scan over a fixed element order."""
-
-    def __init__(self, ordered_ids: Sequence[str], batch_size: int = 1) -> None:
-        self._queue = list(ordered_ids)
-        self._cursor = 0
-        self.batch_size = max(1, int(batch_size))
-
-    def next_batch(self) -> List[str]:
-        if self._cursor >= len(self._queue):
-            raise ExhaustedError(f"{self.name} exhausted")
-        batch = self._queue[self._cursor : self._cursor + self.batch_size]
-        self._cursor += len(batch)
-        return batch
-
-    def observe(self, ids: Sequence[str], scores: Sequence[float]) -> None:
-        return None
-
-    @property
-    def exhausted(self) -> bool:
-        return self._cursor >= len(self._queue)
+from repro.baselines.base import _OrderedScan
+from repro.errors import ConfigurationError
 
 
 def _order_by_score(ids: Sequence[str], scores_by_id: Dict[str, float],

@@ -8,36 +8,19 @@ additional run-time overhead."
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
-from repro.baselines.base import SamplingAlgorithm
-from repro.errors import ExhaustedError
+from repro.baselines.base import _OrderedScan
 from repro.utils.rng import SeedLike, as_generator
 
 
-class UniformSample(SamplingAlgorithm):
+class UniformSample(_OrderedScan):
     """Pre-shuffled sequential scan."""
 
     name = "UniformSample"
 
     def __init__(self, ids: Sequence[str], batch_size: int = 1,
                  rng: SeedLike = None) -> None:
-        self._queue: List[str] = list(ids)
-        as_generator(rng).shuffle(self._queue)
-        self._cursor = 0
-        self.batch_size = max(1, int(batch_size))
-
-    def next_batch(self) -> List[str]:
-        if self._cursor >= len(self._queue):
-            raise ExhaustedError("UniformSample exhausted")
-        batch = self._queue[self._cursor : self._cursor + self.batch_size]
-        self._cursor += len(batch)
-        return batch
-
-    def observe(self, ids: Sequence[str], scores: Sequence[float]) -> None:
-        # A pre-shuffled scan has no adaptive state to update.
-        return None
-
-    @property
-    def exhausted(self) -> bool:
-        return self._cursor >= len(self._queue)
+        order = list(ids)
+        as_generator(rng).shuffle(order)
+        super().__init__(order, batch_size)

@@ -49,9 +49,9 @@ plain Python floats at every batch width:
   heap's list.
 * Gains are cached per row of the policy's histogram bank.  A mutation
   stales its row, a moved threshold misses the cached one, and a descent
-  evaluates only the stale rows it reads, one by one; numpy's dispatch
-  pays off only for a stale set wider than a handful of rows, such as a
-  flat index's leaves after a threshold move (:mod:`repro.core.histogram`).
+  evaluates only the stale rows it reads, each once in Python floats — a
+  flat index's leaves after a threshold move included
+  (:mod:`repro.core.histogram`).
 
 Seeded draws and floats are pinned by ``tests/test_engine_equivalence.py``,
 ``tests/test_policy_golden.py``, ``tests/test_wide_root_golden.py`` and

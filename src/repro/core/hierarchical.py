@@ -79,7 +79,7 @@ from typing import (Callable, Dict, Iterator, List, Mapping, Optional,
 
 from repro.core.arms import ArmState
 from repro.core.bandit import BanditConfig
-from repro.core.histogram import AdaptiveHistogram, HistogramBank, gain_batch
+from repro.core.histogram import AdaptiveHistogram, HistogramBank
 from repro.core.sketches import ScoreSketch
 from repro.errors import ConfigurationError, ExhaustedError, SerializationError
 from repro.index.tree import ClusterNode, ClusterTree
@@ -277,8 +277,9 @@ class HierarchicalBanditPolicy:
         if not self._foreign:
             return self._bank.gains(
                 rows, None if threshold is None else float(threshold))
-        return gain_batch([self._sketches[row] for row in rows],
-                          threshold).tolist()
+        sketches = self._sketches
+        return [sketches[row].expected_marginal_gain(threshold)
+                for row in rows]
 
     def _descend(self, threshold: float | None, *, explore_all: bool = False,
                  per_layer: bool = False, epsilon: float = 0.0,
@@ -325,8 +326,8 @@ class HierarchicalBanditPolicy:
                     row = unvisited[int(rng.integers(len(unvisited)))]
                     continue
             if bank is None:
-                gains = gain_batch([sketches[c] for c in candidates],
-                                   threshold).tolist()
+                gains = [sketches[c].expected_marginal_gain(threshold)
+                         for c in candidates]
                 best = max(gains)
                 tied = [c for c, gain in zip(candidates, gains)
                         if gain >= best - 1e-15]

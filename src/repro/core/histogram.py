@@ -31,29 +31,27 @@ A sketch's numbers live in a :class:`HistogramBank`: per row, a list of
 gain was computed at (``STALE`` when out of date).  Everything is a Python
 list because the hot path is narrow: at ``BATCH 1`` a select reads a few
 sibling rows and an observation folds one score into each row of one path,
-and at that width a numpy call is all dispatch (20-38 us per
-:func:`_gain_matrix` call whether it sees two rows or sixty) while a list
-read costs 12-25 ns.  An :class:`AdaptiveHistogram` *is* a row of a bank —
-the policy allocates one bank for all its nodes, a standalone sketch owns
-a one-row bank — and the one place the maintenance arithmetic is written.
-Every mutator rewrites its row and marks it stale; nothing else may write
-the rows (``edges`` and ``counts`` are copies).  Batch folding, range
-extension, subtraction and merging are Python floats too: at ``BATCH 8``
-or ``64`` a path row's fold is a sort shared by the path and ``B - 1``
-bisections, where numpy made ten calls to bin a few dozen floats.  Each
-performs the IEEE operations of the numpy code it replaced in that
-code's order, so the floats are the same (``tests/test_batch_fold.py``
-keeps that code as the oracle).
+and at that width a numpy call is all dispatch (20-38 us a call whether
+it sees two rows or sixty) while a list read costs 12-25 ns.  An
+:class:`AdaptiveHistogram` *is* a row of a bank — the policy allocates
+one bank for all its nodes, a standalone sketch owns a one-row bank —
+and the one place the maintenance arithmetic is written.  Every mutator
+rewrites its row and marks it stale; nothing else may write the rows
+(``edges`` and ``counts`` are copies).  Batch folding, range extension,
+subtraction and merging are Python floats too: at ``BATCH 8`` or ``64``
+a path row's fold is a sort shared by the path and ``B - 1`` bisections,
+where numpy made ten calls to bin a few dozen floats.  Each performs the
+IEEE operations of the numpy code it replaced in that code's order, so
+the floats are the same (``tests/test_batch_fold.py`` keeps that code as
+the oracle).
 
-Equation 2 has two forms that agree bit for bit
-(``tests/test_histogram_bank.py``): :func:`_row_gain`, one row in Python
-floats with numpy's summation order (unrolled for ``B = 8``), and
-:func:`_gain_matrix`, the kernel over a stack of rows.  One refresh path
-serves :meth:`HistogramBank.best_rows` — a descent's layer: the rows
-within ``1e-15`` of the best gain — and :meth:`HistogramBank.gains`: it
-evaluates only the asked rows that are stale, one by one, and hands a
-set wider than :data:`KERNEL_ROWS` — a flat index's or a flattened tree's
-leaves after a threshold move — to one kernel call.
+Equation 2 is one function, :func:`_row_gain`: one row in Python floats
+with numpy's summation order (unrolled for ``B = 8``), bit for bit the
+stacked numpy kernel it replaced (``tests/test_histogram_bank.py`` keeps
+that kernel as the oracle).  One refresh serves
+:meth:`HistogramBank.best_rows` — a descent's layer: the rows within
+``1e-15`` of the best gain — and :meth:`HistogramBank.gains`: it
+evaluates only the asked rows that are stale, once each.
 """
 
 from __future__ import annotations
@@ -152,33 +150,6 @@ def _add_sorted(edges: List[float], counts: List[float],
     return folded
 
 
-def _gain_matrix(edges: np.ndarray, counts: np.ndarray,
-                 threshold: Optional[float]) -> np.ndarray:
-    """Row-wise closed-form ``E[Delta_{t,l}]`` for stacked histograms.
-
-    ``edges`` has shape ``(m, B+1)`` and ``counts`` shape ``(m, B)``; one
-    gain per row.  :func:`_row_gain` is the same arithmetic for one row.
-    """
-    mass = counts.sum(axis=1)
-    safe_mass = np.where(mass > 0.0, mass, 1.0)
-    probs = counts / safe_mass[:, None]
-    lows = edges[:, :-1]
-    highs = edges[:, 1:]
-    # Empty rows need no masking: probs are all zero there, so every term
-    # (and the row sum) is already +/-0.0, which compares equal to 0.0.
-    if threshold is None:
-        return (probs * (0.5 * (lows + highs))).sum(axis=1)
-    tau = float(threshold)
-    widths = highs - lows
-    below = tau <= lows
-    inside = (~below) & (tau < highs)
-    safe_width = np.where(widths > 0.0, widths, 1.0)
-    below_term = probs * (0.5 * (lows + highs) - tau)
-    inside_term = probs * (highs - tau) ** 2 / (2.0 * safe_width)
-    gain = np.where(below, below_term, np.where(inside, inside_term, 0.0))
-    return gain.sum(axis=1)
-
-
 def _pairwise_sum(values: Sequence[float]) -> float:
     """``np.add.reduce`` of one contiguous float64 row, bit for bit.
 
@@ -213,12 +184,12 @@ def _pairwise_sum(values: Sequence[float]) -> float:
 
 def _row_gain(edges: List[float], counts: List[float],
               tau: Optional[float]) -> float:
-    """:func:`_gain_matrix` for one row of Python floats, bit for bit.
+    """Closed-form ``E[Delta_{t,l}]`` of one row of Python floats.
 
-    The same IEEE operations in the same order: both sums follow numpy's
-    (:func:`_pairwise_sum`), and each bin takes the term ``np.where``
-    would pick — at or below ``tau`` the mean excess, straddling it the
-    uniform tail, above it nothing.
+    The IEEE operations of the numpy kernel this replaced, in its order:
+    both sums follow numpy's (:func:`_pairwise_sum`), and each bin takes
+    the term ``np.where`` would pick — at or below ``tau`` the mean
+    excess, straddling it the uniform tail, above it nothing.
 
     ``B = 8``, the paper's default, has its own form: the same operations
     with the loops and both sums unrolled, and no division for a ``tau``
@@ -285,32 +256,8 @@ def _row_gain(edges: List[float], counts: List[float],
         for count, low, high in bins])
 
 
-def gain_batch(sketches: Sequence[object],
-               threshold: Optional[float]) -> np.ndarray:
-    """Expected marginal gains for a list of sketches.
-
-    Rows of one :class:`HistogramBank` are answered together by its
-    :meth:`~HistogramBank.gains`; in a mixed or custom list every sketch
-    answers ``expected_marginal_gain`` itself.
-    """
-    bank = getattr(sketches[0], "_bank", None) if len(sketches) else None
-    if bank is not None and all(getattr(sketch, "_bank", None) is bank
-                                for sketch in sketches):
-        tau = None if threshold is None else float(threshold)
-        return np.array(bank.gains([sketch._row for sketch in sketches], tau))
-    return np.array([sketch.expected_marginal_gain(threshold)
-                     for sketch in sketches], dtype=float)
-
-
 #: ``row_gain_at`` of a row whose cached gain is out of date.
 STALE = object()
-
-#: The most stale rows one :meth:`HistogramBank.gains` call evaluates one
-#: by one; a wider set goes to one :func:`_gain_matrix` call.  Measured
-#: with ``B = 8`` on a 2-core x86 container: 1.7 us a row in Python
-#: against 19 us plus 0.9 us a row for a stacked kernel call, equal at
-#: 24 rows.
-KERNEL_ROWS = 24
 
 
 class HistogramBank:
@@ -386,8 +333,7 @@ class HistogramBank:
 
         A row is stale after a mutation and when its cached gain is for
         another threshold.  No other row is evaluated ahead of time: one
-        :func:`_row_gain` per stale row, or a single :func:`_gain_matrix`
-        call when there are more than :data:`KERNEL_ROWS` of them.
+        :func:`_row_gain` per stale row.
         """
         self._refresh(rows, tau)
         gain = self.row_gain
@@ -425,18 +371,11 @@ class HistogramBank:
     def _refresh(self, rows: Sequence[int], tau: Optional[float]) -> None:
         """Evaluate the stale ones of ``rows`` at ``tau`` into the cache."""
         at, gain = self.row_gain_at, self.row_gain
-        need = [row for row in rows if at[row] != tau]
-        if len(need) > KERNEL_ROWS:
-            values = _gain_matrix(
-                np.array([self.row_edges[row] for row in need]),
-                np.array([self.row_counts[row] for row in need]),
-                tau).tolist()
-        else:
-            edges, counts = self.row_edges, self.row_counts
-            values = [_row_gain(edges[row], counts[row], tau) for row in need]
-        for row, value in zip(need, values):
-            gain[row] = value
-            at[row] = tau
+        edges, counts = self.row_edges, self.row_counts
+        for row in rows:
+            if at[row] != tau:
+                gain[row] = _row_gain(edges[row], counts[row], tau)
+                at[row] = tau
 
     def fold(self, path: Sequence[int], scores: Sequence[float],
              tau: Optional[float]) -> None:
@@ -661,7 +600,12 @@ class AdaptiveHistogram:
         bank.resync(row)
 
     def merge(self, other: "AdaptiveHistogram") -> None:
-        """Fold ``other``'s mass into this sketch (used when flattening)."""
+        """Fold ``other``'s mass into this sketch.
+
+        The range first grows to ``other``'s top border, then ``other``'s
+        mass is projected onto the grid by interval overlap.  The policy
+        never merges sketches: a flattened tree keeps each leaf's own.
+        """
         if other.is_empty:
             return
         if other.max_range > self.max_range:

@@ -9,14 +9,14 @@ share warm shard-index caches and score memos (bit-identically) while
 warm-start priors and traces stay per-query.
 
 Scheduling is delegated to one :class:`~repro.service.budget.BudgetScheduler`:
-:meth:`QueryService.submit` resolves the query's scorer demand from its
-plan, admits it (policy-ordered and *thread-free* — the wait is a
-future resolved by the scheduler, so a backlog of waiting queries can
-never exhaust the worker threads admitted queries need to run and
-retire), and threads the resulting
-:class:`~repro.service.budget.QueryGrant` into the engine as its budget
-gate.  The engines themselves run on the service's own bounded thread
-pool; the event loop only coordinates.
+:meth:`QueryService.submit` plans the query once (pinning a live table's
+snapshot), sizes its scorer demand from that plan, admits it
+(policy-ordered and *thread-free* — the wait is a future resolved by the
+scheduler, so a backlog of waiting queries can never exhaust the worker
+threads admitted queries need to run and retire), and runs that same
+plan with the resulting :class:`~repro.service.budget.QueryGrant` as its
+budget gate.  The engines themselves run on the service's own bounded
+thread pool; the event loop only coordinates.
 
 Clients hold a :class:`QueryHandle`:
 
@@ -56,7 +56,7 @@ from typing import AsyncIterator, Dict, Optional, Set, Tuple, Union
 from repro.errors import ConfigurationError, QueryCancelledError
 from repro.live.continuous import DEFAULT_POLL, ContinuousQuery
 from repro.query.parser import parse
-from repro.query.plan import QueryPlan
+from repro.query.plan import ExecutionPlan, QueryPlan
 from repro.service.budget import BudgetScheduler, QueryGrant
 from repro.session import OpaqueQuerySession
 
@@ -243,12 +243,13 @@ class QueryService:
             # warm-start priors and trace (see OpaqueQuerySession.fork).
             session = self.session.fork()
             loop = asyncio.get_running_loop()
-            # The one parse of this query: everything below dispatches
-            # the logical plan it returns.
-            logical, demand = await loop.run_in_executor(
+            # The one parse, plan and snapshot pin of a one-shot query:
+            # it runs this plan, whatever is written while it waits.
+            plan, demand = await loop.run_in_executor(
                 self._executor,
                 functools.partial(self._resolve_demand, session,
-                                  handle.query, options["use_cache"],
+                                  handle.query, handle._wants_snapshots,
+                                  options["use_cache"],
                                   options["warm_start"]),
             )
             # The admission wait holds no thread (the scheduler resolves
@@ -263,16 +264,18 @@ class QueryService:
                     f"query of tenant {handle.tenant!r} cancelled before start"
                 )
             handle.state = "running"
-            if logical.continuous:
+            if plan.query.continuous:
                 drive = functools.partial(self._drive_continuous, session,
-                                          handle, logical, grant, poll,
+                                          handle, plan.query, grant, poll,
                                           options)
             elif handle._wants_snapshots:
                 drive = functools.partial(self._drive_stream, session,
-                                          handle, logical, grant, options)
+                                          handle, plan, grant,
+                                          options["trace"])
             else:
-                drive = functools.partial(session.execute, logical,
-                                          budget_gate=grant, **options)
+                drive = functools.partial(session.execute, plan,
+                                          budget_gate=grant,
+                                          trace=options["trace"])
             handle._finish(
                 result=await loop.run_in_executor(self._executor, drive))
         except BaseException as exc:  # noqa: BLE001 — every failure is the
@@ -286,10 +289,11 @@ class QueryService:
 
     @staticmethod
     def _resolve_demand(session: OpaqueQuerySession,
-                        query: Union[str, QueryPlan],
+                        query: Union[str, QueryPlan], snapshots: bool,
                         use_cache: Optional[bool],
-                        warm_start: bool) -> Tuple[QueryPlan, int]:
-        """Parse once; the scorer demand the query commits at admission.
+                        warm_start: bool) -> Tuple[ExecutionPlan, int]:
+        """The plan a one-shot query runs (with ``STREAM`` when
+        ``snapshots``) and the scorer demand it commits at admission.
 
         Its resolved budget when it has one, else every candidate the
         plan leaves in play — plus the engine's boundary headroom, so a
@@ -302,6 +306,8 @@ class QueryService:
         headroom returns to the pool when the grant retires.
         """
         logical = parse(query) if isinstance(query, str) else query
+        if snapshots and not logical.continuous:
+            logical = logical.with_defaults(stream=True)
         plan = session.plan(logical, use_cache=use_cache,
                             warm_start=warm_start)
         demand = (plan.n_candidates if plan.budget is None
@@ -310,11 +316,11 @@ class QueryService:
             demand += max(0, plan.batch_size - 1)
         elif plan.mode == "sharded":
             demand += plan.workers
-        return logical, demand
+        return plan, demand
 
     @staticmethod
     def _drive_stream(session: OpaqueQuerySession, handle: QueryHandle,
-                      logical: QueryPlan, grant: QueryGrant, options: Dict):
+                      plan: ExecutionPlan, grant: QueryGrant, trace: bool):
         """Run a streaming query on this worker thread, pushing snapshots.
 
         Returns the last (converged) snapshot as the final result.  Runs
@@ -322,8 +328,8 @@ class QueryService:
         ``call_soon_threadsafe``.
         """
         last = None
-        for snapshot in session.stream(logical, budget_gate=grant,
-                                       **options):
+        for snapshot in session.stream(plan, budget_gate=grant,
+                                       trace=trace):
             last = snapshot
             handle._push_snapshot(snapshot)
         return last

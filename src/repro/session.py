@@ -355,12 +355,14 @@ class OpaqueQuerySession:
 
     # -- execution -----------------------------------------------------------
 
-    def _prepare(self, query: Union[str, QueryPlan], *, trace: bool,
-                 budget_gate, use_cache: Optional[bool], warm_start: bool,
-                 streamed: bool = False) -> ExecutionPlan:
+    def _prepare(self, query: Union[str, QueryPlan, ExecutionPlan], *,
+                 trace: bool, budget_gate, use_cache: Optional[bool],
+                 warm_start: bool, streamed: bool = False) -> ExecutionPlan:
         """Parse, plan and arm one query — the head of execute()/stream().
 
-        ``streamed`` is :meth:`stream`'s implied ``STREAM`` clause.
+        ``streamed`` is :meth:`stream`'s implied ``STREAM`` clause.  An
+        :class:`ExecutionPlan` (``use_cache`` / ``warm_start`` applied by
+        :meth:`plan`) is armed as it is; its trace has no parse or plan.
 
         With tracing on (``trace=True``, or an ``EXPLAIN ANALYZE`` query:
         the report *is* the span tree) the parse and plan stages are timed
@@ -368,22 +370,31 @@ class OpaqueQuerySession:
         budget gate ride the returned plan to the executor.  A plain
         ``EXPLAIN`` plan comes back unarmed — it is never dispatched.
         """
-        t_parse = time.perf_counter()
-        logical = parse(query) if isinstance(query, str) else query
-        if streamed:
-            logical = logical.with_defaults(stream=True)
-        parse_wall = time.perf_counter() - t_parse
-        tracer = None
-        if trace or logical.analyze:
-            # The parse span is attached after the fact (the ANALYZE
-            # keyword is only known once parsing is done) — backdating
-            # the origin to t_parse keeps the timeline starting at the
-            # parse, not after it.
-            tracer = TraceContext(origin=t_parse)
-            tracer.attach(Span("parse", wall=parse_wall).to_dict())
-        with tracer.span("plan") if tracer is not None else nullcontext():
-            resolved = self.plan(logical, use_cache=use_cache,
-                                 warm_start=warm_start)
+        if isinstance(query, ExecutionPlan):
+            resolved, logical = query, query.query
+            if (streamed and resolved.mode != "streaming"
+                    and resolved.n_candidates):
+                raise ConfigurationError(
+                    "stream() needs a plan resolved with STREAM; got a "
+                    f"{resolved.mode!r} plan")
+            tracer = TraceContext() if trace or logical.analyze else None
+        else:
+            t_parse = time.perf_counter()
+            logical = parse(query) if isinstance(query, str) else query
+            if streamed:
+                logical = logical.with_defaults(stream=True)
+            parse_wall = time.perf_counter() - t_parse
+            tracer = None
+            if trace or logical.analyze:
+                # The parse span is attached after the fact (the ANALYZE
+                # keyword is only known once parsing is done) — backdating
+                # the origin to t_parse keeps the timeline starting at the
+                # parse, not after it.
+                tracer = TraceContext(origin=t_parse)
+                tracer.attach(Span("parse", wall=parse_wall).to_dict())
+            with tracer.span("plan") if tracer is not None else nullcontext():
+                resolved = self.plan(logical, use_cache=use_cache,
+                                     warm_start=warm_start)
         if not logical.explain or logical.analyze:
             if logical.continuous:
                 raise ConfigurationError(
@@ -398,7 +409,7 @@ class OpaqueQuerySession:
                 self.last_trace = tracer
         return resolved
 
-    def execute(self, query: Union[str, QueryPlan], *,
+    def execute(self, query: Union[str, QueryPlan, ExecutionPlan], *,
                 use_cache: Optional[bool] = None,
                 warm_start: bool = False,
                 trace: bool = False,
@@ -419,6 +430,8 @@ class OpaqueQuerySession:
         forced tracer and return an
         :class:`~repro.obs.analyze.ExplainAnalyzeReport`.
         ``use_cache`` / ``warm_start`` are those of :meth:`plan`.
+        ``query`` may be a plan :meth:`plan` returned: it runs as
+        resolved, on the snapshot it pinned, without planning again.
 
         ``trace=True`` records a query-lifecycle span tree
         (:class:`~repro.obs.spans.TraceContext`) without changing the
@@ -468,7 +481,7 @@ class OpaqueQuerySession:
             result.trace = plan.trace
         return result
 
-    def stream(self, query: Union[str, QueryPlan], *,
+    def stream(self, query: Union[str, QueryPlan, ExecutionPlan], *,
                use_cache: Optional[bool] = None,
                warm_start: bool = False,
                trace: bool = False,
@@ -476,10 +489,11 @@ class OpaqueQuerySession:
                ) -> Iterator[ProgressiveResult]:
         """Run one query barrier-free, yielding progressive snapshots.
 
-        Any query is accepted (a ``STREAM`` clause is implied); snapshots
-        arrive from the first slice onward and the last one carries
-        ``converged=True``.  ``trace=True`` records the span tree into
-        :attr:`last_trace` (complete once the iterator is exhausted).
+        Any query is accepted (a ``STREAM`` clause is implied), or a plan
+        :meth:`plan` resolved with ``STREAM``; snapshots arrive from the
+        first slice onward and the last one carries ``converged=True``.
+        ``trace=True`` records the span tree into :attr:`last_trace`
+        (complete once the iterator is exhausted).
         """
         resolved = self._prepare(
             query, trace=trace, budget_gate=budget_gate,

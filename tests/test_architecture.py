@@ -62,15 +62,13 @@ LAYOUT_NAMES = {
     r"\._members\b": set(),
     # Reaching a node through the policy instead of importing its class.
     r"policy\.root\b": {"core/hierarchical.py"},
-    # The histogram bank: one refresh path, Equation 2 in two forms.
+    # The histogram bank: one refresh path, Equation 2 in one function.
     r"\bHistogramBank\b": BANK,
     r"\brow_edges\b": {"core/histogram.py"},
     r"\brow_counts\b": {"core/histogram.py"},
     r"\brow_gain(_at)?\b": BANK,
     r"\bSTALE\b": BANK,
     r"\b_row_gain\b": {"core/histogram.py"},
-    r"\b_gain_matrix\b": BANK,
-    r"\bgain_batch\b": BANK,
     # The per-sketch caches the bank replaced.
     r"\b_gain_cache\b": set(),
     r"\._mass\b": set(),
@@ -174,8 +172,9 @@ CORPUS = ("src", "examples", "docs", "benchmarks", "bench", "tools")
 
 #: Deleted for having no caller outside their own tests, the persistence
 #: spellings that ``snapshot`` / ``restore`` and ``to_dict`` /
-#: ``from_dict`` replaced, the histogram bank's old layout, and the min-max
-#: heap whose maximum side the top-k buffer never read.
+#: ``from_dict`` replaced, the histogram bank's old layout, the min-max
+#: heap whose maximum side the top-k buffer never read, and the numpy gain
+#: kernel that ``_row_gain`` reproduces bit for bit.
 DELETED_NAMES = (
     "KNNRegressor", "KNNScorer", "LinearRegressionScorer",
     "SquaredLoss", "AbsoluteLoss", "ascii_chart", "curves_to_rows",
@@ -194,6 +193,9 @@ DELETED_NAMES = (
     # The cached-tree payload of the shm segment: process shards build
     # their own index.
     "SharedTreeRef", "_pack_tree", "_decode_tree",
+    # Equation 2's numpy kernel, the row count that chose it, and the
+    # list helper that only routed to it: one Python evaluator is left.
+    "_gain_matrix", "KERNEL_ROWS", "gain_batch",
 )
 
 

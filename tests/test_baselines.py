@@ -51,10 +51,18 @@ class TestUniformSample:
         b = drain(UniformSample(ids, batch_size=50, rng=4))
         assert a == b
 
+    def test_first_batches_are_pinned(self):
+        """The shuffle's order, taken at 5f80ccb (its own queue and
+        cursor, before it became an ordered scan)."""
+        algo = UniformSample([f"e{i}" for i in range(20)], batch_size=5,
+                             rng=0)
+        assert algo.next_batch() == ["e4", "e19", "e6", "e2", "e13"]
+        assert algo.next_batch() == ["e16", "e3", "e11", "e10", "e8"]
+
     def test_exhausted_raises(self):
         algo = UniformSample(["a"], rng=0)
         drain(algo)
-        with pytest.raises(ExhaustedError):
+        with pytest.raises(ExhaustedError, match="UniformSample exhausted"):
             algo.next_batch()
 
 

@@ -32,22 +32,24 @@ from hypothesis import strategies as st
 
 from repro.core.bandit import BanditConfig
 from repro.core.hierarchical import HierarchicalBanditPolicy
-from repro.core.histogram import gain_batch
 from repro.core.sketches import ReservoirSketch
 from repro.errors import ExhaustedError
 from repro.index.tree import ClusterNode, ClusterTree
 
 
 class ReferencePolicy(HierarchicalBanditPolicy):
-    """The policy with its parent's descent (4c6d320), verbatim."""
+    """The policy with its parent's descent (4c6d320), verbatim but for
+    ``_gains``' foreign branch: the per-sketch list the deleted
+    ``gain_batch`` built, built directly."""
 
     def _gains(self, rows: List[int], threshold: float | None) -> List[float]:
         """Gain estimates of ``rows``; the bank's one refresh when it can be."""
         if not self._foreign:
             return self._bank.gains(
                 rows, None if threshold is None else float(threshold))
-        return gain_batch([self._sketches[row] for row in rows],
-                          threshold).tolist()
+        sketches = self._sketches
+        return [sketches[row].expected_marginal_gain(threshold)
+                for row in rows]
 
     def _live_children(self, row: int) -> List[int]:
         remaining = self._remaining

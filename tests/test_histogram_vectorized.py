@@ -10,8 +10,9 @@ Covers the three satellite guarantees of the vectorization PR:
   after any interleaving of ``add`` / ``add_batch`` /
   ``maybe_extend_lowest`` / ``subtract`` / range extension / threshold
   movement;
-* ``gain_batch``, the scalar ``expected_marginal_gain``, and ``add_batch``
-  versus sequential ``add`` are exact (bit-level) equivalents.
+* a bank's ``gains``, the scalar ``expected_marginal_gain``, and
+  ``add_batch`` versus sequential ``add`` are exact (bit-level)
+  equivalents.
 """
 
 from __future__ import annotations
@@ -24,9 +25,10 @@ from repro.core.histogram import (
     STALE,
     HistogramBank,
     _overlap_redistribute,
-    gain_batch,
 )
+from repro.core.hierarchical import HierarchicalBanditPolicy
 from repro.core.sketches import ReservoirSketch
+from repro.index.tree import ClusterNode, ClusterTree
 from tests.test_batch_fold import reference_overlap_redistribute_scalar
 
 
@@ -183,7 +185,7 @@ class TestGainCache:
 
 class TestVectorizedEquivalence:
     @pytest.mark.parametrize("seed", range(15))
-    def test_gain_batch_matches_scalar_bitwise(self, seed):
+    def test_bank_gains_match_scalar_bitwise(self, seed):
         rng = np.random.default_rng(seed)
         bank = HistogramBank(12)
         hists = [bank.row(row) for row in range(12)]
@@ -191,21 +193,36 @@ class TestVectorizedEquivalence:
             if rng.random() < 0.8:
                 h.add_batch(rng.uniform(0.0, 3.0, int(rng.integers(1, 30))))
         for threshold in (None, 0.0, float(rng.uniform(0.0, 3.0)), 10.0):
-            batched = gain_batch(hists, threshold)
+            batched = bank.gains(range(12), threshold)
             for h, got in zip(hists, batched):
                 bank.row_gain_at[h._row] = STALE  # force a one-row recompute
                 assert h.expected_marginal_gain(threshold) == got
                 assert fresh_gain(h, threshold) == got
 
-    def test_gain_batch_heterogeneous_fallback(self):
+    def test_mixed_leaf_gains_are_each_sketchs_own(self):
+        """A policy with a foreign sketch beside bank rows: every leaf's
+        gain is its sketch's ``expected_marginal_gain``, and the bank rows
+        are cached exactly as the bank's own ``gains`` caches them."""
+        leaves = [ClusterNode(f"leaf{i}", member_ids=(f"e{i}",))
+                  for i in range(4)]
+        tree = ClusterTree(ClusterNode("root", children=leaves))
+        policy = HierarchicalBanditPolicy(tree, rng=0)
         reservoir = ReservoirSketch(capacity=16, rng=0)
         for v in (0.1, 0.9, 2.0):
             reservoir.add(v)
-        h = AdaptiveHistogram()
-        h.add_many([0.5, 1.5])
-        got = gain_batch([reservoir, h], 0.4)
-        assert got[0] == reservoir.expected_marginal_gain(0.4)
-        assert got[1] == h.expected_marginal_gain(0.4)
+        banked = AdaptiveHistogram()
+        banked.add_many([0.5, 1.5])
+        policy.set_sketches({"leaf1": reservoir, "leaf2": banked})
+        sketches = [sketch for _, sketch in policy.live_leaves()]
+        assert sketches[1] is reservoir
+        _, got = policy.leaf_gains(0.4)
+        assert got == [fresh_gain(sketch, 0.4) if sketch is not reservoir
+                       else reservoir.expected_marginal_gain(0.4)
+                       for sketch in sketches]
+        bank = sketches[0]._bank
+        rows = [sketch._row for sketch in sketches if sketch is not reservoir]
+        assert [bank.row_gain_at[row] for row in rows] == [0.4] * 3
+        assert [bank.row_gain[row] for row in rows] == bank.gains(rows, 0.4)
 
     @pytest.mark.parametrize("seed", range(15))
     def test_add_batch_equals_sequential_adds(self, seed):

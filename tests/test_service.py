@@ -30,6 +30,7 @@ import signal
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, QueryCancelledError
@@ -37,6 +38,7 @@ from repro.index.builder import IndexConfig
 from repro.obs.metrics import REGISTRY
 from repro.parallel.cache import ShardIndexCache, shard_cache_key
 from repro.parallel.shm import SEGMENT_PREFIX, shm_available
+from repro.query import parse
 from repro.scoring.base import CountingScorer, FunctionScorer
 from repro.service import (
     BudgetScheduler,
@@ -632,6 +634,56 @@ class TestLineProtocol:
         # the wire path must deliver deadlines into the scheduler at all.
         assert stats["committed"] == 0 and stats["waiting"] == 0
 
+
+class TestAdmittedPlan:
+    def test_a_query_runs_on_the_rows_it_was_admitted_for(self, monkeypatch):
+        """Rows appended while a query waits for admission are not its
+        rows: it was planned, pinned and granted a demand for the table
+        as submitted, and it runs that one plan to an exhaustive answer —
+        a solo run over the same 200 rows, field for field."""
+        from tests.test_live import make_live_session, make_live_table
+
+        query = "SELECT TOP 5 FROM t ORDER BY f SEED 3"
+        solo_session, _, _ = make_live_session(make_live_table(200))
+        solo = result_fields("single", solo_session.execute(query))
+        session, scorer, table = make_live_session(make_live_table(200))
+        planned = []
+        real_plan = OpaqueQuerySession.plan
+
+        def counted_plan(self, *args, **kwargs):
+            planned.append(args)
+            return real_plan(self, *args, **kwargs)
+
+        monkeypatch.setattr(OpaqueQuerySession, "plan", counted_plan)
+
+        async def main():
+            service = QueryService(budget=250, session=session)
+            held = service.scheduler.admit("holder", 200)
+            handle = await service.submit(query, tenant="q")
+            while service.scheduler.stats()["waiting"] == 0:
+                await asyncio.sleep(0.005)
+            extra = np.random.default_rng(1).normal(size=(40, 3))
+            table.append([f"n{i:05d}" for i in range(40)],
+                         extra[:, 0].tolist(), extra)
+            held.retire()
+            result = await handle.result()
+            await service.close()
+            return result
+
+        result = run(main())
+        assert result.exhausted
+        assert result.n_scored == scorer.n_elements == 200
+        assert result_fields("single", result) == solo
+        assert len(planned) == 1
+
+
+    def test_stream_refuses_a_plan_resolved_without_stream(self):
+        session, _ = build_session()
+        plan = session.plan(QUERY)
+        with pytest.raises(ConfigurationError, match="resolved with STREAM"):
+            next(session.stream(plan))
+        streamed = session.plan(parse(QUERY).with_defaults(stream=True))
+        assert list(session.stream(streamed))[-1].converged
 
 class TestSessionFork:
     def test_fork_shares_transparent_state_only(self):

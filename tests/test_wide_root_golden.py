@@ -13,8 +13,9 @@ covers the width a per-sibling scan grows with:
 
 * ``wide-flat``: 240 leaves under the root, every seventh of them empty
   from construction (never drawn, never dropped), so a layer's live
-  children are never simply its children; more than ``KERNEL_ROWS`` stale
-  siblings after a threshold move go to the gain kernel;
+  children are never simply its children, and a threshold move leaves
+  up to 240 stale siblings to evaluate (the numpy gain kernel took every
+  such set wider than 24 rows when the fixture was generated);
 * ``wide-groups``: 210 groups of one to three leaves under the root, so
   every descent is a wide layer and then a narrow one;
 
