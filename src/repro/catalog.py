@@ -58,8 +58,9 @@ class TableBinding:
         if len(rows) == 0:
             return ClusterTree(ClusterNode(node_id="root"))
         config = index_config_for(len(rows), self.index_config)
-        return build_index(rows.features(), rows.ids(), config,
-                           rng=self._index_seed)
+        block, block_rows = rows.feature_rows()
+        return build_index(block, rows.ids(), config, rng=self._index_seed,
+                           rows=block_rows)
 
     def _reconcile(self):
         """Catch index, memo stamps and shard cache up to the write log.

@@ -76,6 +76,12 @@ class Dataset(ABC):
     def features(self) -> np.ndarray:
         """Cheap vector representations aligned with :meth:`ids` rows."""
 
+    def feature_rows(self) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """``(block, rows)`` with :meth:`features` equal to ``block[rows]``
+        (``rows`` ``None``: ``block`` itself) — ``build_index``'s
+        ``features`` and ``rows``.  The default is :meth:`features`."""
+        return np.asarray(self.features()), None
+
     def features_of(self, element_ids: Sequence[str]) -> np.ndarray:
         """Feature rows for many IDs, in the order given.
 
@@ -139,6 +145,16 @@ class TableSnapshot(Dataset):
             else:
                 self._features = self._block[list(self._locator.values())]
         return self._features
+
+    def feature_rows(self) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """The block and the row of each id, unless :meth:`features`
+        costs no copy: an index build reads the live rows where they are."""
+        if self._features is not None or len(self._block) == len(
+                self._locator):
+            return self.features(), None
+        return self._block, np.fromiter(self._locator.values(),
+                                        dtype=np.intp,
+                                        count=len(self._locator))
 
     def feature_of(self, element_id: str) -> np.ndarray:
         """One element's row: a view of the block (read-only when live)."""

@@ -8,6 +8,11 @@ closest centroid (one leaf per populated cluster, members in ascending row
 order), and (3) HAC with average linkage over the populated centroids to
 form a dendrogram whose leaves are the k-means clusters — skipped for a flat
 index or a single populated cluster.  Non-finite features are refused.
+
+The feature matrix may be given as a block and the row of each element in
+it (``rows``): a live table's snapshot hands over its storage that way, and
+its churn rebuild reads the live rows in place (:class:`~repro.index.kmeans.Rows`)
+instead of gathering them into an aligned copy first.
 """
 
 from __future__ import annotations
@@ -19,10 +24,9 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.index.hac import Linkage, agglomerate, merges_to_children
-from repro.index.kmeans import KMeans, rows_by_label
+from repro.index.kmeans import KMeans, Rows, rows_by_label
 from repro.index.tree import ClusterNode, ClusterTree
 from repro.utils.rng import SeedLike, as_generator
-from repro.utils.validation import check_finite_features
 
 
 @dataclass
@@ -69,7 +73,8 @@ def index_config_for(n: int, config: Optional[IndexConfig] = None, *,
 
 
 def build_index(features: np.ndarray, ids: Sequence[str], config: IndexConfig,
-                rng: SeedLike = None) -> ClusterTree:
+                rng: SeedLike = None, *,
+                rows: Optional[np.ndarray] = None) -> ClusterTree:
     """Build the hierarchical cluster index over ``features``.
 
     Parameters
@@ -83,31 +88,36 @@ def build_index(features: np.ndarray, ids: Sequence[str], config: IndexConfig,
         Builder configuration.
     rng:
         Seed or generator (controls subsampling and k-means init).
+    rows:
+        Optional row numbers into ``features``: element ``ids[i]``'s
+        vector is ``features[rows[i]]``.  The tree is the one built over
+        ``features[rows]``, without that copy being made.
     """
     features = np.asarray(features, dtype=float)
     if features.ndim != 2:
         raise ConfigurationError(f"features must be (n, d), got {features.shape}")
-    if len(features) != len(ids):
+    points = Rows(features, None if rows is None
+                  else np.asarray(rows, dtype=np.intp))
+    n = len(points)
+    if n != len(ids):
+        raise ConfigurationError(f"{len(ids)} ids for {n} feature rows")
+    if config.n_clusters > n:
         raise ConfigurationError(
-            f"{len(ids)} ids for {len(features)} feature rows"
+            f"n_clusters={config.n_clusters} exceeds n={n}"
         )
-    if config.n_clusters > len(features):
-        raise ConfigurationError(
-            f"n_clusters={config.n_clusters} exceeds n={len(features)}"
-        )
-    check_finite_features(features, ids)
+    points.check_finite(ids)
     generator = as_generator(rng)
 
     # Phase 1-2: k-means (optionally fit on a subsample, assign everything).
     kmeans = KMeans(config.n_clusters, max_iter=config.max_kmeans_iter,
                     rng=generator)
-    if config.subsample is not None and config.subsample < len(features):
-        sample_rows = generator.choice(len(features), size=config.subsample,
+    if config.subsample is not None and config.subsample < n:
+        sample_rows = generator.choice(n, size=config.subsample,
                                        replace=False)
-        kmeans.fit(features[sample_rows])
-        labels = kmeans.predict(features)
+        kmeans.fit(points[sample_rows])
+        labels = kmeans.predict(points)
     else:
-        labels = kmeans.fit_predict(features)
+        labels = kmeans.fit_predict(points)
     centroids = kmeans.centroids_
     assert centroids is not None
 

@@ -211,20 +211,39 @@ class ClusterTree:
 
         Checks: unique node ids, no empty internal nodes, members only at
         leaves, and no element assigned to two leaves.
+
+        The last check holds no set of every element (4 MB at 100 000,
+        and a live table's churn rebuild makes it on top of the serving
+        process): the elements' hashes are sorted, and only elements whose
+        hash repeats are compared, in traversal order.
         """
         seen_nodes: set[str] = set()
-        seen_members: set[str] = set()
+        n_members = 0
         for node in self.root.iter_nodes():
             if node.node_id in seen_nodes:
                 raise IndexError_(f"duplicate node id {node.node_id!r}")
             seen_nodes.add(node.node_id)
             self._check_shape(node)
-            for member in node.member_ids:
+            n_members += len(node.member_ids)
+        hashes = np.fromiter(map(hash, self._all_members()), dtype=np.int64,
+                             count=n_members)
+        hashes.sort()
+        clashing = set(hashes[1:][hashes[1:] == hashes[:-1]].tolist())
+        if not clashing:
+            return
+        seen_members = set()
+        for member in self._all_members():
+            if hash(member) in clashing:
                 if member in seen_members:
                     raise IndexError_(
                         f"element {member!r} appears in multiple leaves"
                     )
                 seen_members.add(member)
+
+    def _all_members(self) -> Iterator[str]:
+        """Every node's members, in traversal order."""
+        for node in self.root.iter_nodes():
+            yield from node.member_ids
 
     def _check_shape(self, node: ClusterNode) -> None:
         """The rules one node can break alone: no empty leaf (the root

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import repro.index.kmeans as kmeans_module
 from repro.errors import ConfigurationError, NotFittedError
 from repro.index.builder import IndexConfig, build_index
-from repro.index.kmeans import (BLOCK_ROWS, KMeans, _assign, _margin,
+from repro.index.kmeans import (BLOCK_ROWS, KMeans, Rows, _assign, _margin,
                                 _pairwise_sq_dists, _row_sq_norms, _shifts,
                                 rows_by_label)
 
@@ -140,6 +140,37 @@ class TestBlockedAssignment:
         assert np.array_equal(blocked.predict(points), whole.predict(points))
 
 
+class TestRowsInPlace:
+    """A fit over ``Rows(block, index)`` is the fit over ``block[index]``
+    bit for bit, without that copy: how a live table's churn rebuild reads
+    its snapshot (dead rows left in the block, live ones in any order)."""
+
+    @pytest.mark.parametrize("dim", [1, 3, 8])
+    def test_fit_and_predict_are_the_gathered_matrix(self, rng, monkeypatch,
+                                                     dim):
+        monkeypatch.setattr(kmeans_module, "BLOCK_ROWS", 64)
+        block = (rng.normal(size=(1_500, dim))
+                 + 4.0 * rng.integers(5, size=(1_500, 1)))
+        index = rng.permutation(1_500)[:1_000]
+        gathered = KMeans(7, max_iter=20, rng=3).fit(block[index])
+        in_place = KMeans(7, max_iter=20, rng=3).fit(Rows(block, index))
+        assert in_place.centroids_.tobytes() == gathered.centroids_.tobytes()
+        assert np.array_equal(in_place.labels_, gathered.labels_)
+        assert float.hex(in_place.inertia_) == float.hex(gathered.inertia_)
+        assert in_place.n_iter_ == gathered.n_iter_
+        assert (in_place._rng.integers(2**62)
+                == gathered._rng.integers(2**62))
+        backwards = index[::-1]
+        assert np.array_equal(in_place.predict(Rows(block, backwards)),
+                              gathered.predict(block[backwards]))
+
+    def test_a_non_finite_row_is_named_by_its_position(self, rng):
+        block = rng.normal(size=(50, 3))
+        block[7, 2] = np.nan
+        with pytest.raises(ConfigurationError, match="element 1 has"):
+            KMeans(2, rng=0).fit(Rows(block, np.array([3, 7, 9, 11])))
+
+
 class TestRowsByLabel:
     def test_each_group_is_the_mask_in_row_order(self, rng):
         labels = rng.integers(0, 9, size=500)
@@ -211,6 +242,16 @@ class TestWorkingMemory:
         fit, predict = self._fit_and_predict_peaks(points, self.L)
         assert fit < 0.6 * self.MATRIX
         assert predict < 0.6 * self.MATRIX
+
+    def test_a_fit_over_rows_holds_blocks_of_them_not_them(self, rng):
+        """At d = 64 the rows are 10 MB; a fit over ``Rows(block, index)``
+        holds a few n-columns and one block of gathered rows."""
+        n, dim = 20_000, 64
+        block = rng.normal(size=(n + 5_000, dim))
+        index = rng.permutation(n + 5_000)[:n]
+        model = KMeans(8, max_iter=3, rng=0)
+        peak = self._peak(lambda: model.fit(Rows(block, index)))
+        assert peak < 0.3 * n * dim * 8
 
     def test_doubling_the_clusters_adds_blocks_not_a_matrix(self, rng):
         points = rng.normal(size=(self.N, self.DIM))

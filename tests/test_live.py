@@ -608,6 +608,38 @@ class TestWriteCost:
 # -- nothing a write owns grows with uptime -----------------------------------
 
 
+class TestChurnRebuild:
+    def test_rebuild_reads_the_live_rows_where_they_are(self, monkeypatch):
+        """A churn rebuild over a table with dead rows gathers no aligned
+        feature matrix (6 MB at 100 000 rows x 8, on top of the serving
+        process) and still builds the tree a build over it would."""
+        from repro.data.dataset import TableSnapshot
+        from repro.index.builder import (IndexConfig, build_index,
+                                         index_config_for)
+
+        table = make_live_table(n_rows=600, seed=4)
+        session, _, _ = make_live_session(table, n_clusters=6)
+        session.execute(EXHAUSTIVE)
+        table.delete(table.ids()[::3])
+        append_rows(table, np.linspace(0.0, 2.0, 120), prefix="churn")
+        gathers = []
+        features = TableSnapshot.features
+        monkeypatch.setattr(
+            TableSnapshot, "features",
+            lambda self: gathers.append(self) or features(self))
+        session.execute(EXHAUSTIVE)
+        assert session.table_info("t")["index_freshness"] == "rebuilt"
+        assert gathers == []
+        snapshot = table.snapshot()
+        assert len(snapshot.feature_rows()[0]) > len(snapshot)  # dead rows
+        binding = session._binding("t")
+        fresh = build_index(features(snapshot), snapshot.ids(),
+                            index_config_for(len(snapshot),
+                                             IndexConfig(n_clusters=6)),
+                            rng=binding._index_seed)
+        assert binding.maintainer.tree.to_dict() == fresh.to_dict()
+
+
 class TestBoundedGrowth:
     def test_soak_keeps_log_block_and_touched_log_bounded(self):
         """3 000 write -> query cycles on 2 000 rows (memo off: it is

@@ -47,6 +47,23 @@ class TestValidation:
                 ClusterNode("y", member_ids=("a",)),
             ]))
 
+    def test_the_first_repeat_in_traversal_order_is_named(self):
+        """Elements are compared only where their hashes repeat; the one
+        named is still the first whose second occurrence comes first."""
+        with pytest.raises(IndexError_, match="element 'b' appears"):
+            ClusterTree(ClusterNode("root", children=[
+                ClusterNode("x", member_ids=("a", "b")),
+                ClusterNode("y", member_ids=("c", "b", "a")),
+            ]))
+
+    def test_equal_hashes_are_not_a_repeat(self):
+        assert hash(-1) == hash(-2)
+        tree = ClusterTree(ClusterNode("root", children=[
+            ClusterNode("x", member_ids=(-1, 5)),
+            ClusterNode("y", member_ids=(-2,)),
+        ]))
+        assert tree.n_elements() == 3
+
     def test_empty_leaf(self):
         with pytest.raises(IndexError_):
             ClusterTree(ClusterNode("root", children=[
@@ -161,6 +178,26 @@ class TestBuildIndex:
         for leaf in tree.leaves():
             assert leaf.centroid is not None
             assert leaf.centroid.shape == (2,)
+
+    @pytest.mark.parametrize("config", [
+        IndexConfig(n_clusters=4), IndexConfig(n_clusters=4, flat=True),
+        IndexConfig(n_clusters=4, subsample=60)])
+    def test_rows_build_the_tree_of_the_gathered_features(self, rng, config):
+        """``rows`` names each element's row of a larger block (a live
+        snapshot's storage): the tree is the one over ``block[rows]``."""
+        points, ids = self.make_features(rng, n=200)
+        block = np.vstack([points, rng.normal(size=(50, 2))])
+        rows = rng.permutation(len(block))[:len(points)]
+        gathered = build_index(block[rows], ids, config, rng=5)
+        in_place = build_index(block, ids, config, rng=5, rows=rows)
+        assert (json.dumps(in_place.to_dict())
+                == json.dumps(gathered.to_dict()))
+
+    def test_rows_and_ids_must_align(self, rng):
+        points, ids = self.make_features(rng)
+        with pytest.raises(ConfigurationError, match="119 ids for 120"):
+            build_index(points, ids[:-1], IndexConfig(n_clusters=4), rng=0,
+                        rows=np.arange(len(points)))
 
     def test_mismatched_ids_rejected(self, rng):
         points, ids = self.make_features(rng)
