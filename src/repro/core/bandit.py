@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.core.histogram import AdaptiveHistogram
 from repro.core.sketches import ScoreSketch
 from repro.core.policies import ExplorationSchedule, PolynomialDecay
 from repro.errors import ConfigurationError
@@ -59,9 +58,3 @@ class BanditConfig:
         check_positive(self.initial_range, "initial_range")
         if not 1.0 <= self.beta <= 2.0:
             raise ConfigurationError(f"beta must lie in [1, 2], got {self.beta!r}")
-
-    def new_histogram(self) -> AdaptiveHistogram:
-        """Construct an empty histogram with these settings."""
-        return AdaptiveHistogram(
-            n_bins=self.n_bins, initial_range=self.initial_range, beta=self.beta
-        )

@@ -14,7 +14,7 @@ This module turns that state into an explicit displacement probability,
 in the spirit of progressive/anytime query processing (report the
 answer *with* its uncertainty):
 
-* :class:`TailSummary` — a light, JSON-safe snapshot of one shard's
+* :class:`TailSummary` — a light, picklable snapshot of one shard's
   unscored mass: how many elements are undrawn, the sketch's survival
   curve ``tau -> P(X > tau)``, and the shard's currently-held top
   scores (so the known answer rows are excluded from the tail).
@@ -56,11 +56,11 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError, SerializationError
+from repro.errors import ConfigurationError
 
 #: Interpolation modes for :meth:`TailSummary.survival_at`.
 _KINDS = ("linear", "step")
@@ -87,7 +87,7 @@ class TailSummary:
     ``step`` for empirical sketches).  ``mass`` is diagnostic metadata —
     the observation count backing the curve — recorded so bound decisions
     can be audited for evidence strength; no bound computation reads it.
-    All fields are JSON-safe and picklable.
+    All fields are picklable.
     """
 
     n_remaining: int
@@ -146,38 +146,6 @@ class TailSummary:
         that certifies convergence.
         """
         return min(1.0, max(0.0, self.survival_at(threshold)))
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe representation, for external persistence of bounds.
-
-        Summaries cross process pipes as pickled dataclasses and are not
-        part of the engine snapshot formats; this pair exists for callers
-        that archive bound evidence next to traces or reports.
-        """
-        return {
-            "n_remaining": self.n_remaining,
-            "support": list(self.support),
-            "survival": list(self.survival),
-            "mass": self.mass,
-            "kind": self.kind,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "TailSummary":
-        """Rebuild a summary from :meth:`to_dict` output."""
-        try:
-            return cls(
-                n_remaining=int(payload["n_remaining"]),
-                support=tuple(float(x) for x in payload["support"]),
-                survival=tuple(float(x) for x in payload["survival"]),
-                mass=float(payload["mass"]),
-                kind=str(payload.get("kind", "linear")),
-            )
-        except (KeyError, TypeError, ValueError,
-                ConfigurationError) as exc:
-            raise SerializationError(
-                f"malformed tail summary payload: {exc}"
-            ) from exc
 
 
 #: Mixture curves are evaluated on at most this many breakpoints; unions

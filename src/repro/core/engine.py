@@ -63,6 +63,7 @@ documented normatively in ``docs/architecture.md``.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Protocol, Sequence, Set, Tuple
 
@@ -511,44 +512,46 @@ class TopKEngine:
         step = ScoringStep(dataset, scorer, memo, gate)
         checkpoints: List[Checkpoint] = []
         next_checkpoint = checkpoint_every
-        if trace is not None:
-            trace.push("run[single]", budget=limit,
-                       batch_size=self.config.batch_size)
-            trace.push("window[0]")
-        window = 0
-        funded = True
-        while funded and self.n_scored < limit and not self.exhausted:
-            before = (step.cost, step.scored, step.hits)
-            # At least one batch per window: a batch larger than the
-            # checkpoint interval leaves next_checkpoint behind n_scored.
-            funded = self.advance(
-                step, min(limit, max(next_checkpoint, self.n_scored + 1)))
+        # The run's span closes on every exit, a cancelling gate included,
+        # and closes the open window with it.
+        with (nullcontext() if trace is None else
+              trace.span("run[single]", budget=limit,
+                         batch_size=self.config.batch_size)):
             if trace is not None:
-                scored = step.scored - before[1]
-                hits = step.hits - before[2]
-                trace.add(vclock=step.cost - before[0], scored=scored,
-                          udf_calls=scored - hits, memo_hits=hits)
-            if self.n_scored >= next_checkpoint:
-                checkpoints.append(
-                    Checkpoint(
-                        iteration=self.n_scored,
-                        virtual_time=step.cost,
-                        overhead_time=self.overhead.elapsed,
-                        stk=self.stk,
-                        threshold=self.threshold,
-                    )
-                )
-                next_checkpoint += checkpoint_every
+                trace.push("window[0]")
+            window = 0
+            funded = True
+            while funded and self.n_scored < limit and not self.exhausted:
+                before = (step.cost, step.scored, step.hits)
+                # At least one batch per window: a batch larger than the
+                # checkpoint interval leaves next_checkpoint behind n_scored.
+                funded = self.advance(
+                    step, min(limit, max(next_checkpoint, self.n_scored + 1)))
                 if trace is not None:
-                    trace.annotate(stk=self.stk, threshold=self.threshold)
-                    trace.pop()
-                    window += 1
-                    trace.push(f"window[{window}]")
-        if trace is not None:
-            trace.annotate(stk=self.stk, threshold=self.threshold)
-            trace.pop()          # the open window
-            trace.annotate(mode=self.mode, n_batches=self.t_batches)
-            trace.pop()          # run[single]
+                    scored = step.scored - before[1]
+                    hits = step.hits - before[2]
+                    trace.add(vclock=step.cost - before[0], scored=scored,
+                              udf_calls=scored - hits, memo_hits=hits)
+                if self.n_scored >= next_checkpoint:
+                    checkpoints.append(
+                        Checkpoint(
+                            iteration=self.n_scored,
+                            virtual_time=step.cost,
+                            overhead_time=self.overhead.elapsed,
+                            stk=self.stk,
+                            threshold=self.threshold,
+                        )
+                    )
+                    next_checkpoint += checkpoint_every
+                    if trace is not None:
+                        trace.annotate(stk=self.stk, threshold=self.threshold)
+                        trace.pop()
+                        window += 1
+                        trace.push(f"window[{window}]")
+            if trace is not None:
+                trace.annotate(stk=self.stk, threshold=self.threshold)
+                trace.pop()          # the open window
+                trace.annotate(mode=self.mode, n_batches=self.t_batches)
         if step.scored > step.hits:
             UDF_CALLS_TOTAL.inc(step.scored - step.hits, engine="single")
         if step.hits:

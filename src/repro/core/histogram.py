@@ -639,15 +639,6 @@ class AdaptiveHistogram:
         tau = None if threshold is None else float(threshold)
         return self._bank.gains((self._row,), tau)[0]
 
-    def mean_estimate(self) -> float:
-        """Mean of the sketched distribution under the uniform value assumption."""
-        mass = self.total_mass
-        if mass <= 0.0:
-            return 0.0
-        edges = self.edges
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        return float(np.dot(self.counts / mass, mids))
-
     def tail_mass(self, threshold: float) -> float:
         """Estimated probability that a sample exceeds ``threshold``."""
         mass = self.total_mass

@@ -10,7 +10,7 @@ values themselves.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -99,12 +99,3 @@ class SyntheticClustersDataset(InMemoryDataset):
         top = built[max(built)]
         root_children = list(top.children) if not top.is_leaf else [top]
         return ClusterTree(ClusterNode(node_id="root", children=root_children))
-
-    def flat_index(self) -> ClusterTree:
-        """One-level index over the true clusters (no dendrogram)."""
-        members: Dict[str, List[str]] = {}
-        for element_id in self.ids():
-            members.setdefault(f"leaf-{self.cluster_of[element_id]}", []).append(
-                element_id
-            )
-        return ClusterTree.flat(members)

@@ -373,8 +373,6 @@ class ExecutionPlan:
     cache_enabled: bool = False
     #: Whether warm-start priors will be applied (opt-in, not bit-identical).
     warm_start: bool = False
-    #: Memoized scores already stored for this UDF at plan time.
-    memo_entries: int = 0
     #: Fraction of this query's candidates already memoized; computed for
     #: EXPLAIN queries only (``None`` otherwise — the probe is O(n)).
     expected_hit_rate: Optional[float] = None

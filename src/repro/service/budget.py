@@ -4,10 +4,11 @@ One :class:`BudgetScheduler` owns a single pool of UDF-call budget that
 every in-flight query of a :class:`~repro.service.service.QueryService`
 draws from.  Scheduling happens at two levels:
 
-**Admission** (blocking, policy-ordered).  Before a query starts, its
-full scorer *demand* — the resolved per-query budget — is committed
-from the pool by :meth:`BudgetScheduler.admit`.  When the pool cannot
-cover the demand, the request waits in a policy-ordered queue:
+**Admission** (policy-ordered).  Before a query starts, its full
+scorer *demand* — the resolved per-query budget — is committed from the
+pool.  Every request joins one queue and is resolved through a future
+(:meth:`BudgetScheduler.admit_future`; :meth:`BudgetScheduler.admit`
+blocks on it).  When the pool cannot cover the demand, the request waits:
 
 * ``fair-share`` — round-robin across *tenants*: the waiting tenant
   with the fewest admissions so far goes first (FIFO within a tenant),
@@ -39,10 +40,10 @@ scorer concurrency, not lifetime totals: a long-lived service never
 wears its pool out, and ``spent`` is a cumulative telemetry counter
 rather than a deduction.
 
-The scheduler is thread-safe (one condition variable guards all state):
-admission blocks service-side threads while engine threads acquire and
-refund concurrently.  It also carries the service's cancellation path —
-:meth:`QueryGrant.cancel` makes the *next* ``acquire`` raise
+The scheduler is thread-safe (one lock guards all state): admissions
+resolve while engine threads acquire and refund concurrently.  It also
+carries the service's cancellation path — :meth:`QueryGrant.cancel`
+makes the *next* ``acquire`` raise
 :class:`~repro.errors.QueryCancelledError` inside the engine, which
 unwinds through the executors' normal cleanup (pools closed, shm
 unlinked) before :meth:`~QueryGrant.retire` reclaims the budget.
@@ -81,7 +82,7 @@ POLICIES = ("fair-share", "deadline")
 class QueryGrant:
     """One admitted query's handle on the global budget.
 
-    Created by :meth:`BudgetScheduler.admit`; threaded through the
+    Created by :meth:`BudgetScheduler.admit_future`; threaded through the
     session into the engines as their *budget gate* (see
     ``execute(..., budget_gate=...)``).  All methods are thread-safe.
     """
@@ -133,31 +134,30 @@ class QueryGrant:
     @property
     def consumed(self) -> int:
         """Net units drawn so far (acquires minus refunds)."""
-        with self._scheduler._cond:
+        with self._scheduler._lock:
             return self._acquired
 
     @property
     def granted_units(self) -> int:
         """Gross units granted so far (refunds do not subtract)."""
-        with self._scheduler._cond:
+        with self._scheduler._lock:
             return self._granted_units
 
     @property
     def cancelled(self) -> bool:
-        with self._scheduler._cond:
+        with self._scheduler._lock:
             return self._cancelled
 
     @property
     def retired(self) -> bool:
-        with self._scheduler._cond:
+        with self._scheduler._lock:
             return self._retired
 
 
 class _Waiter:
-    """One blocked admission request (internal)."""
+    """One queued admission request (internal); ``_pump`` resolves it."""
 
-    __slots__ = ("tenant", "demand", "deadline", "seq", "grant",
-                 "abandoned", "future")
+    __slots__ = ("tenant", "demand", "deadline", "seq", "future")
 
     def __init__(self, tenant: str, demand: int,
                  deadline: Optional[float], seq: int) -> None:
@@ -165,11 +165,7 @@ class _Waiter:
         self.demand = demand
         self.deadline = deadline
         self.seq = seq
-        self.grant: Optional[QueryGrant] = None
-        self.abandoned = False
-        #: Set for thread-free admissions (:meth:`admit_future`);
-        #: resolved by ``_pump`` instead of a condition-variable wake.
-        self.future: Optional[concurrent.futures.Future] = None
+        self.future = concurrent.futures.Future()
 
 
 class BudgetScheduler:
@@ -203,7 +199,7 @@ class BudgetScheduler:
             )
         self.budget = None if budget is None else int(budget)
         self.policy = policy
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
         self._seq = itertools.count()
         self._waiters: List[_Waiter] = []
         self._live: List[QueryGrant] = []
@@ -223,45 +219,38 @@ class BudgetScheduler:
     def admit(self, tenant: str, demand: int,
               deadline: Optional[float] = None,
               timeout: Optional[float] = None) -> QueryGrant:
-        """Commit ``demand`` units for one query; block until admitted.
+        """:meth:`admit_future`, then block until admitted.
 
-        ``deadline`` orders contended admissions under the ``deadline``
-        policy (smaller = more urgent; ``None`` = least urgent) and is
-        advisory under ``fair-share``.  ``timeout`` bounds the wait; on
-        expiry the request is abandoned and ``QueryCancelledError``
-        raised (nothing was committed).
+        ``timeout`` bounds the wait; on expiry the request leaves the
+        queue and ``QueryCancelledError`` is raised (nothing was
+        committed), unless it was admitted meanwhile.
         """
-        if int(demand) != demand or demand < 0:
-            raise ConfigurationError(
-                f"demand must be a non-negative integer, got {demand!r}"
-            )
-        waiter = _Waiter(str(tenant), int(demand), deadline,
-                         next(self._seq))
-        with self._cond:
-            self._waiters.append(waiter)
-            self._pump()
-            granted = self._cond.wait_for(lambda: waiter.grant is not None,
-                                          timeout=timeout)
-            if not granted:
-                waiter.abandoned = True
-                self._waiters.remove(waiter)
-                raise QueryCancelledError(
-                    f"admission timed out after {timeout}s "
-                    f"(tenant {tenant!r}, demand {demand})"
-                )
-            return waiter.grant
+        future = self.admit_future(tenant, demand, deadline)
+        try:
+            return future.result(timeout)
+        except concurrent.futures.TimeoutError:
+            with self._lock:
+                if future.done():  # admitted as the wait timed out
+                    return future.result()
+                self._waiters = [waiter for waiter in self._waiters
+                                 if waiter.future is not future]
+            raise QueryCancelledError(
+                f"admission timed out after {timeout}s "
+                f"(tenant {tenant!r}, demand {demand})"
+            ) from None
 
     def admit_future(self, tenant: str, demand: int,
                      deadline: Optional[float] = None,
                      ) -> "concurrent.futures.Future[QueryGrant]":
-        """Thread-free :meth:`admit`: the future resolves on admission.
+        """Queue ``demand`` units for one query; the future resolves
+        with its :class:`QueryGrant` on admission.
 
-        The request waits in the same policy-ordered queue as blocking
-        admissions, but no thread is parked while it waits — ``_pump``
-        resolves the future under the scheduler lock.  This is what the
-        asyncio service uses (via ``asyncio.wrap_future``), so a backlog
-        of waiting queries can never exhaust the worker threads that the
-        *admitted* queries need in order to run and retire.
+        ``deadline`` orders contended admissions under the ``deadline``
+        policy (smaller = more urgent; ``None`` = least urgent) and is
+        advisory under ``fair-share``.  No thread waits: ``_pump``
+        resolves the future under the lock, so the asyncio service's
+        backlog of waiting queries can never exhaust the worker threads
+        that *admitted* queries need in order to run and retire.
         """
         if int(demand) != demand or demand < 0:
             raise ConfigurationError(
@@ -269,8 +258,7 @@ class BudgetScheduler:
             )
         waiter = _Waiter(str(tenant), int(demand), deadline,
                          next(self._seq))
-        waiter.future = concurrent.futures.Future()
-        with self._cond:
+        with self._lock:
             self._waiters.append(waiter)
             self._pump()
         return waiter.future
@@ -296,13 +284,13 @@ class BudgetScheduler:
     def _pump(self) -> None:
         """Admit head-of-line waiters while the pool covers them.
 
-        Must hold ``self._cond``.  Strictly in policy order: the first
+        Must hold ``self._lock``.  Strictly in policy order: the first
         waiter that does not fit blocks everyone behind it (that is the
         fairness/EDF guarantee).  A demand larger than the whole pool is
         clamped once nothing else is committed, so it cannot wedge the
-        queue forever.
+        queue forever.  Futures resolve here, under the lock, so their
+        done callbacks must not call back into the scheduler.
         """
-        admitted_any = False
         while self._waiters:
             waiter = min(self._waiters, key=self._order_key)
             available = self._available()
@@ -314,9 +302,7 @@ class BudgetScheduler:
             grant = QueryGrant(self, waiter.tenant, demand, waiter.deadline)
             self._live.append(grant)
             self._waiters.remove(waiter)
-            waiter.grant = grant
-            if waiter.future is not None:
-                waiter.future.set_result(grant)
+            waiter.future.set_result(grant)
             self._admissions[waiter.tenant] = (
                 self._admissions.get(waiter.tenant, 0) + 1
             )
@@ -326,18 +312,15 @@ class BudgetScheduler:
             QUERIES_INFLIGHT.set(self._inflight[waiter.tenant],
                                  tenant=waiter.tenant)
             ADMISSIONS_TOTAL.inc(policy=self.policy)
-            admitted_any = True
             self._peak_committed = max(self._peak_committed,
                                        self._committed())
-        if admitted_any:
-            self._cond.notify_all()
 
     # -- grant plumbing (QueryGrant methods delegate here) --------------------
 
     def _acquire(self, grant: QueryGrant, n: int) -> int:
         if n < 0:
             raise ConfigurationError(f"cannot acquire {n!r} units")
-        with self._cond:
+        with self._lock:
             if grant._cancelled:
                 raise QueryCancelledError(
                     f"query of tenant {grant.tenant!r} was cancelled"
@@ -355,7 +338,7 @@ class BudgetScheduler:
     def _refund(self, grant: QueryGrant, n: int) -> None:
         if n < 0:
             raise ConfigurationError(f"cannot refund {n!r} units")
-        with self._cond:
+        with self._lock:
             if n > grant._acquired:
                 raise ConfigurationError(
                     f"refund of {n} exceeds the {grant._acquired} units "
@@ -364,12 +347,11 @@ class BudgetScheduler:
             grant._acquired -= n
 
     def _cancel(self, grant: QueryGrant) -> None:
-        with self._cond:
+        with self._lock:
             grant._cancelled = True
-            self._cond.notify_all()
 
     def _retire(self, grant: QueryGrant) -> None:
-        with self._cond:
+        with self._lock:
             if grant._retired:
                 return
             grant._retired = True
@@ -379,13 +361,12 @@ class BudgetScheduler:
             self._inflight[grant.tenant] = count
             QUERIES_INFLIGHT.set(count, tenant=grant.tenant)
             self._pump()
-            self._cond.notify_all()
 
     # -- introspection -------------------------------------------------------
 
     def stats(self) -> dict:
         """JSON-safe snapshot of the pool and every tenant's totals."""
-        with self._cond:
+        with self._lock:
             tenants: Dict[str, dict] = {}
             for grant in self._live:
                 entry = tenants.setdefault(

@@ -316,15 +316,10 @@ class OpaqueQuerySession:
         self._udf_fingerprints[logical.udf] = fingerprint
         cache_on = (self._enable_cache if use_cache is None
                     else bool(use_cache)) and fingerprint is not None
-        memo_entries = 0
         expected_hit_rate = None
-        if cache_on:
-            memo_entries = binding.memo.n_entries(fingerprint)
-            if logical.explain:
-                expected_hit_rate = binding.memo.expected_hit_rate(
-                    fingerprint, ids=allowed_ids,
-                    n_candidates=n_candidates,
-                )
+        if cache_on and logical.explain:
+            expected_hit_rate = binding.memo.expected_hit_rate(
+                fingerprint, ids=allowed_ids, n_candidates=n_candidates)
         return ExecutionPlan(
             query=logical,
             mode=mode,
@@ -341,7 +336,6 @@ class OpaqueQuerySession:
             fingerprint=fingerprint,
             cache_enabled=cache_on,
             warm_start=bool(warm_start) and cache_on,
-            memo_entries=memo_entries,
             expected_hit_rate=expected_hit_rate,
             dataset=dataset,
             binding=binding,

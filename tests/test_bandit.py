@@ -52,11 +52,6 @@ class TestBanditConfig:
         with pytest.raises(ConfigurationError):
             BanditConfig(beta=3.0)
 
-    def test_new_histogram_settings(self):
-        hist = BanditConfig(n_bins=4, initial_range=2.0).new_histogram()
-        assert hist.n_bins == 4
-        assert hist.max_range == pytest.approx(2.0)
-
 
 class TestFlatTreeBandit:
     """Algorithm 1 without the tree: the engine over a one-layer index.

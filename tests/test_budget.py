@@ -22,6 +22,7 @@ scheduler deadlock fails the test by timeout rather than hanging it.
 
 from __future__ import annotations
 
+import concurrent.futures
 import random
 import threading
 import time
@@ -30,6 +31,54 @@ import pytest
 
 from repro.errors import ConfigurationError, QueryCancelledError
 from repro.service.budget import BudgetScheduler
+
+#: The two doors into the one admission queue: the blocking call and the
+#: future the service awaits.
+ADMISSIONS = ("admit", "admit_future")
+
+
+def admission_order(scheduler, blocker, requests, admission):
+    """Queue ``requests`` behind ``blocker``, retire it, and return their
+    tags in admission order.
+
+    ``requests`` is ``[(tag, tenant, deadline), ...]`` in arrival order.
+    Every demand is the whole pool, so one request holds it at a time and
+    retires as soon as it is admitted.  ``"admit"`` blocks one thread per
+    request, each started once the one before it is queued;
+    ``"admit_future"`` queues every future and retires each as it
+    resolves.
+    """
+    order = []
+    if admission == "admit_future":
+        futures = [(tag, scheduler.admit_future(tenant, scheduler.budget,
+                                                deadline=deadline))
+                   for tag, tenant, deadline in requests]
+        blocker.retire()
+        while futures:
+            ((tag, future),) = [entry for entry in futures
+                                if entry[1].done()]
+            futures.remove((tag, future))
+            order.append(tag)
+            future.result().retire()
+        return order
+
+    def wait_admit(tag, tenant, deadline):
+        grant = scheduler.admit(tenant, scheduler.budget, deadline=deadline)
+        order.append(tag)
+        grant.retire()
+
+    threads = []
+    for queued, request in enumerate(requests, start=1):
+        thread = threading.Thread(target=wait_admit, args=request)
+        thread.start()
+        threads.append(thread)
+        while scheduler.stats()["waiting"] < queued:  # fix arrival order
+            time.sleep(0.001)
+    blocker.retire()
+    for thread in threads:
+        thread.join(timeout=30)
+        assert not thread.is_alive(), "scheduler deadlocked"
+    return order
 
 
 class TestValidation:
@@ -123,33 +172,46 @@ class TestGrantLifecycle:
         grant = scheduler.admit("b", 10)
         grant.retire()
 
+    def test_admission_racing_the_timeout_is_kept(self, monkeypatch):
+        """The wait expires just after ``_pump`` admitted the request:
+        ``admit`` returns that grant, so its demand is committed once and
+        is not leaked."""
+        scheduler = BudgetScheduler(budget=10)
+        blocker = scheduler.admit("a", 10)
+        wait = concurrent.futures.Future.result
+
+        def late_result(future, timeout=None):
+            if timeout is None:
+                return wait(future)
+            blocker.retire()         # _pump admits the waiter ...
+            assert future.done()
+            raise concurrent.futures.TimeoutError  # ... as the wait expires
+
+        monkeypatch.setattr(concurrent.futures.Future, "result", late_result)
+        grant = scheduler.admit("b", 5, timeout=0.05)
+        stats = scheduler.stats()
+        assert stats["committed"] == 5 and stats["waiting"] == 0
+        assert stats["tenants"] == {
+            "b": {"live": 1, "committed": 5, "consumed": 0}}
+        grant.retire()
+        assert scheduler.stats()["available"] == 10
+
 
 class TestFairShare:
-    def test_quiet_tenant_overtakes_chatty_backlog(self):
+    @pytest.mark.parametrize("admission", ADMISSIONS)
+    def test_quiet_tenant_overtakes_chatty_backlog(self, admission):
         """B's first request is admitted before A's queued 2nd and 3rd."""
         scheduler = BudgetScheduler(budget=10, policy="fair-share")
         blocker = scheduler.admit("a", 10)       # A admitted once
-        order = []
-        threads = []
-
-        def wait_admit(tenant, tag):
-            grant = scheduler.admit(tenant, 10)
-            order.append(tag)
-            grant.retire()
-
-        for tag, tenant in (("a2", "a"), ("a3", "a"), ("b1", "b")):
-            thread = threading.Thread(target=wait_admit,
-                                      args=(tenant, tag))
-            thread.start()
-            threads.append(thread)
-            time.sleep(0.02)  # fix the arrival order a2, a3, b1
-        blocker.retire()
-        for thread in threads:
-            thread.join(timeout=10)
+        order = admission_order(
+            scheduler, blocker,
+            [("a2", "a", None), ("a3", "a", None), ("b1", "b", None)],
+            admission)
         # b has 0 prior admissions vs a's 1 (then 2), so: b1, a2, a3.
         assert order == ["b1", "a2", "a3"]
 
-    def test_no_starvation_under_chatty_load(self):
+    @pytest.mark.parametrize("admission", ADMISSIONS)
+    def test_no_starvation_under_chatty_load(self, admission):
         """A single quiet request completes despite a flood of others.
 
         50 chatty requests are queued ahead of the quiet one; fair-share
@@ -158,84 +220,38 @@ class TestFairShare:
         """
         scheduler = BudgetScheduler(budget=10, policy="fair-share")
         blocker = scheduler.admit("chatty", 10)
-        admitted_before_quiet = []
-        quiet_done = threading.Event()
-
-        def chatty(index):
-            grant = scheduler.admit("chatty", 10)
-            if not quiet_done.is_set():
-                admitted_before_quiet.append(index)
-            grant.retire()
-
-        def quiet():
-            grant = scheduler.admit("quiet", 10)
-            quiet_done.set()
-            grant.retire()
-
-        threads = [threading.Thread(target=chatty, args=(i,))
-                   for i in range(50)]
-        for thread in threads:
-            thread.start()
-        time.sleep(0.05)  # the chatty flood queues first
-        quiet_thread = threading.Thread(target=quiet)
-        quiet_thread.start()
-        time.sleep(0.05)
-        blocker.retire()
-        quiet_thread.join(timeout=30)
-        for thread in threads:
-            thread.join(timeout=30)
-        assert quiet_done.is_set()
+        requests = [(index, "chatty", None) for index in range(50)]
+        order = admission_order(scheduler, blocker,
+                                requests + [("quiet", "quiet", None)],
+                                admission)
+        assert len(order) == 51
         # The quiet tenant waited behind at most one chatty turn (the
         # round-robin key is completed admissions: chatty had 1, quiet 0).
-        assert len(admitted_before_quiet) <= 1
+        assert order.index("quiet") <= 1
 
 
 class TestDeadlinePolicy:
+    @pytest.mark.parametrize("admission", ADMISSIONS)
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_contended_admissions_follow_edf(self, seed):
+    def test_contended_admissions_follow_edf(self, seed, admission):
         """Randomized arrival order; admission order must sort by deadline."""
         generator = random.Random(seed)
         scheduler = BudgetScheduler(budget=10, policy="deadline")
         blocker = scheduler.admit("t", 10)
         deadlines = generator.sample(range(100), 8)
-        order = []
-        threads = []
-        lock = threading.Lock()
-
-        def wait_admit(deadline):
-            grant = scheduler.admit("t", 10, deadline=deadline)
-            with lock:
-                order.append(deadline)
-            grant.retire()
-
-        for deadline in deadlines:
-            thread = threading.Thread(target=wait_admit, args=(deadline,))
-            thread.start()
-            threads.append(thread)
-            time.sleep(0.02)  # make arrival order the shuffled one
-        blocker.retire()
-        for thread in threads:
-            thread.join(timeout=10)
+        order = admission_order(
+            scheduler, blocker,
+            [(deadline, "t", deadline) for deadline in deadlines],
+            admission)
         assert order == sorted(deadlines)
 
-    def test_no_deadline_sorts_last(self):
+    @pytest.mark.parametrize("admission", ADMISSIONS)
+    def test_no_deadline_sorts_last(self, admission):
         scheduler = BudgetScheduler(budget=10, policy="deadline")
         blocker = scheduler.admit("t", 10)
-        order = []
-        threads = []
-        for tag, deadline in (("lazy", None), ("urgent", 1.0)):
-            def wait_admit(tag=tag, deadline=deadline):
-                grant = scheduler.admit("t", 10, deadline=deadline)
-                order.append(tag)
-                grant.retire()
-
-            thread = threading.Thread(target=wait_admit)
-            thread.start()
-            threads.append(thread)
-            time.sleep(0.02)
-        blocker.retire()
-        for thread in threads:
-            thread.join(timeout=10)
+        order = admission_order(
+            scheduler, blocker,
+            [("lazy", "t", None), ("urgent", "t", 1.0)], admission)
         assert order == ["urgent", "lazy"]
 
 

@@ -112,15 +112,6 @@ class TestSurvivalCurves:
         assert summary.displacement_rate(4.5) == 0.0
         assert summary.displacement_rate(-1.0) == 1.0
 
-    def test_json_roundtrip(self):
-        summary = TailSummary(n_remaining=7, support=(0.0, 1.0),
-                              survival=(1.0, 0.0), mass=12.0,
-                              kind="linear")
-        clone = TailSummary.from_dict(
-            json.loads(json.dumps(summary.to_dict()))
-        )
-        assert clone == summary
-
     def test_validation(self):
         with pytest.raises(ConfigurationError, match="kind"):
             TailSummary(n_remaining=1, support=(), survival=(),

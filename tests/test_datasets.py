@@ -212,11 +212,6 @@ class TestSyntheticClusters:
         assert tree.n_leaves() == 4
         assert tree.depth() >= 3
 
-    def test_flat_index(self):
-        ds = SyntheticClustersDataset.generate(n_clusters=4, per_cluster=20,
-                                               rng=3)
-        assert ds.flat_index().depth() == 2
-
     def test_deterministic(self):
         a = SyntheticClustersDataset.generate(n_clusters=3, per_cluster=10,
                                               rng=9)

@@ -18,7 +18,8 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.data.dataset import InMemoryDataset
-from repro.errors import ReplayDivergenceError, SerializationError
+from repro.errors import (QueryCancelledError, ReplayDivergenceError,
+                          SerializationError)
 from repro.index.builder import IndexConfig
 from repro.obs.analyze import ExplainAnalyzeReport
 from repro.obs.metrics import (
@@ -564,6 +565,38 @@ class TestSpansCloseOnEveryExit:
             engine.run(BUDGET)
         assert trace.walk_names() == [(0, span)]
         assert [root["name"] for root in trace.harvest()] == [span]
+
+    def test_cancelled_single_run_closes_its_spans(self, dataset):
+        """A gate that cancels mid-run unwinds ``run[single]`` and the
+        window it was filling; the trace still harvests."""
+        from repro.core.engine import EngineConfig, TopKEngine
+        from repro.index.builder import build_index
+
+        class CancelOnFourth:
+            acquires = 0
+
+            def acquire(self, n):
+                self.acquires += 1
+                if self.acquires == 4:
+                    raise QueryCancelledError("cancelled")
+                return n
+
+            def refund(self, n):
+                pass
+
+        index = build_index(dataset.features(), dataset.ids(),
+                            IndexConfig(n_clusters=8, flat=True), rng=0)
+        engine = TopKEngine(index, EngineConfig(k=K, batch_size=BATCH,
+                                                seed=SEED))
+        trace = TraceContext()
+        with pytest.raises(QueryCancelledError):
+            engine.run(dataset, ReluScorer(), budget=BUDGET,
+                       checkpoint_every=BATCH, trace=trace,
+                       gate=CancelOnFourth())
+        assert trace.walk_names() == [(0, "run[single]"), (1, "window[0]"),
+                                      (1, "window[1]"), (1, "window[2]"),
+                                      (1, "window[3]")]
+        assert [root["name"] for root in trace.harvest()] == ["run[single]"]
 
 
 # ---------------------------------------------------------------------------
