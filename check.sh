@@ -4,8 +4,8 @@
 # run the documentation gates (executable docs examples, API-symbol
 # imports, relative links), then tier-1 — with its 15 slowest tests listed,
 # because dozens of tests build an index and ROADMAP wants the suite under
-# 60 s.  Perf gates stay opt-in (`pytest -m perf`), matching the
-# benchmarks/ pattern.
+# 60 s.  Performance is measured by bench/run.py (see BENCHMARK.json), not
+# gated here.
 set -eu
 cd "$(dirname "$0")"
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"

@@ -48,8 +48,9 @@ guarantee.  Two biases act in the safe direction — the bandit samples
 high-scoring clusters more than uniformly (observed tails dominate
 unscored tails) and the histogram's uniform-in-bin evaluation
 overestimates extreme tails — while exhausted-cluster subtraction can
-act in the unsafe one.  ``benchmarks/bench_confidence.py`` validates
-the net behaviour empirically.
+act in the unsafe one.  ``tests/test_hidden_tail.py`` pins one
+adversarial table (a needle cluster the heuristic stop misses); measuring
+the net behaviour over many seeds and score laws is ROADMAP item 5.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 Zero-dependency tracing and metrics threaded through every engine.
 Tracing is **off by default** — engines take ``trace=None`` and guard
 every touch behind ``if trace is not None``, so the disabled path costs
-nothing (gated by ``benchmarks/bench_obs.py``).  Metrics are always on
-but coarse: one registry update per query, round, or slice.
+nothing but those checks.  Metrics are always on but coarse: one
+registry update per query, round, or slice.
 """
 
 from .analyze import ExplainAnalyzeReport

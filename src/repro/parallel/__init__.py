@@ -39,12 +39,7 @@ from repro.parallel.coordinator import (
     merge_worker_topk,
 )
 from repro.parallel.engine import DistributedResult, ShardedTopKEngine
-from repro.parallel.worker import (
-    RoundOutcome,
-    ShardSpec,
-    ShardWorker,
-    build_shard_specs,
-)
+from repro.parallel.worker import RoundOutcome, ShardSpec, ShardWorker
 
 __all__ = [
     "BACKENDS",
@@ -63,7 +58,6 @@ __all__ = [
     "WorkerReport",
     "available_backends",
     "backend_availability",
-    "build_shard_specs",
     "make_backend",
     "merge_worker_topk",
     "shard_cache_key",

@@ -64,18 +64,6 @@ def _pool_ready() -> bool:
     return True
 
 
-def _mp_context():
-    """Start-method context for shard children.
-
-    The platform default (fork on Linux) unless
-    ``REPRO_PROCESS_START_METHOD`` names another method —
-    ``benchmarks/bench_shm.py`` uses it to measure bootstrap under
-    ``spawn``, where the initializer args really cross a pipe.
-    """
-    method = os.environ.get("REPRO_PROCESS_START_METHOD", "").strip()
-    return multiprocessing.get_context(method or None)
-
-
 def validate_process_specs(specs: List[ShardSpec]) -> None:
     """Reject specs a child process could not bootstrap from."""
     for spec in specs:
@@ -279,7 +267,7 @@ class ProcessBackend(_FutureBackend):
         failed start never leaks child processes.
         """
         validate_process_specs(specs)
-        context = _mp_context()
+        context = multiprocessing.get_context()
         pools: List[ProcessPoolExecutor] = []
         try:
             for spec in specs:
@@ -334,8 +322,9 @@ def _probe_process() -> Optional[str]:
     except ImportError as exc:
         return f"multiprocessing.shared_memory does not import: {exc}"
     try:
-        with ProcessPoolExecutor(max_workers=1,
-                                 mp_context=_mp_context()) as pool:
+        with ProcessPoolExecutor(
+                max_workers=1,
+                mp_context=multiprocessing.get_context()) as pool:
             if pool.submit(_pool_ready).result(timeout=60) is not True:
                 return "child probe returned an unexpected result"
     except Exception as exc:

@@ -270,7 +270,7 @@ class ShardCoordinator:
     def start(self) -> None:
         """Bootstrap every shard eagerly (``run()`` otherwise does it lazily).
 
-        Exposed so callers (and ``benchmarks/bench_shm.py``) can time the
+        Exposed so callers (``bench/wl_sharded.py``) can time the
         bootstrap — spec assembly plus backend start — separately from
         query execution.
         """

@@ -431,30 +431,3 @@ def shm_default_enabled() -> bool:
             "1", "true", "yes", "on"):
         return False
     return shm_available()
-
-
-def process_private_rss_kb() -> int:
-    """This process's private (unshared) resident set, in kilobytes.
-
-    Reads ``/proc/self/smaps_rollup`` (``Private_Clean + Private_Dirty``)
-    so pages of a mapped shared segment — resident but shared across
-    shard children — are *not* charged; falls back to ``VmRSS`` and
-    finally to 0 where ``/proc`` is unavailable.  Used by
-    ``benchmarks/bench_shm.py`` to measure per-child bootstrap RSS.
-    """
-    try:
-        text = open("/proc/self/smaps_rollup", encoding="ascii").read()
-        private = 0
-        for line in text.splitlines():
-            if line.startswith(("Private_Clean:", "Private_Dirty:")):
-                private += int(line.split()[1])
-        return private
-    except OSError:
-        pass
-    try:
-        for line in open("/proc/self/status", encoding="ascii"):
-            if line.startswith("VmRSS:"):
-                return int(line.split()[1])
-    except OSError:  # pragma: no cover - non-Linux
-        pass
-    return 0

@@ -11,8 +11,8 @@ thread backend overlaps it just like a real I/O- or accelerator-bound
 scorer would.
 
 Module-level and stateless, hence picklable for the process backend even
-under the ``spawn`` start method.  Used by ``benchmarks/bench_sharded.py``
-and ``examples/distributed_workers.py``.
+under the ``spawn`` start method.  Used by ``bench/harness.py``,
+``examples/distributed_workers.py`` and ``examples/streaming_query.py``.
 """
 
 from __future__ import annotations

@@ -288,8 +288,10 @@ class BudgetScheduler:
         waiter that does not fit blocks everyone behind it (that is the
         fairness/EDF guarantee).  A demand larger than the whole pool is
         clamped once nothing else is committed, so it cannot wedge the
-        queue forever.  Futures resolve here, under the lock, so their
-        done callbacks must not call back into the scheduler.
+        queue forever.  A waiter whose future was cancelled leaves the
+        queue here without being charged.  Futures resolve here, under
+        the lock, so their done callbacks must not call back into the
+        scheduler.
         """
         while self._waiters:
             waiter = min(self._waiters, key=self._order_key)
@@ -299,9 +301,11 @@ class BudgetScheduler:
                 if self._live or available < 0:
                     break  # head-of-line: wait for retire to free budget
                 demand = max(0, available)  # idle pool: clamp, stay live
+            self._waiters.remove(waiter)
+            if not waiter.future.set_running_or_notify_cancel():
+                continue  # cancelled while queued: nothing to commit
             grant = QueryGrant(self, waiter.tenant, demand, waiter.deadline)
             self._live.append(grant)
-            self._waiters.remove(waiter)
             waiter.future.set_result(grant)
             self._admissions[waiter.tenant] = (
                 self._admissions.get(waiter.tenant, 0) + 1

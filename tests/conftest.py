@@ -1,34 +1,9 @@
-"""Shared fixtures for the test suite, plus the opt-in perf-gate marker."""
+"""Shared fixtures and builders for the test suite."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-
-
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers",
-        "perf: opt-in performance regression gate (run with `pytest -m perf`)",
-    )
-
-
-def pytest_collection_modifyitems(config, items):
-    """Skip perf-marked tests unless explicitly selected via ``-m``.
-
-    Tier-1 (`pytest -x -q`) must stay fast and hardware-noise free; the
-    regression gate re-runs benchmarks, so it only runs when the marker
-    expression asks for it.
-    """
-    markexpr = config.getoption("-m", default="") or ""
-    if "perf" in markexpr:
-        return
-    skip_perf = pytest.mark.skip(
-        reason="perf gate is opt-in: run with `pytest -m perf`"
-    )
-    for item in items:
-        if "perf" in item.keywords:
-            item.add_marker(skip_perf)
 
 from repro.core.bandit import BanditConfig
 from repro.data.synthetic import SyntheticClustersDataset

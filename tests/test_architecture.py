@@ -200,6 +200,8 @@ DELETED_NAMES = (
     # condition-variable admission that admit_future's future replaced.
     "mean_estimate", "new_histogram", "flat_index", "memo_entries",
     "abandoned",
+    # A /proc reader only the retired per-PR perf scripts called.
+    "process_private_rss_kb",
 )
 
 

@@ -196,6 +196,34 @@ class TestGrantLifecycle:
         grant.retire()
         assert scheduler.stats()["available"] == 10
 
+    def test_cancelled_waiter_is_dropped_uncharged(self):
+        """A queued future cancelled before admission (the service's
+        asyncio wait was cancelled) is never granted: the retire that
+        frees the pool does not raise and nothing stays committed."""
+        scheduler = BudgetScheduler(budget=10)
+        blocker = scheduler.admit("a", 10)
+        assert scheduler.admit_future("b", 5).cancel()
+        blocker.retire()
+        stats = scheduler.stats()
+        assert stats["committed"] == 0 and stats["waiting"] == 0
+        assert stats["admissions"] == {"a": 1}
+        # The pool is whole again and admission still works.
+        scheduler.admit("c", 10).retire()
+        assert scheduler.stats()["available"] == 10
+
+    def test_peak_committed_counts_grants_held_at_once(self):
+        """``peak_committed`` is the high-water mark of demand committed
+        at one instant: three grants held together count all three, and
+        retiring them lowers ``committed`` but not the peak."""
+        scheduler = BudgetScheduler(budget=30)
+        grants = [scheduler.admit(tenant, 10) for tenant in "abc"]
+        assert scheduler.stats()["peak_committed"] == 30
+        for grant in grants:
+            grant.retire()
+        scheduler.admit("d", 5).retire()
+        stats = scheduler.stats()
+        assert stats["committed"] == 0 and stats["peak_committed"] == 30
+
 
 class TestFairShare:
     @pytest.mark.parametrize("admission", ADMISSIONS)

@@ -33,18 +33,9 @@ def load(path, monkeypatch):
 @pytest.mark.parametrize("path", SCRIPTS,
                          ids=lambda path: f"{path.parent.name}/{path.name}")
 def test_script_imports(path, monkeypatch):
-    # Benchmarks import their siblings (``conftest``, ``bench_sharded``)
-    # as top-level modules, the way pytest and ``python benchmarks/x.py``
-    # see them.
+    # Benchmarks import ``conftest`` as a top-level module, the way pytest
+    # and ``python benchmarks/x.py`` see it.
     monkeypatch.syspath_prepend(str(path.parent))
     if path.parent.name == "benchmarks" and path.stem != "conftest":
         load(path.parent / "conftest.py", monkeypatch)
-    before = set(sys.modules)
-    try:
-        load(path, monkeypatch)
-    finally:
-        # Siblings the script imported by name (``bench_sharded``).
-        for name in set(sys.modules) - before:
-            file = getattr(sys.modules[name], "__file__", None)
-            if file and Path(file).parent == path.parent:
-                del sys.modules[name]
+    load(path, monkeypatch)

@@ -28,15 +28,14 @@ from repro.parallel import (
     ShardedTopKEngine,
     ShardIndexCache,
     backend_availability,
-    build_shard_specs,
 )
 from repro.parallel.shm import (
     SEGMENT_PREFIX,
     SharedFeatureTable,
-    process_private_rss_kb,
     shm_available,
     shm_default_enabled,
 )
+from repro.parallel.worker import build_shard_specs
 from repro.scoring.base import FixedPerCallLatency
 from repro.scoring.relu import ReluScorer
 from repro.utils.rng import RngFactory
@@ -409,8 +408,3 @@ class TestAvailability:
         assert main(["info"]) == 0
         out = capsys.readouterr().out
         assert "zero-copy shard bootstrap:" in out
-
-
-class TestRssHelper:
-    def test_private_rss_positive_on_linux(self):
-        assert process_private_rss_kb() > 0
