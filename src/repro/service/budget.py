@@ -229,11 +229,8 @@ class BudgetScheduler:
         try:
             return future.result(timeout)
         except concurrent.futures.TimeoutError:
-            with self._lock:
-                if future.done():  # admitted as the wait timed out
-                    return future.result()
-                self._waiters = [waiter for waiter in self._waiters
-                                 if waiter.future is not future]
+            if not future.cancel():  # admitted as the wait timed out
+                return future.result()
             raise QueryCancelledError(
                 f"admission timed out after {timeout}s "
                 f"(tenant {tenant!r}, demand {demand})"
@@ -251,6 +248,8 @@ class BudgetScheduler:
         resolves the future under the lock, so the asyncio service's
         backlog of waiting queries can never exhaust the worker threads
         that *admitted* queries need in order to run and retire.
+        Cancelling the future before admission withdraws the request:
+        it leaves the queue at once and holds up no one behind it.
         """
         if int(demand) != demand or demand < 0:
             raise ConfigurationError(
@@ -261,7 +260,20 @@ class BudgetScheduler:
         with self._lock:
             self._waiters.append(waiter)
             self._pump()
+        waiter.future.add_done_callback(self._withdraw)
         return waiter.future
+
+    def _withdraw(self, future: concurrent.futures.Future) -> None:
+        """Done callback: drop a cancelled request and admit whoever it
+        was holding up.  An admission resolves its future under the
+        lock, so this must not take it unless the future was cancelled
+        (a cancel never runs under the lock)."""
+        if not future.cancelled():
+            return
+        with self._lock:
+            self._waiters = [waiter for waiter in self._waiters
+                             if waiter.future is not future]
+            self._pump()
 
     def _committed(self) -> int:
         """Units currently committed to live grants (their full demand)."""
@@ -288,10 +300,10 @@ class BudgetScheduler:
         waiter that does not fit blocks everyone behind it (that is the
         fairness/EDF guarantee).  A demand larger than the whole pool is
         clamped once nothing else is committed, so it cannot wedge the
-        queue forever.  A waiter whose future was cancelled leaves the
-        queue here without being charged.  Futures resolve here, under
-        the lock, so their done callbacks must not call back into the
-        scheduler.
+        queue forever.  A waiter cancelled while this runs (its
+        ``_withdraw`` waits for the lock) is dropped here uncharged.
+        Futures resolve here, under the lock, so their done callbacks
+        must not call back into the scheduler.
         """
         while self._waiters:
             waiter = min(self._waiters, key=self._order_key)

@@ -255,9 +255,17 @@ class QueryService:
             # The admission wait holds no thread (the scheduler resolves
             # the future); a cancel() during it is honoured right after
             # (nothing has run yet).
-            grant = await asyncio.wrap_future(
-                self.scheduler.admit_future(handle.tenant, demand, deadline)
-            )
+            admission = self.scheduler.admit_future(handle.tenant, demand,
+                                                    deadline)
+            try:
+                grant = await asyncio.wrap_future(admission)
+            except asyncio.CancelledError:
+                # The task was cancelled as the scheduler admitted the
+                # request: that grant never reaches this await, so it is
+                # fetched here for the finally to retire.
+                if not admission.cancel():
+                    grant = admission.result()
+                raise
             handle._grant = grant
             if handle._cancelled:
                 raise QueryCancelledError(

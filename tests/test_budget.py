@@ -225,6 +225,90 @@ class TestGrantLifecycle:
         assert stats["committed"] == 0 and stats["peak_committed"] == 30
 
 
+class TestWithdrawal:
+    """A request cancelled before admission leaves the queue at once, so
+    a head-of-line request that gives up never holds up the queue."""
+
+    @pytest.mark.parametrize("policy", ["fair-share", "deadline"])
+    def test_cancelled_head_admits_the_waiter_behind_it(self, policy):
+        scheduler = BudgetScheduler(budget=10, policy=policy)
+        holder = scheduler.admit("a", 6)
+        head = scheduler.admit_future("b", 10, deadline=1.0)
+        behind = scheduler.admit_future("c", 4, deadline=2.0)
+        assert not behind.done()          # head-of-line: b does not fit
+        assert head.cancel()
+        assert behind.done()
+        stats = scheduler.stats()
+        assert stats["waiting"] == 0 and stats["committed"] == 10
+        assert stats["admissions"] == {"a": 1, "c": 1}
+        behind.result().retire()
+        holder.retire()
+        assert scheduler.stats()["available"] == 10
+
+    @pytest.mark.parametrize("policy", ["fair-share", "deadline"])
+    def test_admit_timeout_admits_the_waiter_behind_it(self, policy):
+        scheduler = BudgetScheduler(budget=10, policy=policy)
+        holder = scheduler.admit("a", 6)
+        outcome = []
+
+        def wait_admit():
+            try:
+                scheduler.admit("b", 10, deadline=1.0, timeout=0.2)
+            except QueryCancelledError as exc:
+                outcome.append(exc)
+
+        thread = threading.Thread(target=wait_admit)
+        thread.start()
+        while scheduler.stats()["waiting"] < 1:  # b queues first
+            time.sleep(0.001)
+        behind = scheduler.admit_future("c", 4, deadline=2.0)
+        assert not behind.done()
+        thread.join(timeout=30)
+        assert not thread.is_alive(), "scheduler deadlocked"
+        assert len(outcome) == 1
+        assert behind.done()
+        assert scheduler.stats()["waiting"] == 0
+        behind.result().retire()
+        holder.retire()
+        assert scheduler.stats()["available"] == 10
+
+    @pytest.mark.parametrize("policy", ["fair-share", "deadline"])
+    def test_cancelling_waiters_never_commits_or_wedges(self, policy):
+        """Threaded fuzz: workers queue futures and cancel some of them
+        at random (some already admitted, some still waiting) while
+        others retire.  Every admitted grant is retired exactly once,
+        no cancelled request is ever charged, and the pool drains."""
+        budget = 100
+        scheduler = BudgetScheduler(budget=budget, policy=policy)
+        errors = []
+
+        def worker(worker_seed):
+            generator = random.Random(worker_seed)
+            try:
+                for _ in range(20):
+                    future = scheduler.admit_future(
+                        f"t{worker_seed % 3}", generator.randint(1, 80),
+                        deadline=generator.random())
+                    if generator.random() < 0.5 and future.cancel():
+                        continue          # withdrawn before admission
+                    future.result(timeout=30).retire()
+            except BaseException as exc:  # noqa: BLE001 — report below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(seed,))
+                   for seed in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive(), "scheduler deadlocked"
+        assert errors == []
+        stats = scheduler.stats()
+        assert stats["committed"] == 0 and stats["waiting"] == 0
+        assert stats["available"] == budget
+        assert stats["tenants"] == {}
+
+
 class TestFairShare:
     @pytest.mark.parametrize("admission", ADMISSIONS)
     def test_quiet_tenant_overtakes_chatty_backlog(self, admission):

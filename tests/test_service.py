@@ -317,6 +317,39 @@ class TestFaultInjection:
         assert calls == 60                  # only the blocker ever scored
         assert stats["committed"] == 0
 
+    @pytest.mark.parametrize("when", ["queued", "admitted"])
+    def test_task_cancelled_around_admission_leaks_no_grant(self, when):
+        """The query's task is cancelled (say, at event-loop shutdown)
+        while it waits for admission, or in the instant between the
+        scheduler admitting it and the event loop delivering the grant:
+        either way nothing stays committed or queued."""
+        async def main():
+            session, scorer = build_session()
+            service = QueryService(budget=60, session=session)
+            holder = service.scheduler.admit("hog", 60)
+            queued = await service.submit(QUERY, tenant="late",
+                                          use_cache=False)
+            while service.scheduler.stats()["waiting"] < 1:
+                await asyncio.sleep(0.01)
+            if when == "admitted":
+                holder.retire()             # admits "late" on this thread
+                queued._task.cancel()       # before the grant is delivered
+            else:
+                queued._task.cancel()
+                await asyncio.sleep(0.01)   # the cancel reaches the queue
+                holder.retire()
+            await service.drain()
+            stats = service.scheduler.stats()
+            await service.close()
+            return scorer.n_elements, stats
+
+        calls, stats = run(main())
+        assert calls == 0                   # the cancelled query never ran
+        assert stats["committed"] == 0 and stats["waiting"] == 0
+        assert stats["tenants"] == {}
+        # Back to 0 once admitted and retired; never set if not admitted.
+        assert not REGISTRY.gauge("queries_inflight").value(tenant="late")
+
     def test_client_disconnect_mid_stream_cancels_and_releases(self):
         async def main():
             session, _ = build_session(sync_interval=5, slow=0.005)
