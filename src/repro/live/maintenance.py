@@ -22,15 +22,26 @@ session can dirty exactly the affected histogram priors (the PR 1
 gain-cache invalidation hooks fire inside the engines automatically
 when a fresh tree is mirrored).
 
-An ``advance`` costs what its deltas touch.  Leaf membership is kept as
-one insertion-ordered dict per leaf (O(1) insert and removal, member
-order preserved) and only a touched leaf's member tuple is rebuilt,
-once, at publish.  The published tree skips :meth:`ClusterTree.validate
-<repro.index.tree.ClusterTree.validate>`'s pass over every member: node
-ids are unique by construction of the node map, no element sits in two
-leaves because ``_leaf_of`` says where each one is, and the empty-leaf
-and members-only-at-leaves rules are checked on the touched nodes.
-Builds and rebuilds still validate in full.
+The per-row work of an ``advance`` is proportional to the path it
+routes down.  Each node's mean is cached as the quotient
+``_sum / _count`` — the same division, so routing reads the same floats
+— computed when routing first compares the node and dropped whenever a
+bump, prune or rebuild changes the node's sum, so an insert divides
+again only the means earlier writes moved.  A bump adds ``sign * row``
+to each ancestor's sum in place; no two nodes share a sum buffer.  Leaf
+membership is kept as one insertion-ordered dict per leaf (O(1) insert
+and removal, member order preserved) and only a touched leaf's member
+tuple is rebuilt, once, at publish.  The published tree skips
+:meth:`ClusterTree.validate <repro.index.tree.ClusterTree.validate>`'s
+pass over every member: node ids are unique by construction of the node
+map, no element sits in two leaves because ``_leaf_of`` says where each
+one is, and the empty-leaf and members-only-at-leaves rules are checked
+on the touched nodes.  Builds and rebuilds still validate in full.
+
+What an ``advance`` still spends in proportion to the table is the
+republish: deletes scattered at random touch nearly every leaf (100 of
+them touch a median of 32 of the 33 leaves on the ``live-append``
+benchmark), and every touched leaf gets a whole new member tuple.
 
 When cumulative churn since the last build exceeds
 ``rebuild_threshold`` of the table, ``advance`` falls back to a full
@@ -125,6 +136,10 @@ class IndexMaintainer:
         self.log_floor = self.version
         self._sum: Dict[str, np.ndarray] = {}
         self._count: Dict[str, int] = {}
+        #: node id -> ``_sum / _count``, filled by :meth:`_mean` and
+        #: dropped whenever the node's sum changes (a split changes none:
+        #: the leaf keeps its sum and the children's ids are new).
+        self._means: Dict[str, np.ndarray] = {}
         self._leaf_of: Dict[str, str] = {}
         #: leaf id -> its members as the keys of a dict, in member order:
         #: O(1) insert and removal; a touched leaf's tuple is rebuilt
@@ -242,6 +257,7 @@ class IndexMaintainer:
     def _attach_aggregates(self, snapshot: TableSnapshot) -> None:
         self._sum.clear()
         self._count.clear()
+        self._means.clear()
         self._leaf_of.clear()
         self._members_of.clear()
 
@@ -272,10 +288,13 @@ class IndexMaintainer:
         fill(self._tree.root)
 
     def _mean(self, node_id: str) -> Optional[np.ndarray]:
-        count = self._count.get(node_id, 0)
-        if not count:
-            return None
-        return self._sum[node_id] / count
+        mean = self._means.get(node_id)
+        if mean is None:
+            count = self._count.get(node_id, 0)
+            if not count:
+                return None
+            mean = self._means[node_id] = self._sum[node_id] / count
+        return mean
 
     # -- COW clone -----------------------------------------------------------
 
@@ -359,7 +378,8 @@ class IndexMaintainer:
                 mean = self._mean(child.node_id)
                 if mean is None:
                     continue
-                dist = float(np.dot(row - mean, row - mean))
+                diff = row - mean
+                dist = float(np.dot(diff, diff))
                 if dist < best_dist:
                     best, best_dist = child, dist
             if best is None:
@@ -388,10 +408,15 @@ class IndexMaintainer:
 
     def _bump(self, node_id: str, parent: Dict[str, Optional[str]],
               row: np.ndarray, sign: int, touched: Set[str]) -> None:
+        # In place: no two nodes share a sum buffer (each is a fresh
+        # array from _attach_aggregates or _split).
+        step = sign * row
+        sums, counts, means = self._sum, self._count, self._means
         at: Optional[str] = node_id
         while at is not None:
-            self._sum[at] = self._sum[at] + sign * row
-            self._count[at] += sign
+            sums[at] += step
+            counts[at] += sign
+            means.pop(at, None)
             touched.add(at)
             at = parent.get(at)
 
@@ -410,6 +435,7 @@ class IndexMaintainer:
             touched.add(up_id)
             self._sum.pop(node.node_id, None)
             self._count.pop(node.node_id, None)
+            self._means.pop(node.node_id, None)
             self._members_of.pop(node.node_id, None)
             nodes.pop(node.node_id, None)
             parent.pop(node.node_id, None)

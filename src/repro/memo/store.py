@@ -36,7 +36,10 @@ computed against the newer features (its lookups miss) nor poison the
 store with a score computed against the older ones (its records are
 dropped).  Memo hits are therefore only ever served for the table
 version that produced them.  Appends of brand-new ids evict nothing, so
-standing queries keep every hit for unchanged elements.
+standing queries keep every hit for unchanged elements.  No stamp is
+ever above ``table_version``, so a reader at the newest reconciled
+version — every query a live binding pins — reads and records with no
+per-id check.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.errors import SerializationError
 from repro.persist import NULL, read
 
 _FORMAT = "repro-memo/1"
@@ -98,10 +102,14 @@ class MemoStore:
             if version > self.table_version:
                 self.table_version = version
 
-    def _valid_for(self, element_id: str,
-                   reader_version: Optional[int]) -> bool:
-        if reader_version is None:
-            return True
+    def _current(self, reader_version: Optional[int]) -> bool:
+        """Whether every stamp is at or below ``reader_version``, so no
+        id needs :meth:`_valid_for` (no stamp exceeds ``table_version``).
+        """
+        return (reader_version is None or reader_version >= self.table_version
+                or not self._last_write)
+
+    def _valid_for(self, element_id: str, reader_version: int) -> bool:
         return self._last_write.get(element_id, 0) <= reader_version
 
     # -- introspection -------------------------------------------------------
@@ -187,7 +195,12 @@ class MemoStore:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "MemoStore":
-        """Rebuild a store from :meth:`to_dict` output."""
+        """Rebuild a store from :meth:`to_dict` output.
+
+        Refuses a payload with a ``last_write`` stamp above its
+        ``table_version``: :meth:`apply_writes` never leaves one, and the
+        store's current-reader fast path relies on that.
+        """
         read(payload, _FORMAT, scores=(dict, NULL),
              table_version=(int, NULL), last_write=(dict, NULL))
         store = cls()
@@ -199,6 +212,13 @@ class MemoStore:
         last_write = payload.get("last_write") or {}
         store._last_write = {str(element_id): int(version)
                              for element_id, version in last_write.items()}
+        newest = max(store._last_write.values(), default=0)
+        if newest > store.table_version:
+            # A reader at table_version would skip the stamp check and be
+            # served a score computed before that write.
+            raise SerializationError(
+                f"expected {_FORMAT} with every last_write stamp at most "
+                f"its table_version {store.table_version}, found {newest}")
         return store
 
     # -- internal (MemoView plumbing) ----------------------------------------
@@ -208,7 +228,7 @@ class MemoStore:
                 ) -> Tuple[List[Optional[float]], List[int]]:
         with self._lock:
             shard = self._scores.get(fingerprint, {})
-            if reader_version is None or not self._last_write:
+            if self._current(reader_version):
                 scores: List[Optional[float]] = [shard.get(element_id)
                                                  for element_id in ids]
             else:
@@ -227,15 +247,16 @@ class MemoStore:
                 reader_version: Optional[int] = None) -> None:
         with self._lock:
             shard = self._scores.setdefault(fingerprint, {})
+            current = self._current(reader_version)
             for element_id, score in pairs:
-                if self._valid_for(element_id, reader_version):
+                if current or self._valid_for(element_id, reader_version):
                     shard[element_id] = float(score)
 
     def _snapshot(self, fingerprint: str,
                   reader_version: Optional[int] = None) -> Dict[str, float]:
         with self._lock:
             shard = self._scores.get(fingerprint, ())
-            if reader_version is None or not self._last_write:
+            if self._current(reader_version):
                 return dict(shard)
             return {element_id: score
                     for element_id, score in shard.items()

@@ -391,6 +391,25 @@ class TestMemoVersioning:
         store.view("fp", reader_version=1).record(["a"], [3.0])
         assert store.view("fp", reader_version=1).lookup(["a"])[0] == [3.0]
 
+    def test_readers_either_side_of_the_newest_version(self):
+        from repro.memo.store import MemoStore
+
+        store = MemoStore()
+        store.view("fp").record(["a", "b"], [1.0, 2.0])
+        store.apply_writes(["a"], version=2)
+        assert store.table_version == 2
+        current = store.view("fp", reader_version=2)
+        current.record(["a"], [3.0])
+        assert current.lookup(["a", "b"]) == ([3.0, 2.0], [])
+        assert current.snapshot() == {"a": 3.0, "b": 2.0}
+        # One version behind: "a" was rewritten at 2, so it misses, its
+        # score is left out of the snapshot and a record of it is dropped.
+        behind = store.view("fp", reader_version=1)
+        assert behind.lookup(["a", "b"]) == ([None, 2.0], [0])
+        assert behind.snapshot() == {"b": 2.0}
+        behind.record(["a", "c"], [7.0, 4.0])
+        assert current.snapshot() == {"a": 3.0, "b": 2.0, "c": 4.0}
+
     def test_restore_memo_rejects_version_mismatch(self):
         from repro.core.snapshot import restore_memo, snapshot_memo
 
@@ -603,6 +622,40 @@ class TestWriteCost:
         for leaf in touched:                        # order kept, ids gone
             assert list(leaf.member_ids) == [
                 m for m in old[leaf.node_id] if m not in set(doomed)]
+
+    def test_an_append_recomputes_only_the_means_writes_changed(self, big):
+        session, table, maintainer = big
+        binding = session._binding("t")
+
+        class Recording(dict):
+            """The mean cache, noting every node whose mean is divided."""
+
+            def __setitem__(self, node_id, mean):
+                divided.append(node_id)
+                super().__setitem__(node_id, mean)
+
+        def coherent():
+            for node_id, mean in maintainer._means.items():
+                fresh = maintainer._sum[node_id] / maintainer._count[node_id]
+                assert mean.tobytes() == fresh.tobytes()
+
+        divided: list = []
+        maintainer._means = Recording(maintainer._means)
+        append_rows(table, [1.0], prefix="warm")
+        binding.pin()           # a cold cache: every child compared
+        coherent()
+        compared = set(divided)
+        written = set(maintainer.touched_log[-1][1])
+        assert written < compared | {"root"}
+
+        divided.clear()
+        append_rows(table, [1.0], prefix="again")
+        binding.pin()
+        coherent()
+        # The same descent divides again only the means the first append
+        # moved, one per level below the root; its siblings' are reused.
+        assert len(divided) == len(set(divided)) < maintainer.tree.depth()
+        assert divided and set(divided) == written - {"root"}
 
 
 # -- nothing a write owns grows with uptime -----------------------------------

@@ -9,8 +9,9 @@ verbatim, as methods of a subclass, and the two maintainers are driven
 side by side over one table: after every ``advance`` their published
 trees (node ids, child order, member tuples, centroids), reports,
 counts, leaf locators and member orders must be equal, and every node's
-running sum must be equal byte for byte.  No two nodes' sum buffers may
-share memory, since the maintainer adds to them in place.
+running sum, and the mean routing would read from it, must be equal
+byte for byte.  No two nodes' sum buffers may share memory, since the
+maintainer adds to them in place.
 
 The seeded write streams mix, within one ``advance``, append bursts
 aimed at one cluster (leaves overflow and split, split children split
@@ -215,6 +216,9 @@ def assert_lockstep(reports, maintainers) -> None:
     assert list(reference._sum) == list(current._sum)
     for node_id, total in reference._sum.items():
         assert total.tobytes() == current._sum[node_id].tobytes(), node_id
+        if reference._count[node_id]:   # the mean routing would read now
+            assert (reference._mean(node_id).tobytes()
+                    == current._mean(node_id).tobytes()), node_id
     sums = list(current._sum.values())
     for i, total in enumerate(sums):
         for other in sums[i + 1:]:

@@ -306,11 +306,33 @@ def test_malformed_payload_names_expected_and_found(kind, case, payload,
     assert found in str(error.value)
 
 
+#: Optional keys that may only go with others: a memo's ``last_write``
+#: stamps must not exceed its ``table_version`` (0 when missing).
+GO_WITH = {"memo": {"table_version": ["last_write"]}}
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_optional_keys_may_be_missing(kind):
     payload = fixture(kind)
     for key in set(payload) - set(REQUIRED[kind]) - {"format"}:
-        load(kind, without(payload, [key]))
+        stripped = without(payload, [key])
+        for also in GO_WITH.get(kind, {}).get(key, ()):
+            stripped = without(stripped, [also])
+        load(kind, stripped)
+
+
+@pytest.mark.parametrize("case", ["no-table-version", "stamp-past-version"])
+def test_memo_stamps_past_the_table_version_are_refused(case):
+    payload = fixture("memo")
+    assert payload["table_version"] == 2
+    if case == "no-table-version":
+        payload = without(payload, ["table_version"])
+    else:
+        payload["last_write"]["c000-00001"] = 3
+    with pytest.raises(SerializationError) as error:
+        load("memo", payload)
+    assert "repro-memo/1" in str(error.value)
+    assert "last_write" in str(error.value)
 
 
 @pytest.mark.parametrize("workers", [lambda shards: shards[:-1],
