@@ -23,6 +23,12 @@ The engine exposes two equivalent driving styles:
 * ``run(dataset, scorer, ...)`` — the standalone anytime loop a library
   user calls, which also records quality checkpoints.
 
+Both run the same select and fold; the loop (``advance``, also behind
+every shard worker) calls them directly, without the pull interface's
+checks of ids the caller hands back, and times them with two clock
+reads per batch (``tests/test_engine_loop.py`` holds the two styles to
+the same draws and answers).
+
 Hot-path invariants
 -------------------
 Per-query set-up is O(tree nodes), not O(rows): the policy mirrors the
@@ -36,9 +42,10 @@ plain Python floats at every batch width:
 * ``exhausted`` reads the policy's incremental ``remaining`` counters,
   and a descent's candidates are each node's kept list of live children
   (the policy alone writes both — see :mod:`repro.core.hierarchical`):
-  no layer rescans leaves or filters its siblings.  A greedy layer is one
-  bank call; over a wide layer that call and the unvisited test still
-  read each live sibling once, in a comprehension and a ``max``.
+  no layer rescans leaves or filters its siblings.  A greedy descent is
+  one bank call that returns to the policy only at a tie or an unvisited
+  child; over a wide layer it still reads each live sibling once, in the
+  unvisited test, a comprehension and a ``max``.
 * ``observe`` validates the batch (finite, non-negative) and folds it with
   **one** walk of the drawn leaf's precomputed root path (one sort per
   batch, a few bisections per row); the priority-queue offers stay
@@ -65,6 +72,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import Callable, List, Optional, Protocol, Sequence, Set, Tuple
 
 import numpy as np
@@ -394,10 +402,6 @@ class TopKEngine:
             raise ConfigurationError(
                 f"observe() got {len(ids)} ids for {len(self._pending)} pending"
             )
-        if len(scores) != len(ids):
-            raise ConfigurationError(
-                f"observe() got {len(scores)} scores for {len(ids)} ids"
-            )
         for expected_id, got_id in zip(self._pending, ids):
             if expected_id != got_id:
                 raise ConfigurationError(
@@ -405,25 +409,34 @@ class TopKEngine:
                     f"got {got_id!r}"
                 )
         with self.overhead:
-            if (type(scores) is np.ndarray and scores.ndim == 1
-                    and scores.dtype == np.float64):
-                batch_scores = scores.tolist()
-            else:
-                batch_scores = np.asarray(
-                    scores, dtype=float).reshape(-1).tolist()
-            check_scores(batch_scores)
-            # Per-element priority-queue offers: the threshold must evolve
-            # within the batch exactly as in the scalar Algorithm 1 loop.
-            total_gain = self.buffer.offer_batch(batch_scores, self._pending)
-            self.n_scored += len(self._pending)
-            self._pending = []
-            # A scan batch came from no leaf: the policy has nothing pending.
-            self.policy.update(
-                batch_scores, self.effective_threshold,
-                enable_rebinning=self.config.enable_rebinning,
+            return self._fold(scores)
+
+    def _fold(self, scores: Sequence[float]) -> float:
+        """Fold the pending batch's scores: :meth:`observe` without the id
+        checks, which :meth:`advance` needs not make for ids it drew."""
+        pending = self._pending
+        if len(scores) != len(pending):
+            raise ConfigurationError(
+                f"observe() got {len(scores)} scores for {len(pending)} ids"
             )
-            if self.mode == "bandit" and self.fallback.should_check(self.n_scored):
-                self._apply_fallback()
+        if (type(scores) is np.ndarray and scores.ndim == 1
+                and scores.dtype == np.float64):
+            batch_scores = scores.tolist()
+        else:
+            batch_scores = np.asarray(scores, dtype=float).reshape(-1).tolist()
+        check_scores(batch_scores)
+        # Per-element priority-queue offers: the threshold must evolve
+        # within the batch exactly as in the scalar Algorithm 1 loop.
+        total_gain = self.buffer.offer_batch(batch_scores, pending)
+        self.n_scored += len(pending)
+        self._pending = []
+        # A scan batch came from no leaf: the policy has nothing pending.
+        self.policy.update(
+            batch_scores, self.effective_threshold,
+            enable_rebinning=self.config.enable_rebinning,
+        )
+        if self.mode == "bandit" and self.fallback.should_check(self.n_scored):
+            self._apply_fallback()
         return total_gain
 
     def _apply_fallback(self) -> None:
@@ -456,12 +469,20 @@ class TopKEngine:
         """
         size = self.config.batch_size
         self.scoring_latency_hint = step.scorer.batch_cost(size) / max(1, size)
+        # The pull interface's work without its checks of the engine's own
+        # ids; its two stopwatch spans are two clock differences here.
+        overhead = self.overhead
         while self.n_scored < limit and not self.exhausted:
-            ids = self._pending or self.next_batch()
-            scores = step.score(ids)
+            if not self._pending:
+                started = perf_counter()
+                self._pending = self._select_batch()
+                overhead.elapsed += perf_counter() - started
+            scores = step.score(self._pending)
             if scores is None:
                 return False
-            self.observe(ids, scores)
+            started = perf_counter()
+            self._fold(scores)
+            overhead.elapsed += perf_counter() - started
         return True
 
     # -- standalone anytime loop -----------------------------------------------------

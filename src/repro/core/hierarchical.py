@@ -55,18 +55,20 @@ row for tests and EXPLAIN.
   ``flatten`` makes the surviving leaves the root's list, ``load_state``
   re-derives them all.  A leaf empty from construction is never in one.
   So a layer's candidates are a list read, not a filter over siblings.
-* **Gain refresh.**  A greedy layer of a descent is one bank call,
-  :meth:`~repro.core.histogram.HistogramBank.best_rows`, over its live
-  children: only the children whose cached gain is stale — touched by an
-  observation since, or cached at another threshold — are evaluated, in
-  Python floats, and the children within ``1e-15`` of the best come back
-  in child order; nothing is refreshed ahead of time.  An unvisited
-  child (``visit_unvisited_first``) is one with no mass, read off the
-  bank's ``row_mass``.  A batch of any width is folded into the leaf's
-  whole root path by one bank call.  A row whose sketch is not
-  bank-backed (custom ``sketch_factory``, a prior with another
-  ``n_bins``) answers ``is_empty`` and ``expected_marginal_gain``
-  itself.
+* **Gain refresh.**  A greedy descent over bank rows is one bank call,
+  :meth:`~repro.core.histogram.HistogramBank.greedy_walk`, over the
+  live-child lists: at each layer only the children whose cached gain is
+  stale — touched by an observation since, or cached at another
+  threshold — are evaluated, in Python floats, and a unique best child
+  is stepped into; nothing is refreshed ahead of time.  The walk hands a
+  layer back only where the policy's generator draws: a tie within
+  ``1e-15`` (the tied children in child order) or, with
+  ``visit_unvisited_first``, a child with no mass (read off the bank's
+  ``row_mass``); the policy draws there and walks on from its draw.  A
+  batch of any width is folded into the leaf's whole root path by one
+  bank call.  A row whose sketch is not bank-backed (custom
+  ``sketch_factory``, a prior with another ``n_bins``) answers
+  ``is_empty`` and ``expected_marginal_gain`` itself.
 
 Both contracts are restated normatively (with their consequences for
 snapshot restore and the parallel subsystem) in ``docs/architecture.md``.
@@ -292,8 +294,16 @@ class HierarchicalBanditPolicy:
         otherwise an exploring layer draws one uniformly, and a greedy
         layer first sweeps unvisited children (``visit_unvisited_first``,
         skipped when ``greedy_only``), then keeps the children whose gain
-        is within ``1e-15`` of the best — one bank call over bank rows —
-        and draws among ties (``greedy_only``: takes the first).
+        is within ``1e-15`` of the best and draws among ties
+        (``greedy_only``: takes the first).
+
+        A greedy descent over bank rows is one bank call,
+        :meth:`~repro.core.histogram.HistogramBank.greedy_walk`, which
+        steps through every layer with a unique best child and hands back
+        only the layers that need the generator (an unvisited sweep or a
+        tie); the draw made there, the walk resumes below it.  Exploring,
+        ``per_layer``, ``choose`` and foreign-sketch descents take one
+        loop iteration per layer.
         """
         arms, live, sketches, rng = (self._arms, self._live, self._sketches,
                                      self._rng)
@@ -303,6 +313,21 @@ class HierarchicalBanditPolicy:
         unvisited_first = (not greedy_only
                            and self.config.visit_unvisited_first)
         row = 0
+        if (bank is not None and choose is None and not explore_all
+                and not per_layer):
+            while True:
+                row, tied = bank.greedy_walk(row, live, tau, unvisited_first)
+                if tied is not None:
+                    row = (tied[0] if greedy_only
+                           else tied[int(rng.integers(len(tied)))])
+                elif live[row]:
+                    unvisited = [c for c in live[row] if mass[c] <= 0.0]
+                    row = unvisited[int(rng.integers(len(unvisited)))]
+                elif arms[row] is None:
+                    raise ExhaustedError(
+                        f"node {self._ids[row]!r} has no sampleable children")
+                else:
+                    return row
         while arms[row] is None:
             candidates = live[row]
             if not candidates:

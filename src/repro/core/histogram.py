@@ -51,7 +51,11 @@ stacked numpy kernel it replaced (``tests/test_histogram_bank.py`` keeps
 that kernel as the oracle).  One refresh serves
 :meth:`HistogramBank.best_rows` — a descent's layer: the rows within
 ``1e-15`` of the best gain — and :meth:`HistogramBank.gains`: it
-evaluates only the asked rows that are stale, once each.
+evaluates only the asked rows that are stale, once each.  A greedy
+descent is one call, :meth:`HistogramBank.greedy_walk`: it takes every
+layer with a unique best child (two children compared in place, a wider
+layer through ``best_rows``) and hands back only the layers where the
+policy's generator must draw — an unvisited child, or a tie.
 """
 
 from __future__ import annotations
@@ -344,29 +348,70 @@ class HistogramBank:
         best, in the order given: one layer of a greedy descent.
 
         The refresh of :meth:`gains`, then the maximum and its ties over
-        the cached gains, as ``max`` and one comprehension.  Two rows —
-        every layer of a binary dendrogram — are refreshed and compared
-        without building a list.
+        the cached gains, as ``max`` and one comprehension.
         """
-        at, gain = self.row_gain_at, self.row_gain
-        if len(rows) == 2:
-            first, second = rows
-            if at[first] != tau:
-                gain[first] = _row_gain(self.row_edges[first],
-                                        self.row_counts[first], tau)
-                at[first] = tau
-            if at[second] != tau:
-                gain[second] = _row_gain(self.row_edges[second],
-                                         self.row_counts[second], tau)
-                at[second] = tau
-            one, two = gain[first], gain[second]
-            if one >= two:  # max() keeps the first of equals
-                return [first, second] if two >= one - 1e-15 else [first]
-            return [first, second] if one >= two - 1e-15 else [second]
         self._refresh(rows, tau)
+        gain = self.row_gain
         values = [gain[row] for row in rows]
         floor = max(values) - 1e-15
         return [row for row, value in zip(rows, values) if value >= floor]
+
+    def greedy_walk(self, row: int, live: Sequence[Sequence[int]],
+                    tau: Optional[float], unvisited_first: bool
+                    ) -> Tuple[int, Optional[List[int]]]:
+        """Descend from ``row`` through ``live`` (per row, its candidate
+        children) while each layer has one best child at ``tau``.
+
+        Each layer is the layer :meth:`best_rows` would answer, with its
+        stale rows refreshed the same way; a unique best is stepped into.
+        The walk stops at, and returns, the first row where the caller
+        must decide:
+
+        * ``(row, None)`` — ``row`` has no candidates (a leaf, or
+          exhaustion), or, with ``unvisited_first``, one of its candidates
+          holds no mass (no gain is evaluated at that layer);
+        * ``(row, tied)`` — two or more candidates within ``1e-15`` of the
+          best gain, in the order given.
+
+        Two candidates — every layer of a binary dendrogram — are refreshed
+        and compared without building a list.
+        """
+        at, gain, mass = self.row_gain_at, self.row_gain, self.row_mass
+        edges, counts = self.row_edges, self.row_counts
+        while True:
+            candidates = live[row]
+            if len(candidates) == 2:
+                first, second = candidates
+                if unvisited_first and (mass[first] <= 0.0
+                                        or mass[second] <= 0.0):
+                    return row, None
+                if at[first] != tau:
+                    gain[first] = _row_gain(edges[first], counts[first], tau)
+                    at[first] = tau
+                if at[second] != tau:
+                    gain[second] = _row_gain(edges[second], counts[second],
+                                             tau)
+                    at[second] = tau
+                one, two = gain[first], gain[second]
+                if one >= two:  # max() keeps the first of equals
+                    if two >= one - 1e-15:
+                        return row, [first, second]
+                    row = first
+                elif one >= two - 1e-15:
+                    return row, [first, second]
+                else:
+                    row = second
+                continue
+            if not candidates:
+                return row, None
+            if unvisited_first:
+                for child in candidates:
+                    if mass[child] <= 0.0:
+                        return row, None
+            tied = self.best_rows(candidates, tau)
+            if len(tied) > 1:
+                return row, tied
+            row = tied[0]
 
     def _refresh(self, rows: Sequence[int], tau: Optional[float]) -> None:
         """Evaluate the stale ones of ``rows`` at ``tau`` into the cache."""

@@ -44,15 +44,44 @@ per-id check.
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import SerializationError
-from repro.persist import NULL, read
+from repro.persist import NULL, NUMBER, read, read_score
 
 _FORMAT = "repro-memo/1"
+
+
+def _stored_scores(fingerprint: str, shard) -> Dict[str, float]:
+    """One fingerprint's ``{id: score}`` of a memo payload, checked."""
+    if not isinstance(shard, dict):
+        raise SerializationError(
+            f"expected {_FORMAT} scores as {{id: score}} per fingerprint, "
+            f"found a {type(shard).__name__} under {fingerprint!r}")
+    stored = {}
+    for element_id, value in shard.items():
+        score = read_score(value)
+        if not 0.0 <= score < math.inf:
+            raise SerializationError(
+                f"expected {_FORMAT} scores that are finite non-negative "
+                f"numbers, found {value!r} for {element_id!r} under "
+                f"{fingerprint!r}")
+        stored[str(element_id)] = score
+    return stored
+
+
+def _stamp(element_id: str, version) -> int:
+    """A ``last_write`` stamp of a memo payload: an integral number."""
+    if (isinstance(version, NUMBER) and not isinstance(version, bool)
+            and (isinstance(version, int) or version.is_integer())):
+        return int(version)
+    raise SerializationError(
+        f"expected {_FORMAT} last_write stamps that are integral numbers, "
+        f"found {version!r} for {element_id!r}")
 
 
 class MemoStore:
@@ -199,18 +228,19 @@ class MemoStore:
 
         Refuses a payload with a ``last_write`` stamp above its
         ``table_version``: :meth:`apply_writes` never leaves one, and the
-        store's current-reader fast path relies on that.
+        store's current-reader fast path relies on that.  A stamp must be
+        an integral number (not a bool), and a score a finite non-negative
+        number: the memo must never serve a score ``observe()`` refuses.
         """
         read(payload, _FORMAT, scores=(dict, NULL),
              table_version=(int, NULL), last_write=(dict, NULL))
         store = cls()
         scores = payload.get("scores") or {}
-        store._scores = {fingerprint: {str(element_id): float(score)
-                                       for element_id, score in shard.items()}
+        store._scores = {fingerprint: _stored_scores(fingerprint, shard)
                          for fingerprint, shard in scores.items()}
         store.table_version = payload.get("table_version") or 0
         last_write = payload.get("last_write") or {}
-        store._last_write = {str(element_id): int(version)
+        store._last_write = {str(element_id): _stamp(element_id, version)
                              for element_id, version in last_write.items()}
         newest = max(store._last_write.values(), default=0)
         if newest > store.table_version:

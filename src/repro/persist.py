@@ -46,6 +46,18 @@ def read(payload, expected: str, section: str = "", **fields) -> dict:
     return payload
 
 
+def read_score(value) -> float:
+    """``value`` as a float if it is a JSON number (not a bool) that a
+    float holds, else NaN — which a caller's finite non-negative check
+    refuses along with NaN, inf and negatives."""
+    if isinstance(value, NUMBER) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # an int past the float range
+            pass
+    return math.nan
+
+
 def read_topk(rows: list, expected: str,
               section: str = "buffer") -> List[Tuple[float, str]]:
     """The ``(score, id)`` pairs of a persisted top-k buffer.
@@ -59,13 +71,8 @@ def read_topk(rows: list, expected: str,
     for row in rows:
         score = math.nan
         if (isinstance(row, (list, tuple)) and len(row) == 2
-                and isinstance(row[0], NUMBER)
-                and not isinstance(row[0], bool)
                 and isinstance(row[1], str)):
-            try:
-                score = float(row[0])
-            except OverflowError:  # an int past the float range
-                pass
+            score = read_score(row[0])
         if not 0.0 <= score < math.inf:
             raise SerializationError(
                 f"expected {expected} {section} rows of [finite "

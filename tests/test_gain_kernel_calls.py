@@ -16,15 +16,23 @@ are.  Pinned over two seeded runs to exhaustion at ``batch_size=1`` on the
   threshold finds every live leaf stale and evaluates each once; every
   other select evaluates at most the leaves it reads.
 
-A greedy layer is one bank call, ``HistogramBank.best_rows`` (refresh,
-best and ties): on the binary tree an exploiting select makes exactly as
-many bank calls as it has layers, an exploring one none, and no select
-calls ``HistogramBank.gains``.
+A greedy descent is one bank call, ``HistogramBank.greedy_walk``, which
+steps through every layer with a unique best child and hands a layer
+back to the policy only where the policy's generator draws: an unvisited
+sweep or a tie within ``1e-15``.  Over the 505 exploiting selects of each
+run (binary or flat tree, ``visit_unvisited_first`` off or on) an
+exploiting select makes one walk call plus exactly one per layer handed
+back, an exploring one makes no bank call, and no select calls
+``HistogramBank.gains``.  Ties are common — two children whose gains
+both read ``0.0`` above their top borders tie — so the walk hands back
+1 090 / 1 046 layers on the binary tree and 448 / 466 on the flat one.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Tuple
+
+import pytest
 
 import repro.core.histogram as histogram
 from repro.core.engine import EngineConfig, TopKEngine
@@ -34,6 +42,11 @@ from tests.test_policy_golden import (K, NO_FALLBACK, build_tree,
 
 #: Rows the binary-tree run evaluates (the figure in the docstring).
 ROWS_BINARY = 3827
+
+#: Layers the walk hands back over a run, by tree shape and
+#: ``visit_unvisited_first`` (the figures in the docstring).
+HANDED_BACK = {("binary", False): 1090, ("binary", True): 1046,
+               ("flat", False): 448, ("flat", True): 466}
 
 
 def leaf_layers(tree) -> Dict[str, int]:
@@ -111,36 +124,79 @@ def test_flat_tree_threshold_move_evaluates_every_live_leaf_once():
     assert moves > 10
 
 
-def test_an_exploiting_select_is_one_bank_call_per_layer(monkeypatch):
-    tree = build_tree("binary")
-    layers = leaf_layers(tree)
+def walk_run(shape: str, unvisited_first: bool, monkeypatch):
+    """Per select: ``(exploited, bank calls by name, the walk's calls,
+    leaf row)``; a walk call is ``(start row, returned row, tied, the
+    gains of ``tied`` and the masses of the returned row's live children
+    as it returned)``."""
+    tree = build_tree(shape)
     scores = element_scores()
-    calls = {"best_rows": 0, "gains": 0}
+    calls: Dict[str, list] = {"greedy_walk": [], "best_rows": [],
+                              "gains": []}
 
     def counting(name):
         original = getattr(HistogramBank, name)
 
         def counted(self, *args):
-            calls[name] += 1
-            return original(self, *args)
+            result = original(self, *args)
+            if name == "greedy_walk":
+                (start, live), (row, tied) = args[:2], result
+                calls[name].append((
+                    start, row, tied,
+                    [self.row_gain[child] for child in tied or ()],
+                    [self.row_mass[child] for child in live[row]]))
+            else:
+                calls[name].append(result)
+            return result
         return counted
 
     for name in calls:
         monkeypatch.setattr(HistogramBank, name, counting(name))
-    # Every exploit layer reads gains (no unvisited-first shortcut).
     engine = TopKEngine(tree, EngineConfig(
-        k=K, seed=5, fallback=NO_FALLBACK, visit_unvisited_first=False))
-    exploited = 0
+        k=K, seed=5, fallback=NO_FALLBACK,
+        visit_unvisited_first=unvisited_first))
+    selects = []
     while not engine.exhausted:
-        before, exploits = dict(calls), engine.n_exploit
+        before = {name: len(made) for name, made in calls.items()}
+        exploits = engine.n_exploit
         ids = engine.next_batch()
-        exploiting = engine.n_exploit > exploits
-        assert calls["gains"] == before["gains"]
-        assert (calls["best_rows"] - before["best_rows"]
-                == (layers[ids[0]] if exploiting else 0))
-        exploited += exploiting
+        made = {name: calls[name][before[name]:] for name in calls}
+        selects.append((engine.n_exploit > exploits, made,
+                        engine.policy._pending))
         engine.observe(ids, [scores[i] for i in ids])
-    assert exploited > 300
+    return selects
+
+
+@pytest.mark.parametrize("unvisited_first", [False, True])
+@pytest.mark.parametrize("shape", ["binary", "flat"])
+def test_an_exploiting_select_is_one_walk_plus_one_per_handed_back_layer(
+        monkeypatch, shape, unvisited_first):
+    handed_back = exploiting = 0
+    for exploited, made, leaf in walk_run(shape, unvisited_first,
+                                          monkeypatch):
+        assert not made["gains"]
+        exploiting += exploited
+        if not exploited:
+            assert not any(made.values())
+            continue
+        # One walk from the root, then one from the child the policy drew
+        # at each layer the walk handed back; the last walk ends at the
+        # leaf drawn from.
+        walks = made["greedy_walk"]
+        assert walks[0][0] == 0
+        assert walks[-1][1:] == (leaf, None, [], [])
+        for (_, _, tied, gains, masses), (start, *_) in zip(walks,
+                                                            walks[1:]):
+            handed_back += 1
+            if tied is None:  # an unvisited sweep
+                assert unvisited_first and min(masses) <= 0.0
+            else:
+                assert len(tied) > 1 and start in tied
+                assert max(gains) - min(gains) <= 1e-15
+                assert not unvisited_first or min(masses) > 0.0
+    assert exploiting == 505
+    assert handed_back == HANDED_BACK[shape, unvisited_first], \
+        "update the figures in the docstring"
 
 
 if __name__ == "__main__":

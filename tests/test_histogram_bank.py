@@ -399,3 +399,80 @@ def test_best_rows_refreshes_what_gains_refreshes(monkeypatch, width):
     assert got.row_gain_at == want.row_gain_at
     assert got.best_rows(rows, 0.02) == [
         row for row, gain in zip(rows, gains) if gain >= max(gains) - 1e-15]
+
+
+# -- the greedy walk -----------------------------------------------------------
+
+
+def reference_walk(bank, row, live, tau, unvisited_first):
+    """The walk as the policy's per-layer loop took it: an unvisited sweep
+    first, then one :meth:`HistogramBank.best_rows` per layer."""
+    while live[row]:
+        candidates = live[row]
+        if unvisited_first and any(bank.row_mass[child] <= 0.0
+                                   for child in candidates):
+            break
+        tied = bank.best_rows(candidates, tau)
+        if len(tied) > 1:
+            return row, tied
+        row = tied[0]
+    return row, None
+
+
+@st.composite
+def walk_trees(draw):
+    """``(live, per-row scores)``: a random tree of rows, pre-order, with
+    fan-outs of 0 to 4 — binary layers and wider ones — and rows that
+    hold nothing, one score, or a few (ties at ``0.0`` gains included)."""
+    live = []
+
+    def grow(depth):
+        row = len(live)
+        live.append([])
+        if depth < 4:
+            for _ in range(draw(st.integers(0, 4 if depth else 3))):
+                live[row].append(grow(depth + 1))
+        return row
+
+    grow(0)
+    samples = draw(st.lists(
+        st.lists(st.sampled_from((0.0, 0.01, 0.05, 0.3, 2.0)), max_size=3),
+        min_size=len(live), max_size=len(live)))
+    return live, samples
+
+
+@settings(max_examples=300, deadline=None)
+@given(walk_trees(), st.one_of(st.none(), st.sampled_from((0.0, 0.02, 0.2))),
+       st.booleans(), st.integers(0, 3))
+def test_the_walk_is_best_rows_layer_by_layer(tree, tau, unvisited_first,
+                                              fresh):
+    """Same stopping row, same ties in child order, and the same rows
+    refreshed to the same cached floats as one ``best_rows`` per layer;
+    a layer of two rows takes the walk's own compare."""
+    live, samples = tree
+    banks = []
+    for _ in range(2):
+        bank = HistogramBank(len(live))
+        for row, values in enumerate(samples):
+            for value in values:
+                bank.row(row).add(value)
+        bank.gains(range(0, len(live), fresh + 1), tau)  # some rows fresh
+        banks.append(bank)
+    counted = []
+    real = histogram._row_gain
+
+    def recorded(*args):
+        counted.append(args)
+        return real(*args)
+
+    histogram._row_gain = recorded
+    try:
+        got = banks[0].greedy_walk(0, live, tau, unvisited_first)
+        walked = len(counted)
+        want = reference_walk(banks[1], 0, live, tau, unvisited_first)
+    finally:
+        histogram._row_gain = real
+    assert got == want
+    assert walked == len(counted) - walked
+    assert bits(banks[0].row_gain) == bits(banks[1].row_gain)
+    assert banks[0].row_gain_at == banks[1].row_gain_at

@@ -146,6 +146,9 @@ BUFFERS = [
     ("streaming-snapshot", ("coordinator", "buffer")),
 ]
 
+#: Where a document nests a memo payload: (kind, path to it).
+MEMOS = [("memo", ()), ("memo-snapshot", ("memo",))]
+
 #: A coordinator snapshot carries one engine snapshot per shard.
 COORDINATORS = ["sharded-snapshot", "streaming-snapshot"]
 SHARD_FORMAT = "repro-engine-snapshot/1"
@@ -241,6 +244,25 @@ def bad_buffer_rows():
     yield "not-a-row", 1.0, "1.0"
 
 
+def bad_memo_entries():
+    """``(case, path in a memo, a value no memo could hold, what the
+    refusal names)``.  Stamps used to load ``1.5`` and ``True`` as 1, and
+    scores ``"nan"`` and ``-1.0`` as scores ``observe()`` refuses."""
+    stamp, score = ("last_write", "c000-00005"), ("scores", "udf-B",
+                                                  "c000-00001")
+    yield "string-stamp", stamp, "x", "'x'"
+    yield "null-stamp", stamp, None, "None"
+    yield "fractional-stamp", stamp, 1.5, "1.5"
+    yield "bool-stamp", stamp, True, "True"
+    yield "string-score", score, "x", "'x'"
+    yield "nan-string-score", score, "nan", "'nan'"
+    yield "nan-score", score, math.nan, "nan"
+    yield "inf-score", score, math.inf, "inf"
+    yield "negative-score", score, -1.0, "-1.0"
+    yield "bool-score", score, True, "True"
+    yield "list-shard", ("scores", "udf-B"), [0.5], "list"
+
+
 def mistyped(payload: dict, key: str) -> dict:
     return dict(payload, **{key: 0 if isinstance(payload[key], str)
                             else "x"})
@@ -283,6 +305,11 @@ def malformed_cases():
             yield (kind, f"buffer-{case}",
                    replaced(payload, path, rows[:1] + [bad] + rows[1:]),
                    payload["format"], found)
+    for kind, path in MEMOS:
+        payload = fixture(kind)
+        for case, at, bad, found in bad_memo_entries():
+            yield (kind, f"memo-{case}", replaced(payload, path + at, bad),
+                   "repro-memo/1", found)
     for kind, path in HISTOGRAMS:
         payload = fixture(kind)
         good = payload
