@@ -29,6 +29,18 @@ captured at its submission.  See ``docs/architecture.md``.
   per process from a picklable :class:`~repro.parallel.worker.ShardSpec`;
   slices exchange only ``(cap, floor)`` and light outcome payloads.
 
+Every backend starts from the same in-process specs the coordinator
+builds.  The process backend alone decides what crosses into a child:
+it packs the partitions into one shared-memory segment
+(:mod:`repro.parallel.shm`) whenever
+:func:`~repro.parallel.shm.shm_default_enabled` says so and ships each
+child a constant-size handle, or else (and when packing fails) ships
+inline ids, objects and features.  Never a tree: a cached
+``prebuilt_index`` is dropped, and each child builds its index from its
+``index:{w}`` stream — the tree the cache holds.  The backend owns the
+segment from creation to unlink: :meth:`ProcessBackend.close` and a
+failed :meth:`ProcessBackend.start` both unlink it.
+
 :mod:`repro.replay` adds a trace-driven :class:`SerialBackend` subclass,
 handed to the streaming engine as an instance (it is not in the registry).
 """
@@ -45,10 +57,11 @@ from concurrent.futures import (
     ThreadPoolExecutor,
     wait,
 )
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple, Type
 
 from repro.errors import ConfigurationError
+from repro.parallel.shm import SharedFeatureTable, shm_default_enabled
 from repro.parallel.worker import (
     RoundOutcome,
     ShardSpec,
@@ -56,27 +69,13 @@ from repro.parallel.worker import (
     process_init,
     process_run_round,
     process_snapshot,
+    shard_features,
 )
 
 
 def _pool_ready() -> bool:
     """No-op child task: resolving it proves the pool's worker bootstrapped."""
     return True
-
-
-def validate_process_specs(specs: List[ShardSpec]) -> None:
-    """Reject specs a child process could not bootstrap from."""
-    for spec in specs:
-        if spec.features_ref is None and (
-                spec.objects is None or spec.features is None):
-            raise ConfigurationError(
-                "process backend needs materialized shard specs "
-                "(inline objects/features or a shared-memory features_ref)"
-            )
-        if spec.scorer is None:
-            raise ConfigurationError(
-                "process backend needs a picklable scorer on the spec"
-            )
 
 
 @dataclass(frozen=True)
@@ -253,6 +252,7 @@ class ProcessBackend(_FutureBackend):
     def __init__(self) -> None:
         super().__init__()
         self._pools: List[ProcessPoolExecutor] = []
+        self._table: Optional[SharedFeatureTable] = None
 
     def start(self, specs: List[ShardSpec], dataset, scorer,
               worker_times: Optional[List[float]] = None) -> None:
@@ -263,14 +263,14 @@ class ProcessBackend(_FutureBackend):
         on any of them: the children spawn and run their initializers
         (spec transfer or shm attach, index build) in parallel instead of
         serializing at first-slice time.  On any failure every pool
-        created so far is shut down before the error propagates, so a
-        failed start never leaks child processes.
+        created so far is shut down and the segment unlinked before the
+        error propagates, so a failed start leaks neither.
         """
-        validate_process_specs(specs)
-        context = multiprocessing.get_context()
         pools: List[ProcessPoolExecutor] = []
         try:
-            for spec in specs:
+            shipped = self._materialize(specs, dataset, scorer)
+            context = multiprocessing.get_context()
+            for spec in shipped:
                 pools.append(ProcessPoolExecutor(
                     max_workers=1, mp_context=context,
                     initializer=process_init, initargs=(spec,),
@@ -280,8 +280,44 @@ class ProcessBackend(_FutureBackend):
         except BaseException:
             for pool in pools:
                 pool.shutdown(wait=False, cancel_futures=True)
+            self._unlink()
             raise
         self._pools = pools
+
+    def _materialize(self, specs: List[ShardSpec], dataset,
+                     scorer) -> List[ShardSpec]:
+        """The specs a child can bootstrap from: the scorer, no tree, and
+        the partition as a shared-memory handle or as inline copies.
+
+        The packed feature blocks are exactly the arrays
+        :func:`~repro.parallel.worker.shard_features` produces, so the
+        children's index builds — and the answers — are the same on
+        either path.
+        """
+        if shm_default_enabled():
+            try:
+                self._table = SharedFeatureTable.create([
+                    {"member_ids": spec.member_ids,
+                     "objects": dataset.fetch_batch(spec.member_ids),
+                     "features": shard_features(dataset, spec.member_ids)}
+                    for spec in specs
+                ])
+            except Exception:
+                pass  # clean fallback to the inline copy path
+            else:
+                return [replace(spec, member_ids=(), scorer=scorer,
+                                prebuilt_index=None,
+                                features_ref=self._table.ref(worker))
+                        for worker, spec in enumerate(specs)]
+        return [replace(spec, scorer=scorer, prebuilt_index=None,
+                        objects=dataset.fetch_batch(spec.member_ids),
+                        features=shard_features(dataset, spec.member_ids))
+                for spec in specs]
+
+    def _unlink(self) -> None:
+        if self._table is not None:
+            self._table.close()
+            self._table = None
 
     def submit(self, worker_id: int, cap: int,
                threshold_floor: Optional[float]) -> None:
@@ -298,6 +334,7 @@ class ProcessBackend(_FutureBackend):
         for pool in self._pools:
             pool.shutdown(wait=True)
         self._pools = []
+        self._unlink()
 
 
 #: The one backend vocabulary, serial first — introspected (never

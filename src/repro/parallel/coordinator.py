@@ -20,20 +20,18 @@ the one thing the two engines built on it differ in:
 * :class:`~repro.streaming.engine.StreamingTopKEngine` — the **arrival**
   policy: merge each slice the moment it lands and refill that shard.
 
-Everything else lives here: argument validation, root entropy, spec
-build + shared-memory lifecycle + index-cache harvest, the
-version-checked absorb with memo write-back, budget-gate reserve/refund,
-:class:`WorkerReport` assembly, and snapshot/restore.
-
-A process child always builds its shard's index itself (the cache
-serves trees to in-process shards only) and maps its partition from a
-shared-memory segment unless ``REPRO_DISABLE_SHM=1`` or the platform
-says otherwise (:func:`repro.parallel.shm.shm_default_enabled`).
+Everything else lives here: argument validation, root entropy, the
+partitions and the in-process shard specs (memo slices, priors, resume
+seeds; cached trees on a hit), index-cache harvest, the version-checked
+absorb with memo write-back, budget-gate reserve/refund,
+:class:`WorkerReport` assembly, and snapshot/restore.  Every backend
+starts from the same specs; what crosses into a child process is the
+process backend's own business (:mod:`repro.parallel.backends`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import ClassVar, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.convergence import ConvergenceBound
@@ -51,7 +49,7 @@ from repro.parallel.cache import (
     shard_cache_key,
     subset_fingerprint,
 )
-from repro.parallel.worker import RoundOutcome, build_shard_specs
+from repro.parallel.worker import RoundOutcome, ShardSpec, partition_ids
 from repro.persist import NULL, NUMBER, read, read_topk
 from repro.scoring.base import Scorer
 from repro.utils.rng import RngFactory
@@ -208,9 +206,9 @@ class ShardCoordinator:
         self.share_threshold = share_threshold
         self._factory = RngFactory(seed)
         self._index_config = index_config
-        self._engine_config = engine_config or EngineConfig(k=k)
+        self._engine_config = replace(engine_config or EngineConfig(),
+                                      k=self.k)
         self._index_cache = index_cache
-        self._shm_table = None
         self._memo = memo
         self._priors = priors
         self._trace = trace
@@ -222,7 +220,6 @@ class ShardCoordinator:
         )
         # Coordinator state (persists across runs for resumption).
         self._started = False
-        self._cache_hit = False
         # The shards' member tuples, shared with the specs and the index
         # cache (never copied here): read for their sizes, and banked in
         # the cache after a miss.
@@ -259,13 +256,6 @@ class ShardCoordinator:
     def close(self) -> None:
         """Release backend resources (child processes, thread pools)."""
         self.backend.close()
-        self._release_shm()
-
-    def _release_shm(self) -> None:
-        """Unlink the coordinator's shared-memory table, if any (idempotent)."""
-        if self._shm_table is not None:
-            self._shm_table.close()
-            self._shm_table = None
 
     def start(self) -> None:
         """Bootstrap every shard eagerly (``run()`` otherwise does it lazily).
@@ -277,50 +267,75 @@ class ShardCoordinator:
         self._ensure_started()
 
     def _ensure_started(self) -> None:
+        """Deal the partitions, build one spec per shard, start the backend.
+
+        On an index-cache hit the cached partitions are reused and each
+        spec carries its cached ``prebuilt_index``, skipping the per-shard
+        k-means fits bit-identically (each named RNG stream is a generator
+        of its own, so skipping one's draws never perturbs another).  The
+        specs hold the partition tuples uncopied and nothing reads the
+        whole table's ids on a hit, so a warm start is O(workers).
+        """
         if self._started:
             return
-        if self._index_cache is not None and self._subset is None:
-            self._subset = subset_fingerprint(self._ids)
-        (self._partitions, specs, self._cache_hit,
-         self._shm_table) = build_shard_specs(
-            self.dataset, self.scorer,
-            n_workers=self.n_workers, k=self.k,
-            engine_config=self._engine_config,
-            index_config=self._index_config,
-            factory=self._factory,
-            materialize=self.backend.name == "process",
-            restore_payloads=self._restore_payloads,
-            resume_count=self._resume_count,
-            index_cache=self._index_cache,
-            ids=self._ids,
-            subset=self._subset,
-            memo_snapshot=(self._memo.snapshot()
-                           if self._memo is not None else None),
-            priors=self._priors,
-            trace=self._trace is not None,
-            table_version=self._table_version,
-        )
+        key = cached = None
+        if self._index_cache is not None:
+            if self._subset is None:
+                self._subset = subset_fingerprint(self._ids)
+            key = shard_cache_key(self.root_entropy, self.n_workers,
+                                  self._index_config, self._population,
+                                  subset=self._subset,
+                                  table_version=self._table_version)
+            cached = self._index_cache.get(key)
+        if cached is not None:
+            self._partitions, indexes = cached
+        else:
+            self._partitions = [tuple(members) for members in partition_ids(
+                self._ids if self._ids is not None else self.dataset.ids(),
+                self.n_workers, self._factory.named("partition"))]
+            indexes = [None] * self.n_workers
+        memo = self._memo.snapshot() if self._memo is not None else None
+        specs = []
+        for worker, members in enumerate(self._partitions):
+            snapshot = resume_seed = None
+            if self._restore_payloads is not None:
+                snapshot = self._restore_payloads[worker]
+                resume_seed = int(self._factory.named(
+                    f"resume:{worker}:{self._resume_count}").integers(2**31))
+            specs.append(ShardSpec(
+                worker_id=worker,
+                member_ids=members,
+                engine_config=self._engine_config,
+                index_config=self._index_config,
+                root_entropy=self.root_entropy,
+                engine_snapshot=snapshot,
+                resume_seed=resume_seed,
+                prebuilt_index=indexes[worker],
+                # Restricted to this shard's members: partitions are
+                # disjoint, so nothing is lost, and an *empty* slice still
+                # means "memo on" (fresh scores come home for write-back).
+                memo=(None if memo is None else
+                      {element_id: memo[element_id] for element_id in members
+                       if element_id in memo}),
+                priors=(self._priors[worker] if self._priors is not None
+                        else None),
+                trace=self._trace is not None,
+                table_version=self._table_version,
+            ))
         try:
             self.backend.start(specs, self.dataset, self.scorer,
                                worker_times=list(self._worker_times))
         except BaseException:
-            # A failed start must leak neither pools (the backend cleans
-            # its own partial state) nor the shared-memory segment.
+            # The backend releases its partial state (pools, segment).
             self.backend.close()
-            self._release_shm()
             raise
         self._started = True
         # Bank freshly built shard indexes for later runs.  Process
         # children own theirs out of reach: the harvest is in-process only.
         workers = self.backend.inline_workers()
-        if (self._index_cache is not None and workers is not None
-                and not self._cache_hit):
-            self._index_cache.put(
-                shard_cache_key(self.root_entropy, self.n_workers,
-                                self._index_config, self._population,
-                                subset=self._subset,
-                                table_version=self._table_version),
-                self._partitions, [worker.index for worker in workers])
+        if key is not None and cached is None and workers is not None:
+            self._index_cache.put(key, self._partitions,
+                                  [worker.index for worker in workers])
 
     # -- the merge -----------------------------------------------------------
 
@@ -559,7 +574,7 @@ class ShardCoordinator:
             if stats is not None:
                 n_scored, local_stk, events = stats
                 engine._last_outcomes[worker] = RoundOutcome(
-                    worker_id=worker, scored=0, cost=0.0, elapsed=0.0,
+                    worker_id=worker, scored=0, cost=0.0,
                     topk=[], exhausted=not engine._active[worker],
                     n_scored_total=int(n_scored),
                     local_stk=float(local_stk),

@@ -1,23 +1,25 @@
 """Zero-copy shard bootstrap: shared-memory feature tables for processes.
 
 The paper's Section-6 MapReduce sketch assumes workers *map* the table.
-The copy path of :func:`repro.parallel.worker.build_shard_specs` does the
-opposite: it stacks each partition's objects and feature matrix into the
+The process backend's inline copy path
+(:class:`~repro.parallel.backends.ProcessBackend`) does the opposite: it
+stacks each partition's ids, objects and feature matrix into the
 :class:`~repro.parallel.worker.ShardSpec`, so a process child's bootstrap
 cost (spec pickling, transfer, re-materialization) and resident set grow
 linearly with the table.  This module restores the map semantics on one
-machine: the coordinator packs everything a shard needs into a single
+machine: the backend packs everything a shard needs into a single
 :mod:`multiprocessing.shared_memory` segment and ships each child a
 constant-size :class:`SharedSliceRef` instead of the data.
 
 Segment layout (one segment per engine run, 64-byte aligned spans):
 
-* per shard — the partition's **member ids** (a fixed-width numpy unicode
-  array), its **feature block** (``(n_w, d)`` float64, C-contiguous, so
-  the child maps it as a true zero-copy view), and its **objects blob**
-  (the partition's elements, pickled once by the coordinator; children
-  unpickle straight out of the mapping instead of receiving a per-child
-  pipe transfer).
+* per shard — the partition's **feature block** (``(n_w, d)`` float64,
+  C-contiguous, so the child maps it as a true zero-copy view) and its
+  **rows blob** (the member ids and the elements, pickled together once
+  by the backend; children unpickle straight out of the mapping instead
+  of receiving a per-child pipe transfer).  Pickle keeps every id
+  exactly — a fixed-width numpy unicode array would drop an id's
+  trailing ``'\x00'``.
 
 No cluster tree rides the segment: a child builds its shard's index from
 the mapped feature block and its ``index:{w}`` RNG stream, which yields
@@ -26,7 +28,7 @@ the same tree an in-process shard would (see
 
 Lifecycle (the invariant: **no orphan segments survive, ever**):
 
-* the coordinator owns the segment via :class:`SharedFeatureTable`;
+* the process backend owns the segment via :class:`SharedFeatureTable`;
   :meth:`SharedFeatureTable.close` is idempotent and unlinks;
 * a :func:`weakref.finalize` on every table re-runs that cleanup when the
   table is garbage collected or the interpreter exits (``finalize``
@@ -108,14 +110,13 @@ class SharedSliceRef:
 
     This is what a :class:`~repro.parallel.worker.ShardSpec` carries in
     ``features_ref`` instead of inline member ids / objects / features:
-    a segment name plus constant-size spans.  Its pickled size does not
+    a segment name plus two constant-size spans.  Its pickled size does not
     depend on the partition size (pinned by ``tests/test_shm.py``).
     """
 
     segment: str
-    ids: ArraySpan
     features: ArraySpan
-    objects: BytesSpan
+    rows: BytesSpan              # pickled ``(member ids, objects)``
 
     def resolve(self) -> "ResolvedShard":
         """Attach the segment and materialize this shard's bootstrap data.
@@ -127,11 +128,10 @@ class SharedSliceRef:
         """
         segment = attach_segment(self.segment)
         buf = segment.buf
-        member_ids = _as_array(buf, self.ids).tolist()
         features = _as_array(buf, self.features)
         features.flags.writeable = False
-        start, stop = self.objects.offset, self.objects.offset + self.objects.size
-        objects = pickle.loads(bytes(buf[start:stop]))
+        start, stop = self.rows.offset, self.rows.offset + self.rows.size
+        member_ids, objects = pickle.loads(bytes(buf[start:stop]))
         return ResolvedShard(segment=self.segment, member_ids=member_ids,
                              objects=objects, features=features)
 
@@ -171,7 +171,7 @@ def attach_segment(name: str) -> shared_memory.SharedMemory:
         except FileNotFoundError:
             raise ConfigurationError(
                 f"shared-memory segment {name!r} does not exist (was the "
-                f"coordinator's SharedFeatureTable closed early?)"
+                f"owner's SharedFeatureTable closed early?)"
             ) from None
         entry = _ATTACHED[name] = [segment, 0]
     entry[1] += 1
@@ -284,7 +284,7 @@ atexit.register(_sweep_owned)
 
 
 class SharedFeatureTable:
-    """Coordinator-owned shared-memory segment holding every shard's slice.
+    """Owner-side shared-memory segment holding every shard's slice.
 
     Build one with :meth:`create` (one segment per engine run), hand each
     shard its :meth:`ref`, and :meth:`close` when the run ends.  Closing
@@ -307,30 +307,22 @@ class SharedFeatureTable:
     def create(cls, shards: Sequence[dict]) -> "SharedFeatureTable":
         """Pack per-shard payloads into one fresh segment.
 
-        Each entry of ``shards`` is a dict with ``member_ids`` (list of
+        Each entry of ``shards`` is a dict with ``member_ids`` (sequence of
         str), ``objects`` (the partition's elements, any picklable
         type) and ``features`` (``(n_w, d)`` array).
         """
         layout = _SegmentLayout()
         partial_refs: List[SharedSliceRef] = []
         for shard in shards:
-            # Width inference (``<U{max}``) happens in C inside asarray;
-            # widths only need to be consistent within one shard's array.
-            ids_array = np.asarray(list(shard["member_ids"]))
-            if ids_array.dtype.kind != "U":
-                ids_array = ids_array.astype(str)
-            ids_span = layout.add_array(ids_array)
             features = np.asarray(shard["features"], dtype=float)
             if features.ndim == 1:
                 features = features.reshape(-1, 1)
             features_span = layout.add_array(features)
-            objects_span = layout.add_bytes(
-                pickle.dumps(list(shard["objects"]),
-                             protocol=pickle.HIGHEST_PROTOCOL)
-            )
+            rows_span = layout.add_bytes(pickle.dumps(
+                (list(shard["member_ids"]), list(shard["objects"])),
+                protocol=pickle.HIGHEST_PROTOCOL))
             partial_refs.append(SharedSliceRef(
-                segment="", ids=ids_span, features=features_span,
-                objects=objects_span,
+                segment="", features=features_span, rows=rows_span,
             ))
         segment = _create_segment(max(1, layout.size))
         try:

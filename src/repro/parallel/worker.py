@@ -42,11 +42,7 @@ from repro.index.builder import IndexConfig, build_index, index_config_for
 from repro.index.tree import ClusterTree
 from repro.memo.store import MemoStore
 from repro.obs.spans import Span
-from repro.parallel.shm import (
-    SharedFeatureTable,
-    SharedSliceRef,
-    shm_default_enabled,
-)
+from repro.parallel.shm import SharedSliceRef
 from repro.scoring.base import Scorer
 from repro.utils.rng import RngFactory
 
@@ -77,8 +73,7 @@ class ShardSpec:
 
     worker_id: int
     member_ids: Sequence[str]
-    k: int
-    engine_config: EngineConfig
+    engine_config: EngineConfig              # ``k`` pinned to the query's
     index_config: Optional[IndexConfig]
     root_entropy: int
     scorer: Optional[Scorer] = None          # shipped to process workers
@@ -86,11 +81,11 @@ class ShardSpec:
     features: Optional[np.ndarray] = None    # partition features, id-aligned
     engine_snapshot: Optional[dict] = None   # resume payload
     resume_seed: Optional[int] = None
-    #: Cache hit on an in-process shard: skip the build.  Materialized
-    #: (process-bound) specs never carry one; a child builds its own.
+    #: Cache hit on an in-process shard: skip the build.  The process
+    #: backend drops it from the specs it ships; a child builds its own.
     prebuilt_index: Optional[ClusterTree] = None
     #: Zero-copy alternative to the inline ``objects`` / ``features`` copy:
-    #: a constant-size handle into a coordinator-owned shared-memory
+    #: a constant-size handle into the process backend's shared-memory
     #: segment (:mod:`repro.parallel.shm`).  When set, ``member_ids`` is
     #: left empty and the child resolves ids, objects and features from
     #: the mapped segment, keeping the pickled spec O(1) in the partition
@@ -127,7 +122,6 @@ class RoundOutcome:
     worker_id: int
     scored: int                  # elements scored this round
     cost: float                  # virtual scoring cost of this round (s)
-    elapsed: float               # real wall-clock of this round (s)
     topk: List[Tuple[str, float]]
     exhausted: bool
     n_scored_total: int
@@ -154,138 +148,6 @@ class RoundOutcome:
     table_version: int = 0
 
 
-def build_shard_specs(dataset, scorer: Scorer, *, n_workers: int, k: int,
-                      engine_config: EngineConfig,
-                      index_config: Optional[IndexConfig],
-                      factory: RngFactory,
-                      materialize: bool,
-                      restore_payloads: Optional[List[dict]] = None,
-                      resume_count: int = 0,
-                      index_cache=None,
-                      ids: Optional[Sequence[str]] = None,
-                      subset: Optional[str] = None,
-                      memo_snapshot: Optional[dict] = None,
-                      priors: Optional[List[Optional[dict]]] = None,
-                      trace: bool = False,
-                      table_version: int = 0,
-                      ) -> Tuple[List[Tuple[str, ...]], List[ShardSpec], bool,
-                                 Optional[SharedFeatureTable]]:
-    """Partition the dataset and assemble one :class:`ShardSpec` per worker.
-
-    Called by the one :class:`~repro.parallel.coordinator.ShardCoordinator`,
-    so the round and streaming engines get identical shards from identical
-    inputs.  ``ids`` restricts execution to a
-    candidate subset (the dialect's ``WHERE`` pushdown): only those
-    elements are partitioned, indexed, and ever drawn.  When
-    ``index_cache`` (a :class:`~repro.parallel.cache.ShardIndexCache`)
-    holds an entry for this build's key — which includes the subset
-    fingerprint (``subset``, computed from ``ids`` when the caller has
-    not already) — the cached partitions are reused, and each in-process
-    spec carries its ``prebuilt_index``, skipping the per-shard k-means
-    fits bit-identically (each named RNG stream is a generator of its
-    own, so skipping one's draws never perturbs another).  Materialized
-    (process-bound) specs take only the cached partitions: a child always
-    builds its own index from its ``index:{w}`` stream, the same tree the
-    cache holds.
-
-    Materialized specs take the zero-copy bootstrap whenever
-    :func:`repro.parallel.shm.shm_default_enabled` says so (POSIX shared
-    memory works here and ``REPRO_DISABLE_SHM`` is unset): each spec
-    ships a constant-size ``features_ref`` instead of inline ids /
-    objects / features.  The packed per-shard feature blocks are exactly
-    the arrays :func:`shard_features` produces, so child-side index
-    builds — and therefore answers — are bit-identical to the inline
-    copy path, which is also the fallback when packing fails.
-
-    Partitions are tuples, and the in-process specs hold them
-    uncopied: on a cache hit each spec's ``member_ids`` *is* the cached
-    tuple, and nothing reads the whole table's ids (the cache key needs
-    only ``len(ids)`` or ``len(dataset)``), so a warm query's set-up is
-    O(workers), not O(rows).  Only the materialized paths copy a
-    partition: the shm segment packs it, the inline copy pickles it.
-
-    Returns ``(partitions, specs, cache_hit, shm_table)``; ``shm_table``
-    is the coordinator-owned :class:`~repro.parallel.shm.SharedFeatureTable`
-    (``None`` on the copy path) whose ``close()`` the caller owes once the
-    run is over.
-    """
-    from repro.parallel.cache import shard_cache_key, subset_fingerprint
-
-    root_entropy = factory.root_entropy
-    cached = None
-    if index_cache is not None:
-        key = shard_cache_key(root_entropy, n_workers, index_config,
-                              len(ids) if ids is not None else len(dataset),
-                              subset=(subset_fingerprint(ids)
-                                      if subset is None else subset),
-                              table_version=table_version)
-        cached = index_cache.get(key)
-    if cached is not None:
-        partitions, indexes = cached
-    else:
-        partitions = [tuple(members) for members in partition_ids(
-            ids if ids is not None else dataset.ids(), n_workers,
-            factory.named("partition"))]
-        indexes = [None] * n_workers
-    table: Optional[SharedFeatureTable] = None
-    refs: List[Optional[SharedSliceRef]] = [None] * n_workers
-    if materialize and shm_default_enabled():
-        try:
-            table = SharedFeatureTable.create([
-                {"member_ids": list(members),
-                 "objects": dataset.fetch_batch(members),
-                 "features": shard_features(dataset, members)}
-                for members in partitions
-            ])
-        except Exception:
-            table = None  # clean fallback to the inline copy path
-        else:
-            refs = [table.ref(worker) for worker in range(n_workers)]
-    specs: List[ShardSpec] = []
-    for worker, members in enumerate(partitions):
-        snapshot = None
-        resume_seed = None
-        if restore_payloads is not None:
-            snapshot = restore_payloads[worker]
-            resume_seed = int(
-                factory.named(f"resume:{worker}:{resume_count}")
-                .integers(2**31)
-            )
-        ref = refs[worker]
-        inline = materialize and ref is None
-        shard_memo = None
-        if memo_snapshot is not None:
-            # Restrict to this shard's members so process specs stay small;
-            # partitions are disjoint, so the restriction loses nothing.
-            # An *empty* dict is meaningful (caching on, nothing stored
-            # yet): the worker still collects fresh scores for write-back.
-            shard_memo = {
-                element_id: memo_snapshot[element_id]
-                for element_id in members
-                if element_id in memo_snapshot
-            }
-        specs.append(ShardSpec(
-            worker_id=worker,
-            member_ids=() if ref is not None else members,
-            k=k,
-            engine_config=engine_config,
-            index_config=index_config,
-            root_entropy=root_entropy,
-            scorer=scorer if materialize else None,
-            objects=(dataset.fetch_batch(members) if inline else None),
-            features=(shard_features(dataset, members) if inline else None),
-            engine_snapshot=snapshot,
-            resume_seed=resume_seed,
-            prebuilt_index=None if materialize else indexes[worker],
-            features_ref=ref,
-            memo=shard_memo,
-            priors=priors[worker] if priors is not None else None,
-            trace=trace,
-            table_version=int(table_version),
-        ))
-    return partitions, specs, cached is not None, table
-
-
 class ShardWorker:
     """One shard: partition + local index + local engine + round loop."""
 
@@ -295,7 +157,7 @@ class ShardWorker:
         self.worker_id = spec.worker_id
         features = spec.features
         if dataset is None and spec.features_ref is not None:
-            # Zero-copy bootstrap: attach the coordinator's segment and
+            # Zero-copy bootstrap: attach the backend's segment and
             # materialize this shard's ids / objects from it; the feature
             # block stays a read-only view into the mapping (never copied
             # into this process).
@@ -334,7 +196,7 @@ class ShardWorker:
         engine_seed = int(
             factory.named(f"engine:{self.worker_id}").integers(2**31)
         )
-        config = replace(spec.engine_config, k=spec.k, seed=engine_seed)
+        config = replace(spec.engine_config, seed=engine_seed)
         if spec.engine_snapshot is not None:
             self.engine = TopKEngine.restore(
                 self.index, spec.engine_snapshot, config=replace(
@@ -397,7 +259,6 @@ class ShardWorker:
             worker_id=self.worker_id,
             scored=step.scored,
             cost=step.cost,
-            elapsed=elapsed,
             topk=engine.topk_items(),
             exhausted=engine.exhausted,
             n_scored_total=engine.n_scored,

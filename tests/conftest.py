@@ -120,3 +120,29 @@ def session_builder(memo_table):
         return make_session(memo_table, **kwargs)
 
     return build
+
+
+# -- the coordinator's shard specs (shm and memo suites) ---------------------
+
+
+def coordinator_specs(dataset, scorer, **kwargs):
+    """The in-process shard specs a coordinator starts every backend with.
+
+    Runs a :class:`~repro.parallel.engine.ShardedTopKEngine` (``kwargs``
+    as for it) over a backend that only keeps the specs, so nothing is
+    built or scored.
+    """
+    from repro.parallel import ShardedTopKEngine
+    from repro.parallel.backends import ShardBackend
+
+    class SpecRecorder(ShardBackend):
+        name = "recorder"
+
+        def start(self, specs, dataset, scorer, worker_times=None):
+            self.specs = specs
+
+    recorder = SpecRecorder()
+    with ShardedTopKEngine(dataset, scorer, backend=recorder,
+                           **kwargs) as engine:
+        engine.start()
+    return recorder.specs

@@ -202,6 +202,10 @@ DELETED_NAMES = (
     "abandoned",
     # A /proc reader only the retired per-PR perf scripts called.
     "process_private_rss_kb",
+    # The spec builder the coordinator folded in, and the process-spec
+    # check and segment handle the process backend made unnecessary.
+    "build_shard_specs", "validate_process_specs", "_release_shm",
+    "_shm_table",
 )
 
 

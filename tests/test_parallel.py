@@ -210,7 +210,7 @@ class TestShardMemoSlice:
 
         dataset, scorer, _ = world
         members = dataset.ids()[:120]
-        spec = ShardSpec(worker_id=0, member_ids=members, k=5,
+        spec = ShardSpec(worker_id=0, member_ids=members,
                          engine_config=EngineConfig(k=5, batch_size=4),
                          index_config=None, root_entropy=0, memo=memo)
         return ShardWorker(spec, dataset=dataset, scorer=scorer)
@@ -263,6 +263,21 @@ class TestSmallPartitions:
         sizes = [len(p) for p in parts]
         assert max(sizes) - min(sizes) <= 1
         assert sorted(i for p in parts for i in p) == sorted(dataset.ids())
+
+
+@pytest.mark.parametrize("backend", ["serial", "thread"])
+def test_shard_engines_take_the_query_k(world, backend):
+    """The coordinator pins ``engine_config.k`` to the query's k once, so
+    a shard keeps exactly the rows the lossless merge needs."""
+    dataset, scorer, _ = world
+    with ShardedTopKEngine(dataset, scorer, k=4, n_workers=2, seed=0,
+                           backend=backend,
+                           engine_config=EngineConfig(k=9, batch_size=2)
+                           ) as engine:
+        result = engine.run(80)
+        configs = [worker.engine.config for worker in engine.backend.workers]
+    assert [(c.k, c.batch_size) for c in configs] == [(4, 2), (4, 2)]
+    assert len(result.items) == 4
 
 
 class ContractOnlyDataset(Dataset):

@@ -130,27 +130,28 @@ class TestShardedBitIdentity:
     def test_process_specs_ship_restricted_memo(self, memo_table):
         """Each shard spec carries only its own partition's scores."""
         from repro.memo.store import MemoStore
-        from repro.parallel.worker import build_shard_specs
-        from repro.core.engine import EngineConfig
+        from repro.parallel.backends import ProcessBackend
         from repro.scoring.base import FunctionScorer
-        from repro.utils.rng import RngFactory
+        from tests.conftest import coordinator_specs
 
         store = MemoStore()
         view = store.view("fp")
         all_ids = memo_table.ids()
         view.record(all_ids[:50], [float(i) for i in range(50)])
-        factory = RngFactory(0)
-        partitions, specs, _, table = build_shard_specs(
-            memo_table, FunctionScorer(lambda v: float(v)),
-            n_workers=4, k=3, engine_config=EngineConfig(k=3),
-            index_config=None, factory=factory, materialize=False,
-            memo_snapshot=view.snapshot(),
-        )
-        assert table is None
+        scorer = FunctionScorer(lambda v: float(v))
+        specs = coordinator_specs(memo_table, scorer, k=3, n_workers=4,
+                                  seed=0, memo=view)
+        backend = ProcessBackend()
+        try:
+            shipped = backend._materialize(specs, memo_table, scorer)
+        finally:
+            backend.close()
         seen = set()
-        for members, spec in zip(partitions, specs):
+        for spec, sent in zip(specs, shipped):
+            assert sent.memo is spec.memo
             assert spec.memo is not None  # empty dict still means "on"
-            assert set(spec.memo) <= set(members)
+            assert set(spec.memo) <= set(spec.member_ids)
+            assert not set(spec.memo) & seen
             seen |= set(spec.memo)
         assert seen == set(all_ids[:50])  # disjoint partitions lose nothing
 

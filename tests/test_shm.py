@@ -2,10 +2,13 @@
 
 Covers the acceptance guarantees of the shared-memory table layer: O(1)
 pickled spec size in the partition size, bit-identity of shm-path and
-copy-path answers, the segment lifecycle (normal close, engine error,
-killed child — no orphan segments anywhere), idle shards costing the
-process backend no IPC, and the probed backend availability registry.
+copy-path answers (ids ending in NUL included), the segment lifecycle
+(normal close, engine error, killed child, a process backend started
+directly — no orphan segments anywhere), idle shards costing the process
+backend no IPC, and the probed backend availability registry.
 
+The process backend owns the segment: it turns the coordinator's
+in-process specs into the specs its children get (:func:`shipped`), and
 ``REPRO_DISABLE_SHM`` is the one switch between the two bootstrap paths,
 so the tests pick a path the way an operator does: through the
 environment (:func:`use_path`).
@@ -17,11 +20,13 @@ import glob
 import os
 import pickle
 import signal
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
-from repro.core.engine import EngineConfig
+from tests.conftest import coordinator_specs
+from repro.data.dataset import InMemoryDataset
 from repro.data.synthetic import SyntheticClustersDataset
 from repro.errors import ConfigurationError
 from repro.parallel import (
@@ -29,16 +34,15 @@ from repro.parallel import (
     ShardIndexCache,
     backend_availability,
 )
+from repro.parallel.backends import ProcessBackend, SerialBackend
 from repro.parallel.shm import (
     SEGMENT_PREFIX,
     SharedFeatureTable,
     shm_available,
     shm_default_enabled,
 )
-from repro.parallel.worker import build_shard_specs
 from repro.scoring.base import FixedPerCallLatency
 from repro.scoring.relu import ReluScorer
-from repro.utils.rng import RngFactory
 
 needs_shm = pytest.mark.skipif(
     not shm_available(), reason="POSIX shared memory unavailable here"
@@ -68,15 +72,17 @@ def shm_path(monkeypatch):
     use_path(monkeypatch, "shm")
 
 
-def make_specs(dataset, *, scorer=None, index_cache=None, n_workers=3,
-               seed=0):
-    factory = RngFactory(seed)
-    return build_shard_specs(
-        dataset, scorer or ReluScorer(), n_workers=n_workers, k=10,
-        engine_config=EngineConfig(k=10), index_config=None,
-        factory=factory,
-        materialize=True, index_cache=index_cache,
-    )
+def shipped(dataset, **kwargs):
+    """``(specs, backend)``: what a process backend ships its children
+    for the coordinator's specs (``kwargs`` as for the coordinator).
+
+    The caller owes ``backend.close()``, which unlinks the segment the
+    shm path packs (``backend._table``).
+    """
+    specs = coordinator_specs(dataset, ReluScorer(), k=10, n_workers=3,
+                              seed=0, **kwargs)
+    backend = ProcessBackend()
+    return backend._materialize(specs, dataset, ReluScorer()), backend
 
 
 #: A warm-start prior no histogram can be rebuilt from: breaks the
@@ -143,12 +149,12 @@ class TestSpecWireSize:
         sizes = {}
         for per_cluster in (100, 800):  # 600 vs 4800 elements
             dataset = make_dataset(per_cluster=per_cluster)
-            _parts, specs, _hit, table = make_specs(dataset)
-            assert table is not None
+            specs, backend = shipped(dataset)
+            assert backend._table is not None
             try:
                 sizes[per_cluster] = [len(pickle.dumps(s)) for s in specs]
             finally:
-                table.close()
+                backend.close()
         for per_cluster, spec_sizes in sizes.items():
             assert all(size < self.CEILING for size in spec_sizes), (
                 f"{per_cluster=}: pickled shm specs {spec_sizes} exceed "
@@ -160,10 +166,10 @@ class TestSpecWireSize:
     def test_copy_path_grows_where_shm_does_not(self, monkeypatch):
         use_path(monkeypatch, "copy")
         dataset = make_dataset(per_cluster=200)
-        _parts, inline_specs, _hit, table = make_specs(dataset)
-        assert table is None
+        inline_specs, backend = shipped(dataset)
+        assert backend._table is None
         inline = max(len(pickle.dumps(s)) for s in inline_specs)
-        assert inline > self.CEILING  # the copy the tentpole removes
+        assert inline > self.CEILING  # the copy the shm path removes
 
     @pytest.mark.parametrize("path", ["shm", "copy"])
     def test_warm_cache_ships_no_more_than_a_cold_build(self, monkeypatch,
@@ -176,17 +182,39 @@ class TestSpecWireSize:
                                seed=0, backend="serial",
                                index_cache=cache) as warm:
             warm.start()                     # banks partitions + trees
-        shipped = {}
+        warm_specs = coordinator_specs(dataset, ReluScorer(), k=10,
+                                       n_workers=3, seed=0,
+                                       index_cache=cache)
+        assert all(spec.prebuilt_index is not None for spec in warm_specs)
+        shipped_bytes = {}
         for label, index_cache in (("cold", None), ("warm", cache)):
-            _parts, specs, hit, table = make_specs(dataset,
-                                                   index_cache=index_cache)
-            assert hit == (label == "warm")
-            assert all(spec.prebuilt_index is None for spec in specs)
-            shipped[label] = ([len(pickle.dumps(spec)) for spec in specs],
-                              None if table is None else table.nbytes)
-            if table is not None:
-                table.close()
-        assert shipped["warm"] == shipped["cold"]
+            specs, backend = shipped(dataset, index_cache=index_cache)
+            try:
+                assert all(spec.prebuilt_index is None for spec in specs)
+                shipped_bytes[label] = (
+                    [len(pickle.dumps(spec)) for spec in specs],
+                    None if backend._table is None
+                    else backend._table.nbytes)
+            finally:
+                backend.close()
+        assert shipped_bytes["warm"] == shipped_bytes["cold"]
+
+
+def nul_dataset(kind):
+    """A 200-row table whose ids end in ``'\\x00'`` (the shm id hazard).
+
+    ``"suffixed"``: odd rows are ``e{i}\\x00`` and score highest, so the
+    whole top 10 is NUL-suffixed.  ``"twins"``: ``e{i}`` and ``e{i}\\x00``
+    side by side, ids a fixed-width unicode array could not tell apart.
+    """
+    if kind == "suffixed":
+        ids = [f"e{i}\x00" if i % 2 else f"e{i}" for i in range(200)]
+        objects = [float(i) if i % 2 else -float(i) for i in range(200)]
+    else:
+        ids = [f"e{i // 2}" + "\x00" * (i % 2) for i in range(200)]
+        objects = [float(i) for i in range(200)]
+    features = np.column_stack([objects, np.arange(200) % 7]).astype(float)
+    return InMemoryDataset(ids, objects, features)
 
 
 @needs_shm
@@ -201,7 +229,8 @@ class TestBitIdentity:
                                        seed=0, backend="process")
             try:
                 engine.start()
-                assert (engine._shm_table is not None) == (path == "shm")
+                assert ((engine.backend._table is not None)
+                        == (path == "shm"))
                 results[path] = engine.run(400)
             finally:
                 engine.close()
@@ -209,29 +238,57 @@ class TestBitIdentity:
         assert results["shm"].stk == results["copy"].stk
         assert results["shm"].total_scored == results["copy"].total_scored
 
+    @pytest.mark.parametrize("kind", ["suffixed", "twins"])
+    @pytest.mark.parametrize("path", ["shm", "copy"])
+    def test_ids_ending_in_nul_survive_the_process_bootstrap(
+            self, monkeypatch, path, kind):
+        """Ids cross into a child exactly, trailing ``'\\x00'`` and all.
+
+        A fixed-width numpy unicode id array drops a trailing NUL: the
+        shm path then answered ``'e77'`` for ``'e77\\x00'`` (an id not in
+        the table), and twins killed the child ("element ids must be
+        unique").
+        """
+        use_path(monkeypatch, path)
+        dataset = nul_dataset(kind)
+        kwargs = dict(k=10, n_workers=2, seed=1)
+        with ShardedTopKEngine(dataset, ReluScorer(), backend="serial",
+                               **kwargs) as oracle:
+            expected = oracle.run(120)
+        with ShardedTopKEngine(dataset, ReluScorer(), backend="process",
+                               **kwargs) as engine:
+            engine.start()
+            assert bool(live_segments()) == (path == "shm")
+            result = engine.run(120)
+        assert result.items == expected.items
+        assert result.stk == expected.stk
+        assert {element_id for element_id, _ in result.items} <= set(
+            dataset.ids())
+        if kind == "suffixed":
+            assert all(element_id.endswith("\x00")
+                       for element_id, _ in result.items)
+
     @pytest.mark.parametrize("path", ["shm", "copy"])
     def test_process_run_after_serial_warm_up_builds_its_own_indexes(
             self, monkeypatch, path):
         """A warm cache hands a process run its partitions, never a tree.
 
         The serial run banks partitions and shard trees; the process run
-        that follows hits the cache, ships no ``prebuilt_index`` and has
-        each child build its index from its ``index:{w}`` stream — the
-        tree the cache holds, so the answer is the serial one.
+        that follows hits the cache — its specs carry the cached trees —
+        yet the backend ships no ``prebuilt_index`` and each child builds
+        its index from its ``index:{w}`` stream: the tree the cache
+        holds, so the answer is the serial one.
         """
-        import repro.parallel.coordinator as coordinator_module
-
         use_path(monkeypatch, path)
-        built = []
-        build = coordinator_module.build_shard_specs
+        materialized = []
+        materialize = ProcessBackend._materialize
 
-        def recording(*args, **kwargs):
-            partitions, specs, hit, table = build(*args, **kwargs)
-            built.append((specs, hit))
-            return partitions, specs, hit, table
+        def recording(self, specs, dataset, scorer):
+            shipped_specs = materialize(self, specs, dataset, scorer)
+            materialized.append((specs, shipped_specs))
+            return shipped_specs
 
-        monkeypatch.setattr(coordinator_module, "build_shard_specs",
-                            recording)
+        monkeypatch.setattr(ProcessBackend, "_materialize", recording)
         dataset = make_dataset()
         scorer = ReluScorer(FixedPerCallLatency(1e-3))
         cache = ShardIndexCache()
@@ -243,12 +300,57 @@ class TestBitIdentity:
                                backend="process",
                                index_cache=cache) as engine:
             result = engine.run(400)
-        (_, warm_hit), (specs, hit) = built
-        assert not warm_hit and hit
-        assert all(spec.prebuilt_index is None for spec in specs)
+        [(specs, shipped_specs)] = materialized
+        assert all(spec.prebuilt_index is not None for spec in specs)
+        assert all(spec.prebuilt_index is None for spec in shipped_specs)
         assert result.items == baseline.items
         assert result.stk == baseline.stk
         assert result.total_scored == baseline.total_scored
+
+
+class TestDirectProcessStart:
+    """``ProcessBackend.start`` takes the coordinator's in-process specs
+    as they are: every backend starts from the same specs."""
+
+    @pytest.mark.parametrize("path", ["shm", "copy"])
+    def test_answers_like_serial_and_close_unlinks(self, monkeypatch, path):
+        if path == "shm" and not shm_available():
+            pytest.skip("POSIX shared memory unavailable here")
+        use_path(monkeypatch, path)
+        dataset = make_dataset()
+        specs = coordinator_specs(dataset, ReluScorer(), k=10, n_workers=2,
+                                  seed=0)
+        outcomes = {}
+        for backend in (SerialBackend(), ProcessBackend()):
+            try:
+                backend.start(specs, dataset, ReluScorer())
+                if backend.name == "process":
+                    assert ((backend._table is not None) == (path == "shm")
+                            and bool(live_segments()) == (path == "shm"))
+                for worker in range(2):
+                    backend.submit(worker, 60, None)
+                events = sorted((backend.next_event().outcome
+                                 for _ in range(2)),
+                                key=lambda outcome: outcome.worker_id)
+            finally:
+                backend.close()
+            outcomes[backend.name] = [
+                (o.worker_id, o.topk, o.scored, o.cost, o.n_scored_total,
+                 o.local_stk, o.exhausted) for o in events]
+        assert outcomes["process"] == outcomes["serial"]
+        assert live_segments() == []
+
+    @needs_shm
+    def test_failed_start_leaves_no_segment(self, shm_path):
+        dataset = make_dataset()
+        specs = coordinator_specs(dataset, ReluScorer(), k=10, n_workers=2,
+                                  seed=0, priors=[EXPLODING_PRIORS] * 2)
+        backend = ProcessBackend()
+        with pytest.raises(BrokenProcessPool):   # the children's bootstrap
+            backend.start(specs, dataset, ReluScorer())
+        assert backend._table is None
+        assert live_segments() == []
+        backend.close()  # safe on the failed state
 
 
 @needs_shm
@@ -258,7 +360,7 @@ class TestSegmentLeaks:
         engine = ShardedTopKEngine(dataset, ReluScorer(), k=10, n_workers=2,
                                    seed=0, backend="process")
         engine.start()
-        assert engine._shm_table is not None
+        assert engine.backend._table is not None
         engine.run(200)
         engine.close()
         assert live_segments() == []
@@ -271,7 +373,7 @@ class TestSegmentLeaks:
                                    priors=[EXPLODING_PRIORS] * 2)
         with pytest.raises(Exception):
             engine.start()
-        assert engine._shm_table is None
+        assert engine.backend._table is None
         assert live_segments() == []
         engine.close()  # safe on the partially-started state
 
@@ -281,7 +383,7 @@ class TestSegmentLeaks:
                                    seed=0, backend="process")
         try:
             engine.start()
-            assert engine._shm_table is not None
+            assert engine.backend._table is not None
             processes = engine.backend._pools[0]._processes
             os.kill(next(iter(processes)), signal.SIGKILL)
         finally:
@@ -294,38 +396,45 @@ class TestFallbackAndOptOut:
         monkeypatch.setenv("REPRO_DISABLE_SHM", "1")
         assert not shm_default_enabled()
         dataset = make_dataset()
-        _parts, specs, _hit, table = make_specs(dataset)
-        assert table is None
+        specs, backend = shipped(dataset)
+        assert backend._table is None
         assert all(s.features_ref is None and s.features is not None
                    for s in specs)
 
     def test_packing_failure_falls_back_to_copy(self, monkeypatch):
-        import repro.parallel.worker as worker_module
-
         use_path(monkeypatch, "shm")
 
         def explode(cls, shards):
             raise OSError("no shm here")
 
-        monkeypatch.setattr(worker_module.SharedFeatureTable, "create",
+        monkeypatch.setattr(SharedFeatureTable, "create",
                             classmethod(explode))
         dataset = make_dataset()
-        _parts, specs, _hit, table = make_specs(dataset)
-        assert table is None
+        specs, backend = shipped(dataset)
+        assert backend._table is None
         assert all(s.features is not None and s.objects is not None
-                   for s in specs)
+                   and s.features_ref is None for s in specs)
 
-    def test_serial_and_thread_never_allocate_a_table(self):
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    def test_serial_and_thread_never_allocate_a_table(self, monkeypatch,
+                                                      backend):
+        use_path(monkeypatch, "shm")
+        created = []
+        create = SharedFeatureTable.create.__func__
+
+        def counting(cls, shards):
+            created.append(len(shards))
+            return create(cls, shards)
+
+        monkeypatch.setattr(SharedFeatureTable, "create",
+                            classmethod(counting))
         dataset = make_dataset()
-        factory = RngFactory(0)
-        _parts, specs, _hit, table = build_shard_specs(
-            dataset, ReluScorer(), n_workers=3, k=10,
-            engine_config=EngineConfig(k=10), index_config=None,
-            factory=factory,
-            materialize=False,
-        )
-        assert table is None
-        assert all(s.features_ref is None for s in specs)
+        with ShardedTopKEngine(dataset, ReluScorer(), k=10, n_workers=3,
+                               seed=0, backend=backend) as engine:
+            engine.run(100)
+            assert all(s.features_ref is None
+                       for s in (w.spec for w in engine.backend.workers))
+        assert created == []
 
 
 class TestIdleShardsCostNoIpc:
