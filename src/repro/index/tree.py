@@ -9,8 +9,11 @@ whose internal nodes group similar leaves (built from the HAC dendrogram).
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from itertools import accumulate, chain
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,12 +23,93 @@ from repro.persist import NULL, read
 TREE_FORMAT = "repro-cluster-tree/1"
 
 
+class ChunkedMembers(SequenceABC):
+    """A leaf's members as a tuple of chunk tuples, read as one sequence.
+
+    Incremental maintenance (:mod:`repro.live.maintenance`) publishes a
+    live leaf this way: a write batch rebuilds only the chunks it wrote
+    and the new sequence shares every other chunk tuple with the old.
+    Chunk ``c`` holds positions ``ends[c] - len(chunks[c])`` up to
+    ``ends[c] - 1``; empty chunks are allowed.  It reads like the flat
+    tuple (length, iteration, indexing), holds no per-member state of
+    its own, and :meth:`gather` resolves many positions in one
+    vectorised pass.  :meth:`flat` is the flat tuple, built on demand for
+    a reader that reads the leaf often enough to make one copy worth it.
+    """
+
+    __slots__ = ("chunks", "ends", "_bounds", "_flat")
+
+    def __init__(self, chunks: Tuple[Tuple[str, ...], ...]) -> None:
+        self.chunks = chunks
+        #: One past each chunk's last position.
+        self.ends = tuple(accumulate(map(len, chunks)))
+        #: ``ends`` and each chunk's first position as arrays, for
+        #: :meth:`gather`; made by its first call.
+        self._bounds: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._flat: Optional[Tuple[str, ...]] = None
+
+    def __len__(self) -> int:
+        return self.ends[-1] if self.ends else 0
+
+    def __iter__(self) -> Iterator[str]:
+        return chain.from_iterable(self.chunks)
+
+    def __getitem__(self, index: int) -> str:
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError("member index out of range")
+        chunk = bisect_right(self.ends, index)
+        # Negative: the position counted back from the chunk's end.
+        return self.chunks[chunk][index - self.ends[chunk]]
+
+    def span(self, start: int, stop: int) -> List[str]:
+        """Members ``start`` to ``stop - 1``, sliced chunk by chunk."""
+        members: List[str] = []
+        chunks, ends = self.chunks, self.ends
+        chunk = bisect_right(ends, start)
+        while start < stop:
+            piece = chunks[chunk]
+            offset = ends[chunk] - len(piece)
+            piece = piece[start - offset:stop - offset]
+            members.extend(piece)
+            start += len(piece)
+            chunk += 1
+        return members
+
+    def flat(self) -> Tuple[str, ...]:
+        """The members as one tuple, built on the first call and kept."""
+        if self._flat is None:
+            self._flat = tuple(chain.from_iterable(self.chunks))
+        return self._flat
+
+    @property
+    def flattened(self) -> Optional[Tuple[str, ...]]:
+        """The tuple :meth:`flat` built, if a reader has asked for it."""
+        return self._flat
+
+    def gather(self, positions: np.ndarray) -> List[str]:
+        """The members at ``positions`` (an int array), in that order:
+        one vectorised search for their chunks, then one read each."""
+        if self._bounds is None:
+            ends = np.array(self.ends, dtype=np.int64)
+            self._bounds = ends, ends - np.fromiter(
+                map(len, self.chunks), dtype=np.int64, count=len(ends))
+        ends, starts = self._bounds
+        which = np.searchsorted(ends, positions, side="right")
+        within = (positions - starts[which]).tolist()
+        chunks = self.chunks
+        return [chunks[chunk][at]
+                for chunk, at in zip(which.tolist(), within)]
+
+
 @dataclass
 class ClusterNode:
     """One node of the cluster tree.
 
-    Leaves carry ``member_ids`` (the element IDs of one k-means cluster) and
-    the cluster ``centroid``; internal nodes carry only children.
+    Leaves carry ``member_ids`` (the element IDs of one k-means cluster,
+    a tuple or, on a maintained live tree, a :class:`ChunkedMembers`)
+    and the cluster ``centroid``; internal nodes carry only children.
     """
 
     node_id: str

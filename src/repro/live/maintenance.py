@@ -15,10 +15,10 @@ k-means + HAC per write:
 * **deletes** shrink leaves and prune emptied subtrees.
 
 Every ``advance`` publishes a *new* :class:`~repro.index.tree.ClusterTree`
-(nodes cloned, untouched member tuples shared) so engines that mirrored
-the previous tree keep a consistent structure — published trees are
-never mutated in place.  The report names every touched node so the
-session can dirty exactly the affected histogram priors (the PR 1
+(nodes cloned, untouched members and chunk tuples shared) so engines
+that mirrored the previous tree keep a consistent structure — published
+trees are never mutated in place.  The report names every touched node
+so the session can dirty exactly the affected histogram priors (the
 gain-cache invalidation hooks fire inside the engines automatically
 when a fresh tree is mirrored).
 
@@ -28,20 +28,26 @@ routes down.  Each node's mean is cached as the quotient
 — computed when routing first compares the node and dropped whenever a
 bump, prune or rebuild changes the node's sum, so an insert divides
 again only the means earlier writes moved.  A bump adds ``sign * row``
-to each ancestor's sum in place; no two nodes share a sum buffer.  Leaf
-membership is kept as one insertion-ordered dict per leaf (O(1) insert
-and removal, member order preserved) and only a touched leaf's member
-tuple is rebuilt, once, at publish.  The published tree skips
+to each ancestor's sum in place; no two nodes share a sum buffer.
+
+Leaf membership is kept in chunks: each leaf is a list of
+insertion-ordered chunks of at most :data:`CHUNK_SIZE` members (dicts:
+O(1) insert and removal), ``_leaf_of`` maps an element to its chunk, an
+append goes to the leaf's last chunk and a delete to the chunk that
+holds the element.  A touched leaf is published as a
+:class:`~repro.index.tree.ChunkedMembers` that rebuilds only the tuples
+of the chunks this batch wrote and shares every other chunk's tuple
+with the previous tree, in the same member order a single dict per leaf
+would give.  So an ``advance`` republishes the slots of the chunks it
+wrote, not the leaves: on the ``live-append`` benchmark a write batch
+(100 random deletes, 100 appends) touches nearly every leaf (a median
+of 32 of the 33) but rebuilds a median of 119 of ~800 chunks, 13k slots
+of 100k.  The published tree skips
 :meth:`ClusterTree.validate <repro.index.tree.ClusterTree.validate>`'s
 pass over every member: node ids are unique by construction of the node
 map, no element sits in two leaves because ``_leaf_of`` says where each
 one is, and the empty-leaf and members-only-at-leaves rules are checked
 on the touched nodes.  Builds and rebuilds still validate in full.
-
-What an ``advance`` still spends in proportion to the table is the
-republish: deletes scattered at random touch nearly every leaf (100 of
-them touch a median of 32 of the 33 leaves on the ``live-append``
-benchmark), and every touched leaf gets a whole new member tuple.
 
 When cumulative churn since the last build exceeds
 ``rebuild_threshold`` of the table, ``advance`` falls back to a full
@@ -63,12 +69,32 @@ import numpy as np
 
 from repro.data.dataset import TableSnapshot
 from repro.errors import ConfigurationError
-from repro.index.tree import ClusterNode, ClusterTree
+from repro.index.tree import ChunkedMembers, ClusterNode, ClusterTree
 from repro.live.table import WriteDelta
 from repro.obs.metrics import INDEX_SPLITS_TOTAL
 
 #: Advance reports retained in :attr:`IndexMaintainer.touched_log`.
 MAX_TOUCHED_LOG = 128
+
+#: Most members one chunk of a maintained leaf holds: a write batch
+#: republishes at most this many slots per chunk it wrote.
+CHUNK_SIZE = 128
+
+
+class _Chunk:
+    """Consecutive members of one leaf, in member order.
+
+    The members are the keys of a dict (O(1) insert and removal);
+    ``frozen`` is their tuple as published, ``None`` once a write has
+    changed them since.
+    """
+
+    __slots__ = ("leaf", "members", "frozen")
+
+    def __init__(self, leaf: str, members: Tuple[str, ...] = ()) -> None:
+        self.leaf = leaf
+        self.members: Dict[str, None] = dict.fromkeys(members)
+        self.frozen: Optional[Tuple[str, ...]] = members
 
 
 @dataclass
@@ -140,11 +166,13 @@ class IndexMaintainer:
         #: dropped whenever the node's sum changes (a split changes none:
         #: the leaf keeps its sum and the children's ids are new).
         self._means: Dict[str, np.ndarray] = {}
-        self._leaf_of: Dict[str, str] = {}
-        #: leaf id -> its members as the keys of a dict, in member order:
-        #: O(1) insert and removal; a touched leaf's tuple is rebuilt
-        #: from it once, when the tree is published.
-        self._members_of: Dict[str, Dict[str, None]] = {}
+        #: element id -> the chunk that holds it (``chunk.leaf`` is its leaf).
+        self._leaf_of: Dict[str, _Chunk] = {}
+        #: leaf id -> its chunks, in member order, none of them empty.
+        #: Appends go to the last one until it holds ``CHUNK_SIZE``; a
+        #: written chunk's tuple is rebuilt once, when the tree is
+        #: published, and every other chunk's tuple is shared.
+        self._members_of: Dict[str, List[_Chunk]] = {}
         self._attach_aggregates(snapshot)
 
     @property
@@ -261,31 +289,31 @@ class IndexMaintainer:
         self._leaf_of.clear()
         self._members_of.clear()
 
-        def fill(node: ClusterNode) -> Tuple[np.ndarray, int]:
-            if node.is_leaf:
-                members = list(node.member_ids)
-                if members:
-                    rows = snapshot.features_of(members)
-                    total = rows.sum(axis=0)
-                else:
-                    total = np.zeros(snapshot.features().shape[1] or 1,
-                                     dtype=float)
-                self._leaf_of.update(dict.fromkeys(members, node.node_id))
-                self._members_of[node.node_id] = dict.fromkeys(members)
-                self._sum[node.node_id] = total
-                self._count[node.node_id] = len(members)
-                return total, len(members)
-            total, count = None, 0
-            for child in node.children:
-                child_sum, child_count = fill(child)
-                total = child_sum.copy() if total is None else total + child_sum
-                count += child_count
-            assert total is not None
-            self._sum[node.node_id] = total
-            self._count[node.node_id] = count
-            return total, count
+        self._fill(self._tree.root, snapshot)
 
-        fill(self._tree.root)
+    def _fill(self, node: ClusterNode,
+              snapshot: TableSnapshot) -> Tuple[np.ndarray, int]:
+        """Aggregates and chunks of ``node``'s subtree; its sum and count."""
+        if node.is_leaf:
+            members = tuple(node.member_ids)
+            if members:
+                total = snapshot.features_of(members).sum(axis=0)
+            else:
+                total = np.zeros(snapshot.features().shape[1] or 1,
+                                 dtype=float)
+            self._enlist_all(node.node_id, members)
+            self._sum[node.node_id] = total
+            self._count[node.node_id] = len(members)
+            return total, len(members)
+        total, count = None, 0
+        for child in node.children:
+            child_sum, child_count = self._fill(child, snapshot)
+            total = child_sum.copy() if total is None else total + child_sum
+            count += child_count
+        assert total is not None
+        self._sum[node.node_id] = total
+        self._count[node.node_id] = count
+        return total, count
 
     def _mean(self, node_id: str) -> Optional[np.ndarray]:
         mean = self._means.get(node_id)
@@ -307,19 +335,63 @@ class IndexMaintainer:
         """
         nodes: Dict[str, ClusterNode] = {}
         parent: Dict[str, Optional[str]] = {}
-
-        def copy(node: ClusterNode, up: Optional[str]) -> ClusterNode:
-            clone = ClusterNode(node_id=node.node_id,
-                                member_ids=node.member_ids,
-                                centroid=node.centroid)
-            clone.children = [copy(child, node.node_id)
-                              for child in node.children]
-            nodes[node.node_id] = clone
-            parent[node.node_id] = up
-            return clone
-
-        root = copy(self._tree.root, None)
+        root = self._copy(self._tree.root, None, nodes, parent)
         return nodes, parent, root
+
+    @classmethod
+    def _copy(cls, node: ClusterNode, up: Optional[str],
+              nodes: Dict[str, ClusterNode],
+              parent: Dict[str, Optional[str]]) -> ClusterNode:
+        # A method, not a closure over itself: a recursive closure is a
+        # reference cycle that would keep the clone alive until the next
+        # cyclic collection.
+        clone = ClusterNode(node_id=node.node_id, member_ids=node.member_ids,
+                            centroid=node.centroid)
+        clone.children = [cls._copy(child, node.node_id, nodes, parent)
+                          for child in node.children]
+        nodes[node.node_id] = clone
+        parent[node.node_id] = up
+        return clone
+
+    # -- leaf membership -----------------------------------------------------
+
+    def _enlist_all(self, leaf_id: str, members: Tuple[str, ...]) -> None:
+        """Make ``members``, in that order, the whole of a leaf."""
+        chunks = [_Chunk(leaf_id, members[at:at + CHUNK_SIZE])
+                  for at in range(0, len(members), CHUNK_SIZE)]
+        for chunk in chunks:
+            self._leaf_of.update(dict.fromkeys(chunk.members, chunk))
+        self._members_of[leaf_id] = chunks
+
+    def _enlist(self, leaf_id: str, element_id: str) -> None:
+        """Add one member at the end of a leaf."""
+        chunks = self._members_of[leaf_id]
+        if not chunks or len(chunks[-1].members) >= CHUNK_SIZE:
+            chunks.append(_Chunk(leaf_id))
+        chunk = chunks[-1]
+        chunk.members[element_id] = None
+        chunk.frozen = None
+        self._leaf_of[element_id] = chunk
+
+    def _delist(self, element_id: str) -> str:
+        """Take one member out of its leaf; returns the leaf id."""
+        chunk = self._leaf_of.pop(element_id, None)
+        if chunk is None:
+            raise ConfigurationError(
+                f"element {element_id!r} is not indexed")
+        del chunk.members[element_id]
+        chunk.frozen = None
+        if not chunk.members:
+            self._members_of[chunk.leaf].remove(chunk)
+        return chunk.leaf
+
+    def _published(self, leaf_id: str) -> ChunkedMembers:
+        """A leaf's members as chunk tuples, rebuilt where written."""
+        chunks = self._members_of[leaf_id]
+        for chunk in chunks:
+            if chunk.frozen is None:
+                chunk.frozen = tuple(chunk.members)
+        return ChunkedMembers(tuple([chunk.frozen for chunk in chunks]))
 
     # -- incremental ops -----------------------------------------------------
 
@@ -350,7 +422,7 @@ class IndexMaintainer:
 
     def _publish(self, touched: Set[str], nodes: Dict[str, ClusterNode],
                  root: ClusterNode) -> None:
-        """Give each touched leaf its new member tuple and wrap the tree.
+        """Give each touched leaf its new members and wrap the tree.
 
         Only the touched nodes are re-checked; the rest of what
         :meth:`ClusterTree.validate` checks holds without looking: node
@@ -360,7 +432,7 @@ class IndexMaintainer:
         alive = [nodes[node_id] for node_id in touched if node_id in nodes]
         for node in alive:
             if node.is_leaf:
-                node.member_ids = tuple(self._members_of[node.node_id])
+                node.member_ids = self._published(node.node_id)
         self._tree = ClusterTree.prevalidated(root, alive)
 
     def _insert(self, element_id: str, row: np.ndarray,
@@ -385,25 +457,18 @@ class IndexMaintainer:
             if best is None:
                 best = node.children[0]
             node = best
-        members = self._members_of[node.node_id]
-        members[element_id] = None
-        self._leaf_of[element_id] = node.node_id
+        self._enlist(node.node_id, element_id)
         self._bump(node.node_id, parent, row, +1, touched)
-        if len(members) > self.max_leaf_size:
+        if self._count[node.node_id] > self.max_leaf_size:
             self._split(node, nodes, parent, touched, rows_of)
 
     def _remove(self, element_id: str, old_row: np.ndarray,
                 nodes: Dict[str, ClusterNode],
                 parent: Dict[str, Optional[str]],
                 touched: Set[str]) -> None:
-        leaf_id = self._leaf_of.pop(element_id, None)
-        if leaf_id is None:
-            raise ConfigurationError(
-                f"element {element_id!r} is not indexed")
-        members = self._members_of[leaf_id]
-        del members[element_id]
+        leaf_id = self._delist(element_id)
         self._bump(leaf_id, parent, old_row, -1, touched)
-        if not members:
+        if not self._members_of[leaf_id]:
             self._prune(nodes[leaf_id], nodes, parent, touched)
 
     def _bump(self, node_id: str, parent: Dict[str, Optional[str]],
@@ -427,7 +492,7 @@ class IndexMaintainer:
         while True:
             up_id = parent.get(node.node_id)
             if up_id is None:  # the root may stay empty: a leaf again
-                self._members_of.setdefault(node.node_id, {})
+                self._members_of.setdefault(node.node_id, [])
                 return
             up = nodes[up_id]
             up.children = [child for child in up.children
@@ -448,7 +513,8 @@ class IndexMaintainer:
                rows_of: Callable[[List[str]], np.ndarray]) -> None:
         """Promote an overflowing leaf to an internal node with two
         children, assigned by deterministic farthest-pair 2-means."""
-        members = list(self._members_of.pop(leaf.node_id))
+        members = [member for chunk in self._members_of.pop(leaf.node_id)
+                   for member in chunk.members]
         rows = rows_of(members)
         mean = rows.mean(axis=0)
         seed_a = int(np.argmax(((rows - mean) ** 2).sum(axis=1)))
@@ -479,8 +545,7 @@ class IndexMaintainer:
             parent[child_id] = leaf.node_id
             self._sum[child_id] = group_rows.sum(axis=0)
             self._count[child_id] = len(group)
-            self._leaf_of.update(dict.fromkeys(group, child_id))
-            self._members_of[child_id] = dict.fromkeys(group)
+            self._enlist_all(child_id, tuple(group))
             touched.add(child_id)
             children.append(child)
         leaf.member_ids = ()

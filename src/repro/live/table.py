@@ -15,17 +15,20 @@ in an append-only block with an object list parallel to it — an
 never mutates the old row in place — so a
 :class:`~repro.data.dataset.TableSnapshot` taken at version ``v`` (the
 layout a static :class:`~repro.data.dataset.InMemoryDataset` is, at
-version 0) *shares* the block and the object rows and owns only a
-copy of the ``id -> row`` locator: it keeps reading exactly the rows
-that were current at ``v`` no matter how many writes commit while a
-query over it is still in flight.  A write costs its batch, a snapshot
-one C-level dict copy per version, and the aligned ``features()``
-matrix is gathered only for whoever asks (index builds, ``WHERE``
-masks).  When dead rows (deleted or superseded) outnumber live ones the
-table rewrites block, object rows and locator into fresh storage;
-pinned snapshots keep the old.  The table's own reads below go to the
-current version under its lock, without paying for a snapshot's
-locator copy.
+version 0) *shares* the block and the object rows and keeps reading
+exactly the rows that were current at ``v`` no matter how many writes
+commit while a query over it is still in flight.  The ``id -> row``
+:class:`~repro.data.dataset.Locator` is a frozen base dict plus an
+overlay of the ids written since: a snapshot shares the base and copies
+the overlay, and once the overlay passes
+:data:`~repro.data.dataset.REBASE_FRACTION` of the table one C-level
+copy and update folds it into a new base.  So a write costs its batch, a
+snapshot the ids written since the last rebase, and the aligned
+``features()`` matrix is gathered only for whoever asks (index builds,
+``WHERE`` masks).  When dead rows (deleted or superseded) outnumber live
+ones the table rewrites block, object rows and locator into fresh
+storage; pinned snapshots keep the old.  The table's own reads below go
+to the current version under its lock, without taking a snapshot.
 
 Writes are observable: each commit increments the process-wide
 ``writes_total{table, kind}`` counter and records a ``write[kind]``
@@ -43,7 +46,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.data.dataset import Dataset, TableSnapshot, _aligned, _rows_in
+from repro.data.dataset import Dataset, Locator, TableSnapshot, _aligned
 from repro.errors import ConfigurationError
 from repro.obs.metrics import WRITES_TOTAL
 from repro.obs.spans import Span
@@ -139,10 +142,9 @@ class LiveTable(Dataset):
         self._block[:len(ids)] = features
         self._object_rows: List[Any] = list(objects)
         self._n_rows = len(ids)  # block rows in use, dead ones included
-        #: live id -> its current row; key order is the table's id order
-        #: (append adds at the end, update keeps the key's place).
-        self._locator: Dict[str, int] = {eid: row
-                                         for row, eid in enumerate(ids)}
+        #: live id -> its current row, in the table's id order (append
+        #: adds at the end, update keeps the id's place).
+        self._locator = Locator({eid: row for row, eid in enumerate(ids)})
         self._version = 0
         #: Retained deltas, consecutive versions ending at ``_version``.
         self._deltas: List[WriteDelta] = []
@@ -173,7 +175,7 @@ class LiveTable(Dataset):
                 if element_id in self._locator:
                     raise ConfigurationError(
                         f"element id {element_id!r} already present")
-            self._write_rows(ids, objects, rows)
+            self._locator.add(ids, self._write_rows(objects, rows))
             return self._commit("append", ids, rows=rows, started=started)
 
     def update(self, ids: Sequence[str], features: np.ndarray,
@@ -190,13 +192,13 @@ class LiveTable(Dataset):
             raise ConfigurationError(
                 f"{len(ids)} ids for {len(objects)} objects")
         with self._cond:
-            old = _rows_in(self._locator, ids)
+            old = self._locator.rows(ids)
             old_rows = self._block[old]
             if objects is None:
                 objects = [self._object_rows[row] for row in old]
             # The old rows stay untouched for pinned snapshots; the
             # locator now points at freshly appended rows.
-            self._write_rows(ids, objects, rows)
+            self._locator.move(ids, self._write_rows(objects, rows))
             return self._commit("update", ids, rows=rows, old_rows=old_rows,
                                 started=started)
 
@@ -209,9 +211,8 @@ class LiveTable(Dataset):
         if len(set(ids)) != len(ids):
             raise ConfigurationError("deleted ids must be unique")
         with self._cond:
-            old_rows = self._block[_rows_in(self._locator, ids)]
-            for element_id in ids:
-                del self._locator[element_id]
+            old_rows = self._block[self._locator.rows(ids)]
+            self._locator.drop(ids)
             return self._commit("delete", ids, old_rows=old_rows,
                                 started=started)
 
@@ -230,7 +231,7 @@ class LiveTable(Dataset):
                 block = self._block[:self._n_rows]
                 block.flags.writeable = False
                 self._snapshot_cache = TableSnapshot(
-                    block, self._object_rows, self._locator.copy(),
+                    block, self._object_rows, self._locator.frozen(),
                     version=self._version, table=self.name)
             return self._snapshot_cache
 
@@ -287,7 +288,7 @@ class LiveTable(Dataset):
 
     def ids(self) -> List[str]:
         with self._lock:
-            return list(self._locator)
+            return self._locator.ids()
 
     def fetch(self, element_id: str) -> Any:
         return self.fetch_batch((element_id,))[0]
@@ -296,7 +297,7 @@ class LiveTable(Dataset):
         with self._lock:
             object_rows = self._object_rows
             return [object_rows[row]
-                    for row in _rows_in(self._locator, element_ids)]
+                    for row in self._locator.rows(element_ids)]
 
     def features(self) -> np.ndarray:
         return self.snapshot().features()
@@ -306,7 +307,7 @@ class LiveTable(Dataset):
 
     def features_of(self, element_ids: Sequence[str]) -> np.ndarray:
         with self._lock:
-            return self._block[_rows_in(self._locator, element_ids)]
+            return self._block[self._locator.rows(element_ids)]
 
     def __len__(self) -> int:
         with self._lock:
@@ -326,11 +327,11 @@ class LiveTable(Dataset):
         check_finite_features(rows, ids)
         return rows.copy()
 
-    def _write_rows(self, ids: Sequence[str], objects: Sequence[Any],
-                    rows: np.ndarray) -> None:
-        """Append one row per id and point the locator at it."""
+    def _write_rows(self, objects: Sequence[Any],
+                    rows: np.ndarray) -> range:
+        """Append the rows and their objects; the block rows they took."""
         base = self._n_rows
-        needed = base + len(ids)
+        needed = base + len(rows)
         if needed > len(self._block):
             # A fresh array: snapshots keep reading the one they share.
             block = np.empty((max(needed, 2 * len(self._block)), self._dim),
@@ -339,8 +340,8 @@ class LiveTable(Dataset):
             self._block = block
         self._block[base:needed] = rows
         self._object_rows.extend(objects)
-        self._locator.update(zip(ids, range(base, needed)))
         self._n_rows = needed
+        return range(base, needed)
 
     def _compact(self) -> None:
         """Rewrite the live rows into fresh storage, in id order.
@@ -349,7 +350,8 @@ class LiveTable(Dataset):
         written row pays O(1) amortised; snapshots pinned before keep
         the old block, object rows and their own locator.
         """
-        rows = list(self._locator.values())
+        ids = self._locator.ids()
+        rows = self._locator.row_array().tolist()
         # Room for the dead rows of the next round (it ends at 2 x live)
         # without growing the block first.
         block = np.empty((max(16, 3 * len(rows)), self._dim), dtype=float)
@@ -357,7 +359,7 @@ class LiveTable(Dataset):
         object_rows = self._object_rows
         self._block = block
         self._object_rows = [object_rows[row] for row in rows]
-        self._locator = dict(zip(self._locator, range(len(rows))))
+        self._locator = Locator(dict(zip(ids, range(len(rows)))))
         self._n_rows = len(rows)
 
     def _trim_log(self) -> None:

@@ -600,28 +600,89 @@ class TestWriteCost:
         assert [leaf.member_ids[-1] for leaf in changed] == new_ids
         assert len(maintainer.tree.leaves()) == len(old) == 8
 
-    def test_delete_delta_rebuilds_one_tuple_per_touched_leaf(
-            self, big, monkeypatch):
-        import repro.live.maintenance as maintenance
+    def test_delete_delta_rebuilds_only_the_chunks_it_wrote(self, big):
+        from repro.index.tree import ChunkedMembers
+        from repro.live.maintenance import CHUNK_SIZE
 
         session, table, maintainer = big
+        binding = session._binding("t")
         old = {leaf.node_id: leaf.member_ids
                for leaf in maintainer.tree.leaves()}
-        built = []
-        monkeypatch.setattr(
-            maintenance, "tuple",
-            lambda items=(): built.append(1) or tuple(items), raising=False)
+        # The chunk tuples as of now (a fresh build's leaves are cut into
+        # them at attach), held so that identity means something.
+        before = [chunk.frozen for chunks in maintainer._members_of.values()
+                  for chunk in chunks]
         doomed = table.ids()[::200]
         assert len(doomed) == 100
+        gone = set(doomed)
         table.delete(doomed)
-        session._binding("t").pin()
-        touched = [leaf for leaf in maintainer.tree.leaves()
-                   if leaf.member_ids is not old[leaf.node_id]]
-        # One per touched leaf, and the report's tuple of touched nodes.
-        assert 1 < len(touched) and len(built) <= len(touched) + 1
-        for leaf in touched:                        # order kept, ids gone
-            assert list(leaf.member_ids) == [
-                m for m in old[leaf.node_id] if m not in set(doomed)]
+        binding.pin()
+
+        written = [part for part in before if gone.intersection(part)]
+        untouched = {id(part) for part in before
+                     if not gone.intersection(part)}
+        leaves = maintainer.tree.leaves()
+        assert all(isinstance(leaf.member_ids, ChunkedMembers)
+                   for leaf in leaves)
+        parts = [part for leaf in leaves for part in leaf.member_ids.chunks]
+        rebuilt = [part for part in parts if id(part) not in untouched]
+        # Every chunk the delete did not write is shared by identity ...
+        assert untouched <= {id(part) for part in parts}
+        # ... and what was rebuilt is at most the written chunks' slots.
+        assert 1 < len(written) and len(rebuilt) <= len(written)
+        assert sum(map(len, rebuilt)) <= len(written) * CHUNK_SIZE
+        for leaf in leaves:                         # order kept, ids gone
+            assert tuple(leaf.member_ids) == tuple(
+                m for m in old[leaf.node_id] if m not in gone)
+
+        # An append writes the last chunk of the leaf it lands in.
+        old = {leaf.node_id: leaf.member_ids.chunks for leaf in leaves}
+        append_rows(table, [1.0])
+        binding.pin()
+        changed = {leaf.node_id: leaf.member_ids.chunks
+                   for leaf in maintainer.tree.leaves()
+                   if leaf.member_ids.chunks != old[leaf.node_id]}
+        ((leaf_id, now),) = changed.items()
+        was = old[leaf_id]
+        assert len(now) in (len(was), len(was) + 1)
+        assert all(a is b for a, b in zip(now[:-1], was))
+
+    def test_a_snapshot_copies_the_overlay_not_the_locator(self, big):
+        """A version shares the table's frozen base dict and copies only
+        the ids written since the last rebase, which runs once they pass
+        ``REBASE_FRACTION`` of the table."""
+        from repro.data.dataset import REBASE_FRACTION
+
+        _, table, _ = big
+        with table._lock:
+            table._locator.rebase()
+        append_rows(table, [1.0], prefix="first")
+        first = table.snapshot()
+        assert len(first._locator._overlay) == 1
+        table.delete(table.ids()[:3])
+        after = table.snapshot()
+        assert after._locator._base is first._locator._base
+        assert len(after._locator._overlay) == 1 + 3        # k = 3 ids
+        table.update(table.ids()[:2], np.zeros((2, 3)))
+        append_rows(table, [1.0])
+        after = table.snapshot()
+        assert after._locator._base is first._locator._base
+        assert len(after._locator._overlay) == 1 + 3 + 2 + 1
+
+        rebases = 0
+        while rebases < 2:
+            previous = after
+            table.delete(table.ids()[10:50])     # base ids, not yet written
+            append_rows(table, [0.5] * 40, prefix=f"r{table.version}")
+            after = table.snapshot()
+            overlay = after._locator._overlay
+            assert len(overlay) <= REBASE_FRACTION * len(after)
+            if after._locator._base is not previous._locator._base:
+                rebases += 1
+                assert not overlay
+            else:
+                assert len(overlay) == len(previous._locator._overlay) + 80
+        assert after.ids() == table.ids() and len(after) == len(table)
 
     def test_an_append_recomputes_only_the_means_writes_changed(self, big):
         session, table, maintainer = big
@@ -694,6 +755,32 @@ class TestChurnRebuild:
 
 
 class TestBoundedGrowth:
+    def test_a_write_and_query_leave_no_cyclic_garbage(self):
+        """With automatic collection off, a live write, its pin and a
+        query leave nothing only a cyclic collection could free: the
+        previously published tree goes when its last reader does."""
+        import gc
+
+        table = make_live_table(n_rows=2_000, seed=2)
+        session, _, _ = make_live_session(table, n_clusters=8)
+        binding = session._binding("t")
+        sql = "SELECT TOP 5 FROM t ORDER BY f BUDGET 200 BATCH 8 SEED 1"
+        session.execute(sql)
+        append_rows(table, [1.0], prefix="warm")
+        table.delete(table.ids()[:3])
+        binding.pin()
+        session.execute(sql)
+        gc.collect()
+        gc.disable()
+        try:
+            append_rows(table, [2.0], prefix="cold")
+            table.delete(table.ids()[5:9])
+            binding.pin()
+            session.execute(sql)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_soak_keeps_log_block_and_touched_log_bounded(self):
         """3 000 write -> query cycles on 2 000 rows (memo off: it is
         unbounded by design until ROADMAP 2(c))."""

@@ -12,7 +12,10 @@ everything against a model that is nothing but an insertion-ordered dict
   ``feature_of``, ``fetch_batch`` and the unknown-id errors;
 * after every query (one ``advance``) the maintained tree passes the full
   ``ClusterTree.validate()``, its leaves hold exactly the live ids,
-  ``_leaf_of`` and the per-leaf member dicts agree with them, ``_sum`` /
+  ``_leaf_of`` and the per-leaf chunks agree with them (chunks of
+  :data:`CHUNK` members here, so leaves span several: none empty or
+  over-full, each published tuple current, and a published chunked
+  leaf made of exactly those tuples), ``_sum`` /
   ``_count`` match a recomputation from the model, the write log holds
   nothing the binding has pulled, and an unbudgeted query returns the
   brute-force top-k.
@@ -31,14 +34,18 @@ from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize,
                                  invariant, precondition, rule)
 
+import repro.live.maintenance as maintenance
 from repro.errors import ConfigurationError
 from repro.index.builder import IndexConfig
+from repro.index.tree import ChunkedMembers
 from repro.live import LiveTable
 from repro.scoring.base import FunctionScorer
 from repro.session import OpaqueQuerySession
 
 DIM = 3
 K = 4
+#: Members per chunk of a maintained leaf in these runs.
+CHUNK = 2
 SQL = f"SELECT TOP {K} FROM t ORDER BY f BATCH 4 SEED 2"
 
 #: Small integers: sums of them are exact, so aggregates compare tightly.
@@ -63,6 +70,11 @@ class LiveTableMachine(RuleBasedStateMachine):
         self.pinned = []
         self.pending = 0        # writes the binding has not pulled yet
         self.maintainer = None
+        self.chunk_size = maintenance.CHUNK_SIZE
+        maintenance.CHUNK_SIZE = CHUNK
+
+    def teardown(self):
+        maintenance.CHUNK_SIZE = self.chunk_size
 
     def _fresh(self, rows):
         """Ids never seen before and scores no other element has."""
@@ -162,9 +174,20 @@ class LiveTableMachine(RuleBasedStateMachine):
         assert set(maintainer._leaf_of) == set(self.model)
         assert set(maintainer._members_of) == {leaf.node_id for leaf in leaves}
         for leaf in leaves:
-            assert tuple(maintainer._members_of[leaf.node_id]) == leaf.member_ids
-            for member in leaf.member_ids:
-                assert maintainer._leaf_of[member] == leaf.node_id
+            chunks = maintainer._members_of[leaf.node_id]
+            assert tuple(member for chunk in chunks
+                         for member in chunk.members) == tuple(leaf.member_ids)
+            for chunk in chunks:
+                assert 0 < len(chunk.members) <= CHUNK
+                assert chunk.leaf == leaf.node_id
+                assert chunk.frozen == tuple(chunk.members)
+                for member in chunk.members:
+                    assert maintainer._leaf_of[member] is chunk
+            if isinstance(leaf.member_ids, ChunkedMembers):
+                published = leaf.member_ids.chunks
+                assert len(published) == len(chunks)
+                assert all(part is chunk.frozen
+                           for part, chunk in zip(published, chunks))
         nodes = tree.nodes()
         assert set(maintainer._sum) == set(maintainer._count) == {
             node.node_id for node in nodes}

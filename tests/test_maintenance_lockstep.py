@@ -13,6 +13,13 @@ running sum, and the mean routing would read from it, must be equal
 byte for byte.  No two nodes' sum buffers may share memory, since the
 maintainer adds to them in place.
 
+Leaf membership is not part of what the reference keeps: its insert
+enlists the new member through the chunk layout (``_enlist``) and reads
+the leaf's size off ``_count``, as the maintainer does.  The streams run
+with chunks of :data:`CHUNK` members, so leaves span several chunks,
+and the two maintainers' chunks must hold the same members; published
+members are compared as tuples.
+
 The seeded write streams mix, within one ``advance``, append bursts
 aimed at one cluster (leaves overflow and split, split children split
 again), updates that move rows across the space, deletes that empty a
@@ -29,6 +36,7 @@ from typing import Callable, Dict, List, Optional, Set
 import numpy as np
 import pytest
 
+import repro.live.maintenance as maintenance
 from repro.errors import ConfigurationError
 from repro.index.builder import IndexConfig, build_index
 from repro.index.tree import ClusterNode
@@ -38,6 +46,13 @@ N_ROWS = 400
 DIM = 4
 N_CLUSTERS = 8
 STEPS = 30
+#: Members per chunk in these streams: leaves of ~50 span many chunks.
+CHUNK = 5
+
+
+@pytest.fixture(autouse=True)
+def small_chunks(monkeypatch):
+    monkeypatch.setattr(maintenance, "CHUNK_SIZE", CHUNK)
 
 
 class ReferenceMaintainer(IndexMaintainer):
@@ -70,11 +85,9 @@ class ReferenceMaintainer(IndexMaintainer):
             if best is None:
                 best = node.children[0]
             node = best
-        members = self._members_of[node.node_id]
-        members[element_id] = None
-        self._leaf_of[element_id] = node.node_id
+        self._enlist(node.node_id, element_id)
         self._bump(node.node_id, parent, row, +1, touched)
-        if len(members) > self.max_leaf_size:
+        if self._count[node.node_id] > self.max_leaf_size:
             self._split(node, nodes, parent, touched, rows_of)
 
     def _bump(self, node_id: str, parent: Dict[str, Optional[str]],
@@ -197,7 +210,12 @@ class Stream:
 
 def structure(node: ClusterNode) -> tuple:
     return (node.node_id, tuple(child.node_id for child in node.children),
-            node.member_ids)
+            tuple(node.member_ids))
+
+
+def chunk_layout(maintainer) -> dict:
+    return {leaf: [tuple(chunk.members) for chunk in chunks]
+            for leaf, chunks in maintainer._members_of.items()}
 
 
 def assert_lockstep(reports, maintainers) -> None:
@@ -208,11 +226,14 @@ def assert_lockstep(reports, maintainers) -> None:
     assert (json.dumps(reference.tree.to_dict())
             == json.dumps(current.tree.to_dict()))
     assert reference._count == current._count
-    assert reference._leaf_of == current._leaf_of
-    assert ({leaf: list(members)
-             for leaf, members in reference._members_of.items()}
-            == {leaf: list(members)
-                for leaf, members in current._members_of.items()})
+    assert ({member: chunk.leaf
+             for member, chunk in reference._leaf_of.items()}
+            == {member: chunk.leaf
+                for member, chunk in current._leaf_of.items()})
+    assert chunk_layout(reference) == chunk_layout(current)
+    assert max((len(chunk.members) for chunks in
+                current._members_of.values() for chunk in chunks),
+               default=0) <= CHUNK
     assert list(reference._sum) == list(current._sum)
     for node_id, total in reference._sum.items():
         assert total.tobytes() == current._sum[node_id].tobytes(), node_id
