@@ -97,37 +97,35 @@ class TableBinding:
                 self.memo.apply_writes(delta.ids, delta.version)
         return snapshot
 
-    def pin(self) -> Tuple[Dataset, int, Optional[str]]:
-        """``(dataset, version, index freshness)`` for one query to read.
+    def pin(self) -> Tuple[Dataset, int, Optional[str],
+                           Optional[ClusterTree]]:
+        """``(dataset, version, index freshness, index)`` for one query.
 
-        A static table is ``(dataset, 0, None)``.  A live table first
-        reconciles against its write log, then pins an immutable
-        snapshot — concurrent writers can no longer change what the
-        query reads.
+        A static table is ``(dataset, 0, None, None)``: its index never
+        changes and is built on the first :meth:`index_for`.  A live
+        table first reconciles against its write log, then pins an
+        immutable snapshot and the maintained tree of that same version
+        — concurrent writers can no longer change what the query reads,
+        nor the tree it draws from (published trees are never mutated,
+        and their leaves' row slots name the rows of the snapshot's own
+        storage, compactions included).
         """
         if not self.live:
-            return self.dataset, 0, None
+            return self.dataset, 0, None, None
         with self._lock:
             snapshot = self._reconcile()
-            return snapshot, snapshot.version, self.maintainer.freshness
+            return (snapshot, snapshot.version, self.maintainer.freshness,
+                    self.maintainer.tree)
 
-    def index_for(self, version: int = 0,
-                  dataset: Optional[Dataset] = None) -> ClusterTree:
-        """The table's index, built once, as of a :meth:`pin`.
-
-        When a write committed between the pin and this call, the
-        maintained tree has moved on: the query gets a one-off tree over
-        its pinned ``dataset`` instead — its snapshot-isolated answer,
-        uncached.
-        """
+    def index_for(self) -> ClusterTree:
+        """The table's current index: a static table's, built once; a
+        live table's maintained tree, reconciled first."""
         with self._lock:
             if not self.live:
                 if self._index is None:
                     self._index = self._build(self.dataset)
                 return self._index
             self._reconcile()
-            if dataset is not None and version != self.maintainer.version:
-                return self._build(dataset)
             return self.maintainer.tree
 
     def memo_view(self, fingerprint: str, version: int) -> MemoView:

@@ -5,33 +5,17 @@ distribution; "in practice, Alice samples listings from each cluster without
 replacement" (Section 2.3).  :class:`ArmState` implements the practical
 behaviour with O(1) swap-pop draws.
 
-The arm does not copy its leaf.  It reads the leaf's immutable
-``member_ids`` in place — a tuple, or the
-:class:`~repro.index.tree.ChunkedMembers` a maintained live leaf is
-published as — and keeps a sparse *swap map* of the positions a draw
-displaced: position ``i`` holds ``moved.get(i, source[i])``, and drawing
-position ``i`` moves the tail into slot ``i`` — the swap-pop of a list,
-on the same generator calls, so the draw order and the
-:meth:`~ArmState.peek_members` order are those of a list copy.  Over
-chunks a batch resolves its picks in one vectorised pass
-(:meth:`~repro.index.tree.ChunkedMembers.gather`) and its tails, which
-are contiguous, chunk by chunk; the positions and the generator calls
-are the tuple's.  That costs ~15 us more per ``BATCH 64`` draw than a
-tuple read, so an arm that has drawn :data:`FLATTEN_AFTER` of its leaf
-switches to the leaf's flat tuple
-(:meth:`~repro.index.tree.ChunkedMembers.flat`, built once per
-published leaf and kept; later arms over the leaf start on it): the
-exploited leaf draws most of a query's batches (41 of 63 on
-``live-append``), and one copy of a 3000-member leaf, with the gen-0
-pass over it, costs ~55 us, about four chunked batches.
-
-Setting up an arm is O(1) and a query's arms cost O(draws): the map holds
-at most ``min(draws, remaining)`` entries.  Drawing a cluster of ``n`` to
-exhaustion is where it peaks, near ``n / 4`` entries when half is drawn
-(simulated), so an exhaustive run holds up to about twice the memory of a
-list copy for a while (a ``BATCH 64`` run through a 100k-member, 32-leaf
-tree peaks at 2.0 MB under ``tracemalloc``, against 0.9 MB with list
-copies); a budget far below ``n`` holds a few entries.
+Setting up an arm is O(1): it reads its leaf's immutable ``member_ids``
+in place — a :class:`~repro.index.tree.LeafMembers`, an int array of
+slots plus the list that maps a slot to its id.  Its first draw copies
+the slots (a memcpy, 4 bytes a member, one object to the cyclic GC) and
+every draw swap-pops that copy: drawing position ``i`` moves the tail
+slot into position ``i`` — a list's swap-pop, on the same generator
+calls, so the draw order and the :meth:`~ArmState.peek_members` order
+are those of a list copy of the ids.  Draws deal in slots throughout;
+the picks become ids once, at the end of a draw.  Every tree's leaves
+are this one type (built, restored, restricted, shard and maintained
+live trees), so there is one draw loop.
 
 One hot-path affordance: ``draw_batch`` consumes the generator with a
 *single* rng call for the whole batch (a vectorized partial Fisher-Yates
@@ -42,17 +26,13 @@ bit.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Union
+from typing import Iterable, List
 
 import numpy as np
 
 from repro.errors import ExhaustedError
-from repro.index.tree import ChunkedMembers
+from repro.index.tree import LeafMembers
 from repro.utils.rng import SeedLike, as_generator
-
-#: Share of a chunked leaf an arm draws before it reads the leaf's flat
-#: tuple instead (see the module docstring).
-FLATTEN_AFTER = 1 / 16
 
 
 class ArmState:
@@ -63,9 +43,9 @@ class ArmState:
     arm_id:
         Stable identifier of the cluster (matches the index's leaf id).
     member_ids:
-        Element IDs belonging to this cluster.  A tuple or a
-        :class:`~repro.index.tree.ChunkedMembers` (a leaf's
-        ``member_ids``) is read in place, never copied.
+        Element IDs belonging to this cluster.  A
+        :class:`~repro.index.tree.LeafMembers` (a leaf's ``member_ids``)
+        is read in place, never copied; other sequences are read into one.
     rng:
         Seed or generator for the draw order.
     """
@@ -74,16 +54,27 @@ class ArmState:
                  rng: SeedLike = None) -> None:
         self.arm_id = arm_id
         #: The cluster's members as constructed (restore checks against it).
-        self.member_ids = _frozen(member_ids)
+        self.member_ids = LeafMembers.of(member_ids)
         self._rng = as_generator(rng)
         self.n_drawn = 0
         self.reset(self.member_ids)
 
     def reset(self, member_ids: Iterable[str]) -> None:
         """Make ``member_ids``, in that order, the undrawn members."""
-        self._source = _frozen(member_ids)
-        self._moved: Dict[int, str] = {}
+        members = LeafMembers.of(member_ids)
+        #: The undrawn slots are ``_source[:_n]``, and ``_names`` names
+        #: them.  A leaf's own slots are copied before the first draw
+        #: writes; slots read from a plain list of ids are the arm's own.
+        self._source = members.slots
+        self._names = members.names
+        self._owned = members is not member_ids
         self._n = len(self._source)
+
+    def _own(self):
+        """Copy the leaf's slots before the first draw writes to them."""
+        self._source = self._source[:]
+        self._owned = True
+        return self._source
 
     def __len__(self) -> int:
         return self._n
@@ -102,19 +93,17 @@ class ArmState:
         """Draw one member uniformly at random, removing it (O(1)).
 
         Position ``i`` is taken and the tail position moves into its
-        slot: a list's swap-pop, on the swap map.
+        slot: a list's swap-pop, on the arm's copy of the slots.
         """
         if not self._n:
             raise ExhaustedError(f"arm {self.arm_id!r} is exhausted")
         i = int(self._rng.integers(self._n))
         self._n = last = self._n - 1
         self.n_drawn += 1
-        moved, source = self._moved, self._source
-        picked = moved.get(i, source[i])
-        tail = moved.pop(last, source[last])
-        if i != last:
-            moved[i] = tail
-        return picked
+        source = self._source if self._owned else self._own()
+        picked = source[i]
+        source[i] = source[last]
+        return self._names[picked]
 
     def draw_batch(self, size: int) -> List[str]:
         """Draw up to ``size`` members (fewer if the arm runs dry).
@@ -135,46 +124,21 @@ class ArmState:
         # floor(U * bounds) is uniform over [0, bounds) up to a 2^-53
         # rounding bias; one generator call for the whole batch.
         positions = (self._rng.random(take) * bounds).astype(np.int64)
-        moved, source = self._moved, self._source
-        if (type(source) is not tuple
-                and self.n_drawn >= FLATTEN_AFTER * len(source)):
-            source = self._source = source.flat()
-        batch: List[str] = []
+        source = self._source if self._owned else self._own()
+        picks: List[int] = []
+        pick = picks.append
         last = n
-        if type(source) is tuple:
-            for i in positions.tolist():  # draw()'s swap-pop, in turn
-                last -= 1
-                batch.append(moved.get(i, source[i]))
-                tail = moved.pop(last, source[last])
-                if i != last:
-                    moved[i] = tail
-        else:   # the same, with picks and tails read from chunks first
-            tails = source.span(n - take, n)
-            tails.reverse()
-            for i, pick, at_last in zip(positions.tolist(),
-                                        source.gather(positions), tails):
-                last -= 1
-                batch.append(moved.get(i, pick))
-                tail = moved.pop(last, at_last)
-                if i != last:
-                    moved[i] = tail
+        for i in positions.tolist():  # draw()'s swap-pop, in turn
+            last -= 1
+            pick(source[i])
+            source[i] = source[last]
         self._n = n - take
         self.n_drawn += take
-        return batch
+        return list(map(self._names.__getitem__, picks))
 
     def peek_members(self) -> tuple:
         """The not-yet-drawn member IDs, in the order a list swap-pop
         would hold them.  Not a test helper: the policy's ``state()``
         snapshots and ``remaining_ids()`` (the uniform-scan fallback)
         read it, so the order is part of the seeded behaviour."""
-        moved = self._moved
-        return tuple([moved.get(i, member)
-                      for i, member in zip(range(self._n), self._source)])
-
-
-def _frozen(member_ids: Iterable[str]) -> Union[tuple, ChunkedMembers]:
-    """``member_ids`` as an immutable sequence: a tuple, unless chunked
-    and no reader has flattened the leaf yet."""
-    if isinstance(member_ids, ChunkedMembers):
-        return member_ids.flattened or member_ids
-    return tuple(member_ids)
+        return tuple(map(self._names.__getitem__, self._source[:self._n]))

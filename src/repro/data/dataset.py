@@ -7,8 +7,9 @@ of arbitrary type."  :class:`Dataset` is that contract; everything else in
 the library addresses elements only by ID.
 
 One layout serves every table the library owns: a feature block, an
-object list parallel to it, and an ``id -> row`` :class:`Locator` whose
-order is the id order.  :class:`TableSnapshot` reads it; a static
+object list and an id list parallel to it (``row_ids``: the id each block
+row was written for), and an ``id -> row`` :class:`Locator` whose order
+is the id order.  :class:`TableSnapshot` reads it; a static
 :class:`InMemoryDataset` is a snapshot at version 0 over a block nobody
 writes, and a :class:`~repro.live.table.LiveTable` hands out snapshots
 of its own append-only block.
@@ -245,8 +246,9 @@ class Dataset(ABC):
 class TableSnapshot(Dataset):
     """An immutable view of one table version.
 
-    Reads a feature ``block`` and ``object_rows`` parallel to it, none of
-    whose rows in use is ever written again, through a :class:`Locator`
+    Reads a feature ``block``, and ``object_rows`` and ``row_ids``
+    parallel to it, none of whose rows in use is ever written again,
+    through a :class:`Locator`
     whose order is :meth:`ids`: a live table's snapshot shares the table's
     base dict and owns a copy of its overlay, a static table's has an
     empty overlay.  A live table's snapshot shares the table's
@@ -258,13 +260,34 @@ class TableSnapshot(Dataset):
     """
 
     def __init__(self, block: np.ndarray, object_rows: List[Any],
-                 locator: Locator, version: int, table: str = "") -> None:
+                 locator: Locator, version: int, table: str = "",
+                 row_ids: Optional[List[str]] = None) -> None:
         self._block = block
         self._object_rows = object_rows
         self._locator = locator
+        self._row_ids = row_ids
         self._features: Optional[np.ndarray] = None
         self.version = int(version)
         self.table = table
+
+    @property
+    def block(self) -> np.ndarray:
+        """The feature block: row ``r`` holds the features ``row_ids[r]``
+        was written with (read-only when live)."""
+        return self._block
+
+    @property
+    def row_ids(self) -> List[str]:
+        """The id each block row was written for; a live table's is
+        shared by its snapshots and only ever appended to.  A static
+        table's rows are its ids in order, listed on first use."""
+        if self._row_ids is None:
+            self._row_ids = self._locator.ids()
+        return self._row_ids
+
+    def rows_of(self, element_ids: Sequence[str]) -> List[int]:
+        """The block rows of ``element_ids``, in the order given."""
+        return self._locator.rows(element_ids)
 
     def ids(self) -> List[str]:
         return self._locator.ids()

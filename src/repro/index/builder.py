@@ -25,7 +25,8 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.index.hac import Linkage, agglomerate, merges_to_children
 from repro.index.kmeans import KMeans, Rows, rows_by_label
-from repro.index.tree import ClusterNode, ClusterTree
+from repro.index.tree import (ClusterNode, ClusterTree, LeafMembers,
+                              int_array)
 from repro.utils.rng import SeedLike, as_generator
 
 
@@ -122,11 +123,12 @@ def build_index(features: np.ndarray, ids: Sequence[str], config: IndexConfig,
     assert centroids is not None
 
     # Drop clusters that received no members during full assignment.
-    id_array = np.asarray(ids, dtype=object)
+    # Every leaf's slots index one shared tuple of the ids.
+    names = tuple(ids.astype(object) if isinstance(ids, np.ndarray) else ids)
     leaf_nodes: Dict[int, ClusterNode] = {
         label: ClusterNode(
             node_id=f"leaf-{label}",
-            member_ids=tuple(id_array[rows]),
+            member_ids=LeafMembers(int_array(rows), names),
             centroid=centroids[label].copy(),
         )
         for label, rows in enumerate(rows_by_label(labels, config.n_clusters))

@@ -5,15 +5,22 @@ JSON file" (Section 3.2.6).  :class:`ClusterTree` is the in-memory form: an
 arbitrary-fanout tree whose leaves own disjoint sets of element IDs and
 whose internal nodes group similar leaves (built from the HAC dendrogram).
 :meth:`ClusterTree.to_dict` is that file's content.
+
+A leaf holds its members as :class:`LeafMembers`: an int array of slots
+into a list of ids (a built tree's leaves share one).  Every tree has that
+one representation — built, flat, read from JSON, restricted, a shard's,
+or maintained over a live table, where a slot is the element's block row
+(:mod:`repro.live.maintenance`) — and the bandit's arms draw slots
+(:mod:`repro.core.arms`).  Readers past the arm see ids only: iteration,
+indexing and the JSON document are the ids, in member order.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from array import array
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -23,84 +30,57 @@ from repro.persist import NULL, read
 TREE_FORMAT = "repro-cluster-tree/1"
 
 
-class ChunkedMembers(SequenceABC):
-    """A leaf's members as a tuple of chunk tuples, read as one sequence.
+def int_array(rows) -> array:
+    """``rows`` (ints, a numpy array included) as an ``array('i')``."""
+    return array("i", np.asarray(rows, dtype=np.intc).tobytes())
 
-    Incremental maintenance (:mod:`repro.live.maintenance`) publishes a
-    live leaf this way: a write batch rebuilds only the chunks it wrote
-    and the new sequence shares every other chunk tuple with the old.
-    Chunk ``c`` holds positions ``ends[c] - len(chunks[c])`` up to
-    ``ends[c] - 1``; empty chunks are allowed.  It reads like the flat
-    tuple (length, iteration, indexing), holds no per-member state of
-    its own, and :meth:`gather` resolves many positions in one
-    vectorised pass.  :meth:`flat` is the flat tuple, built on demand for
-    a reader that reads the leaf often enough to make one copy worth it.
+
+class LeafMembers(SequenceABC):
+    """A leaf's members: int slots into a shared list of element ids.
+
+    ``slots`` is an ``array('i')``, in member order; ``names`` maps a
+    slot to its id and may be shared by many leaves (a built tree's id
+    tuple, or a live table's row -> id list, whose slots are block rows).
+    Names are only ever appended to, so a published leaf keeps reading
+    the ids it was built with.  It reads like the tuple of its
+    ids (length, iteration, indexing, slicing, equality) while holding
+    4 bytes per member that the cyclic GC never traverses.
     """
 
-    __slots__ = ("chunks", "ends", "_bounds", "_flat")
+    __slots__ = ("slots", "names")
 
-    def __init__(self, chunks: Tuple[Tuple[str, ...], ...]) -> None:
-        self.chunks = chunks
-        #: One past each chunk's last position.
-        self.ends = tuple(accumulate(map(len, chunks)))
-        #: ``ends`` and each chunk's first position as arrays, for
-        #: :meth:`gather`; made by its first call.
-        self._bounds: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._flat: Optional[Tuple[str, ...]] = None
+    def __init__(self, slots: array, names: Sequence[str]) -> None:
+        self.slots = slots
+        self.names = names
+
+    @classmethod
+    def of(cls, members: Iterable[str]) -> "LeafMembers":
+        """``members`` itself if it is one, else over its own id tuple."""
+        if type(members) is cls:
+            return members
+        names = tuple(members)
+        return cls(int_array(np.arange(len(names))), names)
 
     def __len__(self) -> int:
-        return self.ends[-1] if self.ends else 0
+        return len(self.slots)
 
     def __iter__(self) -> Iterator[str]:
-        return chain.from_iterable(self.chunks)
+        return map(self.names.__getitem__, self.slots)
 
-    def __getitem__(self, index: int) -> str:
-        if index < 0:
-            index += len(self)
-        if not 0 <= index < len(self):
-            raise IndexError("member index out of range")
-        chunk = bisect_right(self.ends, index)
-        # Negative: the position counted back from the chunk's end.
-        return self.chunks[chunk][index - self.ends[chunk]]
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self.names.__getitem__, self.slots[index]))
+        return self.names[self.slots[index]]
 
-    def span(self, start: int, stop: int) -> List[str]:
-        """Members ``start`` to ``stop - 1``, sliced chunk by chunk."""
-        members: List[str] = []
-        chunks, ends = self.chunks, self.ends
-        chunk = bisect_right(ends, start)
-        while start < stop:
-            piece = chunks[chunk]
-            offset = ends[chunk] - len(piece)
-            piece = piece[start - offset:stop - offset]
-            members.extend(piece)
-            start += len(piece)
-            chunk += 1
-        return members
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (LeafMembers, tuple, list)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
 
-    def flat(self) -> Tuple[str, ...]:
-        """The members as one tuple, built on the first call and kept."""
-        if self._flat is None:
-            self._flat = tuple(chain.from_iterable(self.chunks))
-        return self._flat
+    __hash__ = None  # type: ignore[assignment]
 
-    @property
-    def flattened(self) -> Optional[Tuple[str, ...]]:
-        """The tuple :meth:`flat` built, if a reader has asked for it."""
-        return self._flat
-
-    def gather(self, positions: np.ndarray) -> List[str]:
-        """The members at ``positions`` (an int array), in that order:
-        one vectorised search for their chunks, then one read each."""
-        if self._bounds is None:
-            ends = np.array(self.ends, dtype=np.int64)
-            self._bounds = ends, ends - np.fromiter(
-                map(len, self.chunks), dtype=np.int64, count=len(ends))
-        ends, starts = self._bounds
-        which = np.searchsorted(ends, positions, side="right")
-        within = (positions - starts[which]).tolist()
-        chunks = self.chunks
-        return [chunks[chunk][at]
-                for chunk, at in zip(which.tolist(), within)]
+    def __repr__(self) -> str:
+        return f"LeafMembers({tuple(self)!r})"
 
 
 @dataclass
@@ -108,14 +88,17 @@ class ClusterNode:
     """One node of the cluster tree.
 
     Leaves carry ``member_ids`` (the element IDs of one k-means cluster,
-    a tuple or, on a maintained live tree, a :class:`ChunkedMembers`)
-    and the cluster ``centroid``; internal nodes carry only children.
+    as :class:`LeafMembers`; any other sequence of ids given is read into
+    one) and the cluster ``centroid``; internal nodes carry only children.
     """
 
     node_id: str
     children: List["ClusterNode"] = field(default_factory=list)
-    member_ids: tuple = ()
+    member_ids: LeafMembers = ()  # type: ignore[assignment]
     centroid: Optional[np.ndarray] = None
+
+    def __post_init__(self) -> None:
+        self.member_ids = LeafMembers.of(self.member_ids)
 
     @property
     def is_leaf(self) -> bool:
@@ -170,7 +153,7 @@ class ClusterNode:
             node_id=payload["node_id"],
             children=[cls.from_dict(child)
                       for child in payload.get("children") or ()],
-            member_ids=tuple(payload.get("member_ids") or ()),
+            member_ids=payload.get("member_ids") or (),
             centroid=None if centroid is None else np.asarray(centroid,
                                                               dtype=float),
         )
@@ -208,7 +191,7 @@ class ClusterTree:
         children = [
             ClusterNode(
                 node_id=cluster_id,
-                member_ids=tuple(member_ids),
+                member_ids=member_ids,
                 centroid=None if centroids is None else centroids.get(cluster_id),
             )
             for cluster_id, member_ids in clusters.items()
@@ -253,12 +236,13 @@ class ClusterTree:
 
         def prune(node: ClusterNode) -> Optional[ClusterNode]:
             if node.is_leaf:
-                members = tuple(member for member in node.member_ids
-                                if member in allowed_set)
-                if not members:
+                names = node.member_ids.names
+                slots = array("i", [slot for slot in node.member_ids.slots
+                                    if names[slot] in allowed_set])
+                if not slots:
                     return None
                 return ClusterNode(node_id=node.node_id,
-                                   member_ids=members,
+                                   member_ids=LeafMembers(slots, names),
                                    centroid=node.centroid)
             children = [kept for kept in map(prune, node.children)
                         if kept is not None]

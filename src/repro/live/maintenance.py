@@ -15,8 +15,8 @@ k-means + HAC per write:
 * **deletes** shrink leaves and prune emptied subtrees.
 
 Every ``advance`` publishes a *new* :class:`~repro.index.tree.ClusterTree`
-(nodes cloned, untouched members and chunk tuples shared) so engines
-that mirrored the previous tree keep a consistent structure — published
+(nodes cloned, untouched leaves' members shared) so engines that
+mirrored the previous tree keep a consistent structure — published
 trees are never mutated in place.  The report names every touched node
 so the session can dirty exactly the affected histogram priors (the
 gain-cache invalidation hooks fire inside the engines automatically
@@ -30,24 +30,27 @@ bump, prune or rebuild changes the node's sum, so an insert divides
 again only the means earlier writes moved.  A bump adds ``sign * row``
 to each ancestor's sum in place; no two nodes share a sum buffer.
 
-Leaf membership is kept in chunks: each leaf is a list of
-insertion-ordered chunks of at most :data:`CHUNK_SIZE` members (dicts:
-O(1) insert and removal), ``_leaf_of`` maps an element to its chunk, an
-append goes to the leaf's last chunk and a delete to the chunk that
-holds the element.  A touched leaf is published as a
-:class:`~repro.index.tree.ChunkedMembers` that rebuilds only the tuples
-of the chunks this batch wrote and shares every other chunk's tuple
-with the previous tree, in the same member order a single dict per leaf
-would give.  So an ``advance`` republishes the slots of the chunks it
-wrote, not the leaves: on the ``live-append`` benchmark a write batch
-(100 random deletes, 100 appends) touches nearly every leaf (a median
-of 32 of the 33) but rebuilds a median of 119 of ~800 chunks, 13k slots
-of 100k.  The published tree skips
-:meth:`ClusterTree.validate <repro.index.tree.ClusterTree.validate>`'s
+Leaf membership is kept in the table's block rows, the slots of a
+:class:`~repro.index.tree.LeafMembers` over the table's row -> id list:
+each leaf is an insertion-ordered ``array('i')`` of rows (``_rows``) and
+one int array maps a row to the leaf that holds it (``_leaf_at``, -1 for
+none); nothing is keyed per element.  An append adds its row at the end
+of its leaf.  A delete marks its row in ``_leaf_at`` only: the row stays
+in the leaf's array until the leaf is next read (published or split),
+when one vectorised pass drops every row ``_leaf_at`` no longer places
+there — the order a dict per leaf would give.  A split reads its
+members' features as ``block[rows]`` straight from the delta's block
+(rows are never rewritten, so mid-batch reads need no bookkeeping).  A
+touched leaf is published as a copy of its array (a memcpy of 4 bytes a
+member; one object to the cyclic GC), every untouched leaf's
+members are shared with the previous tree, and the delta of a commit
+that compacted the table renumbers every array through its old -> new
+row map, in log order, and republishes every leaf.  The published tree
+skips :meth:`ClusterTree.validate <repro.index.tree.ClusterTree.validate>`'s
 pass over every member: node ids are unique by construction of the node
-map, no element sits in two leaves because ``_leaf_of`` says where each
-one is, and the empty-leaf and members-only-at-leaves rules are checked
-on the touched nodes.  Builds and rebuilds still validate in full.
+map, no element sits in two leaves because ``_leaf_at`` gives each row
+one, and the empty-leaf and members-only-at-leaves rules are checked on
+the touched nodes.  Builds and rebuilds still validate in full.
 
 When cumulative churn since the last build exceeds
 ``rebuild_threshold`` of the table, ``advance`` falls back to a full
@@ -60,41 +63,20 @@ query answers are identical to a fresh rebuild's.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
-from dataclasses import dataclass, field
-from typing import (Callable, Deque, Dict, List, Optional, Sequence, Set,
-                    Tuple)
+from array import array
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.data.dataset import TableSnapshot
 from repro.errors import ConfigurationError
-from repro.index.tree import ChunkedMembers, ClusterNode, ClusterTree
+from repro.index.tree import ClusterNode, ClusterTree, LeafMembers, int_array
 from repro.live.table import WriteDelta
 from repro.obs.metrics import INDEX_SPLITS_TOTAL
 
 #: Advance reports retained in :attr:`IndexMaintainer.touched_log`.
 MAX_TOUCHED_LOG = 128
-
-#: Most members one chunk of a maintained leaf holds: a write batch
-#: republishes at most this many slots per chunk it wrote.
-CHUNK_SIZE = 128
-
-
-class _Chunk:
-    """Consecutive members of one leaf, in member order.
-
-    The members are the keys of a dict (O(1) insert and removal);
-    ``frozen`` is their tuple as published, ``None`` once a write has
-    changed them since.
-    """
-
-    __slots__ = ("leaf", "members", "frozen")
-
-    def __init__(self, leaf: str, members: Tuple[str, ...] = ()) -> None:
-        self.leaf = leaf
-        self.members: Dict[str, None] = dict.fromkeys(members)
-        self.frozen: Optional[Tuple[str, ...]] = members
 
 
 @dataclass
@@ -166,13 +148,16 @@ class IndexMaintainer:
         #: dropped whenever the node's sum changes (a split changes none:
         #: the leaf keeps its sum and the children's ids are new).
         self._means: Dict[str, np.ndarray] = {}
-        #: element id -> the chunk that holds it (``chunk.leaf`` is its leaf).
-        self._leaf_of: Dict[str, _Chunk] = {}
-        #: leaf id -> its chunks, in member order, none of them empty.
-        #: Appends go to the last one until it holds ``CHUNK_SIZE``; a
-        #: written chunk's tuple is rebuilt once, when the tree is
-        #: published, and every other chunk's tuple is shared.
-        self._members_of: Dict[str, List[_Chunk]] = {}
+        #: leaf id -> its members' block rows, in insertion order; rows
+        #: deleted since the leaf was last read linger until then.
+        self._rows: Dict[str, array] = {}
+        #: block row -> code of the leaf that holds it, -1 for none.
+        self._leaf_at = np.full(0, -1, dtype=np.int32)
+        #: leaf id -> its code, and code -> leaf id.
+        self._codes: Dict[str, int] = {}
+        self._leaf_ids: List[str] = []
+        #: Leaves whose ``_rows`` may hold rows deleted since.
+        self._stale: Set[str] = set()
         self._attach_aggregates(snapshot)
 
     @property
@@ -193,10 +178,9 @@ class IndexMaintainer:
                 snapshot: TableSnapshot) -> MaintenanceReport:
         """Fold committed deltas in; publish a new tree at ``snapshot``.
 
-        ``snapshot`` must be the table state *after* the last delta —
-        the rebuild fallback reads it, and so do split feature lookups
-        for every member no later delta of this batch rewrites (see
-        :meth:`_rows_as_indexed`).
+        ``snapshot`` must be the table state *after* the last delta:
+        the rebuild fallback reads it, and the published leaves name
+        their rows through its row -> id list.
         """
         report = MaintenanceReport(version_from=self.version,
                                    version_to=snapshot.version)
@@ -217,44 +201,37 @@ class IndexMaintainer:
         nodes, parent, root = self._clone()
         touched: Set[str] = set()
         splits_before = self.n_splits
-        # Rows this batch has yet to overwrite or remove, oldest first:
-        # until its delta is applied, the tree still indexes the element
-        # under that row, which the post-batch snapshot no longer holds.
-        superseded: Dict[str, Deque[np.ndarray]] = defaultdict(deque)
+        renumbered = False
         for delta in deltas:
-            if delta.old_rows is not None:
-                for element_id, old in zip(delta.ids, delta.old_rows):
-                    superseded[element_id].append(old)
-
-        def rows_of(members: List[str]) -> np.ndarray:
-            return self._rows_as_indexed(members, snapshot, superseded)
-
-        for delta in deltas:
+            if delta.written:
+                self._reserve(delta.written[-1] + 1)
             if delta.kind == "append":
                 assert delta.rows is not None
-                for element_id, row in zip(delta.ids, delta.rows):
-                    self._insert(element_id, row, nodes, parent, root,
-                                 touched, rows_of)
+                for row, features in zip(delta.written, delta.rows):
+                    self._insert(row, features, nodes, parent, root,
+                                 touched, delta.block)
                     report.routed += 1
             elif delta.kind == "update":
                 assert delta.rows is not None and delta.old_rows is not None
-                for element_id, row, old in zip(delta.ids, delta.rows,
-                                                delta.old_rows):
-                    superseded[element_id].popleft()
-                    self._remove(element_id, old, nodes, parent, touched)
-                    self._insert(element_id, row, nodes, parent, root,
-                                 touched, rows_of)
+                for old_row, old, row, features in zip(
+                        delta.retired, delta.old_rows, delta.written,
+                        delta.rows):
+                    self._remove(old_row, old, nodes, parent, touched)
+                    self._insert(row, features, nodes, parent, root,
+                                 touched, delta.block)
                     report.routed += 1
             elif delta.kind == "delete":
                 assert delta.old_rows is not None
-                for element_id, old in zip(delta.ids, delta.old_rows):
-                    superseded[element_id].popleft()
-                    self._remove(element_id, old, nodes, parent, touched)
+                for old_row, old in zip(delta.retired, delta.old_rows):
+                    self._remove(old_row, old, nodes, parent, touched)
                     report.removed += 1
             else:  # pragma: no cover - the table only emits these kinds
                 raise ConfigurationError(f"unknown delta kind {delta.kind!r}")
+            if delta.remap is not None:
+                self._renumber(delta.remap)
+                renumbered = True
 
-        self._publish(touched, nodes, root)
+        self._publish(touched, nodes, root, snapshot.row_ids, renumbered)
         report.splits = self.n_splits - splits_before
         report.touched_nodes = tuple(sorted(touched))
         self.version = snapshot.version
@@ -286,25 +263,27 @@ class IndexMaintainer:
         self._sum.clear()
         self._count.clear()
         self._means.clear()
-        self._leaf_of.clear()
-        self._members_of.clear()
-
+        self._rows.clear()
+        self._codes.clear()
+        self._leaf_ids.clear()
+        self._stale.clear()
+        self._leaf_at = np.full(len(snapshot.block), -1, dtype=np.int32)
         self._fill(self._tree.root, snapshot)
 
     def _fill(self, node: ClusterNode,
               snapshot: TableSnapshot) -> Tuple[np.ndarray, int]:
-        """Aggregates and chunks of ``node``'s subtree; its sum and count."""
+        """Aggregates and rows of ``node``'s subtree; its sum and count."""
         if node.is_leaf:
-            members = tuple(node.member_ids)
-            if members:
-                total = snapshot.features_of(members).sum(axis=0)
+            rows = np.asarray(snapshot.rows_of(list(node.member_ids)),
+                              dtype=np.intp)
+            if len(rows):
+                total = snapshot.block[rows].sum(axis=0)
             else:
-                total = np.zeros(snapshot.features().shape[1] or 1,
-                                 dtype=float)
-            self._enlist_all(node.node_id, members)
+                total = np.zeros(snapshot.block.shape[1] or 1, dtype=float)
+            self._adopt(node.node_id, rows)
             self._sum[node.node_id] = total
-            self._count[node.node_id] = len(members)
-            return total, len(members)
+            self._count[node.node_id] = len(rows)
+            return total, len(rows)
         total, count = None, 0
         for child in node.children:
             child_sum, child_count = self._fill(child, snapshot)
@@ -355,94 +334,82 @@ class IndexMaintainer:
 
     # -- leaf membership -----------------------------------------------------
 
-    def _enlist_all(self, leaf_id: str, members: Tuple[str, ...]) -> None:
-        """Make ``members``, in that order, the whole of a leaf."""
-        chunks = [_Chunk(leaf_id, members[at:at + CHUNK_SIZE])
-                  for at in range(0, len(members), CHUNK_SIZE)]
-        for chunk in chunks:
-            self._leaf_of.update(dict.fromkeys(chunk.members, chunk))
-        self._members_of[leaf_id] = chunks
+    def _adopt(self, leaf_id: str, rows: np.ndarray) -> None:
+        """Make ``rows`` (block rows, in member order) the whole of a
+        leaf, under a new code."""
+        code = len(self._leaf_ids)
+        self._leaf_ids.append(leaf_id)
+        self._codes[leaf_id] = code
+        self._rows[leaf_id] = int_array(rows)
+        self._leaf_at[rows] = code
 
-    def _enlist(self, leaf_id: str, element_id: str) -> None:
-        """Add one member at the end of a leaf."""
-        chunks = self._members_of[leaf_id]
-        if not chunks or len(chunks[-1].members) >= CHUNK_SIZE:
-            chunks.append(_Chunk(leaf_id))
-        chunk = chunks[-1]
-        chunk.members[element_id] = None
-        chunk.frozen = None
-        self._leaf_of[element_id] = chunk
+    def _reserve(self, n_rows: int) -> None:
+        """Room in ``_leaf_at`` for rows below ``n_rows`` (doubling)."""
+        have = len(self._leaf_at)
+        if n_rows > have:
+            grown = np.full(max(n_rows, 2 * have), -1, dtype=np.int32)
+            grown[:have] = self._leaf_at
+            self._leaf_at = grown
 
-    def _delist(self, element_id: str) -> str:
-        """Take one member out of its leaf; returns the leaf id."""
-        chunk = self._leaf_of.pop(element_id, None)
-        if chunk is None:
-            raise ConfigurationError(
-                f"element {element_id!r} is not indexed")
-        del chunk.members[element_id]
-        chunk.frozen = None
-        if not chunk.members:
-            self._members_of[chunk.leaf].remove(chunk)
-        return chunk.leaf
+    def _delist(self, row: int) -> str:
+        """Take one row out of its leaf; returns the leaf id."""
+        code = int(self._leaf_at[row]) if row < len(self._leaf_at) else -1
+        if code < 0:
+            raise ConfigurationError(f"block row {row} is not indexed")
+        self._leaf_at[row] = -1
+        leaf_id = self._leaf_ids[code]
+        self._stale.add(leaf_id)
+        return leaf_id
 
-    def _published(self, leaf_id: str) -> ChunkedMembers:
-        """A leaf's members as chunk tuples, rebuilt where written."""
-        chunks = self._members_of[leaf_id]
-        for chunk in chunks:
-            if chunk.frozen is None:
-                chunk.frozen = tuple(chunk.members)
-        return ChunkedMembers(tuple([chunk.frozen for chunk in chunks]))
-
-    # -- incremental ops -----------------------------------------------------
-
-    @staticmethod
-    def _rows_as_indexed(members: List[str], snapshot: TableSnapshot,
-                         superseded: Dict[str, Deque[np.ndarray]],
-                         ) -> np.ndarray:
-        """Feature rows of ``members`` as the tree holds them mid-batch.
-
-        The post-batch ``snapshot`` is right for every member except
-        those a later delta of the same batch updates (different row) or
-        deletes (no row at all); for those, the next superseded row is.
-        """
-        stale = [position for position, member in enumerate(members)
-                 if superseded.get(member)]
-        if not stale:
-            return snapshot.features_of(members)
-        settled = [position for position, member in enumerate(members)
-                   if not superseded.get(member)]
-        first = superseded[members[stale[0]]][0]
-        rows = np.empty((len(members), len(first)), dtype=float)
-        if settled:
-            rows[settled] = snapshot.features_of(
-                [members[position] for position in settled])
-        for position in stale:
-            rows[position] = superseded[members[position]][0]
+    def _live_rows(self, leaf_id: str) -> array:
+        """A leaf's rows, with the ones deleted since dropped first."""
+        rows = self._rows[leaf_id]
+        if leaf_id in self._stale:
+            self._stale.discard(leaf_id)
+            held = np.frombuffer(rows, dtype=np.intc)
+            rows = self._rows[leaf_id] = int_array(
+                held[self._leaf_at[held] == self._codes[leaf_id]])
         return rows
 
+    def _renumber(self, remap: np.ndarray) -> None:
+        """Carry every leaf through a compaction's old -> new row map."""
+        leaf_at = np.full(int(np.count_nonzero(remap >= 0)), -1,
+                          dtype=np.int32)
+        for leaf_id, rows in self._rows.items():
+            # A deleted row still held is dead in the table: it maps to -1.
+            moved = remap[np.frombuffer(rows, dtype=np.intc)]
+            moved = moved[moved >= 0]
+            self._rows[leaf_id] = int_array(moved)
+            leaf_at[moved] = self._codes[leaf_id]
+        self._leaf_at = leaf_at
+        self._stale.clear()
+
     def _publish(self, touched: Set[str], nodes: Dict[str, ClusterNode],
-                 root: ClusterNode) -> None:
-        """Give each touched leaf its new members and wrap the tree.
+                 root: ClusterNode, names: Sequence[str],
+                 every_leaf: bool) -> None:
+        """Give each touched leaf (``every_leaf``: each leaf) a copy of
+        its rows over ``names`` and wrap the tree.
 
         Only the touched nodes are re-checked; the rest of what
         :meth:`ClusterTree.validate` checks holds without looking: node
         ids key ``nodes``, and an element is in one leaf because
-        ``_leaf_of`` maps it to one.
+        ``_leaf_at`` gives its row one.
         """
         alive = [nodes[node_id] for node_id in touched if node_id in nodes]
-        for node in alive:
+        for node in (root.iter_leaves() if every_leaf else alive):
             if node.is_leaf:
-                node.member_ids = self._published(node.node_id)
+                node.member_ids = LeafMembers(
+                    self._live_rows(node.node_id)[:], names)
         self._tree = ClusterTree.prevalidated(root, alive)
 
-    def _insert(self, element_id: str, row: np.ndarray,
+    # -- incremental ops -----------------------------------------------------
+
+    def _insert(self, row: int, features: np.ndarray,
                 nodes: Dict[str, ClusterNode],
                 parent: Dict[str, Optional[str]], root: ClusterNode,
-                touched: Set[str],
-                rows_of: Callable[[List[str]], np.ndarray]) -> None:
-        if element_id in self._leaf_of:
-            raise ConfigurationError(
-                f"element {element_id!r} is already indexed")
+                touched: Set[str], block: np.ndarray) -> None:
+        if self._leaf_at[row] >= 0:
+            raise ConfigurationError(f"block row {row} is already indexed")
         node = root
         while not node.is_leaf:
             best, best_dist = None, np.inf
@@ -450,25 +417,26 @@ class IndexMaintainer:
                 mean = self._mean(child.node_id)
                 if mean is None:
                     continue
-                diff = row - mean
+                diff = features - mean
                 dist = float(np.dot(diff, diff))
                 if dist < best_dist:
                     best, best_dist = child, dist
             if best is None:
                 best = node.children[0]
             node = best
-        self._enlist(node.node_id, element_id)
-        self._bump(node.node_id, parent, row, +1, touched)
+        self._rows[node.node_id].append(row)
+        self._leaf_at[row] = self._codes[node.node_id]
+        self._bump(node.node_id, parent, features, +1, touched)
         if self._count[node.node_id] > self.max_leaf_size:
-            self._split(node, nodes, parent, touched, rows_of)
+            self._split(node, nodes, parent, touched, block)
 
-    def _remove(self, element_id: str, old_row: np.ndarray,
+    def _remove(self, row: int, features: np.ndarray,
                 nodes: Dict[str, ClusterNode],
                 parent: Dict[str, Optional[str]],
                 touched: Set[str]) -> None:
-        leaf_id = self._delist(element_id)
-        self._bump(leaf_id, parent, old_row, -1, touched)
-        if not self._members_of[leaf_id]:
+        leaf_id = self._delist(row)
+        self._bump(leaf_id, parent, features, -1, touched)
+        if not self._count[leaf_id]:
             self._prune(nodes[leaf_id], nodes, parent, touched)
 
     def _bump(self, node_id: str, parent: Dict[str, Optional[str]],
@@ -492,7 +460,8 @@ class IndexMaintainer:
         while True:
             up_id = parent.get(node.node_id)
             if up_id is None:  # the root may stay empty: a leaf again
-                self._members_of.setdefault(node.node_id, [])
+                if node.node_id not in self._rows:
+                    self._adopt(node.node_id, np.empty(0, dtype=np.intp))
                 return
             up = nodes[up_id]
             up.children = [child for child in up.children
@@ -501,7 +470,9 @@ class IndexMaintainer:
             self._sum.pop(node.node_id, None)
             self._count.pop(node.node_id, None)
             self._means.pop(node.node_id, None)
-            self._members_of.pop(node.node_id, None)
+            self._rows.pop(node.node_id, None)
+            self._codes.pop(node.node_id, None)
+            self._stale.discard(node.node_id)
             nodes.pop(node.node_id, None)
             parent.pop(node.node_id, None)
             if up.children:
@@ -510,12 +481,13 @@ class IndexMaintainer:
 
     def _split(self, leaf: ClusterNode, nodes: Dict[str, ClusterNode],
                parent: Dict[str, Optional[str]], touched: Set[str],
-               rows_of: Callable[[List[str]], np.ndarray]) -> None:
+               block: np.ndarray) -> None:
         """Promote an overflowing leaf to an internal node with two
         children, assigned by deterministic farthest-pair 2-means."""
-        members = [member for chunk in self._members_of.pop(leaf.node_id)
-                   for member in chunk.members]
-        rows = rows_of(members)
+        members = np.frombuffer(self._live_rows(leaf.node_id),
+                                dtype=np.intc).astype(np.intp)
+        del self._rows[leaf.node_id], self._codes[leaf.node_id]
+        rows = block[members]
         mean = rows.mean(axis=0)
         seed_a = int(np.argmax(((rows - mean) ** 2).sum(axis=1)))
         seed_b = int(np.argmax(((rows - rows[seed_a]) ** 2).sum(axis=1)))
@@ -531,8 +503,7 @@ class IndexMaintainer:
                 half = len(members) // 2
                 mask = np.zeros(len(members), dtype=bool)
                 mask[:half] = True
-        groups = ([m for m, keep in zip(members, mask) if keep],
-                  [m for m, keep in zip(members, mask) if not keep])
+        groups = (members[mask], members[~mask])
         children = []
         for side, group in enumerate(groups):
             child_id = f"{leaf.node_id}.{side}"
@@ -545,10 +516,10 @@ class IndexMaintainer:
             parent[child_id] = leaf.node_id
             self._sum[child_id] = group_rows.sum(axis=0)
             self._count[child_id] = len(group)
-            self._enlist_all(child_id, tuple(group))
+            self._adopt(child_id, group)
             touched.add(child_id)
             children.append(child)
-        leaf.member_ids = ()
+        leaf.member_ids = LeafMembers.of(())
         leaf.centroid = None
         leaf.children = children
         touched.add(leaf.node_id)

@@ -10,25 +10,33 @@ maintenance, memo/prior/shard-cache invalidation, standing
 keeps only what some live cursor has not pulled yet.
 
 Snapshot isolation is structural, not locked-in-time: feature rows live
-in an append-only block with an object list parallel to it — an
-``update`` writes a *new* row and repoints the element's locator, it
-never mutates the old row in place — so a
+in an append-only block with an object list and an id list parallel to
+it — an ``update`` writes a *new* row and repoints the element's
+locator, it never mutates the old row in place — so a
 :class:`~repro.data.dataset.TableSnapshot` taken at version ``v`` (the
 layout a static :class:`~repro.data.dataset.InMemoryDataset` is, at
-version 0) *shares* the block and the object rows and keeps reading
-exactly the rows that were current at ``v`` no matter how many writes
-commit while a query over it is still in flight.  The ``id -> row``
-:class:`~repro.data.dataset.Locator` is a frozen base dict plus an
-overlay of the ids written since: a snapshot shares the base and copies
-the overlay, and once the overlay passes
+version 0) *shares* the block and the object and id rows and keeps
+reading exactly the rows that were current at ``v`` no matter how many
+writes commit while a query over it is still in flight.  The
+``id -> row`` :class:`~repro.data.dataset.Locator` is a frozen base dict
+plus an overlay of the ids written since: a snapshot shares the base and
+copies the overlay, and once the overlay passes
 :data:`~repro.data.dataset.REBASE_FRACTION` of the table one C-level
 copy and update folds it into a new base.  So a write costs its batch, a
 snapshot the ids written since the last rebase, and the aligned
 ``features()`` matrix is gathered only for whoever asks (index builds,
 ``WHERE`` masks).  When dead rows (deleted or superseded) outnumber live
-ones the table rewrites block, object rows and locator into fresh
-storage; pinned snapshots keep the old.  The table's own reads below go
-to the current version under its lock, without taking a snapshot.
+ones the commit rewrites block, object and id rows and locator into
+fresh storage; pinned snapshots keep the old.  The table's own reads
+below go to the current version under its lock, without taking a
+snapshot.
+
+A block row is also how the index names an element: each
+:class:`WriteDelta` lists the rows it wrote and retired, a maintained
+leaf is an int array of rows (:mod:`repro.live.maintenance`) read
+through the row -> id list, and the delta of a commit that compacted
+carries the old -> new row map, which the maintainer applies in log
+order.
 
 Writes are observable: each commit increments the process-wide
 ``writes_total{table, kind}`` counter and records a ``write[kind]``
@@ -63,6 +71,13 @@ class WriteDelta:
     ``rows`` are the new feature rows (``None`` for deletes);
     ``old_rows`` the rows the batch replaced (``None`` for appends) —
     incremental maintenance needs both to move centroid aggregates.
+    ``written`` and ``retired`` are the block rows of the same, aligned
+    with ``ids`` (empty where the features are ``None``), and ``block``
+    the table's block as the commit left it before any compaction: the
+    rows of this delta, and of every earlier one since the last
+    compaction, index it.  A commit that
+    compacted the table sets ``remap``, each old block row's new row (-1
+    for a dead one).
     """
 
     version: int
@@ -70,6 +85,10 @@ class WriteDelta:
     ids: Tuple[str, ...]
     rows: Optional[np.ndarray] = None
     old_rows: Optional[np.ndarray] = None
+    written: Sequence[int] = ()
+    retired: Sequence[int] = ()
+    remap: Optional[np.ndarray] = None
+    block: Optional[np.ndarray] = None
 
 
 class LogCursor:
@@ -135,12 +154,13 @@ class LiveTable(Dataset):
         check_finite_features(features, ids)
 
         self._dim = int(features.shape[1])
-        # Row r of the block and entry r of the object rows describe one
-        # element as of one write; both only ever grow at the end.
+        # Row r of the block and entry r of the object and id rows
+        # describe one element as of one write; all only grow at the end.
         self._block = np.empty((max(16, 2 * len(ids)), self._dim),
                                dtype=float)
         self._block[:len(ids)] = features
         self._object_rows: List[Any] = list(objects)
+        self._row_ids: List[str] = ids
         self._n_rows = len(ids)  # block rows in use, dead ones included
         #: live id -> its current row, in the table's id order (append
         #: adds at the end, update keeps the id's place).
@@ -175,8 +195,10 @@ class LiveTable(Dataset):
                 if element_id in self._locator:
                     raise ConfigurationError(
                         f"element id {element_id!r} already present")
-            self._locator.add(ids, self._write_rows(objects, rows))
-            return self._commit("append", ids, rows=rows, started=started)
+            written = self._write_rows(ids, objects, rows)
+            self._locator.add(ids, written)
+            return self._commit("append", ids, rows=rows, written=written,
+                                started=started)
 
     def update(self, ids: Sequence[str], features: np.ndarray,
                objects: Optional[Sequence[Any]] = None) -> int:
@@ -198,8 +220,10 @@ class LiveTable(Dataset):
                 objects = [self._object_rows[row] for row in old]
             # The old rows stay untouched for pinned snapshots; the
             # locator now points at freshly appended rows.
-            self._locator.move(ids, self._write_rows(objects, rows))
+            written = self._write_rows(ids, objects, rows)
+            self._locator.move(ids, written)
             return self._commit("update", ids, rows=rows, old_rows=old_rows,
+                                written=written, retired=old,
                                 started=started)
 
     def delete(self, ids: Sequence[str]) -> int:
@@ -211,10 +235,11 @@ class LiveTable(Dataset):
         if len(set(ids)) != len(ids):
             raise ConfigurationError("deleted ids must be unique")
         with self._cond:
-            old_rows = self._block[self._locator.rows(ids)]
+            old = self._locator.rows(ids)
+            old_rows = self._block[old]
             self._locator.drop(ids)
             return self._commit("delete", ids, old_rows=old_rows,
-                                started=started)
+                                retired=old, started=started)
 
     # -- read surface --------------------------------------------------------
 
@@ -232,7 +257,8 @@ class LiveTable(Dataset):
                 block.flags.writeable = False
                 self._snapshot_cache = TableSnapshot(
                     block, self._object_rows, self._locator.frozen(),
-                    version=self._version, table=self.name)
+                    version=self._version, table=self.name,
+                    row_ids=self._row_ids)
             return self._snapshot_cache
 
     def subscribe(self) -> LogCursor:
@@ -327,9 +353,10 @@ class LiveTable(Dataset):
         check_finite_features(rows, ids)
         return rows.copy()
 
-    def _write_rows(self, objects: Sequence[Any],
+    def _write_rows(self, ids: Sequence[str], objects: Sequence[Any],
                     rows: np.ndarray) -> range:
-        """Append the rows and their objects; the block rows they took."""
+        """Append the rows, their objects and ids; the block rows they
+        took."""
         base = self._n_rows
         needed = base + len(rows)
         if needed > len(self._block):
@@ -340,18 +367,21 @@ class LiveTable(Dataset):
             self._block = block
         self._block[base:needed] = rows
         self._object_rows.extend(objects)
+        self._row_ids.extend(ids)
         self._n_rows = needed
         return range(base, needed)
 
-    def _compact(self) -> None:
-        """Rewrite the live rows into fresh storage, in id order.
+    def _compact(self) -> np.ndarray:
+        """Rewrite the live rows into fresh storage, in id order; returns
+        each old row's new row (-1 for a dead one).
 
         Costs O(live rows) and runs once dead rows outnumber them, so a
         written row pays O(1) amortised; snapshots pinned before keep
-        the old block, object rows and their own locator.
+        the old block, object and id rows and their own locator.
         """
         ids = self._locator.ids()
-        rows = self._locator.row_array().tolist()
+        live = self._locator.row_array()
+        rows = live.tolist()
         # Room for the dead rows of the next round (it ends at 2 x live)
         # without growing the block first.
         block = np.empty((max(16, 3 * len(rows)), self._dim), dtype=float)
@@ -359,8 +389,12 @@ class LiveTable(Dataset):
         object_rows = self._object_rows
         self._block = block
         self._object_rows = [object_rows[row] for row in rows]
+        self._row_ids = ids
         self._locator = Locator(dict(zip(ids, range(len(rows)))))
+        remap = np.full(self._n_rows, -1, dtype=np.intp)
+        remap[live] = np.arange(len(rows))
         self._n_rows = len(rows)
+        return remap
 
     def _trim_log(self) -> None:
         """Drop the deltas every live cursor has already pulled."""
@@ -373,14 +407,18 @@ class LiveTable(Dataset):
     def _commit(self, kind: str, ids: Sequence[str], *,
                 rows: Optional[np.ndarray] = None,
                 old_rows: Optional[np.ndarray] = None,
+                written: Sequence[int] = (), retired: Sequence[int] = (),
                 started: float = 0.0) -> int:
         self._version += 1
         self._snapshot_cache = None
-        if self._n_rows > 2 * len(self._locator):
-            self._compact()
+        block = self._block[:self._n_rows]
+        block.flags.writeable = False
+        remap = (self._compact() if self._n_rows > 2 * len(self._locator)
+                 else None)
         self._deltas.append(WriteDelta(
             version=self._version, kind=kind, ids=tuple(ids),
-            rows=rows, old_rows=old_rows))
+            rows=rows, old_rows=old_rows, written=written,
+            retired=tuple(retired), remap=remap, block=block))
         self._write_counts[kind] += 1
         WRITES_TOTAL.inc(table=self.name, kind=kind)
         wall = max(0.0, time.perf_counter() - started)

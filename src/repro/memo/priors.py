@@ -17,6 +17,12 @@ node identity and content: the single-engine scope embeds the WHERE
 subset fingerprint (a restricted tree keeps node ids but changes leaf
 membership), and shard scopes embed worker id, worker count, root
 entropy, and subset — priors never cross structurally different trees.
+A finished query banks its engine's histograms as they are
+(:func:`harvest_histograms`: the bank rows, no copy), and a payload is
+built only when someone reads it — :meth:`PriorStore.get` (a warm
+start, or a shard spec) and :meth:`PriorStore.to_dict`.  Most queries
+bank priors that the next query on the same scope replaces unread, so
+most are never serialized.
 
 **Warm-starting is opt-in and is NOT bit-identical** — that is its
 point: preloaded histograms steer the very first descents, so a
@@ -30,7 +36,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, Optional
+from typing import Dict, Optional, Union
 
 from repro.errors import SerializationError
 from repro.persist import NULL, read
@@ -44,18 +50,36 @@ _FORMAT = "repro-priors/1"
 MAX_PRIOR_PAYLOADS = 32
 
 
-def harvest_priors(engine) -> Dict[str, dict]:
-    """``{node id -> histogram payload}`` for every node of a run engine.
+def harvest_histograms(engine) -> Dict[str, object]:
+    """``{node id -> histogram}`` for every node of a finished engine,
+    unserialized: :class:`PriorStore` builds payloads only when read.
 
     Only the default :class:`~repro.core.histogram.AdaptiveHistogram`
     sketch serializes; custom sketch factories yield an empty harvest
-    (warm-start silently unavailable, never wrong).
+    (warm-start silently unavailable, never wrong).  The engine must draw
+    no more: the histograms are its own, not copies.
     """
     from repro.core.histogram import AdaptiveHistogram
 
-    return {node_id: sketch.to_dict()
+    return {node_id: sketch
             for node_id, sketch in engine.policy.sketches().items()
             if isinstance(sketch, AdaptiveHistogram)}
+
+
+def harvest_priors(engine) -> Dict[str, dict]:
+    """``{node id -> histogram payload}`` for every node of a run engine
+    (:func:`harvest_histograms`, serialized)."""
+    return {node_id: histogram.to_dict()
+            for node_id, histogram in harvest_histograms(engine).items()}
+
+
+def _payloads(nodes: Dict[str, Union[dict, object]]) -> Dict[str, dict]:
+    """``nodes`` with every histogram still held replaced, in place, by
+    its payload."""
+    for node_id, prior in nodes.items():
+        if not isinstance(prior, dict):
+            nodes[node_id] = prior.to_dict()
+    return nodes
 
 
 def apply_priors(engine, priors: Dict[str, dict]) -> int:
@@ -99,9 +123,9 @@ class PriorStore:
 
     def __init__(self) -> None:
         self._lock = threading.RLock()
-        #: (fingerprint, scope) -> {node id -> histogram payload},
-        #: least recently used first.
-        self._priors: "OrderedDict[tuple, Dict[str, dict]]" = OrderedDict()
+        #: (fingerprint, scope) -> {node id -> histogram payload, or the
+        #: histogram itself until first read}, least recently used first.
+        self._priors: "OrderedDict[tuple, Dict[str, object]]" = OrderedDict()
 
     def __len__(self) -> int:
         with self._lock:
@@ -115,11 +139,14 @@ class PriorStore:
             priors = self._priors.get(key)
             if priors is not None:
                 self._priors.move_to_end(key)
+                _payloads(priors)
             return priors
 
     def put(self, fingerprint: str, scope: str,
-            priors: Dict[str, dict]) -> None:
-        """Store (replace) the harvest of one finished run."""
+            priors: Dict[str, object]) -> None:
+        """Store (replace) the harvest of one finished run: payloads
+        (:func:`harvest_priors`) or the histograms themselves
+        (:func:`harvest_histograms`), serialized when first read."""
         if not priors:
             return
         key = (str(fingerprint), str(scope))
@@ -166,7 +193,7 @@ class PriorStore:
                 "format": _FORMAT,
                 "priors": [
                     {"fingerprint": fingerprint, "scope": scope,
-                     "nodes": dict(nodes)}
+                     "nodes": dict(_payloads(nodes))}
                     for (fingerprint, scope), nodes in self._priors.items()
                 ],
             }

@@ -24,7 +24,7 @@ from repro.core.engine import EngineConfig, TopKEngine
 from repro.core.result import QueryResult, ResultBase
 from repro.memo.priors import (
     apply_priors,
-    harvest_priors,
+    harvest_histograms,
     shard_scope,
     single_scope,
 )
@@ -63,9 +63,10 @@ def run_single(plan: ExecutionPlan) -> ResultBase:
             n_explore=0, n_exploit=0, virtual_time=0.0,
             overhead_time=0.0, exhausted=True,
         )
-    # The index request carries the pinned version so a write racing the
-    # dispatch serves a one-off tree over exactly the pinned rows.
-    index = plan.binding.index_for(plan.table_version, plan.dataset)
+    # A live table's tree was pinned with its snapshot: a write racing
+    # the dispatch changes neither.
+    index = (plan.index if plan.index is not None
+             else plan.binding.index_for())
     if plan.allowed_ids is not None:
         index = index.restricted(plan.allowed_ids)
     engine = TopKEngine(
@@ -82,7 +83,7 @@ def run_single(plan: ExecutionPlan) -> ResultBase:
                             memo=_memo_view(plan), trace=plan.trace,
                             gate=plan.gate)
     if plan.cache_enabled:
-        plan.priors.put(plan.fingerprint, scope, harvest_priors(engine))
+        plan.priors.put(plan.fingerprint, scope, harvest_histograms(engine))
     return result
 
 
@@ -136,7 +137,7 @@ def shard_coordinator(plan: ExecutionPlan) -> Iterator[
         if plan.cache_enabled and plan.seed is not None and workers:
             for scope, worker in zip(scopes, workers):
                 plan.priors.put(plan.fingerprint, scope,
-                                harvest_priors(worker.engine))
+                                harvest_histograms(worker.engine))
         engine.close()
 
 

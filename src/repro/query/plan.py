@@ -408,6 +408,10 @@ class ExecutionPlan:
     #: (``built`` / ``incremental`` / ``rebuilt``); ``None`` for static
     #: tables, keeping the pinned EXPLAIN rendering unchanged for them.
     index_freshness: Optional[str] = None
+    #: Live tables only: the maintained tree of :attr:`table_version`,
+    #: pinned with the snapshot; ``None`` for static tables, whose one
+    #: index the binding builds on first use.
+    index: Optional[object] = None
 
     @property
     def table(self) -> str:

@@ -15,8 +15,8 @@ Five boundaries so far:
   (``repro/catalog.py``: ``pin`` / ``index_for`` / ``memo_view`` / ``info``
   / ``touched_since``), and nothing outside ``session.py`` reads a session's
   private attributes — dispatch gets what it needs on the ``ExecutionPlan``;
-* how a table stores its rows — the feature block, the object rows
-  parallel to it and the ``id -> row`` locator that snapshots share or
+* how a table stores its rows — the feature block, the object and id
+  rows parallel to it and the ``id -> row`` locator that snapshots share or
   copy — is known to ``repro/data/dataset.py`` (``TableSnapshot``, which a
   static ``InMemoryDataset`` is) and ``repro/live/table.py`` alone; the id
   lists, object dicts and row maps the locator made redundant are gone,
@@ -57,7 +57,7 @@ LAYOUT_NAMES = {
     r"\brecompute_remaining\b": {"core/hierarchical.py"},
     r"\bpath_to_root\b": {"core/hierarchical.py"},
     r"\bnote_drawn\b": {"core/hierarchical.py"},
-    # An arm's swap map over its leaf's tuple; the list copy is gone.
+    # An arm's swap map over its leaf's slots; the list copy is gone.
     r"\._(source|moved)\b": {"core/arms.py"},
     r"\._members\b": set(),
     # Reaching a node through the policy instead of importing its class.
@@ -94,6 +94,7 @@ TABLE_MODULES = {"data/dataset.py", "live/table.py"}
 LIVE_STORAGE_NAMES = {
     r"\b_block\b": TABLE_MODULES,
     r"\b_object_rows\b": TABLE_MODULES,
+    r"\b_row_ids\b": TABLE_MODULES,
     r"\b_locator\b": TABLE_MODULES,
 }
 
@@ -206,6 +207,10 @@ DELETED_NAMES = (
     # check and segment handle the process backend made unnecessary.
     "build_shard_specs", "validate_process_specs", "_release_shm",
     "_shm_table",
+    # The chunked leaf members and the flat-tuple switch that int slot
+    # arrays replaced: one member representation, one draw loop.
+    "ChunkedMembers", "FLATTEN_AFTER", "CHUNK_SIZE", "_Chunk",
+    "_rows_as_indexed",
 )
 
 

@@ -145,7 +145,7 @@ def test_copy_free_arm_draws_like_the_list_arm(size, seed, widths,
                                               round_trip_at):
     policy = policy_over(size, seed)
     arm = policy.node("c").arm
-    assert arm._source is arm.member_ids
+    assert arm._source is arm.member_ids.slots
     reference = ReferenceArmState("c", arm.member_ids,
                                   rng=copy.deepcopy(arm._rng))
     assert_lockstep(arm, reference, (), ())

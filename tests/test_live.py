@@ -472,12 +472,12 @@ class TestTableBinding:
 
         session, _ = make_session()
         binding = session._binding("t")
-        assert binding.pin() == (session.table("t"), 0, None)
+        assert binding.pin() == (session.table("t"), 0, None, None)
         assert binding.memo_view("fp", 0).reader_version is None
         assert binding.touched_since(0) == set()
         assert binding.info()["index_freshness"] == "unbuilt"
         tree = binding.index_for()
-        assert binding.index_for(0, session.table("t")) is tree
+        assert binding.index_for() is tree
         assert binding.info()["index_freshness"] == "static"
         with pytest.raises(ConfigurationError, match="unknown table 'nope'"):
             session.table("nope")
@@ -501,9 +501,10 @@ class TestTableBinding:
         fork_a, fork_b = session.fork(), session.fork()
         pins = [fork._binding("t").pin() for fork in (fork_a, fork_b)]
         assert sorted(calls) == ["advance", "apply_writes", "evict_stale"]
-        for snapshot, version, freshness in pins:
+        for snapshot, version, freshness, index in pins:
             assert version == snapshot.version == table.version == 1
             assert freshness == "incremental"
+            assert index is binding.maintainer.tree
             assert set(new_ids) <= set(snapshot.ids())
         assert binding.maintainer.version == binding.memo.table_version == 1
         assert len(binding.shard_cache) == 0        # version-0 partitions
@@ -513,18 +514,21 @@ class TestTableBinding:
         assert touched and touched == binding.touched_since(0)
         assert binding.touched_since(1) == set()
 
-    def test_stale_pin_gets_a_one_off_tree_over_the_pinned_rows(self):
+    def test_a_pin_holds_the_tree_of_its_version(self):
         session, _, table = make_live_session()
         binding = session._binding("t")
-        pinned, version, _ = binding.pin()
+        pinned, version, _, stale = binding.pin()
         new_ids = append_rows(table, [9.0])         # commits after the pin
-        stale = binding.index_for(version, pinned)
         members = {m for leaf in stale.leaves() for m in leaf.member_ids}
         assert members == set(pinned.ids()) and not members & set(new_ids)
-        # Uncached: the maintained tree moved on and serves the new pin.
-        fresh, now, _ = binding.pin()
-        current = binding.index_for(now, fresh)
-        assert current is binding.maintainer.tree is not stale
+        # The maintained tree moved on and serves the new pin; the old
+        # pin's tree is untouched.
+        fresh, now, _, current = binding.pin()
+        assert now == version + 1
+        assert current is binding.maintainer.tree is binding.index_for()
+        assert current is not stale
+        assert {m for leaf in stale.leaves()
+                for m in leaf.member_ids} == members
         assert set(new_ids) <= {m for leaf in current.leaves()
                                 for m in leaf.member_ids}
 
@@ -600,52 +604,58 @@ class TestWriteCost:
         assert [leaf.member_ids[-1] for leaf in changed] == new_ids
         assert len(maintainer.tree.leaves()) == len(old) == 8
 
-    def test_delete_delta_rebuilds_only_the_chunks_it_wrote(self, big):
-        from repro.index.tree import ChunkedMembers
-        from repro.live.maintenance import CHUNK_SIZE
+    def test_a_delete_shares_untouched_leaves_and_allocates_per_node(
+            self, big):
+        """Leaves a delete did not touch keep their members by identity;
+        a touched leaf is published as a fresh int array of its rows, one
+        object to the cyclic GC however many members it holds.  With
+        automatic collection off the advance leaves a few dozen new
+        tracked objects (the cloned nodes, the report), whether it
+        deletes ten members or a thousand."""
+        import gc
+        from array import array
 
         session, table, maintainer = big
         binding = session._binding("t")
-        old = {leaf.node_id: leaf.member_ids
-               for leaf in maintainer.tree.leaves()}
-        # The chunk tuples as of now (a fresh build's leaves are cut into
-        # them at attach), held so that identity means something.
-        before = [chunk.frozen for chunks in maintainer._members_of.values()
-                  for chunk in chunks]
-        doomed = table.ids()[::200]
-        assert len(doomed) == 100
+        leaves = maintainer.tree.leaves()
+        old = {leaf.node_id: leaf.member_ids for leaf in leaves}
+        hit = leaves[:3]
+        doomed = [m for leaf in hit for m in list(leaf.member_ids)[::4]]
+        assert len(doomed) > 1000
         gone = set(doomed)
         table.delete(doomed)
-        binding.pin()
+        gc.collect()
+        gc.disable()
+        try:
+            before = gc.get_count()[0]
+            binding.pin()
+            allocated = gc.get_count()[0] - before
+        finally:
+            gc.enable()
+        assert allocated < 100 < len(doomed) // 10
 
-        written = [part for part in before if gone.intersection(part)]
-        untouched = {id(part) for part in before
-                     if not gone.intersection(part)}
-        leaves = maintainer.tree.leaves()
-        assert all(isinstance(leaf.member_ids, ChunkedMembers)
-                   for leaf in leaves)
-        parts = [part for leaf in leaves for part in leaf.member_ids.chunks]
-        rebuilt = [part for part in parts if id(part) not in untouched]
-        # Every chunk the delete did not write is shared by identity ...
-        assert untouched <= {id(part) for part in parts}
-        # ... and what was rebuilt is at most the written chunks' slots.
-        assert 1 < len(written) and len(rebuilt) <= len(written)
-        assert sum(map(len, rebuilt)) <= len(written) * CHUNK_SIZE
-        for leaf in leaves:                         # order kept, ids gone
-            assert tuple(leaf.member_ids) == tuple(
-                m for m in old[leaf.node_id] if m not in gone)
+        touched = {leaf.node_id for leaf in hit}
+        for leaf in maintainer.tree.leaves():
+            members = leaf.member_ids
+            assert type(members.slots) is array
+            if leaf.node_id in touched:       # order kept, ids gone
+                assert members is not old[leaf.node_id]
+                assert tuple(members) == tuple(
+                    m for m in old[leaf.node_id] if m not in gone)
+            else:
+                assert members is old[leaf.node_id]
+                assert members.slots is old[leaf.node_id].slots
 
-        # An append writes the last chunk of the leaf it lands in.
-        old = {leaf.node_id: leaf.member_ids.chunks for leaf in leaves}
-        append_rows(table, [1.0])
+        # An append republishes the one leaf it lands in.
+        old = {leaf.node_id: leaf.member_ids
+               for leaf in maintainer.tree.leaves()}
+        new_ids = append_rows(table, [1.0])
         binding.pin()
-        changed = {leaf.node_id: leaf.member_ids.chunks
-                   for leaf in maintainer.tree.leaves()
-                   if leaf.member_ids.chunks != old[leaf.node_id]}
-        ((leaf_id, now),) = changed.items()
-        was = old[leaf_id]
-        assert len(now) in (len(was), len(was) + 1)
-        assert all(a is b for a, b in zip(now[:-1], was))
+        changed = [leaf for leaf in maintainer.tree.leaves()
+                   if leaf.member_ids is not old[leaf.node_id]]
+        assert len(changed) == 1
+        assert tuple(changed[0].member_ids) == tuple(
+            old[changed[0].node_id]) + tuple(new_ids)
 
     def test_a_snapshot_copies_the_overlay_not_the_locator(self, big):
         """A version shares the table's frozen base dict and copies only
@@ -812,7 +822,17 @@ class TestBoundedGrowth:
         assert len(table.deltas_since(0)) <= 8
         assert stats["rows_written"] <= 2 * stats["rows"] + 256
         assert len(table._block) <= 4 * stats["rows"]
-        assert len(session._binding("t").maintainer.touched_log) <= 128
+        maintainer = session._binding("t").maintainer
+        assert len(maintainer.touched_log) <= 128
+        # The row -> id list is the block's rows, the row -> leaf map at
+        # most twice that (it doubles as rows are written, and starts
+        # over at each compaction and rebuild), and the leaf codes those
+        # of the leaves since the last rebuild.
+        assert len(table.snapshot().row_ids) == stats["rows_written"]
+        assert len(maintainer._leaf_at) <= 2 * stats["rows_written"]
+        assert (len(maintainer._codes) == len(maintainer._rows)
+                == maintainer.tree.n_leaves())
+        assert len(maintainer._leaf_ids) <= 4 * maintainer.tree.n_leaves()
         fresh, _, _ = make_live_session(table, n_clusters=8)
         assert (session.execute(EXHAUSTIVE, use_cache=False).items
                 == fresh.execute(EXHAUSTIVE).items)

@@ -3,22 +3,24 @@
 A hypothesis state machine drives one ``LiveTable`` registered on a
 session with random append / update (with and without ``objects=``) /
 delete batches — several between queries, so one ``advance`` folds several
-deltas — pins snapshots at random points, forces compactions, and checks
-everything against a model that is nothing but an insertion-ordered dict
+deltas — pins snapshots at random points, forces compactions (rewriting
+every live row until a commit compacts, so the maintainer follows a
+compaction's row map between deltas), and checks everything against a
+model that is nothing but an insertion-ordered dict
 ``id -> (feature row, object)``:
 
 * after every step the table and every pinned snapshot still read exactly
   their version: ``ids()`` order, ``len``, ``features()``, ``features_of``,
   ``feature_of``, ``fetch_batch`` and the unknown-id errors;
 * after every query (one ``advance``) the maintained tree passes the full
-  ``ClusterTree.validate()``, its leaves hold exactly the live ids,
-  ``_leaf_of`` and the per-leaf chunks agree with them (chunks of
-  :data:`CHUNK` members here, so leaves span several: none empty or
-  over-full, each published tuple current, and a published chunked
-  leaf made of exactly those tuples), ``_sum`` /
-  ``_count`` match a recomputation from the model, the write log holds
-  nothing the binding has pulled, and an unbudgeted query returns the
-  brute-force top-k.
+  ``ClusterTree.validate()``, its leaves hold exactly the live ids, the
+  per-leaf row arrays and the row -> leaf map agree with them (every live
+  id's block row is in its leaf's array and mapped to that leaf, no
+  other row is mapped, and a leaf published over the table's row -> id
+  list has exactly its live rows as slots), ``_sum`` / ``_count`` match
+  a recomputation from the model, the write log holds nothing the
+  binding has pulled, and an unbudgeted query returns the brute-force
+  top-k.
 
 Scores are distinct by construction (a counter), so the top-k is unique.
 """
@@ -34,18 +36,14 @@ from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize,
                                  invariant, precondition, rule)
 
-import repro.live.maintenance as maintenance
 from repro.errors import ConfigurationError
 from repro.index.builder import IndexConfig
-from repro.index.tree import ChunkedMembers
 from repro.live import LiveTable
 from repro.scoring.base import FunctionScorer
 from repro.session import OpaqueQuerySession
 
 DIM = 3
 K = 4
-#: Members per chunk of a maintained leaf in these runs.
-CHUNK = 2
 SQL = f"SELECT TOP {K} FROM t ORDER BY f BATCH 4 SEED 2"
 
 #: Small integers: sums of them are exact, so aggregates compare tightly.
@@ -70,11 +68,6 @@ class LiveTableMachine(RuleBasedStateMachine):
         self.pinned = []
         self.pending = 0        # writes the binding has not pulled yet
         self.maintainer = None
-        self.chunk_size = maintenance.CHUNK_SIZE
-        maintenance.CHUNK_SIZE = CHUNK
-
-    def teardown(self):
-        maintenance.CHUNK_SIZE = self.chunk_size
 
     def _fresh(self, rows):
         """Ids never seen before and scores no other element has."""
@@ -142,8 +135,11 @@ class LiveTableMachine(RuleBasedStateMachine):
 
     @rule()
     def compact(self):
-        with self.table._lock:
-            self.table._compact()
+        """Rewrite every live row as it is until a commit compacts."""
+        while self.table.stats()["rows_written"] > len(self.model):
+            ids = list(self.model)
+            self.table.update(ids, self.table.features_of(ids))
+            self.pending += 1
         stats = self.table.stats()
         assert stats["rows_written"] == stats["rows"] == len(self.model)
 
@@ -171,23 +167,27 @@ class LiveTableMachine(RuleBasedStateMachine):
         leaves = tree.leaves()
         assert (sorted(m for leaf in leaves for m in leaf.member_ids)
                 == sorted(self.model))
-        assert set(maintainer._leaf_of) == set(self.model)
-        assert set(maintainer._members_of) == {leaf.node_id for leaf in leaves}
+        snapshot = self.table.snapshot()
+        names = snapshot.row_ids
+        leaf_at = maintainer._leaf_at
+        assert set(maintainer._rows) == {leaf.node_id for leaf in leaves}
+        # Publishing read every leaf a delete touched: none holds a
+        # deleted row any more.
+        assert not maintainer._stale
+        mapped = 0
         for leaf in leaves:
-            chunks = maintainer._members_of[leaf.node_id]
-            assert tuple(member for chunk in chunks
-                         for member in chunk.members) == tuple(leaf.member_ids)
-            for chunk in chunks:
-                assert 0 < len(chunk.members) <= CHUNK
-                assert chunk.leaf == leaf.node_id
-                assert chunk.frozen == tuple(chunk.members)
-                for member in chunk.members:
-                    assert maintainer._leaf_of[member] is chunk
-            if isinstance(leaf.member_ids, ChunkedMembers):
-                published = leaf.member_ids.chunks
-                assert len(published) == len(chunks)
-                assert all(part is chunk.frozen
-                           for part, chunk in zip(published, chunks))
+            code = maintainer._codes[leaf.node_id]
+            held = maintainer._rows[leaf.node_id].tolist()
+            assert len(set(held)) == len(held)
+            rows = [row for row in held if leaf_at[row] == code]
+            mapped += len(rows)
+            assert rows == held
+            assert tuple(names[row] for row in rows) == tuple(
+                leaf.member_ids)
+            assert rows == snapshot.rows_of(list(leaf.member_ids))
+            if leaf.member_ids.names is names:
+                assert leaf.member_ids.slots.tolist() == rows
+        assert mapped == int((leaf_at >= 0).sum()) == len(self.model)
         nodes = tree.nodes()
         assert set(maintainer._sum) == set(maintainer._count) == {
             node.node_id for node in nodes}

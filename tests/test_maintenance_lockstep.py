@@ -7,36 +7,38 @@ level of an insert, computed ``row - mean`` twice per distance and gave
 each ancestor a new sum array per bump.  That code is kept below
 verbatim, as methods of a subclass, and the two maintainers are driven
 side by side over one table: after every ``advance`` their published
-trees (node ids, child order, member tuples, centroids), reports,
-counts, leaf locators and member orders must be equal, and every node's
-running sum, and the mean routing would read from it, must be equal
-byte for byte.  No two nodes' sum buffers may share memory, since the
-maintainer adds to them in place.
+trees (node ids, child order, member ids, centroids), reports,
+counts, leaf row arrays and row -> leaf maps must be equal, and every
+node's running sum, and the mean routing would read from it, must be
+equal byte for byte.  No two nodes' sum buffers may share memory, since
+the maintainer adds to them in place.
 
 Leaf membership is not part of what the reference keeps: its insert
-enlists the new member through the chunk layout (``_enlist``) and reads
-the leaf's size off ``_count``, as the maintainer does.  The streams run
-with chunks of :data:`CHUNK` members, so leaves span several chunks,
-and the two maintainers' chunks must hold the same members; published
-members are compared as tuples.
+adds the new member's block row to its leaf's row array and
+``_leaf_at``, and reads the leaf's size off ``_count``, as the
+maintainer does.  The two maintainers' row arrays, codes and stale sets
+must be equal, and each published leaf must name exactly the live rows
+of its array (its slots *are* that array when it is over the table's
+row -> id list).
 
 The seeded write streams mix, within one ``advance``, append bursts
 aimed at one cluster (leaves overflow and split, split children split
 again), updates that move rows across the space, deletes that empty a
 whole leaf (it is pruned) and updates and deletes of rows the same
 ``advance`` appended; one stream crosses the churn threshold, so a full
-rebuild lands between incremental steps.
+rebuild lands between incremental steps, and one forces a compaction of
+the table midway, so an ``advance`` renumbers every leaf through the
+compaction's row map between two deltas.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Callable, Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 import numpy as np
 import pytest
 
-import repro.live.maintenance as maintenance
 from repro.errors import ConfigurationError
 from repro.index.builder import IndexConfig, build_index
 from repro.index.tree import ClusterNode
@@ -46,13 +48,6 @@ N_ROWS = 400
 DIM = 4
 N_CLUSTERS = 8
 STEPS = 30
-#: Members per chunk in these streams: leaves of ~50 span many chunks.
-CHUNK = 5
-
-
-@pytest.fixture(autouse=True)
-def small_chunks(monkeypatch):
-    monkeypatch.setattr(maintenance, "CHUNK_SIZE", CHUNK)
 
 
 class ReferenceMaintainer(IndexMaintainer):
@@ -64,14 +59,12 @@ class ReferenceMaintainer(IndexMaintainer):
             return None
         return self._sum[node_id] / count
 
-    def _insert(self, element_id: str, row: np.ndarray,
+    def _insert(self, slot: int, row: np.ndarray,
                 nodes: Dict[str, ClusterNode],
                 parent: Dict[str, Optional[str]], root: ClusterNode,
-                touched: Set[str],
-                rows_of: Callable[[List[str]], np.ndarray]) -> None:
-        if element_id in self._leaf_of:
-            raise ConfigurationError(
-                f"element {element_id!r} is already indexed")
+                touched: Set[str], block: np.ndarray) -> None:
+        if self._leaf_at[slot] >= 0:
+            raise ConfigurationError(f"block row {slot} is already indexed")
         node = root
         while not node.is_leaf:
             best, best_dist = None, np.inf
@@ -85,10 +78,11 @@ class ReferenceMaintainer(IndexMaintainer):
             if best is None:
                 best = node.children[0]
             node = best
-        self._enlist(node.node_id, element_id)
+        self._rows[node.node_id].append(slot)
+        self._leaf_at[slot] = self._codes[node.node_id]
         self._bump(node.node_id, parent, row, +1, touched)
         if self._count[node.node_id] > self.max_leaf_size:
-            self._split(node, nodes, parent, touched, rows_of)
+            self._split(node, nodes, parent, touched, block)
 
     def _bump(self, node_id: str, parent: Dict[str, Optional[str]],
               row: np.ndarray, sign: int, touched: Set[str]) -> None:
@@ -124,6 +118,7 @@ class Stream:
                  rebuild_threshold=rebuild_threshold)
             for kind in (ReferenceMaintainer, IndexMaintainer)]
         self.version = snapshot.version
+        self.compactions = 0
 
     def new_ids(self, n: int) -> List[str]:
         ids = [f"r{self.next_id + i:05d}" for i in range(n)]
@@ -182,8 +177,16 @@ class Stream:
             + [strays[i] for i in self.rng.choice(len(strays), 2,
                                                   replace=False)])
 
-    def step(self) -> None:
-        """One to four writes, then both maintainers fold them in."""
+    def compact(self) -> None:
+        """Rewrite every live row as it is until the table compacts."""
+        while all(delta.remap is None
+                  for delta in self.table.deltas_since(self.version)):
+            live = self.live()
+            self.table.update(live, self.table.features_of(live))
+
+    def step(self, compact: bool = False) -> None:
+        """One to four writes, then both maintainers fold them in
+        (``compact``: with a compaction forced between them)."""
         appended: List[str] = []
         for _ in range(int(self.rng.integers(1, 5))):
             roll = self.rng.random()
@@ -200,12 +203,16 @@ class Stream:
                 fresh = [m for m in appended if m in live]
                 (self.update if self.rng.random() < 0.5
                  else self.delete)(fresh)
+            if compact:
+                self.compact()
+                compact = False
         snapshot = self.table.snapshot()
         deltas = self.table.deltas_since(self.version)
+        self.compactions += sum(delta.remap is not None for delta in deltas)
         reports = [maintainer.advance(deltas, snapshot)
                    for maintainer in self.maintainers]
         self.version = snapshot.version
-        assert_lockstep(reports, self.maintainers)
+        assert_lockstep(reports, self.maintainers, snapshot)
 
 
 def structure(node: ClusterNode) -> tuple:
@@ -213,12 +220,18 @@ def structure(node: ClusterNode) -> tuple:
             tuple(node.member_ids))
 
 
-def chunk_layout(maintainer) -> dict:
-    return {leaf: [tuple(chunk.members) for chunk in chunks]
-            for leaf, chunks in maintainer._members_of.items()}
+def row_layout(maintainer) -> dict:
+    return {leaf: rows.tolist() for leaf, rows in maintainer._rows.items()}
 
 
-def assert_lockstep(reports, maintainers) -> None:
+def live_rows(maintainer, leaf: str) -> list:
+    """A leaf's rows less the deleted ones it still holds (read only)."""
+    code = maintainer._codes[leaf]
+    return [row for row in maintainer._rows[leaf]
+            if maintainer._leaf_at[row] == code]
+
+
+def assert_lockstep(reports, maintainers, snapshot) -> None:
     reference, current = maintainers
     assert reports[0] == reports[1]
     assert ([structure(node) for node in reference.tree.nodes()]
@@ -226,14 +239,17 @@ def assert_lockstep(reports, maintainers) -> None:
     assert (json.dumps(reference.tree.to_dict())
             == json.dumps(current.tree.to_dict()))
     assert reference._count == current._count
-    assert ({member: chunk.leaf
-             for member, chunk in reference._leaf_of.items()}
-            == {member: chunk.leaf
-                for member, chunk in current._leaf_of.items()})
-    assert chunk_layout(reference) == chunk_layout(current)
-    assert max((len(chunk.members) for chunks in
-                current._members_of.values() for chunk in chunks),
-               default=0) <= CHUNK
+    assert row_layout(reference) == row_layout(current)
+    assert reference._codes == current._codes
+    assert reference._stale == current._stale
+    assert reference._leaf_at.tobytes() == current._leaf_at.tobytes()
+    names = snapshot.row_ids
+    for leaf in current.tree.leaves():
+        rows = live_rows(current, leaf.node_id)
+        assert tuple(leaf.member_ids) == tuple(names[row] for row in rows)
+        assert current._count[leaf.node_id] == len(rows)
+        if leaf.member_ids.names is names:
+            assert leaf.member_ids.slots.tolist() == rows
     assert list(reference._sum) == list(current._sum)
     for node_id, total in reference._sum.items():
         assert total.tobytes() == current._sum[node_id].tobytes(), node_id
@@ -254,6 +270,20 @@ def test_incremental_streams_keep_every_bit(seed):
     reference, current = stream.maintainers
     assert current.n_rebuilds == 0 and current.n_splits >= 1
     assert current.n_splits == reference.n_splits
+
+
+def test_a_compaction_mid_stream_keeps_every_bit():
+    stream = Stream(8, rebuild_threshold=1e9)
+    for step in range(STEPS):
+        stream.step(compact=step == STEPS // 2)
+    reference, current = stream.maintainers
+    assert stream.compactions >= 1
+    assert current.n_rebuilds == 0 and current.n_splits >= 1
+    assert current.n_splits == reference.n_splits
+    # Every leaf was republished over the compacted table's row -> id list.
+    names = stream.table.snapshot().row_ids
+    assert all(leaf.member_ids.names is names
+               for leaf in current.tree.leaves())
 
 
 def test_a_churn_rebuild_between_steps_keeps_every_bit():

@@ -406,6 +406,57 @@ class TestWarmStartPriors:
                    for worker in range(2))
         assert len(session.execute(seeded, warm_start=True).items) == 3
 
+    #: Single and in-process sharded runs (deterministic ones: the
+    #: serial backend), each then warm-started.
+    BANKED = ("SELECT TOP 5 FROM t ORDER BY f BUDGET 40 SEED 3",
+              "SELECT TOP 5 FROM t ORDER BY f BUDGET 40 SEED 3 WORKERS 2",
+              "SELECT TOP 5 FROM t ORDER BY f BUDGET 40 SEED 3 WORKERS 2 "
+              "STREAM")
+
+    def test_lazy_priors_are_the_eager_harvest_byte_for_byte(
+            self, session_builder, monkeypatch):
+        """Banking the histograms and serializing them on read gives the
+        warm starts and the store document that serializing every harvest
+        at once gave."""
+        import json
+
+        import repro.query.executors as executors
+        from repro.memo.priors import harvest_priors
+
+        def drive():
+            session, _ = session_builder()
+            answers = []
+            for query in self.BANKED:
+                session.execute(query)
+                answers.append(session.execute(query, warm_start=True).items)
+            document = json.dumps(session._prior_stores["t"].to_dict())
+            return answers, document
+
+        lazy = drive()
+        monkeypatch.setattr(executors, "harvest_histograms", harvest_priors)
+        eager = drive()
+        assert lazy == eager
+        assert json.loads(lazy[1])["priors"]
+
+    def test_a_query_nobody_warm_starts_serializes_no_histogram(
+            self, session_builder, monkeypatch):
+        from repro.core.histogram import AdaptiveHistogram
+
+        calls = []
+        real = AdaptiveHistogram.to_dict
+        monkeypatch.setattr(AdaptiveHistogram, "to_dict",
+                            lambda self: calls.append(self) or real(self))
+        session, _ = session_builder()
+        for query in self.BANKED:
+            session.execute(query)
+            session.execute(query)          # replaces the banked harvest
+        store = session._prior_stores["t"]
+        # One single scope and two shard scopes (both engines share them).
+        assert len(store) == 3 and calls == []
+        store.drop_nodes(["root"])          # node ids are enough
+        assert calls == []
+        assert store.to_dict()["priors"] and calls   # built when read
+
     def test_priors_refuse_a_run_engine(self, memo_table):
         from repro.core.engine import EngineConfig, TopKEngine
         from repro.index.builder import IndexConfig, build_index

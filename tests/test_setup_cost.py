@@ -1,10 +1,10 @@
 """Per-query set-up is O(index nodes), not O(rows).
 
 The index is built once and is read-only at query time, so a query must
-not copy its member ids: each arm reads its leaf's ``member_ids`` tuple in
-place (:mod:`repro.core.arms`), and a warm sharded query takes its shard
-partitions from the index cache as the cached tuples themselves, without
-reading the table's whole id list.
+not copy its member ids: each arm reads its leaf's ``member_ids`` slot
+array in place (:mod:`repro.core.arms`), and a warm sharded query takes
+its shard partitions from the index cache as the cached tuples
+themselves, without reading the table's whole id list.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ def test_engine_setup_allocates_o_nodes_not_o_rows():
     assert engine.policy.remaining == ROWS
     for leaf in tree.leaves():
         assert engine.policy.node(leaf.node_id).arm._source \
-            is leaf.member_ids
+            is leaf.member_ids.slots
 
 
 class CountingDataset(Dataset):
