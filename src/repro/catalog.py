@@ -97,11 +97,11 @@ class TableBinding:
                 self.memo.apply_writes(delta.ids, delta.version)
         return snapshot
 
-    def pin(self) -> Tuple[Dataset, int, Optional[str],
-                           Optional[ClusterTree]]:
-        """``(dataset, version, index freshness, index)`` for one query.
+    def pin(self) -> Tuple[Dataset, Optional[str], Optional[ClusterTree]]:
+        """``(dataset, index freshness, index)`` for one query.
 
-        A static table is ``(dataset, 0, None, None)``: its index never
+        The dataset carries its own ``version``.  A static table is
+        ``(dataset, None, None)``, at version 0: its index never
         changes and is built on the first :meth:`index_for`.  A live
         table first reconciles against its write log, then pins an
         immutable snapshot and the maintained tree of that same version
@@ -111,11 +111,10 @@ class TableBinding:
         storage, compactions included).
         """
         if not self.live:
-            return self.dataset, 0, None, None
+            return self.dataset, None, None
         with self._lock:
             snapshot = self._reconcile()
-            return (snapshot, snapshot.version, self.maintainer.freshness,
-                    self.maintainer.tree)
+            return snapshot, self.maintainer.freshness, self.maintainer.tree
 
     def index_for(self) -> ClusterTree:
         """The table's current index: a static table's, built once; a

@@ -206,7 +206,13 @@ def _aligned(ids: Sequence[str], objects: Sequence[Any],
 
 
 class Dataset(ABC):
-    """A searchable collection of elements addressed by unique string IDs."""
+    """A searchable collection of elements addressed by unique string IDs.
+
+    ``version`` is the table version the rows belong to: 0 for a table
+    nobody writes, the latest committed write's for a live table.
+    """
+
+    version: int = 0
 
     @abstractmethod
     def ids(self) -> List[str]:
@@ -260,7 +266,7 @@ class TableSnapshot(Dataset):
     """
 
     def __init__(self, block: np.ndarray, object_rows: List[Any],
-                 locator: Locator, version: int, table: str = "",
+                 locator: Locator, version: int,
                  row_ids: Optional[List[str]] = None) -> None:
         self._block = block
         self._object_rows = object_rows
@@ -268,7 +274,6 @@ class TableSnapshot(Dataset):
         self._row_ids = row_ids
         self._features: Optional[np.ndarray] = None
         self.version = int(version)
-        self.table = table
 
     @property
     def block(self) -> np.ndarray:

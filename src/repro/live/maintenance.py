@@ -11,7 +11,7 @@ k-means + HAC per write:
 * **overflowing leaves split** into two children via a deterministic
   farthest-pair 2-means (``index_splits_total`` counts them);
 * **updates** re-route the element (remove with the old feature row,
-  insert with the new one);
+  insert with the new one; both are rows of the delta's block);
 * **deletes** shrink leaves and prune emptied subtrees.
 
 Every ``advance`` publishes a *new* :class:`~repro.index.tree.ClusterTree`
@@ -205,25 +205,19 @@ class IndexMaintainer:
         for delta in deltas:
             if delta.written:
                 self._reserve(delta.written[-1] + 1)
+            block = delta.block
             if delta.kind == "append":
-                assert delta.rows is not None
-                for row, features in zip(delta.written, delta.rows):
-                    self._insert(row, features, nodes, parent, root,
-                                 touched, delta.block)
+                for row in delta.written:
+                    self._insert(row, nodes, parent, root, touched, block)
                     report.routed += 1
             elif delta.kind == "update":
-                assert delta.rows is not None and delta.old_rows is not None
-                for old_row, old, row, features in zip(
-                        delta.retired, delta.old_rows, delta.written,
-                        delta.rows):
-                    self._remove(old_row, old, nodes, parent, touched)
-                    self._insert(row, features, nodes, parent, root,
-                                 touched, delta.block)
+                for old_row, row in zip(delta.retired, delta.written):
+                    self._remove(old_row, nodes, parent, touched, block)
+                    self._insert(row, nodes, parent, root, touched, block)
                     report.routed += 1
             elif delta.kind == "delete":
-                assert delta.old_rows is not None
-                for old_row, old in zip(delta.retired, delta.old_rows):
-                    self._remove(old_row, old, nodes, parent, touched)
+                for old_row in delta.retired:
+                    self._remove(old_row, nodes, parent, touched, block)
                     report.removed += 1
             else:  # pragma: no cover - the table only emits these kinds
                 raise ConfigurationError(f"unknown delta kind {delta.kind!r}")
@@ -404,12 +398,13 @@ class IndexMaintainer:
 
     # -- incremental ops -----------------------------------------------------
 
-    def _insert(self, row: int, features: np.ndarray,
-                nodes: Dict[str, ClusterNode],
+    def _insert(self, row: int, nodes: Dict[str, ClusterNode],
                 parent: Dict[str, Optional[str]], root: ClusterNode,
                 touched: Set[str], block: np.ndarray) -> None:
+        """Route block row ``row`` (features ``block[row]``) to a leaf."""
         if self._leaf_at[row] >= 0:
             raise ConfigurationError(f"block row {row} is already indexed")
+        features = block[row]
         node = root
         while not node.is_leaf:
             best, best_dist = None, np.inf
@@ -430,12 +425,13 @@ class IndexMaintainer:
         if self._count[node.node_id] > self.max_leaf_size:
             self._split(node, nodes, parent, touched, block)
 
-    def _remove(self, row: int, features: np.ndarray,
-                nodes: Dict[str, ClusterNode],
-                parent: Dict[str, Optional[str]],
-                touched: Set[str]) -> None:
+    def _remove(self, row: int, nodes: Dict[str, ClusterNode],
+                parent: Dict[str, Optional[str]], touched: Set[str],
+                block: np.ndarray) -> None:
+        """Take block row ``row`` (features ``block[row]``) out of its
+        leaf."""
         leaf_id = self._delist(row)
-        self._bump(leaf_id, parent, features, -1, touched)
+        self._bump(leaf_id, parent, block[row], -1, touched)
         if not self._count[leaf_id]:
             self._prune(nodes[leaf_id], nodes, parent, touched)
 

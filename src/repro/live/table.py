@@ -27,12 +27,14 @@ snapshot the ids written since the last rebase, and the aligned
 ``features()`` matrix is gathered only for whoever asks (index builds,
 ``WHERE`` masks).  When dead rows (deleted or superseded) outnumber live
 ones the commit rewrites block, object and id rows and locator into
-fresh storage; pinned snapshots keep the old.  The table's own reads
-below go to the current version under its lock, without taking a
-snapshot.
+fresh storage; pinned snapshots keep the old.  The table's own
+:class:`~repro.data.dataset.Dataset` reads go through
+:meth:`LiveTable.snapshot` of the current version, cached until the
+next commit: a table has one read path.
 
 A block row is also how the index names an element: each
-:class:`WriteDelta` lists the rows it wrote and retired, a maintained
+:class:`WriteDelta` lists the rows it wrote and retired, and carries the
+block that holds their features, a maintained
 leaf is an int array of rows (:mod:`repro.live.maintenance`) read
 through the row -> id list, and the delta of a commit that compacted
 carries the old -> new row map, which the maintainer applies in log
@@ -68,14 +70,13 @@ MAX_WRITE_SPANS = 64
 class WriteDelta:
     """One committed write batch, as replayed by downstream consumers.
 
-    ``rows`` are the new feature rows (``None`` for deletes);
-    ``old_rows`` the rows the batch replaced (``None`` for appends) —
-    incremental maintenance needs both to move centroid aggregates.
-    ``written`` and ``retired`` are the block rows of the same, aligned
-    with ``ids`` (empty where the features are ``None``), and ``block``
-    the table's block as the commit left it before any compaction: the
-    rows of this delta, and of every earlier one since the last
-    compaction, index it.  A commit that
+    ``written`` are the block rows the batch wrote (empty for deletes)
+    and ``retired`` the rows it replaced (empty for appends), aligned
+    with ``ids``; ``block`` is the table's block as the commit left it
+    before any compaction: the rows of this delta, and of every earlier
+    one since the last compaction, index it, so ``block[written]`` and
+    ``block[retired]`` are the new and old feature rows incremental
+    maintenance moves centroid aggregates by.  A commit that
     compacted the table sets ``remap``, each old block row's new row (-1
     for a dead one).
     """
@@ -83,8 +84,6 @@ class WriteDelta:
     version: int
     kind: str  # "append" | "update" | "delete"
     ids: Tuple[str, ...]
-    rows: Optional[np.ndarray] = None
-    old_rows: Optional[np.ndarray] = None
     written: Sequence[int] = ()
     retired: Sequence[int] = ()
     remap: Optional[np.ndarray] = None
@@ -197,7 +196,7 @@ class LiveTable(Dataset):
                         f"element id {element_id!r} already present")
             written = self._write_rows(ids, objects, rows)
             self._locator.add(ids, written)
-            return self._commit("append", ids, rows=rows, written=written,
+            return self._commit("append", ids, written=written,
                                 started=started)
 
     def update(self, ids: Sequence[str], features: np.ndarray,
@@ -215,16 +214,14 @@ class LiveTable(Dataset):
                 f"{len(ids)} ids for {len(objects)} objects")
         with self._cond:
             old = self._locator.rows(ids)
-            old_rows = self._block[old]
             if objects is None:
                 objects = [self._object_rows[row] for row in old]
             # The old rows stay untouched for pinned snapshots; the
             # locator now points at freshly appended rows.
             written = self._write_rows(ids, objects, rows)
             self._locator.move(ids, written)
-            return self._commit("update", ids, rows=rows, old_rows=old_rows,
-                                written=written, retired=old,
-                                started=started)
+            return self._commit("update", ids, written=written,
+                                retired=old, started=started)
 
     def delete(self, ids: Sequence[str]) -> int:
         """Remove elements; returns the new ``table_version``."""
@@ -236,10 +233,8 @@ class LiveTable(Dataset):
             raise ConfigurationError("deleted ids must be unique")
         with self._cond:
             old = self._locator.rows(ids)
-            old_rows = self._block[old]
             self._locator.drop(ids)
-            return self._commit("delete", ids, old_rows=old_rows,
-                                retired=old, started=started)
+            return self._commit("delete", ids, retired=old, started=started)
 
     # -- read surface --------------------------------------------------------
 
@@ -257,8 +252,7 @@ class LiveTable(Dataset):
                 block.flags.writeable = False
                 self._snapshot_cache = TableSnapshot(
                     block, self._object_rows, self._locator.frozen(),
-                    version=self._version, table=self.name,
-                    row_ids=self._row_ids)
+                    version=self._version, row_ids=self._row_ids)
             return self._snapshot_cache
 
     def subscribe(self) -> LogCursor:
@@ -310,20 +304,16 @@ class LiveTable(Dataset):
                 "writes": dict(self._write_counts),
             }
 
-    # -- Dataset protocol (reads the *current* version) ----------------------
+    # -- Dataset protocol (reads the snapshot of the current version) --------
 
     def ids(self) -> List[str]:
-        with self._lock:
-            return self._locator.ids()
+        return self.snapshot().ids()
 
     def fetch(self, element_id: str) -> Any:
         return self.fetch_batch((element_id,))[0]
 
     def fetch_batch(self, element_ids: Sequence[str]) -> List[Any]:
-        with self._lock:
-            object_rows = self._object_rows
-            return [object_rows[row]
-                    for row in self._locator.rows(element_ids)]
+        return self.snapshot().fetch_batch(element_ids)
 
     def features(self) -> np.ndarray:
         return self.snapshot().features()
@@ -332,12 +322,10 @@ class LiveTable(Dataset):
         return self.features_of((element_id,))[0]
 
     def features_of(self, element_ids: Sequence[str]) -> np.ndarray:
-        with self._lock:
-            return self._block[self._locator.rows(element_ids)]
+        return self.snapshot().features_of(element_ids)
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._locator)
+        return len(self.snapshot())
 
     # -- internals -----------------------------------------------------------
 
@@ -351,7 +339,8 @@ class LiveTable(Dataset):
                 f"expected a ({len(ids)}, {self._dim}) feature block, "
                 f"got {rows.shape}")
         check_finite_features(rows, ids)
-        return rows.copy()
+        # No copy: _write_rows copies the rows into the block.
+        return rows
 
     def _write_rows(self, ids: Sequence[str], objects: Sequence[Any],
                     rows: np.ndarray) -> range:
@@ -405,8 +394,6 @@ class LiveTable(Dataset):
             del self._deltas[:max(0, pulled - first + 1)]
 
     def _commit(self, kind: str, ids: Sequence[str], *,
-                rows: Optional[np.ndarray] = None,
-                old_rows: Optional[np.ndarray] = None,
                 written: Sequence[int] = (), retired: Sequence[int] = (),
                 started: float = 0.0) -> int:
         self._version += 1
@@ -417,8 +404,8 @@ class LiveTable(Dataset):
                  else None)
         self._deltas.append(WriteDelta(
             version=self._version, kind=kind, ids=tuple(ids),
-            rows=rows, old_rows=old_rows, written=written,
-            retired=tuple(retired), remap=remap, block=block))
+            written=written, retired=tuple(retired), remap=remap,
+            block=block))
         self._write_counts[kind] += 1
         WRITES_TOTAL.inc(table=self.name, kind=kind)
         wall = max(0.0, time.perf_counter() - started)

@@ -90,6 +90,13 @@ class ShardCoordinator:
     ----------
     dataset / scorer / k:
         The query, exactly as for :class:`~repro.core.engine.TopKEngine`.
+        The run is pinned to ``dataset.version`` (0 for immutable
+        datasets, a live table's snapshot's own version otherwise): it
+        keys the shard-index cache so partitions built at one version
+        never serve another, stamps every
+        :class:`~repro.parallel.worker.ShardSpec` and snapshot payload,
+        and is asserted against each arriving
+        :class:`~repro.parallel.worker.RoundOutcome`.
     n_workers:
         Number of shards.
     backend:
@@ -150,13 +157,6 @@ class ShardCoordinator:
         exhaustion).  Fully funded dispatches leave the schedule untouched
         — bit-identity is preserved; a partial grant is refunded whole and
         the run winds down.
-    table_version:
-        Version of the live-table snapshot this run executes against
-        (0 for immutable datasets).  Keys the shard-index cache so
-        partitions built at one version never serve another, stamps
-        every :class:`~repro.parallel.worker.ShardSpec` and snapshot
-        payload, and is asserted against each arriving
-        :class:`~repro.parallel.worker.RoundOutcome`.
     """
 
     #: ``"sharded"`` / ``"streaming"``: the metric label.
@@ -178,8 +178,7 @@ class ShardCoordinator:
                  memo=None,
                  priors: Optional[List[Optional[dict]]] = None,
                  trace: Optional[TraceContext] = None,
-                 gate=None,
-                 table_version: int = 0) -> None:
+                 gate=None) -> None:
         if n_workers <= 0:
             raise ConfigurationError(
                 f"n_workers must be positive, got {n_workers!r}"
@@ -213,7 +212,9 @@ class ShardCoordinator:
         self._priors = priors
         self._trace = trace
         self._gate = gate
-        self._table_version = int(table_version)
+        # Read once: every shard report is checked against the version
+        # the run started at.
+        self._table_version = int(dataset.version)
         self.backend: ShardBackend = (
             backend if isinstance(backend, ShardBackend)
             else make_backend(backend)
@@ -481,8 +482,7 @@ class ShardCoordinator:
                 index_config: Optional[IndexConfig] = None,
                 engine_config: Optional[EngineConfig] = None,
                 index_cache: Optional[ShardIndexCache] = None,
-                memo=None,
-                table_version: int = 0):
+                memo=None):
         """Rebuild a run from :meth:`snapshot` output.
 
         ``dataset`` must be the same immutable dataset, and
@@ -497,9 +497,9 @@ class ShardCoordinator:
         slice is merged into it (or, with no view supplied, revived into a
         standalone store) so the resumed run stays warm.
 
-        ``table_version`` must repeat the live-table version the run was
-        snapshotted against (0 for immutable datasets): a paused run
-        holds per-shard engine state valid only for the rows it saw, so
+        ``dataset.version`` must equal the table version the run was
+        snapshotted at (0 for immutable datasets): a paused run holds
+        per-shard engine state valid only for the rows it saw, so
         restoring it onto a table that has since committed writes is
         rejected rather than silently resumed against different data.
         So is a ``memo`` view of another UDF than the snapshot's slice,
@@ -524,10 +524,10 @@ class ShardCoordinator:
         for payload in workers:
             read(payload, TopKEngine._SNAPSHOT_FORMAT)
         stored_version = snapshot.get("table_version") or 0
-        if stored_version != int(table_version):
+        if stored_version != dataset.version:
             raise ConfigurationError(
                 f"snapshot was taken at table version {stored_version}, "
-                f"cannot restore against version {int(table_version)}")
+                f"cannot restore against version {dataset.version}")
         memo_payload = snapshot.get("memo")
         if memo_payload is not None:
             read(memo_payload, fmt, "memo", fingerprint=str, scores=dict)
@@ -551,7 +551,6 @@ class ShardCoordinator:
             index_cache=index_cache,
             ids=snapshot.get("ids"),
             memo=memo,
-            table_version=stored_version,
             **{name: snapshot.get(name) for name in cls._POLICY_FIELDS},
         )
         engine._resume_count = (snapshot.get("resume_count") or 0) + 1

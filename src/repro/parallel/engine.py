@@ -113,8 +113,8 @@ class ShardedTopKEngine(ShardCoordinator):
     **shards:
         Everything else — ``n_workers``, ``backend``, ``index_config``,
         ``engine_config``, ``share_threshold``, ``seed``, ``index_cache``,
-        ``ids``, ``memo``, ``priors``, ``trace``,
-        ``gate``, ``table_version`` — is documented once, on
+        ``ids``, ``memo``, ``priors``, ``trace`` and ``gate`` — is
+        documented once, on
         :class:`~repro.parallel.coordinator.ShardCoordinator`.
 
     With a ``trace``, each round opens a ``round[i]`` span and stitches

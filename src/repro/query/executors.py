@@ -119,7 +119,6 @@ def shard_coordinator(plan: ExecutionPlan) -> Iterator[
                  for scope in scopes] if plan.warm_start else None),
         trace=plan.trace,
         gate=plan.gate,
-        table_version=plan.table_version,
     )
     if plan.mode == "streaming":
         engine = StreamingTopKEngine(

@@ -401,9 +401,6 @@ class ExecutionPlan:
     subset: str = ""
     #: Scoring calls per shard between merges (the session's setting).
     sync_interval: int = 100
-    #: The pinned snapshot's ``table_version`` (0 for static tables);
-    #: keys the shard-index cache and the memo's MVCC validity checks.
-    table_version: int = 0
     #: Live tables only: how the index serving this plan was maintained
     #: (``built`` / ``incremental`` / ``rebuilt``); ``None`` for static
     #: tables, keeping the pinned EXPLAIN rendering unchanged for them.
@@ -417,6 +414,12 @@ class ExecutionPlan:
     def table(self) -> str:
         """Registered table name (from the logical plan)."""
         return self.query.table
+
+    @property
+    def table_version(self) -> int:
+        """The version of :attr:`dataset` (0 for static tables): the
+        memo's MVCC validity checks read it."""
+        return self.dataset.version
 
     @property
     def udf(self) -> str:

@@ -277,8 +277,8 @@ class OpaqueQuerySession:
         # A live table reconciles its write log here (index maintenance,
         # memo stamps, cache eviction) and pins this query to an
         # immutable snapshot; this fork's priors are dirtied to match.
-        dataset, table_version, index_freshness, index = binding.pin()
-        priors = self._prior_store_for(binding, table_version)
+        dataset, index_freshness, index = binding.pin()
+        priors = self._prior_store_for(binding, dataset.version)
         n_workers = logical.workers or 1
         streaming = bool(logical.stream or logical.every is not None
                          or logical.confidence is not None)
@@ -343,7 +343,6 @@ class OpaqueQuerySession:
             priors=priors,
             subset=subset_fingerprint(allowed_ids),
             sync_interval=self._sync_interval,
-            table_version=table_version,
             index_freshness=index_freshness,
             index=index,
         )

@@ -243,8 +243,8 @@ class StreamingTopKEngine(ShardCoordinator):
         Everything else — ``n_workers`` (1 is valid: a single shard still
         streams a snapshot every slice), ``backend``, ``index_config``,
         ``engine_config``, ``share_threshold``, ``seed``, ``index_cache``,
-        ``ids``, ``memo``, ``priors``, ``trace``,
-        ``gate``, ``table_version`` — is documented once, on
+        ``ids``, ``memo``, ``priors``, ``trace`` and ``gate`` — is
+        documented once, on
         :class:`~repro.parallel.coordinator.ShardCoordinator`.
 
     Memo hits charge full batch cost, so the serial backend's arrival

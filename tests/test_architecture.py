@@ -1,6 +1,6 @@
 """Module boundaries that the code must keep, checked on the source text.
 
-Five boundaries so far:
+Six boundaries so far:
 
 * the layout of the bandit's state — the node table, arms, parent rows, the
   leaf registry, who writes ``remaining`` — is known to
@@ -23,6 +23,11 @@ Five boundaries so far:
   not mirrored;
 * a persisted document's ``format`` is compared in ``repro/persist.py``
   alone: every reader goes through its ``read``;
+* a run's table version is its dataset's ``version``: only the shard
+  stamp, the shard-cache key, the memo's own version and the persisted
+  memo snapshot spell a ``table_version=`` assignment or keyword; the
+  binding's pin, the plan, the executors and the coordinators' signatures
+  do not thread it beside the dataset;
 * the public surface is what something uses: every name a package lists in
   ``__all__`` is spelled somewhere besides its own definition and the
   ``__init__.py`` files — in the library, a script or the docs (an entry in
@@ -105,6 +110,16 @@ FORMAT_READS = {
     r"[!=]=\s*[\w.]*FORMAT\b|FORMAT\s*[!=]=": {"persist.py"},
 }
 
+#: Same shape, for the table version: the stamp a shard spec and its
+#: outcome carry (``parallel/worker.py``), the coordinator that writes
+#: and checks it, the shard-cache key, the memo's own version and the
+#: persisted memo snapshot.
+VERSION_SPELLINGS = {
+    r"\btable_version\s*=": {
+        "parallel/worker.py", "parallel/coordinator.py", "parallel/cache.py",
+        "memo/store.py", "core/snapshot.py"},
+}
+
 
 def offenders(names):
     """``module: pattern`` for every spelling outside the owning modules."""
@@ -141,6 +156,10 @@ def test_live_storage_is_private_to_the_table_module():
 
 def test_only_the_persist_module_compares_a_format():
     assert not offenders(FORMAT_READS)
+
+
+def test_the_table_version_rides_the_dataset():
+    assert not offenders(VERSION_SPELLINGS)
 
 
 def test_static_table_block_is_the_callers_array():
@@ -211,6 +230,8 @@ DELETED_NAMES = (
     # arrays replaced: one member representation, one draw loop.
     "ChunkedMembers", "FLATTEN_AFTER", "CHUNK_SIZE", "_Chunk",
     "_rows_as_indexed",
+    # A write delta's copy of the rows its block already holds.
+    "old_rows",
 )
 
 

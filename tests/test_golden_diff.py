@@ -4,11 +4,19 @@ from __future__ import annotations
 
 import json
 import math
+import subprocess
 from pathlib import Path
 
 import pytest
 
-from tools.golden_diff import diff, main, report, ulp_distance
+from tools.golden_diff import (
+    against,
+    diff,
+    main,
+    refusals,
+    report,
+    ulp_distance,
+)
 
 DATA = Path(__file__).parent / "data"
 GOLDENS = sorted(DATA.glob("golden_*.json"))
@@ -92,3 +100,90 @@ def test_exit_status(tmp_path, capsys):
 def test_every_golden_equals_itself(golden):
     assert len(GOLDENS) == 6
     assert main([str(golden), str(golden)]) == 0
+
+
+def test_refusals_allow_only_declared_floats_within_their_bound():
+    nudge = math.nextafter
+    old = {"stk": 1.0, "runs": [{"stk": 2.0, "curve": [3.0]}], "t": 0.5}
+    two_ulps = {"stk": nudge(nudge(1.0, 2.0), 2.0),
+                "runs": [{"stk": nudge(2.0, 3.0), "curve": [nudge(3.0, 4.0)]}],
+                "t": 0.5}
+    structural, floats = diff(old, two_ulps)
+    assert structural == [] and set(floats) == {"stk", "runs[].stk",
+                                                 "runs[].curve[]"}
+    # A last key covers the field wherever it sits; a grouped path one.
+    assert refusals(structural, floats, {"stk": 2, "curve": 1}) == []
+    assert refusals(structural, floats,
+                    {"stk": 2, "runs[].curve[]": 1}) == []
+    assert refusals(structural, floats, {"stk": 1, "curve": 1}) == [
+        "stk moved 2 ulp (at stk), bound 1"]
+    assert refusals(structural, floats, {"stk": 2}) == [
+        "runs[].curve[] moved 1 ulp (at runs[0].curve[0]), not allowed"]
+    # The grouped path wins over the last key.
+    assert refusals(structural, floats, {"stk": 2, "runs[].stk": 0,
+                                         "curve": 1}) == [
+        "runs[].stk moved 1 ulp (at runs[0].stk), bound 0"]
+    # A structural difference is never allowed, whatever the allowance.
+    moved = dict(two_ulps, t=1)
+    structural, floats = diff(old, moved)
+    assert structural == ["t: float -> int"]
+    assert refusals(structural, floats, {"stk": 9, "curve": 9, "t": 9}) == [
+        "1 structural differences"]
+    assert refusals([], {}, {}) == []
+
+
+def _git(root, *args):
+    subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                    *args], cwd=root, check=True, capture_output=True)
+
+
+def test_against_a_revision_reports_each_golden(tmp_path, capsys):
+    data = tmp_path / "tests" / "data"
+    data.mkdir(parents=True)
+    (data / "golden_a.json").write_text(json.dumps({"stk": 1.0, "n": 3}))
+    (data / "golden_b.json").write_text(json.dumps({"ids": ["x"]}))
+    (data / "other.json").write_text(json.dumps({"stk": 1.0}))
+    _git(tmp_path, "init", "-q")
+    _git(tmp_path, "add", "-A")
+    _git(tmp_path, "commit", "-q", "-m", "goldens")
+
+    assert against("HEAD", {}, root=tmp_path) == 0
+    out = capsys.readouterr().out
+    assert out == ("== tests/data/golden_a.json ==\nidentical\n"
+                   "== tests/data/golden_b.json ==\nidentical\n")
+
+    (data / "golden_a.json").write_text(
+        json.dumps({"stk": math.nextafter(1.0, 2.0), "n": 3}))
+    (data / "other.json").write_text(json.dumps({"stk": 2.0}))
+    assert against("HEAD", {}, root=tmp_path) == 1
+    assert "not allowed: stk moved 1 ulp (at stk), not allowed" in \
+        capsys.readouterr().out
+    assert against("HEAD", {"stk": 0}, root=tmp_path) == 1
+    capsys.readouterr()
+    assert against("HEAD", {"stk": 1}, root=tmp_path) == 0
+    assert "allowed: every moved field is within its bound" in \
+        capsys.readouterr().out
+
+    (data / "golden_b.json").write_text(json.dumps({"ids": ["y"]}))
+    (data / "golden_c.json").write_text(json.dumps({}))
+    assert against("HEAD", {"stk": 1}, root=tmp_path) == 1
+    out = capsys.readouterr().out
+    assert "structural ids[0]: 'x' -> 'y'" in out
+    assert "== tests/data/golden_c.json ==\nonly in the working tree" in out
+
+    (data / "golden_b.json").unlink()
+    (data / "golden_c.json").unlink()
+    assert against("HEAD", {"stk": 1}, root=tmp_path) == 1
+    assert "== tests/data/golden_b.json ==\nonly in HEAD" in \
+        capsys.readouterr().out
+    assert against("no-such-ref", {}, root=tmp_path) == 2
+
+
+def test_against_mode_arguments(capsys):
+    with pytest.raises(SystemExit):
+        main(["--against", "HEAD", "old.json"])
+    with pytest.raises(SystemExit):
+        main(["--allow", "stk:1", "old.json", "new.json"])
+    with pytest.raises(SystemExit):
+        main(["--against", "HEAD", "--allow", "stk"])
+    capsys.readouterr()

@@ -430,28 +430,38 @@ class TestMemoVersioning:
         assert len(priors) == 0
 
     @pytest.mark.parametrize("engine_mod", ["parallel", "streaming"])
-    def test_engine_restore_rejects_version_drift(self, engine_mod):
+    def test_engine_pins_the_version_of_its_snapshot(self, engine_mod):
+        """The coordinator reads the version off the dataset it runs on:
+        it stamps a run over a version-2 snapshot with 2, restores the
+        payload onto that snapshot, and refuses the next version's."""
         from repro.scoring.base import FunctionScorer
-        from tests.conftest import make_table
 
         if engine_mod == "parallel":
             from repro.parallel.engine import ShardedTopKEngine as Engine
         else:
             from repro.streaming.engine import StreamingTopKEngine as Engine
-        dataset = make_table()
+        table = make_live_table()
+        append_rows(table, [9.0, 8.0], prefix="a")
+        append_rows(table, [7.0], prefix="b")
+        snapshot = table.snapshot()
+        assert snapshot.version == 2
         scorer = FunctionScorer(lambda v: max(0.0, float(v)))
-        engine = Engine(dataset, scorer, k=5, n_workers=2, seed=0,
-                        table_version=2)
+        engine = Engine(snapshot, scorer, k=5, n_workers=2, seed=0)
         try:
             engine.run(60)
             payload = engine.snapshot()
         finally:
             engine.close()
         assert payload["table_version"] == 2
-        restored = Engine.restore(dataset, scorer, payload, table_version=2)
-        restored.close()
-        with pytest.raises(ConfigurationError, match="table version"):
-            Engine.restore(dataset, scorer, payload, table_version=3)
+        restored = Engine.restore(snapshot, scorer, payload)
+        try:
+            restored.run(80)
+            assert restored.snapshot()["table_version"] == 2
+        finally:
+            restored.close()
+        append_rows(table, [6.0], prefix="c")
+        with pytest.raises(ConfigurationError, match="table version 2"):
+            Engine.restore(table.snapshot(), scorer, payload)
 
     def test_shard_cache_evicts_stale_versions(self):
         session, _, table = make_live_session()
@@ -472,7 +482,8 @@ class TestTableBinding:
 
         session, _ = make_session()
         binding = session._binding("t")
-        assert binding.pin() == (session.table("t"), 0, None, None)
+        assert binding.pin() == (session.table("t"), None, None)
+        assert session.table("t").version == 0
         assert binding.memo_view("fp", 0).reader_version is None
         assert binding.touched_since(0) == set()
         assert binding.info()["index_freshness"] == "unbuilt"
@@ -501,8 +512,8 @@ class TestTableBinding:
         fork_a, fork_b = session.fork(), session.fork()
         pins = [fork._binding("t").pin() for fork in (fork_a, fork_b)]
         assert sorted(calls) == ["advance", "apply_writes", "evict_stale"]
-        for snapshot, version, freshness, index in pins:
-            assert version == snapshot.version == table.version == 1
+        for snapshot, freshness, index in pins:
+            assert snapshot.version == table.version == 1
             assert freshness == "incremental"
             assert index is binding.maintainer.tree
             assert set(new_ids) <= set(snapshot.ids())
@@ -517,14 +528,14 @@ class TestTableBinding:
     def test_a_pin_holds_the_tree_of_its_version(self):
         session, _, table = make_live_session()
         binding = session._binding("t")
-        pinned, version, _, stale = binding.pin()
+        pinned, _, stale = binding.pin()
         new_ids = append_rows(table, [9.0])         # commits after the pin
         members = {m for leaf in stale.leaves() for m in leaf.member_ids}
         assert members == set(pinned.ids()) and not members & set(new_ids)
         # The maintained tree moved on and serves the new pin; the old
         # pin's tree is untouched.
-        fresh, now, _, current = binding.pin()
-        assert now == version + 1
+        fresh, _, current = binding.pin()
+        assert fresh.version == pinned.version + 1
         assert current is binding.maintainer.tree is binding.index_for()
         assert current is not stale
         assert {m for leaf in stale.leaves()

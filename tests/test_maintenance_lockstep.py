@@ -14,12 +14,12 @@ equal byte for byte.  No two nodes' sum buffers may share memory, since
 the maintainer adds to them in place.
 
 Leaf membership is not part of what the reference keeps: its insert
-adds the new member's block row to its leaf's row array and
-``_leaf_at``, and reads the leaf's size off ``_count``, as the
-maintainer does.  The two maintainers' row arrays, codes and stale sets
-must be equal, and each published leaf must name exactly the live rows
-of its array (its slots *are* that array when it is over the table's
-row -> id list).
+takes the new member's block row, reads its features as
+``block[slot]``, adds the row to its leaf's row array and ``_leaf_at``,
+and reads the leaf's size off ``_count``, as the maintainer does.  The
+two maintainers' row arrays, codes and stale sets must be equal, and
+each published leaf must name exactly the live rows of its array (its
+slots *are* that array when it is over the table's row -> id list).
 
 The seeded write streams mix, within one ``advance``, append bursts
 aimed at one cluster (leaves overflow and split, split children split
@@ -59,10 +59,10 @@ class ReferenceMaintainer(IndexMaintainer):
             return None
         return self._sum[node_id] / count
 
-    def _insert(self, slot: int, row: np.ndarray,
-                nodes: Dict[str, ClusterNode],
+    def _insert(self, slot: int, nodes: Dict[str, ClusterNode],
                 parent: Dict[str, Optional[str]], root: ClusterNode,
                 touched: Set[str], block: np.ndarray) -> None:
+        row = block[slot]
         if self._leaf_at[slot] >= 0:
             raise ConfigurationError(f"block row {slot} is already indexed")
         node = root

@@ -17,9 +17,21 @@ field path (``runs[3].checkpoints[7].stk``), in one of two classes:
 Exit status is 0 only when the payloads are identical, 1 when they
 differ, 2 when a file cannot be read.
 
+With ``--against REF`` it compares every ``tests/data/golden_*.json`` of
+the working tree with the same file at git revision ``REF`` and prints
+one report per file.  ``--allow FIELD:ULPS`` (repeatable) declares a
+float field that may move by at most ``ULPS`` units in the last place:
+``FIELD`` names a field as the report groups it (``runs[].stk``) or by
+its last key (``stk`` covers ``runs[].checkpoints[].stk`` too).  A
+structural difference, a golden on one side only, or a float field not
+allowed within its bound fails the file.  Exit status is 0 only when
+every file is identical or moves only allowed fields within bound, 1
+otherwise, 2 when ``REF`` or a file cannot be read.
+
 Usage::
 
     python tools/golden_diff.py OLD.json NEW.json
+    python tools/golden_diff.py --against REF [--allow FIELD:ULPS ...]
 """
 
 from __future__ import annotations
@@ -29,11 +41,17 @@ import json
 import math
 import re
 import struct
+import subprocess
 import sys
+from pathlib import Path
 from typing import Dict, List, Tuple
 
 #: Per float field: ``(values moved, largest ulp distance, path of it)``.
 FloatMoves = Dict[str, Tuple[int, int, str]]
+
+#: The repository root, whose ``tests/data`` holds the goldens.
+REPO = Path(__file__).resolve().parent.parent
+GOLDEN_DIR = "tests/data"
 
 
 def ulp_distance(old: float, new: float) -> int:
@@ -115,11 +133,97 @@ def report(structural: List[str], floats: FloatMoves) -> List[str]:
     return lines
 
 
+def refusals(structural: List[str], floats: FloatMoves,
+             allow: Dict[str, int]) -> List[str]:
+    """Why a difference is not allowed; empty when it is.
+
+    Structural differences are never allowed.  A float field is allowed
+    when ``allow`` names it, by its grouped path or its last key, and
+    its largest move is within that bound.
+    """
+    reasons = ([f"{len(structural)} structural differences"]
+               if structural else [])
+    for field, (_moved, largest, at) in sorted(floats.items()):
+        last_key = field.rsplit(".", 1)[-1].replace("[]", "")
+        bound = allow.get(field, allow.get(last_key))
+        if bound is None:
+            reasons.append(f"{field} moved {largest} ulp (at {at}), "
+                           "not allowed")
+        elif largest > bound:
+            reasons.append(f"{field} moved {largest} ulp (at {at}), "
+                           f"bound {bound}")
+    return reasons
+
+
+def _git(root: Path, *args: str) -> str:
+    return subprocess.run(["git", *args], cwd=root, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def against(ref: str, allow: Dict[str, int], root: Path = REPO) -> int:
+    """``--against`` mode: every golden of ``root`` against ``ref``."""
+    try:
+        at_ref = set(_git(root, "ls-tree", "--name-only", ref,
+                          f"{GOLDEN_DIR}/").split())
+    except (OSError, subprocess.CalledProcessError) as exc:
+        print(f"golden_diff: cannot read revision {ref!r}: {exc}",
+              file=sys.stderr)
+        return 2
+    at_ref = {name for name in at_ref
+              if re.fullmatch(rf"{GOLDEN_DIR}/golden_[^/]*\.json", name)}
+    here = {path.relative_to(root).as_posix()
+            for path in (root / GOLDEN_DIR).glob("golden_*.json")}
+    failed = False
+    for name in sorted(here | at_ref):
+        print(f"== {name} ==")
+        if name not in at_ref or name not in here:
+            side = "the working tree" if name in here else ref
+            print(f"only in {side}")
+            failed = True
+            continue
+        try:
+            old = json.loads(_git(root, "show", f"{ref}:{name}"))
+            new = json.loads((root / name).read_text())
+        except (OSError, ValueError, subprocess.CalledProcessError) as exc:
+            print(f"golden_diff: {name}: {exc}", file=sys.stderr)
+            return 2
+        structural, floats = diff(old, new)
+        print("\n".join(report(structural, floats)))
+        reasons = refusals(structural, floats, allow)
+        if floats and not reasons:
+            print("allowed: every moved field is within its bound")
+        for reason in reasons:
+            print(f"not allowed: {reason}")
+        failed = failed or bool(reasons)
+    return 1 if failed else 0
+
+
+def _allowance(text: str) -> Tuple[str, int]:
+    field, sep, ulps = text.rpartition(":")
+    if not sep or not field or not ulps.isdigit():
+        raise argparse.ArgumentTypeError(
+            f"expected FIELD:ULPS, got {text!r}")
+    return field, int(ulps)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("old", help="the golden payload as it stands")
-    parser.add_argument("new", help="the payload to compare against it")
+    parser.add_argument("old", nargs="?",
+                        help="the golden payload as it stands")
+    parser.add_argument("new", nargs="?",
+                        help="the payload to compare against it")
+    parser.add_argument("--against", metavar="REF",
+                        help="compare every golden with git revision REF")
+    parser.add_argument("--allow", metavar="FIELD:ULPS", action="append",
+                        type=_allowance, default=[],
+                        help="a float field that may move (with --against)")
     args = parser.parse_args(argv)
+    if args.against is not None:
+        if args.old is not None:
+            parser.error("--against takes no payload paths")
+        return against(args.against, dict(args.allow))
+    if args.new is None or args.allow:
+        parser.error("give OLD and NEW payloads, or --against REF")
     try:
         with open(args.old) as handle:
             old = json.load(handle)
