@@ -23,12 +23,22 @@ gain-cache invalidation hooks fire inside the engines automatically
 when a fresh tree is mirrored).
 
 The per-row work of an ``advance`` is proportional to the path it
-routes down.  Each node's mean is cached as the quotient
-``_sum / _count`` — the same division, so routing reads the same floats
-— computed when routing first compares the node and dropped whenever a
-bump, prune or rebuild changes the node's sum, so an insert divides
-again only the means earlier writes moved.  A bump adds ``sign * row``
-to each ancestor's sum in place; no two nodes share a sum buffer.
+routes down.  Each node's mean is cached as a tuple of Python floats,
+``total / count`` for each float of ``_sum`` — the IEEE divisions of the
+numpy quotient ``_sum / _count``, so the same floats — filled when
+routing first compares the node and dropped whenever a bump, prune or
+rebuild changes the node's sum, so an insert divides again only the
+means earlier writes moved.  An insert reads its row's features once as
+a tuple and takes :func:`math.dist` to each child's mean: no numpy call
+per child.  It keeps the nearest child only when the runner-up is
+farther by more than :func:`_route_margin` of its distance, which proves
+that the squared distances ``np.dot(diff, diff)`` have their strict
+minimum at the same child; a level that is not so certified (near ties,
+exact ties, distances beyond the margin's range) is measured again with
+that formula and its first-of-equals rule
+(:meth:`IndexMaintainer._nearest`), so every routing decision, and so
+every tree, is the numpy formula's.  A bump adds ``sign * row`` to each
+ancestor's sum in place; no two nodes share a sum buffer.
 
 Leaf membership is kept in the table's block rows, the slots of a
 :class:`~repro.index.tree.LeafMembers` over the table's row -> id list:
@@ -63,6 +73,7 @@ query answers are identical to a fresh rebuild's.
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
@@ -77,6 +88,37 @@ from repro.obs.metrics import INDEX_SPLITS_TOTAL
 
 #: Advance reports retained in :attr:`IndexMaintainer.touched_log`.
 MAX_TOUCHED_LOG = 128
+
+#: A level is certified only when the nearest child's distance is below
+#: ``_CEIL`` (its square does not overflow) and the runner-up's above
+#: ``_FLOOR`` (underflow, at most ``2**-1074`` a rounding, is far inside
+#: the margin of :func:`_route_margin`).
+_FLOOR = 2.0**-450
+_CEIL = 2.0**500
+
+
+def _route_margin(d: int) -> float:
+    """The relative gap that certifies a routing decision in ``d`` dims.
+
+    Both formulas read the same rounded differences ``diff = x - mean``
+    (one IEEE subtraction per coordinate, numpy's or :func:`math.dist`'s),
+    so both measure the same exact sum of squares ``S``.
+    :func:`math.dist` returns ``sqrt(S)`` within 1 ulp, a relative
+    ``2**-52`` (CPython scales, splits and compensates the squares and
+    corrects the root).  ``np.dot(diff, diff)`` rounds ``d`` products and
+    ``d - 1`` additions of non-negative terms, so it is within
+    ``d * 2**-53`` relative of ``S`` (first order) in any BLAS order,
+    with or without FMA, plus ``d * 2**-1074`` of underflow.  If
+    :func:`math.dist` puts the nearest child at ``r1`` and every other
+    at ``r2`` or more, the squared distances ``np.dot`` compares are at
+    most ``r1**2 (1 + 2**-52)**2 (1 + d 2**-53)`` and at least
+    ``r2**2 (1 - d 2**-53) / (1 + 2**-52)**2``: the nearest one is the
+    strict minimum once ``r2 - r1 > (d + 4) * 2**-53 * r2``.  The margin
+    is twice that plus ``8 * 2**-53``, which absorbs the second-order
+    terms, a root up to 3 ulps off, the underflow (``r2 > _FLOOR``) and
+    the roundings of the test ``r2 - r1 > margin * r2 + _FLOOR`` itself.
+    """
+    return (d + 8) * 2.0**-52
 
 
 @dataclass
@@ -144,10 +186,13 @@ class IndexMaintainer:
         self.log_floor = self.version
         self._sum: Dict[str, np.ndarray] = {}
         self._count: Dict[str, int] = {}
-        #: node id -> ``_sum / _count``, filled by :meth:`_mean` and
-        #: dropped whenever the node's sum changes (a split changes none:
-        #: the leaf keeps its sum and the children's ids are new).
-        self._means: Dict[str, np.ndarray] = {}
+        #: node id -> ``_sum / _count`` as a tuple of floats, filled by
+        #: :meth:`_insert` and dropped whenever the node's sum changes (a
+        #: split changes none: the leaf keeps its sum and the children's
+        #: ids are new).
+        self._means: Dict[str, Tuple[float, ...]] = {}
+        #: A table's rows keep their width across every version.
+        self._margin = _route_margin(snapshot.block.shape[1])
         #: leaf id -> its members' block rows, in insertion order; rows
         #: deleted since the leaf was last read linger until then.
         self._rows: Dict[str, array] = {}
@@ -288,15 +333,6 @@ class IndexMaintainer:
         self._count[node.node_id] = count
         return total, count
 
-    def _mean(self, node_id: str) -> Optional[np.ndarray]:
-        mean = self._means.get(node_id)
-        if mean is None:
-            count = self._count.get(node_id, 0)
-            if not count:
-                return None
-            mean = self._means[node_id] = self._sum[node_id] / count
-        return mean
-
     # -- COW clone -----------------------------------------------------------
 
     def _clone(self) -> Tuple[Dict[str, ClusterNode],
@@ -362,7 +398,7 @@ class IndexMaintainer:
             self._stale.discard(leaf_id)
             held = np.frombuffer(rows, dtype=np.intc)
             rows = self._rows[leaf_id] = int_array(
-                held[self._leaf_at[held] == self._codes[leaf_id]])
+                held[np.take(self._leaf_at, held) == self._codes[leaf_id]])
         return rows
 
     def _renumber(self, remap: np.ndarray) -> None:
@@ -371,7 +407,7 @@ class IndexMaintainer:
                           dtype=np.int32)
         for leaf_id, rows in self._rows.items():
             # A deleted row still held is dead in the table: it maps to -1.
-            moved = remap[np.frombuffer(rows, dtype=np.intc)]
+            moved = np.take(remap, np.frombuffer(rows, dtype=np.intc))
             moved = moved[moved >= 0]
             self._rows[leaf_id] = int_array(moved)
             leaf_at[moved] = self._codes[leaf_id]
@@ -405,25 +441,57 @@ class IndexMaintainer:
         if self._leaf_at[row] >= 0:
             raise ConfigurationError(f"block row {row} is already indexed")
         features = block[row]
+        point = tuple(features.tolist())
+        sums, counts, means = self._sum, self._count, self._means
+        margin = self._margin
         node = root
         while not node.is_leaf:
-            best, best_dist = None, np.inf
+            best, best_dist, second = None, math.inf, math.inf
             for child in node.children:
-                mean = self._mean(child.node_id)
+                child_id = child.node_id
+                mean = means.get(child_id)
                 if mean is None:
-                    continue
-                diff = features - mean
-                dist = float(np.dot(diff, diff))
+                    count = counts.get(child_id, 0)
+                    if not count:
+                        continue
+                    mean = means[child_id] = tuple(
+                        total / count for total in sums[child_id].tolist())
+                dist = math.dist(point, mean)
                 if dist < best_dist:
-                    best, best_dist = child, dist
+                    best, best_dist, second = child, dist, best_dist
+                elif dist < second:
+                    second = dist
+            # ``second`` is infinite when no other child has a mean, or
+            # every other is infinitely far for np.dot as well.
             if best is None:
                 best = node.children[0]
+            elif not (best_dist < _CEIL and (
+                    second == math.inf
+                    or second - best_dist > margin * second + _FLOOR)):
+                best = self._nearest(features, node.children)
             node = best
         self._rows[node.node_id].append(row)
         self._leaf_at[row] = self._codes[node.node_id]
         self._bump(node.node_id, parent, features, +1, touched)
         if self._count[node.node_id] > self.max_leaf_size:
             self._split(node, nodes, parent, touched, block)
+
+    def _nearest(self, features: np.ndarray,
+                 children: Sequence[ClusterNode]) -> ClusterNode:
+        """The child whose mean ``_sum / _count`` has the strictly least
+        ``np.dot(diff, diff)``, the first of equals (``children[0]`` when
+        none has a mean): the rule a level :meth:`_insert` cannot
+        certify falls back to."""
+        best, best_dist = None, np.inf
+        for child in children:
+            count = self._count.get(child.node_id, 0)
+            if not count:
+                continue
+            diff = features - self._sum[child.node_id] / count
+            dist = float(np.dot(diff, diff))
+            if dist < best_dist:
+                best, best_dist = child, dist
+        return children[0] if best is None else best
 
     def _remove(self, row: int, nodes: Dict[str, ClusterNode],
                 parent: Dict[str, Optional[str]], touched: Set[str],

@@ -83,6 +83,14 @@ def merge_worker_topk(buffer: TopKBuffer, merged_ids: Set[str],
             buffer.offer(score, element_id)
 
 
+def _pinned(dataset: Dataset) -> Dataset:
+    """``dataset``, or the snapshot of a live table's current version."""
+    # Not a module import: repro.live imports the streaming engine, which
+    # imports this module.
+    from repro.live.table import LiveTable
+    return dataset.snapshot() if isinstance(dataset, LiveTable) else dataset
+
+
 class ShardCoordinator:
     """Shared half of the sharded and streaming engines.
 
@@ -91,8 +99,11 @@ class ShardCoordinator:
     dataset / scorer / k:
         The query, exactly as for :class:`~repro.core.engine.TopKEngine`.
         The run is pinned to ``dataset.version`` (0 for immutable
-        datasets, a live table's snapshot's own version otherwise): it
-        keys the shard-index cache so partitions built at one version
+        datasets, a live table's snapshot's own version otherwise; a
+        :class:`~repro.live.table.LiveTable` itself is read through the
+        ``snapshot()`` of its version at construction, so writes
+        committed during the run never reach its shards): it keys the
+        shard-index cache so partitions built at one version
         never serve another, stamps every
         :class:`~repro.parallel.worker.ShardSpec` and snapshot payload,
         and is asserted against each arriving
@@ -185,6 +196,7 @@ class ShardCoordinator:
             )
         if k <= 0:
             raise ConfigurationError(f"k must be positive, got {k!r}")
+        dataset = _pinned(dataset)
         self._ids: Optional[List[str]] = (
             list(ids) if ids is not None else None
         )
@@ -485,7 +497,8 @@ class ShardCoordinator:
                 memo=None):
         """Rebuild a run from :meth:`snapshot` output.
 
-        ``dataset`` must be the same immutable dataset, and
+        ``dataset`` must be the same immutable dataset (a live table is
+        read through the snapshot of its current version), and
         ``index_config`` / ``engine_config`` must repeat whatever the
         original run used (shard indexes are rebuilt deterministically from
         the stored root entropy, and node IDs are verified during engine
@@ -523,6 +536,7 @@ class ShardCoordinator:
                                      f"payload per shard, found {len(workers)}")
         for payload in workers:
             read(payload, TopKEngine._SNAPSHOT_FORMAT)
+        dataset = _pinned(dataset)
         stored_version = snapshot.get("table_version") or 0
         if stored_version != dataset.version:
             raise ConfigurationError(

@@ -29,19 +29,31 @@ whole leaf (it is pruned) and updates and deletes of rows the same
 rebuild lands between incremental steps, and one forces a compaction of
 the table midway, so an ``advance`` renumbers every leaf through the
 compaction's row map between two deltas.
+
+The maintainer routes with :func:`math.dist` over cached float means and
+falls back to the reference's ``np.dot`` rule on any level its margin
+does not certify.  The near-tie cases at the end pin that fallback: one
+row appended under a root whose leaves each hold one row (so each mean
+is that row), with exact ties (duplicate means, a point at the midpoint
+of two) and means a few ulps from a tie, where :func:`math.dist` and
+``np.dot`` can order two children differently.  Both maintainers must
+put the row in the same leaf.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Set
+import math
+from typing import Dict, List, Optional, Sequence, Set
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.index.builder import IndexConfig, build_index
-from repro.index.tree import ClusterNode
+from repro.index.tree import ClusterNode, ClusterTree
 from repro.live import IndexMaintainer, LiveTable
 
 N_ROWS = 400
@@ -253,9 +265,13 @@ def assert_lockstep(reports, maintainers, snapshot) -> None:
     assert list(reference._sum) == list(current._sum)
     for node_id, total in reference._sum.items():
         assert total.tobytes() == current._sum[node_id].tobytes(), node_id
-        if reference._count[node_id]:   # the mean routing would read now
-            assert (reference._mean(node_id).tobytes()
-                    == current._mean(node_id).tobytes()), node_id
+    # Every cached mean (what routing reads) is the reference's quotient,
+    # float for float: none outlives a change to its node's sum.
+    for node_id, mean in current._means.items():
+        assert current._count[node_id], node_id
+        assert (list(map(float.hex, mean))
+                == list(map(float.hex, reference._mean(node_id).tolist()))
+                ), node_id
     sums = list(current._sum.values())
     for i, total in enumerate(sums):
         for other in sums[i + 1:]:
@@ -294,3 +310,112 @@ def test_a_churn_rebuild_between_steps_keeps_every_bit():
     assert current.n_rebuilds >= 1 and current.n_splits >= 1
     assert (current.n_rebuilds, current.n_splits) == (reference.n_rebuilds,
                                                       reference.n_splits)
+
+
+# -- near ties: the routing the margin cannot certify --------------------------
+
+
+def routed_leaves(means: Sequence[Sequence[float]],
+                  point: Sequence[float]) -> List[str]:
+    """The leaf each maintainer (reference first) puts ``point`` in, under
+    a root whose leaf ``leaf<i>`` holds one row at ``means[i]``."""
+    ids = [f"m{i}" for i in range(len(means))]
+    table = LiveTable(ids, None, np.array(means, dtype=float), name="t")
+    snapshot = table.snapshot()
+    tree = ClusterTree(ClusterNode("root", children=[
+        ClusterNode(f"leaf{i}", member_ids=(element_id,))
+        for i, element_id in enumerate(ids)]))
+
+    def rebuild(snap):  # pragma: no cover - churn stays under the threshold
+        raise AssertionError("no rebuild expected")
+
+    maintainers = [kind(tree, snapshot, rebuild, max_leaf_size=8,
+                        rebuild_threshold=1e9)
+                   for kind in (ReferenceMaintainer, IndexMaintainer)]
+    table.append(["x"], None, np.array([point], dtype=float))
+    deltas, after = table.deltas_since(snapshot.version), table.snapshot()
+    leaves = []
+    for maintainer in maintainers:
+        maintainer.advance(deltas, after)
+        leaves += [leaf.node_id for leaf in maintainer.tree.leaves()
+                   if "x" in tuple(leaf.member_ids)]
+    return leaves
+
+
+def orders_differ(means, point) -> bool:
+    """Whether :func:`math.dist` and ``np.dot`` rank the first two means
+    differently (a strict order one way, the other order or a tie the
+    other way)."""
+    x = np.array(point, dtype=float)
+    dots = [float(np.dot(x - mean, x - mean))
+            for mean in np.array(means[:2], dtype=float)]
+    dists = [math.dist(tuple(point), tuple(mean)) for mean in means[:2]]
+    return dists[0] != dists[1] and ((dists[0] < dists[1])
+                                     != (dots[0] < dots[1]))
+
+
+@pytest.mark.parametrize("means, point", [
+    ([[1.0, 2.0], [1.0, 2.0]], [0.0, 0.0]),                 # duplicates
+    ([[3.0, -1.0, 0.5]] * 3, [0.25, 0.5, 0.75]),
+    ([[5.0, 5.0], [0.0, 0.0], [2.0, 2.0]], [1.0, 1.0]),     # midpoint of 2, 3
+    ([[0.0], [2.0]], [1.0]),
+    ([[0.1, 0.7, -0.3], [0.5, 0.2, 0.9]], [0.3, 0.45, 0.3]),
+    ([[1e-300, 0.0], [-1e-300, 0.0]], [0.0, 0.0]),          # tiny distances
+    ([[1e300, 0.0], [-1e300, 0.0]], [0.0, 0.0]),            # squares overflow
+    ([[1e300, 0.0], [9e299, 0.0]], [0.0, 0.0]),
+], ids=["duplicates", "duplicates-3", "midpoint", "midpoint-1d",
+        "midpoint-inexact", "underflow", "overflow-tie", "overflow"])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_exact_ties_take_the_first_of_equals(means, point):
+    reference, current = routed_leaves(means, point)
+    assert current == reference
+
+
+def near_tie(d: int, seed: int):
+    """Two means a few ulps from equidistant to a point: the second is the
+    first's offset permuted over the coordinates, nudged by ulps."""
+    rng = np.random.default_rng([4848, d, seed])
+    point = rng.normal(size=d)
+    offset = rng.normal(size=d)
+    other = point + offset[rng.permutation(d)]
+    other += (rng.integers(-3, 4) * np.spacing(other)
+              * (rng.random(d) < 0.5))
+    return [(point + offset).tolist(), other.tolist()], point.tolist()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_near_ties_route_to_the_reference_leaf(d):
+    cases = [near_tie(d, seed) for seed in range(300)]
+    for means, point in cases:
+        reference, current = routed_leaves(means, point)
+        assert current == reference, (means, point)
+    if d > 1:   # the cases hold rankings only the fallback gets right
+        assert any(orders_differ(means, point) for means, point in cases)
+
+
+#: Floats with all 52 mantissa bits drawn (``st.floats`` favours short
+#: mantissas, whose differences and squares round exactly).
+coordinate = st.builds(
+    lambda sign, mantissa, exponent: math.ldexp(
+        sign * (2**52 + mantissa), exponent - 52),
+    st.sampled_from([-1, 1]), st.integers(0, 2**52 - 1), st.integers(-3, 3))
+
+
+@given(st.sampled_from([1, 2, 3, 8]).flatmap(lambda d: st.tuples(
+    st.lists(coordinate, min_size=d, max_size=d),
+    st.lists(coordinate, min_size=d, max_size=d),
+    st.permutations(range(d)),
+    st.lists(st.integers(-4, 4), min_size=d, max_size=d))))
+@settings(max_examples=300, deadline=None)
+def test_configurations_near_a_tie_route_to_the_reference_leaf(case):
+    """The point's offset to the second mean is its offset to the first,
+    permuted and nudged by a few ulps; the third is the point less the
+    first offset, as far as the first before rounding."""
+    point, offset, order, ulps = (np.array(part, dtype=float)
+                                  for part in case)
+    near = point + offset
+    far = point + offset[order.astype(int)]
+    far += ulps * np.spacing(far)
+    means = [near.tolist(), far.tolist(), (point - offset).tolist()]
+    reference, current = routed_leaves(means, point.tolist())
+    assert current == reference
