@@ -39,7 +39,6 @@ from repro.core import (
     kth_largest,
     marginal_gain,
     stk,
-    stk_curve,
 )
 from repro.index import (
     ClusterNode,
@@ -149,7 +148,6 @@ __version__ = "1.0.0"
 __all__ = [
     # core
     "stk",
-    "stk_curve",
     "kth_largest",
     "marginal_gain",
     "TopKBuffer",

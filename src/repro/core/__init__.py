@@ -8,8 +8,6 @@ from repro.core.stk import (
     stk,
     kth_largest,
     marginal_gain,
-    stk_after_insert,
-    stk_curve,
     TopKBuffer,
 )
 from repro.core.histogram import AdaptiveHistogram
@@ -43,8 +41,6 @@ __all__ = [
     "stk",
     "kth_largest",
     "marginal_gain",
-    "stk_after_insert",
-    "stk_curve",
     "TopKBuffer",
     "AdaptiveHistogram",
     "ConvergenceBound",

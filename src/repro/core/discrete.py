@@ -97,7 +97,7 @@ class DiscreteTopKBandit:
 
     @property
     def stk(self) -> float:
-        """Running Sum-of-Top-k."""
+        """Sum-of-Top-k of the scores held so far (the buffer's exact sum)."""
         return self.buffer.stk
 
     def empirical_gain(self, arm_id: str, threshold: float | None) -> float:

@@ -304,7 +304,7 @@ class TopKEngine:
 
     @property
     def stk(self) -> float:
-        """Running Sum-of-Top-k."""
+        """Sum-of-Top-k of the scores held so far (the buffer's exact sum)."""
         return self.buffer.stk
 
     @property

@@ -6,6 +6,15 @@ STK is the intrinsic solution-quality measure for opaque top-k queries:
 over the multiset lattice; the predicates at the bottom of this module let
 the property-based test suite check both properties directly.
 
+Equation 1 is summed one way: :func:`math.fsum`, Shewchuk's exact sum
+rounded once, by :func:`stk` over the k largest values and by
+:attr:`TopKBuffer.stk` over the held scores (the k largest offered).
+Being exact, it does not depend on the order the values are listed or
+arrived in, so two runs that hold the same top-k report the same float,
+whichever shard's results a coordinator merged first.  Every other STK
+value — a checkpoint's, a shard's, the ground truth's optimum — is one of
+these two.
+
 :class:`TopKBuffer` is Algorithm 1's "cardinality-constrained min-max heap"
 of the k best scores.  It is a plain :mod:`heapq` min-heap because the
 algorithm only ever reads and evicts the minimum, the k-th score; the
@@ -15,9 +24,8 @@ maximum side of a min-max heap would go unused.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Any, Generic, Iterable, List, Sequence, Tuple, TypeVar
-
-import numpy as np
 
 from repro.errors import ConfigurationError
 
@@ -32,7 +40,9 @@ def stk(values: Iterable[float], k: int) -> float:
     """Return the sum of the ``k`` largest elements of ``values`` (Eq. 1).
 
     If ``values`` has fewer than ``k`` elements the sum of all of them is
-    returned; ``STK`` of an empty collection is 0.
+    returned; ``STK`` of an empty collection is 0.  The sum is exact
+    (:func:`math.fsum`), so any order of the same values gives the same
+    float.
 
     >>> stk([5, 1, 3, 2], k=2)
     8.0
@@ -40,8 +50,7 @@ def stk(values: Iterable[float], k: int) -> float:
     0.0
     """
     _check_k(k)
-    top = heapq.nlargest(k, values)
-    return float(sum(top))
+    return math.fsum(heapq.nlargest(k, values))
 
 
 def kth_largest(values: Sequence[float], k: int) -> float | None:
@@ -62,9 +71,13 @@ T = TypeVar("T")
 class TopKBuffer(Generic[T]):
     """The paper's cardinality-constrained priority queue of top-k scores.
 
-    Keeps the ``k`` highest-scoring (score, payload) pairs seen so far and
-    maintains the running ``STK`` incrementally, so the bandit reads both the
-    kick-out threshold ``(S)_(k)`` and the objective value in O(1).
+    Keeps the ``k`` highest-scoring (score, payload) pairs seen so far.
+    The bandit reads the kick-out threshold ``(S)_(k)`` in O(1); ``stk``
+    is :func:`stk` of the held scores, so it is the same float whatever
+    order the offers came in.  It is summed on the first read after an
+    admission (O(k)) and kept, keyed by the admission counter, until the
+    next one: an engine reads it at every checkpoint, and most checkpoints
+    follow no admission.
 
     Entries are ``(score, seq, payload)`` tuples on a min-heap, ``seq``
     being the admission counter: equal scores are evicted and listed in
@@ -75,15 +88,21 @@ class TopKBuffer(Generic[T]):
         self.k = _check_k(k)
         self._heap: List[Tuple[float, int, Any]] = []
         self._seq = 0
-        self._stk = 0.0
+        self._summed: Tuple[int, float] = (0, 0.0)  # (_seq, stk) when read
 
     def __len__(self) -> int:
         return len(self._heap)
 
     @property
     def stk(self) -> float:
-        """Current Sum-of-Top-k of everything offered so far."""
-        return self._stk
+        """Sum-of-Top-k of everything offered so far: :func:`stk`'s exact
+        sum, taken over the held scores, which are the k largest offered."""
+        seq, total = self._summed
+        if seq != self._seq:
+            seq = self._seq
+            total = math.fsum([entry[0] for entry in self._heap])
+            self._summed = (seq, total)
+        return total
 
     @property
     def threshold(self) -> float | None:
@@ -103,15 +122,12 @@ class TopKBuffer(Generic[T]):
         if len(heap) < self.k:
             heapq.heappush(heap, (score, self._seq, payload))
             self._seq += 1
-            self._stk += score
             return score
         kth = heap[0][0]
         if score > kth:
             heapq.heapreplace(heap, (score, self._seq, payload))
             self._seq += 1
-            gain = score - kth
-            self._stk += gain
-            return gain
+            return score - kth
         return 0.0
 
     def offer_batch(self, scores: Iterable[float],
@@ -124,22 +140,18 @@ class TopKBuffer(Generic[T]):
         costs one compare against the k-th score.  Takes Python floats.
         """
         heap, k, seq = self._heap, self.k, self._seq
-        stk = self._stk
         total = 0.0
         for score, payload in zip(scores, payloads):
             if len(heap) < k:
                 heapq.heappush(heap, (score, seq, payload))
                 seq += 1
-                stk += score
                 total += score
             elif score > heap[0][0]:
                 gain = score - heap[0][0]
                 heapq.heapreplace(heap, (score, seq, payload))
                 seq += 1
-                stk += gain
                 total += gain
         self._seq = seq
-        self._stk = stk
         return total
 
     def items(self) -> List[Tuple[float, T]]:
@@ -169,37 +181,6 @@ def marginal_gain(x: float, threshold: float | None) -> float:
     if threshold is None:
         return float(x)
     return float(max(x - threshold, 0.0))
-
-
-def stk_after_insert(current_stk: float, x: float, threshold: float | None) -> float:
-    """Return ``STK(S + {x})`` given ``STK(S)`` and the current threshold."""
-    return current_stk + marginal_gain(x, threshold)
-
-
-def stk_curve(values: Sequence[float], k: int) -> np.ndarray:
-    """Cumulative STK after each prefix of ``values`` is inserted in order.
-
-    ``stk_curve(v, k)[t]`` equals ``stk(v[: t + 1], k)``; used to build the
-    ScanBest / ScanWorst / UniformSample quality-versus-iterations curves in
-    O(n log k) instead of O(n^2 log n).
-
-    >>> stk_curve([1.0, 5.0, 3.0], k=2).tolist()
-    [1.0, 6.0, 8.0]
-    """
-    _check_k(k)
-    out = np.empty(len(values), dtype=float)
-    heap: list[float] = []  # min-heap of the current top-k
-    total = 0.0
-    for i, value in enumerate(values):
-        value = float(value)
-        if len(heap) < k:
-            heapq.heappush(heap, value)
-            total += value
-        elif value > heap[0]:
-            total += value - heap[0]
-            heapq.heapreplace(heap, value)
-        out[i] = total
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from typing import Dict, List, Sequence, Set
 
 import numpy as np
 
-from repro.core.stk import stk_curve
+from repro.core.stk import stk
 from repro.errors import ConfigurationError
 from repro.utils.validation import check_scores
 
@@ -45,17 +45,12 @@ class GroundTruth:
         return {self.ids[row] for row in self._order[: min(k, len(self.ids))]}
 
     def optimal_stk(self, k: int) -> float:
-        """STK of the exact answer — the quality ceiling of every figure."""
-        top = self.scores[self._order[: min(k, len(self.ids))]]
-        return float(top.sum())
+        """STK of the exact answer — the quality ceiling of every figure.
 
-    def best_case_curve(self, k: int) -> np.ndarray:
-        """ScanBest's STK after each iteration (descending-score order)."""
-        return stk_curve(self.scores[self._order], k)
-
-    def worst_case_curve(self, k: int) -> np.ndarray:
-        """ScanWorst's STK after each iteration (ascending-score order)."""
-        return stk_curve(self.scores[self._order[::-1]], k)
+        The same exact sum as every engine's ``stk``, so a run that holds
+        the true top-k reports exactly this float.
+        """
+        return stk(self.scores[self._order[:k]].tolist(), k)
 
 
 def compute_ground_truth(dataset, scorer, batch_size: int = 1024) -> GroundTruth:

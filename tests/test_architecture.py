@@ -232,6 +232,10 @@ DELETED_NAMES = (
     "_rows_as_indexed",
     # A write delta's copy of the rows its block already holds.
     "old_rows",
+    # STK's running sums and the surface only they served: STK is the
+    # exact sum of the held scores.
+    "_stk", "stk_curve", "stk_after_insert", "best_case_curve",
+    "worst_case_curve",
 )
 
 

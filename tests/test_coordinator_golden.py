@@ -1,13 +1,19 @@
 """Cross-commit pin of the two shard coordinators on the ``serial`` backend.
 
-``tests/data/golden_coordinators.json`` was generated by running
-``python tests/test_coordinator_golden.py --regenerate`` at commit b1f7fcf —
-the last commit where the round engine had its own ``run_round`` backends
-and the streaming engine its own registry — so it freezes what the barrier
-and arrival wait policies must keep reproducing now that they share one
-coordinator over ``submit`` / ``next_event``.  Do NOT regenerate it from
-current code when a scenario fails: that erases exactly the signal the
-fixture exists to provide.
+``tests/data/golden_coordinators.json`` was generated by this module's
+``--regenerate`` at commit b1f7fcf — the last commit where the round
+engine had its own ``run_round`` backends and the streaming engine its own
+registry — so it freezes what the barrier and arrival wait policies must
+keep reproducing now that they share one coordinator over ``submit`` /
+``next_event``.  Do NOT regenerate it from current code when a scenario
+fails: that erases exactly the signal the fixture exists to provide.
+
+It was regenerated once since, at the commit that added
+``tests/data/EPOCH`` (the child of 4f6cb24), when ``stk`` became
+Equation 1's exact sum of the held scores: only STK floats moved, each by
+at most 4 ulps, and that file holds the ``tools/golden_diff.py`` command
+that shows it.  The command, from the repository root, is
+``PYTHONPATH=src python -m tests.test_coordinator_golden --regenerate``.
 
 The scenarios target the seams a shared coordinator could move:
 

@@ -62,7 +62,7 @@ class TestExecution:
         )
         result = executor.run()
         assert result.total_scored == len(dataset)
-        assert result.stk == pytest.approx(truth.optimal_stk(20), rel=1e-9)
+        assert result.stk == truth.optimal_stk(20)
         assert len(result.items) == 20
 
     def test_partitions_cover_dataset(self, world):
@@ -106,8 +106,8 @@ class TestExecution:
         one = exhaustive(1)
         four = exhaustive(4)
         assert four.wall_time == pytest.approx(one.wall_time / 4, rel=0.1)
-        assert one.stk == pytest.approx(truth.optimal_stk(20), rel=1e-9)
-        assert four.stk == pytest.approx(truth.optimal_stk(20), rel=1e-9)
+        assert one.stk == truth.optimal_stk(20)
+        assert four.stk == truth.optimal_stk(20)
 
     def test_checkpoints_monotone(self, world):
         dataset, scorer, _ = world

@@ -6,11 +6,17 @@ updates, gain caching, vectorized redistribution) is required to be
 same draw order and the same top-k result as the original recursive
 implementation.
 
-``tests/data/golden_trace_engine.json`` was generated by running
-``python tests/test_engine_equivalence.py --regenerate`` at the seed commit
-(before the vectorized hot path landed).  Do NOT regenerate it from current
-code when an equivalence test fails — that would erase exactly the signal
-the fixture exists to provide.
+``tests/data/golden_trace_engine.json`` was generated by this module's
+``--regenerate`` at the seed commit (before the vectorized hot path
+landed).  Do NOT regenerate it from current code when an equivalence test
+fails — that would erase exactly the signal the fixture exists to provide.
+
+It was regenerated once since, at the commit that added
+``tests/data/EPOCH`` (the child of 4f6cb24), when ``stk`` became
+Equation 1's exact sum of the held scores: only STK floats moved, each by
+at most 4 ulps, and that file holds the ``tools/golden_diff.py`` command
+that shows it.  The command, from the repository root, is
+``PYTHONPATH=src python -m tests.test_engine_equivalence --regenerate``.
 """
 
 from __future__ import annotations

@@ -62,17 +62,6 @@ class TestGroundTruth:
     def test_optimal_stk(self, truth):
         assert truth.optimal_stk(2) == 97.0
 
-    def test_best_case_curve_saturates_at_k(self, truth):
-        curve = truth.best_case_curve(3)
-        assert curve[0] == 49.0
-        assert curve[2] == 49 + 48 + 47
-        assert curve[-1] == curve[2]
-
-    def test_worst_case_curve_slow_start(self, truth):
-        curve = truth.worst_case_curve(3)
-        assert curve[0] == 0.0
-        assert curve[-1] == truth.optimal_stk(3)
-
     def test_negative_scores_rejected(self, linear_dataset):
         from repro.scoring.base import FunctionScorer
         bad = FunctionScorer(lambda v: float(v) - 100.0)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import subprocess
@@ -130,6 +131,33 @@ def test_refusals_allow_only_declared_floats_within_their_bound():
     assert refusals(structural, floats, {"stk": 9, "curve": 9, "t": 9}) == [
         "1 structural differences"]
     assert refusals([], {}, {}) == []
+
+
+def test_a_row_position_is_its_own_field():
+    """``[wall, stk]`` rows: allowing the STK position lets no wall move."""
+    nudge = math.nextafter
+    old = {"round": {"checkpoints": [[0.5, 10.0], [1.0, 20.0]],
+                     "curve": [1.0, 2.0]}}
+    stk_moved = {"round": {"checkpoints": [[0.5, nudge(10.0, 11.0)],
+                                           [1.0, 20.0]],
+                           "curve": [1.0, nudge(2.0, 3.0)]}}
+    structural, floats = diff(old, stk_moved)
+    assert structural == [] and floats == {
+        "round.checkpoints[][1]": (1, 1, "round.checkpoints[0][1]"),
+        "round.curve[]": (1, 1, "round.curve[1]")}
+    allow = {"checkpoints[][1]": 1, "curve": 1}
+    assert refusals(structural, floats, allow) == []
+    assert refusals(structural, floats, {"round.checkpoints[][1]": 1,
+                                         "curve[]": 1}) == []
+
+    wall_moved = copy.deepcopy(stk_moved)
+    wall_moved["round"]["checkpoints"][1][0] = nudge(1.0, 2.0)
+    structural, floats = diff(old, wall_moved)
+    assert refusals(structural, floats, allow) == [
+        "round.checkpoints[][0] moved 1 ulp (at round.checkpoints[1][0]), "
+        "not allowed"]
+    # The bare key still covers every position of its rows.
+    assert refusals(structural, floats, {"checkpoints": 1, "curve": 1}) == []
 
 
 def _git(root, *args):

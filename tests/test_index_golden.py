@@ -2,7 +2,8 @@
 Lloyd sweeps.
 
 ``tests/data/golden_index_builds.json`` was generated by running
-``python tests/test_index_golden.py --regenerate`` at commit 2b75723 — the
+``PYTHONPATH=src python -m tests.test_index_golden --regenerate`` (from
+the repository root) at commit 2b75723 — the
 last commit where every Lloyd sweep (and every ``predict``) evaluated one
 whole ``(n, L)`` distance matrix, took each centroid over a boolean mask
 of the labels and ``build_index`` grouped ids in a per-row Python loop —

@@ -16,6 +16,7 @@ from repro.baselines.base import EngineAlgorithm
 from repro.baselines.uniform import UniformSample
 from repro.core.engine import EngineConfig, TopKEngine
 from repro.core.fallback import FallbackConfig
+from repro.core.stk import stk
 from repro.data.images import SyntheticImageDataset
 from repro.data.synthetic import SyntheticClustersDataset
 from repro.data.usedcars import UsedCarsDataset
@@ -138,7 +139,7 @@ class TestTabularDomain:
         k = 25
         engine = TopKEngine(index, EngineConfig(k=k, seed=0))
         result = engine.run(dataset, scorer)
-        assert result.stk == pytest.approx(truth.optimal_stk(k), rel=1e-9)
+        assert result.stk == truth.optimal_stk(k)
 
 
 class TestImageDomain:
@@ -198,8 +199,7 @@ class TestAnytimeConsistency:
             scores = scorer.score_batch(small_synthetic.fetch_batch(ids))
             seen.extend(scores.tolist())
             engine.observe(ids, scores)
-            expected = sum(sorted(seen, reverse=True)[:8])
-            assert engine.stk == pytest.approx(expected)
+            assert engine.stk == stk(seen, 8)
 
     def test_same_seed_same_result_full_pipeline(self):
         def run_once():

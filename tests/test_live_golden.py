@@ -1,14 +1,21 @@
 """Cross-commit pin of live-table maintenance, frozen before the O(change)
 write path.
 
-``tests/data/golden_live_trees.json`` was generated by running
-``python tests/test_live_golden.py --regenerate`` at commit 4fb9886 — the
+``tests/data/golden_live_trees.json`` was generated by this module's
+``--regenerate`` at commit 4fb9886 — the
 last commit where a snapshot was a full ``InMemoryDataset`` copy of the
 table, ``IndexMaintainer._remove`` rebuilt a leaf's member tuple once per
 removed id and every publish re-validated all members — so it freezes what
 the view-backed snapshot and the touched-leaves-only ``advance`` must keep
 reproducing byte for byte.  Do NOT regenerate it from current code when a
 row fails: that erases exactly the signal the fixture exists to provide.
+
+It was regenerated once since, at the commit that added
+``tests/data/EPOCH`` (the child of 4f6cb24), when ``stk`` became
+Equation 1's exact sum of the held scores: only STK floats moved, each by
+at most 4 ulps, and that file holds the ``tools/golden_diff.py`` command
+that shows it.  The command, from the repository root, is
+``PYTHONPATH=src python -m tests.test_live_golden --regenerate``.
 
 Seeded write scripts on a 5 000-row, 16-leaf ``LiveTable`` registered on a
 session; after each script step one ``BUDGET 10% BATCH 8`` query makes the

@@ -192,6 +192,27 @@ def test_fixture_reads_and_redumps_equal(kind):
     assert redump(kind, payload) == resumed(payload)
 
 
+def restored_buffer(kind: str, payload: dict):
+    restored = load(kind, json_safe(payload))
+    return (restored.buffer if isinstance(restored, TopKEngine)
+            else restored._buffer)
+
+
+@pytest.mark.parametrize("kind, path", BUFFERS,
+                         ids=[kind for kind, _path in BUFFERS])
+def test_restored_buffer_stk_is_the_exact_sum_of_its_rows(kind, path):
+    """A snapshot stores rows, not STK: the restored value is Equation 1's
+    exact sum of them, whatever order they are listed in."""
+    payload = fixture(kind)
+    rows = payload
+    for key in path:
+        rows = rows[key]
+    exact = math.fsum(score for score, _id in rows).hex()
+    assert restored_buffer(kind, payload).stk.hex() == exact
+    reversed_rows = replaced(payload, path, rows[::-1])
+    assert restored_buffer(kind, reversed_rows).stk.hex() == exact
+
+
 # -- the malformed-payload matrix ----------------------------------------------
 
 

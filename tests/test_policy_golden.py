@@ -1,13 +1,20 @@
 """Cross-commit pin of the bandit policy, frozen before the array re-lay.
 
-``tests/data/golden_policy_matrix.json`` was generated by running
-``python tests/test_policy_golden.py --regenerate`` at commit 2efd5c4 — the
+``tests/data/golden_policy_matrix.json`` was generated by this module's
+``--regenerate`` at commit 2efd5c4 — the
 last commit where the policy walked one ``BanditNode`` object per tree node
 and every sketch kept its own gain cache — so it freezes what the
 struct-of-arrays core (one histogram bank, one gain kernel per select) must
 keep reproducing float for float.  Do NOT regenerate it from current code
 when a row fails: that erases exactly the signal the fixture exists to
 provide.
+
+It was regenerated once since, at the commit that added
+``tests/data/EPOCH`` (the child of 4f6cb24), when ``stk`` became
+Equation 1's exact sum of the held scores: only STK floats moved, each by
+at most 4 ulps, and that file holds the ``tools/golden_diff.py`` command
+that shows it.  The command, from the repository root, is
+``PYTHONPATH=src python -m tests.test_policy_golden --regenerate``.
 
 ``golden_trace_engine.json`` covers three ``batch_size=1`` runs on a
 300-element, 3-layer tree.  This matrix covers what a layout change can

@@ -2,7 +2,8 @@
 
 Equal scores are listed and evicted in admission order; the held entries,
 threshold and floats against the min-max heap the buffer replaced are
-checked in ``tests/test_topk_lockstep.py``.
+checked in ``tests/test_topk_lockstep.py``.  ``stk`` is Equation 1's exact
+sum of the held scores, so it is the same float in any offer order.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ class TestTopKBuffer:
             buf.offer(value)
         expected = sorted(heapq.nlargest(k, values), reverse=True)
         assert buf.scores() == pytest.approx(expected)
-        assert buf.stk == pytest.approx(stk(values, k), abs=1e-6)
+        assert buf.stk.hex() == stk(values, k).hex()
 
     @given(st.lists(st.floats(min_value=0, max_value=1e6, allow_nan=False),
                     max_size=100),
@@ -106,6 +107,38 @@ class TestTopKBuffer:
         scores_only = [score for score, _ in items]
         assert scores_only == sorted(scores_only, reverse=True)
         assert len(items) == 10
+
+
+class TestOrderFreeStk:
+    def test_admission_order_does_not_round_stk(self):
+        # A running sum reads 0.1 + 0.2 + 0.3 = 0.6000000000000001.
+        forward, backward = TopKBuffer(3), TopKBuffer(3)
+        forward.offer_batch([0.1, 0.2, 0.3], "abc")
+        for score in (0.3, 0.2, 0.1):
+            backward.offer(score)
+        assert forward.stk == backward.stk == 0.6
+
+    @given(st.integers(1, 20),
+           st.lists(st.one_of(tied_scores, st.floats(0.0, 1e6)),
+                    max_size=60).flatmap(
+               lambda values: st.tuples(st.just(values),
+                                        st.permutations(values))),
+           st.booleans())
+    @settings(max_examples=200)
+    def test_any_permutation_reads_the_same_stk(self, k, offers, batched):
+        values, permuted = offers
+        first, second = TopKBuffer(k), TopKBuffer(k)
+        for value in values:
+            first.offer(value)
+        if batched:
+            second.offer_batch(permuted, range(len(permuted)))
+        else:
+            # Read after every offer: a read between admissions is kept,
+            # and the next admission must not leave it stale.
+            for position, value in enumerate(permuted):
+                second.offer(value)
+                assert second.stk == stk(permuted[:position + 1], k)
+        assert first.stk.hex() == second.stk.hex() == stk(values, k).hex()
 
 
 class TestTieOrder:

@@ -10,12 +10,19 @@ verbatim as they stood just before the swap (commit d4447c2, whose
 through ``offer`` and in batches of 1-64 through ``offer_batch``, at k from
 1 to 64 with many ties; after every offer they must hold the same entries
 (score, admission number, payload), read the same threshold, list the same
-``items()`` and return the same gain, and their STK must agree.  Floats are
-compared as ``float.hex``, so ``-0.0`` is told apart from ``0.0``.
+``items()`` and return the same gain.  Floats are compared as
+``float.hex``, so ``-0.0`` is told apart from ``0.0``.
+
+STK is the one quantity not compared with the reference's own: that
+running sum of gains rounds differently in different admission orders,
+while ``TopKBuffer.stk`` is Equation 1's exact sum of the held scores.
+The buffer's STK must equal :func:`math.fsum` of the reference's held
+scores, bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from typing import (Any, Generic, Iterable, Iterator, List, Optional, Tuple,
                     TypeVar)
 
@@ -348,7 +355,8 @@ def reference_state(buffer: ReferenceTopKBuffer) -> tuple:
     return (held(buffer._heap._heap), buffer._heap._seq,
             hexes(buffer.threshold),
             [(hexes(score), payload) for score, payload in buffer.items()],
-            hexes(buffer.stk))
+            hexes(math.fsum(score for score, _seq, _payload
+                            in buffer._heap._heap)))
 
 
 #: Mostly ties (``-0.0`` equal to ``0.0``), some arbitrary floats.

@@ -1,12 +1,19 @@
 """Cross-commit pin of the bandit policy on wide roots (fan-out >= 200).
 
-``tests/data/golden_wide_root.json`` was generated by running
-``python tests/test_wide_root_golden.py --regenerate`` at commit 4c6d320,
+``tests/data/golden_wide_root.json`` was generated by this module's
+``--regenerate`` at commit 4c6d320,
 the last commit whose descent filtered every sibling list per layer
 (``_live_children`` / ``_greedy`` / ``_gains``), before each node kept its
 ordered list of live children.  Do NOT regenerate it from current code
 when a row fails: that erases exactly the signal the fixture exists to
 provide.
+
+It was regenerated once since, at the commit that added
+``tests/data/EPOCH`` (the child of 4f6cb24), when ``stk`` became
+Equation 1's exact sum of the held scores: only STK floats moved, each by
+at most 4 ulps, and that file holds the ``tools/golden_diff.py`` command
+that shows it.  The command, from the repository root, is
+``PYTHONPATH=src python -m tests.test_wide_root_golden --regenerate``.
 
 ``golden_policy_matrix.json`` sees at most 64 siblings.  This matrix
 covers the width a per-sibling scan grows with:

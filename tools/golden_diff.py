@@ -12,7 +12,11 @@ field path (``runs[3].checkpoints[7].stk``), in one of two classes:
 * **float** — two floats that differ.  These are grouped by field, the
   path with its list positions dropped (``runs[].checkpoints[].stk``),
   and each field reports how many values moved and the largest distance
-  in units in the last place, with the path where it was found.
+  in units in the last place, with the path where it was found.  A
+  float's position in a row — a list held in a list, such as the
+  ``[wall, stk]`` pairs of ``checkpoints`` — is kept, because a row's
+  positions are different quantities: ``checkpoints[3][1]`` groups as
+  ``checkpoints[][1]``, apart from the wall times in ``checkpoints[][0]``.
 
 Exit status is 0 only when the payloads are identical, 1 when they
 differ, 2 when a file cannot be read.
@@ -21,8 +25,10 @@ With ``--against REF`` it compares every ``tests/data/golden_*.json`` of
 the working tree with the same file at git revision ``REF`` and prints
 one report per file.  ``--allow FIELD:ULPS`` (repeatable) declares a
 float field that may move by at most ``ULPS`` units in the last place:
-``FIELD`` names a field as the report groups it (``runs[].stk``) or by
-its last key (``stk`` covers ``runs[].checkpoints[].stk`` too).  A
+``FIELD`` names a field as the report groups it (``runs[].stk``), by
+its last part (``checkpoints[][1]``, one position of every checkpoint
+row) or by its last key (``stk`` covers ``runs[].checkpoints[].stk``
+too; ``checkpoints`` covers every position of its rows).  A
 structural difference, a golden on one side only, or a float field not
 allowed within its bound fails the file.  Exit status is 0 only when
 every file is identical or moves only allowed fields within bound, 1
@@ -109,6 +115,9 @@ def diff(old, new) -> Tuple[List[str], FloatMoves]:
                 structural.append(f"{where}: {a!r} -> {b!r}")
                 return
             field = re.sub(r"\[\d+\]", "[]", where)
+            row = re.search(r"\]\[(\d+)\]$", where)
+            if row:  # a list in a list: keep the float's row position
+                field = f"{field[:-2]}[{row.group(1)}]"
             ulps = ulp_distance(a, b)
             moved, largest, at = floats.get(field, (0, -1, where))
             floats[field] = ((moved + 1, ulps, where) if ulps > largest
@@ -138,14 +147,17 @@ def refusals(structural: List[str], floats: FloatMoves,
     """Why a difference is not allowed; empty when it is.
 
     Structural differences are never allowed.  A float field is allowed
-    when ``allow`` names it, by its grouped path or its last key, and
-    its largest move is within that bound.
+    when ``allow`` names it, by its grouped path, its last part or its
+    last key (the most specific name wins), and its largest move is
+    within that bound.
     """
     reasons = ([f"{len(structural)} structural differences"]
                if structural else [])
     for field, (_moved, largest, at) in sorted(floats.items()):
-        last_key = field.rsplit(".", 1)[-1].replace("[]", "")
-        bound = allow.get(field, allow.get(last_key))
+        last_part = field.rsplit(".", 1)[-1]
+        last_key = re.sub(r"\[\d*\]", "", last_part)
+        bound = next((allow[name] for name in (field, last_part, last_key)
+                      if name in allow), None)
         if bound is None:
             reasons.append(f"{field} moved {largest} ulp (at {at}), "
                            "not allowed")
