@@ -7,18 +7,16 @@ slices, the coordinator merges each slice outcome the moment it arrives,
 and ``results_iter()`` yields a usable top-k from the first slice onward —
 time-to-first-result is one slice of work instead of one full run.
 
-Three parts:
+Four parts:
 
 1. drive ``StreamingTopKEngine.results_iter`` directly and watch the
    anytime quality curve converge (with a really-blocking UDF so the
    clocks mean what they say);
 2. compare time-to-first-result against the round-based engine's total
    wall-clock on the identical query;
-3. the same thing declaratively: ``STREAM EVERY`` in the SQL dialect,
-   plus the early-stop rule (``stable_slices``) that quiesces the run
-   once the top-k stops moving;
-4. the principled alternative to (3): ``CONFIDENCE p`` stops once the
-   shards' sketch tails certify the answer (``docs/streaming.md``), and
+3. the same thing declaratively: ``STREAM EVERY`` in the SQL dialect;
+4. the early stop: ``CONFIDENCE p`` stops once the shards' sketch tails
+   certify the answer (``docs/streaming.md``), and
    ``record=True`` + ``repro.replay`` re-executes the real thread-backend
    run bit for bit.
 
@@ -77,7 +75,7 @@ def main() -> None:
     print(f"  streaming:    first answer after {ttfr:.2f}s "
           f"({round_wall / ttfr:.0f}x earlier), same budget overall\n")
 
-    print("-- 3. declarative STREAM EVERY + early stop --")
+    print("-- 3. declarative STREAM EVERY --")
     session = OpaqueQuerySession()
     session.register_table("items", dataset,
                            index_config=IndexConfig(n_clusters=5))
@@ -89,16 +87,6 @@ def main() -> None:
         print(f"  [SQL] scored {snap.budget_spent:>5,}  "
               f"STK {snap.stk / optimal:6.1%}"
               f"{'  <- converged' if snap.converged else ''}")
-
-    with StreamingTopKEngine(
-        dataset, scorer, k=K, n_workers=4, backend="thread",
-        index_config=IndexConfig(n_clusters=5), slice_budget=100,
-        stable_slices=3, seed=0,
-    ) as early:
-        early_result = early.run()  # no budget: the stability rule stops it
-    print(f"\n  early stop: scored {early_result.total_scored:,} of "
-          f"{len(dataset):,} before the top-{K} went quiet "
-          f"(STK {early_result.stk / optimal:.1%} of optimal)")
 
     print("\n-- 4. confidence-bounded stop + recorded-arrival replay --")
     with StreamingTopKEngine(

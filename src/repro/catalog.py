@@ -31,13 +31,13 @@ class TableBinding:
     """Per-table state of one session family (a session and its forks)."""
 
     def __init__(self, name: str, dataset: Dataset,
-                 index_config: Optional[IndexConfig], index_seed: int,
+                 index_config: Optional[IndexConfig],
                  lock, index: Optional[ClusterTree] = None) -> None:
         self.name = name
         self.dataset = dataset
         self.live = isinstance(dataset, LiveTable)
-        #: The table's own configuration, else the session default, else
-        #: ``None`` (the sizing policy of ``index_config_for``).
+        #: The table's own configuration, else ``None`` (the sizing
+        #: policy of ``index_config_for``).
         self.index_config = index_config
         #: Cross-query scores, keyed inside by UDF fingerprint.
         self.memo = MemoStore()
@@ -50,7 +50,6 @@ class TableBinding:
         self.maintainer: Optional[IndexMaintainer] = None
         self._log: Optional[LogCursor] = None
         self._index = index
-        self._index_seed = index_seed
         self._lock = lock
 
     def _build(self, rows: Dataset) -> ClusterTree:
@@ -59,8 +58,8 @@ class TableBinding:
             return ClusterTree(ClusterNode(node_id="root"))
         config = index_config_for(len(rows), self.index_config)
         block, block_rows = rows.feature_rows()
-        return build_index(block, rows.ids(), config, rng=self._index_seed,
-                           rows=block_rows)
+        # Seed 0: a table's index is a function of its rows alone.
+        return build_index(block, rows.ids(), config, rng=0, rows=block_rows)
 
     def _reconcile(self):
         """Catch index, memo stamps and shard cache up to the write log.

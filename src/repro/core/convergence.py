@@ -1,14 +1,12 @@
 """Confidence-bounded convergence for anytime top-k execution.
 
-The streaming and sharded coordinators stop either when the budget runs
-out or when a *stability heuristic* fires (``stable_slices``: no shard
-moved the top-k for a while).  Stability is not a certificate — opaque
-scores admit no distribution-free guarantees — but the shards already
-maintain exactly the state needed for a *model-based* certificate: every
-shard's root score sketch (:mod:`repro.core.histogram` /
-:mod:`repro.core.sketches`) estimates the score distribution of its
-still-active region, and the coordinator knows the global k-th score
-``(S)_(k)`` and how much budget remains.
+The streaming and sharded coordinators stop when the budget runs out.
+Opaque scores admit no distribution-free guarantee that an earlier stop
+is safe, but the shards already maintain exactly the state needed for a
+*model-based* certificate: every shard's root score sketch
+(:mod:`repro.core.histogram` / :mod:`repro.core.sketches`) estimates the
+score distribution of its still-active region, and the coordinator knows
+the global k-th score ``(S)_(k)`` and how much budget remains.
 
 This module turns that state into an explicit displacement probability,
 in the spirit of progressive/anytime query processing (report the

@@ -489,7 +489,6 @@ class TopKEngine:
 
     def run(self, dataset: SupportsFetch, scorer: SupportsScore,
             budget: Optional[int] = None,
-            checkpoint_every: Optional[int] = None,
             memo=None, trace: Optional[TraceContext] = None,
             gate=None) -> QueryResult:
         """Execute the query end to end and return the result with its trace.
@@ -504,9 +503,8 @@ class TopKEngine:
             a virtual clock; algorithm overhead is measured for real.
         budget:
             Maximum number of scoring calls (default: the whole dataset).
-        checkpoint_every:
-            Record a :class:`Checkpoint` after every this many scored
-            elements (default: ~200 checkpoints across the budget).
+            The run records a :class:`Checkpoint` about 200 times across
+            it, after every ``max(1, budget // 200)`` scored elements.
         memo:
             Optional :class:`~repro.memo.store.MemoView`, the cross-query
             score memo for this ``(table, udf)`` pair; hits skip only the
@@ -528,11 +526,10 @@ class TopKEngine:
             :class:`~repro.errors.QueryCancelledError`.
         """
         limit = self.n_total if budget is None else min(budget, self.n_total)
-        if checkpoint_every is None:
-            checkpoint_every = max(1, limit // 200)
+        cadence = max(1, limit // 200)
         step = ScoringStep(dataset, scorer, memo, gate)
         checkpoints: List[Checkpoint] = []
-        next_checkpoint = checkpoint_every
+        next_checkpoint = cadence
         # The run's span closes on every exit, a cancelling gate included,
         # and closes the open window with it.
         with (nullcontext() if trace is None else
@@ -563,7 +560,7 @@ class TopKEngine:
                             threshold=self.threshold,
                         )
                     )
-                    next_checkpoint += checkpoint_every
+                    next_checkpoint += cadence
                     if trace is not None:
                         trace.annotate(stk=self.stk, threshold=self.threshold)
                         trace.pop()

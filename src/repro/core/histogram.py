@@ -644,25 +644,6 @@ class AdaptiveHistogram:
                                 for count in left]
         bank.resync(row)
 
-    def merge(self, other: "AdaptiveHistogram") -> None:
-        """Fold ``other``'s mass into this sketch.
-
-        The range first grows to ``other``'s top border, then ``other``'s
-        mass is projected onto the grid by interval overlap.  The policy
-        never merges sketches: a flattened tree keeps each leaf's own.
-        """
-        if other.is_empty:
-            return
-        if other.max_range > self.max_range:
-            self.extend_range(other.max_range)
-        bank, row = self._bank, self._row
-        projected = _overlap_redistribute(other._bank.row_edges[other._row],
-                                          other._bank.row_counts[other._row],
-                                          bank.row_edges[row])
-        bank.row_counts[row] = [count + gained for count, gained
-                                in zip(bank.row_counts[row], projected)]
-        bank.resync(row)
-
     # -- queries ---------------------------------------------------------------
 
     def expected_marginal_gain(self, threshold: float | None) -> float:

@@ -146,8 +146,8 @@ class IndexMaintainer:
         The table version the tree was built from.
     rebuild:
         Callback ``(TableSnapshot) -> ClusterTree`` used when churn
-        crosses the threshold (the table binding supplies its index seed
-        and sizing policy here).
+        crosses the threshold (the table binding's own build: seed 0 and
+        its sizing policy).
     max_leaf_size:
         Split trigger; defaults to twice the initial mean leaf size.
     rebuild_threshold:

@@ -24,7 +24,7 @@ Sharing rules
   :attr:`~repro.parallel.worker.ShardSpec.prebuilt_index`).  A
   ``process`` shard builds its index in its child from its own stream;
   a warm cache hands it only its partition.
-* Entries are LRU-bounded (default 8) because fresh-entropy runs
+* Entries are LRU-bounded (:data:`MAX_ENTRIES`) because fresh-entropy runs
   (``seed=None``) can never hit and would otherwise grow the cache without
   bound.
 
@@ -60,6 +60,9 @@ CacheKey = Tuple[int, int, str, int, str, int]
 
 #: (partitions, per-worker indexes), id-aligned with worker order.
 CacheEntry = Tuple[List[Tuple[str, ...]], List[ClusterTree]]
+
+#: Builds one cache holds before it evicts the least recently used.
+MAX_ENTRIES = 8
 
 
 def subset_fingerprint(ids: Optional[Sequence[str]]) -> str:
@@ -100,10 +103,7 @@ def shard_cache_key(root_entropy: int, n_workers: int,
 class ShardIndexCache:
     """LRU cache of ``(partitions, shard indexes)`` keyed by build inputs."""
 
-    def __init__(self, maxsize: int = 8) -> None:
-        if maxsize <= 0:
-            raise ValueError(f"maxsize must be positive, got {maxsize!r}")
-        self.maxsize = int(maxsize)
+    def __init__(self) -> None:
         self._entries: "OrderedDict[CacheKey, CacheEntry]" = OrderedDict()
         # Guards the LRU map and both counters: concurrent sessions (the
         # multi-tenant service) share one cache per table.
@@ -141,7 +141,7 @@ class ShardIndexCache:
         with self._lock:
             self._entries[key] = entry
             self._entries.move_to_end(key)
-            while len(self._entries) > self.maxsize:
+            while len(self._entries) > MAX_ENTRIES:
                 self._entries.popitem(last=False)
 
     def clear(self) -> None:

@@ -50,7 +50,7 @@ from repro.parallel.cache import (
     subset_fingerprint,
 )
 from repro.parallel.worker import RoundOutcome, ShardSpec, partition_ids
-from repro.persist import NULL, NUMBER, read, read_topk
+from repro.persist import NULL, NUMBER, read, read_fixed, read_topk
 from repro.scoring.base import Scorer
 from repro.utils.rng import RngFactory
 
@@ -121,9 +121,6 @@ class ShardCoordinator:
     engine_config:
         Per-shard engine settings (``k`` is forced to the query's k so the
         merge is lossless).
-    share_threshold:
-        Broadcast the global k-th score back to shards after each merge
-        (a shard picks it up with its next slice, never mid-slice).
     seed:
         Root seed; shards derive their own named streams from it
         regardless of the backend (the root entropy travels to child
@@ -176,13 +173,16 @@ class ShardCoordinator:
     #: The wait policy's constructor arguments (also public attributes) and
     #: their JSON types; a snapshot stores them, ``restore`` feeds them back.
     _POLICY_FIELDS: ClassVar[dict]
+    #: Fields the ``/1`` snapshot keeps for options since fixed, with the
+    #: one value a snapshot writes and ``restore`` accepts: the threshold
+    #: broadcast is always on.
+    _FIXED_FIELDS: ClassVar[dict] = {"share_threshold": True}
 
     def __init__(self, dataset: Dataset, scorer: Scorer, k: int,
                  n_workers: int = 4,
                  backend: Union[str, ShardBackend] = "serial",
                  index_config: Optional[IndexConfig] = None,
                  engine_config: Optional[EngineConfig] = None,
-                 share_threshold: bool = True,
                  seed=None,
                  index_cache: Optional[ShardIndexCache] = None,
                  ids: Optional[Sequence[str]] = None,
@@ -214,7 +214,6 @@ class ShardCoordinator:
         self.scorer = scorer
         self.k = int(k)
         self.n_workers = int(n_workers)
-        self.share_threshold = share_threshold
         self._factory = RngFactory(seed)
         self._index_config = index_config
         self._engine_config = replace(engine_config or EngineConfig(),
@@ -243,8 +242,8 @@ class ShardCoordinator:
         self.total_scored = 0
         self._worker_times: List[float] = [0.0] * self.n_workers
         self._active: List[bool] = [True] * self.n_workers
-        #: Latest broadcast threshold; stays ``None`` without
-        #: ``share_threshold``.  Monotone: the buffer's k-th score only rises.
+        #: Latest broadcast threshold; ``None`` until the buffer fills.
+        #: Monotone: the buffer's k-th score only rises.
         self._floor: Optional[float] = None
         self._bound = ConvergenceBound(self.n_workers)
         self._last_outcomes: List[Optional[RoundOutcome]] = (
@@ -401,7 +400,7 @@ class ShardCoordinator:
         threshold = self._buffer.threshold
         self._bound.refresh(threshold, len(self._buffer) >= self.k,
                             max(0, total_budget - self.total_scored))
-        if self.share_threshold and threshold is not None:
+        if threshold is not None:
             self._floor = threshold
 
     # -- result assembly -----------------------------------------------------
@@ -455,7 +454,7 @@ class ShardCoordinator:
             "k": self.k,
             "n_workers": self.n_workers,
             **{name: getattr(self, name) for name in self._POLICY_FIELDS},
-            "share_threshold": self.share_threshold,
+            **self._FIXED_FIELDS,
             "backend": self.backend.name,
             "root_entropy": self.root_entropy,
             "resume_count": self._resume_count,
@@ -519,10 +518,11 @@ class ShardCoordinator:
         before anything is recorded into it.
         """
         fmt = cls._SNAPSHOT_FORMAT
-        read(snapshot, fmt, k=int, n_workers=int, share_threshold=bool,
-             backend=str, root_entropy=int, coordinator=dict, workers=list,
+        read(snapshot, fmt, k=int, n_workers=int, backend=str,
+             root_entropy=int, coordinator=dict, workers=list,
              resume_count=(int, NULL), table_version=(int, NULL),
              ids=(list, NULL), memo=(dict, NULL), **cls._POLICY_FIELDS)
+        read_fixed(snapshot, fmt, **cls._FIXED_FIELDS)
         state = read(snapshot["coordinator"], fmt, "coordinator",
                      buffer=list, merged_ids=list, wall_time=NUMBER,
                      total_scored=int, worker_times=list, active=list,
@@ -558,7 +558,6 @@ class ShardCoordinator:
             backend=backend or snapshot["backend"],
             index_config=index_config,
             engine_config=engine_config,
-            share_threshold=snapshot["share_threshold"],
             # The original run's root entropy: partitions and shard
             # indexes rebuild identically.
             seed=snapshot["root_entropy"],

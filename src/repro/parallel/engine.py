@@ -112,7 +112,7 @@ class ShardedTopKEngine(ShardCoordinator):
         Scoring calls per shard between coordinator merges.
     **shards:
         Everything else — ``n_workers``, ``backend``, ``index_config``,
-        ``engine_config``, ``share_threshold``, ``seed``, ``index_cache``,
+        ``engine_config``, ``seed``, ``index_cache``,
         ``ids``, ``memo``, ``priors``, ``trace`` and ``gate`` — is
         documented once, on
         :class:`~repro.parallel.coordinator.ShardCoordinator`.

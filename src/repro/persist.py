@@ -46,6 +46,25 @@ def read(payload, expected: str, section: str = "", **fields) -> dict:
     return payload
 
 
+def read_fixed(payload: dict, expected: str, **values) -> None:
+    """Refuse an ``expected`` document whose field holds another value.
+
+    ``values`` maps each field an option since made a constant to the one
+    value the writers still emit (``True`` or ``None``, compared by
+    identity, so ``1`` is not ``True`` and a missing field reads as
+    ``None``).  A run recorded with any other value cannot be resumed or
+    replayed faithfully, so it raises
+    :class:`~repro.errors.SerializationError` naming the format.
+    """
+    for name, value in values.items():
+        found = payload.get(name)
+        if found is not value:
+            raise SerializationError(
+                f"expected {expected} with {name!r} {value!r}, found "
+                f"{found!r}: a run with another value "
+                f"cannot be resumed or replayed")
+
+
 def read_score(value) -> float:
     """``value`` as a float if it is a JSON number (not a bool) that a
     float holds, else NaN — which a caller's finite non-negative check

@@ -69,8 +69,6 @@ def replay_engine(dataset, scorer, trace: ArrivalTrace, *,
         index_config=index_config,
         engine_config=engine_config,
         slice_budget=trace.slice_budget,
-        share_threshold=trace.share_threshold,
-        stable_slices=trace.stable_slices,
         confidence=trace.confidence,
         # The recorded run's root entropy: partitions and shard engines
         # rebuild identically (same as snapshot restore).

@@ -11,7 +11,7 @@ a real run reproducible.
 An :class:`ArrivalTrace` stores:
 
 * the engine configuration needed to rebuild identical shards (worker
-  count, ``k``, slice budget, stopping rules, and the root RNG entropy —
+  count, ``k``, slice budget, ``confidence``, and the root RNG entropy —
   the dataset and scorer are *not* serialized and must be supplied again
   at replay time);
 * one entry per drive (the resolved budget and snapshot granularity);
@@ -34,9 +34,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from repro.persist import NULL, NUMBER, read
+from repro.persist import NULL, NUMBER, read, read_fixed
 
 TRACE_FORMAT = "repro-arrival-trace/1"
+#: Header fields of options since fixed, at the one value a trace writes
+#: and a reader accepts (see :func:`repro.persist.read_fixed`).
+_FIXED_FIELDS = {"share_threshold": True, "stable_slices": None}
 
 
 @dataclass
@@ -47,8 +50,6 @@ class ArrivalTrace:
     n_workers: int
     k: int
     slice_budget: int
-    share_threshold: bool
-    stable_slices: Optional[int]
     confidence: Optional[float]
     root_entropy: int
     drives: List[Dict[str, object]] = field(default_factory=list)
@@ -75,8 +76,7 @@ class ArrivalTrace:
             "n_workers": self.n_workers,
             "k": self.k,
             "slice_budget": self.slice_budget,
-            "share_threshold": self.share_threshold,
-            "stable_slices": self.stable_slices,
+            **_FIXED_FIELDS,
             "confidence": self.confidence,
             "root_entropy": self.root_entropy,
             "drives": [dict(drive) for drive in self.drives],
@@ -87,17 +87,15 @@ class ArrivalTrace:
     def from_dict(cls, payload: Dict[str, object]) -> "ArrivalTrace":
         """Rebuild a trace from :meth:`to_dict` output; verify the format."""
         read(payload, TRACE_FORMAT, backend=str, n_workers=int, k=int,
-             slice_budget=int, share_threshold=bool,
-             stable_slices=(int, NULL), confidence=NUMBER + (NULL,),
+             slice_budget=int, confidence=NUMBER + (NULL,),
              root_entropy=int, drives=(list, NULL), events=(list, NULL))
+        read_fixed(payload, TRACE_FORMAT, **_FIXED_FIELDS)
         confidence = payload.get("confidence")
         return cls(
             backend=payload["backend"],
             n_workers=payload["n_workers"],
             k=payload["k"],
             slice_budget=payload["slice_budget"],
-            share_threshold=payload["share_threshold"],
-            stable_slices=payload.get("stable_slices"),
             confidence=None if confidence is None else float(confidence),
             root_entropy=payload["root_entropy"],
             drives=[dict(read(drive, TRACE_FORMAT, "drive"))

@@ -91,12 +91,8 @@ class OpaqueQuerySession:
     (:mod:`repro.service`) forks one child per query.
     """
 
-    def __init__(self, default_index_config: Optional[IndexConfig] = None,
-                 index_seed: int = 0,
-                 sync_interval: int = 100,
+    def __init__(self, sync_interval: int = 100,
                  enable_cache: bool = True) -> None:
-        self._default_index_config = default_index_config
-        self._index_seed = index_seed
         self._sync_interval = sync_interval  # WORKERS merge / slice cadence
         self._enable_cache = bool(enable_cache)
         # Shared with every fork: the table bindings (dataset, index,
@@ -135,8 +131,6 @@ class OpaqueQuerySession:
         both — the registries are shared, not copied.
         """
         child = OpaqueQuerySession(
-            default_index_config=self._default_index_config,
-            index_seed=self._index_seed,
             sync_interval=self._sync_interval,
             enable_cache=self._enable_cache,
         )
@@ -171,11 +165,8 @@ class OpaqueQuerySession:
             raise ConfigurationError(
                 "prebuilt index does not cover the dataset"
             )
-        if index_config is None:
-            index_config = self._default_index_config
         self._catalog[name] = TableBinding(
-            name, dataset, index_config, self._index_seed,
-            self._registry_lock, index=index)
+            name, dataset, index_config, self._registry_lock, index=index)
 
     def register_udf(self, name: str, scorer: Scorer) -> None:
         """Register an opaque scoring function under a name.

@@ -9,9 +9,8 @@ the k-th-score threshold is re-broadcast asynchronously (picked up at the
 next slice boundary), and callers consume an **anytime results API** —
 :meth:`~repro.streaming.engine.StreamingTopKEngine.results_iter` yields
 :class:`~repro.streaming.engine.ProgressiveResult` snapshots from the
-first slice onward, each carrying an explicit displacement bound.  Two
-early stops: the ``stable_slices`` heuristic, and the principled
-``confidence=p`` certificate built on
+first slice onward, each carrying an explicit displacement bound.  One
+early stop: the ``confidence=p`` certificate built on
 :mod:`repro.core.convergence`.
 
 Backends are the ones of :mod:`repro.parallel.backends` (``serial`` is a

@@ -36,14 +36,12 @@ threshold, convergence flag, displacement bounds) emitted as merges
 land — the first snapshot arrives after the first slice, i.e.
 time-to-first-result is one slice latency instead of one full run.
 ``converged`` turns true when the answer is provably final for the drive
-(budget spent or every shard exhausted) or when an optional early-stop
-rule fires: ``stable_slices=s`` stops once every still-active shard has
-reported ``s`` consecutive slices without the top-k id set changing (a
-heuristic), and ``confidence=p`` stops once the coordinator's
+(budget spent or every shard exhausted) or when the optional early stop
+fires: ``confidence=p`` stops once the coordinator's
 :class:`~repro.core.convergence.ConvergenceBound` — fed by the sketch
 tail summaries every slice ships — certifies at level ``p`` that the
-rest of the budget would not change the answer (the principled stop;
-see ``docs/streaming.md``).
+rest of the budget would not change the answer (see
+``docs/streaming.md``).
 
 On the ``serial`` backend the whole pipeline is a deterministic
 event-driven simulation (virtual clocks, arrival order =
@@ -79,7 +77,7 @@ class ProgressiveResult:
     the scoring calls consumed so far, ``threshold`` the global k-th score
     being broadcast (``None`` until the buffer fills), and ``converged``
     whether the answer is final for this drive (budget spent, every shard
-    exhausted, or the early-stop stability rule fired).
+    exhausted, or the ``confidence`` early stop fired).
     """
 
     top_k: List[Tuple[str, float]]
@@ -222,18 +220,13 @@ class StreamingTopKEngine(ShardCoordinator):
         round engine's ``sync_interval``; smaller slices mean fresher
         thresholds and earlier first results at slightly more merge
         traffic.
-    stable_slices:
-        Optional early-stop rule: stop once every still-active shard has
-        reported this many consecutive slices while the top-k id set and
-        the buffer's fill stayed unchanged.  ``None`` disables.
     confidence:
-        Optional principled early stop (see :mod:`repro.core.convergence`
-        and ``docs/streaming.md``): stop once the displacement bound —
-        the estimated probability that the rest of the drive still
-        changes the top-k — drops to ``1 - confidence`` or below.
+        Optional early stop (see :mod:`repro.core.convergence` and
+        ``docs/streaming.md``): stop once the displacement bound — the
+        estimated probability that the rest of the drive still changes
+        the top-k — drops to ``1 - confidence`` or below.
         ``confidence=0.95`` stops when the answer is certified stable at
-        the 95% level under the shards' sketch model.  ``None`` disables;
-        composable with ``stable_slices`` (whichever fires first).
+        the 95% level under the shards' sketch model.  ``None`` disables.
     record:
         Record every slice submission and merge arrival into a
         JSON-safe :class:`~repro.replay.trace.ArrivalTrace` (read it with
@@ -242,7 +235,7 @@ class StreamingTopKEngine(ShardCoordinator):
     **shards:
         Everything else — ``n_workers`` (1 is valid: a single shard still
         streams a snapshot every slice), ``backend``, ``index_config``,
-        ``engine_config``, ``share_threshold``, ``seed``, ``index_cache``,
+        ``engine_config``, ``seed``, ``index_cache``,
         ``ids``, ``memo``, ``priors``, ``trace`` and ``gate`` — is
         documented once, on
         :class:`~repro.parallel.coordinator.ShardCoordinator`.
@@ -262,25 +255,20 @@ class StreamingTopKEngine(ShardCoordinator):
 
     kind = "streaming"
     _SNAPSHOT_FORMAT = "repro-streaming-snapshot/1"
-    _POLICY_FIELDS = {"slice_budget": int, "stable_slices": (int, NULL),
-                      "confidence": NUMBER + (NULL,)}
+    _POLICY_FIELDS = {"slice_budget": int, "confidence": NUMBER + (NULL,)}
+    #: ``stable_slices`` stays ``null``: ``confidence`` is the one early stop.
+    _FIXED_FIELDS = {**ShardCoordinator._FIXED_FIELDS, "stable_slices": None}
 
     def __init__(self, dataset: Dataset, scorer: Scorer, k: int,
                  slice_budget: int = 100,
-                 stable_slices: Optional[int] = None,
                  confidence: Optional[float] = None,
                  record: bool = False, **shards) -> None:
         if slice_budget <= 0:
             raise ConfigurationError(
                 f"slice_budget must be positive, got {slice_budget!r}"
             )
-        if stable_slices is not None and stable_slices <= 0:
-            raise ConfigurationError(
-                f"stable_slices must be positive, got {stable_slices!r}"
-            )
         super().__init__(dataset, scorer, k, **shards)
         self.slice_budget = int(slice_budget)
-        self.stable_slices = stable_slices
         self.confidence = check_confidence(confidence)
         self._recorder = None
         if record:
@@ -294,7 +282,6 @@ class StreamingTopKEngine(ShardCoordinator):
         self._inflight: Dict[int, int] = {}   # worker -> reserved cap
         self._submit_merges: Dict[int, int] = {}
         self._reserved = 0
-        self._stable_count: List[int] = [0] * self.n_workers
         self._drive_count = 0
         # Real-clock bookkeeping for the current drive.
         self._drive_started: Optional[float] = None
@@ -334,9 +321,6 @@ class StreamingTopKEngine(ShardCoordinator):
             self._submit_merges[worker] = self.n_merges
             self._reserved += cap
 
-    def _topk_signature(self) -> Tuple[int, frozenset]:
-        return len(self._buffer), frozenset(self._buffer.payloads())
-
     def _merge_arrival(self, event: SliceEvent) -> None:
         """Merge one arrived slice into the global state."""
         outcome = event.outcome
@@ -347,7 +331,6 @@ class StreamingTopKEngine(ShardCoordinator):
         # stale the threshold floor it ran under had become by arrival.
         staleness = self.n_merges - self._submit_merges.pop(
             worker, self.n_merges)
-        before = self._topk_signature()
         self._absorb(outcome)
         self.n_merges += 1
         if self.backend.virtual_clock:
@@ -360,10 +343,6 @@ class StreamingTopKEngine(ShardCoordinator):
             )
         if self.time_to_first_result is None:
             self.time_to_first_result = self.wall_time
-        if self._topk_signature() == before:
-            self._stable_count[worker] += 1
-        else:
-            self._stable_count = [0] * self.n_workers
         self._publish(self._last_total)
         if self._recorder is not None:
             self._recorder.arrival(worker, outcome.scored, self.wall_time,
@@ -384,18 +363,8 @@ class StreamingTopKEngine(ShardCoordinator):
                 bound=self._bound.exhaustive_bound,
             )
 
-    def _is_stable(self) -> bool:
-        """Early-stop rule: every active shard quiet for ``stable_slices``."""
-        if self.stable_slices is None or len(self._buffer) < self.k:
-            return False
-        active = [w for w in range(self.n_workers) if self._active[w]]
-        if not active:
-            return True
-        return all(self._stable_count[w] >= self.stable_slices
-                   for w in active)
-
     def _is_confident(self) -> bool:
-        """Principled early stop: displacement bound reached ``1 - p``."""
+        """The early stop: displacement bound reached ``1 - p``."""
         return (self.confidence is not None
                 and len(self._buffer) >= self.k
                 and self._bound.drive_bound <= 1.0 - self.confidence)
@@ -466,8 +435,7 @@ class StreamingTopKEngine(ShardCoordinator):
             stopping = False
             while self._inflight:
                 self._merge_arrival(self.backend.next_event())
-                if not stopping and (self._is_stable()
-                                     or self._is_confident()):
+                if not stopping and self._is_confident():
                     stopping = True  # early stop: drain, no resubmissions
                 if not stopping:
                     self._refill(total)
@@ -531,8 +499,6 @@ class StreamingTopKEngine(ShardCoordinator):
             n_workers=self.n_workers,
             k=self.k,
             slice_budget=self.slice_budget,
-            share_threshold=self.share_threshold,
-            stable_slices=self.stable_slices,
             confidence=self.confidence,
             root_entropy=self.root_entropy,
             drives=[dict(drive) for drive in self._recorder.drives],

@@ -236,6 +236,13 @@ DELETED_NAMES = (
     # exact sum of the held scores.
     "_stk", "stk_curve", "stk_after_insert", "best_case_curve",
     "worst_case_curve",
+    # Options only tests set, now constants, and the code only their
+    # other values reached: the stable-slices stop, the checkpoint
+    # cadence, the shard-index cache size, the session's index seed and
+    # default index configuration.
+    "_topk_signature", "_is_stable", "_stable_count", "checkpoint_every",
+    "maxsize", "index_seed", "_index_seed", "default_index_config",
+    "_default_index_config",
 )
 
 

@@ -10,7 +10,7 @@ so ``-0.0`` is told apart from ``0.0``):
 * ``fold(path, scores, tau)`` equals, row by row, ``maybe_extend_lowest``
   then the numpy ``add_batch`` — edges, counts, mass, the extension and
   re-bin tallies and the stale marker;
-* the Python range extension, subtraction and merge equal their numpy
+* the Python range extension and subtraction equal their numpy
   forms (``np.linspace`` plus the vectorised overlap redistribution);
 * the batch offer equals one ``offer`` per score: the heap's entries, its
   sequence counter, the running STK and the returned gain;
@@ -170,19 +170,6 @@ def reference_subtract(sketch, other):
     bank.resync(row)
 
 
-def reference_merge(sketch, other):
-    if other.is_empty:
-        return
-    if other.max_range > sketch.max_range:
-        reference_extend_range(sketch, other.max_range)
-    bank, row = sketch._bank, sketch._row
-    bank.row_counts[row] = (
-        np.array(bank.row_counts[row])
-        + reference_overlap_redistribute(other.edges, other.counts,
-                                         bank.row_edges[row])).tolist()
-    bank.resync(row)
-
-
 # -- strategies ----------------------------------------------------------------
 
 #: Counts past 2**53 / 8, where adding a tally of 2 and adding 1.0 twice
@@ -320,7 +307,7 @@ def test_fold_refuses_bad_scores_before_any_row_changes():
     assert bank.row_mass[0] == 4.0
 
 
-# -- range extension, subtraction and merge --------------------------------------
+# -- range extension and subtraction ---------------------------------------------
 
 
 @st.composite
@@ -350,14 +337,12 @@ def test_grid_is_linspace(start, stop, n_bins):
 
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from((2, 3, 8)).flatmap(
-    lambda n_bins: st.tuples(sketches(n_bins), sketches(n_bins))),
-    st.sampled_from(("subtract", "merge")))
-def test_subtract_and_merge_are_the_numpy_forms(pair, name):
+    lambda n_bins: st.tuples(sketches(n_bins), sketches(n_bins))))
+def test_subtract_is_the_numpy_form(pair):
     sketch, other = pair
     want = clone(sketch._bank).row(0)
-    getattr(sketch, name)(other)
-    {"subtract": reference_subtract, "merge": reference_merge}[name](
-        want, other)
+    sketch.subtract(other)
+    reference_subtract(want, other)
     assert row_bits(sketch._bank, 0) == row_bits(want._bank, 0)
 
 

@@ -249,26 +249,6 @@ class TestStreamingConfidence:
         assert early.ids == full.ids
         assert early.displacement_bound <= 0.05
 
-    @pytest.mark.parametrize("stable", [2, 4, 8])
-    def test_confidence_spends_less_than_stable_slices(self, world, stable):
-        """The certificate stops with fewer UDF calls than the
-        ``stable_slices`` heuristic and still returns the full-budget
-        top-k (deterministic serial backend, virtual clock)."""
-        dataset, scorer = world
-
-        def run(**stop):
-            engine = StreamingTopKEngine(dataset, scorer, k=10, n_workers=3,
-                                         seed=0, slice_budget=50, **stop)
-            result = engine.run(budget=None)
-            engine.close()
-            return result
-
-        full = run()
-        certified = run(confidence=0.95)
-        heuristic = run(stable_slices=stable)
-        assert certified.ids == full.ids
-        assert certified.total_scored < heuristic.total_scored
-
     def test_invalid_confidence_rejected(self, world):
         dataset, scorer = world
         with pytest.raises(ConfigurationError, match="confidence"):

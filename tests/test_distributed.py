@@ -19,6 +19,7 @@ from repro.parallel.engine import ShardedTopKEngine
 from repro.parallel.worker import partition_ids
 from repro.scoring.base import FixedPerCallLatency
 from repro.scoring.relu import ReluScorer
+from repro.streaming.engine import StreamingTopKEngine
 from repro.utils.rng import RngFactory
 
 
@@ -128,14 +129,33 @@ class TestExecution:
         assert sum(w.n_scored for w in result.workers) == result.total_scored
         assert "workers" in result.summary()
 
-    def test_threshold_broadcast_sets_floor(self, world):
+    @pytest.mark.parametrize("streaming", [False, True],
+                             ids=["sharded", "streaming"])
+    def test_threshold_broadcast_sets_floor(self, world, streaming):
+        """Each shard engine runs under the floor the coordinator
+        broadcast with that shard's last slice, for both wait policies."""
         dataset, scorer, _ = world
-        executor = serial_engine(dataset, scorer, k=5,
-                                 n_workers=2, sync_interval=50,
-                                 share_threshold=True, seed=0)
-        # Run a few rounds manually via run(); floors should be set after.
-        executor_result = executor.run(budget=300)
-        assert executor_result.n_rounds >= 2
+        engine = (StreamingTopKEngine(dataset, scorer, k=5, n_workers=2,
+                                      backend="serial", slice_budget=50,
+                                      seed=0) if streaming else
+                  serial_engine(dataset, scorer, k=5, n_workers=2,
+                                sync_interval=50, seed=0))
+        submitted = {}
+        submit = engine.backend.submit
+
+        def recording(worker, cap, floor):
+            assert floor == engine._floor
+            submitted[worker] = floor
+            submit(worker, cap, floor)
+
+        engine.backend.submit = recording
+        with engine:
+            engine.run(budget=300)
+            shards = engine.backend.inline_workers()
+            assert sorted(submitted) == [0, 1]
+            for worker, shard in enumerate(shards):
+                assert submitted[worker] is not None
+                assert shard.engine.threshold_floor == submitted[worker]
 
     def test_deterministic_under_seed(self, world):
         dataset, scorer, _ = world

@@ -116,10 +116,12 @@ class TestRun:
     def test_checkpoints_nondecreasing_stk(self, setup):
         dataset, tree, scorer = setup
         engine = TopKEngine(tree, EngineConfig(k=5, seed=1))
-        result = engine.run(dataset, scorer, budget=200, checkpoint_every=20)
+        result = engine.run(dataset, scorer, budget=200)
         stks = [cp.stk for cp in result.checkpoints]
         assert all(a <= b + 1e-9 for a, b in zip(stks, stks[1:]))
-        assert len(result.checkpoints) >= 9
+        # One checkpoint per max(1, budget // 200) scored elements.
+        assert [cp.iteration for cp in result.checkpoints] == list(
+            range(1, 201))
 
     def test_virtual_time_charged(self, setup):
         dataset, tree, scorer = setup

@@ -29,7 +29,6 @@ DATASET = SyntheticClustersDataset.generate(n_clusters=5, per_cluster=80,
 #: latency, so it is off where the two loops must agree on their own; the
 #: ``fallback`` case makes both look expensive enough to fall back at once.
 NO_SCAN = FallbackConfig(enable_clustering_fallback=False)
-CHECKPOINT_EVERY = 20
 
 
 class Recording:
@@ -61,7 +60,8 @@ def pulled(engine: TopKEngine, scorer, budget: int):
     size = engine.config.batch_size
     engine.scoring_latency_hint = scorer.batch_cost(size) / size
     dataset = Recording(DATASET)
-    checkpoints, cost, next_checkpoint = [], 0.0, CHECKPOINT_EVERY
+    cadence = max(1, min(budget, len(DATASET)) // 200)
+    checkpoints, cost, next_checkpoint = [], 0.0, cadence
     while engine.n_scored < budget and not engine.exhausted:
         ids = engine.next_batch()
         scores = scorer.score_batch(dataset.fetch_batch(ids))
@@ -70,7 +70,7 @@ def pulled(engine: TopKEngine, scorer, budget: int):
         if engine.n_scored >= next_checkpoint:
             checkpoints.append((engine.n_scored, cost, engine.stk,
                                 engine.threshold))
-            next_checkpoint += CHECKPOINT_EVERY
+            next_checkpoint += cadence
     return dataset.drawn, checkpoints
 
 
@@ -82,8 +82,7 @@ def test_run_and_the_pull_interface_agree(seed, batch, shape, budget):
     scorer = ReluScorer(FixedPerCallLatency(1e-3))
     looped = engine_for(shape, seed, batch)
     dataset = Recording(DATASET)
-    result = looped.run(dataset, scorer, budget=budget,
-                        checkpoint_every=CHECKPOINT_EVERY)
+    result = looped.run(dataset, scorer, budget=budget)
     hand = engine_for(shape, seed, batch)
     drawn, checkpoints = pulled(hand, scorer, budget)
 

@@ -202,23 +202,6 @@ class TestSubtraction:
         assert parent.total_mass == 1.0
 
 
-class TestMerge:
-    def test_merge_adds_mass(self, rng):
-        a = make_hist(initial_range=4.0)
-        b = make_hist(initial_range=4.0)
-        a.add_many(rng.uniform(0, 4, size=25))
-        b.add_many(rng.uniform(0, 4, size=35))
-        a.merge(b)
-        assert a.total_mass == pytest.approx(60.0)
-
-    def test_merge_extends_range(self):
-        a = make_hist(initial_range=1.0)
-        b = make_hist(initial_range=1.0)
-        b.add(50.0)
-        a.merge(b)
-        assert a.max_range >= 50.0
-
-
 class TestExpectedMarginalGain:
     def test_empty_sketch_zero(self):
         assert make_hist().expected_marginal_gain(1.0) == 0.0

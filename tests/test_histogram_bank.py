@@ -46,7 +46,6 @@ operations = st.one_of(
     st.tuples(st.just("extend_range"), st.floats(0.1, 200.0)),
     st.tuples(st.just("maybe_extend_lowest"), thresholds),
     st.tuples(st.just("subtract"), st.lists(scores, max_size=6)),
-    st.tuples(st.just("merge"), st.lists(scores, max_size=6)),
     st.tuples(st.just("copy"), st.none()),
     st.tuples(st.just("round_trip"), st.none()),
     st.tuples(st.just("gain"), thresholds),
@@ -84,9 +83,9 @@ def test_bank_row_equals_standalone_sketch(ops):
     frozen = [row_state(bank, r) for r in others]
     threshold = None
     for name, argument in ops:
-        if name in ("subtract", "merge"):
-            getattr(row, name)(other_sketch(argument))
-            getattr(alone, name)(other_sketch(argument))
+        if name == "subtract":
+            row.subtract(other_sketch(argument))
+            alone.subtract(other_sketch(argument))
         elif name == "copy":
             # A copy is standalone and equal; the row itself is unmoved.
             assert_same(row.copy(), alone.copy())

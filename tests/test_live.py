@@ -806,7 +806,7 @@ class TestChurnRebuild:
         fresh = build_index(features(snapshot), snapshot.ids(),
                             index_config_for(len(snapshot),
                                              IndexConfig(n_clusters=6)),
-                            rng=binding._index_seed)
+                            rng=0)
         assert binding.maintainer.tree.to_dict() == fresh.to_dict()
 
 

@@ -24,7 +24,7 @@ from repro.parallel.engine import ShardedTopKEngine
 from repro.scoring.base import FixedPerCallLatency
 from repro.scoring.relu import ReluScorer
 from repro.session import OpaqueQuerySession
-from repro.index.builder import IndexConfig
+from repro.index.builder import IndexConfig, build_index, index_config_for
 
 
 class TestErrorHierarchy:
@@ -128,32 +128,32 @@ class TestSessionBatchClause:
         )
         assert result.n_batches <= 5  # 120 / 30
 
-    def test_default_index_config_used(self):
+
+class TestSessionIndex:
+    def test_table_index_config_used(self):
         dataset = SyntheticClustersDataset.generate(n_clusters=4,
                                                     per_cluster=100, rng=0)
-        session = OpaqueQuerySession(
-            default_index_config=IndexConfig(n_clusters=3)
-        )
-        session.register_table("t", dataset)
+        session = OpaqueQuerySession()
+        session.register_table("t", dataset,
+                               index_config=IndexConfig(n_clusters=3))
         session.register_udf("relu", ReluScorer())
         session.execute("SELECT TOP 2 FROM t ORDER BY relu BUDGET 50")
         assert session._binding("t").index_for().n_leaves() == 3
 
+    def test_index_is_a_function_of_the_rows(self):
+        """Every session builds a table's index with seed 0, so it is the
+        tree ``build_index(..., rng=0)`` builds outside any session."""
+        dataset = SyntheticClustersDataset.generate(n_clusters=4,
+                                                    per_cluster=100, rng=0)
+        session = OpaqueQuerySession()
+        session.register_table("t", dataset)
+        built = session._binding("t").index_for()
+        fresh = build_index(dataset.features(), dataset.ids(),
+                            index_config_for(len(dataset), None), rng=0)
+        assert built.to_dict() == fresh.to_dict()
+
 
 class TestDistributedVariants:
-    def test_no_threshold_sharing_still_exact_exhaustive(self):
-        dataset = SyntheticClustersDataset.generate(n_clusters=6,
-                                                    per_cluster=80, rng=0)
-        scorer = ReluScorer(FixedPerCallLatency(1e-3))
-        executor = ShardedTopKEngine(dataset, scorer, k=10, n_workers=3,
-                                     backend="serial",
-                                     share_threshold=False, seed=0)
-        result = executor.run()
-        truth_topk = sorted(
-            (dataset.fetch(i) for i in dataset.ids()), reverse=True
-        )[:10]
-        assert result.stk == pytest.approx(sum(max(v, 0) for v in truth_topk))
-
     def test_single_worker_matches_engine_semantics(self):
         dataset = SyntheticClustersDataset.generate(n_clusters=5,
                                                     per_cluster=60, rng=1)

@@ -590,8 +590,7 @@ class TestSpansCloseOnEveryExit:
                                                 seed=SEED))
         trace = TraceContext()
         with pytest.raises(QueryCancelledError):
-            engine.run(dataset, ReluScorer(), budget=BUDGET,
-                       checkpoint_every=BATCH, trace=trace,
+            engine.run(dataset, ReluScorer(), budget=BUDGET, trace=trace,
                        gate=CancelOnFourth())
         assert trace.walk_names() == [(0, "run[single]"), (1, "window[0]"),
                                       (1, "window[1]"), (1, "window[2]"),

@@ -133,6 +133,17 @@ NESTED = [
 ]
 NESTED_FORMAT = {("memo", "format"): "repro-memo/1"}
 
+#: Fields the ``/1`` formats keep for options since fixed, each with a
+#: value an older writer could emit and this code cannot re-execute: the
+#: threshold broadcast switched off, or the ``stable_slices`` early stop.
+FIXED = [
+    ("sharded-snapshot", "share_threshold", False),
+    ("streaming-snapshot", "share_threshold", False),
+    ("streaming-snapshot", "stable_slices", 2),
+    ("arrival-trace", "share_threshold", False),
+    ("arrival-trace", "stable_slices", 2),
+]
+
 #: Where a document nests a histogram payload: (kind, path to it).
 HISTOGRAMS = [
     ("engine-snapshot", ("tree", "histogram")),
@@ -310,6 +321,11 @@ def malformed_cases():
         expected = NESTED_FORMAT.get(path, fixture(kind)["format"])
         yield (kind, "no-" + ".".join(map(str, path)),
                without(fixture(kind), path), expected, expected)
+    for kind, key, value in FIXED:
+        payload = fixture(kind)
+        yield (kind, f"fixed-{key}", dict(payload, **{key: value}),
+               payload["format"],
+               f"{key!r} {payload[key]!r}, found {value!r}")
     for kind in COORDINATORS:
         payload = fixture(kind)
         shards = payload["workers"]
@@ -637,8 +653,7 @@ def test_trace_round_trip(roots):
     ArrivalTrace,
     backend=st.sampled_from(["serial", "thread", "process"]),
     n_workers=st.integers(1, 4), k=st.integers(1, 9),
-    slice_budget=st.integers(1, 99), share_threshold=st.booleans(),
-    stable_slices=st.none() | st.integers(1, 5),
+    slice_budget=st.integers(1, 99),
     confidence=st.none() | st.floats(0.5, 0.99),
     root_entropy=st.integers(0, 2**64),
     drives=st.lists(st.fixed_dictionaries(

@@ -154,12 +154,14 @@ class TestReplayDeterminism:
         assert replayed.progressive == recorded.progressive
 
     def test_recorded_early_stop_replays(self, world):
-        """Stopping rules re-fire deterministically on replay (settings
-        travel in the trace header)."""
+        """The ``confidence`` stop re-fires deterministically on replay
+        (the level travels in the trace header)."""
         dataset, scorer = world
         recorded, trace = record_run(dataset, scorer, backend="thread",
-                                     budget=None, stable_slices=2)
-        assert trace.stable_slices == 2
+                                     budget=None, confidence=0.95)
+        assert trace.confidence == 0.95
+        assert recorded.converged
+        assert recorded.total_scored < len(dataset)
         replayed = replay_run(dataset, scorer, trace)
         assert replayed.converged
         assert replayed.total_scored == recorded.total_scored

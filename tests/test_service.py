@@ -36,7 +36,11 @@ import pytest
 from repro.errors import ConfigurationError, QueryCancelledError
 from repro.index.builder import IndexConfig
 from repro.obs.metrics import REGISTRY
-from repro.parallel.cache import ShardIndexCache, shard_cache_key
+from repro.parallel.cache import (
+    MAX_ENTRIES,
+    ShardIndexCache,
+    shard_cache_key,
+)
 from repro.parallel.shm import SEGMENT_PREFIX, shm_available
 from repro.query import parse
 from repro.scoring.base import CountingScorer, FunctionScorer
@@ -408,14 +412,15 @@ class TestFaultInjection:
 
 class TestShardIndexCacheHammer:
     def test_concurrent_get_put_clear_never_corrupts(self):
-        """8 threads × shared keys × tiny LRU: the unlocked version dies.
+        """8 threads × 12 shared keys × an 8-entry LRU: the unlocked
+        version dies.
 
         Without the cache lock, a ``get`` that saw an entry races an
         evicting ``put`` and KeyErrors inside ``move_to_end`` (or the
         LRU map and counters desynchronize); with it, every operation is
         atomic and the size bound holds throughout.
         """
-        cache = ShardIndexCache(maxsize=4)
+        cache = ShardIndexCache()
         keys = [shard_cache_key(entropy, 2, None, 100)
                 for entropy in range(12)]
         errors = []
@@ -434,7 +439,7 @@ class TestShardIndexCacheHammer:
                         if entry is not None:
                             partitions, indexes = entry
                             assert len(partitions) == len(indexes)
-                    assert len(cache) <= 4
+                    assert len(cache) <= MAX_ENTRIES
             except BaseException as exc:  # noqa: BLE001 — recorded for
                 errors.append(exc)        # the main thread to re-raise
                 stop.set()

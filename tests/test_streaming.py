@@ -20,6 +20,7 @@ from repro.errors import ConfigurationError, SerializationError
 from repro.experiments.ground_truth import compute_ground_truth
 from repro.index.builder import IndexConfig
 from repro.parallel import BACKENDS, ShardIndexCache, ShardedTopKEngine
+from repro.parallel.cache import MAX_ENTRIES
 from repro.scoring.base import FixedPerCallLatency
 from repro.scoring.relu import ReluScorer
 from repro.streaming import ProgressiveResult, StreamingTopKEngine
@@ -64,8 +65,6 @@ class TestBackendRegistry:
             StreamingTopKEngine(dataset, scorer, k=5, n_workers=0)
         with pytest.raises(ConfigurationError, match="slice_budget"):
             StreamingTopKEngine(dataset, scorer, k=5, slice_budget=0)
-        with pytest.raises(ConfigurationError, match="stable_slices"):
-            StreamingTopKEngine(dataset, scorer, k=5, stable_slices=0)
         with pytest.raises(ConfigurationError, match="k must be"):
             StreamingTopKEngine(dataset, scorer, k=0)
 
@@ -174,12 +173,12 @@ class TestAnytimeAPI:
         assert final.ids == [element_id for element_id, _ in final.top_k]
 
     def test_early_stop_rule_terminates_before_exhaustion(self, world):
-        """With stable_slices the run quiesces once no shard moves the
-        top-k, well before scoring the whole table (deterministic at this
-        seed), and reports converged."""
+        """With ``confidence`` the run quiesces once the displacement bound
+        certifies the answer, well before scoring the whole table
+        (deterministic at this seed), and reports converged."""
         dataset, scorer, _ = world
         result = run_streaming(dataset, scorer, "serial", budget=None,
-                               stable_slices=2)
+                               confidence=0.95)
         assert result.converged
         assert result.total_scored < len(dataset)
 
@@ -376,7 +375,9 @@ class TestShardIndexCache:
         assert len(cache) == 2
 
     def test_lru_bound(self):
-        cache = ShardIndexCache(maxsize=2)
-        for entropy in range(4):
+        cache = ShardIndexCache()
+        for entropy in range(MAX_ENTRIES + 2):
             cache.put((entropy, 1, "cfg", 10), [["a"]], [object()])
-        assert len(cache) == 2
+        assert len(cache) == MAX_ENTRIES
+        assert cache.get((0, 1, "cfg", 10)) is None
+        assert cache.get((MAX_ENTRIES + 1, 1, "cfg", 10)) is not None
