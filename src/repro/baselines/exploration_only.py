@@ -34,7 +34,8 @@ class ExplorationOnly(SamplingAlgorithm):
     def next_batch(self) -> List[str]:
         if self._policy.exhausted:
             raise ExhaustedError("ExplorationOnly exhausted")
-        return self._policy.select(self.batch_size, epsilon=1.0)
+        rows = self._policy.select(self.batch_size, epsilon=1.0)
+        return list(map(self._policy.names.__getitem__, rows))
 
     def observe(self, ids: Sequence[str], scores: Sequence[float]) -> None:
         # The histograms are never consulted, so fold no scores; the call

@@ -109,7 +109,8 @@ class UCBBandit(SamplingAlgorithm):
         if self.exhausted:
             raise ExhaustedError("UCB exhausted")
         self.t += 1
-        return self._policy.select(self.batch_size, choose=self._choose_child)
+        rows = self._policy.select(self.batch_size, choose=self._choose_child)
+        return list(map(self._policy.names.__getitem__, rows))
 
     def observe(self, ids: Sequence[str], scores: Sequence[float]) -> None:
         self._policy.update(scores, None, enable_rebinning=False)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Optional, Set, Tuple
 
-from repro.data.dataset import Dataset
+from repro.data.dataset import Dataset, InMemoryDataset, TableSnapshot
 from repro.index.builder import IndexConfig, build_index, index_config_for
 from repro.index.tree import ClusterNode, ClusterTree
 from repro.live.maintenance import IndexMaintainer
@@ -39,7 +39,7 @@ class TableBinding:
         #: The table's own configuration, else ``None`` (the sizing
         #: policy of ``index_config_for``).
         self.index_config = index_config
-        #: Cross-query scores, keyed inside by UDF fingerprint.
+        #: Cross-query scores, keyed inside by UDF fingerprint and row.
         self.memo = MemoStore()
         #: Per-shard partition indexes, shared by the round and streaming
         #: engines: a repeat query with the same seed / worker count /
@@ -53,25 +53,35 @@ class TableBinding:
         self._lock = lock
 
     def _build(self, rows: Dataset) -> ClusterTree:
-        """Full index build over the table or one snapshot of it."""
+        """Full index build over the table or one snapshot of it.
+
+        A static table's leaves slot its row -> id list (its ids, in
+        order, for good), so an engine over the tree fetches and
+        memoizes by row; a live snapshot's tree is republished over
+        block rows by the maintainer that adopts it.
+        """
         if len(rows) == 0:
             return ClusterTree(ClusterNode(node_id="root"))
         config = index_config_for(len(rows), self.index_config)
         block, block_rows = rows.feature_rows()
+        ids = (rows.row_ids if isinstance(rows, InMemoryDataset)
+               else rows.ids())
         # Seed 0: a table's index is a function of its rows alone.
-        return build_index(block, rows.ids(), config, rng=0, rows=block_rows)
+        return build_index(block, ids, config, rng=0, rows=block_rows)
 
     def _reconcile(self):
-        """Catch index, memo stamps and shard cache up to the write log.
+        """Catch index, memo and shard cache up to the write log.
 
         Caller holds the lock, so each shared structure advances exactly
         once across forks.  Returns the snapshot reconciled against.  The
         first touch subscribes to the log and builds over the snapshot
         it pulls (a registration-time prebuilt index is adopted only
-        when it covers exactly the live ids); the memo is still empty
-        then, so it learns the version and has nothing to evict.  From
-        there every pull hands over exactly the deltas not yet folded
-        in, and the table retains no others on this binding's account.
+        when it covers exactly the live ids); the memo starts following
+        the table's rows there.  From there every pull hands over
+        exactly the deltas not yet folded in, and the table retains no
+        others on this binding's account.  The memo is keyed by block
+        row, which no write rewrites: it only follows the compactions'
+        row maps (the row rule in :mod:`repro.memo.store`).
         """
         if self.maintainer is None:
             log = self.dataset.subscribe()
@@ -85,15 +95,15 @@ class TableBinding:
                 tree = self._build(snapshot)
             self.maintainer = IndexMaintainer(tree, snapshot, self._build,
                                               table=self.name)
-            self.memo.apply_writes((), snapshot.version)
+            self.memo.follow(snapshot)
             self._log = log
             return snapshot
         deltas, snapshot = self._log.pull()
         if deltas:
             self.maintainer.advance(deltas, snapshot)
             self.shard_cache.evict_stale(snapshot.version)
-            for delta in deltas:
-                self.memo.apply_writes(delta.ids, delta.version)
+            self.memo.follow(snapshot, [delta.remap for delta in deltas
+                                        if delta.remap is not None])
         return snapshot
 
     def pin(self) -> Tuple[Dataset, Optional[str], Optional[ClusterTree]]:
@@ -126,15 +136,22 @@ class TableBinding:
             self._reconcile()
             return self.maintainer.tree
 
-    def memo_view(self, fingerprint: str, version: int) -> MemoView:
-        """One UDF's read/write handle on the score memo.
+    def memo_view(self, fingerprint: str, rows: Dataset) -> MemoView:
+        """One UDF's read/write handle on the score memo, for a reader
+        of ``rows`` (the dataset :meth:`pin` handed out).
 
-        On a live table the view carries the reader's pinned version: it
-        refuses hits on — and never records scores for — elements
-        rewritten after it (the MVCC rule in :mod:`repro.memo.store`).
+        The view reads ids through the reader's own snapshot, so on a
+        live table a reader pinned before a write keeps the scores of
+        the rows it sees, and one pinned after misses on every row the
+        write added (the row rule in :mod:`repro.memo.store`).
         """
-        return self.memo.view(
-            fingerprint, reader_version=version if self.live else None)
+        if not isinstance(rows, TableSnapshot):
+            return self.memo.view(fingerprint)
+        if not self.live:
+            # A static table's rows never move; its memo follows them
+            # from the first reader on.
+            self.memo.follow(rows)
+        return self.memo.view(fingerprint, rows)
 
     def touched_since(self, version: int) -> Optional[Set[str]]:
         """Index nodes whose membership changed after ``version``.

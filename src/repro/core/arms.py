@@ -13,9 +13,12 @@ every draw swap-pops that copy: drawing position ``i`` moves the tail
 slot into position ``i`` — a list's swap-pop, on the same generator
 calls, so the draw order and the :meth:`~ArmState.peek_members` order
 are those of a list copy of the ids.  Draws deal in slots throughout;
-the picks become ids once, at the end of a draw.  Every tree's leaves
-are this one type (built, restored, restricted, shard and maintained
-live trees), so there is one draw loop.
+a draw returns the picked slots, which name rows of the dataset the
+engine reads (a built tree's slots index its id tuple, a live tree's
+the table's block rows), and :attr:`~ArmState.names` turns them into
+ids at the boundary.  Every tree's leaves are this one type (built,
+restored, restricted, shard and maintained live trees), so there is one
+draw loop.
 
 One hot-path affordance: ``draw_batch`` consumes the generator with a
 *single* rng call for the whole batch (a vectorized partial Fisher-Yates
@@ -26,7 +29,8 @@ bit.
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from array import array
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -57,17 +61,20 @@ class ArmState:
         self.member_ids = LeafMembers.of(member_ids)
         self._rng = as_generator(rng)
         self.n_drawn = 0
-        self.reset(self.member_ids)
+        self.reset()
 
-    def reset(self, member_ids: Iterable[str]) -> None:
-        """Make ``member_ids``, in that order, the undrawn members."""
-        members = LeafMembers.of(member_ids)
-        #: The undrawn slots are ``_source[:_n]``, and ``_names`` names
-        #: them.  A leaf's own slots are copied before the first draw
-        #: writes; slots read from a plain list of ids are the arm's own.
-        self._source = members.slots
-        self._names = members.names
-        self._owned = members is not member_ids
+    @property
+    def names(self) -> Sequence[str]:
+        """The list a drawn slot indexes: ``names[slot]`` is its id."""
+        return self.member_ids.names
+
+    def reset(self, slots: Optional[array] = None) -> None:
+        """Make ``slots`` (default: every member's), in that order, the
+        undrawn members; they are the arm's own from then on."""
+        #: The undrawn slots are ``_source[:_n]``.  A leaf's own slots
+        #: are copied before the first draw writes.
+        self._owned = slots is not None
+        self._source = self.member_ids.slots if slots is None else slots
         self._n = len(self._source)
 
     def _own(self):
@@ -89,8 +96,8 @@ class ArmState:
         """True once the cluster has been exhausted."""
         return not self._n
 
-    def draw(self) -> str:
-        """Draw one member uniformly at random, removing it (O(1)).
+    def draw(self) -> int:
+        """Draw one member's slot uniformly at random, removing it (O(1)).
 
         Position ``i`` is taken and the tail position moves into its
         slot: a list's swap-pop, on the arm's copy of the slots.
@@ -103,10 +110,10 @@ class ArmState:
         source = self._source if self._owned else self._own()
         picked = source[i]
         source[i] = source[last]
-        return self._names[picked]
+        return picked
 
-    def draw_batch(self, size: int) -> List[str]:
-        """Draw up to ``size`` members (fewer if the arm runs dry).
+    def draw_batch(self, size: int) -> List[int]:
+        """Draw up to ``size`` members' slots (fewer if the arm runs dry).
 
         For ``size > 1`` the whole batch consumes exactly one rng call
         (a vector of uniforms scaled by shrinking bounds — a partial
@@ -134,11 +141,15 @@ class ArmState:
             source[i] = source[last]
         self._n = n - take
         self.n_drawn += take
-        return list(map(self._names.__getitem__, picks))
+        return picks
+
+    def peek_slots(self) -> array:
+        """The not-yet-drawn members' slots, in the order a list swap-pop
+        would hold them.  Not a test helper: the policy's ``state()``
+        snapshots and ``remaining_rows()`` (the uniform-scan fallback)
+        read it, so the order is part of the seeded behaviour."""
+        return self._source[:self._n]
 
     def peek_members(self) -> tuple:
-        """The not-yet-drawn member IDs, in the order a list swap-pop
-        would hold them.  Not a test helper: the policy's ``state()``
-        snapshots and ``remaining_ids()`` (the uniform-scan fallback)
-        read it, so the order is part of the seeded behaviour."""
-        return tuple(map(self._names.__getitem__, self._source[:self._n]))
+        """The ids of :meth:`peek_slots`, in that order."""
+        return tuple(map(self.names.__getitem__, self.peek_slots()))

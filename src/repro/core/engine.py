@@ -32,12 +32,19 @@ the same draws and answers).
 Hot-path invariants
 -------------------
 Per-query set-up is O(tree nodes), not O(rows): the policy mirrors the
-index into a node table, and each arm draws from its leaf's member tuple
-in place through a swap map that grows with the draws
-(:mod:`repro.core.arms`), so neither building nor dropping an engine
-touches every id.  Per-element engine overhead is O(depth) Python
-steps, and the histogram work of a select and of an observation is
-plain Python floats at every batch width:
+index into a node table, and each arm draws from its leaf's slot array,
+copied on the first draw (:mod:`repro.core.arms`), so neither building
+nor dropping an engine touches every id.  Per-element engine overhead
+is O(depth) Python steps, and the histogram work of a select and of an
+observation is plain Python floats at every batch width:
+
+* Rows inside, ids at the boundary.  A draw is slots of the tree's one
+  list of ids (``policy.names``); the pending batch, the scan queue and
+  the top-k buffer hold those rows, and :class:`ScoringStep` fetches
+  and memoizes them by row when the list is the dataset's own row -> id
+  list (a table's index is built that way).  Ids are named for
+  :meth:`~TopKEngine.next_batch` / :meth:`~TopKEngine.observe`,
+  :meth:`~TopKEngine.topk_items` and the results, and snapshots.
 
 * ``exhausted`` reads the policy's incremental ``remaining`` counters,
   and a descent's candidates are each node's kept list of live children
@@ -111,15 +118,18 @@ class SupportsScore(Protocol):
 
 
 def _undrawn_queue(queue: list, policy: HierarchicalBanditPolicy,
-                   fmt: str) -> List[str]:
-    """``queue`` if it lists distinct string ids the policy has not drawn.
+                   fmt: str) -> List[int]:
+    """The rows of ``queue``, if it lists distinct string ids the policy
+    has not drawn.
 
     The uniform-scan fallback queues the policy's undrawn members and
     stops drawing from the policy, so a scan-mode snapshot lists each
     queued id once in the queue and once in its leaf; an id outside the
     leaves was scored already, or was never in the index.
     """
-    undrawn = set(policy.remaining_ids()) if queue else set()
+    names = policy.names
+    undrawn = ({names[row]: row for row in policy.remaining_rows()}
+               if queue else {})
     queued: Set[str] = set()
     for element_id in queue:
         if not isinstance(element_id, str):
@@ -134,7 +144,20 @@ def _undrawn_queue(queue: list, policy: HierarchicalBanditPolicy,
         raise SerializationError(
             f"expected {fmt} scan_queue of undrawn ids, found {problem}: "
             f"{element_id!r}")
-    return list(queue)
+    return [undrawn[element_id] for element_id in queue]
+
+
+def _member_rows(policy: HierarchicalBanditPolicy, ids: Sequence,
+                 fmt: str) -> List[int]:
+    """The rows of ``ids``, each a member of a leaf of the policy's index
+    (a restored top-k buffer names scored members)."""
+    rows = policy.member_rows() if ids else {}
+    for element_id in ids:
+        if element_id not in rows:
+            raise SerializationError(
+                f"expected {fmt} buffer of members of the index, found "
+                f"{element_id!r}")
+    return [rows[element_id] for element_id in ids]
 
 
 def _fully_funded(gate, needed: int) -> bool:
@@ -156,12 +179,18 @@ class ScoringStep:
     """Pay for one drawn batch: fetch, memo, gate, UDF, write-back, tally.
 
     The transparency contract, stated once: a memo hit or a gate draw
-    decides only *whether the real UDF runs* for an element.  The ids,
-    their order, the scores and the **full** ``batch_cost`` charged to
-    :attr:`cost` are those of a cold, ungated run, so warm == cold and
-    gated == solo hold bit for bit; savings show only where they are real
-    (:attr:`hits`, UDF call counts, wall clock).  Requires element-wise
-    pure scorers.
+    decides only *whether the real UDF runs* for an element.  The
+    elements, their order, the scores and the **full** ``batch_cost``
+    charged to :attr:`cost` are those of a cold, ungated run, so warm ==
+    cold and gated == solo hold bit for bit; savings show only where they
+    are real (:attr:`hits`, UDF call counts, wall clock).  Requires
+    element-wise pure scorers.
+
+    A batch is rows of the engine's ``names`` list (its tree's slots).
+    When that list is the dataset's own row -> id list (``row_ids``: the
+    table built the tree) the step fetches by row (``fetch_rows``), and
+    when it is also the memo view's ``space`` it looks the batch up and
+    records it by row; otherwise it names the rows and goes by id.
 
     ``memo`` is a :class:`~repro.memo.store.MemoView` (``None`` = off; an
     *empty* view is still on: every score is fresh and written back).
@@ -182,20 +211,37 @@ class ScoringStep:
         self.cost = 0.0
         self.hits = 0
         self.fresh: List[Tuple[str, float]] = []
+        self._names: Optional[Sequence[str]] = None
+        self._by_row = self._memo_by_row = False
 
-    def score(self, ids: Sequence[str]) -> Optional[Sequence[float]]:
-        """Scores for ``ids`` (id-aligned); ``None``, uncharged, if unfunded."""
-        if self.memo is None:
-            scores, misses, miss_ids = (), None, ids
+    def score(self, rows: Sequence[int],
+              names: Sequence[str]) -> Optional[Sequence[float]]:
+        """Scores for ``rows`` of ``names`` (row-aligned); ``None``,
+        uncharged, if unfunded."""
+        if names is not self._names:
+            self._names = names
+            self._by_row = getattr(self.dataset, "row_ids", None) is names
+            self._memo_by_row = (self.memo is not None
+                                 and self.memo.space is names)
+        memo = self.memo
+        if memo is None:
+            scores, misses, miss_rows = (), None, rows
         else:
-            scores, misses = self.memo.lookup(ids)
-            miss_ids = [ids[position] for position in misses]
-        if miss_ids:
+            if self._memo_by_row:
+                scores, misses = memo.lookup_rows(rows)
+            else:
+                scores, misses = memo.lookup([names[row] for row in rows])
+            miss_rows = [rows[position] for position in misses]
+        if miss_rows:
             if self.gate is not None and not _fully_funded(self.gate,
-                                                           len(miss_ids)):
+                                                           len(miss_rows)):
                 return None
-            fresh = self.scorer.score_batch(
-                self.dataset.fetch_batch(miss_ids))
+            if self._by_row:
+                objects = self.dataset.fetch_rows(miss_rows)
+            else:
+                objects = self.dataset.fetch_batch(
+                    [names[row] for row in miss_rows])
+            fresh = self.scorer.score_batch(objects)
             if misses is None:
                 scores = fresh
             else:
@@ -205,12 +251,15 @@ class ScoringStep:
                 check_scores(fresh)
                 for position, value in zip(misses, fresh):
                     scores[position] = value
-                pairs = list(zip(miss_ids, fresh))
-                self.memo.record_pairs(pairs)
-                self.fresh.extend(pairs)
-        self.scored += len(ids)
-        self.hits += len(ids) - len(miss_ids)
-        self.cost += self.scorer.batch_cost(len(ids))
+                miss_ids = [names[row] for row in miss_rows]
+                if self._memo_by_row:
+                    memo.record_rows(miss_rows, fresh)
+                else:
+                    memo.record_pairs(zip(miss_ids, fresh))
+                self.fresh.extend(zip(miss_ids, fresh))
+        self.scored += len(rows)
+        self.hits += len(rows) - len(miss_rows)
+        self.cost += self.scorer.batch_cost(len(rows))
         return scores
 
 
@@ -281,15 +330,17 @@ class TopKEngine:
             rng=factory.named("tree"),
             enable_subtraction=self.config.enable_subtraction,
         )
-        self.buffer: TopKBuffer[str] = TopKBuffer(self.config.k)
+        #: Rows of ``names`` inside; ids only at the boundary.
+        self._names = self.policy.names
+        self.buffer: TopKBuffer[int] = TopKBuffer(self.config.k)
         self.n_total = index.n_elements()
         self.fallback = FallbackController(self.config.fallback, self.n_total)
         self.scoring_latency_hint = float(scoring_latency_hint)
         self.overhead = Stopwatch()
         # Execution state.
         self.mode = "bandit"  # or "scan" after clustering fallback
-        self._scan_queue: List[str] = []
-        self._pending: List[str] = []
+        self._scan_queue: List[int] = []
+        self._pending: List[int] = []
         self.t_batches = 0
         self.n_scored = 0
         self.n_explore = 0
@@ -338,7 +389,8 @@ class TopKEngine:
 
     def topk_items(self) -> List[Tuple[str, float]]:
         """Current (id, score) answer rows in descending score order."""
-        return [(payload, score) for score, payload in self.buffer.items()]
+        names = self._names
+        return [(names[row], score) for score, row in self.buffer.items()]
 
     @property
     def bandit_latency_per_element(self) -> float:
@@ -363,9 +415,9 @@ class TopKEngine:
             )
         with self.overhead:
             self._pending = self._select_batch()
-        return list(self._pending)
+        return list(map(self._names.__getitem__, self._pending))
 
-    def _select_batch(self) -> List[str]:
+    def _select_batch(self) -> List[int]:
         size = self.config.batch_size
         if self.mode == "scan":
             if not self._scan_queue:
@@ -402,7 +454,9 @@ class TopKEngine:
             raise ConfigurationError(
                 f"observe() got {len(ids)} ids for {len(self._pending)} pending"
             )
-        for expected_id, got_id in zip(self._pending, ids):
+        names = self._names
+        for row, got_id in zip(self._pending, ids):
+            expected_id = names[row]
             if expected_id != got_id:
                 raise ConfigurationError(
                     f"observe() ids out of order: expected {expected_id!r}, "
@@ -450,7 +504,7 @@ class TopKEngine:
             self.policy.flatten()
             self.fallback_events.append((self.n_scored, decision.value))
         elif decision is FallbackDecision.UNIFORM_SCAN:
-            remaining = self.policy.remaining_ids()
+            remaining = self.policy.remaining_rows()
             self._rng.shuffle(remaining)
             self._scan_queue = remaining
             self.mode = "scan"
@@ -477,7 +531,7 @@ class TopKEngine:
                 started = perf_counter()
                 self._pending = self._select_batch()
                 overhead.elapsed += perf_counter() - started
-            scores = step.score(self._pending)
+            scores = step.score(self._pending, self._names)
             if scores is None:
                 return False
             started = perf_counter()
@@ -604,9 +658,10 @@ class TopKEngine:
             "format": self._SNAPSHOT_FORMAT,
             "k": self.config.k,
             "mode": self.mode,
-            "scan_queue": list(self._scan_queue),
-            "buffer": [[score, payload] for score, payload in
-                       self.buffer.items()],
+            "scan_queue": list(map(self._names.__getitem__,
+                                   self._scan_queue)),
+            "buffer": [[score, element_id] for element_id, score in
+                       self.topk_items()],
             "tree": self.policy.state(),
             "flattened": self.policy.flattened,
             "counters": {
@@ -657,8 +712,10 @@ class TopKEngine:
         except SerializationError as exc:
             raise SerializationError(f"expected {fmt} tree: {exc}") from exc
         engine.policy.flattened = bool(snapshot.get("flattened"))
-        for score, payload in buffer:
-            engine.buffer.offer(score, payload)
+        for (score, _), row in zip(buffer, _member_rows(
+                engine.policy, [element_id for _, element_id in buffer],
+                fmt)):
+            engine.buffer.offer(score, row)
         engine.mode = snapshot["mode"]
         engine._scan_queue = _undrawn_queue(
             snapshot.get("scan_queue") or [], engine.policy, fmt)

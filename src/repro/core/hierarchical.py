@@ -76,6 +76,7 @@ snapshot restore and the parallel subsystem) in ``docs/architecture.md``.
 
 from __future__ import annotations
 
+from array import array
 from typing import (Callable, Dict, Iterator, List, Mapping, Optional,
                     Sequence, Set, Tuple)
 
@@ -154,6 +155,9 @@ class HierarchicalBanditPolicy:
         self._children: List[List[int]] = []
         self._arms: List[Optional[ArmState]] = []
         self._remaining: List[int] = []
+        #: The one list every leaf's slots index (a tree's leaves share
+        #: one): ``names[row]`` is the id of a drawn row.
+        self.names = tree.names()
         self._mirror(tree.root, -1, factory)
         if self._arms[0] is not None and not len(self._arms[0]):
             raise ConfigurationError("index contains no elements")
@@ -248,12 +252,18 @@ class HierarchicalBanditPolicy:
         """True once every leaf arm has run dry (O(1) counter check)."""
         return self._remaining[0] <= 0
 
-    def remaining_ids(self) -> List[str]:
-        """All undrawn element IDs (used when falling back to a scan)."""
-        ids: List[str] = []
+    def remaining_rows(self) -> List[int]:
+        """All undrawn rows (used when falling back to a scan)."""
+        rows: List[int] = []
         for row in self._active_leaves():
-            ids.extend(self._arms[row].peek_members())
-        return ids
+            rows.extend(self._arms[row].peek_slots())
+        return rows
+
+    def member_rows(self) -> Dict[str, int]:
+        """Every member's id -> its row, drawn or not (O(members))."""
+        names = self.names
+        return {names[slot]: slot for arm in self._arms if arm is not None
+                for slot in arm.member_ids.slots}
 
     def live_leaves(self) -> List[Tuple[int, ScoreSketch]]:
         """``(remaining, sketch)`` of every leaf that can still be drawn."""
@@ -366,8 +376,9 @@ class HierarchicalBanditPolicy:
 
     def select(self, size: int, threshold: float | None = None,
                epsilon: float = 0.0, *, per_layer: bool = False,
-               choose: Optional[ChooseChild] = None) -> List[str]:
-        """Descend from the root to a leaf and draw up to ``size`` members.
+               choose: Optional[ChooseChild] = None) -> List[int]:
+        """Descend from the root to a leaf and draw up to ``size`` members'
+        rows (``names[row]`` is a drawn member's id).
 
         With ``per_layer=False`` (default) a single coin flip decides whether
         the *whole descent* explores (uniform random child per layer — the
@@ -382,8 +393,8 @@ class HierarchicalBanditPolicy:
                             per_layer=per_layer, epsilon=epsilon,
                             choose=choose)
         self._pending = row
-        ids = self._arms[row].draw_batch(size)
-        remaining, drawn, path = self._remaining, len(ids), self._paths[row]
+        rows = self._arms[row].draw_batch(size)
+        remaining, drawn, path = self._remaining, len(rows), self._paths[row]
         for node in path:
             remaining[node] -= drawn
         if remaining[row] <= 0:
@@ -394,7 +405,7 @@ class HierarchicalBanditPolicy:
                 if remaining[node] > 0:
                     break
                 live[parent[node]].remove(node)
-        return ids
+        return rows
 
     def greedy_leaf(self, threshold: float | None) -> str:
         """Id of the leaf with the highest gain estimate (deterministic ties).
@@ -592,8 +603,11 @@ class HierarchicalBanditPolicy:
                 self._remaining[row] = sum(self._remaining[c]
                                            for c in children)
             else:
-                arm.reset(undrawn(self._ids[row], entry[key],
-                                  arm.member_ids))
+                members = arm.member_ids
+                ids = undrawn(self._ids[row], entry[key], members)
+                slot_of = dict(zip(members, members.slots)) if ids else {}
+                arm.reset(array("i", [slot_of[element_id]
+                                      for element_id in ids]))
                 self._remaining[row] = len(arm)
             return row
 

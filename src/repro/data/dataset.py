@@ -111,6 +111,11 @@ class Locator:
                    if element_id not in base)
         return ids
 
+    def id_tuple(self) -> Tuple[str, ...]:
+        """:meth:`ids` as a tuple, made straight from the base when no
+        write overlays it."""
+        return tuple(self._base) if not self._overlay else tuple(self.ids())
+
     def row_array(self) -> np.ndarray:
         """The block row of every id, in id order."""
         base, overlay = self._base, self._overlay
@@ -282,17 +287,23 @@ class TableSnapshot(Dataset):
         return self._block
 
     @property
-    def row_ids(self) -> List[str]:
+    def row_ids(self) -> Sequence[str]:
         """The id each block row was written for; a live table's is
         shared by its snapshots and only ever appended to.  A static
-        table's rows are its ids in order, listed on first use."""
+        table's rows are its ids in order, a tuple made on first use
+        (which an index build over it shares, uncopied)."""
         if self._row_ids is None:
-            self._row_ids = self._locator.ids()
+            self._row_ids = self._locator.id_tuple()
         return self._row_ids
 
     def rows_of(self, element_ids: Sequence[str]) -> List[int]:
         """The block rows of ``element_ids``, in the order given."""
         return self._locator.rows(element_ids)
+
+    def live_rows(self) -> np.ndarray:
+        """The block row of every id, in id order: the rows this version
+        reads (a dead row is in none)."""
+        return self._locator.row_array()
 
     def ids(self) -> List[str]:
         return self._locator.ids()
@@ -304,8 +315,12 @@ class TableSnapshot(Dataset):
         return self.fetch_batch((element_id,))[0]
 
     def fetch_batch(self, element_ids: Sequence[str]) -> List[Any]:
-        object_rows = self._object_rows
-        return [object_rows[row] for row in self._locator.rows(element_ids)]
+        return self.fetch_rows(self._locator.rows(element_ids))
+
+    def fetch_rows(self, rows: Sequence[int]) -> List[Any]:
+        """The elements of block ``rows``, in the order given: what an
+        engine whose tree slots name this snapshot's rows fetches."""
+        return list(map(self._object_rows.__getitem__, rows))
 
     def features(self) -> np.ndarray:
         """Rows aligned with :meth:`ids`, gathered on first use.
@@ -318,7 +333,7 @@ class TableSnapshot(Dataset):
             if len(self._block) == len(self._locator):
                 self._features = self._block
             else:
-                self._features = self._block[self._locator.row_array()]
+                self._features = self._block[self.live_rows()]
         return self._features
 
     def feature_rows(self) -> Tuple[np.ndarray, Optional[np.ndarray]]:
@@ -327,7 +342,7 @@ class TableSnapshot(Dataset):
         if self._features is not None or len(self._block) == len(
                 self._locator):
             return self.features(), None
-        return self._block, self._locator.row_array()
+        return self._block, self.live_rows()
 
     def feature_of(self, element_id: str) -> np.ndarray:
         """One element's row: a view of the block (read-only when live)."""

@@ -7,12 +7,16 @@ whose internal nodes group similar leaves (built from the HAC dendrogram).
 :meth:`ClusterTree.to_dict` is that file's content.
 
 A leaf holds its members as :class:`LeafMembers`: an int array of slots
-into a list of ids (a built tree's leaves share one).  Every tree has that
-one representation — built, flat, read from JSON, restricted, a shard's,
-or maintained over a live table, where a slot is the element's block row
-(:mod:`repro.live.maintenance`) — and the bandit's arms draw slots
-(:mod:`repro.core.arms`).  Readers past the arm see ids only: iteration,
-indexing and the JSON document are the ids, in member order.
+into a list of ids, and a tree's leaves share one list — a built tree's
+id tuple, a table's row -> id list when the table built the tree, or one
+tuple a flat, JSON or hand-built tree reads its leaves' own ids into.
+Every tree has that one representation — built, flat, read from JSON,
+restricted, a shard's, or maintained over a live table, where a slot is
+the element's block row (:mod:`repro.live.maintenance`) — and the
+bandit's arms draw slots (:mod:`repro.core.arms`), which the single
+engine keeps as rows until an answer names them.  Readers past the
+engine see ids only: iteration, indexing and the JSON document are the
+ids, in member order.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ class LeafMembers(SequenceABC):
 
     ``slots`` is an ``array('i')``, in member order; ``names`` maps a
     slot to its id and may be shared by many leaves (a built tree's id
-    tuple, or a live table's row -> id list, whose slots are block rows).
+    tuple, or a table's row -> id list, whose slots are block rows).
     Names are only ever appended to, so a published leaf keeps reading
     the ids it was built with.  It reads like the tuple of its
     ids (length, iteration, indexing, slicing, equality) while holding
@@ -165,6 +169,7 @@ class ClusterTree:
     def __init__(self, root: ClusterNode) -> None:
         self.root = root
         self.validate()
+        self._share_names()
 
     # -- constructors ------------------------------------------------------------
 
@@ -182,6 +187,7 @@ class ClusterTree:
         tree.root = root
         for node in touched:
             tree._check_shape(node)
+        tree._share_names()
         return tree
 
     @classmethod
@@ -199,6 +205,13 @@ class ClusterTree:
         return cls(ClusterNode(node_id="root", children=children))
 
     # -- accessors ---------------------------------------------------------------
+
+    def names(self) -> Sequence[str]:
+        """The one list every leaf's slots index (``()`` for no member)."""
+        for leaf in self.root.iter_leaves():
+            if leaf.member_ids:
+                return leaf.member_ids.names
+        return ()
 
     def leaves(self) -> List[ClusterNode]:
         """All leaf nodes, left to right."""
@@ -307,6 +320,23 @@ class ClusterTree:
                         f"element {member!r} appears in multiple leaves"
                     )
                 seen_members.add(member)
+
+    def _share_names(self) -> None:
+        """Give leaves over id lists of their own (a JSON, flat or
+        hand-built tree) one shared list, leaf after leaf, in member
+        order, so a slot names one element across the tree."""
+        leaves = [leaf for leaf in self.root.iter_leaves()
+                  if leaf.member_ids]
+        if len({id(leaf.member_ids.names) for leaf in leaves}) <= 1:
+            return
+        names = tuple(member for leaf in leaves
+                      for member in leaf.member_ids)
+        start = 0
+        for leaf in leaves:
+            end = start + len(leaf.member_ids)
+            leaf.member_ids = LeafMembers(int_array(np.arange(start, end)),
+                                          names)
+            start = end
 
     def _all_members(self) -> Iterator[str]:
         """Every node's members, in traversal order."""

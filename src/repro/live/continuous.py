@@ -11,8 +11,9 @@ convergence, and compares the ``(id, score)`` answer with the previous
 emission.
 
 Cost model: the cross-query memo makes re-emission cheap — elements
-untouched by the intervening writes hit their memoized scores (the MVCC
-stamps only invalidate rewritten ids), so a cycle's fresh UDF calls are
+untouched by the intervening writes hit their memoized scores (the memo
+is keyed by block row, and a write only adds rows: the row rule in
+:mod:`repro.memo.store`), so a cycle's fresh UDF calls are
 proportional to the write batch, not the table.  When a
 :class:`~repro.service.budget.QueryGrant` is attached, each cycle is
 metered against the tenant's budget and the grant is *re-armed*

@@ -203,7 +203,7 @@ class IndexMaintainer:
         self._leaf_ids: List[str] = []
         #: Leaves whose ``_rows`` may hold rows deleted since.
         self._stale: Set[str] = set()
-        self._attach_aggregates(snapshot)
+        self._adopt_tree(snapshot)
 
     @property
     def tree(self) -> ClusterTree:
@@ -297,6 +297,21 @@ class IndexMaintainer:
                 if logged > version for node in nodes}
 
     # -- aggregates ----------------------------------------------------------
+
+    def _adopt_tree(self, snapshot: TableSnapshot) -> None:
+        """Take ``_tree`` (built over ``snapshot``) as the maintained tree.
+
+        A tree whose leaves slot ``snapshot``'s row -> id list (the
+        table binding's build) is kept as it is; any other (a
+        registration-time index, its own ids) is republished with
+        block-row slots over that list, in the same member order.
+        """
+        self._attach_aggregates(snapshot)
+        names = snapshot.row_ids
+        if any(leaf.member_ids.names is not names
+               for leaf in self._tree.leaves() if leaf.member_ids):
+            nodes, _, root = self._clone()
+            self._publish(set(), nodes, root, names, every_leaf=True)
 
     def _attach_aggregates(self, snapshot: TableSnapshot) -> None:
         self._sum.clear()
@@ -594,7 +609,7 @@ class IndexMaintainer:
 
     def _full_rebuild(self, snapshot: TableSnapshot) -> None:
         self._tree = self._rebuild(snapshot)
-        self._attach_aggregates(snapshot)
+        self._adopt_tree(snapshot)
         self.version = snapshot.version
         self.freshness = "rebuilt"
         self.n_rebuilds += 1

@@ -38,7 +38,7 @@ def _memo_view(plan: ExecutionPlan):
     """The memo view the engines thread, or ``None`` (caching off)."""
     if not plan.cache_enabled:
         return None
-    return plan.binding.memo_view(plan.fingerprint, plan.table_version)
+    return plan.binding.memo_view(plan.fingerprint, plan.dataset)
 
 
 def _execute_span(plan: ExecutionPlan, **attrs):

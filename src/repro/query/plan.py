@@ -417,8 +417,8 @@ class ExecutionPlan:
 
     @property
     def table_version(self) -> int:
-        """The version of :attr:`dataset` (0 for static tables): the
-        memo's MVCC validity checks read it."""
+        """The version of :attr:`dataset` (0 for static tables), which
+        a live plan's ``EXPLAIN`` prints."""
         return self.dataset.version
 
     @property

@@ -266,7 +266,7 @@ class OpaqueQuerySession:
                 f"{sorted(self._udfs)}"
             )
         # A live table reconciles its write log here (index maintenance,
-        # memo stamps, cache eviction) and pins this query to an
+        # the memo's row maps, cache eviction) and pins this query to an
         # immutable snapshot; this fork's priors are dirtied to match.
         dataset, index_freshness, index = binding.pin()
         priors = self._prior_store_for(binding, dataset.version)
@@ -309,8 +309,9 @@ class OpaqueQuerySession:
                     else bool(use_cache)) and fingerprint is not None
         expected_hit_rate = None
         if cache_on and logical.explain:
-            expected_hit_rate = binding.memo.expected_hit_rate(
-                fingerprint, ids=allowed_ids, n_candidates=n_candidates)
+            expected_hit_rate = binding.memo_view(
+                fingerprint, dataset).expected_hit_rate(
+                    ids=allowed_ids, n_candidates=n_candidates)
         return ExecutionPlan(
             query=logical,
             mode=mode,

@@ -37,8 +37,14 @@ def tiny_tree():
     return ClusterTree(ClusterNode("root", children=[a, b]))
 
 
+def named(policy, rows) -> list:
+    """The ids of rows a policy drew."""
+    return [policy.names[row] for row in rows]
+
+
 def select_from(policy, leaf_id: str, size: int = 1):
-    """``policy.select`` steered down to one named leaf (white-box helper).
+    """``policy.select`` steered down to one named leaf (white-box helper),
+    as the ids it drew.
 
     Steers through the public ``choose=`` hook by recognising the sketches
     on the leaf's root path, so the draw, the pending leaf and the counters
@@ -48,9 +54,10 @@ def select_from(policy, leaf_id: str, size: int = 1):
     while node is not None:
         path.add(id(node.histogram))
         node = node.parent
-    return policy.select(size, choose=lambda _parent, children: next(
-        position for position, sketch in enumerate(children)
-        if id(sketch) in path))
+    return named(policy, policy.select(
+        size, choose=lambda _parent, children: next(
+            position for position, sketch in enumerate(children)
+            if id(sketch) in path)))
 
 
 @pytest.fixture

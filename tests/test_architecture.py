@@ -243,6 +243,11 @@ DELETED_NAMES = (
     "_topk_signature", "_is_stable", "_stable_count", "checkpoint_every",
     "maxsize", "index_seed", "_index_seed", "default_index_config",
     "_default_index_config",
+    # The memo's per-id write stamps and version checks: a score is kept
+    # per block row, which no write rewrites.
+    "apply_writes", "_last_write", "_valid_for", "reader_version",
+    # The engine reads undrawn rows; a caller names them through ``names``.
+    "remaining_ids",
 )
 
 

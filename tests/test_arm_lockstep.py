@@ -8,7 +8,7 @@ start from the same members and the same generator state and take the
 same calls — ``draw`` and ``draw_batch`` at widths 1-128, interleaved until
 the arm runs dry — and after every call they must have returned the same
 ids and hold the same count, the same ``peek_members()`` order (which the
-policy's ``state()`` and ``remaining_ids()`` read) and the same generator
+policy's ``state()`` and ``remaining_rows()`` read) and the same generator
 state.  Partway through, the copy-free arm's policy takes its own
 ``state()`` back through JSON and ``load_state``, while the reference arm
 gets the list the parent's ``load_state`` assigned to it.
@@ -157,10 +157,12 @@ def test_copy_free_arm_draws_like_the_list_arm(size, seed, widths,
             reference._members = list(state["children"][0]["remaining"])
             assert_lockstep(arm, reference, (), ())
         width = widths[calls % len(widths)]
+        names = arm.names
         if width:
-            got, want = arm.draw_batch(width), reference.draw_batch(width)
+            got = [names[slot] for slot in arm.draw_batch(width)]
+            want = reference.draw_batch(width)
         else:
-            got, want = arm.draw(), reference.draw()
+            got, want = names[arm.draw()], reference.draw()
         calls += 1
         assert_lockstep(arm, reference, got, want)
     assert arm.is_empty and arm.draw_batch(3) == []

@@ -18,7 +18,7 @@ class TestArmState:
     def test_draw_without_replacement_is_a_permutation(self):
         members = [f"e{i}" for i in range(50)]
         arm = ArmState("arm", members, rng=0)
-        drawn = [arm.draw() for _ in range(50)]
+        drawn = [arm.names[arm.draw()] for _ in range(50)]
         assert sorted(drawn) == sorted(members)
         assert arm.is_empty
 
@@ -29,7 +29,7 @@ class TestArmState:
 
     def test_draw_batch_short_when_exhausting(self):
         arm = ArmState("arm", ["a", "b", "c"], rng=0)
-        batch = arm.draw_batch(10)
+        batch = [arm.names[slot] for slot in arm.draw_batch(10)]
         assert sorted(batch) == ["a", "b", "c"]
         assert arm.draw_batch(5) == []
 
@@ -50,7 +50,7 @@ class TestArmState:
         counts = {m: 0 for m in "abcd"}
         for seed in range(400):
             arm = ArmState("a", list("abcd"), rng=seed)
-            counts[arm.draw()] += 1
+            counts[arm.names[arm.draw()]] += 1
         for member, count in counts.items():
             assert 50 < count < 150, (member, count)
 

@@ -193,7 +193,7 @@ def lockstep(tree: ClusterTree, *, size: int = 1, seed: int = 0,
         assert got == want, step
         assert (new._rng.bit_generator.state
                 == ref._rng.bit_generator.state), step
-        scores = [element_score(i) for i in got]
+        scores = [element_score(new.names[row]) for row in got]
         seen.extend(scores)
         leaf, drops = ref._pending, ref.n_drops
         new.update(scores, threshold)

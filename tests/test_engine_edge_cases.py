@@ -209,11 +209,12 @@ class TestNonFiniteScores:
         dataset = InMemoryDataset(["a", "b", "c"], [1.0, 2.0, 3.0],
                                   np.zeros((3, 1)))
         scorer = FunctionScorer(lambda v: bad if v == 3.0 else v)
-        view = MemoStore().view("fp", 0)
+        view = MemoStore().view("fp")
         step = ScoringStep(dataset, scorer, memo=view)
-        assert list(step.score(["a", "b"])) == [1.0, 2.0]
+        rows = dataset.row_ids      # rows 0, 1, 2 are "a", "b", "c"
+        assert list(step.score([0, 1], rows)) == [1.0, 2.0]
         with pytest.raises(ConfigurationError, match="finite"):
-            step.score(["b", "c"])
+            step.score([1, 2], rows)
         assert view.snapshot() == {"a": 1.0, "b": 2.0}
         assert step.fresh == [("a", 1.0), ("b", 2.0)]
 

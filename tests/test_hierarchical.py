@@ -9,7 +9,7 @@ from repro.core.bandit import BanditConfig
 from repro.core.hierarchical import HierarchicalBanditPolicy
 from repro.errors import ExhaustedError, SerializationError
 from repro.index.tree import ClusterNode, ClusterTree
-from tests.conftest import select_from
+from tests.conftest import named, select_from
 
 
 def build_policy(tree, seed=0, **config_kwargs):
@@ -43,7 +43,7 @@ class TestMirrorConstruction:
 class TestSelection:
     def test_descends_to_leaf_and_draws(self, tiny_tree):
         policy = build_policy(tiny_tree)
-        ids = policy.select(3, epsilon=1.0)
+        ids = named(policy, policy.select(3, epsilon=1.0))
         assert len(ids) == 3
         assert policy._ids[policy._pending] in {"a1", "a2", "B"}
         assert set(ids) <= {f"x{i}" for i in range(10)} | \
@@ -62,7 +62,8 @@ class TestSelection:
         policy.node("a1").parent.histogram.add_many([0.1] * 20)
         policy.node("a2").histogram.add_many([0.1] * 20)
         chosen = {element_id[0] for _ in range(10)
-                  for element_id in policy.select(1, 0.0, epsilon=0.0)}
+                  for element_id in named(
+                      policy, policy.select(1, 0.0, epsilon=0.0))}
         assert chosen == {"y"}
 
     def test_explore_visits_all_leaves(self, tiny_tree):
@@ -90,7 +91,7 @@ class TestSelection:
         leaf = ClusterNode("only", member_ids=("e0",))
         tree = ClusterTree(ClusterNode("root", children=[leaf]))
         policy = build_policy(tree)
-        assert policy.select(1) == ["e0"]
+        assert named(policy, policy.select(1)) == ["e0"]
         policy.update([1.0], None)
         assert policy.exhausted
         with pytest.raises(ExhaustedError):
@@ -172,7 +173,7 @@ class TestEmptyChildHandling:
         policy = build_policy(tiny_tree)
         drawn = set(select_from(policy, "B", size=4))
         assert len(drawn) == 4
-        remaining = set(policy.remaining_ids())
+        remaining = set(named(policy, policy.remaining_rows()))
         assert drawn.isdisjoint(remaining)
         assert len(remaining) == 16
 
@@ -227,8 +228,8 @@ class TestStateRoundTrip:
         restored.load_state(payload)
         assert restored.state() == payload
         assert restored.remaining == source.remaining
-        assert sorted(restored.remaining_ids()) == \
-            sorted(source.remaining_ids())
+        assert sorted(named(restored, restored.remaining_rows())) == \
+            sorted(named(source, source.remaining_rows()))
         assert [n for n, _sketch in restored.live_leaves()] == \
             [n for n, _sketch in source.live_leaves()]
         assert restored.greedy_leaf(0.5) == source.greedy_leaf(0.5)

@@ -2,8 +2,8 @@
 
 Every leaf's members are a :class:`~repro.index.tree.LeafMembers` (an
 ``array('i')`` of slots plus the list that names them), and
-:class:`~repro.core.arms.ArmState` draws slots and names its picks at
-the end.  Until that change an arm read a tuple of ids in place through
+:class:`~repro.core.arms.ArmState` draws slots, which its ``names``
+list turns into ids.  Until that change an arm read a tuple of ids in place through
 the same swap map; that arm's tuple path is kept below verbatim as
 ``TupleArm``.  Both start from the same members and generator state and
 take the same calls — ``draw`` and ``draw_batch`` at ``BATCH`` 1, 8 and
@@ -142,14 +142,26 @@ def drive(arm: ArmState, reference: TupleArm, batch: int,
     """Up to ``calls`` draws side by side, checked after each."""
     while len(reference) and calls:
         if batch == 1 or rng.random() < 0.1:
-            assert arm.draw() == reference.draw()
+            assert arm.names[arm.draw()] == reference.draw()
         else:
             size = int(rng.integers(1, batch + 1))
-            assert arm.draw_batch(size) == reference.draw_batch(size)
+            assert named(arm, arm.draw_batch(size)) == \
+                reference.draw_batch(size)
         assert_same(arm, reference)
         if layout == "growing":     # the table writes on meanwhile
             leaf.names.append(f"late{len(leaf.names)}")
         calls -= 1
+
+
+def named(arm: ArmState, slots) -> List[str]:
+    """The ids drawn ``slots`` name."""
+    return [arm.names[slot] for slot in slots]
+
+
+def slots_of(arm: ArmState, ids) -> array:
+    """The arm's slots of member ``ids``, in that order."""
+    slot_of = dict(zip(arm.member_ids, arm.member_ids.slots))
+    return array("i", [slot_of[element_id] for element_id in ids])
 
 
 def assert_emptied(arm: ArmState, batch: int) -> None:
@@ -178,7 +190,8 @@ def test_slot_arm_draws_in_lockstep_with_the_tuple_arm(layout, batch, seed):
 @pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("batch", [1, 8, 64])
 def test_a_reset_arm_draws_from_its_new_members(layout, batch):
-    """Restoring a snapshot resets an arm onto a plain list of ids."""
+    """Restoring a snapshot resets an arm onto the slots of a list of
+    ids."""
     rng = np.random.default_rng([78, batch])
     members = tuple(f"m{i}" for i in range(150))
     leaf = leaf_of(members, layout, rng)
@@ -186,7 +199,7 @@ def test_a_reset_arm_draws_from_its_new_members(layout, batch):
     reference = TupleArm("leaf", members, rng=3)
     drive(arm, reference, batch, rng, leaf, layout, calls=5)
     kept = list(arm.peek_members())[::2]
-    arm.reset(kept)
+    arm.reset(slots_of(arm, kept))
     reference.reset(kept)
     assert arm.member_ids is leaf           # restore checks against it
     assert_same(arm, reference)

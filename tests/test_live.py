@@ -12,9 +12,10 @@ Four contracts under test:
   {single, sharded, streaming} x {serial, thread, process} matrix, warm
   and cold memo (the differential the tentpole demands: tree shape may
   differ, answers may not).
-* **MVCC memo** — a committed write invalidates exactly the rewritten
-  ids; re-running after a write scores only those, and version-stamped
-  memo snapshots refuse to revive against a different table version.
+* **Row-keyed memo** — a committed write only adds rows, so a re-run
+  after it scores exactly the rows it wrote, a reader keeps the scores
+  of the rows its snapshot sees, and version-stamped memo snapshots
+  refuse to revive against a different table version.
 * **Standing queries** — ``CONTINUOUS`` re-emits exact top-k snapshots
   on answer-changing commits only, without rescoring unchanged
   memoized elements, re-arms its budget grant between cycles, and
@@ -351,7 +352,7 @@ class TestWriterReaderRace:
         assert [i for i, _ in racy.items] == [i for i, _ in baseline.items]
 
 
-# -- MVCC memo and version-stamped snapshots ---------------------------------
+# -- the row-keyed memo and version-stamped snapshots -------------------------
 
 
 class TestMemoVersioning:
@@ -375,39 +376,57 @@ class TestMemoVersioning:
         assert scorer.n_elements - cold_calls == len(appended)
         assert [i for i, _ in second.items[:2]] == ["new-0000", "new-0001"]
 
-    def test_store_pins_readers_to_their_snapshot(self):
+    def test_store_serves_readers_the_rows_they_pinned(self):
         from repro.memo.store import MemoStore
 
+        table = LiveTable(["a", "b"], features=np.array([[1.0], [2.0]]))
         store = MemoStore()
-        store.view("fp").record(["a", "b"], [1.0, 2.0])
-        store.apply_writes(["a"], version=1)
-        stale = store.view("fp", reader_version=0)
-        scores, misses = stale.lookup(["a", "b"])
-        assert scores == [None, 2.0] and misses == [0]
-        # A stale reader's fresh score for a rewritten id is dropped, not
-        # recorded — it describes rows that no longer exist.
+        before = table.snapshot()
+        store.follow(before)
+        store.view("fp", before).record(["a", "b"], [1.0, 2.0])
+        table.update(["a"], np.array([[5.0]]))
+        after = table.snapshot()
+        store.follow(after)
+        # Pinned before the update: "a"'s old row, and its score.
+        stale = store.view("fp", before)
+        assert stale.lookup(["a", "b"]) == ([1.0, 2.0], [])
+        # Pinned after: "a"'s new row misses.
+        current = store.view("fp", after)
+        assert current.lookup(["a", "b"]) == ([None, 2.0], [0])
+        # A stale reader's record lands on the old row it scored.
         stale.record(["a"], [7.0])
-        assert store.view("fp", reader_version=1).lookup(["a"])[0] == [None]
-        store.view("fp", reader_version=1).record(["a"], [3.0])
-        assert store.view("fp", reader_version=1).lookup(["a"])[0] == [3.0]
+        assert current.lookup(["a"])[0] == [None]
+        current.record(["a"], [3.0])
+        assert current.lookup(["a"])[0] == [3.0]
+        assert stale.lookup(["a"])[0] == [7.0]
 
     def test_readers_either_side_of_the_newest_version(self):
         from repro.memo.store import MemoStore
 
+        table = LiveTable(["a", "b"], features=np.array([[1.0], [2.0]]))
         store = MemoStore()
-        store.view("fp").record(["a", "b"], [1.0, 2.0])
-        store.apply_writes(["a"], version=2)
+        behind = table.snapshot()
+        store.follow(behind)
+        store.view("fp", behind).record(["a", "b"], [1.0, 2.0])
+        table.update(["a"], np.array([[5.0]]))
+        table.append(["c"], None, np.array([[3.0]]))
+        newest = table.snapshot()
+        store.follow(newest)
         assert store.table_version == 2
-        current = store.view("fp", reader_version=2)
+        current = store.view("fp", newest)
         current.record(["a"], [3.0])
         assert current.lookup(["a", "b"]) == ([3.0, 2.0], [])
         assert current.snapshot() == {"a": 3.0, "b": 2.0}
-        # One version behind: "a" was rewritten at 2, so it misses, its
-        # score is left out of the snapshot and a record of it is dropped.
-        behind = store.view("fp", reader_version=1)
-        assert behind.lookup(["a", "b"]) == ([None, 2.0], [0])
-        assert behind.snapshot() == {"b": 2.0}
-        behind.record(["a", "c"], [7.0, 4.0])
+        # Two versions behind: "a" reads its old row, the snapshot lists
+        # what that reader sees, and "c" is a stranger to it.
+        view = store.view("fp", behind)
+        assert view.lookup(["a", "b"]) == ([1.0, 2.0], [])
+        assert view.snapshot() == {"a": 1.0, "b": 2.0}
+        view.record(["a"], [7.0])
+        with pytest.raises(ConfigurationError, match="'c'"):
+            view.record(["c"], [4.0])
+        assert current.snapshot() == {"a": 3.0, "b": 2.0}
+        current.record(["c"], [4.0])
         assert current.snapshot() == {"a": 3.0, "b": 2.0, "c": 4.0}
 
     def test_restore_memo_rejects_version_mismatch(self):
@@ -518,7 +537,9 @@ class TestTableBinding:
         binding = session._binding("t")
         assert binding.pin() == (session.table("t"), None, None)
         assert session.table("t").version == 0
-        assert binding.memo_view("fp", 0).reader_version is None
+        # The memo reads the static table's own rows.
+        view = binding.memo_view("fp", session.table("t"))
+        assert view.space is session.table("t").row_ids
         assert binding.touched_since(0) == set()
         assert binding.info()["index_freshness"] == "unbuilt"
         tree = binding.index_for()
@@ -534,7 +555,7 @@ class TestTableBinding:
         assert len(binding.shard_cache) == 1
         calls = []
         for owner, method in ((binding.maintainer, "advance"),
-                              (binding.memo, "apply_writes"),
+                              (binding.memo, "follow"),
                               (binding.shard_cache, "evict_stale")):
             real = getattr(owner, method)
             monkeypatch.setattr(
@@ -545,7 +566,7 @@ class TestTableBinding:
 
         fork_a, fork_b = session.fork(), session.fork()
         pins = [fork._binding("t").pin() for fork in (fork_a, fork_b)]
-        assert sorted(calls) == ["advance", "apply_writes", "evict_stale"]
+        assert sorted(calls) == ["advance", "evict_stale", "follow"]
         for snapshot, freshness, index in pins:
             assert snapshot.version == table.version == 1
             assert freshness == "incremental"
@@ -553,7 +574,8 @@ class TestTableBinding:
             assert set(new_ids) <= set(snapshot.ids())
         assert binding.maintainer.version == binding.memo.table_version == 1
         assert len(binding.shard_cache) == 0        # version-0 partitions
-        assert binding.memo_view("fp", 1).reader_version == 1
+        view = binding.memo_view("fp", pins[0][0])
+        assert view.table is pins[0][0] and view.space is pins[0][0].row_ids
         # Each fork dirties its own priors from the one shared log.
         touched = binding.touched_since(0)
         assert touched and touched == binding.touched_since(0)
@@ -592,8 +614,12 @@ class TestTableBinding:
                 table.delete([snapshot.ids()[0]])
                 append_rows(table, [1.0])
             binding = session._binding("t")
-            binding.pin()
-            assert (binding.maintainer.tree is prebuilt) == adopted
+            snapshot_now, _, tree = binding.pin()
+            # Adopted: the same leaves and members, in the same order,
+            # republished over the snapshot's block rows.
+            assert (tree.to_dict() == prebuilt.to_dict()) == adopted
+            assert all(leaf.member_ids.names is snapshot_now.row_ids
+                       for leaf in tree.leaves())
 
 
 # -- what a write costs, structurally (no clock) ------------------------------

@@ -19,7 +19,7 @@ from repro.core.policies import ConstantEpsilon
 from repro.data.dataset import InMemoryDataset
 from repro.index.tree import ClusterNode, ClusterTree
 from repro.scoring.base import FunctionScorer
-from tests.conftest import select_from
+from tests.conftest import named, select_from
 
 
 class TestFlatBanditOptimism:
@@ -35,7 +35,7 @@ class TestFlatBanditOptimism:
         policy = self.make_policy(optimism=True)
         chosen = []
         for _ in range(6):
-            (element,) = policy.select(1, epsilon=0.0)
+            (element,) = named(policy, policy.select(1, epsilon=0.0))
             policy.update([1.0], None)
             chosen.append(element.split(":")[0])
         assert sorted(chosen) == [f"arm{i}" for i in range(6)]
@@ -47,7 +47,7 @@ class TestFlatBanditOptimism:
         policy.update([0.001], None)
         chosen = set()
         for _ in range(10):
-            (element,) = policy.select(1, epsilon=0.0)
+            (element,) = named(policy, policy.select(1, epsilon=0.0))
             policy.update([0.001], None)
             chosen.add(element.split(":")[0])
         # Pure greedy with zero exploration never leaves arm0.

@@ -550,13 +550,17 @@ def test_coordinator_snapshot_round_trip(budget, seed, n_workers,
 
 @st.composite
 def memo_stores(draw):
-    store = MemoStore()
+    """Stores as the library leaves them: scores recorded by id, on top
+    of a loaded document that may carry a table version and its
+    ``last_write`` stamps."""
+    version = draw(st.integers(0, 5))
+    stamps = draw(st.dictionaries(IDS, st.integers(0, version), max_size=3))
+    store = MemoStore.from_dict({"format": "repro-memo/1", "scores": {},
+                                 "table_version": version or None,
+                                 "last_write": stamps or None})
     for udf, scores in draw(st.dictionaries(
             UDFS, st.dictionaries(IDS, SCORES))).items():
         store.view(udf).record_pairs(scores.items())
-    for changed, version in draw(st.lists(
-            st.tuples(st.lists(IDS), st.integers(1, 5)), max_size=3)):
-        store.apply_writes(changed, version)
     return store
 
 

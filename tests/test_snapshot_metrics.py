@@ -13,6 +13,7 @@ from repro.data.synthetic import SyntheticClustersDataset
 from repro.errors import ConfigurationError, SerializationError
 from repro.experiments.ground_truth import compute_ground_truth
 from repro.scoring.relu import ReluScorer
+from tests.conftest import named
 
 
 @pytest.fixture
@@ -102,8 +103,9 @@ class TestSnapshot:
                                  resume_seed=5)
         assert resumed.policy.flattened
         assert resumed.policy.remaining == N_ELEMENTS - 100
-        assert sorted(resumed.policy.remaining_ids()) == \
-            sorted(engine.policy.remaining_ids())
+        assert sorted(named(resumed.policy,
+                            resumed.policy.remaining_rows())) == \
+            sorted(named(engine.policy, engine.policy.remaining_rows()))
         assert resumed.snapshot()["tree"] == snap["tree"]
         while resumed.n_scored < N_ELEMENTS:
             assert not resumed.exhausted
